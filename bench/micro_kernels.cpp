@@ -100,13 +100,14 @@ BENCHMARK(BM_TopologicalSort)->Arg(100)->Arg(400);
 void BM_AllocateOneTask(benchmark::State& state) {
   const Workload w = bench_workload(100, 20);
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w,
                                      static_cast<std::size_t>(state.range(0)));
   Rng rng(4);
   SolutionString s = random_initial_solution(w.graph(), w.num_machines(), rng);
   TaskId t = 0;
   for (auto _ : state) {
-    allocate_tasks(w, eval, candidates, {t}, s, rng);
+    allocate_tasks(w, eval, candidates, {t}, s, rng, batch);
     t = (t + 1) % static_cast<TaskId>(w.num_tasks());
   }
 }

@@ -6,12 +6,12 @@
 //
 //   * trials/sec of the SE allocation enumeration, under two engines that
 //     produce bit-identical placements:
-//       - "baseline": a faithful replica of the pre-engine implementation —
-//         every (position, machine) trial re-simulates the whole suffix
-//         from the bottom of the task's valid range through the graph's
-//         in_edges() -> edge(d) double indirection, with no checkpoint
-//         rolling and no pruning (the BaselineEvaluator class below is the
-//         old Evaluator verbatim);
+//       - "baseline": the pre-engine implementation — every (position,
+//         machine) trial re-simulates the whole suffix from the bottom of
+//         the task's valid range through the graph's in_edges() -> edge(d)
+//         double indirection, with no checkpoint rolling and no pruning
+//         (NaiveTrialEvaluator, the differential tests' naive reference in
+//         tests/naive_reference.h);
 //       - "incremental": rolling checkpoints + exact pruning + the CSR hot
 //         path — the scalar reference trial loop;
 //       - "batch_trials": the SoA sweep — allocate_tasks() driving
@@ -31,9 +31,6 @@
 //     driver (search/engine.h). Both share the step core and must produce
 //     identical results; --check-overhead TOL additionally fails the run
 //     when the stepwise throughput drops below (1 - TOL) x run()'s.
-//   * prepared_lru: hit rate of the GA/GSA prepared-parent LRU (the cache
-//     that replaced the single prepared slot) over a short engine run —
-//     the measurement that justifies keeping the cache.
 //
 // Results go to stdout (human table) and to a JSON file (--out, default
 // BENCH_hotpath.json) that CI uploads as an artifact, so future PRs can
@@ -49,8 +46,7 @@
 #include "core/options.h"
 #include "core/rng.h"
 #include "core/timer.h"
-#include "ga/ga.h"
-#include "heuristics/gsa.h"
+#include "naive_reference.h"
 #include "obs/metrics.h"
 #include "sched/simd.h"
 #include "se/allocation.h"
@@ -102,77 +98,6 @@ std::vector<ClassSpec> paper_scale_classes() {
   }
   return out;
 }
-
-/// The pre-engine evaluator, kept verbatim as the measured baseline: plain
-/// vector adjacency, bounds-checked machine_of() lookups, a pair_index()
-/// call per transfer, and full suffix re-simulation from the checkpoint for
-/// every trial.
-class BaselineEvaluator {
- public:
-  explicit BaselineEvaluator(const Workload& w)
-      : workload_(&w),
-        finish_(w.num_tasks(), 0.0),
-        machine_avail_(w.num_machines(), 0.0) {}
-
-  void begin_trials(const SolutionString& s, std::size_t prefix) {
-    const Workload& w = *workload_;
-    std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-    const TaskGraph& g = w.graph();
-    double makespan = 0.0;
-    for (std::size_t i = 0; i < prefix; ++i) {
-      const Segment& seg = s.segment(i);
-      const TaskId t = seg.task;
-      const MachineId m = seg.machine;
-      double ready = 0.0;
-      for (DataId d : g.in_edges(t)) {
-        const DagEdge& e = g.edge(d);
-        const MachineId pm = s.machine_of(e.src);
-        ready = std::max(ready, finish_[e.src] + w.transfer(pm, m, d));
-      }
-      const double start = std::max(ready, machine_avail_[m]);
-      const double finish = start + w.exec(m, t);
-      finish_[t] = finish;
-      machine_avail_[m] = finish;
-      makespan = std::max(makespan, finish);
-    }
-    cp_avail_ = machine_avail_;
-    cp_makespan_ = makespan;
-    cp_prefix_ = prefix;
-  }
-
-  double trial_makespan(const SolutionString& s) {
-    const Workload& w = *workload_;
-    std::copy(cp_avail_.begin(), cp_avail_.end(), machine_avail_.begin());
-    const TaskGraph& g = w.graph();
-    double makespan = cp_makespan_;
-    const std::size_t k = s.size();
-    for (std::size_t i = cp_prefix_; i < k; ++i) {
-      const Segment& seg = s.segment(i);
-      const TaskId t = seg.task;
-      const MachineId m = seg.machine;
-      double ready = 0.0;
-      for (DataId d : g.in_edges(t)) {
-        const DagEdge& e = g.edge(d);
-        const MachineId pm = s.machine_of(e.src);
-        ready = std::max(ready, finish_[e.src] + w.transfer(pm, m, d));
-      }
-      const double start = std::max(ready, machine_avail_[m]);
-      const double finish = start + w.exec(m, t);
-      finish_[t] = finish;
-      machine_avail_[m] = finish;
-      makespan = std::max(makespan, finish);
-    }
-    return makespan;
-  }
-
- private:
-  const Workload* workload_;
-  std::vector<double> finish_;
-  std::vector<double> machine_avail_;
-  std::vector<double> cp_avail_;
-  double cp_makespan_ = 0.0;
-  std::size_t cp_prefix_ = 0;
-};
 
 /// One full allocation pass over every task, in the given engine mode.
 /// Returns the number of (position, machine) combinations simulated.
@@ -284,50 +209,6 @@ ThroughputResult measure_batch_throughput(
     finals.push_back(check.makespan(s));
   }
   metrics = batch.metrics();
-  return out;
-}
-
-/// Hit rate of the GA/GSA prepared-parent LRU over a short engine run: the
-/// fraction of mutation-only children whose parent state was already
-/// prepared. The cache replaced a single prepared slot; this number is what
-/// justifies keeping it.
-struct LruResult {
-  double ga_hit_rate = 0.0;
-  double gsa_hit_rate = 0.0;
-  std::size_t ga_hits = 0;
-  std::size_t ga_lookups = 0;
-  std::size_t gsa_hits = 0;
-  std::size_t gsa_lookups = 0;
-};
-
-LruResult measure_prepared_lru(const Workload& w, std::size_t generations) {
-  LruResult out;
-  {
-    GaParams p;
-    p.seed = 3;
-    p.max_generations = generations;
-    p.record_trace = false;
-    GaEngine engine(w, p);
-    engine.init();
-    while (!engine.done()) engine.step();
-    out.ga_hit_rate = engine.prepared_cache().hit_rate();
-    out.ga_hits = engine.prepared_cache().hits();
-    out.ga_lookups =
-        engine.prepared_cache().hits() + engine.prepared_cache().misses();
-  }
-  {
-    GsaParams p;
-    p.seed = 3;
-    p.max_generations = generations;
-    p.record_trace = false;
-    GsaEngine engine(w, p);
-    engine.init();
-    while (!engine.done()) engine.step();
-    out.gsa_hit_rate = engine.prepared_cache().hit_rate();
-    out.gsa_hits = engine.prepared_cache().hits();
-    out.gsa_lookups =
-        engine.prepared_cache().hits() + engine.prepared_cache().misses();
-  }
   return out;
 }
 
@@ -491,7 +372,7 @@ int main(int argc, char** argv) {
     const Workload w = make_workload(spec.params);
     std::vector<double> naive_finals, inc_finals, batch_finals, simd_finals;
     const ThroughputResult naive =
-        measure_throughput<false, BaselineEvaluator>(w, passes, naive_finals);
+        measure_throughput<false, NaiveTrialEvaluator>(w, passes, naive_finals);
     const ThroughputResult inc =
         measure_throughput<true, Evaluator>(w, passes, inc_finals);
     Evaluator::TrialBatch::BatchMetrics batch_metrics;
@@ -502,8 +383,6 @@ int main(int argc, char** argv) {
         w, passes, kernel_choice, simd_finals, simd_metrics);
     const TargetResult target = measure_time_to_target(w, iters);
     const StepOverheadResult overhead = measure_step_overhead(w, iters);
-    const LruResult lru = measure_prepared_lru(w, std::max<std::size_t>(
-                                                      iters / 2, 10));
     const double speedup = naive.trials_per_sec() > 0.0
                                ? inc.trials_per_sec() / naive.trials_per_sec()
                                : 0.0;
@@ -594,22 +473,9 @@ int main(int argc, char** argv) {
     std::printf("  SE run      best=%.2f in %.3fs; within 5%% after %.3fs\n",
                 target.best, target.total_seconds, target.time_to_target);
     std::printf("  engine_step %12.0f trials/sec stepwise vs %.0f run() "
-                "(%.3fx)\n",
+                "(%.3fx)\n\n",
                 overhead.step_trials_per_sec, overhead.run_trials_per_sec,
                 overhead.ratio());
-    // A hit IS a repeated parent (value-keyed cache), so the rate is only
-    // meaningful when parents repeat; the default GA family (crossover 0.6)
-    // replaces most parent values every generation — see README.
-    if (lru.ga_hits == 0 && lru.gsa_hits == 0) {
-      std::printf("  prepared_lru no repeated parents (GA 0/%zu, GSA 0/%zu "
-                  "lookups hit)\n\n",
-                  lru.ga_lookups, lru.gsa_lookups);
-    } else {
-      std::printf("  prepared_lru hit rate: GA %.3f (%zu/%zu), GSA %.3f "
-                  "(%zu/%zu)\n\n",
-                  lru.ga_hit_rate, lru.ga_hits, lru.ga_lookups,
-                  lru.gsa_hit_rate, lru.gsa_hits, lru.gsa_lookups);
-    }
 
     if (!first) std::fprintf(json, ",\n");
     first = false;
@@ -642,14 +508,6 @@ int main(int argc, char** argv) {
     std::fprintf(json, "        \"trials_per_sec\": %.1f,\n",
                  simd.trials_per_sec());
     std::fprintf(json, "        \"speedup_vs_batch\": %.3f\n", simd_speedup);
-    std::fprintf(json, "      },\n");
-    std::fprintf(json, "      \"prepared_lru\": {\n");
-    std::fprintf(json, "        \"ga_hit_rate\": %.4f,\n", lru.ga_hit_rate);
-    std::fprintf(json, "        \"ga_hits\": %zu,\n", lru.ga_hits);
-    std::fprintf(json, "        \"ga_lookups\": %zu,\n", lru.ga_lookups);
-    std::fprintf(json, "        \"gsa_hit_rate\": %.4f,\n", lru.gsa_hit_rate);
-    std::fprintf(json, "        \"gsa_hits\": %zu,\n", lru.gsa_hits);
-    std::fprintf(json, "        \"gsa_lookups\": %zu\n", lru.gsa_lookups);
     std::fprintf(json, "      },\n");
     std::fprintf(json, "      \"trials\": %zu,\n", inc.trials);
     std::fprintf(json, "      \"se_best_makespan\": %.17g,\n", target.best);

@@ -8,19 +8,8 @@
 
 namespace sehc {
 
-namespace {
-/// Prepared-parent cache capacity: a handful of elite strings parent most
-/// mutation-only children generation after generation, so a small cache
-/// absorbs the repeats without holding the whole population prepared.
-constexpr std::size_t kPreparedCacheCapacity = 8;
-}  // namespace
-
 GaEngine::GaEngine(const Workload& workload, GaParams params)
-    : workload_(&workload),
-      params_(params),
-      eval_(workload),
-      prepared_lru_(eval_, kPreparedCacheCapacity),
-      batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
   SEHC_CHECK(params_.population >= 2, "GaEngine: population must be >= 2");
   SEHC_CHECK(params_.elite < params_.population,
              "GaEngine: elite must be < population");
@@ -68,7 +57,6 @@ void GaEngine::init() {
   const TaskGraph& g = w.graph();
   rng_ = Rng(params_.seed);
   eval_.reset_trial_state();
-  prepared_lru_.clear();
   timer_.reset();
 
   // Initial population: random assignment + random topological order.
@@ -185,12 +173,10 @@ StepStats GaEngine::step() {
   }
 
   // Evaluate before the parents are replaced. Suffix evaluations are
-  // grouped by parent: each parent's mutation-only children form one
-  // TrialBatch evaluated on top of the parent's prepared state, which the
-  // value-keyed LRU keeps across generations (elites and clones re-parent
-  // with unchanged string values, so their states keep hitting). Evaluation
-  // consumes no RNG, so neither grouping nor caching perturbs the stream,
-  // and the batch is bit-identical to per-child prepared trials.
+  // grouped by parent: the parent is prepared once and its mutation-only
+  // children form one TrialBatch on top of that prepared state. Evaluation
+  // consumes no RNG, so the grouping does not perturb the stream, and the
+  // batch is bit-identical to per-child prepared trials.
   for (std::size_t i = 0; i < next.size(); ++i) {
     if (next_dirty[i] == kFull) next_lengths[i] = eval_.makespan(next[i]);
   }
@@ -220,7 +206,8 @@ StepStats GaEngine::step() {
       }
       if (batched.empty()) {
         // Prepare lazily: a group of no-op mutations needs no state.
-        batch_.begin_prepared(pop_[parent], prepared_lru_.get(pop_[parent]));
+        eval_.prepare(pop_[parent]);
+        batch_.begin_prepared(pop_[parent]);
       }
       batch_.add_string(next[i], from);
       batched.push_back(i);

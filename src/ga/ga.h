@@ -28,7 +28,6 @@
 #include "hc/workload.h"
 #include "sched/encoding.h"
 #include "sched/evaluator.h"
-#include "sched/prepared_lru.h"
 #include "sched/schedule.h"
 #include "search/engine.h"
 
@@ -78,10 +77,6 @@ class GaEngine final : public SearchEngine {
 
   GaResult run();
 
-  /// Prepared-parent cache statistics (see PreparedLru; measured by
-  /// bench/perf_hotpath to justify keeping the cache).
-  const PreparedLru& prepared_cache() const { return prepared_lru_; }
-
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GA"; }
   void init() override;
@@ -99,9 +94,7 @@ class GaEngine final : public SearchEngine {
   Observer observer_;
   Evaluator eval_;
   // Mutation-only children are evaluated as per-parent TrialBatches on top
-  // of LRU-cached prepared parents (elites re-parent across generations, so
-  // value-keyed states keep hitting; see ga.cpp).
-  PreparedLru prepared_lru_;
+  // of the parent's prepared state (see ga.cpp).
   Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).

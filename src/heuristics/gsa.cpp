@@ -12,9 +12,6 @@ namespace sehc {
 
 namespace {
 
-/// Prepared-parent cache capacity (see the GA engine's twin constant).
-constexpr std::size_t kPreparedCacheCapacity = 8;
-
 /// First string position where two equal-length solutions differ, or their
 /// size when identical (see the GA engine's twin helper).
 std::size_t first_difference(const SolutionString& a, const SolutionString& b) {
@@ -29,11 +26,7 @@ std::size_t first_difference(const SolutionString& a, const SolutionString& b) {
 }  // namespace
 
 GsaEngine::GsaEngine(const Workload& workload, GsaParams params)
-    : workload_(&workload),
-      params_(params),
-      eval_(workload),
-      prepared_lru_(eval_, kPreparedCacheCapacity),
-      batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
   SEHC_CHECK(params_.population >= 2, "GsaEngine: population must be >= 2");
   SEHC_CHECK(params_.cooling > 0.0 && params_.cooling < 1.0,
              "GsaEngine: cooling must be in (0,1)");
@@ -73,7 +66,6 @@ void GsaEngine::init() {
   const double typical_delta = std::max(spread.stddev(), 1e-9);
   temperature_ = -typical_delta / std::log(params_.initial_acceptance);
 
-  prepared_lru_.clear();
   generation_ = 0;
   stop_requested_ = false;
   trace_.clear();
@@ -91,16 +83,15 @@ StepStats GsaEngine::step() {
   const Workload& w = *workload_;
   const TaskGraph& g = w.graph();
 
-  // Mutation-only children ride the prepared-parent LRU + trial batch: the
-  // parent's prepared state is fetched by string VALUE (so Metropolis slot
-  // overwrites no longer flush it — the old slot/version cache invalidated
-  // on every acceptance) and the child evaluates through the batched kernel.
-  // Evaluation consumes no RNG, so results stay bit-identical to full
-  // re-evaluation.
+  // A mutation-only child differs from its parent only from its first
+  // changed position on: prepare the parent and evaluate the child's suffix
+  // through the batched kernel. Evaluation consumes no RNG, so results stay
+  // bit-identical to full re-evaluation.
   auto suffix_makespan = [&](const SolutionString& child, std::size_t parent) {
     const std::size_t from = first_difference(child, pop_[parent]);
     if (from == child.size()) return lengths_[parent];  // mutation was a no-op
-    batch_.begin_prepared(pop_[parent], prepared_lru_.get(pop_[parent]));
+    eval_.prepare(pop_[parent]);
+    batch_.begin_prepared(pop_[parent]);
     batch_.add_string(child, from);
     return batch_.evaluate(std::numeric_limits<double>::infinity()).front();
   };

@@ -23,7 +23,6 @@
 #include "hc/workload.h"
 #include "sched/encoding.h"
 #include "sched/evaluator.h"
-#include "sched/prepared_lru.h"
 #include "sched/schedule.h"
 #include "search/engine.h"
 
@@ -70,10 +69,6 @@ class GsaEngine final : public SearchEngine {
 
   GsaResult run();
 
-  /// Prepared-parent cache statistics (see PreparedLru; measured by
-  /// bench/perf_hotpath to justify keeping the cache).
-  const PreparedLru& prepared_cache() const { return prepared_lru_; }
-
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GSA"; }
   void init() override;
@@ -90,10 +85,8 @@ class GsaEngine final : public SearchEngine {
   GsaParams params_;
   Observer observer_;
   Evaluator eval_;
-  // Prepared-parent LRU + trial batch for mutation-only children. Keying by
-  // string value (not population slot) survives Metropolis overwrites, so
-  // acceptances no longer flush the cache (see gsa.cpp).
-  PreparedLru prepared_lru_;
+  // Trial batch for mutation-only children, on top of the parent's prepared
+  // state (see gsa.cpp).
   Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).

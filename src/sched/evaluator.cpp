@@ -78,72 +78,27 @@ Evaluator& Evaluator::operator=(const Evaluator& other) {
   return *this;
 }
 
-double Evaluator::run_suffix(const SolutionString& s, std::size_t from,
-                             double makespan_in, double bound) const {
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  double* const finish = finish_.data();
-  double* const avail = machine_avail_.data();
-
-  double makespan = makespan_in;
-  if (makespan > bound) return kInf;
-  for (std::size_t i = from; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    if (fin > makespan) {
-      makespan = fin;
-      if (makespan > bound) return kInf;
-    }
-  }
-  return makespan;
-}
-
 void Evaluator::evaluate_into(const SolutionString& s,
                               ScheduleTimes& out) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  SEHC_CHECK(s.size() == num_tasks_, "Evaluator: string size mismatch");
   ++trial_count_;
-  const std::size_t k = num_tasks_;
-  out.start.assign(k, 0.0);
-  out.finish.assign(k, 0.0);
-  out.makespan = 0.0;
+  out.start.assign(num_tasks_, 0.0);
+  out.finish.assign(num_tasks_, 0.0);
   std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
 
   const Segment* const segs = s.segments().data();
   const std::size_t* const pos = s.positions().data();
+  double* const start = out.start.data();
   double* const finish = out.finish.data();
   double* const avail = machine_avail_.data();
-  for (std::size_t i = 0; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    out.start[t] = start;
-    finish[t] = fin;
-    avail[m] = fin;
-    out.makespan = std::max(out.makespan, fin);
-  }
+  out.makespan = simulate(
+      0, num_tasks_, 0.0, kInf, [segs](std::size_t i) { return segs[i]; },
+      [&](TaskId p) { return Producer{finish[p], segs[pos[p]].machine}; },
+      [avail](MachineId m) -> double& { return avail[m]; },
+      [&](TaskId t, double st, double fin) {
+        start[t] = st;
+        finish[t] = fin;
+      });
 }
 
 ScheduleTimes Evaluator::evaluate(const SolutionString& s) const {
@@ -153,11 +108,11 @@ ScheduleTimes Evaluator::evaluate(const SolutionString& s) const {
 }
 
 double Evaluator::makespan(const SolutionString& s) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  SEHC_CHECK(s.size() == num_tasks_, "Evaluator: string size mismatch");
   ++trial_count_;
   std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-  return run_suffix(s, 0, 0.0, kInf);
+  return run_string(s, 0, num_tasks_, 0.0, kInf, finish_.data(),
+                    machine_avail_.data());
 }
 
 void Evaluator::reset_trial_state() const {
@@ -175,180 +130,108 @@ void Evaluator::reset_trial_state() const {
 
 void Evaluator::begin_trials(const SolutionString& s,
                              std::size_t prefix) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  SEHC_CHECK(s.size() == num_tasks_, "Evaluator: string size mismatch");
   SEHC_CHECK(prefix <= s.size(), "Evaluator: prefix out of range");
-  std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-
-  // Simulate [0, prefix) by running the suffix kernel on a truncated range.
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  double* const finish = finish_.data();
-  double* const avail = machine_avail_.data();
-  double makespan = 0.0;
-  for (std::size_t i = 0; i < prefix; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    makespan = std::max(makespan, fin);
-  }
-  cp_avail_ = machine_avail_;
-  cp_makespan_ = makespan;
+  cp_avail_.assign(num_machines_, 0.0);
+  cp_makespan_ = run_string(s, 0, prefix, 0.0, kInf, finish_.data(),
+                            cp_avail_.data());
   cp_prefix_ = prefix;
 }
 
 void Evaluator::extend_checkpoint(const SolutionString& s) const {
   SEHC_ASSERT_MSG(cp_prefix_ < s.size(),
                   "Evaluator::extend_checkpoint: checkpoint already full");
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  const TaskId t = segs[cp_prefix_].task;
-  const MachineId m = segs[cp_prefix_].machine;
-  double ready = 0.0;
-  const std::uint32_t lo = pred_off_[t];
-  const std::uint32_t hi = pred_off_[t + 1];
-  for (std::uint32_t e = lo; e < hi; ++e) {
-    const TaskId src = pred_src_[e];
-    const MachineId pm = segs[pos[src]].machine;
-    ready = std::max(ready, finish_[src] + transfer_row(pm, m)[pred_item_[e]]);
-  }
-  const double start = std::max(ready, cp_avail_[m]);
-  const double fin = start + exec_[m * k + t];
-  finish_[t] = fin;
-  cp_avail_[m] = fin;
-  cp_makespan_ = std::max(cp_makespan_, fin);
+  cp_makespan_ = run_string(s, cp_prefix_, cp_prefix_ + 1, cp_makespan_, kInf,
+                            finish_.data(), cp_avail_.data());
   ++cp_prefix_;
 }
 
-double Evaluator::trial_makespan(const SolutionString& s) const {
-  return trial_makespan(s, kInf);
-}
-
 double Evaluator::trial_makespan(const SolutionString& s, double bound) const {
-  SEHC_ASSERT_MSG(s.size() == workload_->num_tasks(),
+  SEHC_ASSERT_MSG(s.size() == num_tasks_,
                   "Evaluator::trial_makespan: string size mismatch");
   ++trial_count_;
   std::copy(cp_avail_.begin(), cp_avail_.end(), machine_avail_.begin());
-  return run_suffix(s, cp_prefix_, cp_makespan_, bound);
+  if (cp_makespan_ > bound) return kInf;
+  return run_string(s, cp_prefix_, num_tasks_, cp_makespan_, bound,
+                    finish_.data(), machine_avail_.data());
 }
 
-void Evaluator::prepare(const SolutionString& s, PreparedState& state) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+void Evaluator::prepare(const SolutionString& s) const {
+  SEHC_CHECK(s.size() == num_tasks_, "Evaluator: string size mismatch");
   const std::size_t k = num_tasks_;
   const std::size_t l = num_machines_;
-  if (state.avail_rows.size() != (k + 1) * l) {
-    state.avail_rows.assign((k + 1) * l, 0.0);
-    state.prefix_makespan.assign(k + 1, 0.0);
-    state.finish.assign(k, 0.0);
+  if (prepared_.avail_rows.size() != (k + 1) * l) {
+    prepared_.avail_rows.assign((k + 1) * l, 0.0);
+    prepared_.prefix_makespan.assign(k + 1, 0.0);
+    prepared_.finish.assign(k, 0.0);
   }
-  std::fill_n(state.avail_rows.begin(), l, 0.0);
-  state.prefix_makespan[0] = 0.0;
-  if (k > 0) refresh_from(s, 0, state);
+  std::fill_n(prepared_.avail_rows.begin(), l, 0.0);
+  prepared_.prefix_makespan[0] = 0.0;
+  if (k > 0) refresh_from(s, 0);
 }
 
-void Evaluator::refresh_from(const SolutionString& s, std::size_t from,
-                             PreparedState& state) const {
-  SEHC_ASSERT_MSG(state.ready(),
+void Evaluator::refresh_from(const SolutionString& s, std::size_t from) const {
+  SEHC_ASSERT_MSG(prepared_.ready(),
                   "Evaluator::refresh_from: prepare() not called");
   SEHC_ASSERT_MSG(from < s.size(), "Evaluator::refresh_from: bad position");
+  const std::size_t l = num_machines_;
   const Segment* const segs = s.segments().data();
   const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  const std::size_t l = num_machines_;
-  double* const finish = state.finish.data();
-  double* const rows = state.avail_rows.data();
-
-  // Work on machine_avail_ and copy each advanced state into its row.
-  std::copy_n(rows + from * l, l, machine_avail_.begin());
-  double makespan = state.prefix_makespan[from];
+  double* const finish = prepared_.finish.data();
+  double* const rows = prepared_.avail_rows.data();
+  double* const prefix = prepared_.prefix_makespan.data();
   double* const avail = machine_avail_.data();
-  for (std::size_t i = from; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    makespan = std::max(makespan, fin);
-    std::copy_n(avail, l, rows + (i + 1) * l);
-    state.prefix_makespan[i + 1] = makespan;
-  }
-}
 
-double Evaluator::prepared_prefix_makespan(std::size_t pos) const {
-  SEHC_ASSERT_MSG(pos < prepared_.prefix_makespan.size(),
-                  "Evaluator::prepared_prefix_makespan: bad position");
-  return prepared_.prefix_makespan[pos];
+  // Row p+1 snapshots the machine state and running makespan once the
+  // segment at position p is scheduled.
+  std::copy_n(rows + from * l, l, avail);
+  std::size_t row = from;
+  double makespan = prefix[from];
+  simulate(
+      from, num_tasks_, makespan, kInf,
+      [segs](std::size_t i) { return segs[i]; },
+      [&](TaskId p) { return Producer{finish[p], segs[pos[p]].machine}; },
+      [avail](MachineId m) -> double& { return avail[m]; },
+      [&](TaskId t, double, double fin) {
+        finish[t] = fin;
+        makespan = std::max(makespan, fin);
+        ++row;
+        std::copy_n(avail, l, rows + row * l);
+        prefix[row] = makespan;
+      });
 }
 
 double Evaluator::prepared_trial(const SolutionString& s, std::size_t from,
-                                 double bound,
-                                 const PreparedState& state) const {
-  SEHC_ASSERT_MSG(state.ready(),
+                                 double bound) const {
+  SEHC_ASSERT_MSG(prepared_.ready(),
                   "Evaluator::prepared_trial: prepare() not called");
   SEHC_ASSERT_MSG(s.size() == num_tasks_ && from <= num_tasks_,
                   "Evaluator::prepared_trial: bad arguments");
   ++trial_count_;
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
   const std::size_t l = num_machines_;
-  std::copy_n(state.avail_rows.data() + from * l, l, machine_avail_.begin());
-  double makespan = state.prefix_makespan[from];
+  std::copy_n(prepared_.avail_rows.data() + from * l, l,
+              machine_avail_.begin());
+  const double makespan = prepared_.prefix_makespan[from];
   if (makespan > bound) return kInf;
 
   // Predecessors below `from` are untouched by the trial: read their
   // prepared finish times. Predecessors at or above `from` were re-simulated
-  // earlier in this very loop (the string is topological): read the trial
+  // earlier in this very pass (the string is topological): read the trial
   // scratch.
-  const double* const prepared = state.finish.data();
+  const Segment* const segs = s.segments().data();
+  const std::size_t* const pos = s.positions().data();
+  const double* const prepared = prepared_.finish.data();
   double* const finish = finish_.data();
   double* const avail = machine_avail_.data();
-  for (std::size_t i = from; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const std::size_t src_pos = pos[src];
-      const MachineId pm = segs[src_pos].machine;
-      const double f = src_pos >= from ? finish[src] : prepared[src];
-      ready = std::max(ready, f + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    if (fin > makespan) {
-      makespan = fin;
-      if (makespan > bound) return kInf;
-    }
-  }
-  return makespan;
+  return simulate(
+      from, num_tasks_, makespan, bound,
+      [segs](std::size_t i) { return segs[i]; },
+      [&](TaskId p) {
+        const std::size_t at = pos[p];
+        return Producer{at >= from ? finish[p] : prepared[p], segs[at].machine};
+      },
+      [avail](MachineId m) -> double& { return avail[m]; },
+      [finish](TaskId t, double, double fin) { finish[t] = fin; });
 }
 
 ScheduleTimes evaluate_schedule(const Workload& w, const SolutionString& s) {

@@ -9,47 +9,44 @@
 // with Tr == 0 when producer and consumer share a machine. This is
 // non-insertion list scheduling: the string fully determines the schedule.
 //
-// The evaluator is also the library's incremental trial engine. All search
-// heuristics spend their time re-simulating slightly-changed strings, so the
-// evaluator offers three exact (bit-identical to a full evaluation)
-// accelerations on top of the plain evaluate()/makespan() pair:
+// The recurrence is written once, in the private Evaluator::simulate() step.
+// Every evaluation mode below is that step run over a range of positions;
+// the modes differ only in where a predecessor's finish time and machine are
+// read from, where results and snapshots are written, and the pruning bound:
 //
-//   1. Rolling checkpoints (SE allocation): all trial strings share a fixed
-//      prefix; begin_trials() simulates it once, extend_checkpoint() grows
-//      it one segment at a time as the trial position advances, and each
-//      trial_makespan() simulates only the suffix behind the checkpoint.
-//   2. Exact pruning: trial_makespan(s, bound) aborts as soon as the running
-//      makespan strictly exceeds `bound` and returns +infinity. Because the
-//      running makespan is monotone in the segment index, any value returned
-//      that is <= bound is exact — comparisons against `bound` (and ties at
-//      or below it) are unaffected, so tie-break sampling distributions are
-//      preserved byte for byte.
-//   3. A CSR hot path: the DAG's (predecessor, data item) adjacency is
-//      flattened into contiguous arrays at construction, and transfer-time
-//      rows are resolved through a precomputed machine-pair pointer table
-//      (the diagonal points at a zero row, so machine-local communication
-//      needs no branch). This replaces the in_edges() -> edge(d) double
-//      indirection of the naive loops.
+//   * evaluate()/makespan(): the whole string from idle machines.
+//   * Rolling checkpoint (SE allocation): all trial strings share a fixed
+//     prefix; begin_trials() simulates it once, extend_checkpoint() grows it
+//     one segment at a time as the trial position advances, and each
+//     trial_makespan() simulates only the suffix behind the checkpoint.
+//   * Prepared state (tabu, annealing, GA/GSA offspring): prepare() simulates
+//     a string once and snapshots the machine-availability vector before
+//     every position, so a trial that changes the string from position p
+//     onward costs O(k - p) instead of O(k). refresh_from() rolls the
+//     snapshots forward after an accepted move.
+//   * Evaluator::TrialBatch (declared below): N trials of either mode in one
+//     structure-of-arrays position sweep, bit-identical to N scalar trials.
+//     The scalar trial calls are the reference semantics; the batch is what
+//     the search engines drive in their hot loops.
 //
-// For neighborhood searches whose trials start at arbitrary positions (tabu,
-// annealing), the evaluator additionally keeps a prepared state: prepare()
-// simulates the whole string once and snapshots the machine-availability
-// vector *before every position*, so a trial that changes the string from
-// position p onward costs O(k - p) instead of O(k). refresh_from() rolls the
-// prepared state forward after an accepted move.
+// Every mode is exact (bit-identical to a full evaluation), pruning
+// included: a trial aborts as soon as its running makespan strictly exceeds
+// `bound` and returns +infinity. The running makespan is monotone in the
+// position, so any value returned <= bound is exact and ties at the bound
+// survive — tie-break sampling distributions are preserved byte for byte.
 //
-// On top of both trial modes sits Evaluator::TrialBatch (declared below):
-// N independent trials accumulated and evaluated in one structure-of-arrays
-// position sweep, bit-identical to N scalar trial calls. The scalar paths
-// remain the reference implementation; the batch is what the search engines
-// actually drive in their hot loops.
-//
-// Evaluator pre-sizes its scratch buffers once per workload so the hot loops
-// (called millions of times per search run) perform no allocation.
+// The step runs on a CSR layout: the DAG's (predecessor, data item)
+// adjacency is flattened into contiguous arrays at construction, and
+// transfer-time rows are resolved through a precomputed machine-pair pointer
+// table (the diagonal points at a zero row, so machine-local communication
+// needs no branch). Scratch buffers are sized once per workload, so the hot
+// loops (called millions of times per search run) perform no allocation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "hc/workload.h"
@@ -64,23 +61,6 @@ struct ScheduleTimes {
   std::vector<double> start;   // indexed by task
   std::vector<double> finish;  // indexed by task
   double makespan = 0.0;
-};
-
-/// Snapshots of one fully simulated string, keyed by position: everything a
-/// suffix trial needs to start simulating at any position. The evaluator owns
-/// one default instance (the classic prepare()/prepared_trial() mode);
-/// callers that juggle several base strings (GA/GSA prepared parents, see
-/// PreparedLru) own additional instances and pass them explicitly.
-struct PreparedState {
-  /// Machine availability before position p: row p of a (k+1) x l matrix.
-  std::vector<double> avail_rows;
-  /// Running makespan of [0, p), indexed by position p (k+1 entries).
-  std::vector<double> prefix_makespan;
-  /// Finish time of every task of the prepared string (k entries).
-  std::vector<double> finish;
-
-  /// True once prepare() has filled the snapshots.
-  bool ready() const { return !avail_rows.empty(); }
 };
 
 /// Reusable evaluator bound to one workload.
@@ -129,54 +109,33 @@ class Evaluator {
   /// Checkpoint position (prefix length) of the rolling trial mode.
   std::size_t checkpoint_prefix() const { return cp_prefix_; }
 
-  /// Simulates [prefix, k) on top of the checkpoint. Exact.
-  double trial_makespan(const SolutionString& s) const;
-
-  /// As trial_makespan(), but aborts once the running makespan strictly
-  /// exceeds `bound`, returning +infinity. Any return value <= bound is
-  /// exact; any value > bound is guaranteed to truly exceed it.
+  /// Simulates [prefix, k) on top of the checkpoint; aborts once the running
+  /// makespan strictly exceeds `bound`, returning +infinity. Any return
+  /// value <= bound is exact; any value > bound is guaranteed to truly
+  /// exceed it.
   double trial_makespan(const SolutionString& s, double bound) const;
 
-  // --- Prepared-state trial mode (tabu / annealing neighborhoods) --------
+  // --- Prepared-state trial mode (tabu / annealing / GA offspring) -------
   //
   // prepare(s) simulates `s` once, recording per-position machine-state
   // snapshots. prepared_trial(s', from, bound) then evaluates a trial string
-  // s' that differs from s only at positions >= from, in O(k - from).
-  // refresh_from(s, from) re-records the snapshots after `s` itself changed
-  // at positions >= from (an accepted move). The prepared state survives
-  // any number of prepared_trial() calls; evaluate()/makespan()/the rolling
-  // trial mode do not disturb it.
-  //
-  // Each operation also exists in an explicit-state form that reads/writes a
-  // caller-owned PreparedState instead of the evaluator's default one, so
-  // several base strings can stay prepared at once (see PreparedLru).
-  void prepare(const SolutionString& s) const { prepare(s, prepared_); }
-  void prepare(const SolutionString& s, PreparedState& state) const;
-  void refresh_from(const SolutionString& s, std::size_t from) const {
-    refresh_from(s, from, prepared_);
-  }
-  void refresh_from(const SolutionString& s, std::size_t from,
-                    PreparedState& state) const;
+  // s' that differs from s only at positions >= from, in O(k - from), with
+  // the same pruning contract as trial_makespan(). refresh_from(s, from)
+  // re-records the snapshots after `s` itself changed at positions >= from
+  // (an accepted move). The prepared state survives any number of
+  // prepared_trial() calls; evaluate()/makespan()/the rolling trial mode do
+  // not disturb it.
+  void prepare(const SolutionString& s) const;
+  void refresh_from(const SolutionString& s, std::size_t from) const;
   double prepared_trial(const SolutionString& s, std::size_t from,
-                        double bound) const {
-    return prepared_trial(s, from, bound, prepared_);
-  }
-  double prepared_trial(const SolutionString& s, std::size_t from, double bound,
-                        const PreparedState& state) const;
-
-  /// Running makespan of the prepared string's prefix [0, pos).
-  double prepared_prefix_makespan(std::size_t pos) const;
-
-  /// The evaluator's default prepared state (the one the two-argument
-  /// prepare()/refresh_from()/prepared_trial() forms operate on).
-  const PreparedState& default_prepared_state() const { return prepared_; }
+                        double bound) const;
 
   // --- Trial accounting ---------------------------------------------------
   //
-  // Every schedule simulation — evaluate()/evaluate_into()/makespan(), both
-  // trial_makespan() overloads and prepared_trial() — counts as one trial.
-  // Prefix bookkeeping (begin_trials/extend_checkpoint/prepare/refresh_from)
-  // does not: it is amortized setup, not an evaluation of a candidate. The
+  // Every schedule simulation — evaluate()/evaluate_into()/makespan(),
+  // trial_makespan() and prepared_trial() — counts as one trial. Prefix
+  // bookkeeping (begin_trials/extend_checkpoint/prepare/refresh_from) does
+  // not: it is amortized setup, not an evaluation of a candidate. The
   // counter is the `evals` currency of the stepwise search engines (see
   // search/engine.h) and of the campaign layer's equal-evals budgets.
 
@@ -185,34 +144,100 @@ class Evaluator {
   void reset_trial_count() const { trial_count_ = 0; }
 
   /// Releases every piece of per-run trial state — the rolling checkpoint,
-  /// the default prepared snapshots and the trial counter — keeping the
-  /// allocated buffer capacity. Engines call this from init() so a
-  /// re-initialized engine (e.g. a Deadline-preempted run whose worker slot
-  /// the serving layer recycles) can never observe a stale checkpoint or
-  /// prepared snapshot left behind by the preempted run: ready() reports
-  /// false until the new run prepares its own state.
+  /// the prepared snapshots and the trial counter — keeping the allocated
+  /// buffer capacity. Engines call this from init(), so a re-initialized
+  /// engine counts its trials from zero and cannot observe a checkpoint or
+  /// prepared snapshot of an earlier run.
   void reset_trial_state() const;
 
   const Workload& workload() const { return *workload_; }
 
  private:
+  /// Snapshots of one fully simulated string, keyed by position: everything
+  /// a suffix trial needs to start simulating at any position.
+  struct PreparedState {
+    /// Machine availability before position p: row p of a (k+1) x l matrix.
+    std::vector<double> avail_rows;
+    /// Running makespan of [0, p), indexed by position p (k+1 entries).
+    std::vector<double> prefix_makespan;
+    /// Finish time of every task of the prepared string (k entries).
+    std::vector<double> finish;
+
+    /// True once prepare() has filled the snapshots.
+    bool ready() const { return !avail_rows.empty(); }
+  };
+
+  /// A scheduled predecessor, as the step reads it.
+  struct Producer {
+    double finish;
+    MachineId machine;
+  };
+
+  /// The list-scheduling step: the only copy of the recurrence. Schedules
+  /// the segments at positions [from, to) in string order,
+  ///
+  ///   ready  = max over t's CSR predecessors p of
+  ///            finish(p) + Tr(machine(p), m, item)
+  ///   start  = max(ready, avail(m)),  finish = start + exec(m, t),
+  ///
+  /// and returns the running makespan seeded with `makespan`, or +infinity
+  /// as soon as it strictly exceeds `bound` (callers that never prune pass
+  /// +infinity; callers that do check the seed against the bound first, so
+  /// `makespan` <= `bound` on entry). Callers differ only in their
+  /// callables: `segment(i)` is the segment at position i, `producer(p)`
+  /// predecessor p's finish time and machine, `avail(m)` a reference to
+  /// machine m's availability, and `store(t, start, finish)` records the
+  /// scheduled task once `avail(m)` holds its finish time.
+  template <class SegmentAt, class ProducerOf, class Avail, class Store>
+  double simulate(std::size_t from, std::size_t to, double makespan,
+                  double bound, SegmentAt&& segment, ProducerOf&& producer,
+                  Avail&& avail, Store&& store) const {
+    for (std::size_t i = from; i < to; ++i) {
+      const Segment seg = segment(i);
+      const TaskId t = seg.task;
+      const MachineId m = seg.machine;
+      double ready = 0.0;
+      const std::uint32_t hi = pred_off_[t + 1];
+      for (std::uint32_t e = pred_off_[t]; e < hi; ++e) {
+        const Producer p = producer(pred_src_[e]);
+        ready = std::max(ready,
+                         p.finish + transfer_row(p.machine, m)[pred_item_[e]]);
+      }
+      double& free_at = avail(m);
+      const double start = std::max(ready, free_at);
+      const double finish = start + exec_[m * num_tasks_ + t];
+      free_at = finish;
+      store(t, start, finish);
+      // Branch-free running max (bit-identical to assign-if-greater on these
+      // non-negative finite doubles). With `makespan` <= `bound` on entry,
+      // testing after every segment prunes exactly where testing after each
+      // rise would.
+      makespan = std::max(makespan, finish);
+      if (makespan > bound) return std::numeric_limits<double>::infinity();
+    }
+    return makespan;
+  }
+
+  /// The step over positions [from, to) of a plain string whose every
+  /// predecessor finish time lives in `finish` (which also receives the
+  /// new ones), on the availability vector `avail`. Defined in the class so
+  /// it inlines into extend_checkpoint(), which runs it once per segment of
+  /// the SE allocation scan.
+  double run_string(const SolutionString& s, std::size_t from, std::size_t to,
+                    double makespan, double bound, double* finish,
+                    double* avail) const {
+    const Segment* const segs = s.segments().data();
+    const std::size_t* const pos = s.positions().data();
+    return simulate(
+        from, to, makespan, bound, [segs](std::size_t i) { return segs[i]; },
+        [&](TaskId p) { return Producer{finish[p], segs[pos[p]].machine}; },
+        [avail](MachineId m) -> double& { return avail[m]; },
+        [finish](TaskId t, double, double fin) { finish[t] = fin; });
+  }
+
   /// (Re)points pair_row_ at the workload's transfer rows / this object's
   /// zero row. Called from construction and from copies.
   void rebuild_pair_rows();
-
-  /// Simulates s[from..k) reading/writing finish_ and machine_avail_
-  /// (rolling mode: every needed predecessor finish already lives in
-  /// finish_). Returns the final makespan, or +infinity once the running
-  /// makespan strictly exceeds `bound`.
-  ///
-  /// NOTE: the per-segment scheduling recurrence in this kernel is
-  /// deliberately instantiated (not shared) in evaluate_into,
-  /// begin_trials, extend_checkpoint, refresh_from and prepared_trial —
-  /// each differs in finish-time source, snapshot writes or bound checks.
-  /// Keep the six sites in lockstep; every one of them is pinned
-  /// bit-for-bit against a naive reference by tests/test_incremental_eval.
-  double run_suffix(const SolutionString& s, std::size_t from,
-                    double makespan_in, double bound) const;
 
   /// Per-pair transfer row (diagonal -> zero row), avoiding pair_index().
   const double* transfer_row(MachineId a, MachineId b) const {
@@ -241,7 +266,7 @@ class Evaluator {
   mutable std::vector<double> cp_avail_;
   mutable double cp_makespan_ = 0.0;
   mutable std::size_t cp_prefix_ = 0;
-  // Default prepared state (see PreparedState).
+  // Prepared-state snapshots.
   mutable PreparedState prepared_;
   // Trial counter (see trial_count()).
   mutable std::size_t trial_count_ = 0;
@@ -265,7 +290,8 @@ class Evaluator {
 /// value, +infinity exactly where the scalar prunes, and exactly size()
 /// increments of the evaluator's trial counter. Trials are mutually
 /// independent, so interchanging the loops (positions outer, trials inner)
-/// replays each trial's floating-point operation sequence unchanged.
+/// replays each trial's floating-point operation sequence unchanged; every
+/// per-lane segment runs the evaluator's own simulate() step.
 ///
 /// Trial kinds:
 ///   * add_reassign(t, m)      — base string with task t's machine set to m;
@@ -279,8 +305,8 @@ class Evaluator {
 /// Checkpoint mode evaluates every trial from the evaluator's rolling
 /// checkpoint; the checkpoint state is read at evaluate() time, so one batch
 /// may span extend_checkpoint() calls between evaluate() rounds. Prepared
-/// mode evaluates each trial from its own start position on top of a
-/// PreparedState (the evaluator's default one or a caller-owned instance).
+/// mode evaluates each trial from its own start position on top of the
+/// evaluator's prepared state (prepare() the base first).
 class Evaluator::TrialBatch {
  public:
   explicit TrialBatch(const Evaluator& eval);
@@ -291,12 +317,10 @@ class Evaluator::TrialBatch {
   /// reference and read at evaluate() time. Clears pending trials.
   void begin_checkpoint(const SolutionString& base);
 
-  /// Enters prepared mode against the evaluator's default prepared state.
+  /// Enters prepared mode: trials are edits of `base`, evaluated on top of
+  /// the evaluator's prepared state for it. `base` is captured by reference.
+  /// Clears pending trials.
   void begin_prepared(const SolutionString& base);
-
-  /// Enters prepared mode against a caller-owned prepared state for `base`.
-  /// Both `base` and `state` are captured by reference.
-  void begin_prepared(const SolutionString& base, const PreparedState& state);
 
   void add_reassign(TaskId t, MachineId m);
   void add_move(TaskId t, std::size_t new_pos, MachineId new_machine);

@@ -1,15 +1,17 @@
 // Evaluator::TrialBatch — the batched structure-of-arrays trial kernel.
 //
 // Both kernels below are loop interchanges of the scalar reference paths in
-// evaluator.cpp (run_suffix / prepared_trial): positions sweep in the outer
-// loop, live trials in the inner loop. Trials are mutually independent, so
-// every trial's floating-point operation sequence is replayed unchanged and
-// the results are bit-identical to N scalar calls — including the pruning
-// contract (strictly-greater-than-bound => +infinity) and the trial-counter
-// increment per trial. The ready-time max-reduction may be re-ordered
-// between shared and per-lane predecessors: every operand is a non-negative
-// finite double (no -0.0, no NaN), for which max is order-independent down
-// to the bit pattern.
+// evaluator.cpp (trial_makespan / prepared_trial): positions sweep in the
+// outer loop, live trials in the inner loop. Trials are mutually
+// independent, so every trial's floating-point operation sequence is
+// replayed unchanged and the results are bit-identical to N scalar calls —
+// including the pruning contract (strictly-greater-than-bound => +infinity)
+// and the trial-counter increment per trial. Per-lane segments run the
+// evaluator's simulate() step itself; only the uniform sweep's shared
+// positions use the SIMD strip ops, whose ready-time max-reduction may be
+// re-ordered between shared and per-lane predecessors: every operand is a
+// non-negative finite double (no -0.0, no NaN), for which max is
+// order-independent down to the bit pattern.
 //
 // tests/test_trial_batch.cpp pins batch-vs-scalar bit-identity for every
 // trial kind, both modes, and the edge cases (empty batch, all pruned,
@@ -45,13 +47,8 @@ void Evaluator::TrialBatch::begin_checkpoint(const SolutionString& base) {
 }
 
 void Evaluator::TrialBatch::begin_prepared(const SolutionString& base) {
-  begin_prepared(base, eval_->prepared_);
-}
-
-void Evaluator::TrialBatch::begin_prepared(const SolutionString& base,
-                                           const PreparedState& state) {
   base_ = &base;
-  state_ = &state;
+  state_ = &eval_->prepared_;
   trials_.clear();
 }
 
@@ -231,28 +228,30 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
   std::size_t live = batch;
   for (std::size_t i = from; i < k && live > 0; ++i) {
     const TaskId t = segs[i].task;
-    const std::uint32_t lo = ev.pred_off_[t];
-    const std::uint32_t hi = ev.pred_off_[t + 1];
     if (i == edit_pos) {
-      // The edited segment: machine differs per lane, so each lane gathers
-      // its own availability and transfer rows. Happens once per sweep.
+      // The edited segment: machine differs per lane, so each lane runs the
+      // step on its own availability and transfer rows. Happens once per
+      // sweep; the bound is checked for all lanes below.
       for (std::size_t lane = 0; lane < live; ++lane) {
-        const MachineId m = lane_machine_[lane];
-        double r = 0.0;
-        for (std::uint32_t e = lo; e < hi; ++e) {
-          const TaskId src = ev.pred_src_[e];
-          const MachineId pm = segs[pos[src]].machine;
-          const double f =
-              pos[src] >= from ? fl[src * batch + lane] : shared_finish[src];
-          r = std::max(r, f + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
-        }
-        const double start = std::max(r, al[m * batch + lane]);
-        const double fin = start + ev.exec_[m * k + t];
-        fl[t * batch + lane] = fin;
-        al[m * batch + lane] = fin;
-        if (fin > ms[lane]) ms[lane] = fin;
+        const Segment edit{t, lane_machine_[lane]};
+        double* const fl_lane = fl + lane;
+        double* const al_lane = al + lane;
+        ms[lane] = ev.simulate(
+            i, i + 1, ms[lane], kInf, [edit](std::size_t) { return edit; },
+            [=](TaskId p) {
+              const std::size_t at = pos[p];
+              return Producer{
+                  at >= from ? fl_lane[p * batch] : shared_finish[p],
+                  segs[at].machine};
+            },
+            [=](MachineId m) -> double& { return al_lane[m * batch]; },
+            [=](TaskId task, double, double fin) {
+              fl_lane[task * batch] = fin;
+            });
       }
     } else {
+      const std::uint32_t lo = ev.pred_off_[t];
+      const std::uint32_t hi = ev.pred_off_[t + 1];
       const MachineId m = segs[i].machine;
       // Predecessors fully inside the shared prefix contribute one scalar
       // ready time for all lanes; predecessors simulated in the suffix (or
@@ -375,50 +374,44 @@ void Evaluator::TrialBatch::evaluate_general(double bound) {
   for (std::size_t p = min_from; p < k && !live_.empty(); ++p) {
     for (std::size_t idx = 0; idx < live_.size();) {
       const std::size_t lane = live_[idx];
-      if (p < from_[lane]) {
+      const std::size_t from = from_[lane];
+      if (p < from) {
         ++idx;
         continue;
       }
       const Trial& tr = trials_[lane];
       const Segment seg = trial_segment(tr, p);
-      const TaskId t = seg.task;
-      const MachineId m = seg.machine;
-      double ready = 0.0;
-      const std::uint32_t lo = ev.pred_off_[t];
-      const std::uint32_t hi = ev.pred_off_[t + 1];
-      for (std::uint32_t e = lo; e < hi; ++e) {
-        const TaskId src = ev.pred_src_[e];
-        MachineId pm;
-        bool in_suffix;
-        if (tr.kind == Kind::kString) {
-          const std::size_t spos = tr.str->positions()[src];
-          in_suffix = spos >= from_[lane];
-          pm = tr.str->segments()[spos].machine;
-        } else {
-          // kReassign keeps every position; kMove shifts positions only
-          // inside [from, max(old,new)], which never crosses the `from`
-          // boundary — the base position decides suffix membership either
-          // way, and only the moved task changes machine.
-          in_suffix = bpos[src] >= from_[lane];
-          pm = src == tr.task ? tr.machine : base_segs[bpos[src]].machine;
-        }
-        const double f =
-            in_suffix ? fl[src * batch + lane] : shared_finish[src];
-        ready = std::max(ready, f + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
+      const double ms = ev.simulate(
+          p, p + 1, makespan_[lane], bound, [seg](std::size_t) { return seg; },
+          [&](TaskId src) {
+            std::size_t at;
+            MachineId machine;
+            if (tr.kind == Kind::kString) {
+              at = tr.str->positions()[src];
+              machine = tr.str->segments()[at].machine;
+            } else {
+              // kReassign keeps every position; kMove shifts positions only
+              // inside [from, max(old,new)], which never crosses the `from`
+              // boundary — the base position decides suffix membership
+              // either way, and only the moved task changes machine.
+              at = bpos[src];
+              machine = src == tr.task ? tr.machine : base_segs[at].machine;
+            }
+            return Producer{
+                at >= from ? fl[src * batch + lane] : shared_finish[src],
+                machine};
+          },
+          [&](MachineId m) -> double& { return al[m * batch + lane]; },
+          [&](TaskId task, double, double fin) {
+            fl[task * batch + lane] = fin;
+          });
+      if (ms > bound) {  // prune: drop the trial from the live list
+        live_[idx] = live_.back();
+        live_.pop_back();
+        ++pruned_count_;
+        continue;
       }
-      const double start = std::max(ready, al[m * batch + lane]);
-      const double fin = start + ev.exec_[m * k + t];
-      fl[t * batch + lane] = fin;
-      al[m * batch + lane] = fin;
-      if (fin > makespan_[lane]) {
-        makespan_[lane] = fin;
-        if (fin > bound) {  // prune: drop the trial from the live list
-          live_[idx] = live_.back();
-          live_.pop_back();
-          ++pruned_count_;
-          continue;
-        }
-      }
+      makespan_[lane] = ms;
       ++idx;
     }
   }

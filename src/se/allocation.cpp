@@ -105,12 +105,4 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
   return stats;
 }
 
-AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
-                               const MachineCandidates& candidates,
-                               const std::vector<TaskId>& selected,
-                               SolutionString& s, Rng& rng) {
-  Evaluator::TrialBatch batch(eval);
-  return allocate_tasks(w, eval, candidates, selected, s, rng, batch);
-}
-
 }  // namespace sehc

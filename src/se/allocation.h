@@ -84,10 +84,4 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
                                SolutionString& s, Rng& rng,
                                Evaluator::TrialBatch& batch);
 
-/// Convenience overload owning a throwaway batch (tests, one-off callers).
-AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
-                               const MachineCandidates& candidates,
-                               const std::vector<TaskId>& selected,
-                               SolutionString& s, Rng& rng);
-
 }  // namespace sehc

@@ -79,32 +79,12 @@ struct Server::InFlight {
   std::vector<std::promise<SolveOutcome>> promises;  // guarded by inflight_mutex_
 };
 
-/// Per-worker reusable state. A slot is exclusively owned by one solve at a
-/// time (the dispatcher acquires it before submitting), so no locking. The
-/// retained engine answers the one traffic pattern the response cache
-/// cannot: an identical request re-solving because the previous attempt was
-/// deadline-preempted (timed-out responses are not cached). Retention
-/// policy is the safety half of that feature: a preempted run's engine is
-/// dropped on the spot — together with engines resetting their evaluator
-/// trial state on init() — so a recycled slot can never expose a stale
-/// prepared snapshot to the next request.
-struct Server::WorkerSlot {
-  std::uint64_t request_hash = 0;  // identity of the retained engine
-  std::shared_ptr<const Workload> workload;
-  std::unique_ptr<SearchEngine> engine;
-
-  void reset() {
-    engine.reset();
-    workload.reset();
-    request_hash = 0;
-  }
-};
-
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       workload_cache_(options_.workload_cache_capacity),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      free_slots_(static_cast<std::ptrdiff_t>(options_.threads)) {
   SEHC_CHECK(!options_.socket_path.empty(), "Server: socket_path is empty");
   SEHC_CHECK(options_.threads > 0, "Server: need at least one worker thread");
   SEHC_CHECK(options_.batch_max > 0, "Server: batch_max must be >= 1");
@@ -143,12 +123,6 @@ void Server::start() {
   }
 
   pool_ = std::make_unique<ThreadPool>(options_.threads);
-  slots_.clear();
-  free_slots_.clear();
-  for (std::size_t i = 0; i < options_.threads; ++i) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-    free_slots_.push_back(options_.threads - 1 - i);  // pop_back yields 0..n
-  }
 
   started_.store(true);
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
@@ -392,36 +366,17 @@ void Server::dispatch_loop() {
     batches_.fetch_add(1);
     raise_max(max_batch_, batch.size());
     for (std::shared_ptr<InFlight>& entry : batch) {
-      const std::size_t slot = acquire_slot();
-      std::shared_ptr<InFlight> task_entry = std::move(entry);
-      pool_->submit([this, slot, task_entry] {
-        solve_on_slot(slot, task_entry);
-        release_slot(slot);
+      free_slots_.acquire();
+      pool_->submit([this, task_entry = std::move(entry)] {
+        solve(task_entry);
+        free_slots_.release();
       });
     }
     batch.clear();
   }
 }
 
-std::size_t Server::acquire_slot() {
-  std::unique_lock<std::mutex> lock(slot_mutex_);
-  slot_cv_.wait(lock, [this] { return !free_slots_.empty(); });
-  const std::size_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
-}
-
-void Server::release_slot(std::size_t slot_index) {
-  {
-    std::lock_guard<std::mutex> lock(slot_mutex_);
-    free_slots_.push_back(slot_index);
-  }
-  slot_cv_.notify_one();
-}
-
-void Server::solve_on_slot(std::size_t slot_index,
-                           const std::shared_ptr<InFlight>& entry) {
-  WorkerSlot& slot = *slots_[slot_index];
+void Server::solve(const std::shared_ptr<InFlight>& entry) {
   SolveOutcome outcome;
   outcome.solve_start = Clock::now();
   // Ambient registry for the duration of the solve: run_search flushes its
@@ -429,33 +384,23 @@ void Server::solve_on_slot(std::size_t slot_index,
   const MetricsScope metrics_scope(&metrics_);
   try {
     const ScheduleRequest& req = entry->request;
-    // Warm slot: an engine retained from a previous solve of this exact
-    // request identity (the deadline-preempted-retry pattern; see
-    // WorkerSlot). run_search() re-init()s it, which restores the full RNG
-    // and evaluator state of a cold start.
-    if (slot.engine && slot.request_hash == entry->hash) {
-      slot_reuses_.fetch_add(1);
+    const Workload& workload = *entry->workload;
+    // The engine lives exactly as long as this solve: nothing of it, a
+    // preempted run included, survives into the next solve.
+    std::unique_ptr<SearchEngine> engine;
+    if (is_search_engine_name(req.engine)) {
+      engine = make_search_engine(req.engine, workload, req.budget, req.seed,
+                                  req.y_limit);
     } else {
-      slot.reset();
-      slot.workload = entry->workload;
-      if (is_search_engine_name(req.engine)) {
-        slot.engine = make_search_engine(req.engine, *slot.workload,
-                                         req.budget, req.seed, req.y_limit);
-      } else {
-        // One-shot schedulers (HEFT, CPOP, DLS, level mappers) ride as
-        // degenerate single-step engines.
-        bool found = false;
-        for (SchedulerFactory& factory : make_all_scheduler_factories(1)) {
-          if (factory.name == req.engine) {
-            slot.engine = factory.make_engine(*slot.workload, req.budget,
-                                              req.seed);
-            found = true;
-            break;
-          }
+      // One-shot schedulers (HEFT, CPOP, DLS, level mappers) ride as
+      // degenerate single-step engines.
+      for (SchedulerFactory& factory : make_all_scheduler_factories(1)) {
+        if (factory.name == req.engine) {
+          engine = factory.make_engine(workload, req.budget, req.seed);
+          break;
         }
-        SEHC_CHECK(found, "unknown engine '" + req.engine + "'");
       }
-      slot.request_hash = entry->hash;
+      SEHC_CHECK(engine != nullptr, "unknown engine '" + req.engine + "'");
     }
 
     Deadline deadline;
@@ -465,33 +410,24 @@ void Server::solve_on_slot(std::size_t slot_index,
       deadline = Deadline::after(options_.default_deadline_seconds);
     }
 
-    const SearchResult result = run_search(*slot.engine, req.budget, {},
-                                           deadline);
+    const SearchResult result = run_search(*engine, req.budget, {}, deadline);
     const std::vector<std::string> violations =
-        validate_schedule(*slot.workload, result.schedule);
+        validate_schedule(workload, result.schedule);
     SEHC_CHECK(violations.empty(),
                "engine produced an invalid schedule: " + violations.front());
 
     std::ostringstream csv;
-    write_schedule_csv(csv, *slot.workload, result.schedule);
+    write_schedule_csv(csv, workload, result.schedule);
     outcome.ok = true;
     outcome.timed_out = result.timed_out;
     outcome.result.makespan = result.best_makespan;
     outcome.result.evals = result.evals;
     outcome.result.steps = result.steps;
     outcome.result.schedule_csv = csv.str();
-
-    if (result.timed_out) {
-      timeouts_.fetch_add(1);
-      // Release the preempted engine: its evaluator may hold a prepared
-      // snapshot of the aborted run, and the next occupant of this slot
-      // must start from nothing (see WorkerSlot).
-      slot.reset();
-    }
+    if (result.timed_out) timeouts_.fetch_add(1);
   } catch (const std::exception& e) {
     outcome.ok = false;
     outcome.error = e.what();
-    slot.reset();
   }
   outcome.solve_end = Clock::now();
   // One solve span per actual solve (riders share it); rounds = steps.
@@ -533,7 +469,6 @@ void Server::respond_stats(int fd) {
   add("coalesced", s.coalesced);
   add("batches", s.batches);
   add("max_batch", s.max_batch);
-  add("slot_reuses", s.slot_reuses);
   add("workload_cache_hits", s.workload_cache_hits);
   add("queue_depth", s.queue_depth);
   add("queue_peak", s.queue_peak);
@@ -598,7 +533,6 @@ ServerStats Server::stats_snapshot() const {
   s.coalesced = coalesced_.load();
   s.batches = batches_.load();
   s.max_batch = max_batch_.load();
-  s.slot_reuses = slot_reuses_.load();
   s.workload_cache_hits = workload_cache_.hits();
   s.queue_depth = queue_.depth();
   s.queue_peak = queue_.peak_depth();

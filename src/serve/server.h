@@ -15,7 +15,8 @@
 //     full -> reply `overloaded`
 //   wait on promise                  pop_batch(),
 //                                    acquire worker slot,
-//                                    submit solve  ------>  run_search with
+//                                    submit solve  ------>  build engine,
+//                                                           run_search with
 //                                                           Deadline armed,
 //                                                           render schedule,
 //                                                           cache, fulfil
@@ -35,21 +36,19 @@
 //   * deadline preemption — every solve runs under run_search with the
 //     request's Deadline armed, so an expired deadline answers early with
 //     the incumbent best() and timed_out=1;
-//   * worker-slot hygiene — slots retain the parsed workload and engine for
-//     identical follow-up requests, but a Deadline-preempted run releases
-//     its engine (and with it the evaluator's prepared/LRU state, which
-//     engines also reset on init()) so a recycled slot can never observe a
-//     stale prepared snapshot;
+//   * solve isolation — worker slots are a counting semaphore, not state:
+//     every solve builds its own engine and drops it when the solve ends, so
+//     nothing of one solve (a preempted run included) reaches the next;
 //   * graceful drain — request_drain() (the daemon wires SIGTERM to it)
 //     stops accepting work, completes every admitted request, then shuts
 //     the pool down; join() returns once the last response is written.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -102,7 +101,6 @@ struct ServerStats {
   std::uint64_t coalesced = 0;        // requests that rode another's solve
   std::uint64_t batches = 0;          // dispatcher queue acquisitions
   std::uint64_t max_batch = 0;        // largest batch drained at once
-  std::uint64_t slot_reuses = 0;      // solves on a warm worker slot
   std::uint64_t workload_cache_hits = 0;
   std::size_t cache_size = 0;
   std::size_t queue_depth = 0;
@@ -144,7 +142,6 @@ class Server {
 
  private:
   struct InFlight;
-  struct WorkerSlot;
 
   void accept_loop();
   void connection_loop(int fd);
@@ -154,9 +151,7 @@ class Server {
   void handle_solve(int fd, const ScheduleRequest& request);
   void respond_stats(int fd);
   void respond_metrics(int fd);
-  void solve_on_slot(std::size_t slot_index, const std::shared_ptr<InFlight>& entry);
-  std::size_t acquire_slot();
-  void release_slot(std::size_t slot_index);
+  void solve(const std::shared_ptr<InFlight>& entry);
 
   ServeOptions options_;
   int listen_fd_ = -1;
@@ -166,10 +161,9 @@ class Server {
   ContentLru<std::shared_ptr<const Workload>> workload_cache_;
   BoundedQueue<std::shared_ptr<InFlight>> queue_;
 
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<std::size_t> free_slots_;  // guarded by slot_mutex_
-  std::mutex slot_mutex_;
-  std::condition_variable slot_cv_;
+  // Free worker slots, one per solver thread: the dispatcher acquires one
+  // before submitting a solve, the solve releases it when done.
+  std::counting_semaphore<> free_slots_;
 
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   std::mutex inflight_mutex_;
@@ -187,7 +181,7 @@ class Server {
   // Counters (see ServerStats).
   std::atomic<std::uint64_t> connections_{0}, requests_{0}, completed_{0},
       shed_{0}, errors_{0}, timeouts_{0}, protocol_errors_{0}, coalesced_{0},
-      batches_{0}, max_batch_{0}, slot_reuses_{0};
+      batches_{0}, max_batch_{0};
 
   // Phase timings and latency histograms (see metrics_snapshot()).
   MetricsRegistry metrics_;

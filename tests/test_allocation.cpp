@@ -52,13 +52,14 @@ TEST(Allocation, NeverWorsensTheSchedule) {
     p.seed = seed;
     const Workload w = make_workload(p);
     Evaluator eval(w);
+    Evaluator::TrialBatch batch(eval);
     const MachineCandidates candidates(w, 0);
     Rng rng(seed);
     SolutionString s = random_initial_solution(w.graph(), w.num_machines(), rng);
     const double before = eval.makespan(s);
     std::vector<TaskId> all(w.num_tasks());
     for (TaskId t = 0; t < w.num_tasks(); ++t) all[t] = t;
-    allocate_tasks(w, eval, candidates, all, s, rng);
+    allocate_tasks(w, eval, candidates, all, s, rng, batch);
     EXPECT_LE(eval.makespan(s), before + 1e-9) << "seed " << seed;
     EXPECT_TRUE(s.is_valid(w.graph()));
   }
@@ -69,6 +70,7 @@ TEST(Allocation, ImprovesAnObviouslyBadSolution) {
   // allocation of all tasks must strictly improve this.
   const Workload w = figure1_workload();
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 0);
   const std::vector<TaskId> order{0, 1, 2, 3, 4, 5, 6};
   const std::vector<MachineId> all_m1(7, 1);
@@ -77,7 +79,7 @@ TEST(Allocation, ImprovesAnObviouslyBadSolution) {
   EXPECT_DOUBLE_EQ(before, 3800.0);
   Rng rng(1);
   std::vector<TaskId> all{0, 1, 2, 3, 4, 5, 6};
-  allocate_tasks(w, eval, candidates, all, s, rng);
+  allocate_tasks(w, eval, candidates, all, s, rng, batch);
   EXPECT_LT(eval.makespan(s), before);
   EXPECT_TRUE(s.is_valid(w.graph()));
 }
@@ -89,12 +91,13 @@ TEST(Allocation, TieRandomizationPreservesMakespan) {
   // never worsen the makespan.
   const Workload w = figure1_workload();
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 0);
   std::vector<TaskId> all{0, 1, 2, 3, 4, 5, 6};
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SolutionString s = figure2_string();
     Rng rng(seed);
-    allocate_tasks(w, eval, candidates, all, s, rng);
+    allocate_tasks(w, eval, candidates, all, s, rng, batch);
     EXPECT_LE(eval.makespan(s), 2100.0 + 1e-9) << "seed " << seed;
     EXPECT_TRUE(s.is_valid(w.graph()));
   }
@@ -107,11 +110,12 @@ TEST(Allocation, RestoresStateWhenNothingBetterExists) {
   Matrix<double> tr(0, 0);
   const Workload w(std::move(g), MachineSet(1), std::move(exec), std::move(tr));
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 0);
   SolutionString s(std::vector<TaskId>{0}, std::vector<MachineId>{0});
   const SolutionString before = s;
   Rng rng(1);
-  const auto stats = allocate_tasks(w, eval, candidates, {0}, s, rng);
+  const auto stats = allocate_tasks(w, eval, candidates, {0}, s, rng, batch);
   EXPECT_EQ(s, before);
   EXPECT_EQ(stats.tasks_moved, 0u);
 }
@@ -124,11 +128,12 @@ TEST(Allocation, TieMovesNeverChangeMakespan) {
   Matrix<double> tr(1, 0);
   const Workload w(std::move(g), MachineSet(2), std::move(exec), std::move(tr));
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 0);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SolutionString s(std::vector<TaskId>{0}, std::vector<MachineId>{1});
     Rng rng(seed);
-    allocate_tasks(w, eval, candidates, {0}, s, rng);
+    allocate_tasks(w, eval, candidates, {0}, s, rng, batch);
     EXPECT_DOUBLE_EQ(eval.makespan(s), 5.0);
   }
 }
@@ -138,10 +143,11 @@ TEST(Allocation, CombinationCountMatchesRangeTimesY) {
   // positions; Y = 2 machines) every combination is evaluated: 5 * 2.
   const Workload w = figure1_workload();
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 2);
   SolutionString s = figure2_string();
   Rng rng(1);
-  const auto stats = allocate_tasks(w, eval, candidates, {4}, s, rng);
+  const auto stats = allocate_tasks(w, eval, candidates, {4}, s, rng, batch);
   EXPECT_EQ(stats.combinations_tried, 5u * 2u);
 }
 
@@ -155,10 +161,11 @@ TEST(Allocation, RestrictedYCanForceUphillRematch) {
   Matrix<double> tr(1, 0);
   const Workload w(std::move(g), MachineSet(2), std::move(exec), std::move(tr));
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   const MachineCandidates candidates(w, 1);  // only m1 allowed
   SolutionString s(std::vector<TaskId>{0}, std::vector<MachineId>{0});
   Rng rng(1);
-  allocate_tasks(w, eval, candidates, {0}, s, rng);
+  allocate_tasks(w, eval, candidates, {0}, s, rng, batch);
   EXPECT_EQ(s.machine_of(0), 1u);
   EXPECT_DOUBLE_EQ(eval.makespan(s), 3.0);
 }
@@ -170,6 +177,7 @@ TEST(Allocation, SmallerYNeverTriesMoreCombinations) {
   p.seed = 4;
   const Workload w = make_workload(p);
   Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
   std::vector<TaskId> all(w.num_tasks());
   for (TaskId t = 0; t < w.num_tasks(); ++t) all[t] = t;
 
@@ -180,10 +188,10 @@ TEST(Allocation, SmallerYNeverTriesMoreCombinations) {
   Rng rng2(1), rng8(1);
   SolutionString s2 = base;
   const auto stats2 =
-      allocate_tasks(w, eval, MachineCandidates(w, 2), all, s2, rng2);
+      allocate_tasks(w, eval, MachineCandidates(w, 2), all, s2, rng2, batch);
   SolutionString s8 = base;
   const auto stats8 =
-      allocate_tasks(w, eval, MachineCandidates(w, 8), all, s8, rng8);
+      allocate_tasks(w, eval, MachineCandidates(w, 8), all, s8, rng8, batch);
   EXPECT_LT(stats2.combinations_tried, stats8.combinations_tried);
 }
 

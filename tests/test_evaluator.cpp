@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/rng.h"
 #include "workload/generator.h"
 
 namespace sehc {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SolutionString figure2_string() {
   const std::vector<TaskId> order{0, 1, 2, 5, 6, 3, 4};
@@ -122,7 +126,8 @@ TEST(Evaluator, TrialModeMatchesFullEvaluation) {
       s.move_task(t, pos);
       for (MachineId m = 0; m < w.num_machines(); ++m) {
         s.set_machine(t, m);
-        ASSERT_DOUBLE_EQ(trial_eval.trial_makespan(s), ref_eval.makespan(s))
+        ASSERT_DOUBLE_EQ(trial_eval.trial_makespan(s, kInf),
+                         ref_eval.makespan(s))
             << "task " << t << " pos " << pos << " machine " << m;
       }
     }
@@ -134,7 +139,7 @@ TEST(Evaluator, TrialModeWithZeroPrefixIsFullEvaluation) {
   Evaluator eval(w);
   const SolutionString s = figure2_string();
   eval.begin_trials(s, 0);
-  EXPECT_DOUBLE_EQ(eval.trial_makespan(s), 2100.0);
+  EXPECT_DOUBLE_EQ(eval.trial_makespan(s, kInf), 2100.0);
 }
 
 TEST(Evaluator, TrialModeWithFullPrefixReturnsMakespan) {
@@ -142,7 +147,7 @@ TEST(Evaluator, TrialModeWithFullPrefixReturnsMakespan) {
   Evaluator eval(w);
   const SolutionString s = figure2_string();
   eval.begin_trials(s, s.size());
-  EXPECT_DOUBLE_EQ(eval.trial_makespan(s), 2100.0);
+  EXPECT_DOUBLE_EQ(eval.trial_makespan(s, kInf), 2100.0);
 }
 
 TEST(Evaluator, BeginTrialsRejectsBadPrefix) {

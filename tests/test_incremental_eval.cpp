@@ -2,12 +2,12 @@
 //
 // Every optimization in the engine (rolling checkpoints, exact pruning, the
 // CSR hot path, the prepared per-position snapshots) claims BIT-IDENTICAL
-// results to a naive full re-evaluation. This file keeps an independent
-// naive reference implementation — the pre-engine evaluation loop with its
-// in_edges() -> edge(d) double indirection — and asserts equality of
-// makespans, schedules, per-iteration statistics, and RNG stream positions
-// (i.e. tie-break sampling behavior) across randomized workloads drawn from
-// all workload classes and y_limit settings.
+// results to a naive full re-evaluation. This file checks them against the
+// independent naive reference in naive_reference.h — the pre-engine
+// evaluation loop with its in_edges() -> edge(d) double indirection — and
+// asserts equality of makespans, schedules, per-iteration statistics, and
+// RNG stream positions (i.e. tie-break sampling behavior) across randomized
+// workloads drawn from all workload classes and y_limit settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "heuristics/annealing.h"
 #include "heuristics/gsa.h"
 #include "heuristics/tabu.h"
+#include "naive_reference.h"
 #include "se/allocation.h"
 #include "se/se.h"
 #include "workload/generator.h"
@@ -32,37 +33,6 @@ namespace sehc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Naive reference: one string pass through the graph's edge lists, exactly
-/// the historical evaluator loop. Shares no code with Evaluator's CSR path.
-ScheduleTimes naive_evaluate(const Workload& w, const SolutionString& s) {
-  const TaskGraph& g = w.graph();
-  ScheduleTimes out;
-  out.start.assign(w.num_tasks(), 0.0);
-  out.finish.assign(w.num_tasks(), 0.0);
-  std::vector<double> machine_avail(w.num_machines(), 0.0);
-  for (const Segment& seg : s.segments()) {
-    const TaskId t = seg.task;
-    const MachineId m = seg.machine;
-    double ready = 0.0;
-    for (DataId d : g.in_edges(t)) {
-      const DagEdge& e = g.edge(d);
-      const MachineId pm = s.machine_of(e.src);
-      ready = std::max(ready, out.finish[e.src] + w.transfer(pm, m, d));
-    }
-    const double start = std::max(ready, machine_avail[m]);
-    const double finish = start + w.exec(m, t);
-    out.start[t] = start;
-    out.finish[t] = finish;
-    machine_avail[m] = finish;
-    out.makespan = std::max(out.makespan, finish);
-  }
-  return out;
-}
-
-double naive_makespan(const Workload& w, const SolutionString& s) {
-  return naive_evaluate(w, s).makespan;
-}
 
 /// The pre-engine allocation step: full suffix re-simulation from range.lo
 /// for every (position, machine) combination, no checkpoint rolling, no
@@ -177,7 +147,7 @@ TEST(IncrementalEval, RollingCheckpointTrialsMatchNaive) {
         ASSERT_EQ(eval.checkpoint_prefix(), pos);
         for (MachineId m = 0; m < w.num_machines(); ++m) {
           s.set_machine(t, m);
-          ASSERT_EQ(eval.trial_makespan(s), naive_makespan(w, s))
+          ASSERT_EQ(eval.trial_makespan(s, kInf), naive_makespan(w, s))
               << p.describe() << " t=" << t << " pos=" << pos;
         }
         s.set_machine(t, original_machine);
@@ -250,8 +220,14 @@ TEST(IncrementalEval, PreparedTrialsMatchNaiveUnderRandomSingleMoves) {
                   kInf);
       }
       if (trial % 3 == 0) {
-        // Commit the move: the refreshed snapshots must stay exact.
+        // Commit the move: the refreshed snapshots must stay exact. A trial
+        // of the unchanged string from any position reads exactly one
+        // snapshot row, so sweeping every start position checks every row.
         eval.refresh_from(s, from);
+        for (std::size_t at = 0; at <= s.size(); ++at) {
+          ASSERT_EQ(eval.prepared_trial(s, at, kInf), exact)
+              << p.describe() << " trial=" << trial << " at=" << at;
+        }
       } else {
         s.move_task(t, old_pos);
         s.set_machine(t, old_machine);
@@ -267,6 +243,7 @@ TEST(IncrementalEval, AllocationMatchesReferenceIncludingTieStatistics) {
         p.seed = seed;
         const Workload w = make_workload(p);
         Evaluator eval(w);
+        Evaluator::TrialBatch batch(eval);
         const MachineCandidates candidates(w, y);
         std::vector<TaskId> all(w.num_tasks());
         for (TaskId t = 0; t < w.num_tasks(); ++t) all[t] = t;
@@ -279,7 +256,7 @@ TEST(IncrementalEval, AllocationMatchesReferenceIncludingTieStatistics) {
         SolutionString want = base;
         Rng rng_got(seed + 100), rng_want(seed + 100);
         const AllocationStats stats_got =
-            allocate_tasks(w, eval, candidates, all, got, rng_got);
+            allocate_tasks(w, eval, candidates, all, got, rng_got, batch);
         const AllocationStats stats_want =
             reference_allocate(w, candidates, all, want, rng_want);
 

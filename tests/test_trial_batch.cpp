@@ -1,5 +1,5 @@
 // Differential suite for Evaluator::TrialBatch — the batched SoA trial
-// kernel — and the PreparedLru cache behind the GA/GSA producers.
+// kernel.
 //
 // The batch claims BIT-IDENTICAL results to running the scalar reference
 // paths (trial_makespan / prepared_trial) once per trial with the same
@@ -20,9 +20,7 @@
 #include <cstring>
 
 #include "core/rng.h"
-#include "ga/ga.h"
 #include "sched/encoding.h"
-#include "sched/prepared_lru.h"
 #include "sched/simd.h"
 #include "workload/generator.h"
 
@@ -178,8 +176,7 @@ TEST(TrialBatch, UniformReassignMatchesScalarAcrossCheckpointExtensions) {
 }
 
 TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
-  // One batch mixing all three kinds in prepared mode, against both the
-  // evaluator's default state and a caller-owned PreparedState.
+  // One batch mixing all three kinds in prepared mode.
   const Workload w = small_workload(104);
   Rng rng(4);
   const SolutionString s = random_solution(w, rng);
@@ -188,9 +185,7 @@ TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
   Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
   scalar_eval.prepare(s);
-
-  PreparedState owned;
-  batch_eval.prepare(s, owned);
+  batch_eval.prepare(s);
 
   // Materialized trial strings must outlive evaluate().
   std::vector<MoveDraw> moves;
@@ -198,35 +193,28 @@ TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
   for (int i = 0; i < 6; ++i) moves.push_back(draw_move(s, w, rng));
   for (const MoveDraw& m : moves) strings.push_back(apply_move(s, m));
 
-  for (const bool use_owned : {false, true}) {
-    if (use_owned) {
-      batch.begin_prepared(s, owned);
-    } else {
-      batch_eval.prepare(s);
-      batch.begin_prepared(s);
-    }
-    const TaskId rt = static_cast<TaskId>(s.size() - 1);
-    // 6 moves + 2 explicit strings + all-machine reassigns of one task.
-    for (std::size_t i = 0; i < 4; ++i) {
-      batch.add_move(moves[i].task, moves[i].new_pos, moves[i].machine);
-    }
-    batch.add_string(strings[4], moves[4].suffix_start());
-    batch.add_string(strings[5], moves[5].suffix_start());
-    for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(rt, m);
+  batch.begin_prepared(s);
+  const TaskId rt = static_cast<TaskId>(s.size() - 1);
+  // 6 moves + 2 explicit strings + all-machine reassigns of one task.
+  for (std::size_t i = 0; i < 4; ++i) {
+    batch.add_move(moves[i].task, moves[i].new_pos, moves[i].machine);
+  }
+  batch.add_string(strings[4], moves[4].suffix_start());
+  batch.add_string(strings[5], moves[5].suffix_start());
+  for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(rt, m);
 
-    const std::vector<double>& lens = batch.evaluate(kInf);
-    ASSERT_EQ(lens.size(), 6u + w.num_machines());
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(lens[i], scalar_eval.prepared_trial(
-                             strings[i], moves[i].suffix_start(), kInf))
-          << "trial " << i;
-    }
-    SolutionString probe = s;
-    for (MachineId m = 0; m < w.num_machines(); ++m) {
-      probe.set_machine(rt, m);
-      EXPECT_EQ(lens[6 + m],
-                scalar_eval.prepared_trial(probe, s.position_of(rt), kInf));
-    }
+  const std::vector<double>& lens = batch.evaluate(kInf);
+  ASSERT_EQ(lens.size(), 6u + w.num_machines());
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(lens[i], scalar_eval.prepared_trial(
+                           strings[i], moves[i].suffix_start(), kInf))
+        << "trial " << i;
+  }
+  SolutionString probe = s;
+  for (MachineId m = 0; m < w.num_machines(); ++m) {
+    probe.set_machine(rt, m);
+    EXPECT_EQ(lens[6 + m],
+              scalar_eval.prepared_trial(probe, s.position_of(rt), kInf));
   }
 }
 
@@ -604,89 +592,6 @@ TEST(TrialBatchSimd, RandomizedTrialSetsByteIdenticalAcrossKernels) {
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
         << "seed " << seed;
-  }
-}
-
-TEST(PreparedLru, HitsMissesAndEviction) {
-  const Workload w = small_workload(109);
-  Rng rng(9);
-  const SolutionString a = random_solution(w, rng);
-  const SolutionString b = random_solution(w, rng);
-  const SolutionString c = random_solution(w, rng);
-  ASSERT_FALSE(a == b);
-
-  Evaluator eval(w);
-  PreparedLru cache(eval, 2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hit_rate(), 0.0);
-
-  cache.get(a);  // miss
-  cache.get(a);  // hit
-  cache.get(b);  // miss (fills capacity)
-  cache.get(a);  // hit — b becomes least recently used
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  cache.get(c);  // miss: evicts b (LRU), not a
-  EXPECT_EQ(cache.size(), 2u);
-  cache.get(a);  // still cached: hit
-  EXPECT_EQ(cache.hits(), 3u);
-  cache.get(b);  // evicted above: miss again
-  EXPECT_EQ(cache.misses(), 4u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 3.0 / 7.0);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST(PreparedLru, RepeatedParentsThroughGaProduceHits) {
-  // The near-zero hit rates perf_hotpath reports for the paper GA family
-  // are a property of that workload, not a broken cache key: population 50
-  // cycles ~dozens of distinct parent values per generation through the
-  // 8-entry cache, and crossover 0.6 replaces most parent values outright.
-  // When parents actually repeat — a population that fits the capacity,
-  // with uncrossed clones re-parenting mutation-only children across
-  // generations — the value-keyed LRU must hit.
-  const Workload w = small_workload(115);
-  GaParams p;
-  p.seed = 11;
-  p.max_generations = 40;
-  p.record_trace = false;
-  p.population = 8;  // <= kPreparedCacheCapacity: repeat values survive
-  p.crossover_prob = 0.0;  // every child descends by mutation or cloning
-  p.mutation_prob = 0.5;   // clones keep parent values alive across gens
-  GaEngine engine(w, p);
-  engine.init();
-  while (!engine.done()) engine.step();
-  EXPECT_GT(engine.prepared_cache().hits(), 0u);
-  EXPECT_GT(engine.prepared_cache().hit_rate(), 0.0);
-}
-
-TEST(PreparedLru, CachedStatesAreBitIdenticalToFreshPrepare) {
-  const Workload w = small_workload(110);
-  Rng rng(10);
-  const SolutionString s = random_solution(w, rng);
-
-  Evaluator eval(w);
-  PreparedLru cache(eval, 2);
-  // Prime, then displace-and-rehit to exercise the reused-entry path.
-  const SolutionString other = random_solution(w, rng);
-  cache.get(s);
-  cache.get(other);
-  const PreparedState& cached = cache.get(s);
-
-  Evaluator reference(w);
-  reference.prepare(s);
-
-  for (int i = 0; i < 8; ++i) {
-    const MoveDraw m = draw_move(s, w, rng);
-    const SolutionString moved = apply_move(s, m);
-    EXPECT_EQ(eval.prepared_trial(moved, m.suffix_start(), kInf, cached),
-              reference.prepared_trial(moved, m.suffix_start(), kInf));
   }
 }
 

@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
                  "sehc_serve: drained (requests=%llu completed=%llu "
                  "shed=%llu errors=%llu timeouts=%llu protocol_errors=%llu "
                  "cache_hits=%llu cache_misses=%llu coalesced=%llu "
-                 "batches=%llu max_batch=%llu slot_reuses=%llu "
-                 "queue_peak=%zu)\n",
+                 "batches=%llu max_batch=%llu queue_peak=%zu)\n",
                  static_cast<unsigned long long>(s.requests),
                  static_cast<unsigned long long>(s.completed),
                  static_cast<unsigned long long>(s.shed),
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.coalesced),
                  static_cast<unsigned long long>(s.batches),
                  static_cast<unsigned long long>(s.max_batch),
-                 static_cast<unsigned long long>(s.slot_reuses),
                  s.queue_peak);
     return 0;
   } catch (const std::exception& e) {
