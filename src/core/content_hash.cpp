@@ -2,13 +2,12 @@
 
 namespace sehc {
 
-std::uint64_t content_hash64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t content_hash64(std::string_view text, std::uint64_t state) {
   for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
+    state ^= static_cast<unsigned char>(c);
+    state *= 0x100000001b3ULL;
   }
-  return hash;
+  return state;
 }
 
 }  // namespace sehc

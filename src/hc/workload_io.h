@@ -12,7 +12,20 @@
 //   transfer                      # l(l-1)/2 rows of p numbers (omit if p==0)
 //   5 5 5 ...
 //
-// Numbers are written with enough precision to round-trip doubles.
+// Numbers are written as printf "%.17g" (std::to_chars, general format,
+// precision 17), which round-trips every double. workload_to_string's
+// output is the canonical form of a workload: the serving layer keys its
+// response cache by it (serve/protocol.h).
+//
+// The reader parses numbers with std::from_chars but accepts exactly the
+// tokens `std::istream >> double` accepts: a leading '+' is allowed, inf
+// and nan are not, and an underflowing value reads as a zero of its sign.
+// Numbers may sit anywhere in their section's whitespace; whatever follows
+// the last number of a matrix on its line is ignored. Before allocating
+// the machine set, the graph or a matrix, the reader checks the declared
+// sizes against the bytes that must hold them (every number takes a digit
+// and a separator), so a short document cannot make it allocate or scan a
+// huge instance.
 #pragma once
 
 #include <istream>
@@ -24,6 +37,7 @@
 namespace sehc {
 
 void write_workload(std::ostream& os, const Workload& w);
+/// Reads the rest of `is` as one document.
 Workload read_workload(std::istream& is);
 
 std::string workload_to_string(const Workload& w);

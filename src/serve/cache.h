@@ -16,9 +16,10 @@
 //     bit-identical to the cold solve because the cached fields are exactly
 //     the deterministic part of the response (schedule CSV, makespan,
 //     evals, steps).
-//   * the server's parsed-workload cache (Value = shared_ptr<Workload>),
-//     keyed by the raw workload document, so repeated bodies skip
-//     re-parsing even when budget or engine differ.
+//   * the server's parsed-body cache (Value = the parsed workload with its
+//     canonical text and hash state), keyed by the raw workload document,
+//     so repeated bodies skip the parse and the re-serialization even when
+//     budget or engine differ.
 #pragma once
 
 #include <cstdint>

@@ -240,23 +240,23 @@ Budget ScheduleRequest::parse_budget_token(const std::string& token) {
 }
 
 std::string ScheduleRequest::serialize() const {
-  std::ostringstream os;
-  os << kRequestMagic << '\n';
-  os << "op=" << op << '\n';
-  os << "engine=" << engine << '\n';
-  os << "seed=" << seed << '\n';
-  os << "y_limit=" << y_limit << '\n';
-  os << "budget=" << budget_token(budget) << '\n';
-  os << "deadline_ms=" << format_double("%.3f", deadline_ms) << '\n';
+  std::string out;
+  out.reserve(192 + workload_text.size());
+  out.append(kRequestMagic).append("\nop=").append(op);
+  out.append("\nengine=").append(engine);
+  out.append("\nseed=").append(std::to_string(seed));
+  out.append("\ny_limit=").append(std::to_string(y_limit));
+  out.append("\nbudget=").append(budget_token(budget));
+  out.append("\ndeadline_ms=").append(format_double("%.3f", deadline_ms));
+  out += '\n';
   if (!workload_text.empty()) {
-    os << "workload:\n" << workload_text;
+    out.append("workload:\n").append(workload_text);
   }
-  return os.str();
+  return out;
 }
 
 ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
-  const KvDocument doc = parse_kv_document(payload, kRequestMagic,
-                                           "workload:");
+  KvDocument doc = parse_kv_document(payload, kRequestMagic, "workload:");
   ScheduleRequest req;
   for (const auto& [key, value] : doc.fields) {
     if (key == "op") {
@@ -279,7 +279,7 @@ ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
       proto_fail("unknown request field '" + key + "'");
     }
   }
-  req.workload_text = doc.section;
+  req.workload_text = std::move(doc.section);
   if (req.op == "solve" && req.workload_text.empty()) {
     proto_fail("solve request carries no workload section");
   }
@@ -288,14 +288,17 @@ ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
 
 std::string ScheduleRequest::canonical_string(
     const std::string& canonical_workload) const {
-  std::ostringstream os;
-  os << "sehc-serve-request v1\n";
-  os << "engine=" << engine << '\n';
-  os << "seed=" << seed << '\n';
-  os << "y_limit=" << y_limit << '\n';
-  os << "budget=" << budget_token(budget) << '\n';
-  os << "workload:\n" << canonical_workload;
-  return os.str();
+  // The workload comes first so that a caller holding its hash can extend
+  // it over the request fields alone (content_hash64 streams).
+  std::string out;
+  out.reserve(canonical_workload.size() + 128);
+  out.append(canonical_workload);
+  out.append("sehc-serve-request v1\nengine=").append(engine);
+  out.append("\nseed=").append(std::to_string(seed));
+  out.append("\ny_limit=").append(std::to_string(y_limit));
+  out.append("\nbudget=").append(budget_token(budget));
+  out += '\n';
+  return out;
 }
 
 // --- Responses -------------------------------------------------------------

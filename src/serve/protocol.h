@@ -26,12 +26,16 @@
 //   <sehc-workload v1 document>  ...
 //
 // Request identity (the response-cache key) is
-// content_hash64(canonical_request_string()): the workload re-serialized
-// through workload_to_string (so formatting differences in the submitted
-// document cannot split the cache) plus engine/seed/y_limit/budget in fixed
-// order. deadline_ms is deliberately excluded — a deadline bounds how long
-// the caller waits, not what the fully-solved answer is, so a cached
-// complete answer may legitimately serve a later deadline-limited request.
+// content_hash64(canonical_string()): the workload in its canonical form
+// (workload_to_string, numbers as "%.17g", so formatting differences in
+// the submitted document cannot split the cache), then engine/seed/
+// y_limit/budget in fixed order. The workload leads because FNV-1a
+// streams: the server caches each body's canonical text and its hash
+// state, so a repeated body costs one hash pass over the body plus one
+// over the ~60 bytes of request fields, and no number formatting.
+// deadline_ms is deliberately excluded — a deadline bounds how long the
+// caller waits, not what the fully-solved answer is, so a cached complete
+// answer may legitimately serve a later deadline-limited request.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +104,9 @@ struct ScheduleRequest {
   static std::string budget_token(const Budget& budget);
   static Budget parse_budget_token(const std::string& token);
 
-  /// Canonical identity string (see file header); `canonical_workload` must
-  /// be the workload re-serialized via workload_to_string.
+  /// Canonical identity string (see file header): `canonical_workload`,
+  /// which must be workload_to_string output, followed by the request
+  /// fields.
   std::string canonical_string(const std::string& canonical_workload) const;
 };
 

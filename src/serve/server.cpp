@@ -70,12 +70,39 @@ struct SolveOutcome {
   Clock::time_point solve_end{};
 };
 
+/// A request body parsed once, with its canonical key material: the
+/// workload_to_string text and its FNV-1a state. The text is kept only when
+/// it differs from the body; a canonical body's bytes are already the
+/// workload cache's key. Immutable once built, so connection threads share
+/// it without locking.
+struct Server::ParsedBody {
+  ParsedBody(const std::string& body, std::uint64_t body_hash)
+      : workload(workload_from_string(body)) {
+    std::string text = workload_to_string(workload);
+    if (text == body) {
+      canonical_hash = body_hash;
+    } else {
+      canonical_hash = content_hash64(text);
+      canonical = std::move(text);
+    }
+  }
+
+  /// The canonical workload text of a request carrying `body`.
+  const std::string& canonical_text(const std::string& body) const {
+    return canonical.empty() ? body : canonical;
+  }
+
+  Workload workload;
+  std::string canonical;  // empty when the body is canonical
+  std::uint64_t canonical_hash = 0;
+};
+
 /// One admitted cache-miss request plus everyone waiting on it.
 struct Server::InFlight {
   std::uint64_t hash = 0;
   std::string canonical;
-  ScheduleRequest request;                   // workload_text cleared
-  std::shared_ptr<const Workload> workload;  // parsed once, shared
+  ScheduleRequest request;                 // workload_text cleared
+  std::shared_ptr<const ParsedBody> body;  // parsed once, shared
   std::vector<std::promise<SolveOutcome>> promises;  // guarded by inflight_mutex_
 };
 
@@ -237,26 +264,26 @@ void Server::handle_payload(int fd, const std::string& payload) {
     respond_metrics(fd);
     return;
   }
-  handle_solve(fd, request);
+  handle_solve(fd, std::move(request));
 }
 
-void Server::handle_solve(int fd, const ScheduleRequest& request) {
+void Server::handle_solve(int fd, ScheduleRequest request) {
   const Clock::time_point arrival = Clock::now();
   ScheduleResponse resp;
 
-  // Parse (or recall) the workload and canonicalize the request. The
-  // workload cache is keyed by the raw document bytes: repeated bodies skip
-  // the matrix parse even when engine/seed/budget differ.
-  std::shared_ptr<const Workload> workload;
+  // Recall (or parse) the body. The workload cache is keyed by the raw
+  // document bytes: a repeated body skips the parse and the
+  // re-serialization even when engine/seed/budget differ.
+  std::shared_ptr<const ParsedBody> body;
   const std::uint64_t body_hash = content_hash64(request.workload_text);
   try {
     if (auto cached = workload_cache_.lookup(body_hash,
                                              request.workload_text)) {
-      workload = *cached;
+      body = *cached;
     } else {
-      workload = std::make_shared<const Workload>(
-          workload_from_string(request.workload_text));
-      workload_cache_.insert(body_hash, request.workload_text, workload);
+      body = std::make_shared<const ParsedBody>(request.workload_text,
+                                                body_hash);
+      workload_cache_.insert(body_hash, request.workload_text, body);
     }
   } catch (const std::exception& e) {
     errors_.fetch_add(1);
@@ -265,17 +292,27 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
     write_frame(fd, resp.serialize());
     return;
   }
-
-  const std::string canonical =
-      request.canonical_string(workload_to_string(*workload));
-  const std::uint64_t hash = content_hash64(canonical);
   const Clock::time_point parsed = Clock::now();
-  metrics_.phase_record("request/parse", 1, 0, sec_between(arrival, parsed));
+  metrics_.phase_record("request/workload", 1, 0,
+                        sec_between(arrival, parsed));
+
+  // The canonical key is the canonical workload text followed by the
+  // request fields, so its hash continues the body's cached canonical
+  // state over the fields alone.
+  const std::string& canonical_workload =
+      body->canonical_text(request.workload_text);
+  std::string canonical = request.canonical_string(canonical_workload);
+  const std::uint64_t hash = content_hash64(
+      std::string_view(canonical).substr(canonical_workload.size()),
+      body->canonical_hash);
+  const Clock::time_point keyed = Clock::now();
+  metrics_.phase_record("request/canonical", 1, 0,
+                        sec_between(parsed, keyed));
 
   // Response cache: a hit IS the cold solve's deterministic bytes.
   const auto cached = cache_.lookup(hash, canonical);
   metrics_.phase_record("request/cache_lookup", 1, 0,
-                        sec_between(parsed, Clock::now()));
+                        sec_between(keyed, Clock::now()));
   if (cached) {
     resp.status = ServeStatus::kOk;
     resp.makespan = cached->makespan;
@@ -312,10 +349,10 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
     } else {
       auto entry = std::make_shared<InFlight>();
       entry->hash = hash;
-      entry->canonical = canonical;
-      entry->request = request;
-      entry->request.workload_text.clear();  // parsed copy travels instead
-      entry->workload = workload;
+      entry->canonical = std::move(canonical);
+      entry->request = std::move(request);
+      entry->request.workload_text.clear();  // the parsed body travels instead
+      entry->body = std::move(body);
       entry->promises.emplace_back();
       future = entry->promises.back().get_future();
       if (!queue_.try_push(entry)) {
@@ -384,7 +421,7 @@ void Server::solve(const std::shared_ptr<InFlight>& entry) {
   const MetricsScope metrics_scope(&metrics_);
   try {
     const ScheduleRequest& req = entry->request;
-    const Workload& workload = *entry->workload;
+    const Workload& workload = entry->body->workload;
     // The engine lives exactly as long as this solve: nothing of it, a
     // preempted run included, survives into the next solve.
     std::unique_ptr<SearchEngine> engine;

@@ -6,8 +6,11 @@
 //   connection thread                dispatcher            ThreadPool worker
 //   -----------------                ----------            -----------------
 //   read frame, parse request
-//   parse workload (LRU by body)
-//   canonicalize + content-hash
+//   parse workload (LRU by body,
+//     kept with its canonical text
+//     and hash state)
+//   canonical key: extend the
+//     cached hash over the fields
 //   response cache lookup --hit--> reply (bit-identical to the cold solve)
 //   single-flight: identical
 //     request already in flight? --> attach, wait  <------ fulfil promises
@@ -134,21 +137,22 @@ class Server {
   const ServeOptions& options() const { return options_; }
   bool draining() const { return draining_.load(); }
   ServerStats stats_snapshot() const;
-  /// Observability registry: per-request phase timings (parse, cache
-  /// lookup, queue, solve, reply), server-wide latency histograms, and the
-  /// engine counters run_search flushes from solve slots. The `metrics`
-  /// endpoint serializes snapshots of it.
+  /// Observability registry: per-request phase timings (workload, canonical
+  /// key, cache lookup, queue, solve, reply), server-wide latency
+  /// histograms, and the engine counters run_search flushes from solve
+  /// slots. The `metrics` endpoint serializes snapshots of it.
   MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
 
  private:
   struct InFlight;
+  struct ParsedBody;
 
   void accept_loop();
   void connection_loop(int fd);
   void dispatch_loop();
   /// Handles one parsed frame on a connection; writes exactly one response.
   void handle_payload(int fd, const std::string& payload);
-  void handle_solve(int fd, const ScheduleRequest& request);
+  void handle_solve(int fd, ScheduleRequest request);
   void respond_stats(int fd);
   void respond_metrics(int fd);
   void solve(const std::shared_ptr<InFlight>& entry);
@@ -158,7 +162,7 @@ class Server {
 
   std::unique_ptr<ThreadPool> pool_;
   ResponseCache cache_;
-  ContentLru<std::shared_ptr<const Workload>> workload_cache_;
+  ContentLru<std::shared_ptr<const ParsedBody>> workload_cache_;
   BoundedQueue<std::shared_ptr<InFlight>> queue_;
 
   // Free worker slots, one per solver thread: the dispatcher acquires one

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +74,32 @@ ScheduleRequest solve_request(const std::string& workload_text,
   req.budget = budget;
   req.workload_text = workload_text;
   return req;
+}
+
+/// The same workload document with its exec numbers written the way a
+/// hand-edited file might carry them: a leading '+', a trailing zero on
+/// plain decimals, extra blanks. It parses to the same workload but is a
+/// different byte string.
+std::string reformat_exec(const std::string& text) {
+  const std::size_t begin = text.find("\nexec\n") + 6;
+  const std::size_t end = std::min(text.find("transfer\n", begin), text.size());
+  std::string out = text.substr(0, begin);
+  std::istringstream rows(text.substr(begin, end - begin));
+  std::string row;
+  while (std::getline(rows, row)) {
+    std::istringstream tokens(row);
+    std::string token;
+    out += "  ";
+    while (tokens >> token) {
+      if (token.find('.') != std::string::npos &&
+          token.find('e') == std::string::npos) {
+        token += '0';
+      }
+      out += "+" + token + "   ";
+    }
+    out += '\n';
+  }
+  return out + text.substr(end);
 }
 
 ScheduleResponse one_call(const std::string& socket_path,
@@ -239,6 +268,23 @@ TEST(ServeResponse, ErrorMessageNewlinesAreFolded) {
   EXPECT_EQ(got.error, "line one line two");
 }
 
+TEST(ServeRequest, CanonicalStringLeadsWithTheWorkloadSoItsHashStreams) {
+  const std::string canonical_workload = small_workload_text(3);
+  const ScheduleRequest req = solve_request(canonical_workload);
+  const std::string canonical = req.canonical_string(canonical_workload);
+  ASSERT_EQ(canonical.compare(0, canonical_workload.size(), canonical_workload),
+            0);
+  const std::string_view fields =
+      std::string_view(canonical).substr(canonical_workload.size());
+  EXPECT_EQ(fields,
+            "sehc-serve-request v1\nengine=SE\nseed=7\ny_limit=0\n"
+            "budget=steps:8\n");
+  // The server's key hash: the body's cached state continued over the
+  // fields equals the hash of the whole canonical string.
+  EXPECT_EQ(content_hash64(fields, content_hash64(canonical_workload)),
+            content_hash64(canonical));
+}
+
 TEST(ServeRequest, CanonicalIdentityExcludesDeadlineIncludesBudget) {
   const std::string canonical_workload = small_workload_text(3);
   ScheduleRequest a = solve_request(canonical_workload);
@@ -351,17 +397,68 @@ TEST(ServeServer, ColdSolveMatchesOfflineRunAndCacheHitIsBitIdentical) {
   EXPECT_EQ(warm.evals, cold.evals);
   EXPECT_EQ(warm.steps, cold.steps);
 
-  // Reformatting the workload document must not split the cache: submit the
-  // same workload re-serialized (identical here, but via a fresh parse).
-  ScheduleRequest reparsed = req;
-  reparsed.workload_text =
-      workload_to_string(workload_from_string(req.workload_text));
-  const ScheduleResponse reformatted = one_call(so.socket_path, reparsed);
-  EXPECT_TRUE(reformatted.cache_hit);
+  // Reformatting the workload document must not split the cache. The
+  // reformatted body is a new workload-cache key whose canonical text
+  // differs from it; both rounds are response-cache hits with the cold
+  // solve's bytes, the first through a fresh parse, the second through the
+  // canonical text and hash cached for that body.
+  ScheduleRequest reformatted = req;
+  reformatted.workload_text = reformat_exec(req.workload_text);
+  ASSERT_NE(reformatted.workload_text, req.workload_text);
+  ASSERT_EQ(workload_to_string(workload_from_string(reformatted.workload_text)),
+            req.workload_text);
+  for (int round = 0; round < 2; ++round) {
+    const ScheduleResponse hit = one_call(so.socket_path, reformatted);
+    ASSERT_EQ(hit.status, ServeStatus::kOk) << hit.error;
+    EXPECT_TRUE(hit.cache_hit) << "round " << round;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.makespan),
+              std::bit_cast<std::uint64_t>(cold.makespan));
+    EXPECT_EQ(hit.evals, cold.evals);
+    EXPECT_EQ(hit.steps, cold.steps);
+    EXPECT_EQ(hit.schedule_csv, cold.schedule_csv);
+  }
 
   const ServerStats stats = server.stats_snapshot();
-  EXPECT_GE(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_hits, 3u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.workload_cache_hits, 2u);  // the warm repeat, round 1
   EXPECT_EQ(stats.errors, 0u);
+
+  // Every solve request passes the workload and canonical-key phases.
+  const MetricsSnapshot snap = server.metrics_snapshot();
+  for (const char* phase : {"request/workload", "request/canonical",
+                            "request/cache_lookup"}) {
+    const auto it = std::find_if(
+        snap.phases.begin(), snap.phases.end(),
+        [&](const auto& entry) { return entry.first == phase; });
+    ASSERT_NE(it, snap.phases.end()) << phase;
+    EXPECT_EQ(it->second.visits, 4u) << phase;
+  }
+  server.request_drain();
+  server.join();
+}
+
+TEST(ServeServer, DistinctWorkloadsWithEqualFieldsKeepSeparateEntries) {
+  // The key hash covers the workload as well as the request fields: two
+  // workloads under the same engine/seed/budget must not share (and keep
+  // overwriting) one cache slot.
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  Server server(so);
+  server.start();
+  const ScheduleRequest a = solve_request(small_workload_text(21));
+  const ScheduleRequest b = solve_request(small_workload_text(22));
+  for (const ScheduleRequest* req : {&a, &b}) {
+    const ScheduleResponse cold = one_call(so.socket_path, *req);
+    ASSERT_EQ(cold.status, ServeStatus::kOk) << cold.error;
+    EXPECT_FALSE(cold.cache_hit);
+  }
+  for (const ScheduleRequest* req : {&a, &b}) {
+    const ScheduleResponse warm = one_call(so.socket_path, *req);
+    ASSERT_EQ(warm.status, ServeStatus::kOk) << warm.error;
+    EXPECT_TRUE(warm.cache_hit);
+  }
   server.request_drain();
   server.join();
 }
