@@ -1,18 +1,19 @@
-// Runs the full scheduler suite (SE, GA, HEFT, CPOP, min-min, max-min, MCT,
-// OLB, SA, random search) on a workload class of your choice and prints the
-// comparison table.
+// Runs every registered scheduler (SE, GA, GSA, HEFT, CPOP, DLS, min-min,
+// max-min, MCT, OLB, SA, tabu and random search) on a workload class of
+// your choice and prints the comparison tables.
 //
-// The seeded repetitions execute as a parallel sweep: pass --threads N to
-// spread them over N workers. The result columns are identical for any N;
-// only the measured wall-clock seconds column varies run to run.
+// The seeded repetitions execute as a campaign: pass --threads N to spread
+// the cells over N workers. The tables are identical for any N.
 //
 //   $ ./compare_heuristics [--tasks 60] [--machines 10] [--conn high]
 //                          [--het medium] [--ccr 0.5] [--budget 80]
 //                          [--seeds 3] [--threads 1]
 #include <iostream>
 
+#include "analysis/report.h"
 #include "core/options.h"
-#include "exp/runner.h"
+#include "exp/campaign.h"
+#include "heuristics/scheduler.h"
 #include "workload/generator.h"
 
 namespace {
@@ -37,23 +38,31 @@ int main(int argc, char** argv) {
   wp.heterogeneity = level_from(opts.get("het", "medium"));
   wp.ccr = opts.get_double("ccr", 0.5);
   wp.seed = 100;
-  const auto budget =
-      static_cast<std::size_t>(opts.get_int("budget", 80));
-  const auto seeds = static_cast<std::size_t>(opts.get_int("seeds", 3));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 1));
+
+  CampaignSpec spec;
+  spec.name = "compare-heuristics";
+  spec.classes = {{"workload", wp}};
+  spec.schedulers = scheduler_names();
+  spec.repetitions = static_cast<std::size_t>(opts.get_int("seeds", 3));
+  spec.iterations = static_cast<std::size_t>(opts.get_int("budget", 80));
+  spec.base_seed = wp.seed;
 
   std::cout << "Comparing all schedulers on " << wp.describe() << " over "
-            << seeds << " seeds (iterative budget " << budget << ")\n\n";
+            << spec.repetitions << " seeds (iterative budget "
+            << spec.iterations << ")\n\n";
 
-  SuiteSweep sweep;
-  sweep.workloads = {{"seed", wp}};
-  sweep.schedulers = make_all_scheduler_factories(budget);
-  sweep.repetitions = seeds;
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  CampaignRunOptions run_opts;
+  run_opts.threads = static_cast<std::size_t>(opts.get_int("threads", 1));
+  run_opts.strict = true;
+  run_campaign(spec, store, run_opts);
 
-  SweepOptions sweep_opts;
-  sweep_opts.threads = threads;
-  sweep_opts.base_seed = wp.seed;
-
-  records_to_table(run_suite_sweep(sweep, sweep_opts)).write_markdown(std::cout);
+  const CampaignDataset dataset = build_dataset(store);
+  const ReportOptions report;
+  write_table(std::cout, summary_table(dataset, report),
+              ReportFormat::kMarkdown);
+  std::cout << "\n";
+  write_table(std::cout, profile_table(dataset, report),
+              ReportFormat::kMarkdown);
   return 0;
 }

@@ -3,7 +3,7 @@
 // schedule CSV, and optional DOT graph — the small tool a downstream user
 // reaches for first.
 //
-//   $ ./workload_explorer --dump > instance.txt   # (grab a sample instance)
+//   $ ./workload_explorer --dump | sed -n '/^sehc-workload/,$p' > instance.txt
 //   $ ./sehc_run --input instance.txt --scheduler SE --iterations 300
 //   $ ./sehc_run --input instance.txt --scheduler HEFT --csv
 //   $ ./sehc_run --input instance.txt --scheduler GA --dot > matched.dot
@@ -24,34 +24,8 @@
 #include "sched/validate.h"
 #include "dag/dot.h"
 
-namespace {
-
-using namespace sehc;
-
-std::unique_ptr<Scheduler> pick_scheduler(const std::string& name,
-                                          std::size_t budget,
-                                          std::uint64_t seed) {
-  if (name == "SE") return make_se_scheduler(budget, seed);
-  if (name == "GA") return make_ga_scheduler(budget, seed);
-  if (name == "GSA") return make_gsa_scheduler(budget, seed);
-  if (name == "HEFT") return make_heft();
-  if (name == "CPOP") return make_cpop();
-  if (name == "DLS") return make_dls();
-  if (name == "Tabu") return make_tabu_search(budget * 10, seed);
-  if (name == "MinMin") return make_level_mapper(LevelMapperKind::kMinMin);
-  if (name == "MaxMin") return make_level_mapper(LevelMapperKind::kMaxMin);
-  if (name == "MCT") return make_level_mapper(LevelMapperKind::kMct);
-  if (name == "OLB") return make_level_mapper(LevelMapperKind::kOlb);
-  if (name == "SA") return make_simulated_annealing(budget * 50, seed);
-  if (name == "Random") return make_random_search(budget * 10, seed);
-  throw Error("unknown scheduler '" + name +
-              "' (try SE, GA, GSA, HEFT, CPOP, DLS, MinMin, MaxMin, MCT, OLB, "
-              "SA, Tabu, Random)");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace sehc;
   try {
     const Options opts(argc, argv,
                        {"input", "scheduler", "iterations", "seed", "csv",
@@ -67,8 +41,14 @@ int main(int argc, char** argv) {
     SEHC_CHECK(in.good(), "sehc_run: cannot open " + input);
     const Workload w = read_workload(in);
 
-    const auto scheduler = pick_scheduler(name, budget, seed);
-    const Schedule s = scheduler->schedule(w);
+    // Iterative schedulers take their registry share of the budget (SA x50,
+    // tabu/random x10); an unknown name falls through to
+    // make_search_engine, whose error lists every registered scheduler.
+    const SchedulerInfo* info = find_scheduler(name);
+    const Budget steps = Budget::steps(
+        budget * (info != nullptr ? info->steps_per_iteration : 1));
+    const auto engine = make_search_engine(name, w, steps, seed);
+    const Schedule s = run_search(*engine, steps).schedule;
     const auto violations = validate_schedule(w, s);
     SEHC_CHECK(violations.empty(),
                "scheduler produced an invalid schedule: " + violations.front());

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
-#include <map>
 #include <sstream>
 #include <thread>
 
@@ -41,19 +39,6 @@ std::string join(const std::vector<std::string>& parts, char sep) {
     out += parts[i];
   }
   return out;
-}
-
-/// Name -> factory map for the spec's scheduler set. `budget` is the spec's
-/// iteration budget (the same scaling the comparison suite uses).
-std::map<std::string, SchedulerFactory> scheduler_registry(
-    std::size_t budget) {
-  std::map<std::string, SchedulerFactory> registry;
-  for (SchedulerFactory& factory :
-       make_all_scheduler_factories(std::max<std::size_t>(budget, 1))) {
-    std::string name = factory.name;
-    registry.emplace(std::move(name), std::move(factory));
-  }
-  return registry;
 }
 
 }  // namespace
@@ -127,20 +112,12 @@ void CampaignSpec::validate() const {
   SEHC_CHECK(time_budget_seconds == 0.0 || eval_budget == 0,
              "CampaignSpec: time and eval budgets are mutually exclusive");
 
-  const auto registry = scheduler_registry(iterations);
   std::vector<std::string> seen;
   for (const std::string& s : schedulers) {
-    SEHC_CHECK(registry.count(s) > 0,
+    SEHC_CHECK(find_scheduler(s) != nullptr,
                "CampaignSpec: unknown scheduler '" + s + "'");
     SEHC_CHECK(std::find(seen.begin(), seen.end(), s) == seen.end(),
                "CampaignSpec: duplicate scheduler '" + s + "'");
-    // Time and eval budgets need an engine to drive: the six stepwise
-    // searchers plus the one-shot schedulers (which run as degenerate
-    // single-step engines and show up as flat baselines).
-    const bool has_engine = registry.find(s)->second.make_engine != nullptr;
-    SEHC_CHECK((time_budget_seconds == 0.0 && eval_budget == 0) || has_engine,
-               "CampaignSpec: time/eval budgets need a stepwise engine, but "
-               "scheduler '" + s + "' has none");
     seen.push_back(s);
   }
 
@@ -375,20 +352,16 @@ CampaignRunSummary run_store_grid(
 
 namespace {
 
-/// Executes one campaign cell and returns its record. Every stepwise
-/// searcher (SE, GA, GSA, SA, Tabu, Random) runs through the engine's
-/// step core via the generic anytime driver — the same loop for iteration,
-/// eval and wall-clock budgets, so curve capture never changes a makespan
-/// bit relative to the Scheduler adapters (which are wrappers over the
-/// identical core). One-shot schedulers (HEFT, CPOP, ...) join the engine
-/// path under time/eval budgets as degenerate single-step engines (flat
-/// curves, 0 evals); under iteration budgets they keep the legacy
-/// Scheduler path — their step budget is 0, which is not a valid Budget,
-/// and the legacy flat-curve record is the pinned byte format.
-CampaignRecord run_campaign_cell(
-    const CampaignSpec& spec,
-    const std::map<std::string, SchedulerFactory>& registry,
-    const SweepCell& cell, const CellContext& ctx) {
+/// Executes one campaign cell and returns its record. Every scheduler runs
+/// as the engine make_search_engine builds, through the generic anytime
+/// driver — the same loop for iteration, eval and wall-clock budgets, so
+/// curve capture never changes a makespan bit. An iteration budget gives
+/// each engine its registry share (SE/GA/GSA and the one-shots: iterations
+/// steps; SA/tabu/random: the suite's x50/x10 scalings), so the shared grid
+/// of a step-budget spec reads as equal budget fractions.
+CampaignRecord run_campaign_cell(const CampaignSpec& spec,
+                                 const SweepCell& cell,
+                                 const CellContext& ctx) {
   const std::size_t class_idx = cell.at(0);
   const std::size_t rep = cell.at(1);
   const std::string& scheduler_name = spec.schedulers[cell.at(2)];
@@ -411,49 +384,29 @@ CampaignRecord run_campaign_cell(
   const Workload w = make_workload(params);
   rec.lower_bound = makespan_lower_bound(w);
 
-  const SchedulerFactory& factory = registry.at(scheduler_name);
+  const SchedulerInfo& info = *find_scheduler(scheduler_name);
+  const Budget budget =
+      spec.eval_budget > 0 ? Budget::evals(spec.eval_budget)
+      : spec.time_budget_seconds > 0.0
+          ? Budget::seconds(spec.time_budget_seconds)
+          : Budget::steps(spec.iterations * info.steps_per_iteration);
+  const std::vector<double> grid =
+      time_grid(budget.axis_end(), spec.curve_points);
 
   WallTimer timer;
-  Schedule schedule;
-  const bool engine_driven =
-      factory.make_engine != nullptr &&
-      (spec.eval_budget > 0 || spec.time_budget_seconds > 0.0 ||
-       factory.step_budget > 0);
-  if (engine_driven) {
-    // Budget and curve axis in the spec's currency; step budgets use each
-    // searcher's own comparison-suite step count (SE/GA/GSA: iterations;
-    // SA/tabu/random: the suite's x50/x10 scalings), so the shared grid of
-    // a step-budget spec reads as equal budget fractions.
-    const Budget budget =
-        spec.eval_budget > 0 ? Budget::evals(spec.eval_budget)
-        : spec.time_budget_seconds > 0.0
-            ? Budget::seconds(spec.time_budget_seconds)
-            : Budget::steps(factory.step_budget);
-    const std::vector<double> grid =
-        time_grid(budget.axis_end(), spec.curve_points);
-
-    const std::unique_ptr<SearchEngine> engine =
-        factory.make_engine(w, budget, cell.seed);
-    const std::vector<AnytimePoint> curve =
-        run_anytime(*engine, budget, ctx.deadline);
-    rec.makespan = engine->best_makespan();
-    rec.evals = engine->evals_used();
-    rec.curve = sample_curve(curve, grid);
-    schedule = engine->best_schedule();
-  } else {
-    // One-shot scheduler under an iteration budget (the only way here:
-    // validate() confines time/eval budgets to engine-backed schedulers,
-    // and every stepwise searcher has a positive step budget).
-    const std::vector<double> grid = time_grid(
-        static_cast<double>(spec.iterations), spec.curve_points);
-    const std::unique_ptr<Scheduler> scheduler = factory.make(cell.seed);
-    schedule = scheduler->schedule(w);
-    rec.makespan = schedule.makespan;
-    rec.evals = 0;  // one-shot schedulers consume no search trials
-    // Non-engine schedulers have no anytime trajectory; their curve is the
-    // final value at every grid point.
-    rec.curve.assign(grid.size(), rec.makespan);
-  }
+  const std::unique_ptr<SearchEngine> engine =
+      make_search_engine(scheduler_name, w, budget, cell.seed);
+  const std::vector<AnytimePoint> curve =
+      run_anytime(*engine, budget, ctx.deadline);
+  rec.makespan = engine->best_makespan();
+  rec.evals = engine->evals_used();
+  // A one-shot's schedule does not depend on the budget, so its curve is
+  // flat at its makespan on every axis (its single step would otherwise
+  // sample as +infinity at step-axis grid points below 1).
+  rec.curve = info.one_shot != nullptr
+                  ? std::vector<double>(grid.size(), rec.makespan)
+                  : sample_curve(curve, grid);
+  const Schedule schedule = engine->best_schedule();
   rec.seconds = timer.seconds();
 
   const auto violations = validate_schedule(w, schedule);
@@ -473,7 +426,6 @@ CampaignRunSummary run_campaign(const CampaignSpec& spec, ResultStore& store,
              "run_campaign: store '" + store.path() +
                  "' does not match this spec (open it with "
                  "spec.store_schema())");
-  const auto registry = scheduler_registry(spec.iterations);
   CampaignRunOptions run_options = options;
   if (!run_options.cell_label) {
     // Resolve cell coordinates to spec names so quarantine records read as
@@ -487,7 +439,7 @@ CampaignRunSummary run_campaign(const CampaignSpec& spec, ResultStore& store,
   return run_store_grid(
       spec.grid(), store, run_options, spec.base_seed,
       [&](const SweepCell& cell, const CellContext& ctx) {
-        return run_campaign_cell(spec, registry, cell, ctx).to_row().fields;
+        return run_campaign_cell(spec, cell, ctx).to_row().fields;
       });
 }
 

@@ -44,29 +44,30 @@ struct CampaignClass {
 };
 
 /// Declarative description of a campaign. The grid is
-/// class x repetition x scheduler (row-major, class slowest), matching the
-/// record order of run_suite_sweep.
+/// class x repetition x scheduler (row-major, class slowest).
 struct CampaignSpec {
   std::string name = "campaign";
   std::vector<CampaignClass> classes;
-  /// Scheduler names resolved against make_all_scheduler_factories()
-  /// ("SE", "GA", "GSA", "HEFT", ...).
+  /// Names from the scheduler registry (scheduler_names(): "SE", "GA",
+  /// "GSA", "HEFT", ...); every cell builds its engine with
+  /// make_search_engine.
   std::vector<std::string> schedulers;
   /// Seeded repetitions per (class, scheduler).
   std::size_t repetitions = 3;
-  /// Per-cell iteration budget (SE iterations == GA generations; the other
-  /// iterative methods scale from it exactly as in the comparison suite:
-  /// SA x50, tabu/random x10 steps).
+  /// Per-cell iteration budget (SE iterations == GA generations; each
+  /// scheduler runs iterations x its registry steps_per_iteration steps:
+  /// SA x50, tabu/random x10, everything else x1).
   std::size_t iterations = 150;
-  /// When > 0, searcher cells run under this wall-clock budget instead of
-  /// the iteration budget (Figs. 5-7). Only the six stepwise searchers
-  /// (SE, GA, GSA, SA, Tabu, Random) support time budgets.
+  /// When > 0, every cell runs under this wall-clock budget instead of the
+  /// iteration budget (Figs. 5-7); one-shot schedulers run their single
+  /// step and show up as flat baselines.
   double time_budget_seconds = 0.0;
   /// When > 0, every cell runs its searcher under this evaluator-trial
   /// budget — the first apples-to-apples equal-evaluation-count comparison
   /// across all searchers (each one stops once its cumulative trial count
   /// reaches the budget; steps are atomic, so the final step may overshoot).
-  /// Only the six stepwise searchers are allowed; `iterations` is ignored.
+  /// One-shot schedulers consume 0 trials and record flat curves;
+  /// `iterations` is ignored.
   /// Deterministic like the iteration budget: curves sample on the evals
   /// axis and shards merge byte-for-byte.
   std::size_t eval_budget = 0;
@@ -94,8 +95,8 @@ struct CampaignSpec {
   /// open/merge instead of silently mixing layouts.)
   StoreSchema store_schema() const;
 
-  /// Throws sehc::Error if the spec is malformed (empty axes, unknown
-  /// scheduler, time budget with unsupported schedulers, ...).
+  /// Throws sehc::Error if the spec is malformed (empty axes, unknown or
+  /// duplicate scheduler, both a time and an eval budget, ...).
   void validate() const;
 };
 
@@ -229,7 +230,7 @@ CampaignRunSummary run_store_grid(
     const std::function<std::vector<std::string>(const SweepCell&,
                                                  const CellContext&)>& row_fn);
 
-/// Scheduler campaign driver. The store must have been opened with
+/// The scheduler campaign driver. The store must have been opened with
 /// spec.store_schema(). Cells validate their schedules before persisting.
 CampaignRunSummary run_campaign(const CampaignSpec& spec, ResultStore& store,
                                 const CampaignRunOptions& options);

@@ -1,5 +1,6 @@
 #include "heuristics/scheduler.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "heuristics/cpop.h"
@@ -15,41 +16,37 @@ namespace {
 
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
-/// Adapter for plain function schedulers.
-class FunctionScheduler final : public Scheduler {
- public:
-  using Fn = Schedule (*)(const Workload&);
-  FunctionScheduler(std::string name, Fn fn) : name_(std::move(name)), fn_(fn) {}
-  std::string name() const override { return name_; }
-  Schedule schedule(const Workload& w) const override { return fn_(w); }
-
- private:
-  std::string name_;
-  Fn fn_;
-};
-
-/// Adapter running any of the six searchers to its step budget through the
-/// stepwise core — the single loop behind every iterative Scheduler.
-class EngineScheduler final : public Scheduler {
- public:
-  EngineScheduler(std::string name, std::size_t steps, std::uint64_t seed,
-                  std::size_t y_limit = 0)
-      : name_(std::move(name)), steps_(steps), seed_(seed), y_limit_(y_limit) {}
-  std::string name() const override { return name_; }
-  Schedule schedule(const Workload& w) const override {
-    const std::unique_ptr<SearchEngine> engine =
-        make_search_engine(name_, w, Budget::steps(steps_), seed_, y_limit_);
-    return run_search(*engine, Budget::steps(steps_)).schedule;
-  }
-
- private:
-  std::string name_;
-  std::size_t steps_;
-  std::uint64_t seed_;
-  std::size_t y_limit_;
+constexpr SchedulerInfo kSchedulers[] = {
+    {"SE", 1, nullptr},
+    {"GA", 1, nullptr},
+    {"GSA", 1, nullptr},
+    {"HEFT", 1, &heft_schedule},
+    {"CPOP", 1, &cpop_schedule},
+    {"DLS", 1, &dls_schedule},
+    {"MinMin", 1, &minmin_schedule},
+    {"MaxMin", 1, &maxmin_schedule},
+    {"MCT", 1, &mct_schedule},
+    {"OLB", 1, &olb_schedule},
+    // SA, tabu and random search get budgets comparable to SE's move count.
+    {"SA", 50, nullptr},
+    {"Tabu", 10, nullptr},
+    {"Random", 10, nullptr},
 };
 
 }  // namespace
+
+std::vector<std::string> scheduler_names() {
+  std::vector<std::string> names;
+  for (const SchedulerInfo& info : kSchedulers) names.emplace_back(info.name);
+  return names;
+}
+
+const SchedulerInfo* find_scheduler(const std::string& name) {
+  for (const SchedulerInfo& info : kSchedulers) {
+    if (name == info.name) return &info;
+  }
+  return nullptr;
+}
 
 SeParams comparison_se_params(std::size_t iterations, std::uint64_t seed,
                               std::size_t y_limit) {
@@ -93,11 +90,6 @@ SaParams comparison_sa_params(std::size_t iterations, std::uint64_t seed) {
   p.iterations = iterations;
   p.seed = seed;
   return p;
-}
-
-bool is_search_engine_name(const std::string& name) {
-  return name == "SE" || name == "GA" || name == "GSA" || name == "SA" ||
-         name == "Tabu" || name == "Random";
 }
 
 std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
@@ -150,156 +142,17 @@ std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
   if (name == "Random") {
     return std::make_unique<RandomSearchEngine>(w, step_cap, seed);
   }
-  throw Error("make_search_engine: '" + name +
-              "' is not a stepwise searcher (expected SE, GA, GSA, SA, Tabu "
-              "or Random)");
-}
-
-std::unique_ptr<SearchEngine> make_one_shot_engine(
-    std::unique_ptr<Scheduler> scheduler, const Workload& w) {
-  SEHC_CHECK(scheduler != nullptr, "make_one_shot_engine: null scheduler");
-  std::string name = scheduler->name();
-  // OneShotEngine takes a plain schedule function; shared ownership lets
-  // the copyable std::function close over the scheduler.
-  std::shared_ptr<Scheduler> shared(std::move(scheduler));
-  return std::make_unique<OneShotEngine>(
-      std::move(name), w,
-      [shared](const Workload& wl) { return shared->schedule(wl); });
-}
-
-std::unique_ptr<Scheduler> make_heft() {
-  return std::make_unique<FunctionScheduler>("HEFT", &heft_schedule);
-}
-
-std::unique_ptr<Scheduler> make_cpop() {
-  return std::make_unique<FunctionScheduler>("CPOP", &cpop_schedule);
-}
-
-std::unique_ptr<Scheduler> make_dls() {
-  return std::make_unique<FunctionScheduler>("DLS", &dls_schedule);
-}
-
-std::unique_ptr<Scheduler> make_tabu_search(std::size_t iterations,
-                                            std::uint64_t seed) {
-  return std::make_unique<EngineScheduler>("Tabu", iterations, seed);
-}
-
-std::unique_ptr<Scheduler> make_level_mapper(LevelMapperKind kind) {
-  switch (kind) {
-    case LevelMapperKind::kMinMin:
-      return std::make_unique<FunctionScheduler>("MinMin", &minmin_schedule);
-    case LevelMapperKind::kMaxMin:
-      return std::make_unique<FunctionScheduler>("MaxMin", &maxmin_schedule);
-    case LevelMapperKind::kMct:
-      return std::make_unique<FunctionScheduler>("MCT", &mct_schedule);
-    case LevelMapperKind::kOlb:
-      return std::make_unique<FunctionScheduler>("OLB", &olb_schedule);
+  const SchedulerInfo* info = find_scheduler(name);
+  if (info == nullptr) {
+    std::string known;
+    for (const SchedulerInfo& row : kSchedulers) {
+      known += known.empty() ? "" : ", ";
+      known += row.name;
+    }
+    throw Error("make_search_engine: unknown scheduler '" + name +
+                "' (expected one of " + known + ")");
   }
-  throw Error("make_level_mapper: unknown kind");
-}
-
-std::unique_ptr<Scheduler> make_random_search(std::size_t evaluations,
-                                              std::uint64_t seed) {
-  return std::make_unique<EngineScheduler>("Random", evaluations, seed);
-}
-
-std::unique_ptr<Scheduler> make_simulated_annealing(std::size_t iterations,
-                                                    std::uint64_t seed) {
-  return std::make_unique<EngineScheduler>("SA", iterations, seed);
-}
-
-std::unique_ptr<Scheduler> make_se_scheduler(std::size_t iterations,
-                                             std::uint64_t seed,
-                                             std::size_t y_limit) {
-  return std::make_unique<EngineScheduler>("SE", iterations, seed, y_limit);
-}
-
-std::unique_ptr<Scheduler> make_ga_scheduler(std::size_t generations,
-                                             std::uint64_t seed) {
-  return std::make_unique<EngineScheduler>("GA", generations, seed);
-}
-
-std::unique_ptr<Scheduler> make_gsa_scheduler(std::size_t generations,
-                                              std::uint64_t seed) {
-  return std::make_unique<EngineScheduler>("GSA", generations, seed);
-}
-
-std::vector<SchedulerFactory> make_all_scheduler_factories(std::size_t budget) {
-  const auto seedless = [](std::unique_ptr<Scheduler> (*fn)()) {
-    return [fn](std::uint64_t) { return fn(); };
-  };
-  const auto engine_builder = [](std::string name) {
-    return [name](const Workload& w, const Budget& b, std::uint64_t seed) {
-      return make_search_engine(name, w, b, seed);
-    };
-  };
-  // One-shot schedulers get a degenerate single-step engine so the
-  // deterministic baselines join engine-driven (wall-clock / eval-budget)
-  // campaigns as flat anytime curves. The budget is validated but otherwise
-  // unused: any positive budget admits the single step.
-  const auto one_shot_builder =
-      [](std::function<std::unique_ptr<Scheduler>(std::uint64_t)> make) {
-        return [make](const Workload& w, const Budget& b, std::uint64_t seed) {
-          b.validate();
-          return make_one_shot_engine(make(seed), w);
-        };
-      };
-  std::vector<SchedulerFactory> out;
-  out.push_back({"SE",
-                 [budget](std::uint64_t seed) {
-                   return make_se_scheduler(budget, seed);
-                 },
-                 budget, engine_builder("SE")});
-  out.push_back({"GA",
-                 [budget](std::uint64_t seed) {
-                   return make_ga_scheduler(budget, seed);
-                 },
-                 budget, engine_builder("GA")});
-  out.push_back({"GSA",
-                 [budget](std::uint64_t seed) {
-                   return make_gsa_scheduler(budget, seed);
-                 },
-                 budget, engine_builder("GSA")});
-  out.push_back(
-      {"HEFT", seedless(&make_heft), 0, one_shot_builder(seedless(&make_heft))});
-  out.push_back(
-      {"CPOP", seedless(&make_cpop), 0, one_shot_builder(seedless(&make_cpop))});
-  out.push_back(
-      {"DLS", seedless(&make_dls), 0, one_shot_builder(seedless(&make_dls))});
-  for (LevelMapperKind kind :
-       {LevelMapperKind::kMinMin, LevelMapperKind::kMaxMin,
-        LevelMapperKind::kMct, LevelMapperKind::kOlb}) {
-    auto mapper = make_level_mapper(kind);
-    std::string name = mapper->name();
-    const auto make_fn = [kind](std::uint64_t) { return make_level_mapper(kind); };
-    out.push_back({std::move(name), make_fn, 0, one_shot_builder(make_fn)});
-  }
-  // SA, tabu and random search get budgets comparable to SE's move count.
-  out.push_back({"SA",
-                 [budget](std::uint64_t seed) {
-                   return make_simulated_annealing(budget * 50, seed);
-                 },
-                 budget * 50, engine_builder("SA")});
-  out.push_back({"Tabu",
-                 [budget](std::uint64_t seed) {
-                   return make_tabu_search(budget * 10, seed);
-                 },
-                 budget * 10, engine_builder("Tabu")});
-  out.push_back({"Random",
-                 [budget](std::uint64_t seed) {
-                   return make_random_search(budget * 10, seed);
-                 },
-                 budget * 10, engine_builder("Random")});
-  return out;
-}
-
-std::vector<std::unique_ptr<Scheduler>> make_all_schedulers(
-    std::size_t budget, std::uint64_t seed) {
-  std::vector<std::unique_ptr<Scheduler>> out;
-  for (const SchedulerFactory& factory : make_all_scheduler_factories(budget)) {
-    out.push_back(factory.make(seed));
-  }
-  return out;
+  return std::make_unique<OneShotEngine>(info->name, w, info->one_shot);
 }
 
 }  // namespace sehc

@@ -1,23 +1,20 @@
-// Common interface for every matching-and-scheduling heuristic in the
-// library, plus a registry used by the comparison benches and examples.
+// The scheduler registry: every matching-and-scheduling heuristic in the
+// library, built by name as a stepwise SearchEngine (search/engine.h).
 //
 // The paper's survey references ([4] Braun et al., [5] Topcuoglu et al.)
-// motivate the baseline set: list schedulers (HEFT, CPOP), levelized
+// motivate the baseline set: list schedulers (HEFT, CPOP, DLS), levelized
 // meta-task mappers (min-min, max-min, MCT, OLB) and generic iterative
-// search (simulated annealing, random search) alongside SE and GA.
+// search (simulated annealing, tabu, random search) alongside SE and GA.
 //
-// Every iterative searcher is also constructible as a stepwise SearchEngine
-// (search/engine.h) under any Budget currency via make_search_engine / the
-// factories' make_engine hook; the one-shot Scheduler adapters below are
-// thin wrappers over those engines, so both paths are bit-identical at
-// fixed seeds. The deterministic one-shot schedulers (HEFT, CPOP, DLS, the
-// level mappers) in turn wrap as degenerate single-step engines via
-// make_one_shot_engine, so wall-clock and eval-budget harnesses can carry
-// them as flat baselines.
+// make_search_engine is the one way to build any of the 13 schedulers.
+// The six iterative searchers run under any Budget currency; the seven
+// deterministic one-shot schedulers become degenerate single-step
+// OneShotEngines (search/one_shot.h), so every harness — campaigns, the
+// daemon, the CLI — drives them through the same run_search/run_anytime
+// loop as flat baselines.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,40 +30,28 @@
 
 namespace sehc {
 
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  /// Stable identifier used in tables ("SE", "GA", "HEFT", ...).
-  virtual std::string name() const = 0;
-
-  /// Produces a complete valid schedule for the workload.
-  virtual Schedule schedule(const Workload& w) const = 0;
+/// One row of the registry.
+struct SchedulerInfo {
+  /// Stable identifier used in specs, tables and requests ("SE", "HEFT").
+  const char* name;
+  /// Engine steps per unit of a shared iteration budget: the comparison
+  /// suite gives SA 50 moves and Tabu/Random 10 steps per SE iteration or
+  /// GA generation; every other scheduler takes 1.
+  std::size_t steps_per_iteration;
+  /// The plain schedule function of a one-shot scheduler; null for the six
+  /// stepwise searchers.
+  Schedule (*one_shot)(const Workload&);
 };
 
-/// Deterministic list schedulers (no seed needed).
-std::unique_ptr<Scheduler> make_heft();
-std::unique_ptr<Scheduler> make_cpop();
+/// Every registered name, in presentation order (SE, GA, GSA, HEFT, CPOP,
+/// DLS, MinMin, MaxMin, MCT, OLB, SA, Tabu, Random).
+std::vector<std::string> scheduler_names();
 
-/// Levelized meta-task mappers.
-enum class LevelMapperKind { kMinMin, kMaxMin, kMct, kOlb };
-std::unique_ptr<Scheduler> make_level_mapper(LevelMapperKind kind);
-
-/// Deterministic heterogeneous list scheduler of Sih & Lee.
-std::unique_ptr<Scheduler> make_dls();
-
-/// Iterative searchers with a fixed evaluation budget.
-std::unique_ptr<Scheduler> make_random_search(std::size_t evaluations,
-                                              std::uint64_t seed);
-std::unique_ptr<Scheduler> make_simulated_annealing(std::size_t iterations,
-                                                    std::uint64_t seed);
-std::unique_ptr<Scheduler> make_tabu_search(std::size_t iterations,
-                                            std::uint64_t seed);
+/// The registry row for `name`, or null for an unknown name.
+const SchedulerInfo* find_scheduler(const std::string& name);
 
 /// The comparison-suite SE configuration (selection bias, trace flags) —
-/// the single source of truth shared by make_se_scheduler and the campaign
-/// engine path, so curve-capturing engine runs stay bit-identical to the
-/// factory path.
+/// the single source of truth make_search_engine builds SE from.
 SeParams comparison_se_params(std::size_t iterations, std::uint64_t seed,
                               std::size_t y_limit = 0);
 
@@ -82,25 +67,9 @@ TabuParams comparison_tabu_params(std::size_t iterations, std::uint64_t seed);
 /// Same for simulated annealing.
 SaParams comparison_sa_params(std::size_t iterations, std::uint64_t seed);
 
-/// SE and GA wrapped behind the common interface with iteration budgets.
-std::unique_ptr<Scheduler> make_se_scheduler(std::size_t iterations,
-                                             std::uint64_t seed,
-                                             std::size_t y_limit = 0);
-std::unique_ptr<Scheduler> make_ga_scheduler(std::size_t generations,
-                                             std::uint64_t seed);
-
-/// Genetic simulated annealing (paper ref [8]) with a generation budget.
-std::unique_ptr<Scheduler> make_gsa_scheduler(std::size_t generations,
-                                              std::uint64_t seed);
-
-/// True iff `name` is one of the six stepwise searchers ("SE", "GA",
-/// "GSA", "SA", "Tabu", "Random") — i.e. make_search_engine accepts it.
-bool is_search_engine_name(const std::string& name);
-
-/// Builds a stepwise engine for any of the six searchers under any budget
-/// currency, configured with the comparison-suite parameters
-/// (comparison_*_params), so engine-driven runs are bit-identical to the
-/// scheduler adapters at the same step budget. Budget mapping:
+/// Builds the engine for any registered scheduler under any budget
+/// currency. The six searchers use the comparison-suite parameters
+/// (comparison_*_params). Budget mapping:
 ///
 ///   * kSteps   — the engine's own step cap is the budget (SE iterations,
 ///                GA/GSA generations, tabu/SA moves, random samples);
@@ -111,50 +80,15 @@ bool is_search_engine_name(const std::string& name);
 ///                limit is set where supported (SE/GA/GSA); SA cools every
 ///                100 moves (it cannot derive a ladder from wall clock).
 ///
-/// Throws sehc::Error for names without an engine (HEFT, CPOP, ...).
-/// `se_y_limit` is SE's Y parameter (paper §4.5, 0 = all machines) and is
-/// ignored by every other searcher.
+/// A one-shot scheduler's single step is its whole run under any valid
+/// budget. Throws sehc::Error for an invalid budget or an unknown name
+/// (the message lists every registered name). `se_y_limit` is SE's Y
+/// parameter (paper §4.5, 0 = all machines) and is ignored by every other
+/// scheduler.
 std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
                                                  const Workload& w,
                                                  const Budget& budget,
                                                  std::uint64_t seed,
                                                  std::size_t se_y_limit = 0);
-
-/// Wraps a one-shot Scheduler (HEFT, CPOP, DLS, a level mapper) as a
-/// degenerate single-step SearchEngine (search/one_shot.h): the single
-/// step() produces the complete schedule, evals_used() stays 0, and the
-/// anytime curve is flat — so the deterministic baselines ride the same
-/// engine-driven campaign path (wall-clock and eval budgets) as the
-/// stepwise searchers.
-std::unique_ptr<SearchEngine> make_one_shot_engine(
-    std::unique_ptr<Scheduler> scheduler, const Workload& w);
-
-/// Named scheduler constructor for sweep drivers that need a fresh,
-/// independently seeded instance per (workload, seed) repetition.
-/// Deterministic schedulers ignore the seed.
-struct SchedulerFactory {
-  std::string name;
-  std::function<std::unique_ptr<Scheduler>(std::uint64_t seed)> make;
-  /// Step budget make() gives this searcher — the comparison suite's
-  /// scaling of the shared `budget` knob (SA x50, tabu/random x10).
-  /// 0 for non-iterative (one-shot) schedulers.
-  std::size_t step_budget = 0;
-  /// Stepwise engine builder: make_search_engine(name, ...) for the six
-  /// iterative searchers, make_one_shot_engine for the one-shot schedulers
-  /// (a degenerate single-step engine — step_budget == 0 still marks them
-  /// as non-iterative). Set for every registry factory.
-  std::function<std::unique_ptr<SearchEngine>(
-      const Workload&, const Budget&, std::uint64_t seed)>
-      make_engine;
-};
-
-/// Factories for the full comparison suite, in presentation order. `budget`
-/// scales the iterative methods.
-std::vector<SchedulerFactory> make_all_scheduler_factories(std::size_t budget);
-
-/// The full comparison suite used by bench/table_baselines and the
-/// compare_heuristics example. `budget` scales the iterative methods.
-std::vector<std::unique_ptr<Scheduler>> make_all_schedulers(
-    std::size_t budget, std::uint64_t seed);
 
 }  // namespace sehc

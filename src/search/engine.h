@@ -140,8 +140,8 @@ class SearchEngine {
  public:
   virtual ~SearchEngine() = default;
 
-  /// Stable identifier matching the SchedulerFactory registry ("SE", "GA",
-  /// "GSA", "SA", "Tabu", "Random").
+  /// Stable identifier: the scheduler registry name the engine was built
+  /// from ("SE", "GA", ..., "HEFT"; see heuristics/scheduler.h).
   virtual std::string name() const = 0;
 
   /// Builds the initial state (initial solution / population), consuming

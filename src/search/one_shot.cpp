@@ -9,7 +9,7 @@ namespace sehc {
 
 OneShotEngine::OneShotEngine(std::string name, const Workload& workload,
                              ScheduleFn fn)
-    : name_(std::move(name)), workload_(&workload), fn_(std::move(fn)) {
+    : name_(std::move(name)), workload_(&workload), fn_(fn) {
   SEHC_CHECK(fn_ != nullptr, "OneShotEngine: null schedule function");
 }
 

@@ -2,14 +2,14 @@
 // (HEFT, CPOP, DLS, the level mappers): init() arms the engine, the single
 // step() produces the complete schedule, and the engine reports done. This
 // slots the deterministic baselines into every engine-driven harness — the
-// generic run_search/run_anytime drivers and the campaign cells under
-// wall-clock or eval budgets — as flat anytime baselines: budgets are
-// enforced between steps, so any positive budget admits the one step; the
-// curve is a single point at the schedule's makespan; and evals_used()
-// stays 0 (list scheduling consumes no evaluator trials).
+// generic run_search/run_anytime drivers, campaign cells under any budget,
+// the daemon — as flat anytime baselines: budgets are enforced between
+// steps, so any positive budget admits the one step; the curve is a single
+// point at the schedule's makespan; and evals_used() stays 0 (list
+// scheduling consumes no evaluator trials). make_search_engine builds one
+// from a scheduler registry row (heuristics/scheduler.h).
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "core/timer.h"
@@ -21,7 +21,7 @@ namespace sehc {
 
 class OneShotEngine final : public SearchEngine {
  public:
-  using ScheduleFn = std::function<Schedule(const Workload&)>;
+  using ScheduleFn = Schedule (*)(const Workload&);
 
   /// `name` is the scheduler's registry identifier ("HEFT", "CPOP", ...);
   /// `fn` produces its complete schedule for a workload.

@@ -83,7 +83,8 @@ struct ScheduleRequest {
   /// "metrics" answers with the flattened observability-registry snapshot
   /// (phase timings, latency histograms, engine counters) the same way.
   std::string op = "solve";
-  /// Scheduler registry name ("SE", "GA", ..., "HEFT", "MinMin", ...).
+  /// A scheduler registry name ("SE", "GA", ..., "HEFT", "MinMin", ...; see
+  /// heuristics/scheduler.h).
   std::string engine = "SE";
   std::uint64_t seed = 1;
   /// SE's Y parameter (ignored by every other engine; 0 = all machines).

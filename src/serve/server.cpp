@@ -271,6 +271,16 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   const Clock::time_point arrival = Clock::now();
   ScheduleResponse resp;
 
+  // An unknown engine is answered before its body costs a parse, a cache
+  // entry or an admission slot.
+  if (find_scheduler(request.engine) == nullptr) {
+    errors_.fetch_add(1);
+    resp.status = ServeStatus::kError;
+    resp.error = "unknown engine '" + request.engine + "'";
+    write_frame(fd, resp.serialize());
+    return;
+  }
+
   // Recall (or parse) the body. The workload cache is keyed by the raw
   // document bytes: a repeated body skips the parse and the
   // re-serialization even when engine/seed/budget differ.
@@ -424,21 +434,8 @@ void Server::solve(const std::shared_ptr<InFlight>& entry) {
     const Workload& workload = entry->body->workload;
     // The engine lives exactly as long as this solve: nothing of it, a
     // preempted run included, survives into the next solve.
-    std::unique_ptr<SearchEngine> engine;
-    if (is_search_engine_name(req.engine)) {
-      engine = make_search_engine(req.engine, workload, req.budget, req.seed,
-                                  req.y_limit);
-    } else {
-      // One-shot schedulers (HEFT, CPOP, DLS, level mappers) ride as
-      // degenerate single-step engines.
-      for (SchedulerFactory& factory : make_all_scheduler_factories(1)) {
-        if (factory.name == req.engine) {
-          engine = factory.make_engine(workload, req.budget, req.seed);
-          break;
-        }
-      }
-      SEHC_CHECK(engine != nullptr, "unknown engine '" + req.engine + "'");
-    }
+    const std::unique_ptr<SearchEngine> engine = make_search_engine(
+        req.engine, workload, req.budget, req.seed, req.y_limit);
 
     Deadline deadline;
     if (req.deadline_ms > 0.0) {

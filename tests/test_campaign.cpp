@@ -11,7 +11,10 @@
 #include <sstream>
 
 #include "core/error.h"
+#include "core/table.h"
 #include "exp/anytime.h"
+#include "heuristics/heft.h"
+#include "workload/generator.h"
 
 namespace sehc {
 namespace {
@@ -281,6 +284,19 @@ TEST(Campaign, RecordsCarryCoordinateDerivedSeeds) {
     // Both schedulers of a cell column see the same instance.
     EXPECT_EQ(rec.class_name, spec.classes[coords[0]].name);
   }
+  // Different derived seeds generate different instances; the lower bound
+  // is a cheap fingerprint of the instance.
+  const auto records = campaign_records(store);
+  const auto lower_bound = [&](std::size_t rep) {
+    for (const CampaignRecord& rec : records) {
+      if (rec.class_name == "low" && rec.repetition == rep) {
+        return rec.lower_bound;
+      }
+    }
+    ADD_FAILURE() << "no record for rep " << rep;
+    return 0.0;
+  };
+  EXPECT_NE(lower_bound(0), lower_bound(1));
 }
 
 TEST(Campaign, TimeBudgetCampaignRunsAndCapturesCurves) {
@@ -489,9 +505,8 @@ TEST(Campaign, EvalBudgetValidation) {
 
 TEST(Campaign, OneShotBaselinesJoinEvalBudgetCampaigns) {
   // HEFT and MinMin as flat baselines next to SE under an equal-evals
-  // budget: 0 trials consumed, curve flat at the final makespan from the
-  // first grid point, and the makespan identical to the plain Scheduler
-  // path at the same cell.
+  // budget: 0 trials consumed and a curve flat at the final makespan from
+  // the first grid point.
   CampaignSpec spec = equal_evals_spec();
   spec.schedulers = {"SE", "HEFT", "MinMin"};
   ResultStore store = ResultStore::in_memory(spec.store_schema());
@@ -517,17 +532,30 @@ TEST(Campaign, OneShotBaselinesJoinEvalBudgetCampaigns) {
 
 TEST(Campaign, RecordsCarryAuditableEvalCounts) {
   // Iteration-budget cells: searchers record their true trial counts,
-  // one-shot schedulers record zero.
-  const CampaignSpec spec = tiny_spec();  // SE + HEFT
+  // one-shot schedulers record zero, a curve flat at their makespan, and
+  // exactly the makespan of their plain schedule function on the cell's
+  // instance.
+  CampaignSpec spec = tiny_spec();  // SE + HEFT, 8 iterations
+  spec.curve_points = 4;
   ResultStore store = ResultStore::in_memory(spec.store_schema());
   run_campaign(spec, store, {});
+  std::size_t heft_cells = 0;
   for (const CampaignRecord& rec : campaign_records(store)) {
     if (rec.scheduler == "SE") {
       EXPECT_GT(rec.evals, 0u);
-    } else {
-      EXPECT_EQ(rec.evals, 0u);
+      continue;
     }
+    ++heft_cells;
+    EXPECT_EQ(rec.evals, 0u);
+    EXPECT_EQ(rec.curve, std::vector<double>(4, rec.makespan));
+    WorkloadParams params =
+        spec.classes[spec.grid().coords(rec.cell)[0]].params;
+    params.seed = rec.workload_seed;
+    // The store keeps 4 decimals.
+    EXPECT_EQ(format_fixed(rec.makespan, 4),
+              format_fixed(heft_schedule(make_workload(params)).makespan, 4));
   }
+  EXPECT_EQ(heft_cells, 4u);
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include <cmath>
 #include <limits>
 
+#include "analysis/report.h"
 #include "exp/anytime.h"
-#include "exp/runner.h"
+#include "exp/campaign.h"
 #include "ga/ga.h"
+#include "heuristics/scheduler.h"
 #include "sched/validate.h"
 #include "se/se.h"
 #include "workload/generator.h"
@@ -126,20 +128,41 @@ TEST(FigurePipelines, ClassGridMiniCell) {
 }
 
 TEST(FigurePipelines, BaselineTableMini) {
+  // bench/table_baselines at test scale: a campaign over every registered
+  // scheduler, rendered through the summary and profile tables.
+  CampaignSpec spec;
+  spec.name = "baselines-mini";
   WorkloadParams wp;
   wp.tasks = 20;
   wp.machines = 4;
   wp.seed = 6;
-  const Workload w = make_workload(wp);
-  const auto suite = make_all_schedulers(10, 6);
-  const auto records = run_suite(w, "mini", suite);
-  const Table t = records_to_table(records);
-  EXPECT_EQ(t.rows(), suite.size());
+  spec.classes = {{"mini", wp}};
+  spec.schedulers = scheduler_names();
+  spec.repetitions = 1;
+  spec.iterations = 10;
+  spec.base_seed = 6;
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  CampaignRunOptions run_opts;
+  run_opts.strict = true;
+  run_campaign(spec, store, run_opts);
+
+  const auto records = campaign_records(store);
+  EXPECT_EQ(records.size(), spec.schedulers.size());
+  for (const CampaignRecord& r : records) {
+    EXPECT_GT(r.makespan, 0.0) << r.scheduler;
+    EXPECT_GE(r.makespan, r.lower_bound - 1e-9) << r.scheduler;
+  }
+
+  const CampaignDataset dataset = build_dataset(store);
+  const Table t = summary_table(dataset, ReportOptions{});
+  EXPECT_EQ(t.rows(), spec.schedulers.size());
   // Every scheduler appears exactly once.
   std::vector<std::string> names;
   for (std::size_t i = 0; i < t.rows(); ++i) names.push_back(t.cell(i, 1));
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
+  EXPECT_EQ(profile_table(dataset, ReportOptions{}).rows(),
+            spec.schedulers.size());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Cross-module integration tests: the experiment harness driving SE/GA end
-// to end, anytime curves, and the comparison runner.
+// to end, anytime curves, and a campaign over every registered scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +8,10 @@
 #include <sstream>
 
 #include "exp/anytime.h"
+#include "exp/campaign.h"
 #include "exp/figures.h"
-#include "exp/runner.h"
 #include "ga/ga.h"
+#include "heuristics/scheduler.h"
 #include "se/se.h"
 #include "hc/metrics.h"
 #include "sched/validate.h"
@@ -87,30 +88,28 @@ TEST(Anytime, TimeGridCoversBudget) {
 }
 
 TEST(Runner, SuiteProducesOneRecordPerScheduler) {
+  CampaignSpec spec;
+  spec.name = "suite";
   WorkloadParams p;
   p.tasks = 20;
   p.machines = 4;
   p.seed = 3;
-  const Workload w = make_workload(p);
-  const auto suite = make_all_schedulers(10, 1);
-  const auto records = run_suite(w, "test", suite);
-  EXPECT_EQ(records.size(), suite.size());
-  for (const auto& r : records) {
-    EXPECT_GT(r.makespan, 0.0);
-    EXPECT_GE(r.makespan, r.lower_bound - 1e-9);
-  }
-}
+  spec.classes = {{"test", p}};
+  spec.schedulers = scheduler_names();
+  spec.repetitions = 1;
+  spec.iterations = 10;
+  spec.base_seed = 1;
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  run_campaign(spec, store, {});
 
-TEST(Runner, TableNormalizesAgainstBest) {
-  std::vector<RunRecord> records{
-      {"A", "w", 100.0, 0.1, 50.0},
-      {"B", "w", 200.0, 0.2, 50.0},
-  };
-  const Table t = records_to_table(records);
-  EXPECT_EQ(t.rows(), 2u);
-  EXPECT_EQ(t.cell(0, 3), "1.000");  // A is best
-  EXPECT_EQ(t.cell(1, 3), "2.000");  // B is 2x best
-  EXPECT_EQ(t.cell(0, 4), "2.000");  // A vs lower bound
+  const auto records = campaign_records(store);
+  EXPECT_EQ(records.size(), spec.schedulers.size());
+  for (const auto& r : records) {
+    // With one repetition every scheduler runs on the class's pinned instance.
+    EXPECT_EQ(r.workload_seed, p.seed) << r.scheduler;
+    EXPECT_GT(r.makespan, 0.0) << r.scheduler;
+    EXPECT_GE(r.makespan, r.lower_bound - 1e-9) << r.scheduler;
+  }
 }
 
 TEST(Figures, BannerMentionsWorkloadAxes) {

@@ -104,12 +104,16 @@ TEST(SchedulerRegistry, AllSchedulersProduceValidSchedules) {
   p.machines = 5;
   p.seed = 6;
   const Workload w = make_workload(p);
-  const auto suite = make_all_schedulers(/*budget=*/15, /*seed=*/1);
-  EXPECT_GE(suite.size(), 10u);
-  for (const auto& scheduler : suite) {
-    const Schedule s = scheduler->schedule(w);
-    EXPECT_TRUE(is_valid_schedule(w, s)) << scheduler->name();
-    EXPECT_FALSE(scheduler->name().empty());
+  const std::vector<std::string> names = scheduler_names();
+  EXPECT_GE(names.size(), 10u);
+  for (const std::string& name : names) {
+    // An iteration budget of 15, scaled per scheduler as in campaigns.
+    const Budget budget =
+        Budget::steps(15 * find_scheduler(name)->steps_per_iteration);
+    const auto engine = make_search_engine(name, w, budget, /*seed=*/1);
+    const Schedule s = run_search(*engine, budget).schedule;
+    EXPECT_TRUE(is_valid_schedule(w, s)) << name;
+    EXPECT_FALSE(engine->name().empty());
   }
 }
 

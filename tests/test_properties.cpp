@@ -99,11 +99,12 @@ TEST_P(WorkloadClassTest, GaProducesValidBoundedSchedules) {
 
 TEST_P(WorkloadClassTest, DeterministicSchedulersAgreeAcrossCalls) {
   const Workload w = make(5);
-  for (const auto& mk : {make_heft, make_cpop}) {
-    const auto scheduler = mk();
-    const Schedule a = scheduler->schedule(w);
-    const Schedule b = scheduler->schedule(w);
-    EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << scheduler->name();
+  for (const char* name : {"HEFT", "CPOP"}) {
+    const Budget one_step = Budget::steps(1);
+    const auto engine = make_search_engine(name, w, one_step, /*seed=*/0);
+    const Schedule a = run_search(*engine, one_step).schedule;
+    const Schedule b = run_search(*engine, one_step).schedule;
+    EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << engine->name();
   }
 }
 

@@ -1,9 +1,11 @@
 // Differential suite for the unified stepwise search-engine core: every
 // searcher's classic entry point (run(), tabu_schedule, anneal_schedule,
-// random_search_schedule, the Scheduler adapters) must be bit-identical to
-// externally driving the same engine through init()/step()/run_search at
-// the same seed — schedules, stats and RNG streams. Plus the Budget
-// semantics (steps / evals / seconds) and the uniform observer hook.
+// random_search_schedule) must be bit-identical to externally driving the
+// same engine through init()/step()/run_search at the same seed —
+// schedules, stats and RNG streams — and every one-shot engine the
+// scheduler registry builds must match its plain schedule function. Plus
+// the Budget semantics (steps / evals / seconds) and the uniform observer
+// hook.
 #include "search/engine.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include "exp/anytime.h"
 #include "ga/ga.h"
 #include "heuristics/annealing.h"
+#include "heuristics/cpop.h"
+#include "heuristics/heft.h"
 #include "heuristics/random_search.h"
 #include "heuristics/scheduler.h"
 #include "heuristics/tabu.h"
@@ -141,25 +145,26 @@ TEST(SearchEngineCore, RandomStepwiseMatchesWrapper) {
 }
 
 TEST(SearchEngineCore, SchedulerAdaptersMatchEngines) {
-  // The Scheduler registry path and make_search_engine produce identical
-  // schedules for every searcher at the same (budget, seed).
+  // Every registered name builds, reports its name and yields a valid
+  // schedule; each one-shot engine (the adapter over a plain schedule
+  // function) matches that function in one step with no evaluator trials.
   const Workload w = small_workload(17);
   const std::size_t budget = 8;
-  for (const SchedulerFactory& factory : make_all_scheduler_factories(budget)) {
-    ASSERT_NE(factory.make_engine, nullptr) << factory.name;
-    // One-shot schedulers (step_budget 0) wrap as single-step engines; one
-    // step is their whole budget.
-    const Budget steps =
-        Budget::steps(std::max<std::size_t>(factory.step_budget, 1));
-    const Schedule via_scheduler = factory.make(33)->schedule(w);
+  for (const std::string& name : scheduler_names()) {
+    const SchedulerInfo* info = find_scheduler(name);
+    ASSERT_NE(info, nullptr) << name;
+    const Budget steps = Budget::steps(budget * info->steps_per_iteration);
     const std::unique_ptr<SearchEngine> engine =
-        factory.make_engine(w, steps, 33);
+        make_search_engine(name, w, steps, 33);
+    EXPECT_EQ(engine->name(), name);
     const SearchResult via_engine = run_search(*engine, steps);
-    EXPECT_EQ(via_engine.schedule.makespan, via_scheduler.makespan)
-        << factory.name;
-    EXPECT_TRUE(validate_schedule(w, via_engine.schedule).empty())
-        << factory.name;
-    EXPECT_EQ(engine->name(), factory.name);
+    EXPECT_TRUE(validate_schedule(w, via_engine.schedule).empty()) << name;
+    if (info->one_shot != nullptr) {
+      EXPECT_EQ(via_engine.schedule.makespan, info->one_shot(w).makespan)
+          << name;
+      EXPECT_EQ(via_engine.steps, 1u) << name;
+      EXPECT_EQ(via_engine.evals, 0u) << name;
+    }
   }
 }
 
@@ -251,13 +256,13 @@ TEST(SearchEngineCore, StepStatsAreConsistent) {
 
 TEST(SearchEngineCore, OneShotEngineIsSingleStep) {
   // HEFT as a degenerate single-step engine: one step produces the exact
-  // schedule the Scheduler interface produces, consumes no evaluator
-  // trials, and a second step is an error.
+  // schedule heft_schedule produces, consumes no evaluator trials, and a
+  // second step is an error.
   const Workload w = small_workload(27);
-  const Schedule direct = make_heft()->schedule(w);
+  const Schedule direct = heft_schedule(w);
 
   const std::unique_ptr<SearchEngine> engine =
-      make_one_shot_engine(make_heft(), w);
+      make_search_engine("HEFT", w, Budget::steps(1), 0);
   EXPECT_EQ(engine->name(), "HEFT");
   engine->init();
   EXPECT_FALSE(engine->done());
@@ -288,9 +293,9 @@ TEST(SearchEngineCore, OneShotEngineFlatAnytimeCurve) {
   // x = 0 evals plus the terminal point — i.e. flat at the final makespan
   // from the origin of the axis.
   const Workload w = small_workload(28);
-  const Schedule direct = make_cpop()->schedule(w);
+  const Schedule direct = cpop_schedule(w);
   const std::unique_ptr<SearchEngine> engine =
-      make_one_shot_engine(make_cpop(), w);
+      make_search_engine("CPOP", w, Budget::evals(500), 0);
   const auto curve = run_anytime(*engine, Budget::evals(500));
   ASSERT_GE(curve.size(), 1u);
   EXPECT_EQ(curve.front().seconds, 0.0);
@@ -301,12 +306,23 @@ TEST(SearchEngineCore, OneShotEngineFlatAnytimeCurve) {
 }
 
 TEST(SearchEngineCore, MakeSearchEngineRejectsNonEngines) {
+  // Only names outside the registry are rejected, and the error lists every
+  // registered name; one-shot schedulers build like the searchers.
   const Workload w = small_workload(24);
-  EXPECT_THROW(make_search_engine("HEFT", w, Budget::steps(5), 1), Error);
-  EXPECT_THROW(make_search_engine("nope", w, Budget::steps(5), 1), Error);
-  EXPECT_FALSE(is_search_engine_name("HEFT"));
+  EXPECT_NE(make_search_engine("HEFT", w, Budget::steps(5), 1), nullptr);
+  EXPECT_EQ(find_scheduler("nope"), nullptr);
+  try {
+    make_search_engine("nope", w, Budget::steps(5), 1);
+    ADD_FAILURE() << "unknown name accepted";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'nope'"), std::string::npos) << message;
+    for (const std::string& name : scheduler_names()) {
+      EXPECT_NE(message.find(name), std::string::npos) << name;
+    }
+  }
   for (const char* name : {"SE", "GA", "GSA", "SA", "Tabu", "Random"}) {
-    EXPECT_TRUE(is_search_engine_name(name));
+    EXPECT_EQ(find_scheduler(name)->one_shot, nullptr) << name;
   }
 }
 

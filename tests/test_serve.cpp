@@ -492,10 +492,14 @@ TEST(ServeServer, UnknownEngineAnswersErrorAndKeepsServing) {
       one_call(so.socket_path, solve_request(workload, "NoSuchEngine"));
   EXPECT_EQ(bad.status, ServeStatus::kError);
   EXPECT_NE(bad.error.find("NoSuchEngine"), std::string::npos);
+  // Answered before the body is parsed, cached or admitted.
+  EXPECT_EQ(server.stats_snapshot().batches, 0u);
+  EXPECT_EQ(server.stats_snapshot().cache_misses, 0u);
 
   const ScheduleResponse good =
       one_call(so.socket_path, solve_request(workload, "SE"));
   EXPECT_EQ(good.status, ServeStatus::kOk) << good.error;
+  EXPECT_EQ(server.stats_snapshot().workload_cache_hits, 0u);
   server.request_drain();
   server.join();
 }
@@ -510,7 +514,10 @@ TEST(ServeServer, MalformedWorkloadAnswersError) {
   const ScheduleResponse resp =
       one_call(so.socket_path, solve_request("this is not a workload\n"));
   EXPECT_EQ(resp.status, ServeStatus::kError);
-  EXPECT_FALSE(resp.error.empty());
+  // The location names the source file relative to the checkout, never the
+  // absolute path the build compiled it under.
+  EXPECT_EQ(resp.error.rfind("workload: src/hc/workload_io.cpp:", 0), 0u)
+      << resp.error;
   server.request_drain();
   server.join();
 }

@@ -5,15 +5,13 @@
 #include <atomic>
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "exp/runner.h"
-#include "heuristics/scheduler.h"
+#include "exp/campaign.h"
 
 namespace sehc {
 namespace {
@@ -142,63 +140,45 @@ TEST(SweepMap, ProgressCallbackCountsEveryCell) {
   for (std::size_t i = 0; i < done.size(); ++i) EXPECT_EQ(done[i], i + 1);
 }
 
-// --- run_suite_sweep determinism --------------------------------------------
+// --- repetitions of a parallel scheduler sweep -------------------------------
 
-SuiteSweep small_suite_sweep() {
+TEST(RunSuiteSweep, RepetitionsGetDistinctWorkloads) {
+  CampaignSpec spec;
+  spec.name = "suite-sweep";
   WorkloadParams wp;
   wp.tasks = 12;
   wp.machines = 3;
   wp.seed = 5;
-
-  SuiteSweep sweep;
-  sweep.workloads = {{"w", wp}};
-  sweep.schedulers = {
-      {"SE", [](std::uint64_t seed) { return make_se_scheduler(10, seed); },
-       10, nullptr},
-      {"Random",
-       [](std::uint64_t seed) { return make_random_search(25, seed); }, 25,
-       nullptr},
-  };
-  sweep.repetitions = 3;
-  return sweep;
-}
-
-std::string table_text(const std::vector<RunRecord>& records) {
-  std::ostringstream os;
-  records_to_table(records, /*include_seconds=*/false).write_markdown(os);
-  return os.str();
-}
-
-TEST(RunSuiteSweep, ParallelTableIsByteIdenticalToSerial) {
-  const SuiteSweep sweep = small_suite_sweep();
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 8;
-
-  const auto serial_records = run_suite_sweep(sweep, serial);
-  const auto parallel_records = run_suite_sweep(sweep, parallel);
-
-  // 1 workload x 3 repetitions x 2 schedulers, ordered by cell index.
-  ASSERT_EQ(serial_records.size(), 6u);
-  ASSERT_EQ(parallel_records.size(), 6u);
-  EXPECT_EQ(serial_records[0].workload, "w#s0");
-  EXPECT_EQ(serial_records[0].scheduler, "SE");
-  EXPECT_EQ(serial_records[1].scheduler, "Random");
-  EXPECT_EQ(serial_records[5].workload, "w#s2");
-
-  // A submission-order-dependent RNG anywhere in the stack would break this.
-  EXPECT_EQ(table_text(serial_records), table_text(parallel_records));
-}
-
-TEST(RunSuiteSweep, RepetitionsGetDistinctWorkloads) {
-  const SuiteSweep sweep = small_suite_sweep();
-  SweepOptions opt;
+  spec.classes = {{"w", wp}};
+  spec.schedulers = {"SE", "Random"};
+  spec.repetitions = 3;
+  spec.iterations = 10;
+  spec.base_seed = 5;
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  CampaignRunOptions opt;
   opt.threads = 2;
-  const auto records = run_suite_sweep(sweep, opt);
+  run_campaign(spec, store, opt);
+
+  // 1 class x 3 repetitions x 2 schedulers.
+  const auto records = campaign_records(store);
+  ASSERT_EQ(records.size(), 6u);
+  const auto lower_bound = [&](const std::string& scheduler, std::size_t rep) {
+    for (const CampaignRecord& rec : records) {
+      if (rec.scheduler == scheduler && rec.repetition == rep) {
+        return rec.lower_bound;
+      }
+    }
+    ADD_FAILURE() << "no " << scheduler << " record for rep " << rep;
+    return 0.0;
+  };
   // Different derived seeds must generate different instances; the lower
   // bound is a cheap fingerprint of the instance.
-  EXPECT_NE(records[0].lower_bound, records[2].lower_bound);
+  EXPECT_NE(lower_bound("SE", 0), lower_bound("SE", 1));
+  EXPECT_NE(lower_bound("SE", 1), lower_bound("SE", 2));
+  // Both schedulers of a repetition see the same instance.
+  for (std::size_t rep = 0; rep < 3; ++rep) {
+    EXPECT_EQ(lower_bound("SE", rep), lower_bound("Random", rep));
+  }
 }
 
 }  // namespace
