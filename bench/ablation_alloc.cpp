@@ -14,7 +14,9 @@
 #include "se/se.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"iterations", "seed", "threads"});
   const auto iterations = static_cast<std::size_t>(
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

@@ -51,9 +51,7 @@ void sweep_bias(const char* label, const WorkloadParams& wp,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"iterations", "seed", "threads"});
   const auto iterations = static_cast<std::size_t>(
@@ -66,4 +64,10 @@ int main(int argc, char** argv) {
   sweep_bias("large workload", paper_large_high_connectivity(seed), iterations,
              threads);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

@@ -122,9 +122,7 @@ void run_class_sweep(std::size_t iterations, std::uint64_t seed,
   table.write_markdown(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"iterations", "seed", "threads"});
   const auto iterations = static_cast<std::size_t>(
@@ -136,4 +134,10 @@ int main(int argc, char** argv) {
   run_main_figure(iterations, seed);
   run_class_sweep(std::max<std::size_t>(iterations / 3, 20), seed, threads);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

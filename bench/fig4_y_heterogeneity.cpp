@@ -92,9 +92,7 @@ void run_panel(const char* figure_id, const WorkloadParams& wp,
             << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"iterations", "seed", "threads"});
   const auto iterations = static_cast<std::size_t>(
@@ -110,4 +108,10 @@ int main(int argc, char** argv) {
             paper_large_high_heterogeneity(seed), y_values, iterations, seed,
             threads);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

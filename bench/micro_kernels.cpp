@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the kernels that dominate SE/GA
 // runtime: full-schedule evaluation, valid-range queries, string moves,
-// goodness precomputation, and workload generation.
+// the random initial solution, the GA crossover, goodness precomputation,
+// and workload generation.
 #include <benchmark/benchmark.h>
 
 #include "core/rng.h"
 #include "dag/topo.h"
+#include "ga/operators.h"
 #include "se/allocation.h"
 #include "se/goodness.h"
 #include "sched/encoding.h"
@@ -78,6 +80,45 @@ void BM_MoveTask(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MoveTask);
+
+// The paper's random initial solution at k = 100, l = 20. Arg 0 is the
+// graph-only overload (a fresh topological order and a new string per
+// draw); arg 1 is the engines' path on the workload's cached order, into a
+// reused string.
+void BM_RandomInitialSolution(benchmark::State& state) {
+  const Workload w = bench_workload(100, 20);
+  Rng rng(5);
+  SolutionString s;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      s = random_initial_solution(w.graph(), w.num_machines(), rng);
+    } else {
+      random_initial_solution(w.graph(), w.topo_order(), w.num_machines(), rng,
+                              s);
+    }
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_RandomInitialSolution)->Arg(0)->Arg(1);
+
+// One GA crossover (scheduling then matching) of two k = 100 parents into
+// reused children.
+void BM_Crossover(benchmark::State& state) {
+  const Workload w = bench_workload(100, 20);
+  Rng rng(6);
+  const SolutionString a =
+      random_initial_solution(w.graph(), w.num_machines(), rng);
+  const SolutionString b =
+      random_initial_solution(w.graph(), w.num_machines(), rng);
+  SolutionString ca;
+  SolutionString cb;
+  for (auto _ : state) {
+    crossover(a, b, rng, ca, cb);
+    benchmark::DoNotOptimize(ca);
+    benchmark::DoNotOptimize(cb);
+  }
+}
+BENCHMARK(BM_Crossover);
 
 void BM_OptimalCosts(benchmark::State& state) {
   const Workload w =

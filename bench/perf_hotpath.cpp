@@ -310,9 +310,7 @@ StepOverheadResult measure_step_overhead(const Workload& w,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Options opts(argc, argv,
                      {"passes", "iters", "out", "check-overhead", "kernel"});
   const auto passes =
@@ -537,4 +535,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

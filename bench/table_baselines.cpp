@@ -16,7 +16,9 @@
 #include "heuristics/scheduler.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"budget", "seed", "seeds", "threads"});
   const auto budget = static_cast<std::size_t>(
@@ -56,4 +58,10 @@ int main(int argc, char** argv) {
                "fraction of (class, seed) problems solved within t x the "
                "best makespan)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

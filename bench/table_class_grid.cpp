@@ -24,7 +24,9 @@
 #include "core/table.h"
 #include "exp/campaign.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"iters", "seeds", "tasks", "machines",
                                   "threads", "store", "scale"});
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
             << summary.resumed_cells << " resumed) on " << workers
             << " thread(s) in " << format_fixed(summary.seconds, 2) << " s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

@@ -27,9 +27,7 @@ struct CellResult {
   std::array<double, kSchedulers.size()> makespan{};
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"budget", "seeds", "threads"});
   const double budget = opts.get_double("budget", 1.0 * scale_from_env());
@@ -91,4 +89,10 @@ int main(int argc, char** argv) {
   std::cout << "\n(measured_index: 0 = coin-flip machine ordering per task, "
                "1 = total machine order)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

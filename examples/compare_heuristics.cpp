@@ -25,9 +25,7 @@ sehc::Level level_from(const std::string& s) {
   throw sehc::Error("expected low|medium|high, got " + s);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"tasks", "machines", "conn", "het", "ccr",
                                   "budget", "seeds", "threads"});
@@ -65,4 +63,10 @@ int main(int argc, char** argv) {
   write_table(std::cout, profile_table(dataset, report),
               ReportFormat::kMarkdown);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

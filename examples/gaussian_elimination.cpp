@@ -19,7 +19,9 @@
 #include "workload/generator.h"
 #include "workload/structured.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"n", "machines", "seed"});
   const auto n = static_cast<std::size_t>(opts.get_int("n", 8));
@@ -62,4 +64,10 @@ int main(int argc, char** argv) {
   std::cout << "\nSE schedule (400 iterations):\n";
   write_gantt(std::cout, w, best.schedule);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

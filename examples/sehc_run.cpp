@@ -24,61 +24,64 @@
 #include "sched/validate.h"
 #include "dag/dot.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
-  try {
-    const Options opts(argc, argv,
-                       {"input", "scheduler", "iterations", "seed", "csv",
-                        "dot", "contention"});
-    const std::string input = opts.get("input", "");
-    SEHC_CHECK(!input.empty(), "sehc_run: --input <workload file> is required");
-    const std::string name = opts.get("scheduler", "SE");
-    const auto budget =
-        static_cast<std::size_t>(opts.get_int("iterations", 300));
-    const auto seed = opts.get_seed("seed", 1);
+  const Options opts(argc, argv,
+                     {"input", "scheduler", "iterations", "seed", "csv",
+                      "dot", "contention"});
+  const std::string input = opts.get("input", "");
+  if (input.empty()) throw UsageError("--input <workload file> is required");
+  const std::string name = opts.get("scheduler", "SE");
+  const auto budget =
+      static_cast<std::size_t>(opts.get_int("iterations", 300));
+  const auto seed = opts.get_seed("seed", 1);
 
-    std::ifstream in(input);
-    SEHC_CHECK(in.good(), "sehc_run: cannot open " + input);
-    const Workload w = read_workload(in);
+  std::ifstream in(input);
+  SEHC_CHECK(in.good(), "sehc_run: cannot open " + input);
+  const Workload w = read_workload(in);
 
-    // Iterative schedulers take their registry share of the budget (SA x50,
-    // tabu/random x10); an unknown name falls through to
-    // make_search_engine, whose error lists every registered scheduler.
-    const SchedulerInfo* info = find_scheduler(name);
-    const Budget steps = Budget::steps(
-        budget * (info != nullptr ? info->steps_per_iteration : 1));
-    const auto engine = make_search_engine(name, w, steps, seed);
-    const Schedule s = run_search(*engine, steps).schedule;
-    const auto violations = validate_schedule(w, s);
-    SEHC_CHECK(violations.empty(),
-               "scheduler produced an invalid schedule: " + violations.front());
+  // Iterative schedulers take their registry share of the budget (SA x50,
+  // tabu/random x10); an unknown name falls through to
+  // make_search_engine, whose error lists every registered scheduler.
+  const SchedulerInfo* info = find_scheduler(name);
+  const Budget steps = Budget::steps(
+      budget * (info != nullptr ? info->steps_per_iteration : 1));
+  const auto engine = make_search_engine(name, w, steps, seed);
+  const Schedule s = run_search(*engine, steps).schedule;
+  const auto violations = validate_schedule(w, s);
+  SEHC_CHECK(violations.empty(),
+             "scheduler produced an invalid schedule: " + violations.front());
 
-    if (opts.has("dot")) {
-      write_dot(std::cout, w.graph(), s.assignment);
-      return 0;
-    }
-    if (opts.has("csv")) {
-      write_schedule_csv(std::cout, w, s);
-      return 0;
-    }
-
-    std::cout << name << " on " << w.num_tasks() << " tasks / "
-              << w.num_machines() << " machines\n";
-    std::cout << "makespan: " << format_fixed(s.makespan, 2)
-              << "  (lower bound " << format_fixed(makespan_lower_bound(w), 2)
-              << ", serial upper bound "
-              << format_fixed(serial_upper_bound(w), 2) << ")\n";
-    if (opts.has("contention")) {
-      const double cm = contention_makespan(w, s.to_solution());
-      std::cout << "makespan under serialized links: " << format_fixed(cm, 2)
-                << "  (+" << format_fixed(100.0 * (cm / s.makespan - 1.0), 1)
-                << "%)\n";
-    }
-    std::cout << "\n";
-    write_gantt(std::cout, w, s);
+  if (opts.has("dot")) {
+    write_dot(std::cout, w.graph(), s.assignment);
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "sehc_run: " << e.what() << "\n";
-    return 1;
   }
+  if (opts.has("csv")) {
+    write_schedule_csv(std::cout, w, s);
+    return 0;
+  }
+
+  std::cout << name << " on " << w.num_tasks() << " tasks / "
+            << w.num_machines() << " machines\n";
+  std::cout << "makespan: " << format_fixed(s.makespan, 2)
+            << "  (lower bound " << format_fixed(makespan_lower_bound(w), 2)
+            << ", serial upper bound "
+            << format_fixed(serial_upper_bound(w), 2) << ")\n";
+  if (opts.has("contention")) {
+    const double cm = contention_makespan(w, s.to_solution());
+    std::cout << "makespan under serialized links: " << format_fixed(cm, 2)
+              << "  (+" << format_fixed(100.0 * (cm / s.makespan - 1.0), 1)
+              << "%)\n";
+  }
+  std::cout << "\n";
+  write_gantt(std::cout, w, s);
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

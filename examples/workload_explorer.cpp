@@ -20,7 +20,9 @@
 #include "hc/workload_io.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv, {"tasks", "machines", "dump", "seed",
                                   "threads", "store", "shard"});
@@ -110,4 +112,10 @@ int main(int argc, char** argv) {
     write_workload(std::cout, make_workload(p));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sehc::run_driver(argc, argv, run);
 }

@@ -2,19 +2,23 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "core/error.h"
 
 namespace sehc {
 
 Options::Options(int argc, const char* const* argv,
-                 std::vector<std::string> known) {
+                 std::vector<std::string> known)
+    : known_(std::move(known)) {
   auto is_known = [&](const std::string& k) {
-    return std::find(known.begin(), known.end(), k) != known.end();
+    return std::find(known_.begin(), known_.end(), k) != known_.end();
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    SEHC_CHECK(arg.rfind("--", 0) == 0, "Options: expected --key[=value], got " + arg);
+    if (arg.rfind("--", 0) != 0) {
+      throw UsageError("expected --key[=value], got " + arg, known_);
+    }
     arg = arg.substr(2);
     std::string key, value;
     if (auto eq = arg.find('='); eq != std::string::npos) {
@@ -29,7 +33,10 @@ Options::Options(int argc, const char* const* argv,
         value = "1";  // bare flag
       }
     }
-    SEHC_CHECK(is_known(key), "Options: unknown option --" + key);
+    if (!is_known(key)) {
+      if (key == "help") throw UsageError::help_request(known_);
+      throw UsageError("unknown option --" + key, known_);
+    }
     values_[key] = value;
   }
 }
@@ -48,7 +55,8 @@ double Options::get_double(const std::string& key, double fallback) const {
   try {
     return std::stod(it->second);
   } catch (const std::exception&) {
-    throw Error("Options: --" + key + " expects a number, got " + it->second);
+    throw UsageError("--" + key + " expects a number, got " + it->second,
+                     known_);
   }
 }
 
@@ -59,7 +67,8 @@ std::int64_t Options::get_int(const std::string& key,
   try {
     return std::stoll(it->second);
   } catch (const std::exception&) {
-    throw Error("Options: --" + key + " expects an integer, got " + it->second);
+    throw UsageError("--" + key + " expects an integer, got " + it->second,
+                     known_);
   }
 }
 
@@ -70,7 +79,36 @@ std::uint64_t Options::get_seed(const std::string& key,
   try {
     return std::stoull(it->second);
   } catch (const std::exception&) {
-    throw Error("Options: --" + key + " expects a seed, got " + it->second);
+    throw UsageError("--" + key + " expects a seed, got " + it->second,
+                     known_);
+  }
+}
+
+int run_driver(int argc, char** argv, int (*body)(int, char**),
+               std::string_view usage) {
+  std::string program = argc > 0 ? argv[0] : "sehc";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const UsageError& e) {
+    std::string text(usage);
+    if (text.empty()) {
+      text = "usage: " + program + " [options]\n";
+      if (!e.known().empty()) {
+        text += "options:";
+        for (const std::string& key : e.known()) text += " --" + key;
+        text += '\n';
+      }
+    }
+    if (e.help()) {
+      std::cout << text;
+      return 0;
+    }
+    std::cerr << program << ": " << e.what() << '\n' << text;
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 1;
   }
 }
 

@@ -12,27 +12,9 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::uniform() {
@@ -43,16 +25,6 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) {
   SEHC_CHECK(lo <= hi, "Rng::uniform: lo must be <= hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::below(std::uint64_t n) {
-  SEHC_CHECK(n > 0, "Rng::below: n must be positive");
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    std::uint64_t r = gen_.next();
-    if (r >= threshold) return r % n;
-  }
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {

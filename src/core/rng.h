@@ -32,9 +32,23 @@ class Xoshiro256 {
   explicit Xoshiro256(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Returns the next 64 uniformly distributed bits.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 
@@ -56,7 +70,16 @@ class Rng {
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection sampling).
-  std::uint64_t below(std::uint64_t n);
+  std::uint64_t below(std::uint64_t n) {
+    SEHC_CHECK(n > 0, "Rng::below: n must be positive");
+    // Rejection below threshold = 2^64 mod n avoids modulo bias. The
+    // threshold is less than n, so a draw r >= n is accepted without
+    // computing it.
+    for (;;) {
+      const std::uint64_t r = gen_.next();
+      if (r >= n || r >= (0 - n) % n) return r % n;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);

@@ -113,33 +113,38 @@ StepStats GaEngine::step() {
   // via the evaluator's prepared per-parent snapshots (grouped by parent
   // so each parent is prepared once). All three paths are bit-identical
   // to full re-evaluation.
+  //
+  // The next generation is built in next_, whose strings (the generation
+  // before last) are overwritten in place, then swapped with pop_.
   constexpr std::uint8_t kClean = 0, kFull = 1, kSuffix = 2;
-  std::vector<SolutionString> next;
-  std::vector<double> next_lengths;
-  std::vector<std::uint8_t> next_dirty;
-  std::vector<std::size_t> next_parent;  // meaningful for kSuffix only
-  next.reserve(pop_.size());
-  next_lengths.reserve(pop_.size());
-  next_dirty.reserve(pop_.size());
-  next_parent.reserve(pop_.size());
-  for (std::size_t e = 0; e < params_.elite; ++e) {
-    next.push_back(pop_[rank[e]]);
-    next_lengths.push_back(lengths_[rank[e]]);
-    next_dirty.push_back(kClean);
-    next_parent.push_back(rank[e]);
+  const std::size_t n = pop_.size();
+  next_.resize(n);
+  next_lengths_.assign(n, 0.0);
+  std::vector<std::uint8_t> next_dirty(n, kClean);
+  std::vector<std::size_t> next_parent(n, 0);  // meaningful for kSuffix only
+  std::size_t filled = 0;
+  for (std::size_t e = 0; e < params_.elite; ++e, ++filled) {
+    next_[filled] = pop_[rank[e]];
+    next_lengths_[filled] = lengths_[rank[e]];
+    next_parent[filled] = rank[e];
   }
 
-  while (next.size() < pop_.size()) {
+  while (filled < n) {
     const std::size_t ia = roulette(lengths_, worst, rng_);
     const std::size_t ib = roulette(lengths_, worst, rng_);
     const SolutionString& pa = pop_[ia];
     const SolutionString& pb = pop_[ib];
-    SolutionString ca = pa;
-    SolutionString cb = pb;
+    // The last slot of an odd fill has room for one child; the other is
+    // still built (its mutation draws are part of the stream) in spare_.
+    const bool room_for_b = filled + 1 < n;
+    SolutionString& ca = next_[filled];
+    SolutionString& cb = room_for_b ? next_[filled + 1] : spare_;
     const bool crossed = rng_.chance(params_.crossover_prob);
     if (crossed) {
-      std::tie(ca, cb) = scheduling_crossover(pa, pb, rng_);
-      std::tie(ca, cb) = matching_crossover(ca, cb, rng_);
+      crossover(pa, pb, rng_, ca, cb);
+    } else {
+      ca = pa;
+      cb = pb;
     }
     bool mutated_a = false;
     bool mutated_b = false;
@@ -153,20 +158,20 @@ StepStats GaEngine::step() {
       matching_mutation(cb, w.num_machines(), rng_);
       scheduling_mutation(cb, g, rng_);
     }
-    next.push_back(std::move(ca));
-    next_lengths.push_back(crossed || mutated_a ? 0.0 : lengths_[ia]);
-    next_dirty.push_back(crossed ? kFull : mutated_a ? kSuffix : kClean);
-    next_parent.push_back(ia);
-    if (next.size() < pop_.size()) {
-      next.push_back(std::move(cb));
-      next_lengths.push_back(crossed || mutated_b ? 0.0 : lengths_[ib]);
-      next_dirty.push_back(crossed ? kFull : mutated_b ? kSuffix : kClean);
-      next_parent.push_back(ib);
+    next_lengths_[filled] = crossed || mutated_a ? 0.0 : lengths_[ia];
+    next_dirty[filled] = crossed ? kFull : mutated_a ? kSuffix : kClean;
+    next_parent[filled] = ia;
+    ++filled;
+    if (room_for_b) {
+      next_lengths_[filled] = crossed || mutated_b ? 0.0 : lengths_[ib];
+      next_dirty[filled] = crossed ? kFull : mutated_b ? kSuffix : kClean;
+      next_parent[filled] = ib;
+      ++filled;
     }
   }
 
   if (params_.verify_invariants) {
-    for (const auto& chrom : next) {
+    for (const auto& chrom : next_) {
       SEHC_ASSERT_MSG(chrom.is_valid(g),
                       "GA generation produced an invalid chromosome");
     }
@@ -177,11 +182,11 @@ StepStats GaEngine::step() {
   // children form one TrialBatch on top of that prepared state. Evaluation
   // consumes no RNG, so the grouping does not perturb the stream, and the
   // batch is bit-identical to per-child prepared trials.
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    if (next_dirty[i] == kFull) next_lengths[i] = eval_.makespan(next[i]);
+  for (std::size_t i = 0; i < next_.size(); ++i) {
+    if (next_dirty[i] == kFull) next_lengths_[i] = eval_.makespan(next_[i]);
   }
   std::vector<std::size_t> suffix_children;
-  for (std::size_t i = 0; i < next.size(); ++i) {
+  for (std::size_t i = 0; i < next_.size(); ++i) {
     if (next_dirty[i] == kSuffix) suffix_children.push_back(i);
   }
   std::stable_sort(suffix_children.begin(), suffix_children.end(),
@@ -199,9 +204,9 @@ StepStats GaEngine::step() {
     batched.clear();
     for (std::size_t j = g; j < g_end; ++j) {
       const std::size_t i = suffix_children[j];
-      const std::size_t from = first_difference(next[i], pop_[parent]);
-      if (from == next[i].size()) {
-        next_lengths[i] = lengths_[parent];  // mutation was a no-op
+      const std::size_t from = first_difference(next_[i], pop_[parent]);
+      if (from == next_[i].size()) {
+        next_lengths_[i] = lengths_[parent];  // mutation was a no-op
         continue;
       }
       if (batched.empty()) {
@@ -209,21 +214,21 @@ StepStats GaEngine::step() {
         eval_.prepare(pop_[parent]);
         batch_.begin_prepared(pop_[parent]);
       }
-      batch_.add_string(next[i], from);
+      batch_.add_string(next_[i], from);
       batched.push_back(i);
     }
     if (!batched.empty()) {
       const std::vector<double>& lens =
           batch_.evaluate(std::numeric_limits<double>::infinity());
       for (std::size_t j = 0; j < batched.size(); ++j) {
-        next_lengths[batched[j]] = lens[j];
+        next_lengths_[batched[j]] = lens[j];
       }
     }
     g = g_end;
   }
 
-  pop_ = std::move(next);
-  lengths_ = std::move(next_lengths);
+  pop_.swap(next_);
+  lengths_.swap(next_lengths_);
   const auto best_it = std::min_element(lengths_.begin(), lengths_.end());
   const double gen_best = *best_it;
   const double gen_mean =

@@ -104,6 +104,11 @@ class GaEngine final : public SearchEngine {
   WallTimer timer_;
   std::vector<SolutionString> pop_;
   std::vector<double> lengths_;
+  // Double buffer for the next generation, and the odd child that does not
+  // fit in it (see step()).
+  std::vector<SolutionString> next_;
+  std::vector<double> next_lengths_;
+  SolutionString spare_;
   SolutionString best_solution_;
   double best_makespan_ = 0.0;
   std::size_t generation_ = 0;  // completed generations

@@ -1,58 +1,19 @@
 #include "ga/operators.h"
 
-#include <algorithm>
-
 namespace sehc {
 
-std::pair<SolutionString, SolutionString> matching_crossover(
-    const SolutionString& a, const SolutionString& b, Rng& rng) {
-  SEHC_CHECK(a.size() == b.size() && !a.empty(),
-             "matching_crossover: size mismatch");
+void crossover(const SolutionString& a, const SolutionString& b, Rng& rng,
+               SolutionString& ca, SolutionString& cb) {
+  SEHC_CHECK(a.size() == b.size() && !a.empty(), "crossover: size mismatch");
+  SEHC_CHECK(&ca != &cb, "crossover: the children alias each other");
   const std::size_t k = a.size();
-  // Cut over task ids: tasks with id >= cut swap machine assignments.
-  const std::size_t cut = 1 + static_cast<std::size_t>(rng.below(k));
-
-  auto order_a = a.order();
-  auto order_b = b.order();
-  auto asg_a = a.assignment();
-  auto asg_b = b.assignment();
-  for (TaskId t = static_cast<TaskId>(cut); t < k; ++t) {
-    std::swap(asg_a[t], asg_b[t]);
-  }
-  return {SolutionString(order_a, asg_a), SolutionString(order_b, asg_b)};
-}
-
-namespace {
-
-/// Child = prefix [0, cut) of `first` + remaining tasks in `second`'s
-/// relative order; machine assignments are inherited from `first`.
-SolutionString order_cross_child(const SolutionString& first,
-                                 const SolutionString& second,
-                                 std::size_t cut) {
-  const std::size_t k = first.size();
-  std::vector<TaskId> order;
-  order.reserve(k);
-  std::vector<bool> in_prefix(k, false);
-  for (std::size_t i = 0; i < cut; ++i) {
-    order.push_back(first.segment(i).task);
-    in_prefix[first.segment(i).task] = true;
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const TaskId t = second.segment(i).task;
-    if (!in_prefix[t]) order.push_back(t);
-  }
-  return SolutionString(order, first.assignment());
-}
-
-}  // namespace
-
-std::pair<SolutionString, SolutionString> scheduling_crossover(
-    const SolutionString& a, const SolutionString& b, Rng& rng) {
-  SEHC_CHECK(a.size() == b.size() && !a.empty(),
-             "scheduling_crossover: size mismatch");
-  const std::size_t k = a.size();
-  const std::size_t cut = 1 + static_cast<std::size_t>(rng.below(k > 1 ? k - 1 : 1));
-  return {order_cross_child(a, b, cut), order_cross_child(b, a, cut)};
+  // Scheduling cut over string positions, in [1, k-1] (1 when k == 1).
+  const std::size_t order_cut =
+      1 + static_cast<std::size_t>(rng.below(k > 1 ? k - 1 : 1));
+  // Matching cut over task ids, in [1, k]: tasks >= the cut swap machines.
+  const std::size_t machine_cut = 1 + static_cast<std::size_t>(rng.below(k));
+  ca.assign_crossover(a, b, order_cut, machine_cut);
+  cb.assign_crossover(b, a, order_cut, machine_cut);
 }
 
 void matching_mutation(SolutionString& s, std::size_t num_machines, Rng& rng) {

@@ -7,12 +7,14 @@
 // itself adopts (§4.1, "we combine both strings in only one string") — so
 // the operators below act on the corresponding component:
 //
-//   * matching crossover  — single cut over task ids; machine assignments
-//     of tasks above the cut are swapped between the two children.
-//   * scheduling crossover — single cut over string positions; the child
-//     keeps parent A's prefix and reorders the remaining tasks in parent
-//     B's relative order. Both parents being topological orders, the result
-//     is one too (standard order-crossover-on-DAG argument).
+//   * crossover           — Wang et al.'s scheduling crossover followed by
+//     their matching crossover, built in one pass. The scheduling half cuts
+//     the string once: each child keeps one parent's prefix and reorders
+//     the remaining tasks in the other parent's relative order. Both
+//     parents being topological orders, the result is one too (standard
+//     order-crossover-on-DAG argument). The matching half cuts the task
+//     ids once: tasks at or above the cut swap machine assignments between
+//     the two children.
 //   * matching mutation   — one task is reassigned to a random machine.
 //   * scheduling mutation — one task is moved to a random position inside
 //     its valid range (precedence-preserving by construction).
@@ -24,13 +26,11 @@
 
 namespace sehc {
 
-/// Matching crossover. Returns the two children of `a` and `b`.
-std::pair<SolutionString, SolutionString> matching_crossover(
-    const SolutionString& a, const SolutionString& b, Rng& rng);
-
-/// Scheduling (order) crossover; preserves topological validity.
-std::pair<SolutionString, SolutionString> scheduling_crossover(
-    const SolutionString& a, const SolutionString& b, Rng& rng);
+/// Crosses `a` and `b` into `ca` and `cb`, reusing the children's storage.
+/// Draws the scheduling cut, then the matching cut. `a`, `b`, `ca` and `cb`
+/// must be four distinct strings, except that `a` may be `b`.
+void crossover(const SolutionString& a, const SolutionString& b, Rng& rng,
+               SolutionString& ca, SolutionString& cb);
 
 /// Reassigns one uniformly chosen task to a uniformly chosen machine.
 void matching_mutation(SolutionString& s, std::size_t num_machines, Rng& rng);

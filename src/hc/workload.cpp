@@ -26,7 +26,9 @@ Workload::Workload(TaskGraph graph, MachineSet machines, Matrix<double> exec,
     SEHC_CHECK(v >= 0.0, "Workload: negative execution time");
   for (double v : transfer_.flat())
     SEHC_CHECK(v >= 0.0, "Workload: negative transfer time");
-  SEHC_CHECK(is_acyclic(graph_), "Workload: task graph has a cycle");
+  auto order = topological_order(graph_);
+  SEHC_CHECK(order.has_value(), "Workload: task graph has a cycle");
+  topo_order_ = std::move(*order);
 }
 
 std::vector<MachineId> Workload::machines_by_speed(TaskId t) const {

@@ -6,7 +6,9 @@
 // Workload is the single value handed to every scheduler in the library.
 #pragma once
 
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "core/matrix.h"
 #include "dag/task_graph.h"
@@ -53,11 +55,16 @@ class Workload {
   /// This ordering defines the paper's Y-parameter candidate sets.
   std::vector<MachineId> machines_by_speed(TaskId t) const;
 
+  /// The graph's deterministic topological order (topological_order():
+  /// lowest id first among ready tasks), kept from the acyclicity check.
+  std::span<const TaskId> topo_order() const { return topo_order_; }
+
  private:
   TaskGraph graph_;
   MachineSet machines_;
   Matrix<double> exec_;      // l x k
   Matrix<double> transfer_;  // l(l-1)/2 x p
+  std::vector<TaskId> topo_order_;
 };
 
 }  // namespace sehc

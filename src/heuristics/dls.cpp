@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "dag/topo.h"
+#include <span>
 
 namespace sehc {
 
 std::vector<double> dls_static_levels(const Workload& w) {
   const TaskGraph& g = w.graph();
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "dls_static_levels: cyclic graph");
+  const std::span<const TaskId> order = w.topo_order();
 
   std::vector<double> mean_exec(w.num_tasks(), 0.0);
   for (TaskId t = 0; t < w.num_tasks(); ++t) {
@@ -20,7 +18,7 @@ std::vector<double> dls_static_levels(const Workload& w) {
   }
 
   std::vector<double> sl(w.num_tasks(), 0.0);
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId t = *it;
     double tail = 0.0;
     for (TaskId succ : g.succs(t)) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/stats.h"
 #include "dag/topo.h"
@@ -102,12 +103,14 @@ StepStats GsaEngine::step() {
   for (std::size_t slot = 0; slot + 1 < pop_.size(); slot += 2) {
     const std::size_t ia = rng_.index(pop_.size());
     const std::size_t ib = rng_.index(pop_.size());
-    SolutionString ca = pop_[ia];
-    SolutionString cb = pop_[ib];
+    SolutionString& ca = child_a_;
+    SolutionString& cb = child_b_;
     const bool crossed = rng_.chance(params_.crossover_prob);
     if (crossed) {
-      std::tie(ca, cb) = scheduling_crossover(pop_[ia], pop_[ib], rng_);
-      std::tie(ca, cb) = matching_crossover(ca, cb, rng_);
+      crossover(pop_[ia], pop_[ib], rng_, ca, cb);
+    } else {
+      ca = pop_[ia];
+      cb = pop_[ib];
     }
     bool mutated_a = false;
     bool mutated_b = false;
@@ -133,8 +136,10 @@ StepStats GsaEngine::step() {
                          : mutated_b ? suffix_makespan(cb, ib)
                                      : lengths_[ib];
 
-    // Metropolis survivor test: child vs the parent in its slot.
-    auto metropolis = [&](SolutionString&& child, double child_len,
+    // Metropolis survivor test: child vs the parent in its slot. An
+    // accepted child is swapped in, and the child buffer takes the old
+    // parent's storage for the next mating.
+    auto metropolis = [&](SolutionString& child, double child_len,
                           std::size_t parent_idx) {
       ++offspring;
       const double delta = child_len - lengths_[parent_idx];
@@ -144,15 +149,15 @@ StepStats GsaEngine::step() {
            rng_.uniform() < std::exp(-delta / temperature_));
       if (!accept) return;
       ++accepted;
-      pop_[parent_idx] = std::move(child);
+      std::swap(pop_[parent_idx], child);
       lengths_[parent_idx] = child_len;
       if (child_len < best_makespan_) {
         best_makespan_ = child_len;
         best_solution_ = pop_[parent_idx];
       }
     };
-    metropolis(std::move(ca), len_a, ia);
-    metropolis(std::move(cb), len_b, ib);
+    metropolis(ca, len_a, ia);
+    metropolis(cb, len_b, ib);
   }
 
   temperature_ *= params_.cooling;

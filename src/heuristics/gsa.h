@@ -96,6 +96,9 @@ class GsaEngine final : public SearchEngine {
   WallTimer timer_;
   std::vector<SolutionString> pop_;
   std::vector<double> lengths_;
+  // Offspring buffers, reused by every mating (see step()).
+  SolutionString child_a_;
+  SolutionString child_b_;
   SolutionString best_solution_;
   double best_makespan_ = 0.0;
   double temperature_ = 0.0;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-
-#include "dag/topo.h"
+#include <span>
 
 namespace sehc {
 
@@ -40,11 +39,10 @@ std::vector<double> heft_upward_ranks(const Workload& w) {
   const TaskGraph& g = w.graph();
   const auto wbar = mean_exec(w);
   const auto cbar = mean_transfer(w);
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "heft_upward_ranks: cyclic graph");
+  const std::span<const TaskId> order = w.topo_order();
 
   std::vector<double> rank(w.num_tasks(), 0.0);
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId t = *it;
     double tail = 0.0;
     for (DataId d : g.out_edges(t)) {
@@ -60,11 +58,10 @@ std::vector<double> heft_downward_ranks(const Workload& w) {
   const TaskGraph& g = w.graph();
   const auto wbar = mean_exec(w);
   const auto cbar = mean_transfer(w);
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "heft_downward_ranks: cyclic graph");
+  const std::span<const TaskId> order = w.topo_order();
 
   std::vector<double> rank(w.num_tasks(), 0.0);
-  for (TaskId t : *order) {
+  for (TaskId t : order) {
     double head = 0.0;
     for (DataId d : g.in_edges(t)) {
       const DagEdge& e = g.edge(d);

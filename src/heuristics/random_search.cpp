@@ -1,5 +1,7 @@
 #include "heuristics/random_search.h"
 
+#include <utility>
+
 namespace sehc {
 
 RandomSearchEngine::RandomSearchEngine(const Workload& workload,
@@ -30,12 +32,12 @@ bool RandomSearchEngine::done() const {
 StepStats RandomSearchEngine::step() {
   SEHC_CHECK(initialized_, "RandomSearchEngine: init() not called");
   const Workload& w = *workload_;
-  SolutionString candidate =
-      random_initial_solution(w.graph(), w.num_machines(), rng_);
-  const double len = eval_.makespan(candidate);
+  random_initial_solution(w.graph(), w.topo_order(), w.num_machines(), rng_,
+                          candidate_);
+  const double len = eval_.makespan(candidate_);
   if (len < best_len_) {
     best_len_ = len;
-    best_ = std::move(candidate);
+    std::swap(best_, candidate_);  // the old best's storage takes the next draw
   }
 
   ++iteration_;

@@ -50,6 +50,7 @@ class RandomSearchEngine final : public SearchEngine {
   Rng rng_{1};
   WallTimer timer_;
   SolutionString best_;
+  SolutionString candidate_;  // reused by every draw
   double best_len_ = std::numeric_limits<double>::infinity();
   std::size_t iteration_ = 0;  // samples drawn
 };

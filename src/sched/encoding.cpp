@@ -11,6 +11,11 @@ SolutionString::SolutionString(std::span<const TaskId> order,
                                std::span<const MachineId> assignment) {
   SEHC_CHECK(order.size() == assignment.size(),
              "SolutionString: order/assignment size mismatch");
+  assign_order(order);
+  for (Segment& s : segments_) s.machine = assignment[s.task];
+}
+
+void SolutionString::assign_order(std::span<const TaskId> order) {
   const std::size_t k = order.size();
   segments_.resize(k);
   pos_.assign(k, k);
@@ -18,9 +23,44 @@ SolutionString::SolutionString(std::span<const TaskId> order,
     const TaskId t = order[i];
     SEHC_CHECK(t < k, "SolutionString: task id out of range");
     SEHC_CHECK(pos_[t] == k, "SolutionString: duplicate task in order");
-    segments_[i] = Segment{t, assignment[t]};
+    segments_[i] = Segment{t, 0};
     pos_[t] = i;
   }
+}
+
+void SolutionString::assign_crossover(const SolutionString& first,
+                                      const SolutionString& second,
+                                      std::size_t order_cut,
+                                      std::size_t machine_cut) {
+  const std::size_t k = first.size();
+  SEHC_CHECK(second.size() == k, "assign_crossover: parent size mismatch");
+  SEHC_CHECK(this != &first && this != &second,
+             "assign_crossover: the child aliases a parent");
+  SEHC_CHECK(order_cut <= k, "assign_crossover: order cut out of range");
+  segments_.resize(k);
+  pos_.assign(k, k);  // k marks a task not placed yet
+  for (std::size_t i = 0; i < order_cut; ++i) {
+    const Segment& s = first.segments_[i];
+    SEHC_CHECK(s.task < k, "SolutionString: task id out of range");
+    SEHC_CHECK(pos_[s.task] == k, "SolutionString: duplicate task in order");
+    const MachineId m = s.task < machine_cut
+                            ? s.machine
+                            : second.segments_[second.pos_[s.task]].machine;
+    segments_[i] = Segment{s.task, m};
+    pos_[s.task] = i;
+  }
+  std::size_t next = order_cut;
+  for (const Segment& s : second.segments_) {
+    SEHC_CHECK(s.task < k, "SolutionString: task id out of range");
+    if (pos_[s.task] != k) continue;  // taken from first's prefix
+    const MachineId m = s.task < machine_cut
+                            ? first.segments_[first.pos_[s.task]].machine
+                            : s.machine;
+    segments_[next] = Segment{s.task, m};
+    pos_[s.task] = next++;
+  }
+  SEHC_CHECK(next == k,
+             "assign_crossover: parents are not permutations of one task set");
 }
 
 const Segment& SolutionString::segment(std::size_t pos) const {
@@ -67,22 +107,17 @@ void SolutionString::set_machine(TaskId t, MachineId m) {
 void SolutionString::move_task(TaskId t, std::size_t new_pos) {
   const std::size_t old_pos = position_of(t);
   SEHC_CHECK(new_pos < segments_.size(), "move_task: position out of range");
-  if (new_pos == old_pos) return;
   const Segment moving = segments_[old_pos];
-  auto begin = segments_.begin();
-  if (new_pos > old_pos) {
-    // Shift (old, new] left by one.
-    std::rotate(begin + static_cast<std::ptrdiff_t>(old_pos),
-                begin + static_cast<std::ptrdiff_t>(old_pos) + 1,
-                begin + static_cast<std::ptrdiff_t>(new_pos) + 1);
-    for (std::size_t i = old_pos; i < new_pos; ++i) pos_[segments_[i].task] = i;
-  } else {
-    // Shift [new, old) right by one.
-    std::rotate(begin + static_cast<std::ptrdiff_t>(new_pos),
-                begin + static_cast<std::ptrdiff_t>(old_pos),
-                begin + static_cast<std::ptrdiff_t>(old_pos) + 1);
-    for (std::size_t i = new_pos + 1; i <= old_pos; ++i)
-      pos_[segments_[i].task] = i;
+  // Shift the segments between the two positions one step towards old_pos,
+  // fixing each shifted task's position in the same pass. At most one of
+  // the two loops runs.
+  for (std::size_t i = old_pos; i < new_pos; ++i) {
+    segments_[i] = segments_[i + 1];
+    pos_[segments_[i].task] = i;
+  }
+  for (std::size_t i = old_pos; i > new_pos; --i) {
+    segments_[i] = segments_[i - 1];
+    pos_[segments_[i].task] = i;
   }
   segments_[new_pos] = moving;
   pos_[t] = new_pos;
@@ -97,13 +132,10 @@ ValidRange SolutionString::valid_range(const TaskGraph& g, TaskId t) const {
   // Latest predecessor / earliest successor positions in the current string.
   std::ptrdiff_t last_pred = -1;
   std::size_t first_succ = k;
-  for (DataId d : g.in_edges(t)) {
-    last_pred = std::max(last_pred,
-                         static_cast<std::ptrdiff_t>(pos_[g.edge(d).src]));
+  for (TaskId u : g.preds(t)) {
+    last_pred = std::max(last_pred, static_cast<std::ptrdiff_t>(pos_[u]));
   }
-  for (DataId d : g.out_edges(t)) {
-    first_succ = std::min(first_succ, pos_[g.edge(d).dst]);
-  }
+  for (TaskId v : g.succs(t)) first_succ = std::min(first_succ, pos_[v]);
 
   // Convert to final positions after removing t: indices above p shift down
   // by one, and reinsertion at removed-index q lands at final position q.
@@ -125,27 +157,38 @@ bool SolutionString::is_valid(const TaskGraph& g) const {
 
 SolutionString random_initial_solution(const TaskGraph& g,
                                        std::size_t num_machines, Rng& rng) {
+  const auto order = topological_order(g);
+  SEHC_CHECK(order.has_value(), "random_initial_solution: cyclic graph");
+  SolutionString s;
+  random_initial_solution(g, *order, num_machines, rng, s);
+  return s;
+}
+
+void random_initial_solution(const TaskGraph& g,
+                             std::span<const TaskId> topo_order,
+                             std::size_t num_machines, Rng& rng,
+                             SolutionString& out) {
   SEHC_CHECK(num_machines > 0, "random_initial_solution: no machines");
+  SEHC_CHECK(topo_order.size() == g.num_tasks(),
+             "random_initial_solution: order/graph size mismatch");
   const std::size_t k = g.num_tasks();
 
-  // Random machine assignment, then a (deterministic) topological sort.
-  std::vector<MachineId> assignment(k);
-  for (auto& m : assignment)
-    m = static_cast<MachineId>(rng.below(num_machines));
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "random_initial_solution: cyclic graph");
-  SolutionString s(*order, assignment);
+  // The topological order, then a random machine per task drawn in task-id
+  // order (the order consumes no draws, so this is the paper's "random
+  // assignment, then topological sort").
+  out.assign_order(topo_order);
+  for (TaskId t = 0; t < k; ++t)
+    out.set_machine(t, static_cast<MachineId>(rng.below(num_machines)));
 
   // Perturb with a random number of random valid-range moves (paper §4.2).
   const std::size_t moves = k == 0 ? 0 : rng.below(2 * k + 1);
   for (std::size_t i = 0; i < moves; ++i) {
     const TaskId t = static_cast<TaskId>(rng.below(k));
-    const ValidRange range = s.valid_range(g, t);
+    const ValidRange range = out.valid_range(g, t);
     const std::size_t target =
         range.lo + static_cast<std::size_t>(rng.below(range.size()));
-    s.move_task(t, target);
+    out.move_task(t, target);
   }
-  return s;
 }
 
 }  // namespace sehc

@@ -8,7 +8,9 @@
 // so that valid-range computation and moves are O(k) worst case. The class
 // does not store the DAG; operations that depend on precedence take it as a
 // parameter, which keeps the type a cheap value (copied per trial move in
-// the allocation step).
+// the allocation step). The assign_* members rebuild a string in place, so
+// the random sampler and GA/GSA offspring reuse one string's storage
+// instead of allocating a new one per draw.
 #pragma once
 
 #include <span>
@@ -49,6 +51,20 @@ class SolutionString {
   /// caller's contract; check with is_valid()).
   SolutionString(std::span<const TaskId> order,
                  std::span<const MachineId> assignment);
+
+  /// Rebuilds the string in place as `order` with every task on machine 0,
+  /// reusing its storage. Checks `order` as the constructor does.
+  void assign_order(std::span<const TaskId> order);
+
+  /// Rebuilds the string in place, reusing its storage, as one child of the
+  /// GA crossover (ga/operators.h): `first`'s segments [0, order_cut), then
+  /// the remaining tasks in `second`'s relative order. Task t keeps
+  /// `first`'s machine when t < machine_cut and takes `second`'s otherwise.
+  /// The parents must be permutations of the same tasks and must not alias
+  /// this string; the child is a topological order whenever both are.
+  void assign_crossover(const SolutionString& first,
+                        const SolutionString& second, std::size_t order_cut,
+                        std::size_t machine_cut);
 
   std::size_t size() const { return segments_.size(); }
   bool empty() const { return segments_.empty(); }
@@ -97,8 +113,16 @@ class SolutionString {
 
 /// Random valid initial solution per the paper (§4.2): random machine
 /// assignment, topological sort, then a random number of random valid-range
-/// moves (and fresh machine draws for the moved tasks).
+/// moves. A moved task keeps the machine it was drawn with.
 SolutionString random_initial_solution(const TaskGraph& g,
                                        std::size_t num_machines, Rng& rng);
+
+/// The same sampler on a precomputed `topo_order` of `g` (for example
+/// Workload::topo_order()), written into `out` with its storage reused.
+/// Makes exactly the draws of the overload above and yields the same string.
+void random_initial_solution(const TaskGraph& g,
+                             std::span<const TaskId> topo_order,
+                             std::size_t num_machines, Rng& rng,
+                             SolutionString& out);
 
 }  // namespace sehc

@@ -1,22 +1,20 @@
 #include "se/goodness.h"
 
 #include <algorithm>
-
-#include "dag/topo.h"
+#include <span>
 
 namespace sehc {
 
 std::vector<double> optimal_costs(const Workload& w) {
   const TaskGraph& g = w.graph();
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "optimal_costs: cyclic graph");
+  const std::span<const TaskId> order = w.topo_order();
 
   // Best-matching machine per task (paper: minimum execution time).
   std::vector<MachineId> best(w.num_tasks());
   for (TaskId t = 0; t < w.num_tasks(); ++t) best[t] = w.best_machine(t);
 
   std::vector<double> finish(w.num_tasks(), 0.0);
-  for (TaskId t : *order) {
+  for (TaskId t : order) {
     double ready = 0.0;
     for (DataId d : g.in_edges(t)) {
       const DagEdge& e = g.edge(d);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "dag/topo.h"
 #include "workload/generator.h"
 
@@ -21,26 +25,37 @@ Workload medium_workload(std::uint64_t seed) {
   return make_workload(p);
 }
 
+/// Crosses `a` and `b` into two fresh children.
+std::pair<SolutionString, SolutionString> cross(const SolutionString& a,
+                                                const SolutionString& b,
+                                                Rng& rng) {
+  std::pair<SolutionString, SolutionString> children;
+  crossover(a, b, rng, children.first, children.second);
+  return children;
+}
+
 TEST(GaOperators, MatchingCrossoverSwapsSuffixAssignments) {
   const Workload w = medium_workload(1);
   const SolutionString a = random_solution(w, 1);
   const SolutionString b = random_solution(w, 2);
   Rng rng(3);
-  const auto [ca, cb] = matching_crossover(a, b, rng);
+  const auto [ca, cb] = cross(a, b, rng);
 
-  // Orders are inherited unchanged.
-  EXPECT_EQ(ca.order(), a.order());
-  EXPECT_EQ(cb.order(), b.order());
-
-  // Every task's machine comes from one parent in ca and the other in cb.
+  // One cut over task ids: below it each child keeps its own parent's
+  // machine, from it on the two children swap.
   const auto asg_a = a.assignment();
   const auto asg_b = b.assignment();
   const auto asg_ca = ca.assignment();
   const auto asg_cb = cb.assignment();
-  for (TaskId t = 0; t < w.num_tasks(); ++t) {
-    const bool from_a = asg_ca[t] == asg_a[t] && asg_cb[t] == asg_b[t];
-    const bool from_b = asg_ca[t] == asg_b[t] && asg_cb[t] == asg_a[t];
-    EXPECT_TRUE(from_a || from_b) << "task " << t;
+  std::size_t cut = 0;
+  while (cut < w.num_tasks() && asg_ca[cut] == asg_a[cut] &&
+         asg_cb[cut] == asg_b[cut]) {
+    ++cut;
+  }
+  EXPECT_GE(cut, 1u);
+  for (TaskId t = static_cast<TaskId>(cut); t < w.num_tasks(); ++t) {
+    EXPECT_EQ(asg_ca[t], asg_b[t]) << "task " << t;
+    EXPECT_EQ(asg_cb[t], asg_a[t]) << "task " << t;
   }
 }
 
@@ -50,7 +65,7 @@ TEST(GaOperators, MatchingCrossoverPreservesValidity) {
   for (int i = 0; i < 20; ++i) {
     const SolutionString a = random_solution(w, 10 + i);
     const SolutionString b = random_solution(w, 50 + i);
-    const auto [ca, cb] = matching_crossover(a, b, rng);
+    const auto [ca, cb] = cross(a, b, rng);
     EXPECT_TRUE(ca.is_valid(w.graph()));
     EXPECT_TRUE(cb.is_valid(w.graph()));
   }
@@ -59,23 +74,56 @@ TEST(GaOperators, MatchingCrossoverPreservesValidity) {
 TEST(GaOperators, SchedulingCrossoverPreservesTopologicalValidity) {
   const Workload w = medium_workload(3);
   Rng rng(5);
+  SolutionString ca;
+  SolutionString cb;
   for (int i = 0; i < 50; ++i) {
     const SolutionString a = random_solution(w, 100 + i);
     const SolutionString b = random_solution(w, 200 + i);
-    const auto [ca, cb] = scheduling_crossover(a, b, rng);
+    crossover(a, b, rng, ca, cb);  // reused children
     EXPECT_TRUE(ca.is_valid(w.graph())) << "iteration " << i;
     EXPECT_TRUE(cb.is_valid(w.graph())) << "iteration " << i;
   }
 }
 
 TEST(GaOperators, SchedulingCrossoverKeepsAssignments) {
+  // Each child keeps a prefix of its own parent's string and takes the
+  // other tasks in the other parent's relative order; no task's machine
+  // pair is lost or invented.
   const Workload w = medium_workload(4);
   const SolutionString a = random_solution(w, 7);
   const SolutionString b = random_solution(w, 8);
   Rng rng(9);
-  const auto [ca, cb] = scheduling_crossover(a, b, rng);
-  EXPECT_EQ(ca.assignment(), a.assignment());
-  EXPECT_EQ(cb.assignment(), b.assignment());
+  const auto [ca, cb] = cross(a, b, rng);
+  const auto order_a = a.order();
+  const auto order_b = b.order();
+  const auto order_ca = ca.order();
+  const auto order_cb = cb.order();
+  std::size_t cut = 0;
+  while (cut < order_a.size() && order_ca[cut] == order_a[cut] &&
+         order_cb[cut] == order_b[cut]) {
+    ++cut;
+  }
+  EXPECT_GE(cut, 1u);
+  auto rest_in_order_of = [&](const std::vector<TaskId>& child,
+                              const std::vector<TaskId>& other) {
+    std::vector<TaskId> expected;
+    for (TaskId t : other) {
+      if (std::find(child.begin(), child.begin() + cut, t) ==
+          child.begin() + cut) {
+        expected.push_back(t);
+      }
+    }
+    return std::equal(expected.begin(), expected.end(), child.begin() + cut);
+  };
+  EXPECT_TRUE(rest_in_order_of(order_ca, order_b));
+  EXPECT_TRUE(rest_in_order_of(order_cb, order_a));
+  for (TaskId t = 0; t < w.num_tasks(); ++t) {
+    std::vector<MachineId> parents{a.machine_of(t), b.machine_of(t)};
+    std::vector<MachineId> children{ca.machine_of(t), cb.machine_of(t)};
+    std::sort(parents.begin(), parents.end());
+    std::sort(children.begin(), children.end());
+    EXPECT_EQ(children, parents) << "task " << t;
+  }
 }
 
 TEST(GaOperators, SchedulingCrossoverMixesParents) {
@@ -87,7 +135,7 @@ TEST(GaOperators, SchedulingCrossoverMixesParents) {
   for (int i = 0; i < 10 && !mixed; ++i) {
     const SolutionString a = random_solution(w, 300 + i);
     const SolutionString b = random_solution(w, 400 + i);
-    const auto [ca, cb] = scheduling_crossover(a, b, rng);
+    const auto [ca, cb] = cross(a, b, rng);
     mixed = (ca.order() != a.order()) || (cb.order() != b.order());
   }
   EXPECT_TRUE(mixed);
@@ -123,8 +171,11 @@ TEST(GaOperators, CrossoverSizeMismatchThrows) {
   const SolutionString small(std::vector<TaskId>{0},
                              std::vector<MachineId>{0});
   Rng rng(1);
-  EXPECT_THROW(matching_crossover(a, small, rng), Error);
-  EXPECT_THROW(scheduling_crossover(a, small, rng), Error);
+  SolutionString ca;
+  SolutionString cb;
+  EXPECT_THROW(crossover(a, small, rng, ca, cb), Error);
+  EXPECT_THROW(crossover(small, a, rng, ca, cb), Error);
+  EXPECT_THROW(crossover(a, a, rng, ca, ca), Error);  // aliased children
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "naive_reference.h"
 #include "se/allocation.h"
 #include "se/se.h"
+#include "string_ops_reference.h"
 #include "workload/generator.h"
 
 namespace sehc {
@@ -428,8 +429,9 @@ TEST(IncrementalEval, AnnealingMatchesNaiveReference) {
 /// Pre-engine GA: the same generational loop with every chromosome fully
 /// re-evaluated by the naive evaluator each generation — no cached lengths
 /// for elites/clones, no prepared-snapshot suffix evaluation for
-/// mutation-only children. RNG draw order matches GaEngine exactly
-/// (evaluation consumes no randomness).
+/// mutation-only children, and the two separate crossovers of
+/// string_ops_reference.h instead of the fused one. RNG draw order matches
+/// GaEngine exactly (evaluation consumes no randomness).
 double reference_ga_best(const Workload& w, const GaParams& params) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
@@ -479,8 +481,8 @@ double reference_ga_best(const Workload& w, const GaParams& params) {
       SolutionString ca = pop[ia];
       SolutionString cb = pop[ib];
       if (rng.chance(params.crossover_prob)) {
-        std::tie(ca, cb) = scheduling_crossover(pop[ia], pop[ib], rng);
-        std::tie(ca, cb) = matching_crossover(ca, cb, rng);
+        std::tie(ca, cb) = reference::scheduling_crossover(pop[ia], pop[ib], rng);
+        std::tie(ca, cb) = reference::matching_crossover(ca, cb, rng);
       }
       if (rng.chance(params.mutation_prob)) {
         matching_mutation(ca, w.num_machines(), rng);
@@ -521,7 +523,8 @@ TEST(IncrementalEval, GaMatchesNaiveReference) {
 
 /// Pre-engine GSA: the same Metropolis-mediated generational loop with
 /// every touched child evaluated by the naive evaluator (no cached clone
-/// lengths, no prepared-parent suffix evaluation).
+/// lengths, no prepared-parent suffix evaluation) and crossed by the two
+/// separate crossovers of string_ops_reference.h.
 double reference_gsa_best(const Workload& w, const GsaParams& params) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
@@ -551,8 +554,8 @@ double reference_gsa_best(const Workload& w, const GsaParams& params) {
       SolutionString cb = pop[ib];
       const bool crossed = rng.chance(params.crossover_prob);
       if (crossed) {
-        std::tie(ca, cb) = scheduling_crossover(pop[ia], pop[ib], rng);
-        std::tie(ca, cb) = matching_crossover(ca, cb, rng);
+        std::tie(ca, cb) = reference::scheduling_crossover(pop[ia], pop[ib], rng);
+        std::tie(ca, cb) = reference::matching_crossover(ca, cb, rng);
       }
       bool touched_a = crossed;
       bool touched_b = crossed;

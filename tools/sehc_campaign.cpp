@@ -32,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/report.h"
@@ -45,24 +46,21 @@ namespace {
 
 using namespace sehc;
 
-int usage() {
-  std::cerr
-      << "usage: sehc_campaign <list|show|run|merge|table> [options]\n"
-         "  list                      list built-in campaign specs\n"
-         "  show  --spec NAME         print a spec, its hash and cell count\n"
-         "  run   --spec NAME --store PATH [--shard I/N] [--threads T]\n"
-         "        [--max-cells N] [--fresh] [--merged-out PATH]\n"
-         "        [--bench-json PATH] [--progress]\n"
-         "        [--cell-retries N] [--cell-timeout S]\n"
-         "        [--retry-backoff-ms M] [--strict] [--quarantine PATH]\n"
-         "        [--fault-plan SPEC]   (exit 3 = cells quarantined)\n"
-         "  merge --out PATH STORE... merge shard stores (canonical output)\n"
-         "  table --store PATH [--format md|csv]\n"
-         "                            aggregate tables from a store\n"
-         "  spec overrides (run/show): --seeds --iters --evals\n"
-         "        --curve-points --base-seed --tasks --machines --budget\n";
-  return 2;
-}
+constexpr std::string_view kUsage =
+    "usage: sehc_campaign <list|show|run|merge|table> [options]\n"
+    "  list                      list built-in campaign specs\n"
+    "  show  --spec NAME         print a spec, its hash and cell count\n"
+    "  run   --spec NAME --store PATH [--shard I/N] [--threads T]\n"
+    "        [--max-cells N] [--fresh] [--merged-out PATH]\n"
+    "        [--bench-json PATH] [--progress]\n"
+    "        [--cell-retries N] [--cell-timeout S]\n"
+    "        [--retry-backoff-ms M] [--strict] [--quarantine PATH]\n"
+    "        [--fault-plan SPEC]   (exit 3 = cells quarantined)\n"
+    "  merge --out PATH STORE... merge shard stores (canonical output)\n"
+    "  table --store PATH [--format md|csv]\n"
+    "                            aggregate tables from a store\n"
+    "  spec overrides (run/show): --seeds --iters --evals\n"
+    "        --curve-points --base-seed --tasks --machines --budget\n";
 
 /// Applies the CLI's spec overrides. The spec hash covers every overridden
 /// field, so a store produced with different overrides never mixes records.
@@ -239,20 +237,23 @@ int cmd_merge(int argc, char** argv) {
   std::vector<std::string> inputs;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help") throw UsageError::help_request();
     if (arg == "--out" || arg.rfind("--out=", 0) == 0) {
       if (arg == "--out") {
-        SEHC_CHECK(i + 1 < argc, "merge: --out needs a path");
+        if (i + 1 >= argc) throw UsageError("merge: --out needs a path");
         out_path = argv[++i];
       } else {
         out_path = arg.substr(6);
       }
     } else {
-      SEHC_CHECK(arg.rfind("--", 0) != 0, "merge: unknown option " + arg);
+      if (arg.rfind("--", 0) == 0) {
+        throw UsageError("merge: unknown option " + arg);
+      }
       inputs.push_back(arg);
     }
   }
-  SEHC_CHECK(!out_path.empty(), "merge: --out PATH is required");
-  SEHC_CHECK(!inputs.empty(), "merge: no input stores");
+  if (out_path.empty()) throw UsageError("merge: --out PATH is required");
+  if (inputs.empty()) throw UsageError("merge: no input stores");
 
   const ResultStore merged = ResultStore::merge(inputs);
   std::ofstream os(out_path, std::ios::binary);
@@ -313,30 +314,30 @@ int cmd_table(const Options& opts) {
   return 0;
 }
 
+int run(int argc, char** argv) {
+  if (argc < 2) throw UsageError("missing command");
+  const std::string command = argv[1];
+  if (command == "--help") throw UsageError::help_request();
+  if (command == "list") return cmd_list();
+  if (command == "merge") return cmd_merge(argc, argv);
+
+  const std::vector<std::string> known{
+      "spec",      "store",     "shard",        "threads",
+      "max-cells", "fresh",     "merged-out",   "bench-json",
+      "progress",  "seeds",     "iters",        "evals",
+      "curve-points", "base-seed", "tasks",     "machines",
+      "budget",    "out",       "format",       "cell-retries",
+      "cell-timeout", "retry-backoff-ms", "strict", "quarantine",
+      "fault-plan"};
+  const Options opts(argc - 1, argv + 1, known);
+  if (command == "show") return cmd_show(opts);
+  if (command == "run") return cmd_run(opts);
+  if (command == "table") return cmd_table(opts);
+  throw UsageError("unknown command '" + command + "'");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  try {
-    if (command == "list") return cmd_list();
-    if (command == "merge") return cmd_merge(argc, argv);
-
-    const std::vector<std::string> known{
-        "spec",      "store",     "shard",        "threads",
-        "max-cells", "fresh",     "merged-out",   "bench-json",
-        "progress",  "seeds",     "iters",        "evals",
-        "curve-points", "base-seed", "tasks",     "machines",
-        "budget",    "out",       "format",       "cell-retries",
-        "cell-timeout", "retry-backoff-ms", "strict", "quarantine",
-        "fault-plan"};
-    const Options opts(argc - 1, argv + 1, known);
-    if (command == "show") return cmd_show(opts);
-    if (command == "run") return cmd_run(opts);
-    if (command == "table") return cmd_table(opts);
-    return usage();
-  } catch (const std::exception& e) {
-    std::cerr << "sehc_campaign " << command << ": " << e.what() << '\n';
-    return 1;
-  }
+  return sehc::run_driver(argc, argv, run, kUsage);
 }

@@ -20,10 +20,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/report.h"
 #include "core/error.h"
+#include "core/options.h"
 #include "exp/fault.h"
 #include "exp/result_store.h"
 #include "obs/metrics_sidecar.h"
@@ -32,21 +34,19 @@ namespace {
 
 using namespace sehc;
 
-int usage() {
-  std::cerr << "usage: sehc_report <summary|winloss|crossings|profile|full>"
-               " [options] STORE...\n"
-               "  --format md|csv      output format (default md)\n"
-               "  --out PATH           write to PATH instead of stdout\n"
-               "  --challenger NAME    comparison challenger (default SE)\n"
-               "  --baseline NAME      comparison baseline (default GA)\n"
-               "  --resamples N        bootstrap resamples (default 2000)\n"
-               "  --confidence C       CI level in (0,1) (default 0.95)\n"
-               "  --boot-seed S        bootstrap seed\n"
-               "  --taus t1,t2,...     profile tau breakpoints\n"
-               "  --timings            add the volatile wall-clock ms column "
-               "to the Timing section\n";
-  return 2;
-}
+constexpr std::string_view kUsage =
+    "usage: sehc_report <summary|winloss|crossings|profile|full>"
+    " [options] STORE...\n"
+    "  --format md|csv      output format (default md)\n"
+    "  --out PATH           write to PATH instead of stdout\n"
+    "  --challenger NAME    comparison challenger (default SE)\n"
+    "  --baseline NAME      comparison baseline (default GA)\n"
+    "  --resamples N        bootstrap resamples (default 2000)\n"
+    "  --confidence C       CI level in (0,1) (default 0.95)\n"
+    "  --boot-seed S        bootstrap seed\n"
+    "  --taus t1,t2,...     profile tau breakpoints\n"
+    "  --timings            add the volatile wall-clock ms column "
+    "to the Timing section\n";
 
 std::vector<double> parse_taus(const std::string& text) {
   std::vector<double> taus;
@@ -79,15 +79,18 @@ struct Cli {
 };
 
 Cli parse_cli(int argc, char** argv) {
+  if (argc < 2) throw UsageError("missing command");
   Cli cli;
   cli.command = argv[1];
-  SEHC_CHECK(cli.command == "summary" || cli.command == "winloss" ||
-                 cli.command == "crossings" || cli.command == "profile" ||
-                 cli.command == "full",
-             "unknown command '" + cli.command +
-                 "' (expected summary|winloss|crossings|profile|full)");
+  if (cli.command == "--help") throw UsageError::help_request();
+  if (cli.command != "summary" && cli.command != "winloss" &&
+      cli.command != "crossings" && cli.command != "profile" &&
+      cli.command != "full") {
+    throw UsageError("unknown command '" + cli.command + "'");
+  }
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg == "--help") throw UsageError::help_request();
     std::string value;
     const auto eq = arg.find('=');
     const bool has_inline = arg.rfind("--", 0) == 0 && eq != std::string::npos;
@@ -97,7 +100,7 @@ Cli parse_cli(int argc, char** argv) {
     }
     auto take = [&]() -> std::string {
       if (has_inline) return value;
-      SEHC_CHECK(i + 1 < argc, arg + " needs a value");
+      if (i + 1 >= argc) throw UsageError(arg + " needs a value");
       return argv[++i];
     };
     if (arg == "--format") cli.format = parse_report_format(take());
@@ -116,15 +119,15 @@ Cli parse_cli(int argc, char** argv) {
     } else if (arg == "--timings") {
       cli.options.show_timings = true;
     } else {
-      SEHC_CHECK(arg.rfind("--", 0) != 0, "unknown option " + arg);
+      if (arg.rfind("--", 0) == 0) throw UsageError("unknown option " + arg);
       cli.stores.push_back(arg);
     }
   }
-  SEHC_CHECK(!cli.stores.empty(), cli.command + ": no input stores");
+  if (cli.stores.empty()) throw UsageError(cli.command + ": no input stores");
   return cli;
 }
 
-int run(const Cli& cli) {
+int render(const Cli& cli) {
   // merge() handles the single-store case too and rejects mixed specs.
   const ResultStore store = ResultStore::merge(cli.stores);
   const CampaignDataset dataset = build_dataset(store);
@@ -194,14 +197,10 @@ int run(const Cli& cli) {
   return 0;
 }
 
+int run(int argc, char** argv) { return render(parse_cli(argc, argv)); }
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  try {
-    return run(parse_cli(argc, argv));
-  } catch (const std::exception& e) {
-    std::cerr << "sehc_report " << argv[1] << ": " << e.what() << '\n';
-    return 1;
-  }
+  return sehc::run_driver(argc, argv, run, kUsage);
 }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 
 #include "core/error.h"
@@ -25,85 +26,81 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true); }
 
-int usage() {
+constexpr std::string_view kUsage =
+    "usage: sehc_serve --socket PATH [--threads T] [--queue N]\n"
+    "                  [--cache N] [--batch-max N]\n"
+    "                  [--max-connections N]\n"
+    "                  [--default-deadline-ms MS] [--quiet]\n";
+
+int run(int argc, char** argv) {
+  using namespace sehc;
+  const Options opts(argc, argv,
+                     {"socket", "threads", "queue", "cache", "batch-max",
+                      "max-connections", "default-deadline-ms", "quiet"});
+  if (!opts.has("socket")) throw UsageError("--socket PATH is required");
+  const bool quiet = opts.has("quiet");
+
+  ServeOptions so;
+  so.socket_path = opts.get("socket", "");
+  so.threads = static_cast<std::size_t>(opts.get_int("threads", 2));
+  so.queue_capacity = static_cast<std::size_t>(opts.get_int("queue", 64));
+  so.cache_capacity = static_cast<std::size_t>(opts.get_int("cache", 512));
+  so.batch_max = static_cast<std::size_t>(opts.get_int("batch-max", 16));
+  so.max_connections =
+      static_cast<std::size_t>(opts.get_int("max-connections", 128));
+  so.default_deadline_seconds =
+      opts.get_double("default-deadline-ms", 0.0) / 1000.0;
+
+  // Signal handling must be installed before threads spawn so every
+  // thread inherits the disposition; the handler only flips a flag — the
+  // main thread does the actual drain.
+  struct sigaction sa = {};
+  sa.sa_handler = on_signal;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  signal(SIGPIPE, SIG_IGN);
+
+  Server server(so);
+  server.start();
+  if (!quiet) {
+    std::fprintf(stderr,
+                 "sehc_serve: listening on %s (threads=%zu queue=%zu "
+                 "cache=%zu)\n",
+                 so.socket_path.c_str(), so.threads, so.queue_capacity,
+                 so.cache_capacity);
+  }
+
+  while (!g_stop.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+  if (!quiet) std::fprintf(stderr, "sehc_serve: draining...\n");
+  server.request_drain();
+  server.join();
+
+  const ServerStats s = server.stats_snapshot();
   std::fprintf(stderr,
-               "usage: sehc_serve --socket PATH [--threads T] [--queue N]\n"
-               "                  [--cache N] [--batch-max N]\n"
-               "                  [--max-connections N]\n"
-               "                  [--default-deadline-ms MS] [--quiet]\n");
-  return 2;
+               "sehc_serve: drained (requests=%llu completed=%llu "
+               "shed=%llu errors=%llu timeouts=%llu protocol_errors=%llu "
+               "cache_hits=%llu cache_misses=%llu coalesced=%llu "
+               "batches=%llu max_batch=%llu queue_peak=%zu)\n",
+               static_cast<unsigned long long>(s.requests),
+               static_cast<unsigned long long>(s.completed),
+               static_cast<unsigned long long>(s.shed),
+               static_cast<unsigned long long>(s.errors),
+               static_cast<unsigned long long>(s.timeouts),
+               static_cast<unsigned long long>(s.protocol_errors),
+               static_cast<unsigned long long>(s.cache_hits),
+               static_cast<unsigned long long>(s.cache_misses),
+               static_cast<unsigned long long>(s.coalesced),
+               static_cast<unsigned long long>(s.batches),
+               static_cast<unsigned long long>(s.max_batch),
+               s.queue_peak);
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace sehc;
-  try {
-    const Options opts(argc, argv,
-                       {"socket", "threads", "queue", "cache", "batch-max",
-                        "max-connections", "default-deadline-ms", "quiet"});
-    if (!opts.has("socket")) return usage();
-    const bool quiet = opts.has("quiet");
-
-    ServeOptions so;
-    so.socket_path = opts.get("socket", "");
-    so.threads = static_cast<std::size_t>(opts.get_int("threads", 2));
-    so.queue_capacity = static_cast<std::size_t>(opts.get_int("queue", 64));
-    so.cache_capacity = static_cast<std::size_t>(opts.get_int("cache", 512));
-    so.batch_max = static_cast<std::size_t>(opts.get_int("batch-max", 16));
-    so.max_connections =
-        static_cast<std::size_t>(opts.get_int("max-connections", 128));
-    so.default_deadline_seconds =
-        opts.get_double("default-deadline-ms", 0.0) / 1000.0;
-
-    // Signal handling must be installed before threads spawn so every
-    // thread inherits the disposition; the handler only flips a flag — the
-    // main thread does the actual drain.
-    struct sigaction sa = {};
-    sa.sa_handler = on_signal;
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    Server server(so);
-    server.start();
-    if (!quiet) {
-      std::fprintf(stderr,
-                   "sehc_serve: listening on %s (threads=%zu queue=%zu "
-                   "cache=%zu)\n",
-                   so.socket_path.c_str(), so.threads, so.queue_capacity,
-                   so.cache_capacity);
-    }
-
-    while (!g_stop.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-
-    if (!quiet) std::fprintf(stderr, "sehc_serve: draining...\n");
-    server.request_drain();
-    server.join();
-
-    const ServerStats s = server.stats_snapshot();
-    std::fprintf(stderr,
-                 "sehc_serve: drained (requests=%llu completed=%llu "
-                 "shed=%llu errors=%llu timeouts=%llu protocol_errors=%llu "
-                 "cache_hits=%llu cache_misses=%llu coalesced=%llu "
-                 "batches=%llu max_batch=%llu queue_peak=%zu)\n",
-                 static_cast<unsigned long long>(s.requests),
-                 static_cast<unsigned long long>(s.completed),
-                 static_cast<unsigned long long>(s.shed),
-                 static_cast<unsigned long long>(s.errors),
-                 static_cast<unsigned long long>(s.timeouts),
-                 static_cast<unsigned long long>(s.protocol_errors),
-                 static_cast<unsigned long long>(s.cache_hits),
-                 static_cast<unsigned long long>(s.cache_misses),
-                 static_cast<unsigned long long>(s.coalesced),
-                 static_cast<unsigned long long>(s.batches),
-                 static_cast<unsigned long long>(s.max_batch),
-                 s.queue_peak);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sehc_serve: error: %s\n", e.what());
-    return 1;
-  }
+  return sehc::run_driver(argc, argv, run, kUsage);
 }
