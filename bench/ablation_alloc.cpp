@@ -2,7 +2,7 @@
 //
 // Two questions the paper leaves open:
 //   1. Does seeding SE with a constructive heuristic's solution (HEFT)
-//      instead of a random initial solution help? (run_from vs run)
+//      instead of a random initial solution help?
 //   2. How much of the allocation breadth (Y) is actually needed once the
 //      start is good?
 #include <iostream>
@@ -49,13 +49,17 @@ int run(int argc, char** argv) {
     SweepOptions sweep_opts;
     sweep_opts.threads = threads;
     const auto runs =
-        sweep_map(grid, sweep_opts, [&](const SweepCell& cell) -> SeResult {
+        sweep_map(grid, sweep_opts, [&](const SweepCell& cell) {
           SeParams p;
           p.seed = seed;
           p.y_limit = y_values[cell.at(0)];
-          p.max_iterations = iterations;
+          const Budget budget = Budget::steps(iterations);
+          if (cell.at(1) == 1) {
+            SeEngine engine(w, p, heft_seeded);
+            return run_search(engine, budget);
+          }
           SeEngine engine(w, p);
-          return cell.at(1) == 1 ? engine.run_from(heft_seeded) : engine.run();
+          return run_search(engine, budget);
         });
 
     Table table({"init", "Y", "best_makespan", "seconds"});

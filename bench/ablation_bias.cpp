@@ -26,26 +26,31 @@ void sweep_bias(const char* label, const WorkloadParams& wp,
   const SweepGrid grid({{"bias", biases.size()}});
   SweepOptions sweep_opts;
   sweep_opts.threads = threads;
+  struct BiasRun {
+    SearchResult result;
+    double mean_selected = 0.0;
+  };
   const auto runs =
-      sweep_map(grid, sweep_opts, [&](const SweepCell& cell) -> SeResult {
+      sweep_map(grid, sweep_opts, [&](const SweepCell& cell) -> BiasRun {
         SeParams p;
         p.seed = wp.seed;
         p.bias = biases[cell.at(0)];
-        p.max_iterations = iterations;
-        return SeEngine(w, p).run();
+        SeEngine engine(w, p);
+        BiasRun run{run_search(engine, Budget::steps(iterations))};
+        for (const auto& row : engine.trace())
+          run.mean_selected += static_cast<double>(row.num_selected);
+        run.mean_selected /= static_cast<double>(engine.trace().size());
+        return run;
       });
 
   Table table({"bias", "best_makespan", "seconds", "mean_selected"});
   for (std::size_t i = 0; i < biases.size(); ++i) {
-    const SeResult& r = runs[i];
-    double selected = 0.0;
-    for (const auto& row : r.trace)
-      selected += static_cast<double>(row.num_selected);
+    const SearchResult& r = runs[i].result;
     table.begin_row()
         .add(biases[i], 2)
         .add(r.best_makespan, 1)
         .add(r.seconds, 2)
-        .add(selected / static_cast<double>(r.trace.size()), 1);
+        .add(runs[i].mean_selected, 1);
   }
   table.write_markdown(std::cout);
   std::cout << "\n";

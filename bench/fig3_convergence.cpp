@@ -33,23 +33,23 @@ void run_main_figure(std::size_t iterations, std::uint64_t seed) {
 
   SeParams p;
   p.seed = seed;
-  p.max_iterations = iterations;
   p.bias = -0.1;  // uniform SE configuration across all figure benches
   SeEngine engine(w, p);
-  const SeResult r = engine.run();
+  const SearchResult r = run_search(engine, Budget::steps(iterations));
+  const std::vector<SeIterationStats>& trace = engine.trace();
 
   std::cout << "bias=" << format_fixed(engine.effective_bias(), 2)
-            << " iterations=" << r.iterations
+            << " iterations=" << r.steps
             << " best=" << format_fixed(r.best_makespan, 1)
             << " seconds=" << format_fixed(r.seconds, 2) << "\n\n";
-  write_se_trace_csv(std::cout, r.trace, 60);
+  write_se_trace_csv(std::cout, trace, 60);
 
   // Summary of the §5.1 claim on this run.
-  const std::size_t q = r.trace.size() / 4;
+  const std::size_t q = trace.size() / 4;
   double early = 0.0, late = 0.0;
   for (std::size_t i = 0; i < q; ++i) {
-    early += static_cast<double>(r.trace[i].num_selected);
-    late += static_cast<double>(r.trace[r.trace.size() - 1 - i].num_selected);
+    early += static_cast<double>(trace[i].num_selected);
+    late += static_cast<double>(trace[trace.size() - 1 - i].num_selected);
   }
   std::cout << "\nselected-count decay: first-quartile mean="
             << format_fixed(early / static_cast<double>(q), 1)
@@ -90,20 +90,21 @@ void run_class_sweep(std::size_t iterations, std::uint64_t seed,
         const Workload w = make_workload(c.params);
         SeParams p;
         p.seed = seed;
-        p.max_iterations = iterations;
         p.bias = -0.1;
-        const SeResult r = SeEngine(w, p).run();
-        const std::size_t q = std::max<std::size_t>(1, r.trace.size() / 4);
+        SeEngine engine(w, p);
+        const SearchResult r = run_search(engine, Budget::steps(iterations));
+        const std::vector<SeIterationStats>& trace = engine.trace();
+        const std::size_t q = std::max<std::size_t>(1, trace.size() / 4);
         ClassRow row;
         row.k = w.num_tasks();
         for (std::size_t i = 0; i < q; ++i) {
-          row.early += static_cast<double>(r.trace[i].num_selected);
+          row.early += static_cast<double>(trace[i].num_selected);
           row.late +=
-              static_cast<double>(r.trace[r.trace.size() - 1 - i].num_selected);
+              static_cast<double>(trace[trace.size() - 1 - i].num_selected);
         }
         row.early /= static_cast<double>(q);
         row.late /= static_cast<double>(q);
-        row.initial_len = r.trace.front().current_makespan;
+        row.initial_len = trace.front().current_makespan;
         row.final_best = r.best_makespan;
         return row;
       });

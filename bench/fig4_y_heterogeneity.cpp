@@ -24,7 +24,8 @@ using namespace sehc;
 
 struct YRun {
   std::size_t y;
-  SeResult result;
+  SearchResult result;
+  std::vector<SeIterationStats> trace;
 };
 
 void run_panel(const char* figure_id, const WorkloadParams& wp,
@@ -45,9 +46,10 @@ void run_panel(const char* figure_id, const WorkloadParams& wp,
         SeParams p;
         p.seed = seed;
         p.y_limit = y;
-        p.max_iterations = iterations;
         p.bias = -0.1;  // uniform SE configuration across all figure benches
-        return YRun{y, SeEngine(w, p).run()};
+        SeEngine engine(w, p);
+        SearchResult result = run_search(engine, Budget::steps(iterations));
+        return YRun{y, std::move(result), engine.trace()};
       });
 
   // Iteration-indexed series, downsampled to ~30 rows.
@@ -58,10 +60,10 @@ void run_panel(const char* figure_id, const WorkloadParams& wp,
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t it =
         iterations <= rows ? i : i * (iterations - 1) / (rows - 1);
-    if (it >= runs.front().result.trace.size()) break;
+    if (it >= runs.front().trace.size()) break;
     std::cout << it;
     for (const YRun& r : runs) {
-      std::cout << ',' << format_fixed(r.result.trace[it].best_makespan, 1);
+      std::cout << ',' << format_fixed(r.trace[it].best_makespan, 1);
     }
     std::cout << "\n";
   }
@@ -69,13 +71,13 @@ void run_panel(const char* figure_id, const WorkloadParams& wp,
   Table summary({"Y", "best_makespan", "seconds", "combinations_per_iter"});
   for (const YRun& r : runs) {
     double moved = 0.0;
-    for (const auto& row : r.result.trace)
+    for (const auto& row : r.trace)
       moved += static_cast<double>(row.tasks_moved);
     summary.begin_row()
         .add(r.y)
         .add(r.result.best_makespan, 1)
         .add(r.result.seconds, 2)
-        .add(moved / static_cast<double>(r.result.trace.size()), 1);
+        .add(moved / static_cast<double>(r.trace.size()), 1);
   }
   std::cout << "\n";
   summary.write_markdown(std::cout);

@@ -4,7 +4,7 @@
 //
 // Expected shape (paper): the comparison is inconclusive on this class —
 // "many times, GA reached good solutions faster than SE". The bench prints
-// the same summary as Figs. 5/6; EXPERIMENTS.md records whether the
+// the same summary as Figs. 5/6; README "Analysis" discusses whether the
 // inconclusive-region behaviour reproduces (either heuristic may win here).
 #include "se_vs_ga_common.h"
 

@@ -1,7 +1,7 @@
 // Hot-path throughput benchmark for the incremental trial-evaluation
 // engine, and the start of the repo's performance trajectory.
 //
-// Three measurements per paper-scale workload class (k ~ 90-100 tasks, the
+// Two measurements per paper-scale workload class (k ~ 90-100 tasks, the
 // sizes behind the paper's Figures 3-7):
 //
 //   * trials/sec of the SE allocation enumeration, under two engines that
@@ -26,11 +26,9 @@
 //         fall below (1 - TOL) x the scalar strips.
 //   * time-to-target: wall seconds until a full SeEngine run first reaches
 //     a makespan within 5% of its final best (read off the recorded trace).
-//   * engine_step: step-driver overhead — the same SE configuration through
-//     the classic run() entry point vs the generic stepwise run_search
-//     driver (search/engine.h). Both share the step core and must produce
-//     identical results; --check-overhead TOL additionally fails the run
-//     when the stepwise throughput drops below (1 - TOL) x run()'s.
+//
+// The search loop's own cost is not measured here: perfbench's per-layer
+// search.driver_frac reads it from inside real campaign cells.
 //
 // Results go to stdout (human table) and to a JSON file (--out, default
 // BENCH_hotpath.json) that CI uploads as an artifact, so future PRs can
@@ -222,89 +220,18 @@ struct TargetResult {
 TargetResult measure_time_to_target(const Workload& w, std::size_t iters) {
   SeParams sp;
   sp.seed = 3;
-  sp.max_iterations = iters;
   SeEngine engine(w, sp);
-  const SeResult r = engine.run();
+  const SearchResult r = run_search(engine, Budget::steps(iters));
   TargetResult out;
   out.best = r.best_makespan;
   out.total_seconds = r.seconds;
-  out.iterations = r.iterations;
+  out.iterations = r.steps;
   const double target = 1.05 * r.best_makespan;
   out.time_to_target = r.seconds;
-  for (const SeIterationStats& it : r.trace) {
+  for (const SeIterationStats& it : engine.trace()) {
     if (it.best_makespan <= target) {
       out.time_to_target = it.elapsed_seconds;
       break;
-    }
-  }
-  return out;
-}
-
-/// Step-driver overhead: the same SE configuration run (a) through the
-/// native run() entry point and (b) through the generic stepwise driver
-/// (run_search + a per-step observer, the loop every budgeted/anytime/
-/// campaign path uses). Both share the step core and are bit-identical;
-/// the measured gap is the per-step virtual dispatch + std::function cost,
-/// which must stay in the noise (an SE step is milliseconds of work).
-struct StepOverheadResult {
-  double run_trials_per_sec = 0.0;
-  double step_trials_per_sec = 0.0;
-  double best_run = 0.0;
-  double best_step = 0.0;
-  /// stepwise / monolithic throughput (1.0 = no overhead).
-  double ratio() const {
-    return run_trials_per_sec > 0.0
-               ? step_trials_per_sec / run_trials_per_sec
-               : 0.0;
-  }
-};
-
-StepOverheadResult measure_step_overhead(const Workload& w,
-                                         std::size_t iters) {
-  StepOverheadResult out;
-  SeParams sp;
-  sp.seed = 3;
-  sp.max_iterations = iters;
-  sp.record_trace = false;
-  // Both paths are the same step core; a single timed run of each swings
-  // several percent on scheduler/cache noise alone. Alternate the two
-  // paths over repeated runs and keep each path's best throughput — the
-  // standard way to compare two implementations of identical work. Nine
-  // reps (not five): with the SIMD strips a whole SE run on the smallest
-  // class is ~40 ms, short enough that a single timer interrupt lands a
-  // multi-percent dent, and the best-of needs more draws for both paths
-  // to sample a quiet window on a single-core runner.
-  constexpr std::size_t kReps = 9;
-  for (std::size_t rep = 0; rep < kReps; ++rep) {
-    {
-      SeEngine engine(w, sp);
-      WallTimer timer;
-      const SeResult r = engine.run();
-      const double seconds = timer.seconds();
-      out.best_run = r.best_makespan;
-      if (seconds > 0.0) {
-        out.run_trials_per_sec =
-            std::max(out.run_trials_per_sec,
-                     static_cast<double>(engine.evals_used()) / seconds);
-      }
-    }
-    {
-      SeEngine engine(w, sp);
-      WallTimer timer;
-      // The no-op observer stays installed so the measurement includes
-      // the std::function dispatch every anytime/campaign driver pays, and
-      // the deadline is armed (far in the future) so the per-step watchdog
-      // clock read campaign cells pay is part of the measured loop too.
-      const SearchResult r = run_search(
-          engine, Budget::steps(iters), [](const StepStats&) { return true; },
-          Deadline::after(3600.0));
-      const double seconds = timer.seconds();
-      out.best_step = r.best_makespan;
-      if (seconds > 0.0) {
-        out.step_trials_per_sec =
-            std::max(out.step_trials_per_sec,
-                     static_cast<double>(r.evals) / seconds);
-      }
     }
   }
   return out;
@@ -323,17 +250,17 @@ int run(int argc, char** argv) {
   // snapshot lands at the bottom of the JSON artifact.
   MetricsRegistry registry;
   const MetricsScope metrics_scope(&registry);
-  // --check-overhead TOL: fail (exit 1) when the stepwise driver is more
-  // than TOL slower than the monolithic run() on any class (0.05 = the 5%
-  // contract the committed baseline demonstrates; CI smoke passes a looser
+  // --check-overhead TOL: fail (exit 1) when the batch kernel falls more
+  // than TOL below the scalar incremental loop, or the SIMD strips more
+  // than TOL below the scalar strips, on any class (CI smoke passes a loose
   // bound to absorb runner noise on its tiny budgets).
   const bool check_overhead = opts.has("check-overhead");
   const double overhead_tol = opts.get_double("check-overhead", 0.05);
   // --kernel=auto|scalar|simd selects the strip kernel of the simd_trials
   // measurement (and overrides the SEHC_KERNEL env default). batch_trials
   // always forces the scalar strips so the pair isolates exactly the SIMD
-  // gain; everything else in the process (the SE runs behind time-to-target
-  // and engine_step) rides the env default like any other consumer.
+  // gain; everything else in the process (the SE run behind time-to-target)
+  // rides the env default like any other consumer.
   KernelChoice kernel_choice = kernel_choice_from_env();
   if (opts.has("kernel")) {
     const std::string flag = opts.get("kernel", "auto");
@@ -365,7 +292,7 @@ int run(int argc, char** argv) {
 
   const auto classes = paper_scale_classes();
   bool first = true;
-  bool overhead_ok = true;
+  bool checks_ok = true;
   for (const ClassSpec& spec : classes) {
     const Workload w = make_workload(spec.params);
     std::vector<double> naive_finals, inc_finals, batch_finals, simd_finals;
@@ -380,7 +307,6 @@ int run(int argc, char** argv) {
     const ThroughputResult simd = measure_batch_throughput(
         w, passes, kernel_choice, simd_finals, simd_metrics);
     const TargetResult target = measure_time_to_target(w, iters);
-    const StepOverheadResult overhead = measure_step_overhead(w, iters);
     const double speedup = naive.trials_per_sec() > 0.0
                                ? inc.trials_per_sec() / naive.trials_per_sec()
                                : 0.0;
@@ -404,23 +330,7 @@ int run(int argc, char** argv) {
                    "trial counts or pruned counts differ across "
                    "baseline/incremental/batch/simd\n",
                    spec.name);
-      overhead_ok = false;
-    }
-    if (overhead.best_run != overhead.best_step) {
-      // The two paths share the step core; a differing result is a bug,
-      // not noise.
-      std::fprintf(stderr,
-                   "engine_step: stepwise result %.17g != run() result "
-                   "%.17g on %s\n",
-                   overhead.best_step, overhead.best_run, spec.name);
-      overhead_ok = false;
-    }
-    if (check_overhead && overhead.ratio() < 1.0 - overhead_tol) {
-      std::fprintf(stderr,
-                   "engine_step: stepwise driver at %.3fx of run() on %s "
-                   "(tolerance %.0f%%)\n",
-                   overhead.ratio(), spec.name, overhead_tol * 100.0);
-      overhead_ok = false;
+      checks_ok = false;
     }
     if (check_overhead && batch_speedup < 1.0 - overhead_tol) {
       // The batch kernel exists to be faster; falling below the scalar
@@ -429,7 +339,7 @@ int run(int argc, char** argv) {
                    "batch_trials: batch kernel at %.3fx of scalar "
                    "incremental on %s (tolerance %.0f%%)\n",
                    batch_speedup, spec.name, overhead_tol * 100.0);
-      overhead_ok = false;
+      checks_ok = false;
     }
     if (check_overhead && simd_speedup < 1.0 - overhead_tol) {
       // The SIMD strips run the same sweep; they must never fall below the
@@ -439,7 +349,7 @@ int run(int argc, char** argv) {
                    "(tolerance %.0f%%)\n",
                    kernel_name(simd_kernel), simd_speedup, spec.name,
                    overhead_tol * 100.0);
-      overhead_ok = false;
+      checks_ok = false;
     }
 
     std::printf("%-28s k=%zu l=%zu\n", spec.name, w.num_tasks(),
@@ -468,12 +378,9 @@ int run(int argc, char** argv) {
     std::printf("  speedup     %12.2fx incremental/baseline, %.2fx "
                 "batch/incremental, %.2fx simd/batch\n",
                 speedup, batch_speedup, simd_speedup);
-    std::printf("  SE run      best=%.2f in %.3fs; within 5%% after %.3fs\n",
+    std::printf("  SE run      best=%.2f in %.3fs; within 5%% after "
+                "%.3fs\n\n",
                 target.best, target.total_seconds, target.time_to_target);
-    std::printf("  engine_step %12.0f trials/sec stepwise vs %.0f run() "
-                "(%.3fx)\n\n",
-                overhead.step_trials_per_sec, overhead.run_trials_per_sec,
-                overhead.ratio());
 
     if (!first) std::fprintf(json, ",\n");
     first = false;
@@ -510,16 +417,8 @@ int run(int argc, char** argv) {
     std::fprintf(json, "      \"trials\": %zu,\n", inc.trials);
     std::fprintf(json, "      \"se_best_makespan\": %.17g,\n", target.best);
     std::fprintf(json, "      \"se_seconds\": %.4f,\n", target.total_seconds);
-    std::fprintf(json, "      \"se_time_to_5pct_seconds\": %.4f,\n",
+    std::fprintf(json, "      \"se_time_to_5pct_seconds\": %.4f\n",
                  target.time_to_target);
-    std::fprintf(json, "      \"engine_step\": {\n");
-    std::fprintf(json, "        \"run_trials_per_sec\": %.1f,\n",
-                 overhead.run_trials_per_sec);
-    std::fprintf(json, "        \"stepwise_trials_per_sec\": %.1f,\n",
-                 overhead.step_trials_per_sec);
-    std::fprintf(json, "        \"stepwise_vs_run_ratio\": %.4f\n",
-                 overhead.ratio());
-    std::fprintf(json, "      }\n");
     std::fprintf(json, "    }");
   }
   std::fprintf(json, "\n  ],\n");
@@ -530,8 +429,8 @@ int run(int argc, char** argv) {
                registry.snapshot().to_json(2).c_str());
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
-  if (!overhead_ok) {
-    std::fprintf(stderr, "engine_step check FAILED\n");
+  if (!checks_ok) {
+    std::fprintf(stderr, "perf_hotpath check FAILED\n");
     return 1;
   }
   return 0;

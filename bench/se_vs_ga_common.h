@@ -48,8 +48,7 @@ inline int run_se_vs_ga(const SeVsGaConfig& cfg) {
   // selection bias -0.1. The paper suggests non-negative bias for large
   // problems to cap iteration cost; our checkpointed trial evaluation
   // makes thorough selection affordable, and B = -0.1 dominates B in
-  // [0, 0.1] on every class we measured (see bench/ablation_bias and
-  // EXPERIMENTS.md).
+  // [0, 0.1] on every class we measured (see bench/ablation_bias).
   constexpr std::size_t kCurvePoints = 20;
   CampaignSpec spec;
   spec.name = cfg.figure_id;

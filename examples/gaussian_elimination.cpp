@@ -50,17 +50,17 @@ int run(int argc, char** argv) {
   for (std::size_t iters : {25u, 100u, 400u}) {
     SeParams p;
     p.seed = seed;
-    p.max_iterations = iters;
-    const SeResult r = SeEngine(w, p).run();
-    report("SE x" + std::to_string(iters), r.best_makespan);
+    SeEngine engine(w, p);
+    report("SE x" + std::to_string(iters),
+           run_search(engine, Budget::steps(iters)).best_makespan);
   }
   table.write_markdown(std::cout);
 
   // Show the final SE schedule for the small default instance.
   SeParams p;
   p.seed = seed;
-  p.max_iterations = 400;
-  const SeResult best = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult best = run_search(engine, Budget::steps(400));
   std::cout << "\nSE schedule (400 iterations):\n";
   write_gantt(std::cout, w, best.schedule);
   return 0;

@@ -78,8 +78,8 @@ int main() {
   const Schedule heft = heft_schedule(w);
   SeParams p;
   p.seed = 3;
-  p.max_iterations = 300;
-  const SeResult se = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult se = run_search(engine, Budget::steps(300));
 
   Table table({"scheduler", "makespan_ms"});
   table.begin_row().add("HEFT").add(heft.makespan, 1);

@@ -23,15 +23,15 @@ int main() {
             << w.num_items() << " data items, " << w.num_machines()
             << " machines\n\n";
 
-  // 2. Configure and run SE. Defaults follow the paper: bias chosen by
-  //    problem size, all machines considered in allocation (Y = l).
+  // 2. Configure SE and run it for a budget of 200 iterations. Defaults
+  //    follow the paper: bias chosen by problem size, all machines
+  //    considered in allocation (Y = l).
   SeParams params;
   params.seed = 2026;
-  params.max_iterations = 200;
   SeEngine engine(w, params);
-  const SeResult result = engine.run();
+  const SearchResult result = run_search(engine, Budget::steps(200));
 
-  std::cout << "SE finished after " << result.iterations << " iterations in "
+  std::cout << "SE finished after " << result.steps << " iterations in "
             << format_fixed(result.seconds, 3) << " s\n";
   std::cout << "best schedule length: "
             << format_fixed(result.best_makespan, 1) << "\n\n";

@@ -1,12 +1,30 @@
 #include "core/options.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "core/error.h"
 
 namespace sehc {
+
+namespace {
+
+/// `text` as a T when std::from_chars consumes all of it: no leading
+/// whitespace or '+', no trailing suffix ("10k", "1.5s"), and no sign at
+/// all for an unsigned T.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv,
                  std::vector<std::string> known)
@@ -52,36 +70,27 @@ std::string Options::get(const std::string& key,
 double Options::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw UsageError("--" + key + " expects a number, got " + it->second,
-                     known_);
-  }
+  if (const auto v = parse_whole<double>(it->second)) return *v;
+  throw UsageError("--" + key + " expects a number, got " + it->second,
+                   known_);
 }
 
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw UsageError("--" + key + " expects an integer, got " + it->second,
-                     known_);
-  }
+  if (const auto v = parse_whole<std::int64_t>(it->second)) return *v;
+  throw UsageError("--" + key + " expects an integer, got " + it->second,
+                   known_);
 }
 
 std::uint64_t Options::get_seed(const std::string& key,
                                 std::uint64_t fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    throw UsageError("--" + key + " expects a seed, got " + it->second,
-                     known_);
-  }
+  if (const auto v = parse_whole<std::uint64_t>(it->second)) return *v;
+  throw UsageError("--" + key + " expects a seed, got " + it->second,
+                   known_);
 }
 
 int run_driver(int argc, char** argv, int (*body)(int, char**),
@@ -115,15 +124,10 @@ int run_driver(int argc, char** argv, int (*body)(int, char**),
 double scale_from_env() {
   const char* env = std::getenv("SEHC_SCALE");
   if (env == nullptr || *env == '\0') return 1.0;
-  try {
-    double v = std::stod(env);
-    SEHC_CHECK(v > 0.0, "SEHC_SCALE must be positive");
-    return v;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error("SEHC_SCALE is not a number");
-  }
+  const auto v = parse_whole<double>(env);
+  SEHC_CHECK(v.has_value(), "SEHC_SCALE is not a number");
+  SEHC_CHECK(*v > 0.0, "SEHC_SCALE must be positive");
+  return *v;
 }
 
 std::size_t scaled(std::size_t base, std::size_t min_value) {

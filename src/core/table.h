@@ -1,7 +1,7 @@
 // Tabular output for experiment results: CSV and aligned-markdown emitters.
 //
 // The figure benches print CSV series (easy to plot) followed by markdown
-// summary tables (easy to read in a terminal / EXPERIMENTS.md).
+// summary tables (easy to read in a terminal or paste into Markdown).
 #pragma once
 
 #include <ostream>

@@ -51,7 +51,7 @@ class CurveRecorder {
 /// point. The x axis is the budget's own currency:
 ///
 ///   * kSteps   — completed steps, 1-based; terminal at the steps actually
-///                run (== the budget unless the engine stopped early);
+///                run (== the budget; 1 for a one-shot engine);
 ///   * kEvals   — cumulative evaluator trials; steps are atomic, so the
 ///                final step may overshoot the budget — its result counts
 ///                and the terminal x is clamped to the budget;

@@ -1,6 +1,7 @@
 #include "ga/ga.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "dag/topo.h"
@@ -80,18 +81,8 @@ void GaEngine::init() {
   best_solution_ = pop_[static_cast<std::size_t>(best_it - lengths_.begin())];
 
   generation_ = 0;
-  stall_ = 0;
-  stop_requested_ = false;
   trace_.clear();
   initialized_ = true;
-}
-
-bool GaEngine::done() const {
-  SEHC_CHECK(initialized_, "GaEngine: init() not called");
-  return stop_requested_ || generation_ >= params_.max_generations ||
-         (params_.stall_generations > 0 &&
-          stall_ >= params_.stall_generations) ||
-         timer_.seconds() >= params_.time_limit_seconds;
 }
 
 StepStats GaEngine::step() {
@@ -237,9 +228,6 @@ StepStats GaEngine::step() {
   if (gen_best < best_makespan_) {
     best_makespan_ = gen_best;
     best_solution_ = pop_[static_cast<std::size_t>(best_it - lengths_.begin())];
-    stall_ = 0;
-  } else {
-    ++stall_;
   }
 
   GaIterationStats stats;
@@ -250,7 +238,6 @@ StepStats GaEngine::step() {
   stats.elapsed_seconds = timer_.seconds();
   if (params_.record_trace) trace_.push_back(stats);
   ++generation_;
-  if (observer_ && !observer_(stats)) stop_requested_ = true;
 
   StepStats out;
   out.step = generation_ - 1;
@@ -264,20 +251,6 @@ StepStats GaEngine::step() {
 Schedule GaEngine::best_schedule() const {
   SEHC_CHECK(initialized_, "GaEngine: init() not called");
   return Schedule::from_solution(*workload_, best_solution_);
-}
-
-GaResult GaEngine::run() {
-  init();
-  while (!done()) step();
-  GaResult result;
-  result.best_solution = best_solution_;
-  result.best_makespan = best_makespan_;
-  result.trace = std::move(trace_);
-  trace_.clear();
-  result.generations = generation_;
-  result.seconds = timer_.seconds();
-  result.schedule = Schedule::from_solution(*workload_, result.best_solution);
-  return result;
 }
 
 }  // namespace sehc

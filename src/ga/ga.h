@@ -9,18 +9,15 @@
 //
 // Wang et al.'s exact parameter values are not all published in the SE
 // paper; the defaults below are the commonly used settings for this GA
-// family (population 50, crossover 0.6, mutation 0.1, stop after 150
-// stagnant generations) and are configurable. DESIGN.md records this
-// substitution.
+// family (population 50, crossover 0.6, mutation 0.1, elitism 1) and are
+// configurable. How long the GA runs is the caller's Budget, as for every
+// searcher, so SE and GA are compared at equal effort.
 //
 // GaEngine implements the stepwise SearchEngine interface (search/engine.h):
-// one step() is one generation, and run() is a thin wrapper over the step
-// core (bit-identical at fixed seeds).
+// one step() is one generation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <vector>
 
 #include "core/rng.h"
@@ -39,11 +36,6 @@ struct GaParams {
   double mutation_prob = 0.1;
   /// Number of top chromosomes copied unchanged into the next generation.
   std::size_t elite = 1;
-  std::size_t max_generations = 1000;
-  double time_limit_seconds = std::numeric_limits<double>::infinity();
-  /// Stop after this many generations without best-makespan improvement
-  /// (0 = disabled).
-  std::size_t stall_generations = 0;
   std::uint64_t seed = 1;
   bool verify_invariants = false;
   bool record_trace = true;
@@ -57,31 +49,18 @@ struct GaIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-struct GaResult {
-  SolutionString best_solution;
-  double best_makespan = 0.0;
-  Schedule schedule;
-  std::vector<GaIterationStats> trace;
-  std::size_t generations = 0;
-  double seconds = 0.0;
-};
-
 class GaEngine final : public SearchEngine {
  public:
   GaEngine(const Workload& workload, GaParams params);
 
-  /// Called after every generation; return false to stop early (honored by
-  /// both run() and externally-driven step() loops).
-  using Observer = std::function<bool(const GaIterationStats&)>;
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  GaResult run();
+  /// One row per completed generation since init() (empty when
+  /// record_trace is off).
+  const std::vector<GaIterationStats>& trace() const { return trace_; }
 
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GA"; }
   void init() override;
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_makespan_; }
   std::size_t steps_done() const override { return generation_; }
   std::size_t evals_used() const override { return eval_.trial_count(); }
@@ -91,7 +70,6 @@ class GaEngine final : public SearchEngine {
  private:
   const Workload* workload_;
   GaParams params_;
-  Observer observer_;
   Evaluator eval_;
   // Mutation-only children are evaluated as per-parent TrialBatches on top
   // of the parent's prepared state (see ga.cpp).
@@ -99,7 +77,6 @@ class GaEngine final : public SearchEngine {
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;
-  bool stop_requested_ = false;
   Rng rng_{1};
   WallTimer timer_;
   std::vector<SolutionString> pop_;
@@ -112,7 +89,6 @@ class GaEngine final : public SearchEngine {
   SolutionString best_solution_;
   double best_makespan_ = 0.0;
   std::size_t generation_ = 0;  // completed generations
-  std::size_t stall_ = 0;
   std::vector<GaIterationStats> trace_;
 };
 

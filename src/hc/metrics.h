@@ -3,7 +3,8 @@
 //
 // The generator *targets* these axes; these functions *measure* them on any
 // instance, so tests can assert that generated workloads actually land in
-// the requested class and EXPERIMENTS.md can report realized values.
+// the requested class and the figure benches' banners can report realized
+// values.
 #pragma once
 
 #include "hc/workload.h"

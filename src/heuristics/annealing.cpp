@@ -53,7 +53,9 @@ void undo_move(SolutionString& s, const Move& m) {
 SaEngine::SaEngine(const Workload& workload, SaParams params)
     : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
   SEHC_CHECK(params_.cooling > 0.0 && params_.cooling < 1.0,
-             "anneal_schedule: cooling must be in (0,1)");
+             "SaEngine: cooling must be in (0,1)");
+  SEHC_CHECK(params_.steps_per_temp > 0,
+             "SaEngine: steps_per_temp must be positive");
 }
 
 void SaEngine::init() {
@@ -96,19 +98,9 @@ void SaEngine::init() {
   if (uphill_count > 0) mean_uphill /= static_cast<double>(uphill_count);
   temperature_ = mean_uphill > 0.0 ? -mean_uphill / std::log(0.8) : 1.0;
 
-  steps_per_temp_ =
-      params_.steps_per_temp > 0
-          ? params_.steps_per_temp
-          : std::max<std::size_t>(1, params_.iterations / 200);
-
   since_cool_ = 0;
   iteration_ = 0;
   initialized_ = true;
-}
-
-bool SaEngine::done() const {
-  SEHC_CHECK(initialized_, "SaEngine: init() not called");
-  return iteration_ >= params_.iterations;
 }
 
 StepStats SaEngine::step() {
@@ -133,7 +125,7 @@ StepStats SaEngine::step() {
   } else {
     undo_move(current_, move);
   }
-  if (++since_cool_ >= steps_per_temp_) {
+  if (++since_cool_ >= params_.steps_per_temp) {
     since_cool_ = 0;
     temperature_ *= params_.cooling;
   }
@@ -151,17 +143,6 @@ StepStats SaEngine::step() {
 Schedule SaEngine::best_schedule() const {
   SEHC_CHECK(initialized_, "SaEngine: init() not called");
   return Schedule::from_solution(*workload_, best_);
-}
-
-SaResult anneal_schedule(const Workload& w, const SaParams& params) {
-  SaEngine engine(w, params);
-  engine.init();
-  while (!engine.done()) engine.step();
-  SaResult result;
-  result.schedule = engine.best_schedule();
-  result.best_makespan = engine.best_makespan();
-  result.iterations = engine.steps_done();
-  return result;
 }
 
 }  // namespace sehc

@@ -8,9 +8,8 @@
 // random walk.
 //
 // SaEngine implements the stepwise SearchEngine interface (search/engine.h):
-// one step() is one proposed move (trial + Metropolis test), and
-// anneal_schedule() is a thin wrapper over the step core (bit-identical at
-// fixed seeds). The T0 calibration walk happens inside init().
+// one step() is one proposed move (trial + Metropolis test). The T0
+// calibration walk happens inside init().
 #pragma once
 
 #include <cstdint>
@@ -27,22 +26,13 @@
 namespace sehc {
 
 struct SaParams {
-  std::size_t iterations = 20000;
   double cooling = 0.95;           // geometric factor per temperature step
-  /// Moves between cooling steps. 0 = auto: iterations / 200, so the
-  /// schedule always sweeps ~200 temperature levels (T0 -> ~3e-5 * T0)
-  /// regardless of the iteration budget. NOTE: engines driven by a non-step
-  /// budget (evals / wall clock) set `iterations` to "unbounded", so their
-  /// builders must pick steps_per_temp explicitly (see
-  /// make_search_engine in heuristics/scheduler.h).
-  std::size_t steps_per_temp = 0;
+  /// Moves between cooling steps (positive). The engine does not know its
+  /// budget, so a caller that wants the schedule to sweep ~200 temperature
+  /// levels (T0 -> ~3e-5 * T0) over a run sets budget / 200 here (see
+  /// comparison_sa_params in heuristics/scheduler.h).
+  std::size_t steps_per_temp = 100;
   std::uint64_t seed = 1;
-};
-
-struct SaResult {
-  Schedule schedule;
-  double best_makespan = 0.0;
-  std::size_t iterations = 0;
 };
 
 class SaEngine final : public SearchEngine {
@@ -53,7 +43,6 @@ class SaEngine final : public SearchEngine {
   std::string name() const override { return "SA"; }
   void init() override;
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_len_; }
   std::size_t steps_done() const override { return iteration_; }
   std::size_t evals_used() const override { return eval_.trial_count(); }
@@ -77,11 +66,8 @@ class SaEngine final : public SearchEngine {
   double current_len_ = 0.0;
   double best_len_ = 0.0;
   double temperature_ = 0.0;
-  std::size_t steps_per_temp_ = 1;
   std::size_t since_cool_ = 0;
   std::size_t iteration_ = 0;  // completed moves
 };
-
-SaResult anneal_schedule(const Workload& w, const SaParams& params);
 
 }  // namespace sehc

@@ -68,15 +68,8 @@ void GsaEngine::init() {
   temperature_ = -typical_delta / std::log(params_.initial_acceptance);
 
   generation_ = 0;
-  stop_requested_ = false;
   trace_.clear();
   initialized_ = true;
-}
-
-bool GsaEngine::done() const {
-  SEHC_CHECK(initialized_, "GsaEngine: init() not called");
-  return stop_requested_ || generation_ >= params_.max_generations ||
-         timer_.seconds() >= params_.time_limit_seconds;
 }
 
 StepStats GsaEngine::step() {
@@ -173,7 +166,6 @@ StepStats GsaEngine::step() {
   stats.elapsed_seconds = timer_.seconds();
   if (params_.record_trace) trace_.push_back(stats);
   ++generation_;
-  if (observer_ && !observer_(stats)) stop_requested_ = true;
 
   StepStats out;
   out.step = generation_ - 1;
@@ -187,20 +179,6 @@ StepStats GsaEngine::step() {
 Schedule GsaEngine::best_schedule() const {
   SEHC_CHECK(initialized_, "GsaEngine: init() not called");
   return Schedule::from_solution(*workload_, best_solution_);
-}
-
-GsaResult GsaEngine::run() {
-  init();
-  while (!done()) step();
-  GsaResult result;
-  result.best_solution = best_solution_;
-  result.best_makespan = best_makespan_;
-  result.trace = std::move(trace_);
-  trace_.clear();
-  result.generations = generation_;
-  result.seconds = timer_.seconds();
-  result.schedule = Schedule::from_solution(*workload_, result.best_solution);
-  return result;
 }
 
 }  // namespace sehc

@@ -9,13 +9,10 @@
 // GA's recombination while inheriting SA's controllable uphill acceptance.
 //
 // GsaEngine implements the stepwise SearchEngine interface
-// (search/engine.h): one step() is one generation, and run() is a thin
-// wrapper over the step core (bit-identical at fixed seeds).
+// (search/engine.h): one step() is one generation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <vector>
 
 #include "core/rng.h"
@@ -32,8 +29,6 @@ struct GsaParams {
   std::size_t population = 32;
   double crossover_prob = 0.8;
   double mutation_prob = 0.3;
-  std::size_t max_generations = 1000;
-  double time_limit_seconds = std::numeric_limits<double>::infinity();
   /// Geometric cooling factor applied once per generation.
   double cooling = 0.97;
   /// Initial acceptance probability used to calibrate T0 from the spread of
@@ -51,29 +46,18 @@ struct GsaIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-struct GsaResult {
-  SolutionString best_solution;
-  double best_makespan = 0.0;
-  Schedule schedule;
-  std::vector<GsaIterationStats> trace;
-  std::size_t generations = 0;
-  double seconds = 0.0;
-};
-
 class GsaEngine final : public SearchEngine {
  public:
   GsaEngine(const Workload& workload, GsaParams params);
 
-  using Observer = std::function<bool(const GsaIterationStats&)>;
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  GsaResult run();
+  /// One row per completed generation since init() (empty when
+  /// record_trace is off).
+  const std::vector<GsaIterationStats>& trace() const { return trace_; }
 
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GSA"; }
   void init() override;
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_makespan_; }
   std::size_t steps_done() const override { return generation_; }
   std::size_t evals_used() const override { return eval_.trial_count(); }
@@ -83,7 +67,6 @@ class GsaEngine final : public SearchEngine {
  private:
   const Workload* workload_;
   GsaParams params_;
-  Observer observer_;
   Evaluator eval_;
   // Trial batch for mutation-only children, on top of the parent's prepared
   // state (see gsa.cpp).
@@ -91,7 +74,6 @@ class GsaEngine final : public SearchEngine {
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;
-  bool stop_requested_ = false;
   Rng rng_{1};
   WallTimer timer_;
   std::vector<SolutionString> pop_;

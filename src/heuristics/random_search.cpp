@@ -5,14 +5,8 @@
 namespace sehc {
 
 RandomSearchEngine::RandomSearchEngine(const Workload& workload,
-                                       std::size_t evaluations,
                                        std::uint64_t seed)
-    : workload_(&workload),
-      evaluations_(evaluations),
-      seed_(seed),
-      eval_(workload) {
-  SEHC_CHECK(evaluations_ > 0, "random_search: need at least one evaluation");
-}
+    : workload_(&workload), seed_(seed), eval_(workload) {}
 
 void RandomSearchEngine::init() {
   rng_ = Rng(seed_);
@@ -22,11 +16,6 @@ void RandomSearchEngine::init() {
   best_len_ = std::numeric_limits<double>::infinity();
   iteration_ = 0;
   initialized_ = true;
-}
-
-bool RandomSearchEngine::done() const {
-  SEHC_CHECK(initialized_, "RandomSearchEngine: init() not called");
-  return iteration_ >= evaluations_;
 }
 
 StepStats RandomSearchEngine::step() {
@@ -55,14 +44,6 @@ Schedule RandomSearchEngine::best_schedule() const {
   SEHC_CHECK(iteration_ > 0,
              "RandomSearchEngine: no samples drawn yet (best is undefined)");
   return Schedule::from_solution(*workload_, best_);
-}
-
-Schedule random_search_schedule(const Workload& w, std::size_t evaluations,
-                                std::uint64_t seed) {
-  RandomSearchEngine engine(w, evaluations, seed);
-  engine.init();
-  while (!engine.done()) engine.step();
-  return engine.best_schedule();
 }
 
 }  // namespace sehc

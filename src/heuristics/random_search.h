@@ -4,8 +4,7 @@
 //
 // RandomSearchEngine implements the stepwise SearchEngine interface
 // (search/engine.h): one step() draws and evaluates one random solution
-// (exactly one evaluator trial), and random_search_schedule() is a thin
-// wrapper over the step core (bit-identical at fixed seeds).
+// (exactly one evaluator trial).
 #pragma once
 
 #include <cstdint>
@@ -23,16 +22,12 @@ namespace sehc {
 
 class RandomSearchEngine final : public SearchEngine {
  public:
-  /// `evaluations` caps the number of samples; use
-  /// std::numeric_limits<std::size_t>::max() for externally-budgeted runs.
-  RandomSearchEngine(const Workload& workload, std::size_t evaluations,
-                     std::uint64_t seed);
+  RandomSearchEngine(const Workload& workload, std::uint64_t seed);
 
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "Random"; }
   void init() override;
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_len_; }
   std::size_t steps_done() const override { return iteration_; }
   std::size_t evals_used() const override { return eval_.trial_count(); }
@@ -41,7 +36,6 @@ class RandomSearchEngine final : public SearchEngine {
 
  private:
   const Workload* workload_;
-  std::size_t evaluations_;
   std::uint64_t seed_;
   Evaluator eval_;
 
@@ -54,9 +48,5 @@ class RandomSearchEngine final : public SearchEngine {
   double best_len_ = std::numeric_limits<double>::infinity();
   std::size_t iteration_ = 0;  // samples drawn
 };
-
-/// Draws `evaluations` random valid solutions; returns the best schedule.
-Schedule random_search_schedule(const Workload& w, std::size_t evaluations,
-                                std::uint64_t seed);
 
 }  // namespace sehc

@@ -1,7 +1,6 @@
 #include "heuristics/scheduler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "heuristics/cpop.h"
 #include "heuristics/dls.h"
@@ -13,8 +12,6 @@
 namespace sehc {
 
 namespace {
-
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 constexpr SchedulerInfo kSchedulers[] = {
     {"SE", 1, nullptr},
@@ -48,10 +45,8 @@ const SchedulerInfo* find_scheduler(const std::string& name) {
   return nullptr;
 }
 
-SeParams comparison_se_params(std::size_t iterations, std::uint64_t seed,
-                              std::size_t y_limit) {
+SeParams comparison_se_params(std::uint64_t seed, std::size_t y_limit) {
   SeParams p;
-  p.max_iterations = iterations;
   p.seed = seed;
   p.y_limit = y_limit;
   // Comparison-suite configuration, matching the figure benches: slightly
@@ -62,33 +57,32 @@ SeParams comparison_se_params(std::size_t iterations, std::uint64_t seed,
   return p;
 }
 
-GaParams comparison_ga_params(std::size_t generations, std::uint64_t seed) {
+GaParams comparison_ga_params(std::uint64_t seed) {
   GaParams p;
-  p.max_generations = generations;
   p.seed = seed;
   p.record_trace = false;
   return p;
 }
 
-GsaParams comparison_gsa_params(std::size_t generations, std::uint64_t seed) {
+GsaParams comparison_gsa_params(std::uint64_t seed) {
   GsaParams p;
-  p.max_generations = generations;
   p.seed = seed;
   p.record_trace = false;
   return p;
 }
 
-TabuParams comparison_tabu_params(std::size_t iterations, std::uint64_t seed) {
+TabuParams comparison_tabu_params(std::uint64_t seed) {
   TabuParams p;
-  p.iterations = iterations;
   p.seed = seed;
   return p;
 }
 
-SaParams comparison_sa_params(std::size_t iterations, std::uint64_t seed) {
+SaParams comparison_sa_params(const Budget& budget, std::uint64_t seed) {
   SaParams p;
-  p.iterations = iterations;
   p.seed = seed;
+  if (budget.kind != Budget::Kind::kSeconds) {
+    p.steps_per_temp = std::max<std::size_t>(1, budget.count / 200);
+  }
   return p;
 }
 
@@ -98,49 +92,24 @@ std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
                                                  std::uint64_t seed,
                                                  std::size_t se_y_limit) {
   budget.validate();
-  const bool steps_mode = budget.kind == Budget::Kind::kSteps;
-  const std::size_t step_cap = steps_mode ? budget.count : kUnbounded;
-
   if (name == "SE") {
-    SeParams p = comparison_se_params(step_cap, seed, se_y_limit);
-    if (budget.kind == Budget::Kind::kSeconds) {
-      p.time_limit_seconds = budget.wall_seconds;
-    }
-    return std::make_unique<SeEngine>(w, p);
+    return std::make_unique<SeEngine>(w,
+                                      comparison_se_params(seed, se_y_limit));
   }
   if (name == "GA") {
-    GaParams p = comparison_ga_params(step_cap, seed);
-    if (budget.kind == Budget::Kind::kSeconds) {
-      p.time_limit_seconds = budget.wall_seconds;
-    }
-    return std::make_unique<GaEngine>(w, p);
+    return std::make_unique<GaEngine>(w, comparison_ga_params(seed));
   }
   if (name == "GSA") {
-    GsaParams p = comparison_gsa_params(step_cap, seed);
-    if (budget.kind == Budget::Kind::kSeconds) {
-      p.time_limit_seconds = budget.wall_seconds;
-    }
-    return std::make_unique<GsaEngine>(w, p);
+    return std::make_unique<GsaEngine>(w, comparison_gsa_params(seed));
   }
   if (name == "SA") {
-    SaParams p = comparison_sa_params(step_cap, seed);
-    // SA's auto cooling ladder divides the step cap by 200; with an
-    // unbounded cap the ladder must come from the budget instead: an eval
-    // budget maps ~1:1 to moves, a wall-clock budget has no deterministic
-    // move count, so a fixed 100-move rung keeps cooling well-defined.
-    if (budget.kind == Budget::Kind::kEvals) {
-      p.steps_per_temp = std::max<std::size_t>(1, budget.count / 200);
-    } else if (budget.kind == Budget::Kind::kSeconds) {
-      p.steps_per_temp = 100;
-    }
-    return std::make_unique<SaEngine>(w, p);
+    return std::make_unique<SaEngine>(w, comparison_sa_params(budget, seed));
   }
   if (name == "Tabu") {
-    return std::make_unique<TabuEngine>(w, comparison_tabu_params(step_cap,
-                                                                  seed));
+    return std::make_unique<TabuEngine>(w, comparison_tabu_params(seed));
   }
   if (name == "Random") {
-    return std::make_unique<RandomSearchEngine>(w, step_cap, seed);
+    return std::make_unique<RandomSearchEngine>(w, seed);
   }
   const SchedulerInfo* info = find_scheduler(name);
   if (info == nullptr) {

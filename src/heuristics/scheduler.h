@@ -52,35 +52,28 @@ const SchedulerInfo* find_scheduler(const std::string& name);
 
 /// The comparison-suite SE configuration (selection bias, trace flags) —
 /// the single source of truth make_search_engine builds SE from.
-SeParams comparison_se_params(std::size_t iterations, std::uint64_t seed,
-                              std::size_t y_limit = 0);
+SeParams comparison_se_params(std::uint64_t seed, std::size_t y_limit = 0);
 
 /// Same for the GA baseline.
-GaParams comparison_ga_params(std::size_t generations, std::uint64_t seed);
+GaParams comparison_ga_params(std::uint64_t seed);
 
 /// Same for GSA (paper ref [8]).
-GsaParams comparison_gsa_params(std::size_t generations, std::uint64_t seed);
+GsaParams comparison_gsa_params(std::uint64_t seed);
 
 /// Same for tabu search (tenure 25, 24 samples per iteration).
-TabuParams comparison_tabu_params(std::size_t iterations, std::uint64_t seed);
+TabuParams comparison_tabu_params(std::uint64_t seed);
 
-/// Same for simulated annealing.
-SaParams comparison_sa_params(std::size_t iterations, std::uint64_t seed);
+/// Same for simulated annealing, whose cooling ladder is derived from the
+/// budget so a run sweeps ~200 temperature levels: max(1, n / 200) moves
+/// per level for a step or eval budget of n (one SA move is one trial),
+/// and 100 for a wall-clock budget, which has no deterministic move count.
+SaParams comparison_sa_params(const Budget& budget, std::uint64_t seed);
 
 /// Builds the engine for any registered scheduler under any budget
 /// currency. The six searchers use the comparison-suite parameters
-/// (comparison_*_params). Budget mapping:
-///
-///   * kSteps   — the engine's own step cap is the budget (SE iterations,
-///                GA/GSA generations, tabu/SA moves, random samples);
-///   * kEvals   — internal caps are unbounded; the caller's driver stops on
-///                evals_used() (SA's auto cooling ladder is derived from
-///                the eval budget: ~1 eval per move);
-///   * kSeconds — internal caps are unbounded and the engine's own time
-///                limit is set where supported (SE/GA/GSA); SA cools every
-///                100 moves (it cannot derive a ladder from wall clock).
-///
-/// A one-shot scheduler's single step is its whole run under any valid
+/// (comparison_*_params); the budget itself is enforced by the caller's
+/// run_search/run_anytime, and only SA's cooling ladder depends on it. A
+/// one-shot scheduler's single step is its whole run under any valid
 /// budget. Throws sehc::Error for an invalid budget or an unknown name
 /// (the message lists every registered name). `se_y_limit` is SE's Y
 /// parameter (paper §4.5, 0 = all machines) and is ignored by every other

@@ -16,7 +16,7 @@ constexpr std::size_t kWaveSize = 16;
 
 TabuEngine::TabuEngine(const Workload& workload, TabuParams params)
     : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
-  SEHC_CHECK(params_.samples > 0, "tabu_schedule: samples must be positive");
+  SEHC_CHECK(params_.samples > 0, "TabuEngine: samples must be positive");
 }
 
 void TabuEngine::init() {
@@ -40,11 +40,6 @@ void TabuEngine::init() {
 
   iteration_ = 0;
   initialized_ = true;
-}
-
-bool TabuEngine::done() const {
-  SEHC_CHECK(initialized_, "TabuEngine: init() not called");
-  return iteration_ >= params_.iterations;
 }
 
 StepStats TabuEngine::step() {
@@ -135,17 +130,6 @@ StepStats TabuEngine::step() {
 Schedule TabuEngine::best_schedule() const {
   SEHC_CHECK(initialized_, "TabuEngine: init() not called");
   return Schedule::from_solution(*workload_, best_);
-}
-
-TabuResult tabu_schedule(const Workload& w, const TabuParams& params) {
-  TabuEngine engine(w, params);
-  engine.init();
-  while (!engine.done()) engine.step();
-  TabuResult result;
-  result.schedule = engine.best_schedule();
-  result.best_makespan = engine.best_makespan();
-  result.iterations = engine.steps_done();
-  return result;
 }
 
 }  // namespace sehc

@@ -10,8 +10,7 @@
 //
 // TabuEngine implements the stepwise SearchEngine interface
 // (search/engine.h): one step() is one tabu iteration (one sampled
-// neighborhood scan plus the committed move), and tabu_schedule() is a thin
-// wrapper over the step core (bit-identical at fixed seeds).
+// neighborhood scan plus the committed move).
 #pragma once
 
 #include <cstdint>
@@ -28,18 +27,11 @@
 namespace sehc {
 
 struct TabuParams {
-  std::size_t iterations = 5000;
   /// Iterations a reversed move stays forbidden.
   std::size_t tenure = 25;
   /// Candidate moves sampled per iteration.
   std::size_t samples = 24;
   std::uint64_t seed = 1;
-};
-
-struct TabuResult {
-  Schedule schedule;
-  double best_makespan = 0.0;
-  std::size_t iterations = 0;
 };
 
 class TabuEngine final : public SearchEngine {
@@ -50,7 +42,6 @@ class TabuEngine final : public SearchEngine {
   std::string name() const override { return "Tabu"; }
   void init() override;
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_len_; }
   std::size_t steps_done() const override { return iteration_; }
   std::size_t evals_used() const override { return eval_.trial_count(); }
@@ -89,7 +80,5 @@ class TabuEngine final : public SearchEngine {
   // (task, position, machine) attribute.
   std::vector<std::size_t> tabu_expiry_;
 };
-
-TabuResult tabu_schedule(const Workload& w, const TabuParams& params);
 
 }  // namespace sehc

@@ -1,5 +1,6 @@
-// Makespan bounds used by tests (sanity envelopes) and by EXPERIMENTS.md to
-// contextualize heuristic quality.
+// Makespan bounds used by tests (sanity envelopes) and by campaign records,
+// which carry their instance's lower bound to contextualize heuristic
+// quality.
 #pragma once
 
 #include "hc/workload.h"

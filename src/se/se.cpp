@@ -20,38 +20,33 @@ SeEngine::SeEngine(const Workload& workload, SeParams params)
       candidates_(MachineCandidates(workload, params.y_limit)),
       batch_(evaluator_) {}
 
-void SeEngine::init() {
-  // The historical run() drew the initial solution from Rng(seed) and the
-  // selection stream from Rng(seed).split(0xA110C); init_from() re-derives
-  // the latter, so init() + steps reproduces run() bit for bit.
-  Rng rng(params_.seed);
-  init_from(
-      random_initial_solution(workload_->graph(), workload_->num_machines(), rng));
+SeEngine::SeEngine(const Workload& workload, SeParams params,
+                   SolutionString initial)
+    : SeEngine(workload, params) {
+  SEHC_CHECK(initial.is_valid(workload.graph()),
+             "SeEngine: initial solution is not a valid topological string");
+  initial_ = std::move(initial);
 }
 
-void SeEngine::init_from(SolutionString initial) {
-  SEHC_CHECK(initial.is_valid(workload_->graph()),
-             "SeEngine: initial solution is not a valid topological string");
-  // The selection stream continues from a distinct sub-seed so that run()
-  // and run_from() behave identically given the same initial solution.
+void SeEngine::init() {
+  // The random initial solution is drawn from Rng(seed) and the selection
+  // stream from its own sub-seed, so a search from a given solution is the
+  // same as a random start that drew that solution.
+  if (initial_) {
+    current_ = *initial_;
+  } else {
+    Rng rng(params_.seed);
+    current_ = random_initial_solution(workload_->graph(),
+                                       workload_->num_machines(), rng);
+  }
   rng_ = Rng(params_.seed).split(0xA110C);
   evaluator_.reset_trial_state();
   timer_.reset();
-  current_ = std::move(initial);
   best_solution_ = current_;
   best_makespan_ = evaluator_.makespan(current_);
   iteration_ = 0;
-  stall_ = 0;
-  stop_requested_ = false;
   trace_.clear();
   initialized_ = true;
-}
-
-bool SeEngine::done() const {
-  SEHC_CHECK(initialized_, "SeEngine: init() not called");
-  return stop_requested_ || iteration_ >= params_.max_iterations ||
-         (params_.stall_iterations > 0 && stall_ >= params_.stall_iterations) ||
-         timer_.seconds() >= params_.time_limit_seconds;
 }
 
 StepStats SeEngine::step() {
@@ -78,9 +73,6 @@ StepStats SeEngine::step() {
   if (current_makespan < best_makespan_) {
     best_makespan_ = current_makespan;
     best_solution_ = current_;
-    stall_ = 0;
-  } else {
-    ++stall_;
   }
 
   SeIterationStats stats;
@@ -92,7 +84,6 @@ StepStats SeEngine::step() {
   stats.elapsed_seconds = timer_.seconds();
   if (params_.record_trace) trace_.push_back(stats);
   ++iteration_;
-  if (observer_ && !observer_(stats)) stop_requested_ = true;
 
   StepStats out;
   out.step = iteration_ - 1;
@@ -106,30 +97,6 @@ StepStats SeEngine::step() {
 Schedule SeEngine::best_schedule() const {
   SEHC_CHECK(initialized_, "SeEngine: init() not called");
   return Schedule::from_solution(*workload_, best_solution_);
-}
-
-SeResult SeEngine::take_result() {
-  SeResult result;
-  result.best_solution = best_solution_;
-  result.best_makespan = best_makespan_;
-  result.trace = std::move(trace_);
-  trace_.clear();
-  result.iterations = iteration_;
-  result.seconds = timer_.seconds();
-  result.schedule = Schedule::from_solution(*workload_, result.best_solution);
-  return result;
-}
-
-SeResult SeEngine::run() {
-  init();
-  while (!done()) step();
-  return take_result();
-}
-
-SeResult SeEngine::run_from(SolutionString initial) {
-  init_from(std::move(initial));
-  while (!done()) step();
-  return take_result();
 }
 
 }  // namespace sehc

@@ -1,20 +1,18 @@
 // Simulated Evolution engine for matching & scheduling in HC (paper §3-4).
 //
-// Evaluation -> Selection -> Allocation, repeated until a stopping criterion
-// holds. The engine records a per-iteration trace (number of selected
+// Evaluation -> Selection -> Allocation, repeated for as long as the driver
+// asks. The engine records a per-iteration trace (number of selected
 // subtasks, current and best schedule length, wall time) — exactly the
 // series plotted in the paper's Figures 3-7.
 //
 // SeEngine implements the library-wide stepwise SearchEngine interface
-// (search/engine.h): init() + step() execute exactly one SE iteration per
-// step, and run()/run_from() are thin wrappers that drive that core, so
-// externally-driven runs (budgeted drivers, anytime capture, campaigns) are
-// bit-identical to the classic entry points at fixed seeds.
+// (search/engine.h): one step() is one SE iteration, and run_search under a
+// Budget decides when the search stops.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -34,13 +32,6 @@ struct SeParams {
   /// Y parameter (paper §4.5): number of best-matching machines tried per
   /// task during allocation. 0 = all machines.
   std::size_t y_limit = 0;
-  /// Hard iteration cap.
-  std::size_t max_iterations = 1000;
-  /// Wall-clock budget in seconds (infinity = no limit).
-  double time_limit_seconds = std::numeric_limits<double>::infinity();
-  /// Stop after this many consecutive iterations without improving the best
-  /// makespan (0 = disabled).
-  std::size_t stall_iterations = 0;
   std::uint64_t seed = 1;
   /// Re-validate the string's topological validity every iteration (tests).
   bool verify_invariants = false;
@@ -58,41 +49,27 @@ struct SeIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-struct SeResult {
-  SolutionString best_solution;
-  double best_makespan = 0.0;
-  Schedule schedule;                   // materialized from best_solution
-  std::vector<SeIterationStats> trace; // empty if record_trace == false
-  std::size_t iterations = 0;
-  double seconds = 0.0;
-};
-
 class SeEngine final : public SearchEngine {
  public:
-  /// The workload must outlive the engine.
+  /// Starts from a random initial solution (paper §4.2). The workload must
+  /// outlive the engine.
   SeEngine(const Workload& workload, SeParams params);
 
-  /// Called after every iteration; return false to stop the run early
-  /// (honored by both run() and externally-driven step() loops).
-  using Observer = std::function<bool(const SeIterationStats&)>;
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  /// Runs from a fresh random initial solution (paper §4.2).
-  SeResult run();
-
-  /// Runs from a caller-supplied initial solution (must be valid).
-  SeResult run_from(SolutionString initial);
+  /// Starts from `initial` instead (e.g. a constructive heuristic's
+  /// schedule); throws sehc::Error unless it is a valid topological string.
+  SeEngine(const Workload& workload, SeParams params, SolutionString initial);
 
   /// Effective bias after resolving the NaN default.
   double effective_bias() const { return bias_; }
 
+  /// One row per completed iteration since init() (empty when
+  /// record_trace is off).
+  const std::vector<SeIterationStats>& trace() const { return trace_; }
+
   // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "SE"; }
   void init() override;
-  /// As init(), from a caller-supplied initial solution.
-  void init_from(SolutionString initial);
   StepStats step() override;
-  bool done() const override;
   double best_makespan() const override { return best_makespan_; }
   std::size_t steps_done() const override { return iteration_; }
   std::size_t evals_used() const override { return evaluator_.trial_count(); }
@@ -100,8 +77,6 @@ class SeEngine final : public SearchEngine {
   Schedule best_schedule() const override;
 
  private:
-  SeResult take_result();
-
   const Workload* workload_;
   SeParams params_;
   double bias_;
@@ -110,18 +85,16 @@ class SeEngine final : public SearchEngine {
   std::vector<int> levels_;           // DAG levels for selection ordering
   MachineCandidates candidates_;      // Y-restricted machines, flat table
   Evaluator::TrialBatch batch_;       // persistent allocation-scan batch
-  Observer observer_;
+  std::optional<SolutionString> initial_;  // caller-supplied start, if any
 
-  // Stepwise state (valid after init()/init_from()).
+  // Stepwise state (valid after init()).
   bool initialized_ = false;
-  bool stop_requested_ = false;       // observer returned false
   Rng rng_{1};
   WallTimer timer_;
   SolutionString current_;
   SolutionString best_solution_;
   double best_makespan_ = 0.0;
   std::size_t iteration_ = 0;         // completed iterations
-  std::size_t stall_ = 0;
   std::vector<SeIterationStats> trace_;
   // Per-iteration work buffers, hoisted so step() performs no heap
   // allocation after the first iteration.

@@ -95,11 +95,10 @@ SearchResult run_search(SearchEngine& engine, const Budget& budget,
   budget.validate();
   engine.init();
   // One span per drive, flushed once at the end: the step loop itself pays
-  // only a double compare per step, never a registry lookup (the stepwise
-  // overhead gate in perf_hotpath covers this path with metrics live). The
-  // span nests under whatever phase the caller has open (campaign cells,
-  // serve solve slots); a deadline that unwinds mid-run still records the
-  // span visit via SpanScope, just without the terminal counter flush.
+  // only a double compare per step, never a registry lookup. The span
+  // nests under whatever phase the caller has open (campaign cells, serve
+  // solve slots); a deadline that unwinds mid-run still records the span
+  // visit via SpanScope, just without the terminal counter flush.
   MetricsRegistry* const metrics = ambient_metrics();
   SpanScope span(metrics, "engine:" + engine.name());
   bool timed_out = false;

@@ -3,20 +3,18 @@
 // Every iterative searcher in the library (SE, GA, GSA, tabu, simulated
 // annealing, random search) implements one interface: construct, init(),
 // then step() one unit of work at a time — an SE iteration, a GA/GSA
-// generation, a tabu/annealing move, one random sample. A shared Budget
-// type expresses the three budget currencies the comparison suite uses
-// (step count, evaluator-trial count, wall-clock seconds) and external
-// drivers (run_search, run_anytime, the campaign cells) enforce it between
-// steps, so any two searchers can be compared under *equal* budgets — the
-// paper's central experimental requirement — without each searcher growing
-// its own loop variant.
+// generation, a tabu/annealing move, one random sample. Searchers never
+// stop themselves: run_search (and run_anytime on top of it) is the one
+// search loop, and every stop lives there — the Budget (step count,
+// evaluator-trial count or wall-clock seconds, the three currencies the
+// comparison suite uses), an observer's request and the Deadline. So any
+// two searchers can be compared under *equal* budgets — the paper's
+// central experimental requirement.
 //
-// Determinism contract: init() + N x step() consumes exactly the RNG
-// stream of the searcher's historical monolithic run() loop, which is now
-// a thin wrapper over this interface. Differential tests pin the wrapper
-// and externally-driven paths bit-identical (schedules, stats, RNG
-// streams) at fixed seeds; wall-clock budgets are the one currency whose
-// stopping point depends on real time.
+// Determinism contract: at a fixed seed, init() + N x step() is a pure
+// function of N, so a step or eval budget reproduces the same schedules,
+// stats and RNG streams bit for bit however the loop is driven; wall-clock
+// budgets are the one currency whose stopping point depends on real time.
 #pragma once
 
 #include <chrono>
@@ -29,14 +27,14 @@
 
 namespace sehc {
 
-/// Cooperative wall-clock watchdog checked by the generic step drivers
-/// between engine steps. A default-constructed Deadline is unlimited (the
-/// check is a single branch); an armed one costs one steady_clock read per
-/// step — engine steps are chunky (tens to thousands of evaluator trials),
-/// so the driver overhead stays within the perf_hotpath --check-overhead
-/// gate. This is external preemption: the Budget currencies say how much
-/// work a search MAY do, a Deadline says when the caller stops waiting
-/// (runaway cells, campaign watchdogs, serving timeouts).
+/// Cooperative wall-clock watchdog checked by run_search between engine
+/// steps. A default-constructed Deadline is unlimited (the check is a
+/// single branch); an armed one costs one steady_clock read per step —
+/// engine steps are chunky (tens to thousands of evaluator trials), so the
+/// driver's share of a search stays small (perfbench's search.driver_frac
+/// measures it). This is external preemption: the Budget currencies say
+/// how much work a search MAY do, a Deadline says when the caller stops
+/// waiting (runaway cells, campaign watchdogs, serving timeouts).
 class Deadline {
  public:
   /// Unlimited: never expires.
@@ -107,8 +105,9 @@ struct Budget {
 
 /// Uniform per-step statistics every engine reports. Engines with richer
 /// per-step data (SE selection sizes, GA generation means, GSA
-/// temperatures) keep recording their own trace structs; this is the
-/// lowest common denominator the generic drivers and observers see.
+/// temperatures) also record their own trace (see their trace()
+/// accessors); this is the lowest common denominator run_search and its
+/// observers see.
 struct StepStats {
   /// 0-based index of the step that just completed.
   std::size_t step = 0;
@@ -124,18 +123,14 @@ struct StepStats {
   double elapsed_seconds = 0.0;
 };
 
-/// Uniform observer hook: invoked by the generic drivers after every step;
-/// return false to stop the run early.
+/// Uniform observer hook: invoked by run_search after every step; return
+/// false to stop the run early (a stall rule, a target makespan, ...).
 using StepObserver = std::function<bool(const StepStats&)>;
 
-/// The stepwise engine interface. Usage:
-///
-///   engine.init();
-///   while (!engine.done() && !budget_exhausted(budget, engine))
-///     engine.step();
-///
-/// (or just run_search(engine, budget)). init() may be called again to
-/// restart the engine from scratch with its original seed.
+/// The stepwise engine interface, driven by run_search(engine, budget).
+/// init() may be called again to restart the engine from scratch with its
+/// original seed. A searcher steps for as long as its driver asks: a
+/// hand-written `while (!engine.done()) engine.step();` never ends.
 class SearchEngine {
  public:
   virtual ~SearchEngine() = default;
@@ -144,18 +139,17 @@ class SearchEngine {
   /// from ("SE", "GA", ..., "HEFT"; see heuristics/scheduler.h).
   virtual std::string name() const = 0;
 
-  /// Builds the initial state (initial solution / population), consuming
-  /// exactly the RNG prefix the monolithic run() consumed before its first
-  /// iteration. Resets step/eval counters and the wall-clock origin.
+  /// Builds the initial state (initial solution / population) from the
+  /// engine's seed. Resets step/eval counters and the wall-clock origin.
   virtual void init() = 0;
 
   /// Executes one unit of work. init() must have been called.
   virtual StepStats step() = 0;
 
-  /// True when an engine-internal stopping criterion holds (its own
-  /// step cap, stall rule, time limit, or an observer-requested stop).
-  /// External budgets are enforced by the driver, not here.
-  virtual bool done() const = 0;
+  /// True when the engine has nothing left to do. Only the one-shot
+  /// schedulers (search/one_shot.h) ever are; the searchers step until
+  /// run_search's budget, observer or deadline stops them.
+  virtual bool done() const { return false; }
 
   virtual double best_makespan() const = 0;
   /// Completed steps since init().
@@ -183,15 +177,17 @@ struct SearchResult {
   std::size_t evals = 0;
   double seconds = 0.0;
   /// True when the run was preempted by the driver's Deadline rather than
-  /// finishing its budget or stopping on its own. The best-so-far fields
+  /// finishing its budget or stopping on an observer's request (or, for a
+  /// one-shot engine, after its single step). The best-so-far fields
   /// above are still valid (init() always produces a complete solution).
   bool timed_out = false;
 };
 
-/// Generic driver: init(), then step() until the engine is done, the budget
-/// is exhausted, or `deadline` expires (checked cooperatively between
-/// steps — a step is atomic, so preemption waits for the running step to
-/// finish). Invokes `observer` (when set) after each step.
+/// The search loop: init(), then step() until the budget is exhausted, the
+/// observer returns false, the engine is done (one-shot engines only) or
+/// `deadline` expires (checked cooperatively between steps — a step is
+/// atomic, so preemption waits for the running step to finish). Invokes
+/// `observer` (when set) after each step.
 SearchResult run_search(SearchEngine& engine, const Budget& budget,
                         const StepObserver& observer = {},
                         const Deadline& deadline = {});

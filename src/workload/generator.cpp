@@ -40,8 +40,9 @@ Workload make_workload_for_graph(TaskGraph graph, std::size_t machines,
 
 Workload figure1_workload() {
   // 7 subtasks, 6 data items, 2 machines — same shape as the paper's
-  // Figure 1 (exact published values are illegible in the source scan; see
-  // DESIGN.md). Data item ids follow edge insertion order:
+  // Figure 1 (exact published values are illegible in the source scan, so
+  // the costs are representative ones). Data item ids follow edge insertion
+  // order:
   //   d0: s0->s2   d1: s0->s3   d2: s0->s4
   //   d3: s1->s4   d4: s2->s5   d5: s5->s6
   // The Figure 2 encoding string of the paper (m0: s0,s3,s4; m1: s1,s2,s5,s6)

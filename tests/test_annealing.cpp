@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "heuristics/random_search.h"
+#include "heuristics/scheduler.h"
 #include "sched/bounds.h"
 #include "sched/validate.h"
 #include "workload/generator.h"
@@ -10,20 +11,25 @@
 namespace sehc {
 namespace {
 
+/// `moves` SA moves with the comparison suite's cooling ladder for that
+/// budget (one temperature level per moves / 200).
+SearchResult anneal(const Workload& w, std::size_t moves, std::uint64_t seed) {
+  const Budget budget = Budget::steps(moves);
+  SaEngine engine(w, comparison_sa_params(budget, seed));
+  return run_search(engine, budget);
+}
+
 TEST(Annealing, ProducesValidSchedule) {
   WorkloadParams p;
   p.tasks = 30;
   p.machines = 5;
   p.seed = 1;
   const Workload w = make_workload(p);
-  SaParams sp;
-  sp.iterations = 2000;
-  sp.seed = 7;
-  const SaResult r = anneal_schedule(w, sp);
+  const SearchResult r = anneal(w, 2000, 7);
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
-  EXPECT_EQ(r.iterations, 2000u);
+  EXPECT_EQ(r.steps, 2000u);
 }
 
 TEST(Annealing, DeterministicPerSeed) {
@@ -32,11 +38,8 @@ TEST(Annealing, DeterministicPerSeed) {
   p.machines = 4;
   p.seed = 2;
   const Workload w = make_workload(p);
-  SaParams sp;
-  sp.iterations = 1000;
-  sp.seed = 3;
-  EXPECT_DOUBLE_EQ(anneal_schedule(w, sp).best_makespan,
-                   anneal_schedule(w, sp).best_makespan);
+  EXPECT_DOUBLE_EQ(anneal(w, 1000, 3).best_makespan,
+                   anneal(w, 1000, 3).best_makespan);
 }
 
 TEST(Annealing, BeatsRandomSearchOnEqualBudget) {
@@ -50,11 +53,9 @@ TEST(Annealing, BeatsRandomSearchOnEqualBudget) {
   for (int i = 0; i < trials; ++i) {
     p.seed = 100 + static_cast<std::uint64_t>(i);
     const Workload w = make_workload(p);
-    SaParams sp;
-    sp.iterations = 3000;
-    sp.seed = 11;
-    const double sa = anneal_schedule(w, sp).best_makespan;
-    const double rs = random_search_schedule(w, 3000, 11).makespan;
+    const double sa = anneal(w, 3000, 11).best_makespan;
+    RandomSearchEngine random(w, 11);
+    const double rs = run_search(random, Budget::steps(3000)).best_makespan;
     sa_wins += (sa <= rs);
   }
   EXPECT_GE(sa_wins, trials - 1);
@@ -64,18 +65,22 @@ TEST(Annealing, InvalidCoolingThrows) {
   const Workload w = figure1_workload();
   SaParams sp;
   sp.cooling = 1.5;
-  EXPECT_THROW(anneal_schedule(w, sp), Error);
+  EXPECT_THROW(SaEngine(w, sp), Error);
   sp.cooling = 0.0;
-  EXPECT_THROW(anneal_schedule(w, sp), Error);
+  EXPECT_THROW(SaEngine(w, sp), Error);
+  sp = SaParams{};
+  sp.steps_per_temp = 0;
+  EXPECT_THROW(SaEngine(w, sp), Error);
 }
 
 TEST(Annealing, ZeroIterationsReturnsInitial) {
+  // init() alone already holds a complete, valid incumbent.
   const Workload w = figure1_workload();
-  SaParams sp;
-  sp.iterations = 0;
-  const SaResult r = anneal_schedule(w, sp);
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
-  EXPECT_EQ(r.iterations, 0u);
+  SaEngine engine(w, SaParams{});
+  engine.init();
+  EXPECT_TRUE(is_valid_schedule(w, engine.best_schedule()));
+  EXPECT_EQ(engine.best_schedule().makespan, engine.best_makespan());
+  EXPECT_EQ(engine.steps_done(), 0u);
 }
 
 }  // namespace

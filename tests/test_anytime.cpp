@@ -86,7 +86,6 @@ TEST(Anytime, StepCurvesAreDeterministic) {
   SeParams sp;
   sp.seed = 5;
   sp.bias = -0.1;
-  sp.max_iterations = 12;
   sp.record_trace = false;
   SeEngine se_a(w, sp);
   SeEngine se_b(w, sp);
@@ -99,19 +98,20 @@ TEST(Anytime, StepCurvesAreDeterministic) {
     EXPECT_EQ(a[i].best, b[i].best);
   }
   // The terminal point sits at the step budget with the final best, which
-  // matches the classic run() entry point bit for bit.
+  // matches a plain run_search over the same budget bit for bit.
   EXPECT_DOUBLE_EQ(a.back().seconds, 12.0);
-  EXPECT_EQ(a.back().best, SeEngine(w, sp).run().best_makespan);
+  SeEngine se_c(w, sp);
+  EXPECT_EQ(a.back().best, run_search(se_c, Budget::steps(12)).best_makespan);
 
   GaParams gp;
   gp.seed = 5;
-  gp.max_generations = 10;
   gp.record_trace = false;
   GaEngine ga_engine(w, gp);
   const auto ga = run_anytime(ga_engine, Budget::steps(10));
   ASSERT_FALSE(ga.empty());
   EXPECT_DOUBLE_EQ(ga.back().seconds, 10.0);
-  EXPECT_EQ(ga.back().best, GaEngine(w, gp).run().best_makespan);
+  GaEngine ga_c(w, gp);
+  EXPECT_EQ(ga.back().best, run_search(ga_c, Budget::steps(10)).best_makespan);
 }
 
 TEST(Anytime, EvalBudgetCurveEndsAtTheBudget) {
@@ -124,7 +124,6 @@ TEST(Anytime, EvalBudgetCurveEndsAtTheBudget) {
   SeParams sp;
   sp.seed = 5;
   sp.bias = -0.1;
-  sp.max_iterations = std::numeric_limits<std::size_t>::max();
   sp.record_trace = false;
   SeEngine engine(w, sp);
   const std::size_t budget = 2000;

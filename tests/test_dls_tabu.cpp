@@ -68,9 +68,9 @@ TEST(Tabu, ProducesValidSchedule) {
   p.seed = 1;
   const Workload w = make_workload(p);
   TabuParams tp;
-  tp.iterations = 1500;
   tp.seed = 3;
-  const TabuResult r = tabu_schedule(w, tp);
+  TabuEngine engine(w, tp);
+  const SearchResult r = run_search(engine, Budget::steps(1500));
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
@@ -83,10 +83,11 @@ TEST(Tabu, DeterministicPerSeed) {
   p.seed = 2;
   const Workload w = make_workload(p);
   TabuParams tp;
-  tp.iterations = 800;
   tp.seed = 5;
-  EXPECT_DOUBLE_EQ(tabu_schedule(w, tp).best_makespan,
-                   tabu_schedule(w, tp).best_makespan);
+  TabuEngine a(w, tp);
+  TabuEngine b(w, tp);
+  EXPECT_DOUBLE_EQ(run_search(a, Budget::steps(800)).best_makespan,
+                   run_search(b, Budget::steps(800)).best_makespan);
 }
 
 TEST(Tabu, BeatsRandomSearchOnEqualBudget) {
@@ -99,10 +100,11 @@ TEST(Tabu, BeatsRandomSearchOnEqualBudget) {
     p.seed = 200 + static_cast<std::uint64_t>(i);
     const Workload w = make_workload(p);
     TabuParams tp;
-    tp.iterations = 2000;
     tp.seed = 7;
-    const double tb = tabu_schedule(w, tp).best_makespan;
-    const double rs = random_search_schedule(w, 2000, 7).makespan;
+    TabuEngine tabu(w, tp);
+    RandomSearchEngine random(w, 7);
+    const double tb = run_search(tabu, Budget::steps(2000)).best_makespan;
+    const double rs = run_search(random, Budget::steps(2000)).best_makespan;
     tabu_wins += (tb <= rs);
   }
   EXPECT_GE(tabu_wins, trials - 1);
@@ -112,7 +114,7 @@ TEST(Tabu, ZeroSamplesThrows) {
   const Workload w = figure1_workload();
   TabuParams tp;
   tp.samples = 0;
-  EXPECT_THROW(tabu_schedule(w, tp), Error);
+  EXPECT_THROW(TabuEngine(w, tp), Error);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "analysis/report.h"
 #include "exp/anytime.h"
@@ -23,8 +22,6 @@ namespace {
 /// Time-budgeted anytime capture through the generic driver.
 std::vector<AnytimePoint> se_anytime(const Workload& w, SeParams sp,
                                      double budget_seconds) {
-  sp.time_limit_seconds = budget_seconds;
-  sp.max_iterations = std::numeric_limits<std::size_t>::max();
   sp.record_trace = false;
   SeEngine engine(w, sp);
   return run_anytime(engine, Budget::seconds(budget_seconds));
@@ -32,8 +29,6 @@ std::vector<AnytimePoint> se_anytime(const Workload& w, SeParams sp,
 
 std::vector<AnytimePoint> ga_anytime(const Workload& w, GaParams gp,
                                      double budget_seconds) {
-  gp.time_limit_seconds = budget_seconds;
-  gp.max_generations = std::numeric_limits<std::size_t>::max();
   gp.record_trace = false;
   GaEngine engine(w, gp);
   return run_anytime(engine, Budget::seconds(budget_seconds));
@@ -44,12 +39,13 @@ TEST(FigurePipelines, Fig3MiniConvergence) {
   SeParams p;
   p.seed = 1;
   p.bias = -0.1;
-  p.max_iterations = 40;
-  const SeResult r = SeEngine(w, p).run();
-  ASSERT_EQ(r.trace.size(), 40u);
+  SeEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(40));
+  const std::vector<SeIterationStats>& trace = engine.trace();
+  ASSERT_EQ(trace.size(), 40u);
   // Selected count must trend down and schedule length must improve.
-  EXPECT_GT(r.trace.front().num_selected, r.trace.back().num_selected);
-  EXPECT_LT(r.best_makespan, r.trace.front().current_makespan);
+  EXPECT_GT(trace.front().num_selected, trace.back().num_selected);
+  EXPECT_LT(r.best_makespan, trace.front().current_makespan);
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
 }
 
@@ -61,13 +57,14 @@ TEST(FigurePipelines, Fig4MiniYSweep) {
     p.seed = 2;
     p.bias = -0.1;
     p.y_limit = y;
-    p.max_iterations = 10;
-    const SeResult r = SeEngine(w, p).run();
+    SeEngine engine(w, p);
+    const SearchResult r = run_search(engine, Budget::steps(10));
     EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << "Y=" << y;
     // Proxy for runtime monotonicity that is immune to timer noise:
     // the number of placements changed cannot shrink the candidate space.
     double combos = 0.0;
-    for (const auto& row : r.trace) combos += static_cast<double>(row.num_selected);
+    for (const auto& row : engine.trace())
+      combos += static_cast<double>(row.num_selected);
     EXPECT_GT(combos, 0.0);
     prev_combos = combos;
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "sched/bounds.h"
 #include "sched/evaluator.h"
 #include "sched/validate.h"
@@ -10,13 +13,25 @@
 namespace sehc {
 namespace {
 
-GaParams quick_params(std::uint64_t seed, std::size_t generations = 30) {
+GaParams quick_params(std::uint64_t seed) {
   GaParams p;
   p.seed = seed;
-  p.max_generations = generations;
   p.population = 20;
   p.verify_invariants = true;
   return p;
+}
+
+/// A finished GA run: the driver's result plus the engine's trace.
+struct GaRun {
+  SearchResult result;
+  std::vector<GaIterationStats> trace;
+};
+
+GaRun run_ga(const Workload& w, const GaParams& p,
+             std::size_t generations = 30) {
+  GaEngine engine(w, p);
+  SearchResult result = run_search(engine, Budget::steps(generations));
+  return {std::move(result), engine.trace()};
 }
 
 TEST(GaEngine, ProducesValidSchedule) {
@@ -25,9 +40,9 @@ TEST(GaEngine, ProducesValidSchedule) {
   wp.machines = 4;
   wp.seed = 1;
   const Workload w = make_workload(wp);
-  const GaResult r = GaEngine(w, quick_params(1)).run();
-  EXPECT_TRUE(r.best_solution.is_valid(w.graph()));
+  const SearchResult r = run_ga(w, quick_params(1)).result;
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(r.schedule.to_solution().is_valid(w.graph()));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
 }
@@ -38,10 +53,11 @@ TEST(GaEngine, DeterministicPerSeed) {
   wp.machines = 4;
   wp.seed = 2;
   const Workload w = make_workload(wp);
-  const GaResult a = GaEngine(w, quick_params(5)).run();
-  const GaResult b = GaEngine(w, quick_params(5)).run();
+  const SearchResult a = run_ga(w, quick_params(5)).result;
+  const SearchResult b = run_ga(w, quick_params(5)).result;
   EXPECT_DOUBLE_EQ(a.best_makespan, b.best_makespan);
-  EXPECT_EQ(a.best_solution, b.best_solution);
+  EXPECT_EQ(a.schedule.assignment, b.schedule.assignment);
+  EXPECT_EQ(a.schedule.start, b.schedule.start);
 }
 
 TEST(GaEngine, BestIsMonotoneAcrossGenerations) {
@@ -50,7 +66,7 @@ TEST(GaEngine, BestIsMonotoneAcrossGenerations) {
   wp.machines = 6;
   wp.seed = 3;
   const Workload w = make_workload(wp);
-  const GaResult r = GaEngine(w, quick_params(3, 50)).run();
+  const GaRun r = run_ga(w, quick_params(3), 50);
   for (std::size_t i = 1; i < r.trace.size(); ++i) {
     EXPECT_LE(r.trace[i].best_makespan, r.trace[i - 1].best_makespan);
   }
@@ -62,14 +78,15 @@ TEST(GaEngine, ElitismKeepsGenBestAtMostBestEver) {
   wp.machines = 5;
   wp.seed = 4;
   const Workload w = make_workload(wp);
-  const GaResult r = GaEngine(w, quick_params(4, 40)).run();
+  const GaRun r = run_ga(w, quick_params(4), 40);
+  const double best = r.result.best_makespan;
   for (const auto& g : r.trace) {
-    EXPECT_GE(g.gen_best_makespan, r.best_makespan - 1e-9);
+    EXPECT_GE(g.gen_best_makespan, best - 1e-9);
     EXPECT_GE(g.gen_mean_makespan, g.gen_best_makespan - 1e-9);
   }
   // With elite=1 the generation best should track the best-ever closely:
   // the elite individual is carried over unchanged.
-  EXPECT_DOUBLE_EQ(r.trace.back().gen_best_makespan, r.best_makespan);
+  EXPECT_DOUBLE_EQ(r.trace.back().gen_best_makespan, best);
 }
 
 TEST(GaEngine, ImprovesOverFirstGeneration) {
@@ -78,30 +95,40 @@ TEST(GaEngine, ImprovesOverFirstGeneration) {
   wp.machines = 8;
   wp.seed = 5;
   const Workload w = make_workload(wp);
-  const GaResult r = GaEngine(w, quick_params(5, 60)).run();
+  const GaRun r = run_ga(w, quick_params(5), 60);
   ASSERT_GE(r.trace.size(), 2u);
-  EXPECT_LT(r.best_makespan, r.trace.front().gen_mean_makespan);
+  EXPECT_LT(r.result.best_makespan, r.trace.front().gen_mean_makespan);
 }
 
 TEST(GaEngine, ObserverCanStopEarly) {
   const Workload w = figure1_workload();
-  GaEngine engine(w, quick_params(1, 100));
+  GaEngine engine(w, quick_params(1));
   std::size_t calls = 0;
-  engine.set_observer([&calls](const GaIterationStats&) {
-    ++calls;
-    return calls < 4;
-  });
-  const GaResult r = engine.run();
+  const SearchResult r =
+      run_search(engine, Budget::steps(100), [&calls](const StepStats&) {
+        ++calls;
+        return calls < 4;
+      });
   EXPECT_EQ(calls, 4u);
-  EXPECT_EQ(r.generations, 4u);
+  EXPECT_EQ(r.steps, 4u);
+  EXPECT_EQ(engine.trace().size(), 4u);
 }
 
 TEST(GaEngine, StallStopTriggers) {
+  // A stall rule is an observer: stop after 8 generations without
+  // improving the best makespan.
   const Workload w = figure1_workload();
-  GaParams p = quick_params(2, 100000);
-  p.stall_generations = 8;
-  const GaResult r = GaEngine(w, p).run();
-  EXPECT_LT(r.generations, 100000u);
+  GaEngine engine(w, quick_params(2));
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t stall = 0;
+  const SearchResult r = run_search(
+      engine, Budget::steps(100000), [&](const StepStats& stats) {
+        stall = stats.best_makespan < best ? 0 : stall + 1;
+        best = std::min(best, stats.best_makespan);
+        return stall < 8;
+      });
+  EXPECT_LT(r.steps, 100000u);
+  EXPECT_EQ(stall, 8u);
 }
 
 TEST(GaEngine, ParameterValidation) {
@@ -123,11 +150,10 @@ TEST(GaEngine, ParameterValidation) {
 TEST(GaEngine, ZeroCrossoverZeroMutationStillValid) {
   // Degenerate GA = selection + elitism only; must still run and be valid.
   const Workload w = figure1_workload();
-  GaParams p = quick_params(3, 10);
+  GaParams p = quick_params(3);
   p.crossover_prob = 0.0;
   p.mutation_prob = 0.0;
-  const GaResult r = GaEngine(w, p).run();
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(is_valid_schedule(w, run_ga(w, p, 10).result.schedule));
 }
 
 }  // namespace

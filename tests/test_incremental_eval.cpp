@@ -273,7 +273,8 @@ TEST(IncrementalEval, AllocationMatchesReferenceIncludingTieStatistics) {
 }
 
 /// Pre-engine tabu search: full naive evaluation per sampled move.
-double reference_tabu_best(const Workload& w, const TabuParams& params) {
+double reference_tabu_best(const Workload& w, const TabuParams& params,
+                           std::size_t iterations) {
   Rng rng(params.seed);
   const TaskGraph& g = w.graph();
   SolutionString current =
@@ -284,7 +285,7 @@ double reference_tabu_best(const Workload& w, const TabuParams& params) {
   auto idx = [&](TaskId t, std::size_t pos, MachineId m) {
     return (t * w.num_tasks() + pos) * w.num_machines() + m;
   };
-  for (std::size_t iteration = 0; iteration < params.iterations; ++iteration) {
+  for (std::size_t iteration = 0; iteration < iterations; ++iteration) {
     TaskId chosen_task = kInvalidTask;
     std::size_t chosen_pos = 0;
     MachineId chosen_machine = 0;
@@ -333,17 +334,19 @@ TEST(IncrementalEval, TabuMatchesNaiveReference) {
     p.seed = 13;
     const Workload w = make_workload(p);
     TabuParams tp;
-    tp.iterations = 60;
     tp.samples = 10;
     tp.seed = 99;
-    const TabuResult got = tabu_schedule(w, tp);
-    ASSERT_EQ(got.best_makespan, reference_tabu_best(w, tp)) << p.describe();
+    TabuEngine engine(w, tp);
+    const SearchResult got = run_search(engine, Budget::steps(60));
+    ASSERT_EQ(got.best_makespan, reference_tabu_best(w, tp, 60))
+        << p.describe();
   }
 }
 
 /// Pre-engine simulated annealing: in-place random move + full naive
-/// evaluation. RNG draw order matches anneal_schedule exactly.
-double reference_anneal_best(const Workload& w, const SaParams& params) {
+/// evaluation. RNG draw order matches SaEngine exactly.
+double reference_anneal_best(const Workload& w, const SaParams& params,
+                             std::size_t iterations) {
   Rng rng(params.seed);
   const TaskGraph& g = w.graph();
   SolutionString current =
@@ -387,13 +390,8 @@ double reference_anneal_best(const Workload& w, const SaParams& params) {
   double temperature =
       mean_uphill > 0.0 ? -mean_uphill / std::log(0.8) : 1.0;
 
-  const std::size_t steps_per_temp =
-      params.steps_per_temp > 0
-          ? params.steps_per_temp
-          : std::max<std::size_t>(1, params.iterations / 200);
-
   std::size_t since_cool = 0;
-  for (std::size_t iteration = 0; iteration < params.iterations; ++iteration) {
+  for (std::size_t iteration = 0; iteration < iterations; ++iteration) {
     const Undo undo = random_move(current);
     const double len = naive_makespan(w, current);
     const double delta = len - current_len;
@@ -406,7 +404,7 @@ double reference_anneal_best(const Workload& w, const SaParams& params) {
     } else {
       undo_move(current, undo);
     }
-    if (++since_cool >= steps_per_temp) {
+    if (++since_cool >= params.steps_per_temp) {
       since_cool = 0;
       temperature *= params.cooling;
     }
@@ -419,10 +417,12 @@ TEST(IncrementalEval, AnnealingMatchesNaiveReference) {
     p.seed = 31;
     const Workload w = make_workload(p);
     SaParams ap;
-    ap.iterations = 400;
+    ap.steps_per_temp = 2;  // ~200 temperature levels over 400 moves
     ap.seed = 77;
-    const SaResult got = anneal_schedule(w, ap);
-    ASSERT_EQ(got.best_makespan, reference_anneal_best(w, ap)) << p.describe();
+    SaEngine engine(w, ap);
+    const SearchResult got = run_search(engine, Budget::steps(400));
+    ASSERT_EQ(got.best_makespan, reference_anneal_best(w, ap, 400))
+        << p.describe();
   }
 }
 
@@ -432,7 +432,8 @@ TEST(IncrementalEval, AnnealingMatchesNaiveReference) {
 /// mutation-only children, and the two separate crossovers of
 /// string_ops_reference.h instead of the fused one. RNG draw order matches
 /// GaEngine exactly (evaluation consumes no randomness).
-double reference_ga_best(const Workload& w, const GaParams& params) {
+double reference_ga_best(const Workload& w, const GaParams& params,
+                         std::size_t generations) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
 
@@ -463,8 +464,7 @@ double reference_ga_best(const Workload& w, const GaParams& params) {
     lengths[i] = naive_makespan(w, pop[i]);
 
   double best = *std::min_element(lengths.begin(), lengths.end());
-  for (std::size_t generation = 0; generation < params.max_generations;
-       ++generation) {
+  for (std::size_t generation = 0; generation < generations; ++generation) {
     std::vector<std::size_t> rank(pop.size());
     std::iota(rank.begin(), rank.end(), 0);
     std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
@@ -509,15 +509,15 @@ TEST(IncrementalEval, GaMatchesNaiveReference) {
     const Workload w = make_workload(p);
     GaParams gp;
     gp.population = 16;
-    gp.max_generations = 25;
     // High mutation with moderate crossover exercises the mutation-only
     // suffix-evaluation path (prepared per-parent snapshots) heavily.
     gp.crossover_prob = 0.5;
     gp.mutation_prob = 0.5;
     gp.seed = 23;
     gp.record_trace = false;
-    const GaResult got = GaEngine(w, gp).run();
-    ASSERT_EQ(got.best_makespan, reference_ga_best(w, gp)) << p.describe();
+    GaEngine engine(w, gp);
+    const SearchResult got = run_search(engine, Budget::steps(25));
+    ASSERT_EQ(got.best_makespan, reference_ga_best(w, gp, 25)) << p.describe();
   }
 }
 
@@ -525,7 +525,8 @@ TEST(IncrementalEval, GaMatchesNaiveReference) {
 /// every touched child evaluated by the naive evaluator (no cached clone
 /// lengths, no prepared-parent suffix evaluation) and crossed by the two
 /// separate crossovers of string_ops_reference.h.
-double reference_gsa_best(const Workload& w, const GsaParams& params) {
+double reference_gsa_best(const Workload& w, const GsaParams& params,
+                          std::size_t generations) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
 
@@ -545,8 +546,7 @@ double reference_gsa_best(const Workload& w, const GsaParams& params) {
   const double typical_delta = std::max(spread.stddev(), 1e-9);
   double temperature = -typical_delta / std::log(params.initial_acceptance);
 
-  for (std::size_t generation = 0; generation < params.max_generations;
-       ++generation) {
+  for (std::size_t generation = 0; generation < generations; ++generation) {
     for (std::size_t slot = 0; slot + 1 < pop.size(); slot += 2) {
       const std::size_t ia = rng.index(pop.size());
       const std::size_t ib = rng.index(pop.size());
@@ -598,13 +598,13 @@ TEST(IncrementalEval, GsaMatchesNaiveReference) {
     const Workload w = make_workload(p);
     GsaParams gp;
     gp.population = 16;
-    gp.max_generations = 25;
     gp.crossover_prob = 0.5;   // leaves room for mutation-only children
     gp.mutation_prob = 0.5;
     gp.seed = 29;
     gp.record_trace = false;
-    const GsaResult got = GsaEngine(w, gp).run();
-    ASSERT_EQ(got.best_makespan, reference_gsa_best(w, gp)) << p.describe();
+    GsaEngine engine(w, gp);
+    const SearchResult got = run_search(engine, Budget::steps(25));
+    ASSERT_EQ(got.best_makespan, reference_gsa_best(w, gp, 25)) << p.describe();
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "exp/anytime.h"
@@ -24,8 +23,6 @@ namespace {
 /// deleted run_se/ga_anytime helpers had).
 std::vector<AnytimePoint> se_anytime(const Workload& w, SeParams sp,
                                      double budget_seconds) {
-  sp.time_limit_seconds = budget_seconds;
-  sp.max_iterations = std::numeric_limits<std::size_t>::max();
   sp.record_trace = false;
   SeEngine engine(w, sp);
   return run_anytime(engine, Budget::seconds(budget_seconds));
@@ -33,8 +30,6 @@ std::vector<AnytimePoint> se_anytime(const Workload& w, SeParams sp,
 
 std::vector<AnytimePoint> ga_anytime(const Workload& w, GaParams gp,
                                      double budget_seconds) {
-  gp.time_limit_seconds = budget_seconds;
-  gp.max_generations = std::numeric_limits<std::size_t>::max();
   gp.record_trace = false;
   GaEngine engine(w, gp);
   return run_anytime(engine, Budget::seconds(budget_seconds));
@@ -169,11 +164,11 @@ TEST(EndToEnd, SeBeatsRandomInitOnPaperClassWorkload) {
   const Workload w = make_workload(paper_fig5_high_connectivity(5));
   SeParams p;
   p.seed = 5;
-  p.max_iterations = 15;
-  const SeResult r = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(15));
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
-  ASSERT_FALSE(r.trace.empty());
-  EXPECT_LE(r.best_makespan, r.trace.front().current_makespan);
+  ASSERT_FALSE(engine.trace().empty());
+  EXPECT_LE(r.best_makespan, engine.trace().front().current_makespan);
 }
 
 }  // namespace

@@ -91,8 +91,9 @@ TEST(RandomSearchTest, ValidAndImprovesWithBudget) {
   p.machines = 5;
   p.seed = 3;
   const Workload w = make_workload(p);
-  const Schedule one = random_search_schedule(w, 1, 42);
-  const Schedule many = random_search_schedule(w, 200, 42);
+  RandomSearchEngine engine(w, 42);
+  const Schedule one = run_search(engine, Budget::steps(1)).schedule;
+  const Schedule many = run_search(engine, Budget::steps(200)).schedule;
   EXPECT_TRUE(is_valid_schedule(w, one));
   EXPECT_TRUE(is_valid_schedule(w, many));
   EXPECT_LE(many.makespan, one.makespan);

@@ -51,6 +51,14 @@ TEST(Options, NonNumericValueThrows) {
   auto o = parse({"--n=abc"}, {"n"});
   EXPECT_THROW(o.get_int("n", 0), Error);
   EXPECT_THROW(o.get_double("n", 0.0), Error);
+  // A parsed prefix is not a value: the whole text must be the number.
+  o = parse({"--iterations", "10k", "--budget", "1.5s", "--seed", "-1"},
+            {"iterations", "budget", "seed"});
+  EXPECT_THROW(o.get_int("iterations", 0), UsageError);
+  EXPECT_THROW(o.get_double("budget", 0.0), UsageError);
+  EXPECT_THROW(o.get_seed("seed", 0), UsageError);
+  o = parse({"--seed=+7"}, {"seed"});
+  EXPECT_THROW(o.get_seed("seed", 0), UsageError);
 }
 
 TEST(ScaleFromEnv, DefaultIsOne) {
@@ -68,6 +76,8 @@ TEST(ScaleFromEnv, RejectsNonPositive) {
   setenv("SEHC_SCALE", "-1", 1);
   EXPECT_THROW(scale_from_env(), Error);
   setenv("SEHC_SCALE", "junk", 1);
+  EXPECT_THROW(scale_from_env(), Error);
+  setenv("SEHC_SCALE", "0.5x", 1);
   EXPECT_THROW(scale_from_env(), Error);
   unsetenv("SEHC_SCALE");
 }

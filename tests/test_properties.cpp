@@ -77,9 +77,9 @@ TEST_P(WorkloadClassTest, SeProducesValidBoundedSchedules) {
   const Workload w = make(3);
   SeParams p;
   p.seed = 3;
-  p.max_iterations = 15;
   p.verify_invariants = true;
-  const SeResult r = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(15));
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
   EXPECT_LE(r.best_makespan, serial_upper_bound(w) * 3.0);
@@ -89,10 +89,10 @@ TEST_P(WorkloadClassTest, GaProducesValidBoundedSchedules) {
   const Workload w = make(4);
   GaParams p;
   p.seed = 4;
-  p.max_generations = 15;
   p.population = 16;
   p.verify_invariants = true;
-  const GaResult r = GaEngine(w, p).run();
+  GaEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(15));
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
 }
@@ -130,12 +130,12 @@ TEST_P(SeedSweepTest, SeInvariantsHold) {
   const Workload w = make_workload(wp);
   SeParams p;
   p.seed = GetParam();
-  p.max_iterations = 20;
   p.verify_invariants = true;
-  const SeResult r = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(20));
   // Best is the minimum of the current-makespan series and monotone.
-  double running_best = r.trace.front().current_makespan;
-  for (const auto& row : r.trace) {
+  double running_best = engine.trace().front().current_makespan;
+  for (const auto& row : engine.trace()) {
     running_best = std::min(running_best, row.current_makespan);
     EXPECT_DOUBLE_EQ(row.best_makespan, running_best);
     EXPECT_LE(row.num_selected, w.num_tasks());
@@ -152,12 +152,13 @@ TEST_P(SeedSweepTest, GaNeverLosesBestChromosome) {
   const Workload w = make_workload(wp);
   GaParams p;
   p.seed = GetParam();
-  p.max_generations = 20;
   p.population = 12;
-  const GaResult r = GaEngine(w, p).run();
-  for (std::size_t i = 1; i < r.trace.size(); ++i) {
+  GaEngine engine(w, p);
+  run_search(engine, Budget::steps(20));
+  const std::vector<GaIterationStats>& trace = engine.trace();
+  for (std::size_t i = 1; i < trace.size(); ++i) {
     // Elitism: generation best never regresses past best-ever.
-    EXPECT_LE(r.trace[i].best_makespan, r.trace[i - 1].best_makespan + 1e-9);
+    EXPECT_LE(trace[i].best_makespan, trace[i - 1].best_makespan + 1e-9);
   }
 }
 
@@ -188,9 +189,9 @@ TEST_P(StructuredSweepTest, SeHandlesStructuredGraphs) {
       make_workload_for_graph(factory(), 4, Level::kMedium, 0.5, 100.0, 7);
   SeParams p;
   p.seed = 7;
-  p.max_iterations = 15;
   p.verify_invariants = true;
-  const SeResult r = SeEngine(w, p).run();
+  SeEngine engine(w, p);
+  const SearchResult r = run_search(engine, Budget::steps(15));
   EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << name;
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9) << name;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/rng.h"
 #include "sched/bounds.h"
 #include "sched/validate.h"
@@ -10,12 +13,24 @@
 namespace sehc {
 namespace {
 
-SeParams quick_params(std::uint64_t seed, std::size_t iterations = 40) {
+SeParams quick_params(std::uint64_t seed) {
   SeParams p;
   p.seed = seed;
-  p.max_iterations = iterations;
   p.verify_invariants = true;
   return p;
+}
+
+/// A finished SE run: the driver's result plus the engine's trace.
+struct SeRun {
+  SearchResult result;
+  std::vector<SeIterationStats> trace;
+};
+
+SeRun run_se(const Workload& w, const SeParams& p,
+             std::size_t iterations = 40) {
+  SeEngine engine(w, p);
+  SearchResult result = run_search(engine, Budget::steps(iterations));
+  return {std::move(result), engine.trace()};
 }
 
 TEST(SeEngine, ProducesValidSchedule) {
@@ -24,9 +39,9 @@ TEST(SeEngine, ProducesValidSchedule) {
   wp.machines = 4;
   wp.seed = 1;
   const Workload w = make_workload(wp);
-  const SeResult r = SeEngine(w, quick_params(1)).run();
-  EXPECT_TRUE(r.best_solution.is_valid(w.graph()));
+  const SearchResult r = run_se(w, quick_params(1)).result;
   EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(r.schedule.to_solution().is_valid(w.graph()));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
 }
@@ -37,10 +52,11 @@ TEST(SeEngine, DeterministicPerSeed) {
   wp.machines = 4;
   wp.seed = 2;
   const Workload w = make_workload(wp);
-  const SeResult a = SeEngine(w, quick_params(7)).run();
-  const SeResult b = SeEngine(w, quick_params(7)).run();
-  EXPECT_DOUBLE_EQ(a.best_makespan, b.best_makespan);
-  EXPECT_EQ(a.best_solution, b.best_solution);
+  const SeRun a = run_se(w, quick_params(7));
+  const SeRun b = run_se(w, quick_params(7));
+  EXPECT_DOUBLE_EQ(a.result.best_makespan, b.result.best_makespan);
+  EXPECT_EQ(a.result.schedule.assignment, b.result.schedule.assignment);
+  EXPECT_EQ(a.result.schedule.start, b.result.schedule.start);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace[i].num_selected, b.trace[i].num_selected);
@@ -54,11 +70,11 @@ TEST(SeEngine, BestMakespanIsMonotone) {
   wp.machines = 6;
   wp.seed = 3;
   const Workload w = make_workload(wp);
-  const SeResult r = SeEngine(w, quick_params(3, 60)).run();
+  const SeRun r = run_se(w, quick_params(3), 60);
   for (std::size_t i = 1; i < r.trace.size(); ++i) {
     EXPECT_LE(r.trace[i].best_makespan, r.trace[i - 1].best_makespan);
   }
-  EXPECT_DOUBLE_EQ(r.trace.back().best_makespan, r.best_makespan);
+  EXPECT_DOUBLE_EQ(r.trace.back().best_makespan, r.result.best_makespan);
 }
 
 TEST(SeEngine, ImprovesOverInitialSolution) {
@@ -67,13 +83,16 @@ TEST(SeEngine, ImprovesOverInitialSolution) {
   wp.machines = 8;
   wp.seed = 4;
   const Workload w = make_workload(wp);
-  SeParams p = quick_params(4, 80);
+  SeParams p = quick_params(4);
   Rng rng(p.seed);
   SolutionString initial =
       random_initial_solution(w.graph(), w.num_machines(), rng);
   const double initial_len = schedule_makespan(w, initial);
-  const SeResult r = SeEngine(w, p).run_from(std::move(initial));
-  EXPECT_LT(r.best_makespan, initial_len);
+  SeEngine engine(w, p, std::move(initial));
+  EXPECT_LT(run_search(engine, Budget::steps(80)).best_makespan, initial_len);
+  // The search starts from the supplied solution, so no row is worse.
+  ASSERT_FALSE(engine.trace().empty());
+  EXPECT_LE(engine.trace().front().best_makespan, initial_len);
 }
 
 TEST(SeEngine, SelectedCountDecreasesAsSearchConverges) {
@@ -85,9 +104,9 @@ TEST(SeEngine, SelectedCountDecreasesAsSearchConverges) {
   wp.connectivity = Level::kHigh;
   wp.seed = 5;
   const Workload w = make_workload(wp);
-  SeParams p = quick_params(5, 100);
+  SeParams p = quick_params(5);
   p.bias = 0.0;
-  const SeResult r = SeEngine(w, p).run();
+  const SeRun r = run_se(w, p, 100);
   const std::size_t q = r.trace.size() / 4;
   double early = 0.0, late = 0.0;
   for (std::size_t i = 0; i < q; ++i) {
@@ -98,42 +117,51 @@ TEST(SeEngine, SelectedCountDecreasesAsSearchConverges) {
 }
 
 TEST(SeEngine, RespectsIterationCap) {
+  // A step budget of 5 runs exactly 5 iterations, one trace row each.
   const Workload w = figure1_workload();
-  SeParams p = quick_params(1, 5);
-  const SeResult r = SeEngine(w, p).run();
-  EXPECT_EQ(r.iterations, 5u);
+  const SeRun r = run_se(w, quick_params(1), 5);
+  EXPECT_EQ(r.result.steps, 5u);
   EXPECT_EQ(r.trace.size(), 5u);
 }
 
 TEST(SeEngine, ObserverCanStopEarly) {
   const Workload w = figure1_workload();
-  SeParams p = quick_params(1, 100);
-  SeEngine engine(w, p);
+  SeEngine engine(w, quick_params(1));
   std::size_t calls = 0;
-  engine.set_observer([&calls](const SeIterationStats&) {
-    ++calls;
-    return calls < 3;
-  });
-  const SeResult r = engine.run();
+  const SearchResult r =
+      run_search(engine, Budget::steps(100), [&calls](const StepStats&) {
+        ++calls;
+        return calls < 3;
+      });
   EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(r.iterations, 3u);
+  EXPECT_EQ(r.steps, 3u);
+  EXPECT_EQ(engine.trace().size(), 3u);
 }
 
 TEST(SeEngine, StallStopTriggers) {
+  // A stall rule is an observer: stop after 10 iterations without
+  // improving the best makespan.
   const Workload w = figure1_workload();
-  SeParams p = quick_params(2, 1000);
-  p.stall_iterations = 10;
-  const SeResult r = SeEngine(w, p).run();
-  EXPECT_LT(r.iterations, 1000u);
+  SeEngine engine(w, quick_params(2));
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t stall = 0;
+  const SearchResult r = run_search(
+      engine, Budget::steps(1000), [&](const StepStats& stats) {
+        stall = stats.best_makespan < best ? 0 : stall + 1;
+        best = std::min(best, stats.best_makespan);
+        return stall < 10;
+      });
+  EXPECT_LT(r.steps, 1000u);
+  EXPECT_EQ(stall, 10u);
 }
 
 TEST(SeEngine, TraceDisabledLeavesTraceEmpty) {
   const Workload w = figure1_workload();
-  SeParams p = quick_params(1, 5);
+  SeParams p = quick_params(1);
   p.record_trace = false;
-  const SeResult r = SeEngine(w, p).run();
+  const SeRun r = run_se(w, p, 5);
   EXPECT_TRUE(r.trace.empty());
-  EXPECT_EQ(r.iterations, 5u);
+  EXPECT_EQ(r.result.steps, 5u);
 }
 
 TEST(SeEngine, DefaultBiasResolvedFromProblemSize) {
@@ -159,33 +187,47 @@ TEST(SeEngine, YLimitAffectsRuntimeNotValidity) {
   wp.seed = 6;
   const Workload w = make_workload(wp);
   for (std::size_t y : {2u, 5u, 10u}) {
-    SeParams p = quick_params(6, 20);
+    SeParams p = quick_params(6);
     p.y_limit = y;
-    const SeResult r = SeEngine(w, p).run();
+    const SearchResult r = run_se(w, p, 20).result;
     EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << "Y=" << y;
   }
 }
 
 TEST(SeEngine, RunFromRejectsInvalidString) {
+  // The initial-solution constructor checks the string up front.
   const Workload w = figure1_workload();
   // Invalid: s4 (needs s0, s1) first.
   const std::vector<TaskId> order{4, 0, 1, 2, 3, 5, 6};
   const std::vector<MachineId> asg(7, 0);
-  SeParams p = quick_params(1, 5);
-  EXPECT_THROW(SeEngine(w, p).run_from(SolutionString(order, asg)), Error);
+  EXPECT_THROW(SeEngine(w, quick_params(1), SolutionString(order, asg)),
+               Error);
+
+  // A valid one is where init() restarts from, even after steps.
+  const std::vector<TaskId> valid{0, 1, 2, 3, 4, 5, 6};
+  ASSERT_TRUE(SolutionString(valid, asg).is_valid(w.graph()));
+  SeEngine engine(w, quick_params(1), SolutionString(valid, asg));
+  const double initial_len = schedule_makespan(w, SolutionString(valid, asg));
+  for (int round = 0; round < 2; ++round) {
+    engine.init();
+    EXPECT_EQ(engine.best_makespan(), initial_len);
+    EXPECT_EQ(engine.best_schedule().assignment, asg);
+    for (int i = 0; i < 5; ++i) engine.step();
+  }
 }
 
 TEST(SeEngine, TimeLimitStopsRun) {
+  // A wall-clock budget stops the run long before its step count would.
   WorkloadParams wp;
   wp.tasks = 80;
   wp.machines = 10;
   wp.seed = 7;
   const Workload w = make_workload(wp);
-  SeParams p = quick_params(7, 1000000);
-  p.time_limit_seconds = 0.05;
-  const SeResult r = SeEngine(w, p).run();
-  EXPECT_LT(r.seconds, 5.0);  // stopped well before the iteration cap
-  EXPECT_LT(r.iterations, 1000000u);
+  SeEngine engine(w, quick_params(7));
+  const SearchResult r = run_search(engine, Budget::seconds(0.05));
+  EXPECT_GE(r.seconds, 0.05);
+  EXPECT_LT(r.seconds, 5.0);
+  EXPECT_LT(r.steps, 1000000u);
 }
 
 }  // namespace

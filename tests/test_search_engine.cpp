@@ -1,11 +1,10 @@
-// Differential suite for the unified stepwise search-engine core: every
-// searcher's classic entry point (run(), tabu_schedule, anneal_schedule,
-// random_search_schedule) must be bit-identical to externally driving the
-// same engine through init()/step()/run_search at the same seed —
-// schedules, stats and RNG streams — and every one-shot engine the
-// scheduler registry builds must match its plain schedule function. Plus
-// the Budget semantics (steps / evals / seconds) and the uniform observer
-// hook.
+// Differential suite for the unified stepwise search-engine core: for every
+// searcher, run_search under a step budget must be bit-identical to the
+// bare init() + N x step() loop at the same seed — schedules, stats and
+// evaluator trials — and every one-shot engine the scheduler registry
+// builds must match its plain schedule function. Plus the Budget semantics
+// (steps / evals / seconds), which are the only way a searcher stops, and
+// the uniform observer hook.
 #include "search/engine.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +30,8 @@
 namespace sehc {
 namespace {
 
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+constexpr const char* kSearchers[] = {"SE", "GA", "GSA", "SA", "Tabu",
+                                      "Random"};
 
 Workload small_workload(std::uint64_t seed) {
   WorkloadParams p;
@@ -41,107 +41,75 @@ Workload small_workload(std::uint64_t seed) {
   return make_workload(p);
 }
 
-/// Drives `engine` manually (init + step until done) and returns the final
-/// stats for comparison against the engine's classic entry point.
-struct DrivenOutcome {
-  double best = 0.0;
-  std::size_t steps = 0;
-  std::size_t evals = 0;
-  double schedule_makespan = 0.0;
-};
-
-DrivenOutcome drive_manually(SearchEngine& engine) {
-  engine.init();
+/// run_search(driven, steps(n)) against the bare init() + n x step() loop
+/// on an identically built engine: same best, evals and schedule, bit for
+/// bit.
+void expect_driver_matches_bare_loop(SearchEngine& driven, SearchEngine& bare,
+                                     std::size_t n) {
+  const SearchResult r = run_search(driven, Budget::steps(n));
+  bare.init();
   StepStats last;
-  while (!engine.done()) last = engine.step();
-  DrivenOutcome out;
-  out.best = engine.best_makespan();
-  out.steps = engine.steps_done();
-  out.evals = engine.evals_used();
-  out.schedule_makespan = engine.best_schedule().makespan;
-  EXPECT_EQ(last.best_makespan, out.best);
-  EXPECT_EQ(last.step + 1, out.steps);
-  return out;
+  for (std::size_t i = 0; i < n; ++i) last = bare.step();
+  EXPECT_EQ(r.steps, n);
+  EXPECT_EQ(bare.steps_done(), n);
+  EXPECT_EQ(last.step + 1, n);
+  EXPECT_EQ(last.best_makespan, r.best_makespan);
+  EXPECT_EQ(bare.best_makespan(), r.best_makespan);
+  EXPECT_EQ(bare.evals_used(), r.evals);
+  const Schedule schedule = bare.best_schedule();
+  EXPECT_EQ(schedule.makespan, r.schedule.makespan);
+  EXPECT_EQ(schedule.assignment, r.schedule.assignment);
+  EXPECT_EQ(schedule.start, r.schedule.start);
 }
 
 TEST(SearchEngineCore, SeStepwiseMatchesRun) {
   const Workload w = small_workload(11);
-  SeParams p = comparison_se_params(30, 7);
-  const SeResult classic = SeEngine(w, p).run();
-
-  SeEngine stepwise(w, p);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.best, classic.best_makespan);
-  EXPECT_EQ(driven.steps, classic.iterations);
-  EXPECT_EQ(driven.schedule_makespan, classic.schedule.makespan);
-
-  // And through the generic driver with an equivalent step budget.
-  SeEngine budgeted(w, p);
-  const SearchResult via_driver = run_search(budgeted, Budget::steps(30));
-  EXPECT_EQ(via_driver.best_makespan, classic.best_makespan);
-  EXPECT_EQ(via_driver.steps, classic.iterations);
-  EXPECT_EQ(via_driver.evals, driven.evals);
+  const SeParams p = comparison_se_params(7);
+  SeEngine driven(w, p);
+  SeEngine bare(w, p);
+  expect_driver_matches_bare_loop(driven, bare, 30);
 }
 
 TEST(SearchEngineCore, GaStepwiseMatchesRun) {
   const Workload w = small_workload(12);
-  GaParams p = comparison_ga_params(20, 9);
+  GaParams p = comparison_ga_params(9);
   p.population = 16;
-  const GaResult classic = GaEngine(w, p).run();
-
-  GaEngine stepwise(w, p);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.best, classic.best_makespan);
-  EXPECT_EQ(driven.steps, classic.generations);
-  EXPECT_EQ(driven.schedule_makespan, classic.schedule.makespan);
+  GaEngine driven(w, p);
+  GaEngine bare(w, p);
+  expect_driver_matches_bare_loop(driven, bare, 20);
 }
 
 TEST(SearchEngineCore, GsaStepwiseMatchesRun) {
   const Workload w = small_workload(13);
-  GsaParams p = comparison_gsa_params(20, 5);
+  GsaParams p = comparison_gsa_params(5);
   p.population = 12;
-  const GsaResult classic = GsaEngine(w, p).run();
-
-  GsaEngine stepwise(w, p);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.best, classic.best_makespan);
-  EXPECT_EQ(driven.steps, classic.generations);
-  EXPECT_EQ(driven.schedule_makespan, classic.schedule.makespan);
+  GsaEngine driven(w, p);
+  GsaEngine bare(w, p);
+  expect_driver_matches_bare_loop(driven, bare, 20);
 }
 
 TEST(SearchEngineCore, TabuStepwiseMatchesWrapper) {
   const Workload w = small_workload(14);
-  const TabuParams p = comparison_tabu_params(120, 3);
-  const TabuResult classic = tabu_schedule(w, p);
-
-  TabuEngine stepwise(w, p);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.best, classic.best_makespan);
-  EXPECT_EQ(driven.steps, classic.iterations);
-  EXPECT_EQ(driven.schedule_makespan, classic.schedule.makespan);
+  const TabuParams p = comparison_tabu_params(3);
+  TabuEngine driven(w, p);
+  TabuEngine bare(w, p);
+  expect_driver_matches_bare_loop(driven, bare, 120);
 }
 
 TEST(SearchEngineCore, SaStepwiseMatchesWrapper) {
   const Workload w = small_workload(15);
-  const SaParams p = comparison_sa_params(400, 8);
-  const SaResult classic = anneal_schedule(w, p);
-
-  SaEngine stepwise(w, p);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.best, classic.best_makespan);
-  EXPECT_EQ(driven.steps, classic.iterations);
-  EXPECT_EQ(driven.schedule_makespan, classic.schedule.makespan);
+  const SaParams p = comparison_sa_params(Budget::steps(400), 8);
+  SaEngine driven(w, p);
+  SaEngine bare(w, p);
+  expect_driver_matches_bare_loop(driven, bare, 400);
 }
 
 TEST(SearchEngineCore, RandomStepwiseMatchesWrapper) {
   const Workload w = small_workload(16);
-  const Schedule classic = random_search_schedule(w, 64, 21);
-
-  RandomSearchEngine stepwise(w, 64, 21);
-  const DrivenOutcome driven = drive_manually(stepwise);
-  EXPECT_EQ(driven.schedule_makespan, classic.makespan);
-  EXPECT_EQ(driven.steps, 64u);
-  EXPECT_EQ(driven.evals, 64u);  // one trial per sample, exactly
+  RandomSearchEngine driven(w, 21);
+  RandomSearchEngine bare(w, 21);
+  expect_driver_matches_bare_loop(driven, bare, 64);
+  EXPECT_EQ(bare.evals_used(), 64u);  // one trial per sample, exactly
 }
 
 TEST(SearchEngineCore, SchedulerAdaptersMatchEngines) {
@@ -169,27 +137,39 @@ TEST(SearchEngineCore, SchedulerAdaptersMatchEngines) {
 }
 
 TEST(SearchEngineCore, StepsBudgetStopsExactly) {
+  // The budget is the only stop: every searcher runs exactly 9 steps and
+  // would happily take a tenth.
   const Workload w = small_workload(18);
-  SeEngine engine(w, comparison_se_params(kUnbounded, 4));
-  const SearchResult r = run_search(engine, Budget::steps(9));
-  EXPECT_EQ(r.steps, 9u);
-  EXPECT_EQ(engine.steps_done(), 9u);
+  for (const char* name : kSearchers) {
+    const Budget budget = Budget::steps(9);
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, budget, 4);
+    const SearchResult r = run_search(*engine, budget);
+    EXPECT_EQ(r.steps, 9u) << name;
+    EXPECT_EQ(engine->steps_done(), 9u) << name;
+    EXPECT_FALSE(engine->done()) << name;
+  }
 }
 
 TEST(SearchEngineCore, EvalsBudgetStopsAtFirstStepBoundary) {
   const Workload w = small_workload(19);
-  for (const char* name : {"SE", "GA", "GSA", "SA", "Tabu", "Random"}) {
+  for (const char* name : kSearchers) {
     const std::size_t budget = 500;
     const std::unique_ptr<SearchEngine> engine =
         make_search_engine(name, w, Budget::evals(budget), 6);
     const SearchResult r = run_search(*engine, Budget::evals(budget));
     EXPECT_GE(r.evals, budget) << name;
-    // Replaying the driver loop by hand stops at the same step boundary.
+    // Replaying the driver's step count by hand: every step but the last
+    // starts under the budget, so the run stopped at the first boundary at
+    // or past it.
     SCOPED_TRACE(name);
     const std::unique_ptr<SearchEngine> replay =
         make_search_engine(name, w, Budget::evals(budget), 6);
     replay->init();
-    while (!replay->done() && replay->evals_used() < budget) replay->step();
+    for (std::size_t i = 0; i < r.steps; ++i) {
+      EXPECT_LT(replay->evals_used(), budget) << "step " << i;
+      replay->step();
+    }
     EXPECT_EQ(replay->evals_used(), r.evals);
     EXPECT_EQ(replay->best_makespan(), r.best_makespan);
   }
@@ -197,7 +177,7 @@ TEST(SearchEngineCore, EvalsBudgetStopsAtFirstStepBoundary) {
 
 TEST(SearchEngineCore, EvalsBudgetIsDeterministic) {
   const Workload w = small_workload(20);
-  for (const char* name : {"SE", "GA", "GSA", "SA", "Tabu", "Random"}) {
+  for (const char* name : kSearchers) {
     const Budget budget = Budget::evals(800);
     const std::unique_ptr<SearchEngine> a =
         make_search_engine(name, w, budget, 9);
@@ -212,19 +192,22 @@ TEST(SearchEngineCore, EvalsBudgetIsDeterministic) {
 }
 
 TEST(SearchEngineCore, SecondsBudgetStops) {
+  // No searcher can stop early, so every one spends the whole budget.
   const Workload w = small_workload(21);
-  const Budget budget = Budget::seconds(0.05);
-  const std::unique_ptr<SearchEngine> engine =
-      make_search_engine("SA", w, budget, 2);
-  const SearchResult r = run_search(*engine, budget);
-  EXPECT_GE(r.seconds, 0.0);
-  EXPECT_GT(r.steps, 0u);
-  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
+  for (const char* name : kSearchers) {
+    const Budget budget = Budget::seconds(0.05);
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, budget, 2);
+    const SearchResult r = run_search(*engine, budget);
+    EXPECT_GE(r.seconds, budget.wall_seconds) << name;
+    EXPECT_GT(r.steps, 0u) << name;
+    EXPECT_TRUE(validate_schedule(w, r.schedule).empty()) << name;
+  }
 }
 
 TEST(SearchEngineCore, ObserverCanStopEarly) {
   const Workload w = small_workload(22);
-  SeEngine engine(w, comparison_se_params(100, 3));
+  SeEngine engine(w, comparison_se_params(3));
   std::size_t calls = 0;
   const SearchResult r =
       run_search(engine, Budget::steps(100), [&](const StepStats& stats) {
@@ -243,7 +226,7 @@ TEST(SearchEngineCore, StepStatsAreConsistent) {
   engine->init();
   double prev_best = std::numeric_limits<double>::infinity();
   std::size_t prev_evals = 0;
-  while (!engine->done()) {
+  for (std::size_t i = 0; i < 50; ++i) {
     const StepStats stats = engine->step();
     EXPECT_LE(stats.best_makespan, prev_best);
     EXPECT_GE(stats.evals_used, prev_evals);
@@ -321,7 +304,7 @@ TEST(SearchEngineCore, MakeSearchEngineRejectsNonEngines) {
       EXPECT_NE(message.find(name), std::string::npos) << name;
     }
   }
-  for (const char* name : {"SE", "GA", "GSA", "SA", "Tabu", "Random"}) {
+  for (const char* name : kSearchers) {
     EXPECT_EQ(find_scheduler(name)->one_shot, nullptr) << name;
   }
 }
@@ -342,7 +325,7 @@ TEST(SearchEngineCore, BudgetValidation) {
 
 TEST(SearchEngineCore, ReinitRestartsFromScratch) {
   const Workload w = small_workload(25);
-  SeEngine engine(w, comparison_se_params(12, 6));
+  SeEngine engine(w, comparison_se_params(6));
   const SearchResult first = run_search(engine, Budget::steps(12));
   const SearchResult second = run_search(engine, Budget::steps(12));
   EXPECT_EQ(first.best_makespan, second.best_makespan);
@@ -354,18 +337,18 @@ TEST(SearchEngineCore, RunAnytimeStepAxisMatchesLegacyShape) {
   // shape the deleted run_se_anytime_iters produced: improving points at
   // (iteration + 1) plus a terminal point at the budget.
   const Workload w = small_workload(26);
-  SeParams p = comparison_se_params(15, 4);
+  const SeParams p = comparison_se_params(4);
   SeEngine engine(w, p);
 
   CurveRecorder expected;
   SeEngine reference(w, p);
-  reference.set_observer([&](const SeIterationStats& stats) {
-    expected.record(static_cast<double>(stats.iteration + 1),
-                    stats.best_makespan);
-    return true;
-  });
-  const SeResult ref_result = reference.run();
-  expected.finish(static_cast<double>(ref_result.iterations),
+  const SearchResult ref_result =
+      run_search(reference, Budget::steps(15), [&](const StepStats& stats) {
+        expected.record(static_cast<double>(stats.step + 1),
+                        stats.best_makespan);
+        return true;
+      });
+  expected.finish(static_cast<double>(ref_result.steps),
                   ref_result.best_makespan);
 
   const auto curve = run_anytime(engine, Budget::steps(15));

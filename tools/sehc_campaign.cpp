@@ -39,6 +39,7 @@
 #include "core/error.h"
 #include "core/options.h"
 #include "core/table.h"
+#include "core/timer.h"
 #include "exp/campaign.h"
 #include "obs/metrics_sidecar.h"
 
@@ -137,8 +138,14 @@ int cmd_run(const Options& opts) {
   run_opts.max_cells =
       static_cast<std::size_t>(opts.get_int("max-cells", 0));
   if (opts.has("progress")) {
-    run_opts.progress = [](std::size_t done, std::size_t total) {
-      std::cerr << "\r" << done << "/" << total << " cells" << std::flush;
+    // Rate and ETA read this run's own clock: volatile, so stderr only.
+    run_opts.progress = [timer = WallTimer()](std::size_t done,
+                                              std::size_t total) {
+      const double rate = static_cast<double>(done) / timer.seconds();
+      std::cerr << "\r" << done << "/" << total << " cells, "
+                << format_fixed(rate, 1) << " cells/s, ETA "
+                << format_fixed(static_cast<double>(total - done) / rate, 1)
+                << " s   " << std::flush;
       if (done == total) std::cerr << '\n';
     };
   }
