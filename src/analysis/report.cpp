@@ -112,6 +112,12 @@ std::string wlt_string(std::size_t wins, std::size_t losses,
          std::to_string(ties);
 }
 
+/// Decimals of a curve-grid coordinate: seconds are fractional, step and
+/// eval counts are whole.
+int axis_precision(const CampaignDataset& dataset) {
+  return dataset.axis == "seconds" ? 3 : 0;
+}
+
 double mean_of(std::span<const double> values) {
   double sum = 0.0;
   for (const double v : values) sum += v;
@@ -364,7 +370,7 @@ Table crossing_table(const CampaignDataset& dataset,
              "campaign with curve_points > 0)");
   const std::string& c = options.challenger;
   const std::string& b = options.baseline;
-  const int x_precision = dataset.axis == "seconds" ? 3 : 0;
+  const int x_precision = axis_precision(dataset);
   Table table({"class", "n", "crosses_at_" + dataset.axis, c + "@cross",
                b + "@cross", c + "_final", b + "_final", "auc_ratio"});
   for (const std::string& cls : dataset.classes) {
@@ -403,6 +409,35 @@ Table crossing_table(const CampaignDataset& dataset,
   SEHC_CHECK(table.rows() > 0,
              "crossing_table: no class has both '" + c + "' and '" + b +
                  "' records");
+  return table;
+}
+
+Table curve_table(const CampaignDataset& dataset) {
+  SEHC_CHECK(dataset.has_curves(),
+             "curve_table: store has no anytime curves (rerun the campaign "
+             "with curve_points > 0)");
+  std::vector<std::string> headers{"class", dataset.axis};
+  headers.insert(headers.end(), dataset.schedulers.begin(),
+                 dataset.schedulers.end());
+  Table table(std::move(headers));
+  const int x_precision = axis_precision(dataset);
+  for (const std::string& cls : dataset.classes) {
+    // A scheduler without records in this class (a partial shard store)
+    // keeps an empty mean and prints "-" throughout.
+    std::vector<std::vector<double>> means;
+    for (const std::string& sched : dataset.schedulers) {
+      const CampaignGroup* group = dataset.find_group(cls, sched);
+      means.push_back(group == nullptr ? std::vector<double>{}
+                                       : mean_curve(dataset.bundle(*group)));
+    }
+    for (std::size_t i = 0; i < dataset.grid.size(); ++i) {
+      table.begin_row().add(cls).add(dataset.grid[i], x_precision);
+      for (const std::vector<double>& mean : means) {
+        if (mean.empty() || std::isinf(mean[i])) table.add("-");
+        else table.add(mean[i], 2);
+      }
+    }
+  }
   return table;
 }
 

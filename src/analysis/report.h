@@ -84,9 +84,8 @@ CampaignDataset build_dataset(const ResultStore& store);
 
 /// True when some class has challenger and baseline records sharing at
 /// least one repetition — the precondition of the head-to-head and
-/// crossing tables. Callers that degrade to a note (write_report,
-/// sehc_campaign table) share this check so partial shard stores never
-/// fail mid-output.
+/// crossing tables. write_report degrades to a note when it is false, so
+/// partial shard stores never fail mid-output.
 bool has_paired_records(const CampaignDataset& dataset,
                         const std::string& challenger,
                         const std::string& baseline);
@@ -151,6 +150,13 @@ Table pair_comparison_table(const CampaignDataset& dataset,
 /// (throws when the store has none).
 Table crossing_table(const CampaignDataset& dataset,
                      const ReportOptions& options);
+
+/// The anytime curves themselves (Figures 5-7 from the fig*-anytime
+/// stores): one row per (class, grid point) with columns class, the
+/// dataset's axis, then one per scheduler holding its mean curve over the
+/// class's repetitions at 2 decimals — "-" where no solution is known yet.
+/// Throws when the store has no curves.
+Table curve_table(const CampaignDataset& dataset);
 
 /// Per-(class, scheduler) record counts for every group missing
 /// repetitions relative to the spec line's expected grid — including

@@ -1,30 +1,12 @@
 #include "core/options.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 
 #include "core/error.h"
 
 namespace sehc {
-
-namespace {
-
-/// `text` as a T when std::from_chars consumes all of it: no leading
-/// whitespace or '+', no trailing suffix ("10k", "1.5s"), and no sign at
-/// all for an unsigned T.
-template <typename T>
-std::optional<T> parse_whole(const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-}  // namespace
 
 Options::Options(int argc, const char* const* argv,
                  std::vector<std::string> known)

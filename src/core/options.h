@@ -10,6 +10,7 @@
 // be shrunk for smoke runs or grown for full reproductions.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -43,6 +44,18 @@ class UsageError : public Error {
   std::vector<std::string> known_;
   bool help_;
 };
+
+/// `text` as a T when std::from_chars consumes all of it: no leading
+/// whitespace or '+', no trailing suffix ("10k", "1.5s"), and no sign at
+/// all for an unsigned T. Every numeric command-line value parses by it.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 class Options {
  public:

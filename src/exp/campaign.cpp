@@ -494,7 +494,7 @@ CampaignSpec make_fig_campaign(const std::string& name,
 std::vector<std::string> builtin_campaign_names() {
   return {"paper-class-grid", "equal-evals-grid", "scaled-class-grid",
           "consistency-grid", "fig5-anytime",     "fig6-anytime",
-          "fig7-anytime"};
+          "fig7-anytime",     "baselines"};
 }
 
 namespace {
@@ -519,8 +519,8 @@ std::vector<CampaignClass> paper_cube_classes() {
 
 CampaignSpec make_builtin_campaign(const std::string& name) {
   if (name == "paper-class-grid") {
-    // The §5.3 extension grid of bench/table_class_grid: SE vs GA across
-    // connectivity x heterogeneity x CCR under an equal iteration budget.
+    // The §5.3 extension grid: SE vs GA across connectivity x heterogeneity
+    // x CCR under an equal iteration budget.
     CampaignSpec spec;
     spec.name = name;
     spec.classes = paper_cube_classes();
@@ -595,6 +595,21 @@ CampaignSpec make_builtin_campaign(const std::string& name) {
   }
   if (name == "fig7-anytime") {
     return make_fig_campaign(name, &paper_fig7_low_everything, 42, 4.0);
+  }
+  if (name == "baselines") {
+    // Every registered scheduler on the three figure workloads and the
+    // small paper instance, pinned at seed 42: the paper's two heuristics
+    // inside the baseline landscape of its survey references [4][5].
+    CampaignSpec spec;
+    spec.name = name;
+    spec.classes = {{"high-conn", paper_fig5_high_connectivity(42)},
+                    {"ccr1", paper_fig6_ccr1(42)},
+                    {"low-all", paper_fig7_low_everything(42)},
+                    {"small", paper_small(42)}};
+    spec.schedulers = scheduler_names();
+    spec.repetitions = 1;
+    spec.iterations = 150;
+    return spec;
   }
   throw Error("make_builtin_campaign: unknown campaign '" + name +
               "' (known: " + join(builtin_campaign_names(), ',') + ")");

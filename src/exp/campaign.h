@@ -12,7 +12,7 @@
 // Determinism contract: with an iteration budget (time_budget_seconds ==
 // 0), every record field except `seconds` is a pure function of
 // (spec, cell); curves are captured on the iteration axis. With a
-// wall-clock budget (the Fig 5-7 benches), makespans and curves depend on
+// wall-clock budget (the fig5-7 specs), makespans and curves depend on
 // real time — such campaigns still shard/resume/persist, but byte-stable
 // merging is only guaranteed per already-completed cell.
 //
@@ -35,9 +35,9 @@
 namespace sehc {
 
 /// One workload-class axis point. `params.seed` is only used when the spec
-/// has a single repetition (so the paper benches can pin their exact
-/// instance); with more repetitions every instance seed is derived from the
-/// (class, repetition) coordinates.
+/// has a single repetition (so the fig5-7 and baselines specs can pin their
+/// exact instance); with more repetitions every instance seed is derived
+/// from the (class, repetition) coordinates.
 struct CampaignClass {
   std::string name;
   WorkloadParams params;
@@ -260,8 +260,10 @@ std::vector<std::string> builtin_campaign_names();
 ///   consistency-grid    machine-consistency scenarios (3 consistency x
 ///                       2 conn x 2 CCR), 10 seeds, SE/GA/HEFT/MinMin;
 ///   fig5-anytime /      the Figure 5-7 SE-vs-GA wall-clock comparisons as
-///   fig6-anytime /      single-class campaigns with 20-point curve capture.
-///   fig7-anytime
+///   fig6-anytime /      single-class campaigns with 20-point curve capture
+///   fig7-anytime        (sehc_report curves renders the figure);
+///   baselines           all 13 registered schedulers on the three figure
+///                       workloads and paper_small, 1 repetition at seed 42.
 CampaignSpec make_builtin_campaign(const std::string& name);
 
 }  // namespace sehc

@@ -46,18 +46,4 @@ void write_se_trace_csv(std::ostream& os,
   }
 }
 
-void write_anytime_csv(std::ostream& os,
-                       const std::vector<AnytimePoint>& se_curve,
-                       const std::vector<AnytimePoint>& ga_curve,
-                       const std::vector<double>& grid) {
-  os << "time_s,se_best,ga_best\n";
-  for (double t : grid) {
-    const double se = value_at(se_curve, t);
-    const double ga = value_at(ga_curve, t);
-    os << format_fixed(t, 3) << ','
-       << (std::isinf(se) ? std::string("") : format_fixed(se, 2)) << ','
-       << (std::isinf(ga) ? std::string("") : format_fixed(ga, 2)) << '\n';
-  }
-}
-
 }  // namespace sehc

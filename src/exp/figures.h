@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/anytime.h"
 #include "hc/workload.h"
 #include "se/se.h"
 
@@ -27,12 +26,5 @@ std::vector<SeIterationStats> downsample(
 void write_se_trace_csv(std::ostream& os,
                         const std::vector<SeIterationStats>& trace,
                         std::size_t max_rows);
-
-/// CSV emission of two anytime curves sampled on a shared grid:
-/// time_s,se_best,ga_best.
-void write_anytime_csv(std::ostream& os,
-                       const std::vector<AnytimePoint>& se_curve,
-                       const std::vector<AnytimePoint>& ga_curve,
-                       const std::vector<double>& grid);
 
 }  // namespace sehc

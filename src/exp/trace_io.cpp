@@ -1,34 +1,11 @@
 #include "exp/trace_io.h"
 
 #include <cstdlib>
-#include <functional>
 #include <limits>
 
 #include "core/table.h"
 
 namespace sehc {
-
-void write_full_se_trace(std::ostream& os,
-                         const std::vector<SeIterationStats>& trace) {
-  os << "iteration,selected,moved,current_makespan,best_makespan,elapsed_s\n";
-  for (const SeIterationStats& r : trace) {
-    os << r.iteration << ',' << r.num_selected << ',' << r.tasks_moved << ','
-       << format_fixed(r.current_makespan, 4) << ','
-       << format_fixed(r.best_makespan, 4) << ','
-       << format_fixed(r.elapsed_seconds, 6) << '\n';
-  }
-}
-
-void write_full_ga_trace(std::ostream& os,
-                         const std::vector<GaIterationStats>& trace) {
-  os << "generation,gen_best,gen_mean,best_makespan,elapsed_s\n";
-  for (const GaIterationStats& r : trace) {
-    os << r.generation << ',' << format_fixed(r.gen_best_makespan, 4) << ','
-       << format_fixed(r.gen_mean_makespan, 4) << ','
-       << format_fixed(r.best_makespan, 4) << ','
-       << format_fixed(r.elapsed_seconds, 6) << '\n';
-  }
-}
 
 void write_schedule_csv(std::ostream& os, const Workload& w,
                         const Schedule& s) {
@@ -106,80 +83,20 @@ std::uint64_t parse_csv_u64(const std::string& field,
   return static_cast<std::uint64_t>(value);
 }
 
-namespace {
-
-/// Reads the header line and checks it matches what the writer emits.
-void expect_header(std::istream& is, const std::string& expected,
-                   const std::string& reader) {
+std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is) {
+  const std::string reader = "read_schedule_csv";
   std::string line;
   SEHC_CHECK(static_cast<bool>(std::getline(is, line)),
              reader + ": empty input (missing header)");
-  SEHC_CHECK(line == expected,
+  SEHC_CHECK(line == "task,name,machine,start,finish",
              reader + ": unexpected header '" + line + "'");
-}
-
-/// Reads remaining lines, skipping empty ones, and applies row_fn to the
-/// split fields of each.
-void for_each_row(std::istream& is, std::size_t expected_fields,
-                  const std::string& reader,
-                  const std::function<void(const std::vector<std::string>&)>&
-                      row_fn) {
-  std::string line;
+  std::vector<ScheduleCsvRow> rows;
   while (std::getline(is, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::vector<std::string> fields = split_csv_line(line);
-    SEHC_CHECK(fields.size() == expected_fields,
-               reader + ": expected " + std::to_string(expected_fields) +
-                   " fields, got " + std::to_string(fields.size()) + " in: " +
-                   line);
-    row_fn(fields);
-  }
-}
-
-}  // namespace
-
-std::vector<SeIterationStats> read_full_se_trace(std::istream& is) {
-  const std::string reader = "read_full_se_trace";
-  expect_header(
-      is, "iteration,selected,moved,current_makespan,best_makespan,elapsed_s",
-      reader);
-  std::vector<SeIterationStats> trace;
-  for_each_row(is, 6, reader, [&](const std::vector<std::string>& f) {
-    SeIterationStats r;
-    r.iteration = static_cast<std::size_t>(parse_csv_u64(f[0], reader));
-    r.num_selected = static_cast<std::size_t>(parse_csv_u64(f[1], reader));
-    r.tasks_moved = static_cast<std::size_t>(parse_csv_u64(f[2], reader));
-    r.current_makespan = parse_csv_double(f[3], reader);
-    r.best_makespan = parse_csv_double(f[4], reader);
-    r.elapsed_seconds = parse_csv_double(f[5], reader);
-    trace.push_back(r);
-  });
-  return trace;
-}
-
-std::vector<GaIterationStats> read_full_ga_trace(std::istream& is) {
-  const std::string reader = "read_full_ga_trace";
-  expect_header(is, "generation,gen_best,gen_mean,best_makespan,elapsed_s",
-                reader);
-  std::vector<GaIterationStats> trace;
-  for_each_row(is, 5, reader, [&](const std::vector<std::string>& f) {
-    GaIterationStats r;
-    r.generation = static_cast<std::size_t>(parse_csv_u64(f[0], reader));
-    r.gen_best_makespan = parse_csv_double(f[1], reader);
-    r.gen_mean_makespan = parse_csv_double(f[2], reader);
-    r.best_makespan = parse_csv_double(f[3], reader);
-    r.elapsed_seconds = parse_csv_double(f[4], reader);
-    trace.push_back(r);
-  });
-  return trace;
-}
-
-std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is) {
-  const std::string reader = "read_schedule_csv";
-  expect_header(is, "task,name,machine,start,finish", reader);
-  std::vector<ScheduleCsvRow> rows;
-  for_each_row(is, 5, reader, [&](const std::vector<std::string>& f) {
+    const std::vector<std::string> f = split_csv_line(line);
+    SEHC_CHECK(f.size() == 5, reader + ": expected 5 fields, got " +
+                                  std::to_string(f.size()) + " in: " + line);
     ScheduleCsvRow r;
     r.task = static_cast<TaskId>(parse_csv_u64(f[0], reader));
     r.name = f[1];
@@ -187,7 +104,7 @@ std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is) {
     r.start = parse_csv_double(f[3], reader);
     r.finish = parse_csv_double(f[4], reader);
     rows.push_back(std::move(r));
-  });
+  }
   return rows;
 }
 

@@ -1,12 +1,7 @@
-// Persistent outputs: full (non-downsampled) trace CSVs for offline
-// plotting and a per-task schedule CSV, plus the matching readers so
-// persisted results can be loaded back exactly (the result-store layer and
-// the campaign subsystem reuse the same CSV parsing).
-//
-// The figure benches print downsampled series for the terminal; these
-// writers dump everything. Every writer here has a reader that round-trips
-// its output: read(write(x)) reproduces the written values bit-for-bit at
-// the emitted precision.
+// The per-task schedule CSV (task,name,machine,start,finish) the daemon
+// and sehc_run emit, its reader, and the CSV field helpers the result-store
+// layer and the campaign subsystem share. read_schedule_csv reproduces what
+// write_schedule_csv wrote, at the emitted precision.
 #pragma once
 
 #include <istream>
@@ -14,26 +9,16 @@
 #include <string>
 #include <vector>
 
-#include "ga/ga.h"
 #include "hc/workload.h"
 #include "sched/schedule.h"
-#include "se/se.h"
 
 namespace sehc {
-
-/// iteration,selected,moved,current_makespan,best_makespan,elapsed_s
-void write_full_se_trace(std::ostream& os,
-                         const std::vector<SeIterationStats>& trace);
-
-/// generation,gen_best,gen_mean,best_makespan,elapsed_s
-void write_full_ga_trace(std::ostream& os,
-                         const std::vector<GaIterationStats>& trace);
 
 /// task,name,machine,start,finish
 void write_schedule_csv(std::ostream& os, const Workload& w,
                         const Schedule& s);
 
-// --- CSV parsing (shared by the trace readers and ResultStore) -------------
+// --- CSV parsing (shared by the schedule reader and ResultStore) -----------
 
 /// Splits one CSV line into fields. RFC-4180-ish: a field wrapped in double
 /// quotes may contain commas and doubled quotes ("" -> ").
@@ -51,14 +36,7 @@ double parse_csv_double(const std::string& field, const std::string& context);
 std::uint64_t parse_csv_u64(const std::string& field,
                             const std::string& context);
 
-// --- Readers ---------------------------------------------------------------
-
-/// Reads a CSV produced by write_full_se_trace. Validates the header and
-/// every row; throws sehc::Error on malformed input.
-std::vector<SeIterationStats> read_full_se_trace(std::istream& is);
-
-/// Reads a CSV produced by write_full_ga_trace.
-std::vector<GaIterationStats> read_full_ga_trace(std::istream& is);
+// --- Reader ----------------------------------------------------------------
 
 /// One parsed row of a schedule CSV.
 struct ScheduleCsvRow {
@@ -72,7 +50,8 @@ struct ScheduleCsvRow {
                          const ScheduleCsvRow&) = default;
 };
 
-/// Reads a CSV produced by write_schedule_csv.
+/// Reads a CSV produced by write_schedule_csv. Validates the header and
+/// every row; throws sehc::Error on malformed input.
 std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is);
 
 }  // namespace sehc

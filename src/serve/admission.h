@@ -1,21 +1,19 @@
 // Bounded admission queue: the server's only buffer between connection
-// threads and the solver dispatcher.
+// threads and the solver threads.
 //
 // Admission control is load-shedding by construction: try_push() refuses
 // (instead of blocking) once `capacity` requests are waiting, and the
 // server answers the refusal with an immediate `overloaded` response — the
 // 429 of this protocol — so tail latency under overload stays bounded by
-// (queue depth x solve time) instead of growing without limit. pop_batch()
-// hands the dispatcher every queued request up to a batch cap in one mutex
-// acquisition, which is what makes dispatch batched rather than
-// one-wakeup-per-request.
+// (queue depth x solve time) instead of growing without limit. Each solver
+// thread pop()s one request only when it is free to solve it, so a request
+// is either waiting here (at most `capacity` of them) or being solved.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <vector>
 
 namespace sehc {
 
@@ -37,22 +35,20 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks until at least one item is available (or the queue is closed),
-  /// then moves up to `max_items` into `out` in FIFO order. Returns the
-  /// number taken; 0 means closed-and-drained — the consumer's exit signal.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
-    out.clear();
+  /// Blocks until an item is available (or the queue is closed), then
+  /// moves the oldest into `out`. Returns false once the queue is closed
+  /// and drained — the consumer's exit signal.
+  bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    while (!items_.empty() && out.size() < max_items) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return out.size();
+    if (items_.empty()) return false;
+    out = std::move(items_.front());
+    items_.pop_front();
+    return true;
   }
 
-  /// Closes the queue: pushes are refused from now on, pop_batch() drains
-  /// what remains and then returns 0. Idempotent.
+  /// Closes the queue: pushes are refused from now on, pop() drains what
+  /// remains and then returns false. Idempotent.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);

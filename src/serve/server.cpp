@@ -52,12 +52,6 @@ bool poll_readable(int fd, int timeout_ms) {
   }
 }
 
-void raise_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t seen = target.load();
-  while (value > seen && !target.compare_exchange_weak(seen, value)) {
-  }
-}
-
 }  // namespace
 
 /// Outcome of one solve, fanned out to every coalesced waiter.
@@ -110,11 +104,9 @@ Server::Server(ServeOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       workload_cache_(options_.workload_cache_capacity),
-      queue_(options_.queue_capacity),
-      free_slots_(static_cast<std::ptrdiff_t>(options_.threads)) {
+      queue_(options_.queue_capacity) {
   SEHC_CHECK(!options_.socket_path.empty(), "Server: socket_path is empty");
-  SEHC_CHECK(options_.threads > 0, "Server: need at least one worker thread");
-  SEHC_CHECK(options_.batch_max > 0, "Server: batch_max must be >= 1");
+  SEHC_CHECK(options_.threads > 0, "Server: need at least one solver thread");
 }
 
 Server::~Server() {
@@ -149,10 +141,10 @@ void Server::start() {
                           "') failed: " + why);
   }
 
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-
   started_.store(true);
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
+  for (std::size_t i = 0; i < options_.threads; ++i) {
+    solver_threads_.emplace_back([this] { solver_loop(); });
+  }
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -164,10 +156,10 @@ void Server::join() {
 
   // Shutdown order matters: connections stop admitting new work once
   // draining_ is set; after every connection thread has exited nothing can
-  // push, so closing the queue lets the dispatcher drain what remains and
-  // exit; destroying the pool then waits for the last solve, whose promise
-  // every waiter has already consumed (waiters are the connection threads,
-  // all gone by then — their futures were fulfilled before they exited).
+  // push, so closing the queue lets the solver threads drain what remains
+  // and exit. Every admitted request was solved before its connection
+  // thread exited (the thread waited on the solve's promise), so the queue
+  // is already empty here.
   if (accept_thread_.joinable()) accept_thread_.join();
   for (;;) {
     std::vector<std::thread> threads;
@@ -179,8 +171,7 @@ void Server::join() {
     for (std::thread& t : threads) t.join();
   }
   queue_.close();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  pool_.reset();  // joins workers; all submitted solves have finished
+  for (std::thread& t : solver_threads_) t.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -407,19 +398,11 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   metrics_.hist_record("latency/request_us", us_between(arrival, done));
 }
 
-void Server::dispatch_loop() {
-  std::vector<std::shared_ptr<InFlight>> batch;
-  while (queue_.pop_batch(batch, options_.batch_max) > 0) {
-    batches_.fetch_add(1);
-    raise_max(max_batch_, batch.size());
-    for (std::shared_ptr<InFlight>& entry : batch) {
-      free_slots_.acquire();
-      pool_->submit([this, task_entry = std::move(entry)] {
-        solve(task_entry);
-        free_slots_.release();
-      });
-    }
-    batch.clear();
+void Server::solver_loop() {
+  std::shared_ptr<InFlight> entry;
+  while (queue_.pop(entry)) {
+    solve(entry);
+    entry.reset();  // an idle thread holds no request
   }
 }
 
@@ -501,13 +484,9 @@ void Server::respond_stats(int fd) {
   add("serve_cache_misses", s.cache_misses);
   add("serve_cache_size", s.cache_size);
   add("coalesced", s.coalesced);
-  add("batches", s.batches);
-  add("max_batch", s.max_batch);
   add("workload_cache_hits", s.workload_cache_hits);
   add("queue_depth", s.queue_depth);
   add("queue_peak", s.queue_peak);
-  add("pool_pending", s.pool_pending);
-  add("pool_active", s.pool_active);
   add("draining", s.draining ? 1 : 0);
   completed_.fetch_add(1);
   write_frame(fd, resp.serialize());
@@ -565,15 +544,9 @@ ServerStats Server::stats_snapshot() const {
   s.cache_misses = cache_.misses();
   s.cache_size = cache_.size();
   s.coalesced = coalesced_.load();
-  s.batches = batches_.load();
-  s.max_batch = max_batch_.load();
   s.workload_cache_hits = workload_cache_.hits();
   s.queue_depth = queue_.depth();
   s.queue_peak = queue_.peak_depth();
-  if (pool_) {
-    s.pool_pending = pool_->pending();
-    s.pool_active = pool_->active();
-  }
   s.draining = draining_.load();
   return s;
 }

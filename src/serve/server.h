@@ -3,8 +3,8 @@
 //
 // Request path:
 //
-//   connection thread                dispatcher            ThreadPool worker
-//   -----------------                ----------            -----------------
+//   connection thread                          solver thread (x threads)
+//   -----------------                          -------------------------
 //   read frame, parse request
 //   parse workload (LRU by body,
 //     kept with its canonical text
@@ -16,20 +16,19 @@
 //     request already in flight? --> attach, wait  <------ fulfil promises
 //   admission: bounded queue;
 //     full -> reply `overloaded`
-//   wait on promise                  pop_batch(),
-//                                    acquire worker slot,
-//                                    submit solve  ------>  build engine,
-//                                                           run_search with
-//                                                           Deadline armed,
-//                                                           render schedule,
-//                                                           cache, fulfil
+//   wait on promise                            pop() when free,
+//                                              build engine,
+//                                              run_search with
+//                                              Deadline armed,
+//                                              render schedule,
+//                                              cache, fulfil
 //
 // Production properties this file owns:
-//   * admission control — at most queue_capacity requests wait; excess load
-//     is shed with an immediate `overloaded` reply instead of queueing into
-//     unbounded latency;
-//   * batched dispatch — the dispatcher drains every queued request (up to
-//     batch_max) in one queue acquisition and feeds free worker slots;
+//   * admission control — at most queue_capacity requests wait, and a
+//     solver thread takes a request off the queue only when it starts
+//     solving it, so at most threads + queue_capacity requests are admitted
+//     at once; excess load is shed with an immediate `overloaded` reply
+//     instead of queueing into unbounded latency;
 //   * single-flight coalescing — concurrent identical requests (same
 //     content hash) ride one solve and each get their own response;
 //   * response caching — ContentLru keyed by request content hash; hits are
@@ -39,25 +38,23 @@
 //   * deadline preemption — every solve runs under run_search with the
 //     request's Deadline armed, so an expired deadline answers early with
 //     the incumbent best() and timed_out=1;
-//   * solve isolation — worker slots are a counting semaphore, not state:
-//     every solve builds its own engine and drops it when the solve ends, so
-//     nothing of one solve (a preempted run included) reaches the next;
+//   * solve isolation — solver threads hold no solve state: every solve
+//     builds its own engine and drops it when the solve ends, so nothing of
+//     one solve (a preempted run included) reaches the next;
 //   * graceful drain — request_drain() (the daemon wires SIGTERM to it)
-//     stops accepting work, completes every admitted request, then shuts
-//     the pool down; join() returns once the last response is written.
+//     stops accepting work, completes every admitted request, then stops
+//     the solver threads; join() returns once the last response is written.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <semaphore>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "hc/workload.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -70,17 +67,15 @@ struct ServeOptions {
   /// Unix-domain socket path to bind (must fit sockaddr_un; an existing
   /// socket file is replaced).
   std::string socket_path;
-  /// Solver worker threads (= concurrent solves = worker slots).
+  /// Solver threads (= concurrent solves).
   std::size_t threads = 2;
-  /// Admission bound: requests waiting for a worker slot beyond the ones
+  /// Admission bound: requests waiting for a solver thread beyond the ones
   /// being solved. Full queue => `overloaded` reply.
   std::size_t queue_capacity = 64;
   /// Response-cache entries (0 disables caching).
   std::size_t cache_capacity = 512;
   /// Parsed-workload cache entries (0 disables).
   std::size_t workload_cache_capacity = 64;
-  /// Dispatcher batch cap: queued requests moved per queue acquisition.
-  std::size_t batch_max = 16;
   /// Concurrent client connections; excess connections get an immediate
   /// `overloaded` reply and are closed.
   std::size_t max_connections = 128;
@@ -102,14 +97,10 @@ struct ServerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t coalesced = 0;        // requests that rode another's solve
-  std::uint64_t batches = 0;          // dispatcher queue acquisitions
-  std::uint64_t max_batch = 0;        // largest batch drained at once
   std::uint64_t workload_cache_hits = 0;
   std::size_t cache_size = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;
-  std::size_t pool_pending = 0;
-  std::size_t pool_active = 0;
   bool draining = false;
 };
 
@@ -122,8 +113,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and starts the accept loop, dispatcher and solver
-  /// pool. Throws sehc::Error / ProtocolError on bind failure.
+  /// Binds the socket and starts the accept loop and the solver threads.
+  /// Throws sehc::Error / ProtocolError on bind failure.
   void start();
 
   /// Initiates graceful drain: stop accepting connections and admitting
@@ -149,7 +140,7 @@ class Server {
 
   void accept_loop();
   void connection_loop(int fd);
-  void dispatch_loop();
+  void solver_loop();
   /// Handles one parsed frame on a connection; writes exactly one response.
   void handle_payload(int fd, const std::string& payload);
   void handle_solve(int fd, ScheduleRequest request);
@@ -160,20 +151,15 @@ class Server {
   ServeOptions options_;
   int listen_fd_ = -1;
 
-  std::unique_ptr<ThreadPool> pool_;
   ResponseCache cache_;
   ContentLru<std::shared_ptr<const ParsedBody>> workload_cache_;
   BoundedQueue<std::shared_ptr<InFlight>> queue_;
-
-  // Free worker slots, one per solver thread: the dispatcher acquires one
-  // before submitting a solve, the solve releases it when done.
-  std::counting_semaphore<> free_slots_;
 
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   std::mutex inflight_mutex_;
 
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
+  std::vector<std::thread> solver_threads_;
   std::vector<std::thread> connection_threads_;  // guarded by conn_mutex_
   std::mutex conn_mutex_;
   std::atomic<std::size_t> open_connections_{0};
@@ -184,8 +170,7 @@ class Server {
 
   // Counters (see ServerStats).
   std::atomic<std::uint64_t> connections_{0}, requests_{0}, completed_{0},
-      shed_{0}, errors_{0}, timeouts_{0}, protocol_errors_{0}, coalesced_{0},
-      batches_{0}, max_batch_{0};
+      shed_{0}, errors_{0}, timeouts_{0}, protocol_errors_{0}, coalesced_{0};
 
   // Phase timings and latency histograms (see metrics_snapshot()).
   MetricsRegistry metrics_;

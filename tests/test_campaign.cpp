@@ -14,6 +14,7 @@
 #include "core/table.h"
 #include "exp/anytime.h"
 #include "heuristics/heft.h"
+#include "heuristics/scheduler.h"
 #include "workload/generator.h"
 
 namespace sehc {
@@ -362,6 +363,23 @@ TEST(Campaign, BuiltinSpecsAreValidAndScaled) {
       make_builtin_campaign("scaled-class-grid").grid().num_cells();
   EXPECT_GE(scaled, 10 * paper);
   EXPECT_THROW(make_builtin_campaign("nope"), Error);
+
+  // The baseline table: every registered scheduler on the figure
+  // workloads and paper_small, each pinned at seed 42, one repetition of
+  // 150 iterations.
+  CampaignSpec expected;
+  expected.name = "baselines";
+  expected.classes = {{"high-conn", paper_fig5_high_connectivity(42)},
+                      {"ccr1", paper_fig6_ccr1(42)},
+                      {"low-all", paper_fig7_low_everything(42)},
+                      {"small", paper_small(42)}};
+  expected.schedulers = scheduler_names();
+  expected.repetitions = 1;
+  expected.iterations = 150;
+  expected.base_seed = 42;
+  const CampaignSpec baselines = make_builtin_campaign("baselines");
+  EXPECT_EQ(baselines.canonical_string(), expected.canonical_string());
+  EXPECT_EQ(baselines.schedulers.size(), 13u);
 }
 
 TEST(Campaign, FigureSpecsSampleAnytimeCurvesInsideCells) {

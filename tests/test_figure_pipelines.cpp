@@ -102,7 +102,7 @@ TEST(FigurePipelines, Fig7MiniLowClassStillValid) {
 }
 
 TEST(FigurePipelines, ClassGridMiniCell) {
-  // One cell of table_class_grid end to end.
+  // One cell of the paper-class-grid comparison end to end.
   WorkloadParams wp;
   wp.tasks = 40;
   wp.machines = 8;
@@ -125,7 +125,7 @@ TEST(FigurePipelines, ClassGridMiniCell) {
 }
 
 TEST(FigurePipelines, BaselineTableMini) {
-  // bench/table_baselines at test scale: a campaign over every registered
+  // The baselines spec at test scale: a campaign over every registered
   // scheduler, rendered through the summary and profile tables.
   CampaignSpec spec;
   spec.name = "baselines-mini";

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
+#include "analysis/report.h"
 #include "exp/anytime.h"
 #include "exp/campaign.h"
 #include "exp/figures.h"
@@ -150,14 +152,34 @@ TEST(Figures, SeTraceCsvShape) {
 }
 
 TEST(Figures, AnytimeCsvHandlesMissingEarlyValues) {
-  const std::vector<AnytimePoint> se{{0.5, 90.0}};
-  const std::vector<AnytimePoint> ga{{0.1, 120.0}};
-  std::ostringstream os;
-  write_anytime_csv(os, se, ga, {0.2, 1.0});
-  const std::string out = os.str();
-  // At t=0.2 SE has no value yet -> empty cell.
-  EXPECT_NE(out.find("0.200,,120.00"), std::string::npos);
-  EXPECT_NE(out.find("1.000,90.00,120.00"), std::string::npos);
+  // A Figure 5-7 store whose SE curve has no solution yet at the first
+  // sample: the curve table prints "-" there, and numbers from then on.
+  CampaignSpec spec = make_builtin_campaign("fig5-anytime");
+  spec.time_budget_seconds = 1.0;
+  spec.curve_points = 2;  // grid {0.5, 1.0}
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  CampaignRecord se;
+  se.cell = 0;
+  se.class_name = "fig5-anytime";
+  se.scheduler = "SE";
+  se.makespan = 90.0;
+  se.curve = {std::numeric_limits<double>::infinity(), 90.0};
+  CampaignRecord ga = se;
+  ga.cell = 1;
+  ga.scheduler = "GA";
+  ga.makespan = 120.0;
+  ga.curve = {120.0, 120.0};
+  store.append(se.to_row());
+  store.append(ga.to_row());
+
+  const Table table = curve_table(build_dataset(store));
+  ASSERT_EQ(table.rows(), 2u);
+  EXPECT_EQ(table.cell(0, 1), "0.500");
+  EXPECT_EQ(table.cell(0, 2), "-");
+  EXPECT_EQ(table.cell(0, 3), "120.00");
+  EXPECT_EQ(table.cell(1, 1), "1.000");
+  EXPECT_EQ(table.cell(1, 2), "90.00");
+  EXPECT_EQ(table.cell(1, 3), "120.00");
 }
 
 TEST(EndToEnd, SeBeatsRandomInitOnPaperClassWorkload) {

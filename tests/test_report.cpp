@@ -164,6 +164,34 @@ TEST(Report, CrossingTableHasOneRowPerClass) {
   EXPECT_EQ(table.cell(1, 0), "high");
 }
 
+TEST(Report, CurveTableIsTheMeanCurvePerScheduler) {
+  const ResultStore store = run_in_memory(tiny_spec(), 1);
+  const CampaignDataset ds = build_dataset(store);
+  const Table table = curve_table(ds);
+  ASSERT_EQ(table.rows(), ds.classes.size() * ds.grid.size());  // 2 x 6
+  std::ostringstream csv;
+  write_table(csv, table, ReportFormat::kCsv);
+  EXPECT_EQ(csv.str().substr(0, csv.str().find('\n')),
+            "class,iterations,SE,GA");
+  for (std::size_t c = 0; c < ds.classes.size(); ++c) {
+    for (std::size_t s = 0; s < ds.schedulers.size(); ++s) {
+      const std::vector<double> mean = mean_curve(
+          ds.bundle(*ds.find_group(ds.classes[c], ds.schedulers[s])));
+      for (std::size_t i = 0; i < ds.grid.size(); ++i) {
+        const std::size_t row = c * ds.grid.size() + i;
+        EXPECT_EQ(table.cell(row, 0), ds.classes[c]);
+        EXPECT_EQ(table.cell(row, 1), format_fixed(ds.grid[i], 0));
+        EXPECT_EQ(table.cell(row, 2 + s), format_fixed(mean[i], 2));
+      }
+    }
+  }
+
+  CampaignSpec no_curves = tiny_spec();
+  no_curves.curve_points = 0;
+  EXPECT_THROW(curve_table(build_dataset(run_in_memory(no_curves, 1))),
+               Error);
+}
+
 TEST(Report, PairComparisonRequiresThePair) {
   const ResultStore store = run_in_memory(tiny_spec(), 1);
   const CampaignDataset ds = build_dataset(store);

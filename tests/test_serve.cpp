@@ -344,15 +344,19 @@ TEST(BoundedQueueTest, ShedsWhenFullAndDrainsInBatches) {
   EXPECT_FALSE(q.try_push(4));  // full => shed
   EXPECT_EQ(q.peak_depth(), 3u);
 
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2), 2u);
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.pop_batch(batch, 2), 1u);
-  EXPECT_EQ(batch, (std::vector<int>{3}));
+  int item = 0;
+  EXPECT_TRUE(q.pop(item));
+  EXPECT_EQ(item, 1);
+  EXPECT_TRUE(q.try_push(4));  // popping frees a slot
+  EXPECT_EQ(q.peak_depth(), 3u);
 
   q.close();
   EXPECT_FALSE(q.try_push(5));
-  EXPECT_EQ(q.pop_batch(batch, 2), 0u);  // closed-and-drained
+  for (const int expected : {2, 3, 4}) {  // close() still drains, in order
+    EXPECT_TRUE(q.pop(item));
+    EXPECT_EQ(item, expected);
+  }
+  EXPECT_FALSE(q.pop(item));  // closed-and-drained
 }
 
 // --- End-to-end server -----------------------------------------------------
@@ -493,7 +497,7 @@ TEST(ServeServer, UnknownEngineAnswersErrorAndKeepsServing) {
   EXPECT_EQ(bad.status, ServeStatus::kError);
   EXPECT_NE(bad.error.find("NoSuchEngine"), std::string::npos);
   // Answered before the body is parsed, cached or admitted.
-  EXPECT_EQ(server.stats_snapshot().batches, 0u);
+  EXPECT_EQ(server.stats_snapshot().queue_peak, 0u);
   EXPECT_EQ(server.stats_snapshot().cache_misses, 0u);
 
   const ScheduleResponse good =
@@ -589,9 +593,9 @@ TEST(ServeServer, DeadlineExpiredReturnsIncumbentAndIsNotCached) {
   server.join();
 }
 
-// Satellite regression: a worker slot recycled after a Deadline-preempted
-// run must behave exactly like a fresh server — no stale prepared/evaluator
-// state may leak into the next solve on that slot.
+// Regression: a solver thread reused after a Deadline-preempted run must
+// behave exactly like a fresh server — no stale prepared/evaluator state
+// may leak into the next solve on that thread.
 TEST(ServeServer, PreemptedSlotDoesNotContaminateNextSolve) {
   WorkloadParams p1;
   p1.tasks = 40;
@@ -619,7 +623,7 @@ TEST(ServeServer, PreemptedSlotDoesNotContaminateNextSolve) {
     fresh.join();
   }
 
-  // One worker slot: the preempted GA run and the follow-ups share it.
+  // One solver thread: the preempted GA run and the follow-ups share it.
   ServeOptions so;
   so.socket_path = test_socket_path();
   so.threads = 1;
@@ -662,8 +666,10 @@ TEST(ServeServer, OverCapacityBurstIsShedNotQueuedUnbounded) {
   Server server(so);
   server.start();
 
-  // Distinct slow workloads (no coalescing, no cache): with one worker and
-  // a one-deep queue, a burst of 5 must shed at least 3.
+  // Distinct slow workloads (no coalescing, no cache), each solving for
+  // its whole deadline: with one solver thread and a one-deep queue, at
+  // most one request is solved and one waits while the burst arrives, so
+  // at most threads + queue_capacity = 2 of the 5 are admitted.
   std::vector<std::thread> clients;
   std::atomic<int> ok{0}, shed{0};
   for (int i = 0; i < 5; ++i) {
@@ -675,7 +681,7 @@ TEST(ServeServer, OverCapacityBurstIsShedNotQueuedUnbounded) {
       ScheduleRequest req = solve_request(
           workload_to_string(make_workload(params)), "SE",
           static_cast<std::uint64_t>(i), Budget::steps(5'000'000));
-      req.deadline_ms = 150.0;  // keep the worker busy, but bounded
+      req.deadline_ms = 1000.0;  // outlasts the burst, but bounded
       const ScheduleResponse resp = one_call(so.socket_path, req);
       if (resp.status == ServeStatus::kOk) ok.fetch_add(1);
       if (resp.status == ServeStatus::kOverloaded) shed.fetch_add(1);
@@ -684,7 +690,8 @@ TEST(ServeServer, OverCapacityBurstIsShedNotQueuedUnbounded) {
   for (std::thread& t : clients) t.join();
 
   EXPECT_GE(ok.load(), 1);
-  EXPECT_GE(shed.load(), 1);
+  EXPECT_LE(static_cast<std::size_t>(ok.load()),
+            so.threads + so.queue_capacity);
   EXPECT_EQ(ok.load() + shed.load(), 5);
   const ServerStats stats = server.stats_snapshot();
   EXPECT_GE(stats.shed, static_cast<std::uint64_t>(shed.load()));
@@ -794,7 +801,6 @@ TEST(ServeServer, StatsEndpointReportsCounters) {
   EXPECT_EQ(value_of("serve_cache_hits"), "1");
   EXPECT_EQ(value_of("serve_cache_misses"), "1");
   EXPECT_EQ(value_of("draining"), "0");
-  EXPECT_NE(value_of("batches"), "<absent>");
   EXPECT_NE(value_of("queue_peak"), "<absent>");
   server.request_drain();
   server.join();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -10,39 +11,6 @@
 
 namespace sehc {
 namespace {
-
-TEST(TraceIo, SeTraceFullDump) {
-  std::vector<SeIterationStats> trace(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    trace[i].iteration = i;
-    trace[i].num_selected = 7 - i;
-    trace[i].tasks_moved = i;
-    trace[i].current_makespan = 100.0 + static_cast<double>(i);
-    trace[i].best_makespan = 100.0;
-    trace[i].elapsed_seconds = 0.5 * static_cast<double>(i);
-  }
-  std::ostringstream os;
-  write_full_se_trace(os, trace);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("iteration,selected,moved"), std::string::npos);
-  EXPECT_NE(out.find("2,5,2,102.0000,100.0000,1.000000"), std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
-}
-
-TEST(TraceIo, GaTraceFullDump) {
-  std::vector<GaIterationStats> trace(2);
-  trace[0].generation = 0;
-  trace[0].gen_best_makespan = 90.0;
-  trace[0].gen_mean_makespan = 120.0;
-  trace[0].best_makespan = 90.0;
-  trace[1].generation = 1;
-  trace[1].gen_best_makespan = 85.0;
-  trace[1].gen_mean_makespan = 110.0;
-  trace[1].best_makespan = 85.0;
-  std::ostringstream os;
-  write_full_ga_trace(os, trace);
-  EXPECT_NE(os.str().find("1,85.0000,110.0000,85.0000"), std::string::npos);
-}
 
 TEST(TraceIo, ScheduleCsvListsEveryTask) {
   const Workload w = figure1_workload();
@@ -54,57 +22,6 @@ TEST(TraceIo, ScheduleCsvListsEveryTask) {
   const std::string out = os.str();
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 8);  // header + 7
   EXPECT_NE(out.find("4,s4,0,1100.0000,2100.0000"), std::string::npos);
-}
-
-TEST(TraceIo, SeTraceRoundTrip) {
-  std::vector<SeIterationStats> trace(4);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    trace[i].iteration = i;
-    trace[i].num_selected = 11 - i;
-    trace[i].tasks_moved = i * 2;
-    trace[i].current_makespan = 1234.5678 - static_cast<double>(i);
-    trace[i].best_makespan = 1230.25;
-    trace[i].elapsed_seconds = 0.125 * static_cast<double>(i);
-  }
-  std::ostringstream os;
-  write_full_se_trace(os, trace);
-
-  std::istringstream is(os.str());
-  const std::vector<SeIterationStats> back = read_full_se_trace(is);
-  ASSERT_EQ(back.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(back[i].iteration, trace[i].iteration);
-    EXPECT_EQ(back[i].num_selected, trace[i].num_selected);
-    EXPECT_EQ(back[i].tasks_moved, trace[i].tasks_moved);
-    EXPECT_NEAR(back[i].current_makespan, trace[i].current_makespan, 5e-5);
-    EXPECT_NEAR(back[i].best_makespan, trace[i].best_makespan, 5e-5);
-    EXPECT_NEAR(back[i].elapsed_seconds, trace[i].elapsed_seconds, 5e-7);
-  }
-  // Re-serialization of the parsed trace is byte-identical: the reader
-  // loses nothing the writer emitted.
-  std::ostringstream os2;
-  write_full_se_trace(os2, back);
-  EXPECT_EQ(os.str(), os2.str());
-}
-
-TEST(TraceIo, GaTraceRoundTrip) {
-  std::vector<GaIterationStats> trace(3);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    trace[i].generation = i;
-    trace[i].gen_best_makespan = 90.0 - static_cast<double>(i);
-    trace[i].gen_mean_makespan = 120.5;
-    trace[i].best_makespan = 90.0 - static_cast<double>(i);
-    trace[i].elapsed_seconds = 0.25 * static_cast<double>(i);
-  }
-  std::ostringstream os;
-  write_full_ga_trace(os, trace);
-
-  std::istringstream is(os.str());
-  const std::vector<GaIterationStats> back = read_full_ga_trace(is);
-  ASSERT_EQ(back.size(), trace.size());
-  std::ostringstream os2;
-  write_full_ga_trace(os2, back);
-  EXPECT_EQ(os.str(), os2.str());
 }
 
 TEST(TraceIo, ScheduleCsvRoundTrip) {
@@ -129,20 +46,17 @@ TEST(TraceIo, ScheduleCsvRoundTrip) {
 
 TEST(TraceIo, ReadersRejectMalformedInput) {
   {
-    std::istringstream is("not,the,header\n1,2,3,4,5,6\n");
-    EXPECT_THROW(read_full_se_trace(is), Error);
+    std::istringstream is("not,the,header\n0,a,0,0.0,1.0\n");
+    EXPECT_THROW(read_schedule_csv(is), Error);
+  }
+  {
+    std::istringstream is("task,name,machine,start,finish\n0,a,0\n");
+    EXPECT_THROW(read_schedule_csv(is), Error);
   }
   {
     std::istringstream is(
-        "iteration,selected,moved,current_makespan,best_makespan,elapsed_s\n"
-        "1,2,3\n");
-    EXPECT_THROW(read_full_se_trace(is), Error);
-  }
-  {
-    std::istringstream is(
-        "generation,gen_best,gen_mean,best_makespan,elapsed_s\n"
-        "0,abc,1.0,1.0,0.0\n");
-    EXPECT_THROW(read_full_ga_trace(is), Error);
+        "task,name,machine,start,finish\n0,a,0,abc,1.0\n");
+    EXPECT_THROW(read_schedule_csv(is), Error);
   }
   {
     std::istringstream empty;

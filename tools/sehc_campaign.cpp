@@ -1,5 +1,5 @@
-// Campaign CLI: run, shard, resume, merge and tabulate persisted experiment
-// sweeps (see README "Campaigns").
+// Campaign CLI: run, shard, resume and merge persisted experiment sweeps
+// (see README "Campaigns"); sehc_report renders the stores it writes.
 //
 //   sehc_campaign list
 //   sehc_campaign show  --spec NAME [overrides]
@@ -10,7 +10,6 @@
 //                       [--retry-backoff-ms M] [--strict] [--quarantine P]
 //                       [--fault-plan SPEC] [overrides]
 //   sehc_campaign merge --out PATH STORE...
-//   sehc_campaign table --store PATH [--format md|csv]
 //
 // Overrides (run/show): --seeds R --iters I --evals N --curve-points P
 //                       --base-seed B --tasks K --machines L
@@ -35,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/report.h"
 #include "core/error.h"
 #include "core/options.h"
 #include "core/table.h"
@@ -48,7 +46,7 @@ namespace {
 using namespace sehc;
 
 constexpr std::string_view kUsage =
-    "usage: sehc_campaign <list|show|run|merge|table> [options]\n"
+    "usage: sehc_campaign <list|show|run|merge> [options]\n"
     "  list                      list built-in campaign specs\n"
     "  show  --spec NAME         print a spec, its hash and cell count\n"
     "  run   --spec NAME --store PATH [--shard I/N] [--threads T]\n"
@@ -58,8 +56,6 @@ constexpr std::string_view kUsage =
     "        [--retry-backoff-ms M] [--strict] [--quarantine PATH]\n"
     "        [--fault-plan SPEC]   (exit 3 = cells quarantined)\n"
     "  merge --out PATH STORE... merge shard stores (canonical output)\n"
-    "  table --store PATH [--format md|csv]\n"
-    "                            aggregate tables from a store\n"
     "  spec overrides (run/show): --seeds --iters --evals\n"
     "        --curve-points --base-seed --tasks --machines --budget\n";
 
@@ -289,38 +285,6 @@ int cmd_merge(int argc, char** argv) {
   return 0;
 }
 
-/// Aggregate tables, rendered by the analysis subsystem's report layer
-/// (sehc_report gives the full report; this stays the quick look).
-int cmd_table(const Options& opts) {
-  const std::string store_path = opts.get("store", "");
-  SEHC_CHECK(!store_path.empty(), "table: --store PATH is required");
-  const ReportFormat format = parse_report_format(opts.get("format", "md"));
-  const ResultStore store = ResultStore::load(store_path);
-  const CampaignDataset dataset = build_dataset(store);
-  const ReportOptions report_opts;
-
-  if (format == ReportFormat::kMarkdown) {
-    std::cout << "spec: " << dataset.schema.spec_line << '\n';
-    std::cout << "records: " << store.size() << "\n\n";
-  } else {
-    std::cout << "# spec: " << dataset.schema.spec_line << '\n';
-    std::cout << "# records: " << store.size() << '\n';
-  }
-  write_table(std::cout, summary_table(dataset, report_opts), format);
-
-  if (has_paired_records(dataset, report_opts.challenger,
-                         report_opts.baseline)) {
-    std::cout << "\n";
-    write_table(std::cout, pair_comparison_table(dataset, report_opts),
-                format);
-    if (format == ReportFormat::kMarkdown) {
-      std::cout << "\n(SE/GA < 1 means SE found shorter schedules in the "
-                   "budget; sehc_report adds crossings and profiles)\n";
-    }
-  }
-  return 0;
-}
-
 int run(int argc, char** argv) {
   if (argc < 2) throw UsageError("missing command");
   const std::string command = argv[1];
@@ -333,13 +297,12 @@ int run(int argc, char** argv) {
       "max-cells", "fresh",     "merged-out",   "bench-json",
       "progress",  "seeds",     "iters",        "evals",
       "curve-points", "base-seed", "tasks",     "machines",
-      "budget",    "out",       "format",       "cell-retries",
+      "budget",    "out",       "cell-retries",
       "cell-timeout", "retry-backoff-ms", "strict", "quarantine",
       "fault-plan"};
   const Options opts(argc - 1, argv + 1, known);
   if (command == "show") return cmd_show(opts);
   if (command == "run") return cmd_run(opts);
-  if (command == "table") return cmd_table(opts);
   throw UsageError("unknown command '" + command + "'");
 }
 

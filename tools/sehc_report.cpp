@@ -6,6 +6,8 @@
 //   sehc_report crossings STORE...   when the challenger overtakes the
 //                                    baseline on the mean anytime curve
 //   sehc_report profile   STORE...   Dolan-Moré performance profile
+//   sehc_report curves    STORE...   mean anytime curve per scheduler on
+//                                    the budget grid (Figures 5-7)
 //   sehc_report full      STORE...   the full Markdown/CSV report
 //
 // Options: --format md|csv (default md), --out PATH (default stdout),
@@ -35,7 +37,7 @@ namespace {
 using namespace sehc;
 
 constexpr std::string_view kUsage =
-    "usage: sehc_report <summary|winloss|crossings|profile|full>"
+    "usage: sehc_report <summary|winloss|crossings|profile|curves|full>"
     " [options] STORE...\n"
     "  --format md|csv      output format (default md)\n"
     "  --out PATH           write to PATH instead of stdout\n"
@@ -48,23 +50,22 @@ constexpr std::string_view kUsage =
     "  --timings            add the volatile wall-clock ms column "
     "to the Timing section\n";
 
+/// A numeric flag value by the whole-string rule of Options: "10k",
+/// "0.95x" and a sign on an unsigned value are usage errors.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  if (const auto value = parse_whole<T>(text)) return *value;
+  throw UsageError(flag + " expects a number, got '" + text + "'");
+}
+
 std::vector<double> parse_taus(const std::string& text) {
   std::vector<double> taus;
   std::string::size_type pos = 0;
   while (pos <= text.size()) {
     auto comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(pos, comma - pos);
-    SEHC_CHECK(!item.empty(), "--taus: empty element in '" + text + "'");
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    SEHC_CHECK(used == item.size(), "--taus: bad number '" + item + "'");
-    taus.push_back(value);
+    taus.push_back(
+        parse_number<double>("--taus", text.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   return taus;
@@ -85,7 +86,7 @@ Cli parse_cli(int argc, char** argv) {
   if (cli.command == "--help") throw UsageError::help_request();
   if (cli.command != "summary" && cli.command != "winloss" &&
       cli.command != "crossings" && cli.command != "profile" &&
-      cli.command != "full") {
+      cli.command != "curves" && cli.command != "full") {
     throw UsageError("unknown command '" + cli.command + "'");
   }
   for (int i = 2; i < argc; ++i) {
@@ -108,12 +109,11 @@ Cli parse_cli(int argc, char** argv) {
     else if (arg == "--challenger") cli.options.challenger = take();
     else if (arg == "--baseline") cli.options.baseline = take();
     else if (arg == "--resamples") {
-      cli.options.bootstrap.resamples =
-          static_cast<std::size_t>(std::stoull(take()));
+      cli.options.bootstrap.resamples = parse_number<std::size_t>(arg, take());
     } else if (arg == "--confidence") {
-      cli.options.bootstrap.confidence = std::stod(take());
+      cli.options.bootstrap.confidence = parse_number<double>(arg, take());
     } else if (arg == "--boot-seed") {
-      cli.options.bootstrap.seed = std::stoull(take());
+      cli.options.bootstrap.seed = parse_number<std::uint64_t>(arg, take());
     } else if (arg == "--taus") {
       cli.options.profile_taus = parse_taus(take());
     } else if (arg == "--timings") {
@@ -178,6 +178,8 @@ int render(const Cli& cli) {
     write_table(os, crossing_table(dataset, options), cli.format);
   } else if (cli.command == "profile") {
     write_table(os, profile_table(dataset, options), cli.format);
+  } else if (cli.command == "curves") {
+    write_table(os, curve_table(dataset), cli.format);
   } else {
     write_report(os, dataset, options, cli.format);
   }

@@ -3,8 +3,7 @@
 // every admitted solve, writes its response, prints final counters).
 //
 //   sehc_serve --socket PATH [--threads T] [--queue N] [--cache N]
-//              [--batch-max N] [--max-connections N]
-//              [--default-deadline-ms MS] [--quiet]
+//              [--max-connections N] [--default-deadline-ms MS] [--quiet]
 //
 // Protocol, caching and admission semantics: src/serve/server.h and the
 // README "Serving" section. Exit 0 after a clean drain.
@@ -28,14 +27,13 @@ void on_signal(int) { g_stop.store(true); }
 
 constexpr std::string_view kUsage =
     "usage: sehc_serve --socket PATH [--threads T] [--queue N]\n"
-    "                  [--cache N] [--batch-max N]\n"
-    "                  [--max-connections N]\n"
+    "                  [--cache N] [--max-connections N]\n"
     "                  [--default-deadline-ms MS] [--quiet]\n";
 
 int run(int argc, char** argv) {
   using namespace sehc;
   const Options opts(argc, argv,
-                     {"socket", "threads", "queue", "cache", "batch-max",
+                     {"socket", "threads", "queue", "cache",
                       "max-connections", "default-deadline-ms", "quiet"});
   if (!opts.has("socket")) throw UsageError("--socket PATH is required");
   const bool quiet = opts.has("quiet");
@@ -45,7 +43,6 @@ int run(int argc, char** argv) {
   so.threads = static_cast<std::size_t>(opts.get_int("threads", 2));
   so.queue_capacity = static_cast<std::size_t>(opts.get_int("queue", 64));
   so.cache_capacity = static_cast<std::size_t>(opts.get_int("cache", 512));
-  so.batch_max = static_cast<std::size_t>(opts.get_int("batch-max", 16));
   so.max_connections =
       static_cast<std::size_t>(opts.get_int("max-connections", 128));
   so.default_deadline_seconds =
@@ -83,7 +80,7 @@ int run(int argc, char** argv) {
                "sehc_serve: drained (requests=%llu completed=%llu "
                "shed=%llu errors=%llu timeouts=%llu protocol_errors=%llu "
                "cache_hits=%llu cache_misses=%llu coalesced=%llu "
-               "batches=%llu max_batch=%llu queue_peak=%zu)\n",
+               "queue_peak=%zu)\n",
                static_cast<unsigned long long>(s.requests),
                static_cast<unsigned long long>(s.completed),
                static_cast<unsigned long long>(s.shed),
@@ -93,8 +90,6 @@ int run(int argc, char** argv) {
                static_cast<unsigned long long>(s.cache_hits),
                static_cast<unsigned long long>(s.cache_misses),
                static_cast<unsigned long long>(s.coalesced),
-               static_cast<unsigned long long>(s.batches),
-               static_cast<unsigned long long>(s.max_batch),
                s.queue_peak);
   return 0;
 }

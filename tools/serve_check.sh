@@ -6,7 +6,7 @@
 #   1. the loadgen run completes with zero protocol errors and zero
 #      status=error replies (loadgen exits nonzero otherwise);
 #   2. p99 latency stays under a deliberately generous bound — this catches
-#      a wedged dispatcher or lost wakeup, not performance regressions;
+#      a wedged solver thread or lost wakeup, not performance regressions;
 #   3. a second identical run is served (almost) entirely from the response
 #      cache: cache_hit_rate >= 0.95;
 #   4. the op=metrics endpoint returns a well-formed snapshot whose solve
