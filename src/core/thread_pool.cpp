@@ -23,16 +23,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::size_t ThreadPool::active() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return active_;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -42,13 +32,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-    }
   }
 }
 

@@ -28,15 +28,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Tasks enqueued but not yet picked up by a worker. A snapshot: the
-  /// value may be stale by the time the caller acts on it, which is fine
-  /// for its consumers (admission control, stats endpoints, progress UIs) —
-  /// they bound load, they don't synchronize on it.
-  std::size_t pending() const;
-
-  /// Tasks currently executing on a worker (<= size()).
-  std::size_t active() const;
-
   /// Enqueues a task; the returned future yields its result (or rethrows the
   /// exception the task exited with). Throws sehc::Error if the pool is
   /// already shutting down — a task enqueued then would never have its
@@ -63,9 +54,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
-  std::size_t active_ = 0;  // guarded by mutex_
   bool stop_ = false;
 };
 

@@ -18,7 +18,10 @@
 //   * Rolling checkpoint (SE allocation): all trial strings share a fixed
 //     prefix; begin_trials() simulates it once, extend_checkpoint() grows it
 //     one segment at a time as the trial position advances, and each
-//     trial_makespan() simulates only the suffix behind the checkpoint.
+//     trial_makespan() simulates only the suffix behind the checkpoint. SE
+//     sweeps all machine candidates at the bottom of a task's range in one
+//     TrialBatch; above it, one trial_makespan() re-simulates the only
+//     candidate whose schedule a one-position slide can change.
 //   * Prepared state (tabu, annealing, GA/GSA offspring): prepare() simulates
 //     a string once and snapshots the machine-availability vector before
 //     every position, so a trial that changes the string from position p
@@ -133,14 +136,20 @@ class Evaluator {
   // --- Trial accounting ---------------------------------------------------
   //
   // Every schedule simulation — evaluate()/evaluate_into()/makespan(),
-  // trial_makespan() and prepared_trial() — counts as one trial. Prefix
-  // bookkeeping (begin_trials/extend_checkpoint/prepare/refresh_from) does
-  // not: it is amortized setup, not an evaluation of a candidate. The
-  // counter is the `evals` currency of the stepwise search engines (see
-  // search/engine.h) and of the campaign layer's equal-evals budgets.
+  // trial_makespan() and prepared_trial() — counts as one trial, and so does
+  // every candidate whose result a caller already knows and reuses instead
+  // of simulating (count_known_trials()). Prefix bookkeeping
+  // (begin_trials/extend_checkpoint/prepare/refresh_from) does not: it is
+  // amortized setup, not an evaluation of a candidate. The counter is the
+  // `evals` currency of the stepwise search engines (see search/engine.h)
+  // and of the campaign layer's equal-evals budgets.
 
   /// Trials performed since construction or the last reset_trial_count().
   std::size_t trial_count() const { return trial_count_; }
+  /// Counts `n` trials whose results the caller knows without simulating
+  /// them (SE's allocation scan reuses the candidates a slide leaves
+  /// unchanged).
+  void count_known_trials(std::size_t n) const { trial_count_ += n; }
   void reset_trial_count() const { trial_count_ = 0; }
 
   /// Releases every piece of per-run trial state — the rolling checkpoint,

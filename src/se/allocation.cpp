@@ -1,5 +1,6 @@
 #include "se/allocation.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace sehc {
@@ -34,6 +35,7 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
                                Evaluator::TrialBatch& batch) {
   AllocationStats stats;
   const TaskGraph& g = w.graph();
+  std::vector<double> lens;  // per-candidate makespan at the scan position
 
   for (TaskId t : selected) {
     const std::size_t original_pos = s.position_of(t);
@@ -55,21 +57,16 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
     // Rolling checkpoint: trials at position pos permute only positions
     // >= pos, so the checkpoint starts at range.lo and is extended by one
     // segment every time the trial position advances — each trial simulates
-    // only [pos, k) instead of [range.lo, k). The batch spans those
-    // extensions: it reads the checkpoint at each evaluate().
+    // only [pos, k) instead of [range.lo, k).
     eval.begin_trials(s, range.lo);
     s.move_task(t, range.lo);
+    // At range.lo every machine candidate is simulated, in one SoA sweep
+    // under the +infinity bound.
     batch.begin_checkpoint(s);
+    for (const MachineId m : machines) batch.add_reassign(t, m);
+    const std::vector<double>& first = batch.evaluate(best_len);
+    lens.assign(first.begin(), first.end());
     for (std::size_t pos = range.lo;; ++pos) {
-      // All machine candidates at this position form one batch, swept in a
-      // single SoA pass. Pruning uses the position-start incumbent instead
-      // of the scalar loop's within-position tightening — a relaxation that
-      // cannot change the outcome: a trial whose exact length exceeds the
-      // tightened incumbent loses the comparisons below exactly as its
-      // pruned +infinity would, ties at the incumbent are never pruned
-      // (strict bound), and evaluation consumes no RNG.
-      for (const MachineId m : machines) batch.add_reassign(t, m);
-      const std::vector<double>& lens = batch.evaluate(best_len);
       stats.combinations_tried += machines.size();
       for (std::size_t j = 0; j < machines.size(); ++j) {
         const double len = lens[j];
@@ -93,6 +90,30 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
       // The segment that slid down into `pos` is now part of every
       // remaining trial's fixed prefix: fold it into the checkpoint.
       eval.extend_checkpoint(s);
+      // Lane reuse. The new trials differ from the previous position's by
+      // swapping t with the slid segment u, which shares no DAG edge with t
+      // (both lie inside t's valid range). Unless t runs on u's machine,
+      // that swap leaves every machine's task order unchanged, so the trial
+      // repeats its last schedule bit for bit and keeps its last value.
+      // Only the candidate on u's machine (at most one: candidates are
+      // distinct) is simulated again. A kept value is exact, or +infinity
+      // pruned under an earlier incumbent, which is no lower than best_len:
+      // the incumbent only falls within one task's scan. Where a
+      // re-simulation pruned at best_len would return an exact value, the
+      // kept value is that value; where it would prune, the kept value also
+      // exceeds best_len and fails both comparisons above. Every kept
+      // combination still counts as one trial.
+      const MachineId slid = s.segment(pos).machine;
+      const auto lane = std::find(machines.begin(), machines.end(), slid);
+      std::size_t simulated = 0;
+      if (lane != machines.end()) {
+        s.set_machine(t, slid);
+        lens[static_cast<std::size_t>(lane - machines.begin())] =
+            eval.trial_makespan(s, best_len);
+        s.set_machine(t, original_machine);
+        simulated = 1;
+      }
+      eval.count_known_trials(machines.size() - simulated);
     }
 
     // Commit the winner (possibly the original placement).

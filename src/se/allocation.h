@@ -18,6 +18,14 @@
 // best length (strict inequality, so the reservoir tie sampling — and with
 // it every downstream random draw — is untouched).
 //
+// Most combinations are not simulated at all. When the task slides one
+// position up, it swaps with a segment that shares no DAG edge with it, so
+// only the candidate on that segment's machine sees a machine order change;
+// every other candidate's schedule, and so its makespan, repeats bit for
+// bit. Each position after the first therefore re-simulates at most one
+// candidate and reuses the rest, still counting every combination as one
+// evaluator trial.
+//
 // The Y parameter (paper §4.5, studied in Fig. 4) limits machine candidates
 // per task to its Y fastest machines; Y = 0 or Y >= l means "all machines".
 #pragma once
@@ -64,7 +72,9 @@ class MachineCandidates {
 /// Statistics for one allocation pass.
 struct AllocationStats {
   std::size_t tasks_moved = 0;        // tasks whose placement changed
-  std::size_t combinations_tried = 0; // full-schedule evaluations performed
+  /// (position, machine) combinations tried, simulated or reused; each
+  /// counts as one evaluator trial.
+  std::size_t combinations_tried = 0;
 };
 
 /// Re-places every task in `selected` (already level-ordered) at a best
@@ -72,12 +82,14 @@ struct AllocationStats {
 /// `rng`. Mutates `s` in place; returns stats. Never increases the
 /// makespan.
 ///
-/// The scan is batched: all machine candidates of a task at one trial
-/// position form one Evaluator::TrialBatch evaluated in a single SoA sweep
-/// (bit-identical to the scalar trial-per-candidate loop — winner, reservoir
-/// tie statistics, RNG stream and trial counts all unchanged). `batch` must
-/// be bound to `eval`; engines pass a persistent instance so the scan
-/// allocates nothing after warm-up.
+/// At the bottom of a task's valid range all its machine candidates form
+/// one Evaluator::TrialBatch evaluated in a single SoA sweep; at each later
+/// position one scalar trial re-simulates the candidate on the machine of
+/// the segment that slid below the task, and every other candidate keeps
+/// its previous value (bit-identical to simulating every candidate at every
+/// position — winner, reservoir tie statistics, RNG stream and trial counts
+/// all unchanged). `batch` must be bound to `eval`; engines pass a
+/// persistent instance, so a call allocates only one Y-entry scratch.
 AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
                                const MachineCandidates& candidates,
                                const std::vector<TaskId>& selected,

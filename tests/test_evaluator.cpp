@@ -174,5 +174,59 @@ TEST(Evaluator, ReuseAcrossCallsIsConsistent) {
   }
 }
 
+TEST(Evaluator, AdjacentIndependentSwapKeepsTheSchedule) {
+  // The list schedule depends only on the assignment and each machine's task
+  // order. Swapping two adjacent segments that share no DAG edge and run on
+  // different machines keeps both, so every start and finish time must
+  // repeat bit for bit; SE's allocation scan reuses trial results on exactly
+  // this ground. A swap on one machine reorders it, so some such swap must
+  // move the schedule, or the comparison proves nothing. (== on these
+  // non-negative finite times compares bits.)
+  std::size_t independent_swaps = 0;
+  std::size_t same_machine_changes = 0;
+  for (Level conn : {Level::kLow, Level::kMedium, Level::kHigh}) {
+    for (double ccr : {0.1, 1.0, 5.0}) {
+      WorkloadParams p;
+      p.tasks = 30;
+      p.machines = 4;
+      p.connectivity = conn;
+      p.heterogeneity = conn == Level::kMedium ? Level::kHigh : Level::kLow;
+      p.ccr = ccr;
+      p.seed = 31;
+      const Workload w = make_workload(p);
+      const TaskGraph& g = w.graph();
+      const Evaluator eval(w);
+      Rng rng(77);
+      for (int draw = 0; draw < 8; ++draw) {
+        const SolutionString s =
+            random_initial_solution(g, w.num_machines(), rng);
+        ASSERT_TRUE(s.is_valid(g));
+        const ScheduleTimes before = eval.evaluate(s);
+        for (std::size_t i = 0; i + 1 < s.size(); ++i) {
+          const Segment a = s.segment(i);
+          const Segment b = s.segment(i + 1);
+          if (g.has_edge(a.task, b.task)) continue;
+          SolutionString swapped = s;
+          swapped.move_task(a.task, i + 1);
+          ASSERT_EQ(swapped.segment(i), b);
+          ASSERT_TRUE(swapped.is_valid(g));
+          const ScheduleTimes after = eval.evaluate(swapped);
+          if (a.machine != b.machine) {
+            ++independent_swaps;
+            ASSERT_EQ(after.start, before.start) << p.describe() << " i=" << i;
+            ASSERT_EQ(after.finish, before.finish)
+                << p.describe() << " i=" << i;
+            ASSERT_EQ(after.makespan, before.makespan);
+          } else if (after.start != before.start) {
+            ++same_machine_changes;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(independent_swaps, 0u);
+  EXPECT_GT(same_machine_changes, 0u);
+}
+
 }  // namespace
 }  // namespace sehc

@@ -264,6 +264,8 @@ TEST(IncrementalEval, AllocationMatchesReferenceIncludingTieStatistics) {
         ASSERT_EQ(got, want) << p.describe() << " y=" << y;
         ASSERT_EQ(stats_got.tasks_moved, stats_want.tasks_moved);
         ASSERT_EQ(stats_got.combinations_tried, stats_want.combinations_tried);
+        // Every combination, simulated or reused, is one evaluator trial.
+        ASSERT_EQ(eval.trial_count(), stats_got.combinations_tried);
         // Identical reservoir sampling implies identical RNG positions: the
         // next draw from both streams must coincide.
         ASSERT_EQ(rng_got.bits(), rng_want.bits());

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace sehc {
@@ -47,35 +46,6 @@ TEST(ThreadPool, ManyTasksComplete) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, PendingAndActiveTrackLoad) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_EQ(pool.active(), 0u);
-
-  // Park the single worker so further submissions must queue.
-  std::atomic<bool> release{false};
-  std::atomic<bool> running{false};
-  auto blocker = pool.submit([&] {
-    running.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!running.load()) std::this_thread::yield();
-  EXPECT_EQ(pool.active(), 1u);
-  EXPECT_EQ(pool.pending(), 0u);
-
-  auto queued = pool.submit([] {});
-  EXPECT_EQ(pool.pending(), 1u);
-
-  release.store(true);
-  blocker.get();
-  queued.get();
-  EXPECT_EQ(pool.pending(), 0u);
-  // The worker may still be between task() and the active_ decrement for a
-  // moment; wait it out instead of asserting a racy instant.
-  while (pool.active() != 0) std::this_thread::yield();
-  EXPECT_EQ(pool.active(), 0u);
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {
