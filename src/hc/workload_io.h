@@ -15,7 +15,8 @@
 // Numbers are written as printf "%.17g" (std::to_chars, general format,
 // precision 17), which round-trips every double. workload_to_string's
 // output is the canonical form of a workload: the serving layer keys its
-// response cache by it (serve/protocol.h).
+// response cache by identity bytes that are equal exactly when this text
+// is (workload_identity, serve/protocol.h).
 //
 // The reader parses numbers with std::from_chars but accepts exactly the
 // tokens `std::istream >> double` accepts: a leading '+' is allowed, inf

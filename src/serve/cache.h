@@ -1,25 +1,28 @@
-// Content-hash-keyed LRU caches for the serving layer.
+// Hash-keyed LRU caches for the serving layer.
 //
-// ContentLru maps content_hash64(canonical string) -> Value with true LRU
+// ContentLru maps a 64-bit hash of a key string -> Value with true LRU
 // eviction (std::list recency order + hash index, O(1) per operation) and a
-// canonical-string guard: every entry stores the canonical text it was
-// keyed by, and a lookup whose hash matches but whose text differs is
-// treated as a miss (and counted) instead of silently serving a colliding
-// entry — the same fail-loud posture the result store takes on spec-hash
-// collisions. Thread-safe; values are returned by copy so a concurrent
-// eviction can never invalidate a served response.
+// key-string guard: every entry stores the key bytes it was inserted under,
+// and a lookup whose hash matches but whose key differs is treated as a
+// miss (and counted) instead of silently serving a colliding entry — the
+// same fail-loud posture the result store takes on spec-hash collisions.
+// So correctness never depends on the hash. The server hashes keys with
+// std::hash<std::string_view> (8 bytes per step in libstdc++); the keys
+// live only in memory, so the hash need not be stable across builds the
+// way core/content_hash.h's FNV-1a is. Thread-safe; values are returned by
+// copy so a concurrent eviction can never invalidate a served response.
 //
 // Two instantiations serve the server loop:
 //   * ResponseCache  (Value = CachedSolve): the request -> response cache.
-//     Keyed by the full request identity (workload + engine + seed +
-//     y_limit + budget, deadline excluded — see serve/protocol.h); a hit is
-//     bit-identical to the cold solve because the cached fields are exactly
-//     the deterministic part of the response (schedule CSV, makespan,
-//     evals, steps).
+//     Keyed by the full request identity (the workload's identity bytes +
+//     engine + seed + y_limit + budget, deadline excluded — see
+//     serve/protocol.h); a hit is bit-identical to the cold solve because
+//     the cached fields are exactly the deterministic part of the response
+//     (schedule CSV, makespan, evals, steps).
 //   * the server's parsed-body cache (Value = the parsed workload with its
-//     canonical text and hash state), keyed by the raw workload document,
-//     so repeated bodies skip the parse and the re-serialization even when
-//     budget or engine differ.
+//     identity bytes), keyed by the raw workload document, so repeated
+//     bodies skip the parse and the identity build even when budget or
+//     engine differ.
 #pragma once
 
 #include <cstdint>

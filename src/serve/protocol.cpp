@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 namespace sehc {
 
@@ -287,17 +289,65 @@ ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
 }
 
 std::string ScheduleRequest::canonical_string(
-    const std::string& canonical_workload) const {
-  // The workload comes first so that a caller holding its hash can extend
-  // it over the request fields alone (content_hash64 streams).
+    const std::string& identity) const {
   std::string out;
-  out.reserve(canonical_workload.size() + 128);
-  out.append(canonical_workload);
+  out.reserve(identity.size() + 128);
+  out.append(identity);
   out.append("sehc-serve-request v1\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
   out.append("\ny_limit=").append(std::to_string(y_limit));
   out.append("\nbudget=").append(budget_token(budget));
   out += '\n';
+  return out;
+}
+
+namespace {
+
+/// Appends the object representation of `value` (fixed width, native).
+template <typename T>
+void append_bits(std::string& out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+void append_matrix_bits(std::string& out, const Matrix<double>& m) {
+  const std::span<const double> flat = m.flat();
+  out.append(reinterpret_cast<const char*>(flat.data()), flat.size_bytes());
+}
+
+}  // namespace
+
+std::string workload_identity(const Workload& workload) {
+  const TaskGraph& g = workload.graph();
+  std::size_t names = 0;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) names += g.name(t).size();
+  std::string out;
+  out.reserve(3 * sizeof(std::uint64_t) +
+              workload.num_machines() * sizeof(std::uint32_t) +
+              g.num_tasks() * sizeof(std::uint64_t) + names +
+              g.num_edges() * 2 * sizeof(TaskId) +
+              (workload.exec_matrix().size() +
+               workload.transfer_matrix().size()) *
+                  sizeof(double));
+
+  append_bits(out, static_cast<std::uint64_t>(workload.num_machines()));
+  for (MachineId m = 0; m < workload.num_machines(); ++m) {
+    append_bits(out, static_cast<std::uint32_t>(workload.machines()[m].arch));
+  }
+  append_bits(out, static_cast<std::uint64_t>(g.num_tasks()));
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const std::string& name = g.name(t);
+    append_bits(out, static_cast<std::uint64_t>(name.size()));
+    out.append(name);
+  }
+  append_bits(out, static_cast<std::uint64_t>(g.num_edges()));
+  for (const DagEdge& e : g.edges()) {
+    append_bits(out, e.src);
+    append_bits(out, e.dst);
+  }
+  // The matrices' shapes follow from the counts above.
+  append_matrix_bits(out, workload.exec_matrix());
+  append_matrix_bits(out, workload.transfer_matrix());
   return out;
 }
 

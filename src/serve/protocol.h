@@ -25,14 +25,17 @@
 //   workload:                    task,name,machine,start,finish CSV
 //   <sehc-workload v1 document>  ...
 //
-// Request identity (the response-cache key) is
-// content_hash64(canonical_string()): the workload in its canonical form
-// (workload_to_string, numbers as "%.17g", so formatting differences in
-// the submitted document cannot split the cache), then engine/seed/
-// y_limit/budget in fixed order. The workload leads because FNV-1a
-// streams: the server caches each body's canonical text and its hash
-// state, so a repeated body costs one hash pass over the body plus one
-// over the ~60 bytes of request fields, and no number formatting.
+// Request identity (the response-cache key) is canonical_string(): the
+// workload's identity bytes (workload_identity), then engine/seed/y_limit/
+// budget in fixed order. The identity bytes are the parsed workload's
+// counts, arch tags, task names, edges and the bit patterns of its
+// matrices. Two documents get equal identities exactly when
+// workload_to_string gives them equal text: "%.17g" round-trips every
+// finite double and keeps -0 apart from 0, the reader rejects inf and nan,
+// and a task name the text omits is the default s<id> the parser restores.
+// So formatting differences in the submitted document cannot split the
+// cache, and the key costs no number formatting. The key lives only in the
+// server's memory: it is hashed with std::hash, never persisted.
 // deadline_ms is deliberately excluded — a deadline bounds how long the
 // caller waits, not what the fully-solved answer is, so a cached complete
 // answer may legitimately serve a later deadline-limited request.
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "hc/workload.h"
 #include "search/engine.h"
 
 namespace sehc {
@@ -105,11 +109,18 @@ struct ScheduleRequest {
   static std::string budget_token(const Budget& budget);
   static Budget parse_budget_token(const std::string& token);
 
-  /// Canonical identity string (see file header): `canonical_workload`,
-  /// which must be workload_to_string output, followed by the request
-  /// fields.
-  std::string canonical_string(const std::string& canonical_workload) const;
+  /// Canonical identity string (see file header): `identity`, the
+  /// workload_identity() bytes of the request's workload, followed by the
+  /// request fields.
+  std::string canonical_string(const std::string& identity) const;
 };
+
+/// The workload's identity bytes (see file header), in fixed-width native
+/// encoding, each count before its items: the machine count and every
+/// machine's arch; the task count and every task name, length-prefixed;
+/// the edge count and every edge's (src, dst) in edge order; the bit
+/// patterns of the exec and transfer matrices.
+std::string workload_identity(const Workload& workload);
 
 // --- Responses -------------------------------------------------------------
 

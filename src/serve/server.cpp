@@ -8,10 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <sstream>
+#include <string_view>
 
-#include "core/content_hash.h"
 #include "core/error.h"
 #include "core/table.h"
 #include "exp/trace_io.h"
@@ -64,31 +65,16 @@ struct SolveOutcome {
   Clock::time_point solve_end{};
 };
 
-/// A request body parsed once, with its canonical key material: the
-/// workload_to_string text and its FNV-1a state. The text is kept only when
-/// it differs from the body; a canonical body's bytes are already the
-/// workload cache's key. Immutable once built, so connection threads share
-/// it without locking.
+/// A request body parsed once, with its workload's identity bytes (the
+/// workload part of the response-cache key). Immutable once built, so
+/// connection threads share it without locking.
 struct Server::ParsedBody {
-  ParsedBody(const std::string& body, std::uint64_t body_hash)
-      : workload(workload_from_string(body)) {
-    std::string text = workload_to_string(workload);
-    if (text == body) {
-      canonical_hash = body_hash;
-    } else {
-      canonical_hash = content_hash64(text);
-      canonical = std::move(text);
-    }
-  }
-
-  /// The canonical workload text of a request carrying `body`.
-  const std::string& canonical_text(const std::string& body) const {
-    return canonical.empty() ? body : canonical;
-  }
+  explicit ParsedBody(const std::string& body)
+      : workload(workload_from_string(body)),
+        identity(workload_identity(workload)) {}
 
   Workload workload;
-  std::string canonical;  // empty when the body is canonical
-  std::uint64_t canonical_hash = 0;
+  std::string identity;
 };
 
 /// One admitted cache-miss request plus everyone waiting on it.
@@ -273,18 +259,25 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   }
 
   // Recall (or parse) the body. The workload cache is keyed by the raw
-  // document bytes: a repeated body skips the parse and the
-  // re-serialization even when engine/seed/budget differ.
+  // document bytes: a repeated body skips the parse and the identity build
+  // even when engine/seed/budget differ. Both caches key by std::hash, 8
+  // bytes per step; ContentLru compares the full key on every hash match.
   std::shared_ptr<const ParsedBody> body;
-  const std::uint64_t body_hash = content_hash64(request.workload_text);
+  const std::uint64_t body_hash =
+      std::hash<std::string_view>{}(request.workload_text);
+  double parse_seconds = 0.0;
   try {
     if (auto cached = workload_cache_.lookup(body_hash,
                                              request.workload_text)) {
       body = *cached;
     } else {
-      body = std::make_shared<const ParsedBody>(request.workload_text,
-                                                body_hash);
-      workload_cache_.insert(body_hash, request.workload_text, body);
+      const Clock::time_point parse_start = Clock::now();
+      body = std::make_shared<const ParsedBody>(request.workload_text);
+      parse_seconds = sec_between(parse_start, Clock::now());
+      metrics_.phase_record("request/parse", 1, 0, parse_seconds);
+      // The parsed body travels on; the text is needed only as the key.
+      workload_cache_.insert(body_hash, std::move(request.workload_text),
+                             body);
     }
   } catch (const std::exception& e) {
     errors_.fetch_add(1);
@@ -295,17 +288,12 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   }
   const Clock::time_point parsed = Clock::now();
   metrics_.phase_record("request/workload", 1, 0,
-                        sec_between(arrival, parsed));
+                        sec_between(arrival, parsed) - parse_seconds);
 
-  // The canonical key is the canonical workload text followed by the
-  // request fields, so its hash continues the body's cached canonical
-  // state over the fields alone.
-  const std::string& canonical_workload =
-      body->canonical_text(request.workload_text);
-  std::string canonical = request.canonical_string(canonical_workload);
-  const std::uint64_t hash = content_hash64(
-      std::string_view(canonical).substr(canonical_workload.size()),
-      body->canonical_hash);
+  // The response-cache key: the workload's identity bytes, then the
+  // request fields.
+  std::string canonical = request.canonical_string(body->identity);
+  const std::uint64_t hash = std::hash<std::string_view>{}(canonical);
   const Clock::time_point keyed = Clock::now();
   metrics_.phase_record("request/canonical", 1, 0,
                         sec_between(parsed, keyed));

@@ -6,11 +6,12 @@
 //   connection thread                          solver thread (x threads)
 //   -----------------                          -------------------------
 //   read frame, parse request
-//   parse workload (LRU by body,
-//     kept with its canonical text
-//     and hash state)
-//   canonical key: extend the
-//     cached hash over the fields
+//   workload: std::hash the body,
+//     look it up (LRU by body);
+//     on a miss, parse it and build
+//     its identity bytes
+//   canonical key: identity bytes +
+//     request fields, std::hash
 //   response cache lookup --hit--> reply (bit-identical to the cold solve)
 //   single-flight: identical
 //     request already in flight? --> attach, wait  <------ fulfil promises
@@ -31,10 +32,12 @@
 //     instead of queueing into unbounded latency;
 //   * single-flight coalescing — concurrent identical requests (same
 //     content hash) ride one solve and each get their own response;
-//   * response caching — ContentLru keyed by request content hash; hits are
-//     bit-identical to the cold solve (deterministic fields are cached
-//     verbatim). Timed-out solves are never cached: their incumbent depends
-//     on wall clock, and the next identical request deserves a full solve;
+//   * response caching — ContentLru keyed by the request identity (the
+//     workload's identity bytes plus the request fields, compared in full
+//     on every hash match); hits are bit-identical to the cold solve
+//     (deterministic fields are cached verbatim). Timed-out solves are
+//     never cached: their incumbent depends on wall clock, and the next
+//     identical request deserves a full solve;
 //   * deadline preemption — every solve runs under run_search with the
 //     request's Deadline armed, so an expired deadline answers early with
 //     the incumbent best() and timed_out=1;
@@ -128,8 +131,9 @@ class Server {
   const ServeOptions& options() const { return options_; }
   bool draining() const { return draining_.load(); }
   ServerStats stats_snapshot() const;
-  /// Observability registry: per-request phase timings (workload, canonical
-  /// key, cache lookup, queue, solve, reply), server-wide latency
+  /// Observability registry: per-request phase timings (workload lookup,
+  /// parse on a workload-cache miss, canonical key, cache lookup, queue,
+  /// solve, reply), server-wide latency
   /// histograms, and the engine counters run_search flushes from solve
   /// slots. The `metrics` endpoint serializes snapshots of it.
   MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 
 #include "core/content_hash.h"
 #include "core/error.h"
@@ -47,24 +46,10 @@ TEST(ResultStore, ContentHashIsStableAndSensitive) {
 }
 
 TEST(ContentHash, DefaultStateIsTheFnv1aOffsetBasis) {
-  // Published FNV-1a 64 vectors: the default state keeps every stored spec
-  // hash valid.
+  // Published FNV-1a 64 vectors: they pin every stored spec hash.
   EXPECT_EQ(content_hash64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(content_hash64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(content_hash64("foobar"), 0x85944171f73967e8ULL);
-  EXPECT_EQ(content_hash64("foobar", kContentHashBasis),
-            content_hash64("foobar"));
-}
-
-TEST(ContentHash, StreamsAcrossEverySplit) {
-  const std::string text = "sehc-workload v1\nmachines 3\n1 2 3\n";
-  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
-    const std::string_view view(text);
-    EXPECT_EQ(content_hash64(view.substr(cut),
-                             content_hash64(view.substr(0, cut))),
-              content_hash64(text))
-        << "cut " << cut;
-  }
 }
 
 TEST(ResultStore, InMemoryAppendContainsAndRejectsDuplicates) {

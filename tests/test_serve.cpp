@@ -13,12 +13,15 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/content_hash.h"
 #include "exp/trace_io.h"
 #include "hc/workload_io.h"
 #include "heuristics/scheduler.h"
@@ -268,40 +271,271 @@ TEST(ServeResponse, ErrorMessageNewlinesAreFolded) {
   EXPECT_EQ(got.error, "line one line two");
 }
 
-TEST(ServeRequest, CanonicalStringLeadsWithTheWorkloadSoItsHashStreams) {
-  const std::string canonical_workload = small_workload_text(3);
-  const ScheduleRequest req = solve_request(canonical_workload);
-  const std::string canonical = req.canonical_string(canonical_workload);
-  ASSERT_EQ(canonical.compare(0, canonical_workload.size(), canonical_workload),
-            0);
-  const std::string_view fields =
-      std::string_view(canonical).substr(canonical_workload.size());
-  EXPECT_EQ(fields,
+TEST(ServeRequest, CanonicalStringIsTheIdentityThenTheFieldsInFixedOrder) {
+  const std::string identity =
+      workload_identity(workload_from_string(small_workload_text(3)));
+  const ScheduleRequest req = solve_request(small_workload_text(3));
+  const std::string canonical = req.canonical_string(identity);
+  ASSERT_EQ(canonical.compare(0, identity.size(), identity), 0);
+  EXPECT_EQ(std::string_view(canonical).substr(identity.size()),
             "sehc-serve-request v1\nengine=SE\nseed=7\ny_limit=0\n"
             "budget=steps:8\n");
-  // The server's key hash: the body's cached state continued over the
-  // fields equals the hash of the whole canonical string.
-  EXPECT_EQ(content_hash64(fields, content_hash64(canonical_workload)),
-            content_hash64(canonical));
 }
 
 TEST(ServeRequest, CanonicalIdentityExcludesDeadlineIncludesBudget) {
-  const std::string canonical_workload = small_workload_text(3);
-  ScheduleRequest a = solve_request(canonical_workload);
+  const std::string identity =
+      workload_identity(workload_from_string(small_workload_text(3)));
+  ScheduleRequest a = solve_request(small_workload_text(3));
   ScheduleRequest b = a;
   b.deadline_ms = 500.0;  // deadline must not split the cache
-  EXPECT_EQ(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(b.canonical_string(canonical_workload)));
+  EXPECT_EQ(a.canonical_string(identity), b.canonical_string(identity));
 
   ScheduleRequest c = a;
   c.budget = Budget::steps(9);  // budget is part of the identity
-  EXPECT_NE(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(c.canonical_string(canonical_workload)));
+  EXPECT_NE(a.canonical_string(identity), c.canonical_string(identity));
 
   ScheduleRequest d = a;
   d.seed = a.seed + 1;
-  EXPECT_NE(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(d.canonical_string(canonical_workload)));
+  EXPECT_NE(a.canonical_string(identity), d.canonical_string(identity));
+}
+
+// --- Workload identity -----------------------------------------------------
+//
+// The response-cache key holds workload_identity(), which must tell
+// workloads apart exactly as their canonical texts do. Differential
+// oracle: two workloads have equal identities exactly when their
+// workload_to_string texts are equal.
+
+/// A hand-made document with what generated workloads never carry: custom
+/// task names, non-MIMD arch lines and signed zeros.
+constexpr const char* kHandMadeDoc =
+    "sehc-workload v1\n"
+    "machines 3\n"
+    "arch 1 SIMD\n"
+    "arch 2 special-purpose\n"
+    "sehc-dag v1\n"
+    "tasks 4\n"
+    "name 0 load\n"
+    "name 3 store\n"
+    "edge 0 1\n"
+    "edge 0 2\n"
+    "edge 1 3\n"
+    "edge 2 3\n"
+    "end-dag\n"
+    "exec\n"
+    "10 20.5 -0 40\n"
+    "11 0 31 41\n"
+    "12 22 32 1e-300\n"
+    "transfer\n"
+    "1 2 3 4\n"
+    "5 6 7 0.125\n"
+    "9 10 11 12\n";
+
+/// kHandMadeDoc written differently: other number spellings, the default
+/// name and the MIMD arch spelled out, an arch line overridden by a later
+/// one, blanks and comments. It parses to the same workload.
+constexpr const char* kHandMadeReformatted =
+    "sehc-workload v1\n"
+    "machines 3\n"
+    "arch 0 MIMD\n"
+    "arch 1 vector\n"
+    "arch 1 SIMD\n"
+    "arch 2 special-purpose\n"
+    "sehc-dag v1\n"
+    "# a comment\n"
+    "tasks 4\n"
+    "name 0 load\n"
+    "name 1 s1\n"
+    "name 3 store\n"
+    "edge 0 1\n"
+    "edge 0 2\n"
+    "edge   1 3\n"
+    "edge 2 3\n"
+    "end-dag\n"
+    "exec\n"
+    "1e1 +20.50 -0.000 4.0e1\n"
+    "  11 0e5 31.0 41\n"
+    "12 22 32 0.1e-299\n"
+    "transfer\n"
+    "1 2.0 3 4\n"
+    "5 6 7 125e-3\n"
+    "9 10 11 12\n";
+
+/// An edge-free graph: no transfer section at all.
+constexpr const char* kEdgeFreeDoc =
+    "sehc-workload v1\n"
+    "machines 2\n"
+    "sehc-dag v1\n"
+    "tasks 3\n"
+    "end-dag\n"
+    "exec\n"
+    "1 2 3\n"
+    "4 5 -0\n";
+
+/// The pieces of a workload, to rebuild it with one field changed.
+struct WorkloadParts {
+  TaskGraph graph;
+  std::vector<MachineArch> archs;
+  Matrix<double> exec;
+  Matrix<double> transfer;
+
+  explicit WorkloadParts(const Workload& w)
+      : graph(w.graph()),
+        exec(w.exec_matrix()),
+        transfer(w.transfer_matrix()) {
+    for (MachineId m = 0; m < w.num_machines(); ++m) {
+      archs.push_back(w.machines()[m].arch);
+    }
+  }
+
+  Workload build() const {
+    MachineSet machines;
+    for (const MachineArch arch : archs) machines.add("", arch);
+    return Workload(graph, std::move(machines), exec, transfer);
+  }
+};
+
+/// Generated workloads of several classes plus the hand-made documents.
+std::vector<Workload> identity_corpus() {
+  std::vector<Workload> corpus;
+  for (const Level connectivity : {Level::kLow, Level::kMedium, Level::kHigh}) {
+    for (const Level heterogeneity : {Level::kLow, Level::kHigh}) {
+      WorkloadParams params;
+      params.tasks = 10;
+      params.machines = 4;
+      params.connectivity = connectivity;
+      params.heterogeneity = heterogeneity;
+      params.ccr = heterogeneity == Level::kLow ? 0.1 : 1.0;
+      params.seed = corpus.size() + 1;
+      corpus.push_back(make_workload(params));
+    }
+  }
+  WorkloadParams consistent;
+  consistent.tasks = 9;
+  consistent.machines = 3;
+  consistent.consistency = Consistency::kConsistent;
+  corpus.push_back(make_workload(consistent));
+  corpus.push_back(make_workload(paper_small(5)));
+  for (const char* doc : {kHandMadeDoc, kHandMadeReformatted, kEdgeFreeDoc}) {
+    corpus.push_back(workload_from_string(doc));
+  }
+  return corpus;
+}
+
+/// Every one-field change of `w` that the identity must tell apart.
+std::vector<std::pair<std::string, Workload>> one_field_changes(
+    const Workload& w) {
+  std::vector<std::pair<std::string, Workload>> out;
+  const auto change = [&](const std::string& what, auto edit) {
+    WorkloadParts parts(w);
+    edit(parts);
+    out.emplace_back(what, parts.build());
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  change("exec nextafter", [&](WorkloadParts& p) {
+    p.exec(0, 1) = std::nextafter(p.exec(0, 1), inf);
+  });
+  if (!w.transfer_matrix().empty()) {
+    change("transfer nextafter", [&](WorkloadParts& p) {
+      p.transfer(0, 0) = std::nextafter(p.transfer(0, 0), inf);
+    });
+  }
+  change("exec 0", [](WorkloadParts& p) { p.exec(1, 0) = 0.0; });
+  change("exec -0", [](WorkloadParts& p) { p.exec(1, 0) = -0.0; });
+  change("renamed task", [](WorkloadParts& p) {
+    p.graph.set_name(0, p.graph.name(0) + "x");
+  });
+  change("changed arch", [](WorkloadParts& p) {
+    p.archs.back() = p.archs.back() == MachineArch::kDataflow
+                         ? MachineArch::kVector
+                         : MachineArch::kDataflow;
+  });
+  change("one more machine", [](WorkloadParts& p) {
+    p.archs.push_back(MachineArch::kMimd);
+    Matrix<double> exec(p.exec.rows() + 1, p.exec.cols());
+    for (std::size_t r = 0; r < exec.rows(); ++r) {
+      for (std::size_t c = 0; c < exec.cols(); ++c) {
+        exec(r, c) = p.exec(std::min(r, p.exec.rows() - 1), c);
+      }
+    }
+    p.exec = std::move(exec);
+    const std::size_t l = p.archs.size();
+    p.transfer = Matrix<double>(l * (l - 1) / 2, p.transfer.cols(), 1.0);
+  });
+  if (w.num_items() >= 2) {
+    // Swapping two edge lines swaps the data items the transfer columns
+    // belong to.
+    const std::string text = workload_to_string(w);
+    const std::size_t first = text.find("\nedge ") + 1;
+    const std::size_t mid = text.find('\n', first) + 1;
+    const std::size_t end = text.find('\n', mid) + 1;
+    const std::string swapped = text.substr(0, first) +
+                                text.substr(mid, end - mid) +
+                                text.substr(first, mid - first) +
+                                text.substr(end);
+    out.emplace_back("swapped edges", workload_from_string(swapped));
+  }
+  return out;
+}
+
+TEST(WorkloadIdentity, EqualExactlyWhenCanonicalTextsAreEqual) {
+  std::vector<Workload> corpus = identity_corpus();
+  const std::size_t bases = corpus.size();
+  for (std::size_t i = 0; i < bases; ++i) {
+    for (auto& [what, changed] : one_field_changes(corpus[i])) {
+      corpus.push_back(std::move(changed));
+    }
+  }
+  std::vector<std::string> texts, identities;
+  for (const Workload& w : corpus) {
+    texts.push_back(workload_to_string(w));
+    identities.push_back(workload_identity(w));
+  }
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    for (std::size_t j = i + 1; j < corpus.size(); ++j) {
+      const bool same_text = texts[i] == texts[j];
+      equal_pairs += same_text ? 1 : 0;
+      EXPECT_EQ(identities[i] == identities[j], same_text)
+          << "workloads " << i << " and " << j;
+    }
+  }
+  // Both sides of the equivalence are exercised: the two spellings of the
+  // hand-made document are one workload.
+  EXPECT_GE(equal_pairs, 1u);
+}
+
+TEST(WorkloadIdentity, ReformattedNumbersCollide) {
+  const Workload a = workload_from_string(kHandMadeDoc);
+  const Workload b = workload_from_string(kHandMadeReformatted);
+  ASSERT_EQ(workload_to_string(a), workload_to_string(b));
+  EXPECT_EQ(workload_identity(a), workload_identity(b));
+
+  const std::string text = small_workload_text(4);
+  const std::string reformatted = reformat_exec(text);
+  ASSERT_NE(reformatted, text);
+  EXPECT_EQ(workload_identity(workload_from_string(reformatted)),
+            workload_identity(workload_from_string(text)));
+}
+
+TEST(WorkloadIdentity, OneFieldChangesNeverCollide) {
+  for (const char* doc : {kHandMadeDoc, kEdgeFreeDoc}) {
+    const Workload base = workload_from_string(doc);
+    const std::string base_text = workload_to_string(base);
+    const std::string base_identity = workload_identity(base);
+    for (const auto& [what, changed] : one_field_changes(base)) {
+      // Each change is real (the texts differ), and the identity sees it.
+      EXPECT_NE(workload_to_string(changed), base_text) << what;
+      EXPECT_NE(workload_identity(changed), base_identity) << what;
+    }
+  }
+  // -0 and 0 in the same cell differ, both ways round.
+  WorkloadParts zero(workload_from_string(kEdgeFreeDoc));
+  WorkloadParts negative_zero = zero;
+  zero.exec(1, 2) = 0.0;
+  negative_zero.exec(1, 2) = -0.0;
+  EXPECT_NE(workload_identity(zero.build()),
+            workload_identity(negative_zero.build()));
 }
 
 // --- ContentLru ------------------------------------------------------------
@@ -402,10 +636,10 @@ TEST(ServeServer, ColdSolveMatchesOfflineRunAndCacheHitIsBitIdentical) {
   EXPECT_EQ(warm.steps, cold.steps);
 
   // Reformatting the workload document must not split the cache. The
-  // reformatted body is a new workload-cache key whose canonical text
-  // differs from it; both rounds are response-cache hits with the cold
-  // solve's bytes, the first through a fresh parse, the second through the
-  // canonical text and hash cached for that body.
+  // reformatted body is a new workload-cache key with the same identity
+  // bytes; both rounds are response-cache hits with the cold solve's
+  // bytes, the first through a fresh parse, the second through the
+  // identity cached for that body.
   ScheduleRequest reformatted = req;
   reformatted.workload_text = reformat_exec(req.workload_text);
   ASSERT_NE(reformatted.workload_text, req.workload_text);
@@ -428,15 +662,19 @@ TEST(ServeServer, ColdSolveMatchesOfflineRunAndCacheHitIsBitIdentical) {
   EXPECT_EQ(stats.workload_cache_hits, 2u);  // the warm repeat, round 1
   EXPECT_EQ(stats.errors, 0u);
 
-  // Every solve request passes the workload and canonical-key phases.
+  // Every solve request passes the workload and canonical-key phases; the
+  // parse runs once per workload-cache miss: the cold body and round 0.
   const MetricsSnapshot snap = server.metrics_snapshot();
-  for (const char* phase : {"request/workload", "request/canonical",
-                            "request/cache_lookup"}) {
+  for (const auto& [phase, visits] :
+       {std::pair<std::string, std::uint64_t>{"request/workload", 4},
+        {"request/parse", 2},
+        {"request/canonical", 4},
+        {"request/cache_lookup", 4}}) {
     const auto it = std::find_if(
         snap.phases.begin(), snap.phases.end(),
         [&](const auto& entry) { return entry.first == phase; });
     ASSERT_NE(it, snap.phases.end()) << phase;
-    EXPECT_EQ(it->second.visits, 4u) << phase;
+    EXPECT_EQ(it->second.visits, visits) << phase;
   }
   server.request_drain();
   server.join();

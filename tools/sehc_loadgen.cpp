@@ -3,7 +3,8 @@
 //   sehc_loadgen --socket PATH [--requests N] [--rate RPS] [--connections C]
 //                [--engine NAME] [--budget TOKEN] [--deadline-ms MS]
 //                [--workloads W] [--seed S] [--tasks K] [--machines L]
-//                [--out BENCH_serve.json]
+//                [--out BENCH_serve.json] [--metrics-out PATH]
+//                [--assert-p99-ms MS] [--assert-hit-rate R]
 //
 // Open-loop arrivals: request i's intended send time is drawn from an
 // exponential inter-arrival process at --rate (deterministic under --seed),
@@ -22,8 +23,10 @@
 // Emits BENCH_serve.json (throughput, p50/p90/p99 latency, shed rate, cache
 // hit rate, plus the server's own stats-endpoint counters), committed at
 // the repo root the same way BENCH_hotpath.json is. Exit is nonzero on any
-// protocol error or status=error reply — the smoke gate tools/serve_check.sh
-// relies on that.
+// protocol error or status=error reply, and when a run misses a gate it
+// was given: --assert-p99-ms (the client p99 must be under MS) or
+// --assert-hit-rate (the response-cache hit rate must be at least R). The
+// smoke gate tools/serve_check.sh relies on that and parses no JSON.
 #include <unistd.h>
 
 #include <algorithm>
@@ -75,14 +78,15 @@ constexpr std::string_view kUsage =
     "                    [--budget steps:N|evals:N|seconds:S]\n"
     "                    [--deadline-ms MS] [--workloads W] [--seed S]\n"
     "                    [--tasks K] [--machines L] [--out PATH]\n"
-    "                    [--metrics-out PATH]\n";
+    "                    [--metrics-out PATH] [--assert-p99-ms MS]\n"
+    "                    [--assert-hit-rate R]\n";
 
 int run(int argc, char** argv) {
   const Options opts(
       argc, argv,
       {"socket", "requests", "rate", "connections", "engine", "budget",
        "deadline-ms", "workloads", "seed", "tasks", "machines", "out",
-       "metrics-out"});
+       "metrics-out", "assert-p99-ms", "assert-hit-rate"});
   if (!opts.has("socket")) throw UsageError("--socket PATH is required");
 
   const std::string socket_path = opts.get("socket", "");
@@ -104,6 +108,8 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opts.get_int("machines", 8));
   const std::string out_path = opts.get("out", "BENCH_serve.json");
   const std::string metrics_out_path = opts.get("metrics-out", "");
+  const double assert_p99_ms = opts.get_double("assert-p99-ms", 0.0);
+  const double assert_hit_rate = opts.get_double("assert-hit-rate", 0.0);
   SEHC_CHECK(requests > 0 && rate > 0.0 && connections > 0 &&
                  n_workloads > 0,
              "loadgen: requests, rate, connections and workloads must be "
@@ -331,7 +337,23 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: wrote %s\n", metrics_out_path.c_str());
   }
 
-  return (protocol_errors.load() > 0 || errors > 0) ? 1 : 0;
+  // Gates: each prints the measured value next to its bound.
+  bool gates_ok = true;
+  if (opts.has("assert-p99-ms")) {
+    const bool ok = p99 < assert_p99_ms;
+    std::fprintf(stderr, "loadgen: %s: client p99=%.3fms, must be under "
+                 "--assert-p99-ms %g\n", ok ? "ok" : "FAIL", p99,
+                 assert_p99_ms);
+    gates_ok = gates_ok && ok;
+  }
+  if (opts.has("assert-hit-rate")) {
+    const bool ok = hit_rate >= assert_hit_rate;
+    std::fprintf(stderr, "loadgen: %s: cache_hit_rate=%.4f, must be at "
+                 "least --assert-hit-rate %g\n", ok ? "ok" : "FAIL",
+                 hit_rate, assert_hit_rate);
+    gates_ok = gates_ok && ok;
+  }
+  return (protocol_errors.load() > 0 || errors > 0 || !gates_ok) ? 1 : 0;
 }
 
 }  // namespace
