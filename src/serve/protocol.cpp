@@ -1,9 +1,11 @@
 #include "serve/protocol.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -27,39 +29,49 @@ constexpr const char* kResponseMagic = "sehc-response v1";
 
 std::string errno_text() { return std::strerror(errno); }
 
-/// Writes the whole buffer, retrying on EINTR / short writes. MSG_NOSIGNAL:
-/// a vanished peer must surface as ProtocolError, not SIGPIPE.
-void send_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t wrote = ::send(fd, data, n, MSG_NOSIGNAL);
+/// Writes every part, in order, retrying on EINTR / short writes; one
+/// sendmsg() per attempt gathers what is left. MSG_NOSIGNAL: a vanished
+/// peer must surface as ProtocolError, not SIGPIPE.
+void send_all(int fd, std::span<iovec> parts) {
+  std::size_t next = 0;
+  for (;;) {
+    while (next < parts.size() && parts[next].iov_len == 0) ++next;
+    if (next == parts.size()) return;
+    msghdr msg{};
+    msg.msg_iov = parts.data() + next;
+    msg.msg_iovlen = parts.size() - next;
+    const ssize_t wrote = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       proto_fail("send failed: " + errno_text());
     }
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
+    for (auto left = static_cast<std::size_t>(wrote); left > 0;) {
+      const std::size_t step = std::min(left, parts[next].iov_len);
+      parts[next].iov_base = static_cast<char*>(parts[next].iov_base) + step;
+      parts[next].iov_len -= step;
+      left -= step;
+      if (parts[next].iov_len == 0) ++next;
+    }
   }
 }
 
-/// Reads exactly n bytes; returns false on EOF at offset 0, throws on EOF
-/// mid-buffer (a truncated frame is malformed, not a clean close).
-bool recv_exact(int fd, char* data, std::size_t n, const char* what) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, data + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      proto_fail(std::string("recv failed: ") + errno_text());
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      proto_fail(std::string("connection closed mid-") + what + " (got " +
-                 std::to_string(got) + " of " + std::to_string(n) + " bytes)");
-    }
-    got += static_cast<std::size_t>(r);
+/// One recv(): the bytes read (at most n), or 0 at EOF. Retries EINTR.
+std::size_t recv_some(int fd, char* data, std::size_t n) {
+  for (;;) {
+    const ssize_t r = ::recv(fd, data, n, 0);
+    if (r >= 0) return static_cast<std::size_t>(r);
+    if (errno != EINTR) proto_fail(std::string("recv failed: ") + errno_text());
   }
-  return true;
 }
+
+/// read_frame() sizes a payload buffer as its bytes arrive: first
+/// kFirstPayloadChunk bytes, then double the bytes received, capped at the
+/// announced length. Only sized bytes are written (zero-filled), so only
+/// they commit memory. Capacity for up to kPayloadReserve bytes is
+/// reserved at the start (address space; its pages are touched only as the
+/// size grows), so a frame of that size is received without a copy.
+constexpr std::size_t kFirstPayloadChunk = 64u << 10;
+constexpr std::size_t kPayloadReserve = 1u << 20;
 
 double parse_double_field(const std::string& value, const std::string& key) {
   char* end = nullptr;
@@ -97,34 +109,39 @@ std::string format_double(const char* fmt, double v) {
 
 /// Splits a payload into leading "key=value" lines and an optional tail
 /// section introduced by `section_marker` (e.g. "workload:"); the tail is
-/// everything after the marker line, verbatim.
+/// everything after the marker line, verbatim. The section takes over the
+/// payload's buffer: the head lines are erased in place, not copied out.
 struct KvDocument {
   std::vector<std::pair<std::string, std::string>> fields;
-  bool has_section = false;
   std::string section;
 };
 
-KvDocument parse_kv_document(const std::string& payload, const char* magic,
-                             const std::string& section_marker) {
+KvDocument parse_kv_document(std::string payload, std::string_view magic,
+                             std::string_view section_marker) {
   KvDocument doc;
+  const std::string_view text(payload);
   std::size_t pos = 0;
   bool first = true;
-  while (pos <= payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    const bool last = eol == std::string::npos;
-    std::string line = payload.substr(pos, last ? std::string::npos : eol - pos);
+  while (pos <= text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const bool last = eol == std::string_view::npos;
+    const std::string_view line =
+        text.substr(pos, last ? std::string_view::npos : eol - pos);
     if (first) {
-      if (line != magic) proto_fail("expected '" + std::string(magic) +
-                                    "' header, got '" + line + "'");
+      if (line != magic) {
+        proto_fail("expected '" + std::string(magic) + "' header, got '" +
+                   std::string(line) + "'");
+      }
       first = false;
     } else if (line == section_marker) {
-      doc.has_section = true;
-      doc.section = last ? std::string() : payload.substr(eol + 1);
+      payload.erase(0, last ? payload.size() : eol + 1);
+      doc.section = std::move(payload);
       return doc;
     } else if (!line.empty()) {
       const std::size_t eq = line.find('=');
-      if (eq == std::string::npos) {
-        proto_fail("malformed line '" + line + "' (expected key=value)");
+      if (eq == std::string_view::npos) {
+        proto_fail("malformed line '" + std::string(line) +
+                   "' (expected key=value)");
       }
       doc.fields.emplace_back(line.substr(0, eq), line.substr(eq + 1));
     }
@@ -138,12 +155,16 @@ KvDocument parse_kv_document(const std::string& payload, const char* magic,
 
 // --- Framing ---------------------------------------------------------------
 
-void write_frame(int fd, std::string_view payload) {
+void write_frame(int fd, std::string_view payload, std::string_view tail) {
   char header[32];
   const int len = std::snprintf(header, sizeof header, "%s%zu\n", kFrameMagic,
-                                payload.size());
-  send_all(fd, header, static_cast<std::size_t>(len));
-  send_all(fd, payload.data(), payload.size());
+                                payload.size() + tail.size());
+  iovec parts[] = {
+      {header, static_cast<std::size_t>(len)},
+      {const_cast<char*>(payload.data()), payload.size()},
+      {const_cast<char*>(tail.data()), tail.size()},
+  };
+  send_all(fd, parts);
 }
 
 std::optional<std::string> read_frame(int fd, std::size_t max_bytes) {
@@ -154,7 +175,7 @@ std::optional<std::string> read_frame(int fd, std::size_t max_bytes) {
   std::size_t len = 0;
   for (;;) {
     if (len == sizeof header) proto_fail("frame header too long");
-    if (!recv_exact(fd, header + len, 1, "frame header")) {
+    if (recv_some(fd, header + len, 1) == 0) {
       if (len == 0) return std::nullopt;  // clean EOF between frames
       proto_fail("connection closed mid-frame header");
     }
@@ -173,10 +194,24 @@ std::optional<std::string> read_frame(int fd, std::size_t max_bytes) {
                " bytes exceeds the " + std::to_string(max_bytes) +
                "-byte limit");
   }
-  std::string payload(payload_len, '\0');
-  if (payload_len > 0 && !recv_exact(fd, payload.data(), payload_len,
-                                     "frame payload")) {
-    proto_fail("connection closed before frame payload");
+  // The buffer grows only as bytes arrive: a header announcing 16 MiB and
+  // then stalling commits kFirstPayloadChunk bytes, not 16 MiB.
+  std::string payload;
+  payload.reserve(std::min<std::size_t>(payload_len, kPayloadReserve));
+  std::size_t got = 0;
+  while (got < payload_len) {
+    if (got == payload.size()) {
+      payload.resize(std::min<std::size_t>(
+          payload_len, std::max(kFirstPayloadChunk, 2 * got)));
+    }
+    const std::size_t r =
+        recv_some(fd, payload.data() + got, payload.size() - got);
+    if (r == 0) {
+      proto_fail("connection closed mid-frame payload (got " +
+                 std::to_string(got) + " of " + std::to_string(payload_len) +
+                 " bytes)");
+    }
+    got += r;
   }
   return payload;
 }
@@ -241,9 +276,9 @@ Budget ScheduleRequest::parse_budget_token(const std::string& token) {
   return budget;
 }
 
-std::string ScheduleRequest::serialize() const {
+std::string ScheduleRequest::serialize_head() const {
   std::string out;
-  out.reserve(192 + workload_text.size());
+  out.reserve(192);
   out.append(kRequestMagic).append("\nop=").append(op);
   out.append("\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
@@ -251,14 +286,17 @@ std::string ScheduleRequest::serialize() const {
   out.append("\nbudget=").append(budget_token(budget));
   out.append("\ndeadline_ms=").append(format_double("%.3f", deadline_ms));
   out += '\n';
-  if (!workload_text.empty()) {
-    out.append("workload:\n").append(workload_text);
-  }
+  if (!workload_text.empty()) out.append("workload:\n");
   return out;
 }
 
-ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
-  KvDocument doc = parse_kv_document(payload, kRequestMagic, "workload:");
+std::string ScheduleRequest::serialize() const {
+  return serialize_head().append(workload_text);
+}
+
+ScheduleRequest ScheduleRequest::parse(std::string payload) {
+  KvDocument doc =
+      parse_kv_document(std::move(payload), kRequestMagic, "workload:");
   ScheduleRequest req;
   for (const auto& [key, value] : doc.fields) {
     if (key == "op") {
@@ -288,17 +326,20 @@ ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
   return req;
 }
 
-std::string ScheduleRequest::canonical_string(
-    const std::string& identity) const {
+std::string ScheduleRequest::canonical_fields() const {
   std::string out;
-  out.reserve(identity.size() + 128);
-  out.append(identity);
+  out.reserve(128);
   out.append("sehc-serve-request v1\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
   out.append("\ny_limit=").append(std::to_string(y_limit));
   out.append("\nbudget=").append(budget_token(budget));
   out += '\n';
   return out;
+}
+
+std::string ScheduleRequest::canonical_string(
+    const std::string& identity) const {
+  return identity + canonical_fields();
 }
 
 namespace {
@@ -394,9 +435,9 @@ std::string ScheduleResponse::serialize() const {
   return os.str();
 }
 
-ScheduleResponse ScheduleResponse::parse(const std::string& payload) {
-  const KvDocument doc = parse_kv_document(payload, kResponseMagic,
-                                           "schedule:");
+ScheduleResponse ScheduleResponse::parse(std::string payload) {
+  KvDocument doc =
+      parse_kv_document(std::move(payload), kResponseMagic, "schedule:");
   ScheduleResponse resp;
   bool saw_status = false;
   for (const auto& [key, value] : doc.fields) {
@@ -432,17 +473,17 @@ ScheduleResponse ScheduleResponse::parse(const std::string& payload) {
     }
   }
   if (!saw_status) proto_fail("response carries no status field");
-  resp.schedule_csv = doc.section;
+  resp.schedule_csv = std::move(doc.section);
   return resp;
 }
 
 ScheduleResponse call_server(int fd, const ScheduleRequest& request) {
-  write_frame(fd, request.serialize());
+  write_frame(fd, request.serialize_head(), request.workload_text);
   std::optional<std::string> payload = read_frame(fd);
   if (!payload) {
     proto_fail("connection closed before a response arrived");
   }
-  return ScheduleResponse::parse(*payload);
+  return ScheduleResponse::parse(std::move(*payload));
 }
 
 }  // namespace sehc

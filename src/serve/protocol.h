@@ -27,12 +27,15 @@
 //
 // Request identity (the response-cache key) is canonical_string(): the
 // workload's identity bytes (workload_identity), then engine/seed/y_limit/
-// budget in fixed order. The identity bytes are the parsed workload's
-// counts, arch tags, task names, edges and the bit patterns of its
-// matrices. Two documents get equal identities exactly when
-// workload_to_string gives them equal text: "%.17g" round-trips every
-// finite double and keeps -0 apart from 0, the reader rejects inf and nan,
-// and a task name the text omits is the default s<id> the parser restores.
+// budget in fixed order (canonical_fields()). The server never builds that
+// string: its RequestKey (serve/cache.h) shares the parsed body's identity
+// bytes and compares them and the fields apart, with the same outcome. The
+// identity bytes are the parsed workload's counts, arch tags, task names,
+// edges and the bit patterns of its matrices. Two documents get equal
+// identities exactly when workload_to_string gives them equal text:
+// "%.17g" round-trips every finite double and keeps -0 apart from 0, the
+// reader rejects inf and nan, and a task name the text omits is the
+// default s<id> the parser restores.
 // So formatting differences in the submitted document cannot split the
 // cache, and the key costs no number formatting. The key lives only in the
 // server's memory: it is hashed with std::hash, never persisted.
@@ -65,13 +68,19 @@ class ProtocolError : public Error {
 /// for paper-scale instances are well under 1 MiB.
 constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
-/// Writes one frame (header + payload) to a socket fd. Throws ProtocolError
-/// when the peer is gone (EPIPE/ECONNRESET) or on any other write failure.
-void write_frame(int fd, std::string_view payload);
+/// Writes one frame whose payload is `payload` followed by `tail` to a
+/// socket fd: the same bytes as write_frame(fd, payload + tail), without
+/// joining the two (a request's head and its workload document go out
+/// as they are). Throws ProtocolError when the peer is gone
+/// (EPIPE/ECONNRESET) or on any other write failure.
+void write_frame(int fd, std::string_view payload, std::string_view tail = {});
 
 /// Reads one frame from a socket fd. Returns std::nullopt on clean EOF
 /// (connection closed between frames); throws ProtocolError on malformed
-/// headers, payloads larger than `max_bytes`, or EOF mid-frame.
+/// headers, payloads larger than `max_bytes`, or EOF mid-frame. The payload
+/// buffer is sized as its bytes arrive (64 KiB, then doubling, capped at
+/// the announced length), so it commits at most 64 KiB or twice the bytes
+/// received, whatever length the header announces.
 std::optional<std::string> read_frame(int fd,
                                       std::size_t max_bytes = kMaxFrameBytes);
 
@@ -101,17 +110,27 @@ struct ScheduleRequest {
   /// A "sehc-workload v1" document (hc/workload_io.h). Required for solve.
   std::string workload_text;
 
+  /// The payload up to the workload document: the magic, the fields and,
+  /// when there is a workload, the `workload:` marker line.
+  std::string serialize_head() const;
+  /// serialize_head() + workload_text: the whole payload.
   std::string serialize() const;
   /// Throws ProtocolError on unknown keys, missing sections or bad values.
-  static ScheduleRequest parse(const std::string& payload);
+  /// Takes the payload by value: the workload section keeps its buffer
+  /// (the head lines are erased in place), so a moved-in frame is never
+  /// copied.
+  static ScheduleRequest parse(std::string payload);
 
   /// "steps:N" / "evals:N" / "seconds:S" <-> Budget.
   static std::string budget_token(const Budget& budget);
   static Budget parse_budget_token(const std::string& token);
 
+  /// The request fields of the identity, in fixed order: engine, seed,
+  /// y_limit, budget (deadline excluded; see file header).
+  std::string canonical_fields() const;
   /// Canonical identity string (see file header): `identity`, the
-  /// workload_identity() bytes of the request's workload, followed by the
-  /// request fields.
+  /// workload_identity() bytes of the request's workload, followed by
+  /// canonical_fields().
   std::string canonical_string(const std::string& identity) const;
 };
 
@@ -151,12 +170,15 @@ struct ScheduleResponse {
   std::string schedule_csv;
 
   std::string serialize() const;
-  static ScheduleResponse parse(const std::string& payload);
+  /// By value, like ScheduleRequest::parse: the schedule section keeps the
+  /// payload's buffer.
+  static ScheduleResponse parse(std::string payload);
 };
 
-/// One round-trip: write the request frame, read the response frame.
-/// Throws ProtocolError on transport failure or a connection closed before
-/// the response arrived.
+/// One round-trip: write the request frame (serialize_head(), then the
+/// workload text, as one frame without joining them), read the response
+/// frame. Throws ProtocolError on transport failure or a connection closed
+/// before the response arrived.
 ScheduleResponse call_server(int fd, const ScheduleRequest& request);
 
 }  // namespace sehc

@@ -66,21 +66,26 @@ struct SolveOutcome {
 };
 
 /// A request body parsed once, with its workload's identity bytes (the
-/// workload part of the response-cache key). Immutable once built, so
-/// connection threads share it without locking.
+/// workload part of the response-cache key) and their hash. Immutable once
+/// built, so connection threads share it without locking.
 struct Server::ParsedBody {
   explicit ParsedBody(const std::string& body)
       : workload(workload_from_string(body)),
-        identity(workload_identity(workload)) {}
+        identity(std::make_shared<const std::string>(
+            workload_identity(workload))),
+        identity_hash(std::hash<std::string_view>{}(*identity)) {}
 
   Workload workload;
-  std::string identity;
+  /// Shared with every RequestKey built from this body: a response entry
+  /// keeps the identity bytes alive, not a copy of them (nor the workload).
+  std::shared_ptr<const std::string> identity;
+  std::uint64_t identity_hash;
 };
 
 /// One admitted cache-miss request plus everyone waiting on it.
 struct Server::InFlight {
   std::uint64_t hash = 0;
-  std::string canonical;
+  RequestKey key;
   ScheduleRequest request;                 // workload_text cleared
   std::shared_ptr<const ParsedBody> body;  // parsed once, shared
   std::vector<std::promise<SolveOutcome>> promises;  // guarded by inflight_mutex_
@@ -207,7 +212,7 @@ void Server::connection_loop(int fd) {
     }
     if (!payload) break;  // clean EOF
     try {
-      handle_payload(fd, *payload);
+      handle_payload(fd, std::move(*payload));
     } catch (const ProtocolError&) {
       // Response write failed: peer vanished mid-reply.
       protocol_errors_.fetch_add(1);
@@ -218,10 +223,10 @@ void Server::connection_loop(int fd) {
   open_connections_.fetch_sub(1);
 }
 
-void Server::handle_payload(int fd, const std::string& payload) {
+void Server::handle_payload(int fd, std::string payload) {
   ScheduleRequest request;
   try {
-    request = ScheduleRequest::parse(payload);
+    request = ScheduleRequest::parse(std::move(payload));
   } catch (const Error& e) {
     // Parseable frame, malformed request document: the stream is still in
     // sync, so answer with an error instead of dropping the connection.
@@ -290,16 +295,18 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   metrics_.phase_record("request/workload", 1, 0,
                         sec_between(arrival, parsed) - parse_seconds);
 
-  // The response-cache key: the workload's identity bytes, then the
-  // request fields.
-  std::string canonical = request.canonical_string(body->identity);
-  const std::uint64_t hash = std::hash<std::string_view>{}(canonical);
+  // The response-cache key: the body's identity bytes, shared rather than
+  // copied, and a tag of their hash and the request fields. Its hash reads
+  // the tag alone.
+  RequestKey key(body->identity, body->identity_hash,
+                 request.canonical_fields());
+  const std::uint64_t hash = key.hash();
   const Clock::time_point keyed = Clock::now();
   metrics_.phase_record("request/canonical", 1, 0,
                         sec_between(parsed, keyed));
 
   // Response cache: a hit IS the cold solve's deterministic bytes.
-  const auto cached = cache_.lookup(hash, canonical);
+  const auto cached = cache_.lookup(hash, key);
   metrics_.phase_record("request/cache_lookup", 1, 0,
                         sec_between(keyed, Clock::now()));
   if (cached) {
@@ -331,14 +338,14 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     auto it = inflight_.find(hash);
-    if (it != inflight_.end() && it->second->canonical == canonical) {
+    if (it != inflight_.end() && it->second->key == key) {
       it->second->promises.emplace_back();
       future = it->second->promises.back().get_future();
       coalesced_.fetch_add(1);
     } else {
       auto entry = std::make_shared<InFlight>();
       entry->hash = hash;
-      entry->canonical = std::move(canonical);
+      entry->key = std::move(key);
       entry->request = std::move(request);
       entry->request.workload_text.clear();  // the parsed body travels instead
       entry->body = std::move(body);
@@ -443,7 +450,7 @@ void Server::solve(const std::shared_ptr<InFlight>& entry) {
   // Cache before unregistering so a request arriving in the gap either
   // attaches (pre-erase) or hits the cache (post-insert) — never re-solves.
   if (outcome.ok && !outcome.timed_out) {
-    cache_.insert(entry->hash, entry->canonical, outcome.result);
+    cache_.insert(entry->hash, entry->key, outcome.result);
   }
   std::vector<std::promise<SolveOutcome>> promises;
   {

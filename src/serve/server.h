@@ -5,14 +5,23 @@
 //
 //   connection thread                          solver thread (x threads)
 //   -----------------                          -------------------------
-//   read frame, parse request
+//   read frame, parse request in place
+//     (the workload text keeps the
+//     frame's buffer)
 //   workload: std::hash the body,
 //     look it up (LRU by body);
 //     on a miss, parse it and build
-//     its identity bytes
-//   canonical key: identity bytes +
-//     request fields, std::hash
+//     its identity bytes (shared) and
+//     their std::hash, once per parse
+//   request key: the body's identity
+//     (shared, not copied) + a tag of
+//     the identity hash and the
+//     request fields; std::hash of
+//     the tag
 //   response cache lookup --hit--> reply (bit-identical to the cold solve)
+//     (keys compare tags, then the
+//     identities: pointer first,
+//     bytes only when they differ)
 //   single-flight: identical
 //     request already in flight? --> attach, wait  <------ fulfil promises
 //   admission: bounded queue;
@@ -32,9 +41,10 @@
 //     instead of queueing into unbounded latency;
 //   * single-flight coalescing — concurrent identical requests (same
 //     content hash) ride one solve and each get their own response;
-//   * response caching — ContentLru keyed by the request identity (the
-//     workload's identity bytes plus the request fields, compared in full
-//     on every hash match); hits are bit-identical to the cold solve
+//   * response caching — ContentLru keyed by the request identity (a
+//     RequestKey: the workload's identity bytes, shared with the parsed
+//     body, plus the request fields; compared in full on every hash
+//     match); hits are bit-identical to the cold solve
 //     (deterministic fields are cached verbatim). Timed-out solves are
 //     never cached: their incumbent depends on wall clock, and the next
 //     identical request deserves a full solve;
@@ -145,8 +155,9 @@ class Server {
   void accept_loop();
   void connection_loop(int fd);
   void solver_loop();
-  /// Handles one parsed frame on a connection; writes exactly one response.
-  void handle_payload(int fd, const std::string& payload);
+  /// Handles one frame's payload on a connection; writes exactly one
+  /// response.
+  void handle_payload(int fd, std::string payload);
   void handle_solve(int fd, ScheduleRequest request);
   void respond_stats(int fd);
   void respond_metrics(int fd);
@@ -159,6 +170,7 @@ class Server {
   ContentLru<std::shared_ptr<const ParsedBody>> workload_cache_;
   BoundedQueue<std::shared_ptr<InFlight>> queue_;
 
+  // Admitted misses by RequestKey::hash(); attach only on an equal key.
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   std::mutex inflight_mutex_;
 

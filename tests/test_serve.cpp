@@ -3,9 +3,11 @@
 // behaviour (cache hits bit-identical to cold solves, deadline preemption,
 // overload shedding, coalescing, graceful drain, and the preempted-slot
 // hygiene regression).
+#include <pthread.h>
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <csignal>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -14,7 +16,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -113,6 +117,55 @@ ScheduleResponse one_call(const std::string& socket_path,
   return resp;
 }
 
+/// `n` bytes with period 251 (a prime), so a byte out of place shows.
+std::string patterned(std::size_t n) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<char>(i % 251);
+  return out;
+}
+
+/// Sends all of `bytes` on `fd` in pieces of at most `piece` bytes.
+void send_in_pieces(int fd, std::string_view bytes, std::size_t piece) {
+  while (!bytes.empty()) {
+    const ssize_t r = ::send(fd, bytes.data(), std::min(piece, bytes.size()),
+                             MSG_NOSIGNAL);
+    if (r < 0 && errno == EINTR) continue;
+    ASSERT_GT(r, 0) << "send failed: errno " << errno;
+    bytes.remove_prefix(static_cast<std::size_t>(r));
+  }
+}
+
+/// The raw bytes `write` sends on one end of a socket pair, read from the
+/// other end until `write` returns and shuts its end down.
+template <typename Write>
+std::string bytes_sent(Write&& write) {
+  SocketPair sp;
+  std::thread writer([&] {
+    try {
+      write(sp.fds[0]);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "write failed: " << e.what();
+    }
+    ::shutdown(sp.fds[0], SHUT_WR);
+  });
+  std::string got;
+  char buf[1 << 16];
+  for (ssize_t r; (r = ::recv(sp.fds[1], buf, sizeof buf, 0)) > 0;) {
+    got.append(buf, static_cast<std::size_t>(r));
+  }
+  writer.join();
+  return got;
+}
+
+/// Visits of `phase` in a server's metrics snapshot (0 when absent).
+std::uint64_t phase_visits(const MetricsSnapshot& snap,
+                           const std::string& phase) {
+  for (const auto& [path, stats] : snap.phases) {
+    if (path == phase) return stats.visits;
+  }
+  return 0;
+}
+
 // --- Framing ---------------------------------------------------------------
 
 TEST(ServeFraming, RoundTripsPayloadsWithNewlines) {
@@ -181,6 +234,69 @@ TEST(ServeFraming, RejectsUnboundedHeader) {
   EXPECT_THROW((void)read_frame(sp.fds[1]), ProtocolError);
 }
 
+TEST(ServeFraming, SmallPiecesReassembleAcrossTheBufferGrowthSteps) {
+  // read_frame sizes its buffer at 64 KiB, then doubles it as bytes
+  // arrive, within a 1 MiB reservation. 1.3 MB crosses every step and the
+  // reservation; 4093-byte pieces (a prime) make every step fall inside a
+  // piece, and split the header too.
+  const std::string payload = patterned(1'300'000);
+  const std::string header = "SEHC1 " + std::to_string(payload.size()) + "\n";
+  constexpr std::size_t kPiece = 4093;
+  for (std::size_t step = 64u << 10; step < payload.size(); step *= 2) {
+    ASSERT_NE((header.size() + step) % kPiece, 0u) << step;
+  }
+  SocketPair sp;
+  std::thread writer(
+      [&] { send_in_pieces(sp.fds[0], header + payload, kPiece); });
+  const std::optional<std::string> got = read_frame(sp.fds[1]);
+  writer.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), payload.size());
+  EXPECT_TRUE(*got == payload);
+}
+
+TEST(ServeFraming, TruncatedPayloadReportsBytesGotAndExpected) {
+  // Truncated past the first 64 KiB buffer, mid-way through a later one.
+  SocketPair sp;
+  const std::string partial = "SEHC1 200000\n" + std::string(70'000, 'p');
+  std::thread writer([&] {
+    send_in_pieces(sp.fds[0], partial, 8192);
+    ::shutdown(sp.fds[0], SHUT_WR);  // EOF mid-payload
+  });
+  std::string what;
+  try {
+    (void)read_frame(sp.fds[1]);
+  } catch (const ProtocolError& e) {
+    what = e.what();
+  }
+  writer.join();
+  EXPECT_NE(what.find("closed mid-frame payload (got 70000 of 200000 bytes)"),
+            std::string::npos)
+      << "'" << what << "'";
+}
+
+TEST(ServeFraming, FrameWithATailIsTheFrameOfTheJoinedPayload) {
+  // Parts larger than the socket buffer, and empty parts.
+  const std::string head(300'000, 'h');
+  const std::string tail = patterned(900'001);
+  for (const auto& [a, b] :
+       {std::pair<std::string_view, std::string_view>{head, tail},
+        {"", tail},
+        {head, ""},
+        {"sehc-request v1\n", "x"},
+        {"", ""}}) {
+    const std::string joined = std::string(a) + std::string(b);
+    const std::string expected =
+        "SEHC1 " + std::to_string(joined.size()) + "\n" + joined;
+    EXPECT_TRUE(bytes_sent([&](int fd) { write_frame(fd, joined); }) ==
+                expected)
+        << a.size() << " + " << b.size();
+    EXPECT_TRUE(bytes_sent([&](int fd) { write_frame(fd, a, b); }) ==
+                expected)
+        << a.size() << " + " << b.size();
+  }
+}
+
 // --- Request / response documents ------------------------------------------
 
 TEST(ServeRequest, SerializeParseRoundTrip) {
@@ -201,6 +317,136 @@ TEST(ServeRequest, SerializeParseRoundTrip) {
   EXPECT_EQ(got.budget.count, 20000u);
   EXPECT_DOUBLE_EQ(got.deadline_ms, 250.0);
   EXPECT_EQ(got.workload_text, req.workload_text);
+}
+
+TEST(ServeFraming, SignalShortenedWritesResumeAtTheFirstUnsentByte) {
+  // A signal ends a blocked sendmsg early with a short count, inside a part
+  // or at a part edge; write_frame must go on from the first unsent byte.
+  // The reader signals the writer after every small read.
+  struct sigaction quiet {};
+  struct sigaction saved {};
+  quiet.sa_handler = [](int) {};
+  sigemptyset(&quiet.sa_mask);
+  quiet.sa_flags = 0;  // no SA_RESTART: the blocked call returns early
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &saved), 0);
+  const std::string head(300'000, 'h');
+  const std::string tail = patterned(900'001);
+  SocketPair sp;
+  std::thread writer([&] {
+    try {
+      write_frame(sp.fds[0], head, tail);
+    } catch (const ProtocolError& e) {
+      ADD_FAILURE() << e.what();
+    }
+    ::shutdown(sp.fds[0], SHUT_WR);
+  });
+  std::string got;
+  char buf[4096];
+  for (;;) {
+    const ssize_t r = ::recv(sp.fds[1], buf, sizeof buf, 0);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got.append(buf, static_cast<std::size_t>(r));
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+  }
+  writer.join();
+  ::sigaction(SIGUSR1, &saved, nullptr);
+  EXPECT_TRUE(got == "SEHC1 " + std::to_string(head.size() + tail.size()) +
+                         "\n" + head + tail);
+}
+
+TEST(ServeRequest, SerializeKeepsTheWireBytes) {
+  ScheduleRequest req;
+  req.engine = "GA";
+  req.seed = 99;
+  req.y_limit = 3;
+  req.budget = Budget::evals(20000);
+  req.deadline_ms = 250.0;
+  req.workload_text = "sehc-workload v1\n...\n";
+  const std::string head =
+      "sehc-request v1\nop=solve\nengine=GA\nseed=99\ny_limit=3\n"
+      "budget=evals:20000\ndeadline_ms=250.000\nworkload:\n";
+  EXPECT_EQ(req.serialize_head(), head);
+  EXPECT_EQ(req.serialize(), head + req.workload_text);
+
+  ScheduleRequest stats;
+  stats.op = "stats";
+  stats.workload_text.clear();
+  EXPECT_EQ(stats.serialize(),
+            "sehc-request v1\nop=stats\nengine=SE\nseed=1\ny_limit=0\n"
+            "budget=steps:150\ndeadline_ms=0.000\n");
+}
+
+TEST(ServeRequest, CallServerWritesTheFrameOfSerialize) {
+  ScheduleRequest solve = solve_request(small_workload_text(3));
+  solve.deadline_ms = 250.0;
+  ScheduleRequest stats;
+  stats.op = "stats";
+  stats.workload_text.clear();
+  for (const ScheduleRequest* req : {&solve, &stats}) {
+    const std::string expected =
+        bytes_sent([&](int fd) { write_frame(fd, req->serialize()); });
+    SocketPair sp;
+    std::string got;
+    std::thread peer([&] {
+      char buf[1 << 16];
+      while (got.size() < expected.size()) {
+        const ssize_t r = ::recv(sp.fds[1], buf, sizeof buf, 0);
+        if (r <= 0) break;
+        got.append(buf, static_cast<std::size_t>(r));
+      }
+      ScheduleResponse resp;
+      resp.makespan = 12.5;
+      try {
+        write_frame(sp.fds[1], resp.serialize());
+      } catch (const ProtocolError& e) {
+        ADD_FAILURE() << e.what();
+      }
+    });
+    ScheduleResponse resp;
+    EXPECT_NO_THROW(resp = call_server(sp.fds[0], *req));
+    ::shutdown(sp.fds[0], SHUT_RDWR);  // frees the peer if the call failed
+    peer.join();
+    EXPECT_EQ(got, expected) << req->op;
+    EXPECT_EQ(resp.makespan, 12.5);
+  }
+}
+
+TEST(ServeRequest, ByValueParseHandlesEverySectionShape) {
+  // No section: a stats request.
+  ScheduleRequest stats;
+  stats.op = "stats";
+  stats.workload_text.clear();
+  const std::string bare = stats.serialize();
+  ASSERT_EQ(bare.find("workload:"), std::string::npos);
+  const ScheduleRequest got = ScheduleRequest::parse(bare);
+  EXPECT_EQ(got.op, "stats");
+  EXPECT_TRUE(got.workload_text.empty());
+  EXPECT_EQ(got.serialize(), bare);
+
+  // An empty workload section, and a payload that ends at the marker
+  // without its newline: both leave no workload, which only a solve
+  // rejects.
+  for (const std::string marker : {"workload:\n", "workload:"}) {
+    const ScheduleRequest empty =
+        ScheduleRequest::parse(bare + marker);
+    EXPECT_EQ(empty.op, "stats") << marker;
+    EXPECT_TRUE(empty.workload_text.empty()) << marker;
+    EXPECT_THROW((void)ScheduleRequest::parse(
+                     "sehc-request v1\nop=solve\n" + marker),
+                 ProtocolError)
+        << marker;
+  }
+  EXPECT_EQ(ScheduleRequest::parse("sehc-request v1\nworkload:\nW")
+                .workload_text,
+            "W");
+
+  // A moved-in payload: the section is the bytes after the marker line.
+  const ScheduleRequest solve = solve_request(small_workload_text(6));
+  std::string payload = solve.serialize();
+  const ScheduleRequest moved = ScheduleRequest::parse(std::move(payload));
+  EXPECT_EQ(moved.workload_text, solve.workload_text);
+  EXPECT_EQ(moved.serialize(), solve.serialize());
 }
 
 TEST(ServeRequest, ParseRejectsMalformedDocuments) {
@@ -262,6 +508,29 @@ TEST(ServeResponse, SerializeParseRoundTrip) {
   EXPECT_EQ(got.schedule_csv, resp.schedule_csv);
 }
 
+TEST(ServeResponse, ByValueParseWithAndWithoutSchedule) {
+  ScheduleResponse with;
+  with.makespan = 7.25;
+  with.evals = 3;
+  with.schedule_csv = "task,name,machine,start,finish\n0,t0,0,0,7.25\n";
+  ScheduleResponse without;
+  without.status = ServeStatus::kOverloaded;
+  without.error = "admission queue full";
+  for (const ScheduleResponse* resp : {&with, &without}) {
+    const std::string bytes = resp->serialize();
+    EXPECT_EQ(bytes.find("schedule:") != std::string::npos,
+              !resp->schedule_csv.empty());
+    std::string payload = bytes;
+    const ScheduleResponse got = ScheduleResponse::parse(std::move(payload));
+    EXPECT_EQ(got.status, resp->status);
+    EXPECT_EQ(got.error, resp->error);
+    EXPECT_EQ(got.makespan, resp->makespan);
+    EXPECT_EQ(got.evals, resp->evals);
+    EXPECT_EQ(got.schedule_csv, resp->schedule_csv);
+    EXPECT_EQ(got.serialize(), bytes);
+  }
+}
+
 TEST(ServeResponse, ErrorMessageNewlinesAreFolded) {
   ScheduleResponse resp;
   resp.status = ServeStatus::kError;
@@ -280,6 +549,7 @@ TEST(ServeRequest, CanonicalStringIsTheIdentityThenTheFieldsInFixedOrder) {
   EXPECT_EQ(std::string_view(canonical).substr(identity.size()),
             "sehc-serve-request v1\nengine=SE\nseed=7\ny_limit=0\n"
             "budget=steps:8\n");
+  EXPECT_EQ(canonical, identity + req.canonical_fields());
 }
 
 TEST(ServeRequest, CanonicalIdentityExcludesDeadlineIncludesBudget) {
@@ -538,6 +808,84 @@ TEST(WorkloadIdentity, OneFieldChangesNeverCollide) {
             workload_identity(negative_zero.build()));
 }
 
+// --- RequestKey ------------------------------------------------------------
+//
+// The server's response-cache key must tell requests apart exactly as
+// canonical_string() does, without holding a copy of the identity bytes.
+
+/// The key the server builds for `req` over the shared `identity`.
+RequestKey key_of(const ScheduleRequest& req,
+                  const std::shared_ptr<const std::string>& identity) {
+  return RequestKey(identity, std::hash<std::string_view>{}(*identity),
+                    req.canonical_fields());
+}
+
+/// `base`, every one-field change of its identity fields, and a changed
+/// deadline (which the identity leaves out).
+std::vector<ScheduleRequest> request_changes(const ScheduleRequest& base) {
+  std::vector<ScheduleRequest> out{base};
+  const auto change = [&](auto edit) {
+    ScheduleRequest req = base;
+    edit(req);
+    out.push_back(std::move(req));
+  };
+  change([](ScheduleRequest& r) { r.engine = "GA"; });
+  change([](ScheduleRequest& r) { r.seed += 1; });
+  change([](ScheduleRequest& r) { r.y_limit = 2; });
+  change([](ScheduleRequest& r) { r.budget = Budget::steps(9); });
+  change([](ScheduleRequest& r) { r.budget = Budget::evals(8); });
+  change([](ScheduleRequest& r) { r.budget = Budget::seconds(8.0); });
+  change([](ScheduleRequest& r) { r.deadline_ms = 250.0; });
+  return out;
+}
+
+TEST(RequestKeyTest, EqualExactlyWhenCanonicalStringsAreEqual) {
+  // Each workload gets its own identity object; the corpus holds one
+  // workload in two spellings, so equal keys over distinct objects occur.
+  struct Case {
+    RequestKey key;
+    std::string canonical;
+  };
+  std::vector<Case> cases;
+  for (const Workload& w : identity_corpus()) {
+    const auto identity =
+        std::make_shared<const std::string>(workload_identity(w));
+    for (const ScheduleRequest& req : request_changes(solve_request(""))) {
+      cases.push_back({key_of(req, identity), req.canonical_string(*identity)});
+    }
+  }
+  std::size_t equal_pairs = 0, shared_pairs = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    for (std::size_t j = i + 1; j < cases.size(); ++j) {
+      const bool same = cases[i].canonical == cases[j].canonical;
+      EXPECT_EQ(cases[i].key == cases[j].key, same) << i << " vs " << j;
+      if (!same) continue;
+      ++equal_pairs;
+      shared_pairs += cases[i].key.identity == cases[j].key.identity ? 1 : 0;
+      EXPECT_EQ(cases[i].key.hash(), cases[j].key.hash()) << i << " vs " << j;
+    }
+  }
+  // Both ways to be equal occur: a shared identity (deadline changes) and
+  // byte-equal identities (the two spellings).
+  EXPECT_GT(shared_pairs, 0u);
+  EXPECT_GT(equal_pairs, shared_pairs);
+}
+
+TEST(RequestKeyTest, SharedAndCopiedIdentitiesCompareEqual) {
+  const auto identity = std::make_shared<const std::string>(
+      workload_identity(workload_from_string(small_workload_text(3))));
+  const auto copy = std::make_shared<const std::string>(*identity);
+  const ScheduleRequest req = solve_request("");
+  const RequestKey key = key_of(req, identity);
+  const RequestKey shared = key_of(req, identity);
+  const RequestKey copied = key_of(req, copy);
+  ASSERT_EQ(shared.identity, key.identity);
+  ASSERT_NE(copied.identity, key.identity);
+  EXPECT_TRUE(key == shared);
+  EXPECT_TRUE(key == copied);
+  EXPECT_EQ(key.hash(), copied.hash());
+}
+
 // --- ContentLru ------------------------------------------------------------
 
 TEST(ContentLruTest, EvictsLeastRecentlyUsed) {
@@ -559,6 +907,32 @@ TEST(ContentLruTest, HashCollisionIsAMissNotAWrongAnswer) {
   EXPECT_EQ(lru.collisions(), 1u);
   // The true entry still serves.
   EXPECT_EQ(lru.lookup(42, "alpha").value(), 1);
+}
+
+TEST(ContentLruTest, RequestKeyWithAnotherIdentityUnderTheSameHashIsAMiss) {
+  const auto identity = std::make_shared<const std::string>(
+      workload_identity(workload_from_string(small_workload_text(3))));
+  const auto other = std::make_shared<const std::string>(
+      workload_identity(workload_from_string(small_workload_text(4))));
+  const ScheduleRequest req = solve_request("");
+  const RequestKey key = key_of(req, identity);
+  // The same tag over other identity bytes: a forced hash collision.
+  const RequestKey forged(other, std::hash<std::string_view>{}(*identity),
+                          req.canonical_fields());
+  ASSERT_EQ(forged.hash(), key.hash());
+
+  ResponseCache lru(4);
+  CachedSolve solved;
+  solved.makespan = 3.0;
+  lru.insert(key.hash(), key, solved);
+  EXPECT_FALSE(lru.lookup(forged.hash(), forged).has_value());
+  EXPECT_EQ(lru.collisions(), 1u);
+  EXPECT_EQ(lru.misses(), 1u);
+  // The true entry still serves, also through a fresh identity object.
+  const auto again = lru.lookup(
+      key.hash(), key_of(req, std::make_shared<const std::string>(*identity)));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->makespan, 3.0);
 }
 
 TEST(ContentLruTest, ZeroCapacityDisables) {
@@ -670,11 +1044,7 @@ TEST(ServeServer, ColdSolveMatchesOfflineRunAndCacheHitIsBitIdentical) {
         {"request/parse", 2},
         {"request/canonical", 4},
         {"request/cache_lookup", 4}}) {
-    const auto it = std::find_if(
-        snap.phases.begin(), snap.phases.end(),
-        [&](const auto& entry) { return entry.first == phase; });
-    ASSERT_NE(it, snap.phases.end()) << phase;
-    EXPECT_EQ(it->second.visits, visits) << phase;
+    EXPECT_EQ(phase_visits(snap, phase), visits) << phase;
   }
   server.request_drain();
   server.join();
@@ -701,6 +1071,41 @@ TEST(ServeServer, DistinctWorkloadsWithEqualFieldsKeepSeparateEntries) {
     ASSERT_EQ(warm.status, ServeStatus::kOk) << warm.error;
     EXPECT_TRUE(warm.cache_hit);
   }
+  server.request_drain();
+  server.join();
+}
+
+TEST(ServeServer, ResponseHitThroughAFreshIdentityObject) {
+  // One parsed body is kept, so A, B, A parses A twice. The response entry
+  // holds the first parse's identity; the third request's key shares the
+  // second parse's, and must still hit.
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  so.workload_cache_capacity = 1;
+  Server server(so);
+  server.start();
+  const ScheduleRequest a = solve_request(small_workload_text(31));
+  const ScheduleRequest b = solve_request(small_workload_text(32));
+  const ScheduleResponse cold = one_call(so.socket_path, a);
+  ASSERT_EQ(cold.status, ServeStatus::kOk) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  const ScheduleResponse other = one_call(so.socket_path, b);
+  ASSERT_EQ(other.status, ServeStatus::kOk) << other.error;
+  EXPECT_FALSE(other.cache_hit);
+  const ScheduleResponse hit = one_call(so.socket_path, a);
+  ASSERT_EQ(hit.status, ServeStatus::kOk) << hit.error;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.makespan),
+            std::bit_cast<std::uint64_t>(cold.makespan));
+  EXPECT_EQ(hit.evals, cold.evals);
+  EXPECT_EQ(hit.schedule_csv, cold.schedule_csv);
+
+  const ServerStats stats = server.stats_snapshot();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.workload_cache_hits, 0u);
+  EXPECT_EQ(phase_visits(server.metrics_snapshot(), "request/parse"), 3u);
   server.request_drain();
   server.join();
 }

@@ -5,6 +5,7 @@
 //                [--workloads W] [--seed S] [--tasks K] [--machines L]
 //                [--out BENCH_serve.json] [--metrics-out PATH]
 //                [--assert-p99-ms MS] [--assert-hit-rate R]
+//                [--assert-metrics]
 //
 // Open-loop arrivals: request i's intended send time is drawn from an
 // exponential inter-arrival process at --rate (deterministic under --seed),
@@ -24,8 +25,10 @@
 // hit rate, plus the server's own stats-endpoint counters), committed at
 // the repo root the same way BENCH_hotpath.json is. Exit is nonzero on any
 // protocol error or status=error reply, and when a run misses a gate it
-// was given: --assert-p99-ms (the client p99 must be under MS) or
-// --assert-hit-rate (the response-cache hit rate must be at least R). The
+// was given: --assert-p99-ms (the client p99 must be under MS),
+// --assert-hit-rate (the response-cache hit rate must be at least R) or
+// --assert-metrics (the server's op=metrics snapshot must have recorded
+// solves and request latencies, and name the strip kernel that ran). The
 // smoke gate tools/serve_check.sh relies on that and parses no JSON.
 #include <unistd.h>
 
@@ -79,14 +82,15 @@ constexpr std::string_view kUsage =
     "                    [--deadline-ms MS] [--workloads W] [--seed S]\n"
     "                    [--tasks K] [--machines L] [--out PATH]\n"
     "                    [--metrics-out PATH] [--assert-p99-ms MS]\n"
-    "                    [--assert-hit-rate R]\n";
+    "                    [--assert-hit-rate R] [--assert-metrics]\n";
 
 int run(int argc, char** argv) {
   const Options opts(
       argc, argv,
       {"socket", "requests", "rate", "connections", "engine", "budget",
        "deadline-ms", "workloads", "seed", "tasks", "machines", "out",
-       "metrics-out", "assert-p99-ms", "assert-hit-rate"});
+       "metrics-out", "assert-p99-ms", "assert-hit-rate",
+       "assert-metrics"});
   if (!opts.has("socket")) throw UsageError("--socket PATH is required");
 
   const std::string socket_path = opts.get("socket", "");
@@ -351,6 +355,30 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: %s: cache_hit_rate=%.4f, must be at "
                  "least --assert-hit-rate %g\n", ok ? "ok" : "FAIL",
                  hit_rate, assert_hit_rate);
+    gates_ok = gates_ok && ok;
+  }
+  if (opts.has("assert-metrics")) {
+    // The snapshot is live: solves left spans, requests left latencies,
+    // and the evaluator named the strip kernel it ran (gauge.kernel/<name>).
+    for (const char* key :
+         {"phase.request/solve.visits", "hist.latency/request_us.count"}) {
+      const double value = metric_value(key);
+      const bool ok = value > 0.0;
+      std::fprintf(stderr, "loadgen: %s: %s=%.0f, must be positive "
+                   "(--assert-metrics)\n", ok ? "ok" : "FAIL", key, value);
+      gates_ok = gates_ok && ok;
+    }
+    std::string kernel = "none";
+    for (const auto& [k, v] : server_metrics) {
+      if (k.rfind("gauge.kernel/", 0) == 0 && v == "1") {
+        kernel = k + "=1";
+        break;
+      }
+    }
+    const bool ok = kernel != "none";
+    std::fprintf(stderr, "loadgen: %s: kernel gauge %s, must be a "
+                 "gauge.kernel/<backend> reading 1 (--assert-metrics)\n",
+                 ok ? "ok" : "FAIL", kernel.c_str());
     gates_ok = gates_ok && ok;
   }
   return (protocol_errors.load() > 0 || errors > 0 || !gates_ok) ? 1 : 0;
