@@ -22,10 +22,11 @@
 //         change, counting the reused combinations as trials. Its trials/sec
 //         therefore mostly measures reuse, and its one batch per task runs
 //         under a +infinity bound, so its pruned rate reads 0;
-//       - "simd_trials": the same scan under the SIMD strip kernel selected
-//         by --kernel=auto|scalar|simd (default: the SEHC_KERNEL env
-//         override, then runtime CPU detection). Only the one batch per
-//         task uses the strips, so the gain over batch_trials is small.
+//       - "simd_trials": the same scan under the strip kernel selected by
+//         --kernel=auto|scalar (default: the SEHC_KERNEL env override;
+//         auto picks AVX2 where the CPU has it, scalar otherwise). Only the
+//         one batch per task uses the strips, so the gain over batch_trials
+//         is small.
 //     All four modes must commit bit-identical final strings (asserted per
 //     pass on the final makespans), count the same trials, and the two
 //     batch modes must agree on pruned lanes and on the evaluator's own
@@ -300,7 +301,7 @@ int run(int argc, char** argv) {
   // bound for its tiny budgets; the interleaved rounds absorb stalls).
   const bool check_overhead = opts.has("check-overhead");
   const double overhead_tol = opts.get_double("check-overhead", 0.05);
-  // --kernel=auto|scalar|simd selects the strip kernel of the simd_trials
+  // --kernel=auto|scalar selects the strip kernel of the simd_trials
   // measurement (and overrides the SEHC_KERNEL env default). batch_trials
   // always forces the scalar strips so the pair isolates exactly the SIMD
   // gain; everything else in the process (the SE run behind time-to-target)
@@ -310,7 +311,7 @@ int run(int argc, char** argv) {
     const std::string flag = opts.get("kernel", "auto");
     const std::optional<KernelChoice> parsed = parse_kernel_choice(flag);
     if (!parsed) {
-      std::fprintf(stderr, "--kernel must be one of auto|scalar|simd\n");
+      std::fprintf(stderr, "--kernel must be one of auto|scalar\n");
       return 1;
     }
     kernel_choice = *parsed;

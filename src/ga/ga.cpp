@@ -1,7 +1,6 @@
 #include "ga/ga.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "dag/topo.h"
@@ -10,7 +9,7 @@
 namespace sehc {
 
 GaEngine::GaEngine(const Workload& workload, GaParams params)
-    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload) {
   SEHC_CHECK(params_.population >= 2, "GaEngine: population must be >= 2");
   SEHC_CHECK(params_.elite < params_.population,
              "GaEngine: elite must be < population");
@@ -21,19 +20,6 @@ GaEngine::GaEngine(const Workload& workload, GaParams params)
 }
 
 namespace {
-
-/// First string position where two equal-length solutions differ (task or
-/// machine), or their size when identical. A mutation-only child differs
-/// from its parent only at positions >= this, so the evaluator's prepared
-/// per-parent snapshots apply (suffix-only re-evaluation, bit-identical).
-std::size_t first_difference(const SolutionString& a, const SolutionString& b) {
-  const auto sa = a.segments();
-  const auto sb = b.segments();
-  for (std::size_t pos = 0; pos < sa.size(); ++pos) {
-    if (sa[pos] != sb[pos]) return pos;
-  }
-  return sa.size();
-}
 
 /// Roulette-wheel pick: probability proportional to (worst - len) + eps.
 std::size_t roulette(const std::vector<double>& lengths, double worst,
@@ -98,26 +84,19 @@ StepStats GaEngine::step() {
   });
   const double worst = lengths_[rank.back()];
 
-  // Incremental evaluation: elites and untouched clones keep their cached
-  // lengths; crossover children are re-simulated in full; mutation-only
-  // children are evaluated from their first difference with the parent
-  // via the evaluator's prepared per-parent snapshots (grouped by parent
-  // so each parent is prepared once). All three paths are bit-identical
-  // to full re-evaluation.
+  // Elites keep their cached lengths, and child_makespan() lets a clone
+  // keep its parent's. The parents stay in pop_ until the swap below, so
+  // every child is measured against its parent before it is replaced.
   //
   // The next generation is built in next_, whose strings (the generation
   // before last) are overwritten in place, then swapped with pop_.
-  constexpr std::uint8_t kClean = 0, kFull = 1, kSuffix = 2;
   const std::size_t n = pop_.size();
   next_.resize(n);
   next_lengths_.assign(n, 0.0);
-  std::vector<std::uint8_t> next_dirty(n, kClean);
-  std::vector<std::size_t> next_parent(n, 0);  // meaningful for kSuffix only
   std::size_t filled = 0;
   for (std::size_t e = 0; e < params_.elite; ++e, ++filled) {
     next_[filled] = pop_[rank[e]];
     next_lengths_[filled] = lengths_[rank[e]];
-    next_parent[filled] = rank[e];
   }
 
   while (filled < n) {
@@ -126,7 +105,8 @@ StepStats GaEngine::step() {
     const SolutionString& pa = pop_[ia];
     const SolutionString& pb = pop_[ib];
     // The last slot of an odd fill has room for one child; the other is
-    // still built (its mutation draws are part of the stream) in spare_.
+    // still built (its mutation draws are part of the stream) in spare_,
+    // and never evaluated.
     const bool room_for_b = filled + 1 < n;
     SolutionString& ca = next_[filled];
     SolutionString& cb = room_for_b ? next_[filled + 1] : spare_;
@@ -149,14 +129,12 @@ StepStats GaEngine::step() {
       matching_mutation(cb, w.num_machines(), rng_);
       scheduling_mutation(cb, g, rng_);
     }
-    next_lengths_[filled] = crossed || mutated_a ? 0.0 : lengths_[ia];
-    next_dirty[filled] = crossed ? kFull : mutated_a ? kSuffix : kClean;
-    next_parent[filled] = ia;
+    next_lengths_[filled] =
+        child_makespan(eval_, ca, crossed, mutated_a, pa, lengths_[ia]);
     ++filled;
     if (room_for_b) {
-      next_lengths_[filled] = crossed || mutated_b ? 0.0 : lengths_[ib];
-      next_dirty[filled] = crossed ? kFull : mutated_b ? kSuffix : kClean;
-      next_parent[filled] = ib;
+      next_lengths_[filled] =
+          child_makespan(eval_, cb, crossed, mutated_b, pb, lengths_[ib]);
       ++filled;
     }
   }
@@ -166,56 +144,6 @@ StepStats GaEngine::step() {
       SEHC_ASSERT_MSG(chrom.is_valid(g),
                       "GA generation produced an invalid chromosome");
     }
-  }
-
-  // Evaluate before the parents are replaced. Suffix evaluations are
-  // grouped by parent: the parent is prepared once and its mutation-only
-  // children form one TrialBatch on top of that prepared state. Evaluation
-  // consumes no RNG, so the grouping does not perturb the stream, and the
-  // batch is bit-identical to per-child prepared trials.
-  for (std::size_t i = 0; i < next_.size(); ++i) {
-    if (next_dirty[i] == kFull) next_lengths_[i] = eval_.makespan(next_[i]);
-  }
-  std::vector<std::size_t> suffix_children;
-  for (std::size_t i = 0; i < next_.size(); ++i) {
-    if (next_dirty[i] == kSuffix) suffix_children.push_back(i);
-  }
-  std::stable_sort(suffix_children.begin(), suffix_children.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return next_parent[a] < next_parent[b];
-                   });
-  std::vector<std::size_t> batched;  // children pending in batch_, in order
-  for (std::size_t g = 0; g < suffix_children.size();) {
-    const std::size_t parent = next_parent[suffix_children[g]];
-    std::size_t g_end = g;
-    while (g_end < suffix_children.size() &&
-           next_parent[suffix_children[g_end]] == parent) {
-      ++g_end;
-    }
-    batched.clear();
-    for (std::size_t j = g; j < g_end; ++j) {
-      const std::size_t i = suffix_children[j];
-      const std::size_t from = first_difference(next_[i], pop_[parent]);
-      if (from == next_[i].size()) {
-        next_lengths_[i] = lengths_[parent];  // mutation was a no-op
-        continue;
-      }
-      if (batched.empty()) {
-        // Prepare lazily: a group of no-op mutations needs no state.
-        eval_.prepare(pop_[parent]);
-        batch_.begin_prepared(pop_[parent]);
-      }
-      batch_.add_string(next_[i], from);
-      batched.push_back(i);
-    }
-    if (!batched.empty()) {
-      const std::vector<double>& lens =
-          batch_.evaluate(std::numeric_limits<double>::infinity());
-      for (std::size_t j = 0; j < batched.size(); ++j) {
-        next_lengths_[batched[j]] = lens[j];
-      }
-    }
-    g = g_end;
   }
 
   pop_.swap(next_);

@@ -71,9 +71,6 @@ class GaEngine final : public SearchEngine {
   const Workload* workload_;
   GaParams params_;
   Evaluator eval_;
-  // Mutation-only children are evaluated as per-parent TrialBatches on top
-  // of the parent's prepared state (see ga.cpp).
-  Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;

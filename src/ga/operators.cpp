@@ -31,4 +31,11 @@ void scheduling_mutation(SolutionString& s, const TaskGraph& g, Rng& rng) {
   s.move_task(t, pos);
 }
 
+double child_makespan(const Evaluator& eval, const SolutionString& child,
+                      bool crossed, bool mutated,
+                      const SolutionString& parent, double parent_len) {
+  if (crossed || (mutated && child != parent)) return eval.makespan(child);
+  return parent_len;
+}
+
 }  // namespace sehc

@@ -23,6 +23,7 @@
 #include "core/rng.h"
 #include "hc/workload.h"
 #include "sched/encoding.h"
+#include "sched/evaluator.h"
 
 namespace sehc {
 
@@ -37,5 +38,14 @@ void matching_mutation(SolutionString& s, std::size_t num_machines, Rng& rng);
 
 /// Moves one uniformly chosen task to a uniform position in its valid range.
 void scheduling_mutation(SolutionString& s, const TaskGraph& g, Rng& rng);
+
+/// Length of a GA/GSA child that started as `parent` (length `parent_len`)
+/// and may have been crossed and mutated: one eval.makespan() when it was
+/// crossed, or when its mutation changed it. An untouched clone, or one the
+/// mutation left equal to its parent, keeps `parent_len` and counts no
+/// trial.
+double child_makespan(const Evaluator& eval, const SolutionString& child,
+                      bool crossed, bool mutated,
+                      const SolutionString& parent, double parent_len);
 
 }  // namespace sehc

@@ -51,7 +51,7 @@ void undo_move(SolutionString& s, const Move& m) {
 }  // namespace
 
 SaEngine::SaEngine(const Workload& workload, SaParams params)
-    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload) {
   SEHC_CHECK(params_.cooling > 0.0 && params_.cooling < 1.0,
              "SaEngine: cooling must be in (0,1)");
   SEHC_CHECK(params_.steps_per_temp > 0,
@@ -75,21 +75,18 @@ void SaEngine::init() {
   // delta), so trials are never pruned; the saving is the skipped prefix.
   eval_.prepare(current_);
 
-  // Calibrate T0 so an average uphill move is accepted with p ~ 0.8. The
-  // walk probes 50 independent moves against the unchanged `current_` (the
-  // scalar loop applied and undid each one before the next draw), so all 50
-  // can be pre-drawn and evaluated as one TrialBatch — same RNG stream, same
-  // lengths bit for bit. The main Metropolis loop in step() stays scalar:
-  // each proposal there depends on whether the previous one was accepted.
+  // Calibrate T0 so an average uphill move is accepted with p ~ 0.8, from
+  // a walk of 50 independent moves against the unchanged `current_`: each
+  // is applied, trialled and undone before the next draw.
   double mean_uphill = 0.0;
   std::size_t uphill_count = 0;
   constexpr std::size_t kCalibrationMoves = 50;
-  batch_.begin_prepared(current_);
   for (std::size_t i = 0; i < kCalibrationMoves; ++i) {
     const Move move = propose_move(current_, w.graph(), w.num_machines(), rng_);
-    batch_.add_move(move.task, move.new_pos, move.new_machine);
-  }
-  for (const double len : batch_.evaluate(kNoBound)) {
+    apply_move(current_, move);
+    const double len =
+        eval_.prepared_trial(current_, move.suffix_start(), kNoBound);
+    undo_move(current_, move);
     if (len > current_len_) {
       mean_uphill += len - current_len_;
       ++uphill_count;

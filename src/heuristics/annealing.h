@@ -52,10 +52,9 @@ class SaEngine final : public SearchEngine {
  private:
   const Workload* workload_;
   SaParams params_;
+  // Every proposed move, the T0 calibration walk's included, is a prepared
+  // trial on the snapshots of `current_` (see annealing.cpp).
   Evaluator eval_;
-  // Batches the T0 calibration walk (the one batchable phase: the main
-  // Metropolis loop is inherently sequential — see annealing.cpp).
-  Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/stats.h"
@@ -11,23 +10,8 @@
 
 namespace sehc {
 
-namespace {
-
-/// First string position where two equal-length solutions differ, or their
-/// size when identical (see the GA engine's twin helper).
-std::size_t first_difference(const SolutionString& a, const SolutionString& b) {
-  const auto sa = a.segments();
-  const auto sb = b.segments();
-  for (std::size_t pos = 0; pos < sa.size(); ++pos) {
-    if (sa[pos] != sb[pos]) return pos;
-  }
-  return sa.size();
-}
-
-}  // namespace
-
 GsaEngine::GsaEngine(const Workload& workload, GsaParams params)
-    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload) {
   SEHC_CHECK(params_.population >= 2, "GsaEngine: population must be >= 2");
   SEHC_CHECK(params_.cooling > 0.0 && params_.cooling < 1.0,
              "GsaEngine: cooling must be in (0,1)");
@@ -77,19 +61,6 @@ StepStats GsaEngine::step() {
   const Workload& w = *workload_;
   const TaskGraph& g = w.graph();
 
-  // A mutation-only child differs from its parent only from its first
-  // changed position on: prepare the parent and evaluate the child's suffix
-  // through the batched kernel. Evaluation consumes no RNG, so results stay
-  // bit-identical to full re-evaluation.
-  auto suffix_makespan = [&](const SolutionString& child, std::size_t parent) {
-    const std::size_t from = first_difference(child, pop_[parent]);
-    if (from == child.size()) return lengths_[parent];  // mutation was a no-op
-    eval_.prepare(pop_[parent]);
-    batch_.begin_prepared(pop_[parent]);
-    batch_.add_string(child, from);
-    return batch_.evaluate(std::numeric_limits<double>::infinity()).front();
-  };
-
   std::size_t accepted = 0;
   std::size_t offspring = 0;
   // One Metropolis-mediated mating per pair slot per generation.
@@ -117,17 +88,12 @@ StepStats GsaEngine::step() {
       matching_mutation(cb, w.num_machines(), rng_);
       scheduling_mutation(cb, g, rng_);
     }
-    // Untouched children are verbatim clones of their source parent:
-    // reuse the cached length. Mutation-only children differ from their
-    // parent in a suffix only: evaluate via the prepared snapshots.
-    // Crossover children are re-simulated in full. Lengths are read
-    // before either Metropolis test can overwrite a population slot.
-    const double len_a = crossed    ? eval_.makespan(ca)
-                         : mutated_a ? suffix_makespan(ca, ia)
-                                     : lengths_[ia];
-    const double len_b = crossed    ? eval_.makespan(cb)
-                         : mutated_b ? suffix_makespan(cb, ib)
-                                     : lengths_[ib];
+    // Both lengths are taken before either Metropolis test can overwrite a
+    // population slot.
+    const double len_a =
+        child_makespan(eval_, ca, crossed, mutated_a, pop_[ia], lengths_[ia]);
+    const double len_b =
+        child_makespan(eval_, cb, crossed, mutated_b, pop_[ib], lengths_[ib]);
 
     // Metropolis survivor test: child vs the parent in its slot. An
     // accepted child is swapped in, and the child buffer takes the old

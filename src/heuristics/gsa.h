@@ -68,9 +68,6 @@ class GsaEngine final : public SearchEngine {
   const Workload* workload_;
   GsaParams params_;
   Evaluator eval_;
-  // Trial batch for mutation-only children, on top of the parent's prepared
-  // state (see gsa.cpp).
-  Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;

@@ -7,15 +7,20 @@ namespace sehc {
 
 namespace {
 
-/// Moves per TrialBatch wave. Waves trade a little pruning tightness (the
-/// shared bound is the incumbent at wave start, not per-sample) for the
-/// batched sweep; the replay below shows the chosen move is unchanged.
-constexpr std::size_t kWaveSize = 16;
+/// One neighborhood sample: the forward move plus the reverse attribute
+/// captured from the pre-move string.
+struct Move {
+  TaskId task = kInvalidTask;
+  std::size_t new_pos = 0;
+  MachineId new_machine = 0;
+  std::size_t old_pos = 0;
+  MachineId old_machine = 0;
+};
 
 }  // namespace
 
 TabuEngine::TabuEngine(const Workload& workload, TabuParams params)
-    : workload_(&workload), params_(params), eval_(workload), batch_(eval_) {
+    : workload_(&workload), params_(params), eval_(workload) {
   SEHC_CHECK(params_.samples > 0, "TabuEngine: samples must be positive");
 }
 
@@ -52,58 +57,42 @@ StepStats TabuEngine::step() {
     return (task * positions + pos) * machines + machine;
   };
 
-  // Pre-draw the whole neighborhood sample. The scalar loop evaluated each
-  // move between draws by mutate/evaluate/undo, but `current_` is restored
-  // before every draw and evaluation consumes no RNG — so drawing first and
-  // evaluating later consumes the identical stream.
-  sampled_.clear();
+  // Each sample is drawn against the unchanged `current_`, applied,
+  // trialled on the prepared snapshots and undone before the next draw. The
+  // trial's pruning bound is the best admissible length so far: a trial
+  // pruned above it cannot be chosen, since its true length fails
+  // `len < chosen_len` exactly as its +infinity does, and aspiration only
+  // gates the tabu skip of samples that fail that test anyway.
+  Move chosen;
+  double chosen_len = std::numeric_limits<double>::infinity();
   for (std::size_t sample = 0; sample < params_.samples; ++sample) {
-    SampledMove m;
+    Move m;
     m.task = static_cast<TaskId>(rng_.below(w.num_tasks()));
     const ValidRange range = current_.valid_range(g, m.task);
     m.old_pos = current_.position_of(m.task);
     m.old_machine = current_.machine_of(m.task);
     m.new_pos = range.lo + static_cast<std::size_t>(rng_.below(range.size()));
     m.new_machine = static_cast<MachineId>(rng_.below(w.num_machines()));
-    sampled_.push_back(m);
-  }
-
-  std::size_t chosen = sampled_.size();  // index into sampled_, or none
-  double chosen_len = std::numeric_limits<double>::infinity();
-
-  // Evaluate in TrialBatch waves: each wave's shared pruning bound is the
-  // incumbent at wave start (tightened between waves). Within a wave the
-  // bound is looser than the scalar per-sample bound, which cannot change
-  // the outcome: an exact value above the evolving incumbent loses the
-  // `len < chosen_len` test exactly as its pruned +infinity would, and
-  // aspiration only gates the tabu skip of samples that fail that test
-  // anyway. Moves are resolved virtually — `current_` is never touched.
-  for (std::size_t w0 = 0; w0 < sampled_.size(); w0 += kWaveSize) {
-    const std::size_t w1 = std::min(w0 + kWaveSize, sampled_.size());
-    batch_.begin_prepared(current_);
-    for (std::size_t i = w0; i < w1; ++i) {
-      batch_.add_move(sampled_[i].task, sampled_[i].new_pos,
-                      sampled_[i].new_machine);
+    current_.move_task(m.task, m.new_pos);
+    current_.set_machine(m.task, m.new_machine);
+    const double len = eval_.prepared_trial(
+        current_, std::min(m.old_pos, m.new_pos), chosen_len);
+    current_.move_task(m.task, m.old_pos);
+    current_.set_machine(m.task, m.old_machine);
+    const bool aspirates = len < best_len_;
+    if (!aspirates &&
+        tabu_expiry_[attr_index(m.task, m.new_pos, m.new_machine)] >
+            iteration_) {
+      continue;
     }
-    const std::vector<double>& lens = batch_.evaluate(chosen_len);
-    for (std::size_t i = w0; i < w1; ++i) {
-      const SampledMove& m = sampled_[i];
-      const double len = lens[i - w0];
-      const bool aspirates = len < best_len_;
-      if (!aspirates &&
-          tabu_expiry_[attr_index(m.task, m.new_pos, m.new_machine)] >
-              iteration_) {
-        continue;
-      }
-      if (len < chosen_len) {
-        chosen_len = len;
-        chosen = i;
-      }
+    if (len < chosen_len) {
+      chosen_len = len;
+      chosen = m;
     }
   }
 
-  if (chosen < sampled_.size()) {  // everything sampled may have been tabu
-    const SampledMove& m = sampled_[chosen];
+  if (chosen.task != kInvalidTask) {  // everything sampled may have been tabu
+    const Move& m = chosen;
     current_.move_task(m.task, m.new_pos);
     current_.set_machine(m.task, m.new_machine);
     current_len_ = chosen_len;

@@ -49,23 +49,11 @@ class TabuEngine final : public SearchEngine {
   Schedule best_schedule() const override;
 
  private:
-  /// One pre-drawn neighborhood sample: the forward move plus the reverse
-  /// attribute captured from the pre-move string.
-  struct SampledMove {
-    TaskId task = kInvalidTask;
-    std::size_t new_pos = 0;
-    MachineId new_machine = 0;
-    std::size_t old_pos = 0;
-    MachineId old_machine = 0;
-  };
-
   const Workload* workload_;
   TabuParams params_;
+  // Each sampled move is a prepared trial on the snapshots of `current_`
+  // (see tabu.cpp).
   Evaluator eval_;
-  // Neighborhood scans evaluate as TrialBatch waves over pre-drawn moves
-  // (see tabu.cpp); both hoisted so step() allocates nothing at steady state.
-  Evaluator::TrialBatch batch_;
-  std::vector<SampledMove> sampled_;
 
   // Stepwise state (valid after init()).
   bool initialized_ = false;

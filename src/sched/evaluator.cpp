@@ -35,47 +35,18 @@ Evaluator::Evaluator(const Workload& w)
 
   exec_ = w.exec_matrix().flat().data();
   zero_row_.assign(std::max<std::size_t>(p, 1), 0.0);
-  rebuild_pair_rows();
-}
-
-void Evaluator::rebuild_pair_rows() {
   // Machine-pair -> transfer row pointer table; the diagonal resolves to
   // this object's zero row so same-machine transfers cost 0.0 without a
   // branch.
   const std::size_t l = num_machines_;
-  const std::size_t p = workload_->num_items();
   pair_row_.assign(l * l, zero_row_.data());
-  const double* tr = workload_->transfer_matrix().flat().data();
+  const double* tr = w.transfer_matrix().flat().data();
   for (MachineId a = 0; a < l; ++a) {
     for (MachineId b = 0; b < l; ++b) {
       if (a == b) continue;
       pair_row_[a * l + b] = tr + pair_index(l, a, b) * p;
     }
   }
-}
-
-Evaluator::Evaluator(const Evaluator& other)
-    : workload_(other.workload_),
-      num_tasks_(other.num_tasks_),
-      num_machines_(other.num_machines_),
-      pred_off_(other.pred_off_),
-      pred_src_(other.pred_src_),
-      pred_item_(other.pred_item_),
-      exec_(other.exec_),
-      zero_row_(other.zero_row_),
-      finish_(other.finish_),
-      machine_avail_(other.machine_avail_),
-      cp_avail_(other.cp_avail_),
-      cp_makespan_(other.cp_makespan_),
-      cp_prefix_(other.cp_prefix_),
-      prepared_(other.prepared_),
-      trial_count_(other.trial_count_) {
-  rebuild_pair_rows();
-}
-
-Evaluator& Evaluator::operator=(const Evaluator& other) {
-  if (this != &other) *this = Evaluator(other);  // copy, then safe move
-  return *this;
 }
 
 void Evaluator::evaluate_into(const SolutionString& s,

@@ -22,15 +22,15 @@
 //     sweeps all machine candidates at the bottom of a task's range in one
 //     TrialBatch; above it, one trial_makespan() re-simulates the only
 //     candidate whose schedule a one-position slide can change.
-//   * Prepared state (tabu, annealing, GA/GSA offspring): prepare() simulates
-//     a string once and snapshots the machine-availability vector before
-//     every position, so a trial that changes the string from position p
-//     onward costs O(k - p) instead of O(k). refresh_from() rolls the
-//     snapshots forward after an accepted move.
-//   * Evaluator::TrialBatch (declared below): N trials of either mode in one
-//     structure-of-arrays position sweep, bit-identical to N scalar trials.
-//     The scalar trial calls are the reference semantics; the batch is what
-//     the search engines drive in their hot loops.
+//   * Prepared state (tabu, annealing): prepare() simulates a string once
+//     and snapshots the machine-availability vector before every position,
+//     so a trial that changes the string from position p onward costs
+//     O(k - p) instead of O(k). refresh_from() rolls the snapshots forward
+//     after an accepted move.
+//   * Evaluator::TrialBatch (declared below): SE's sweep over one task's
+//     machine candidates on the rolling checkpoint, in one
+//     structure-of-arrays pass, bit-identical to one trial_makespan() per
+//     candidate. Every other searcher calls the scalar modes above.
 //
 // Every mode is exact (bit-identical to a full evaluation), pruning
 // included: a trial aborts as soon as its running makespan strictly exceeds
@@ -71,11 +71,11 @@ class Evaluator {
  public:
   explicit Evaluator(const Workload& w);
 
-  // pair_row_'s diagonal entries point into this object's own zero_row_
-  // buffer, so copies must rebuild the table (moves transfer the heap
-  // buffer and stay valid).
-  Evaluator(const Evaluator& other);
-  Evaluator& operator=(const Evaluator& other);
+  // Move-only: pair_row_'s diagonal entries point into this object's own
+  // zero_row_ buffer, which a move carries along (the heap buffer keeps its
+  // address) and a copy would not.
+  Evaluator(const Evaluator&) = delete;
+  Evaluator& operator=(const Evaluator&) = delete;
   Evaluator(Evaluator&&) = default;
   Evaluator& operator=(Evaluator&&) = default;
 
@@ -118,7 +118,7 @@ class Evaluator {
   /// exceed it.
   double trial_makespan(const SolutionString& s, double bound) const;
 
-  // --- Prepared-state trial mode (tabu / annealing / GA offspring) -------
+  // --- Prepared-state trial mode (tabu / annealing) -----------------------
   //
   // prepare(s) simulates `s` once, recording per-position machine-state
   // snapshots. prepared_trial(s', from, bound) then evaluates a trial string
@@ -244,10 +244,6 @@ class Evaluator {
         [finish](TaskId t, double, double fin) { finish[t] = fin; });
   }
 
-  /// (Re)points pair_row_ at the workload's transfer rows / this object's
-  /// zero row. Called from construction and from copies.
-  void rebuild_pair_rows();
-
   /// Per-pair transfer row (diagonal -> zero row), avoiding pair_index().
   const double* transfer_row(MachineId a, MachineId b) const {
     return pair_row_[a * num_machines_ + b];
@@ -284,65 +280,47 @@ class Evaluator {
   class TrialBatch;
 };
 
-/// Batched trial evaluation: accumulate N candidate suffix edits against the
-/// evaluator's rolling checkpoint or a prepared state, then evaluate them all
-/// in ONE position-major sweep whose inner loop runs over the batch
-/// dimension. Data is laid out structure-of-arrays — per-machine availability
-/// rows and per-task finish columns hold one contiguous lane per live trial —
-/// so the uniform-reassign fast path (SE's allocation scan: same task, all
-/// machine candidates) vectorizes, and trials whose running makespan exceeds
-/// the shared bound are retired mid-sweep by lane compaction.
+/// SE's allocation sweep: accumulate the machine candidates of one task as
+/// reassign trials on the evaluator's rolling checkpoint, then evaluate them
+/// all in ONE position-major sweep whose inner loop runs over the batch
+/// dimension. Data is laid out structure-of-arrays — per-machine
+/// availability rows and per-task finish columns hold one contiguous lane
+/// per live trial — so the sweep's inner loops run as SIMD strips, and
+/// trials whose running makespan exceeds the shared bound are retired
+/// mid-sweep by lane compaction.
 ///
-/// Exactness contract: evaluate() is bit-identical to running the scalar
-/// reference path (trial_makespan() / prepared_trial()) once per trial with
-/// the same bound — identical makespans where the scalar returns an exact
-/// value, +infinity exactly where the scalar prunes, and exactly size()
-/// increments of the evaluator's trial counter. Trials are mutually
-/// independent, so interchanging the loops (positions outer, trials inner)
-/// replays each trial's floating-point operation sequence unchanged; every
-/// per-lane segment runs the evaluator's own simulate() step.
+/// Exactness contract: evaluate() is bit-identical to one trial_makespan()
+/// per trial with the same bound — identical makespans where the scalar
+/// returns an exact value, +infinity exactly where the scalar prunes, and
+/// exactly size() increments of the evaluator's trial counter. Trials are
+/// mutually independent, so interchanging the loops (positions outer,
+/// trials inner) replays each trial's floating-point operation sequence
+/// unchanged; each lane's edited segment runs the evaluator's own
+/// simulate() step.
 ///
-/// Trial kinds:
-///   * add_reassign(t, m)      — base string with task t's machine set to m;
-///   * add_move(t, pos, m)     — base string with t moved to `pos` (string
-///                               rotate, as SolutionString::move_task) and
-///                               reassigned to m, resolved virtually so the
-///                               base is never mutated;
-///   * add_string(s, from)     — an explicit trial string differing from the
-///                               base only at positions >= from.
-///
-/// Checkpoint mode evaluates every trial from the evaluator's rolling
-/// checkpoint; the checkpoint state is read at evaluate() time, so one batch
-/// may span extend_checkpoint() calls between evaluate() rounds. Prepared
-/// mode evaluates each trial from its own start position on top of the
-/// evaluator's prepared state (prepare() the base first).
+/// The checkpoint state is read at evaluate() time, so one batch may span
+/// extend_checkpoint() calls between evaluate() rounds.
 class Evaluator::TrialBatch {
  public:
   explicit TrialBatch(const Evaluator& eval);
 
-  /// Enters checkpoint mode: trials are edits of `base`, evaluated on top of
-  /// the evaluator's rolling checkpoint (begin_trials()/extend_checkpoint()
-  /// manage the checkpoint as in the scalar path). `base` is captured by
-  /// reference and read at evaluate() time. Clears pending trials.
+  /// Trials become reassigns of `base`, evaluated on top of the evaluator's
+  /// rolling checkpoint (begin_trials()/extend_checkpoint() manage the
+  /// checkpoint as in the scalar path). `base` is captured by reference and
+  /// read at evaluate() time. Clears pending trials.
   void begin_checkpoint(const SolutionString& base);
 
-  /// Enters prepared mode: trials are edits of `base`, evaluated on top of
-  /// the evaluator's prepared state for it. `base` is captured by reference.
-  /// Clears pending trials.
-  void begin_prepared(const SolutionString& base);
-
+  /// Adds the trial "base with task t on machine m". Every pending trial
+  /// reassigns the same task: adding another task throws sehc::Error.
   void add_reassign(TaskId t, MachineId m);
-  void add_move(TaskId t, std::size_t new_pos, MachineId new_machine);
-  /// `s` is captured by reference and must stay alive until evaluate().
-  void add_string(const SolutionString& s, std::size_t from);
 
-  std::size_t size() const { return trials_.size(); }
-  bool empty() const { return trials_.empty(); }
-  /// Drops pending trials; keeps the mode and base.
-  void clear() { trials_.clear(); }
+  std::size_t size() const { return lane_machine_.size(); }
+  bool empty() const { return lane_machine_.empty(); }
+  /// Drops pending trials; keeps the base.
+  void clear() { lane_machine_.clear(); }
 
   /// Evaluates every pending trial against the shared pruning `bound`
-  /// (strict, as the scalar paths: any value returned <= bound is exact, any
+  /// (strict, as the scalar path: any value returned <= bound is exact, any
   /// trial whose running makespan strictly exceeds `bound` yields +infinity).
   /// Returns one makespan per trial in add order, counts size() trials, and
   /// clears the pending list. The returned reference is invalidated by the
@@ -362,63 +340,38 @@ class Evaluator::TrialBatch {
     LogHistogram batch_sizes;          ///< distribution of batch sizes
   };
   const BatchMetrics& metrics() const { return metrics_; }
-  void reset_metrics() { metrics_ = BatchMetrics{}; }
 
-  /// Kernel selection for the uniform-sweep strip loops. The batch resolves
-  /// the SEHC_KERNEL environment override (default auto) at construction;
+  /// Kernel selection for the sweep's strip loops. The batch resolves the
+  /// SEHC_KERNEL environment override (default auto) at construction;
   /// set_kernel() re-resolves an explicit choice against the running CPU
-  /// (auto/simd pick the best supported backend, scalar forces the
-  /// reference loops). Every backend is bit-identical — the knob exists for
+  /// (auto picks AVX2 where the CPU has it, scalar forces the reference
+  /// loops). Both backends are bit-identical — the knob exists for
   /// benchmarking, differential testing and incident bisection, never for
   /// correctness.
   void set_kernel(KernelChoice choice);
-  SimdKernel kernel() const { return kernel_; }
 
  private:
-  enum class Kind : std::uint8_t { kReassign, kMove, kString };
-
-  struct Trial {
-    Kind kind = Kind::kReassign;
-    TaskId task = kInvalidTask;          // kReassign / kMove
-    MachineId machine = 0;               // kReassign / kMove
-    std::size_t new_pos = 0;             // kMove
-    const SolutionString* str = nullptr; // kString
-    std::size_t from = 0;                // kString (prepared mode)
-  };
-
-  /// Start position of trial `tr` (the first position its suffix rewrites /
-  /// the position the prepared simulation starts at).
-  std::size_t trial_from(const Trial& tr) const;
-  /// Segment of trial `tr` at position `i` (virtual resolution: the base is
-  /// never mutated).
-  Segment trial_segment(const Trial& tr, std::size_t i) const;
-
-  /// True when every pending trial is a kReassign of one shared task in
-  /// checkpoint mode — the vectorizable uniform sweep.
-  bool uniform_reassign() const;
-  void evaluate_uniform(double bound);
-  void evaluate_general(double bound);
-  /// Fast-path lane retirement: moves lane `last`'s SoA columns into `lane`.
+  void sweep(double bound);
+  /// Lane retirement: moves lane `last`'s SoA columns into `lane`.
   void compact_lane(std::size_t lane, std::size_t last, std::size_t from,
                     std::size_t upto);
 
   const Evaluator* eval_ = nullptr;
   const SolutionString* base_ = nullptr;
-  const PreparedState* state_ = nullptr;  // null = checkpoint mode
-  std::vector<Trial> trials_;
+  TaskId task_ = kInvalidTask;  // the task every pending trial reassigns
 
-  // SoA lanes, stride = trials_.size() during evaluate(): avail_lanes_ row m
-  // = per-lane availability of machine m; finish_lanes_ row t = per-lane
-  // finish of task t; makespan_ / lane_trial_ indexed by lane. The lane
-  // stores are 64-byte aligned for the SIMD strip loops.
+  // SoA lanes, stride = size() during evaluate(): avail_lanes_ row m =
+  // per-lane availability of machine m; finish_lanes_ row t = per-lane
+  // finish of task t; makespan_ / lane_trial_ / lane_machine_ indexed by
+  // lane. The lane stores are 64-byte aligned for the SIMD strip loops.
   AlignedVector<double> avail_lanes_;
   AlignedVector<double> finish_lanes_;
   AlignedVector<double> makespan_;
   AlignedVector<double> ready_lanes_;    // per-lane ready-time scratch
   std::vector<std::size_t> lane_trial_;
-  std::vector<MachineId> lane_machine_;  // fast path: per-lane machine
-  std::vector<std::size_t> live_;        // general path: live trial indices
-  std::vector<std::size_t> from_;        // general path: per-trial start
+  // Pending trials' machines in add order; the sweep permutes them with
+  // their lanes as lanes retire (lane_trial_ keeps the add order).
+  std::vector<MachineId> lane_machine_;
   std::vector<double> results_;
   BatchMetrics metrics_;
 

@@ -1,8 +1,8 @@
 // Backend implementations of the TrialBatch strip kernels (see simd.h for
-// the bit-identity argument). Every backend runs the same elementwise
+// the bit-identity argument). Both backends run the same elementwise
 // max/add recurrence; only the strip width differs. The scalar functions
-// are the reference loops verbatim — the vector backends must match them
-// bit for bit on every input the sweep can produce.
+// are the reference loops verbatim — the AVX2 backend must match them bit
+// for bit on every input the sweep can produce.
 #include "sched/simd.h"
 
 #include <algorithm>
@@ -10,14 +10,13 @@
 
 #include "core/error.h"
 
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-#define SEHC_X86 1
+// AVX2 strips compile with a per-function target attribute, so the
+// translation unit needs no global -mavx2.
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define SEHC_AVX2 1
+#define SEHC_TARGET_AVX2 __attribute__((target("avx2")))
 #include <immintrin.h>
-#endif
-
-#if defined(__aarch64__)
-#define SEHC_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace sehc {
@@ -44,48 +43,9 @@ void schedule_update_scalar(const double* ready, double* am, double* ft,
   }
 }
 
-// --- SSE2 (x86 baseline; every x86_64 CPU has it) ----------------------------
+// --- AVX2 --------------------------------------------------------------------
 
-#if SEHC_X86
-
-void ready_maxadd_sse2(double* ready, const double* f, double tr,
-                       std::size_t n) {
-  const __m128d vtr = _mm_set1_pd(tr);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vf = _mm_loadu_pd(f + i);
-    const __m128d vr = _mm_loadu_pd(ready + i);
-    _mm_storeu_pd(ready + i, _mm_max_pd(vr, _mm_add_pd(vf, vtr)));
-  }
-  for (; i < n; ++i) ready[i] = std::max(ready[i], f[i] + tr);
-}
-
-void schedule_update_sse2(const double* ready, double* am, double* ft,
-                          double* ms, double exec, std::size_t n) {
-  const __m128d vexec = _mm_set1_pd(exec);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vstart =
-        _mm_max_pd(_mm_loadu_pd(ready + i), _mm_loadu_pd(am + i));
-    const __m128d vfin = _mm_add_pd(vstart, vexec);
-    _mm_storeu_pd(ft + i, vfin);
-    _mm_storeu_pd(am + i, vfin);
-    _mm_storeu_pd(ms + i, _mm_max_pd(_mm_loadu_pd(ms + i), vfin));
-  }
-  for (; i < n; ++i) {
-    const double start = std::max(ready[i], am[i]);
-    const double fin = start + exec;
-    ft[i] = fin;
-    am[i] = fin;
-    if (fin > ms[i]) ms[i] = fin;
-  }
-}
-
-// --- AVX2 (per-function target attribute: no global -mavx2 needed) -----------
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SEHC_AVX2 1
-#define SEHC_TARGET_AVX2 __attribute__((target("avx2")))
+#if SEHC_AVX2
 
 SEHC_TARGET_AVX2
 void ready_maxadd_avx2(double* ready, const double* f, double tr,
@@ -121,92 +81,24 @@ void schedule_update_avx2(const double* ready, double* am, double* ft,
     if (fin > ms[i]) ms[i] = fin;
   }
 }
-#endif  // __GNUC__ || __clang__
-
-#endif  // SEHC_X86
-
-// --- NEON (architectural on aarch64) -----------------------------------------
-
-#if SEHC_NEON
-
-void ready_maxadd_neon(double* ready, const double* f, double tr,
-                       std::size_t n) {
-  const float64x2_t vtr = vdupq_n_f64(tr);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t vf = vld1q_f64(f + i);
-    const float64x2_t vr = vld1q_f64(ready + i);
-    vst1q_f64(ready + i, vmaxq_f64(vr, vaddq_f64(vf, vtr)));
-  }
-  for (; i < n; ++i) ready[i] = std::max(ready[i], f[i] + tr);
-}
-
-void schedule_update_neon(const double* ready, double* am, double* ft,
-                          double* ms, double exec, std::size_t n) {
-  const float64x2_t vexec = vdupq_n_f64(exec);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t vstart = vmaxq_f64(vld1q_f64(ready + i), vld1q_f64(am + i));
-    const float64x2_t vfin = vaddq_f64(vstart, vexec);
-    vst1q_f64(ft + i, vfin);
-    vst1q_f64(am + i, vfin);
-    vst1q_f64(ms + i, vmaxq_f64(vld1q_f64(ms + i), vfin));
-  }
-  for (; i < n; ++i) {
-    const double start = std::max(ready[i], am[i]);
-    const double fin = start + exec;
-    ft[i] = fin;
-    am[i] = fin;
-    if (fin > ms[i]) ms[i] = fin;
-  }
-}
-
-#endif  // SEHC_NEON
+#endif  // SEHC_AVX2
 
 }  // namespace
 
 const char* kernel_name(SimdKernel k) {
-  switch (k) {
-    case SimdKernel::kScalar: return "scalar";
-    case SimdKernel::kSse2: return "sse2";
-    case SimdKernel::kNeon: return "neon";
-    case SimdKernel::kAvx2: return "avx2";
-  }
-  return "scalar";  // unreachable
-}
-
-std::size_t kernel_width(SimdKernel k) {
-  switch (k) {
-    case SimdKernel::kScalar: return 1;
-    case SimdKernel::kSse2: return 2;
-    case SimdKernel::kNeon: return 2;
-    case SimdKernel::kAvx2: return 4;
-  }
-  return 1;  // unreachable
+  return k == SimdKernel::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdKernel detect_simd_kernel() {
-#if SEHC_X86 && (defined(__GNUC__) || defined(__clang__))
-#if defined(SEHC_AVX2)
+#if SEHC_AVX2
   if (__builtin_cpu_supports("avx2")) return SimdKernel::kAvx2;
 #endif
-#if defined(__x86_64__) || defined(_M_X64)
-  return SimdKernel::kSse2;  // architectural baseline
-#else
-  return __builtin_cpu_supports("sse2") ? SimdKernel::kSse2
-                                        : SimdKernel::kScalar;
-#endif
-#elif SEHC_NEON
-  return SimdKernel::kNeon;
-#else
   return SimdKernel::kScalar;
-#endif
 }
 
 std::optional<KernelChoice> parse_kernel_choice(std::string_view s) {
   if (s == "auto") return KernelChoice::kAuto;
   if (s == "scalar") return KernelChoice::kScalar;
-  if (s == "simd") return KernelChoice::kSimd;
   return std::nullopt;
 }
 
@@ -215,7 +107,7 @@ KernelChoice kernel_choice_from_env() {
   if (env == nullptr || *env == '\0') return KernelChoice::kAuto;
   const std::optional<KernelChoice> choice = parse_kernel_choice(env);
   SEHC_CHECK(choice.has_value(),
-             "SEHC_KERNEL must be one of auto|scalar|simd");
+             "SEHC_KERNEL must be one of auto|scalar");
   return *choice;
 }
 
@@ -227,38 +119,14 @@ SimdKernel resolve_kernel(KernelChoice choice) {
 const BatchKernelOps& batch_kernel_ops(SimdKernel k) {
   static const BatchKernelOps scalar_ops{ready_maxadd_scalar,
                                          schedule_update_scalar};
-#if SEHC_X86
-  static const BatchKernelOps sse2_ops{ready_maxadd_sse2,
-                                       schedule_update_sse2};
-#if defined(SEHC_AVX2)
+#if SEHC_AVX2
   static const BatchKernelOps avx2_ops{ready_maxadd_avx2,
                                        schedule_update_avx2};
+  if (k == SimdKernel::kAvx2) return avx2_ops;
 #endif
-#endif
-#if SEHC_NEON
-  static const BatchKernelOps neon_ops{ready_maxadd_neon,
-                                       schedule_update_neon};
-#endif
-  switch (k) {
-    case SimdKernel::kScalar:
-      return scalar_ops;
-#if SEHC_X86
-    case SimdKernel::kSse2:
-      return sse2_ops;
-#if defined(SEHC_AVX2)
-    case SimdKernel::kAvx2:
-      return avx2_ops;
-#endif
-#endif
-#if SEHC_NEON
-    case SimdKernel::kNeon:
-      return neon_ops;
-#endif
-    default:
-      // A kernel the build has no backend for (e.g. a forced enum value on
-      // foreign hardware) falls back to the reference loops.
-      return scalar_ops;
-  }
+  // A build without the AVX2 backend runs the reference loops.
+  (void)k;
+  return scalar_ops;
 }
 
 }  // namespace sehc

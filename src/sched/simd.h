@@ -1,6 +1,6 @@
 // Portable SIMD layer for the batched trial kernel.
 //
-// The TrialBatch uniform sweep (trial_batch.cpp) spends its time in two
+// The TrialBatch sweep (trial_batch.cpp) spends its time in two
 // lane-minor inner loops over contiguous doubles — a max-accumulate of
 // predecessor ready times and the start/finish/makespan schedule update.
 // Both are pure elementwise max/add chains over independent lanes, so a
@@ -11,18 +11,18 @@
 // indistinguishable from std::max down to the bit pattern).
 //
 // This header keeps the abstraction intrinsics-free: backends live in
-// simd.cpp (scalar always; SSE2/AVX2 on x86, the AVX2 strip compiled via a
-// per-function target attribute so the translation unit needs no global
-// -mavx2; NEON on aarch64) and are reached through a per-kernel table of
-// function pointers resolved once per TrialBatch, never per strip.
+// simd.cpp (scalar always; AVX2 on x86, compiled via a per-function target
+// attribute so the translation unit needs no global -mavx2) and are reached
+// through a per-kernel table of function pointers resolved once per
+// TrialBatch, never per strip.
 //
 // Kernel selection: SimdKernel names a concrete backend; KernelChoice is
-// the user-facing knob (auto | scalar | simd) threaded through
+// the user-facing knob (auto | scalar) threaded through
 // `perf_hotpath --kernel=...` and the SEHC_KERNEL environment override that
-// every evaluator honors. `auto` and `simd` both resolve to the best
-// backend the CPU reports at runtime (cpuid on x86); on hardware with no
-// vector unit `simd` degrades to scalar, which is what lets differential
-// suites force both kernels portably and skip where they coincide.
+// every evaluator honors. `auto` resolves to AVX2 where the CPU reports it
+// at runtime (cpuid) and to scalar everywhere else, which is what lets
+// differential suites force both kernels portably and skip where they
+// coincide.
 #pragma once
 
 #include <cstddef>
@@ -34,25 +34,21 @@
 
 namespace sehc {
 
-/// Concrete batch-kernel backends, in increasing preference order.
-enum class SimdKernel { kScalar, kSse2, kNeon, kAvx2 };
+/// Concrete batch-kernel backends: the reference loops and 4-wide AVX2.
+enum class SimdKernel { kScalar, kAvx2 };
 
 /// The user-facing selection knob: `auto` picks the best supported backend,
-/// `scalar` forces the reference loops, `simd` forces the best vector
-/// backend (degrading to scalar only when the CPU has none).
-enum class KernelChoice { kAuto, kScalar, kSimd };
+/// `scalar` forces the reference loops.
+enum class KernelChoice { kAuto, kScalar };
 
-/// Lower-case backend name: "scalar", "sse2", "neon", "avx2".
+/// Lower-case backend name: "scalar" or "avx2".
 const char* kernel_name(SimdKernel k);
 
-/// Vector width in doubles: 1 (scalar), 2 (SSE2/NEON) or 4 (AVX2).
-std::size_t kernel_width(SimdKernel k);
-
-/// Best backend this CPU supports, probed at runtime (cpuid on x86; NEON is
-/// architectural on aarch64). kScalar when no vector unit is available.
+/// kAvx2 where this build has the AVX2 strips and the CPU reports AVX2 at
+/// runtime (cpuid); kScalar otherwise.
 SimdKernel detect_simd_kernel();
 
-/// "auto" | "scalar" | "simd" -> KernelChoice; nullopt on anything else.
+/// "auto" | "scalar" -> KernelChoice; nullopt on anything else.
 std::optional<KernelChoice> parse_kernel_choice(std::string_view s);
 
 /// The SEHC_KERNEL environment override (default kAuto when unset or
@@ -61,10 +57,10 @@ std::optional<KernelChoice> parse_kernel_choice(std::string_view s);
 KernelChoice kernel_choice_from_env();
 
 /// Resolves a choice against the running CPU: kScalar stays scalar, kAuto
-/// and kSimd both pick detect_simd_kernel().
+/// picks detect_simd_kernel().
 SimdKernel resolve_kernel(KernelChoice choice);
 
-/// The two lane-minor strip kernels of TrialBatch::evaluate_uniform, as
+/// The two lane-minor strip kernels of the TrialBatch sweep, as
 /// function pointers bound to one backend. Each processes n contiguous
 /// doubles as width-W strips plus a scalar tail; the scalar backend is the
 /// reference loop verbatim.

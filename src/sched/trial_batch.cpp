@@ -1,22 +1,21 @@
-// Evaluator::TrialBatch — the batched structure-of-arrays trial kernel.
+// Evaluator::TrialBatch — SE's structure-of-arrays reassign sweep.
 //
-// Both kernels below are loop interchanges of the scalar reference paths in
-// evaluator.cpp (trial_makespan / prepared_trial): positions sweep in the
-// outer loop, live trials in the inner loop. Trials are mutually
-// independent, so every trial's floating-point operation sequence is
-// replayed unchanged and the results are bit-identical to N scalar calls —
-// including the pruning contract (strictly-greater-than-bound => +infinity)
-// and the trial-counter increment per trial. Per-lane segments run the
-// evaluator's simulate() step itself; only the uniform sweep's shared
-// positions use the SIMD strip ops, whose ready-time max-reduction may be
-// re-ordered between shared and per-lane predecessors: every operand is a
-// non-negative finite double (no -0.0, no NaN), for which max is
-// order-independent down to the bit pattern.
+// The sweep is a loop interchange of the scalar reference path in
+// evaluator.cpp (one trial_makespan() per machine candidate): positions
+// sweep in the outer loop, live trials in the inner loop. Trials are
+// mutually independent, so every trial's floating-point operation sequence
+// is replayed unchanged and the results are bit-identical to N scalar
+// calls — including the pruning contract (strictly-greater-than-bound =>
+// +infinity) and the trial-counter increment per trial. The edited segment
+// runs the evaluator's simulate() step per lane; the shared positions use
+// the SIMD strip ops, whose ready-time max-reduction may be re-ordered
+// between shared and per-lane predecessors: every operand is a non-negative
+// finite double (no -0.0, no NaN), for which max is order-independent down
+// to the bit pattern.
 //
-// tests/test_trial_batch.cpp pins batch-vs-scalar bit-identity for every
-// trial kind, both modes, and the edge cases (empty batch, all pruned,
-// mixed prune/survive compaction, checkpoint-spanning batches, counter
-// exactness).
+// tests/test_trial_batch.cpp pins batch-vs-scalar bit-identity and the edge
+// cases (empty batch, all pruned, mixed prune/survive compaction,
+// checkpoint-spanning batches, counter exactness, strip widths).
 #include "sched/evaluator.h"
 
 #include <algorithm>
@@ -42,97 +41,22 @@ void Evaluator::TrialBatch::set_kernel(KernelChoice choice) {
 
 void Evaluator::TrialBatch::begin_checkpoint(const SolutionString& base) {
   base_ = &base;
-  state_ = nullptr;
-  trials_.clear();
-}
-
-void Evaluator::TrialBatch::begin_prepared(const SolutionString& base) {
-  base_ = &base;
-  state_ = &eval_->prepared_;
-  trials_.clear();
+  lane_machine_.clear();
 }
 
 void Evaluator::TrialBatch::add_reassign(TaskId t, MachineId m) {
-  Trial tr;
-  tr.kind = Kind::kReassign;
-  tr.task = t;
-  tr.machine = m;
-  trials_.push_back(tr);
-}
-
-void Evaluator::TrialBatch::add_move(TaskId t, std::size_t new_pos,
-                                     MachineId new_machine) {
-  Trial tr;
-  tr.kind = Kind::kMove;
-  tr.task = t;
-  tr.new_pos = new_pos;
-  tr.machine = new_machine;
-  trials_.push_back(tr);
-}
-
-void Evaluator::TrialBatch::add_string(const SolutionString& s,
-                                       std::size_t from) {
-  Trial tr;
-  tr.kind = Kind::kString;
-  tr.str = &s;
-  tr.from = from;
-  trials_.push_back(tr);
-}
-
-std::size_t Evaluator::TrialBatch::trial_from(const Trial& tr) const {
-  // Checkpoint mode always simulates from the checkpoint prefix, exactly as
-  // the scalar trial_makespan() does (the `from` of add_string is a
-  // prepared-mode concept).
-  if (state_ == nullptr) return eval_->cp_prefix_;
-  switch (tr.kind) {
-    case Kind::kReassign:
-      return base_->positions()[tr.task];
-    case Kind::kMove:
-      return std::min(base_->positions()[tr.task], tr.new_pos);
-    case Kind::kString:
-      return tr.from;
-  }
-  return 0;  // unreachable
-}
-
-Segment Evaluator::TrialBatch::trial_segment(const Trial& tr,
-                                             std::size_t i) const {
-  if (tr.kind == Kind::kString) return tr.str->segments()[i];
-  const Segment* const segs = base_->segments().data();
-  const std::size_t old_pos = base_->positions()[tr.task];
-  if (tr.kind == Kind::kReassign) {
-    if (i == old_pos) return Segment{tr.task, tr.machine};
-    return segs[i];
-  }
-  // kMove: virtual resolution of move_task(t, new_pos) + set_machine(t, m).
-  // move_task rotates the segments strictly between the old and new
-  // positions (SolutionString::move_task), so a trial segment is the base
-  // segment shifted by one inside that window and untouched outside it.
-  const std::size_t new_pos = tr.new_pos;
-  if (i == new_pos) return Segment{tr.task, tr.machine};
-  if (new_pos > old_pos) {
-    if (i >= old_pos && i < new_pos) return segs[i + 1];
-  } else if (new_pos < old_pos) {
-    if (i > new_pos && i <= old_pos) return segs[i - 1];
-  }
-  return segs[i];
-}
-
-bool Evaluator::TrialBatch::uniform_reassign() const {
-  if (state_ != nullptr) return false;
-  const TaskId t0 = trials_.front().task;
-  for (const Trial& tr : trials_) {
-    if (tr.kind != Kind::kReassign || tr.task != t0) return false;
-  }
-  return true;
+  SEHC_CHECK(lane_machine_.empty() || t == task_,
+             "TrialBatch: every trial of one batch must reassign the same "
+             "task");
+  task_ = t;
+  lane_machine_.push_back(m);
 }
 
 const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {
-  SEHC_ASSERT_MSG(base_ != nullptr,
-                  "TrialBatch: begin_checkpoint()/begin_prepared() not called");
+  SEHC_ASSERT_MSG(base_ != nullptr, "TrialBatch: begin_checkpoint() not called");
   SEHC_ASSERT_MSG(base_->size() == eval_->num_tasks_,
                   "TrialBatch: base string size mismatch");
-  const std::size_t n = trials_.size();
+  const std::size_t n = size();
   // Batch of N counts exactly N trials — the evals currency stays exact.
   eval_->trial_count_ += n;
   results_.assign(n, kInf);
@@ -147,11 +71,7 @@ const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {
         reg->gauge_max(std::string("kernel/") + kernel_name(kernel_), 1);
       }
     }
-    if (uniform_reassign()) {
-      evaluate_uniform(bound);
-    } else {
-      evaluate_general(bound);
-    }
+    sweep(bound);
     // Once per batch, after the sweep: plain member arithmetic only (the
     // --check-overhead gate holds the proof). The pruned count is tracked
     // where lanes retire, so no rescan of results_ is needed.
@@ -161,13 +81,13 @@ const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {
     metrics_.batch_sizes.record(n);
     metrics_.pruned += pruned_count_;
   }
-  trials_.clear();
+  lane_machine_.clear();
   return results_;
 }
 
 void Evaluator::TrialBatch::compact_lane(std::size_t lane, std::size_t last,
                                          std::size_t from, std::size_t upto) {
-  const std::size_t batch = trials_.size();
+  const std::size_t batch = size();
   const std::size_t l = eval_->num_machines_;
   double* const al = avail_lanes_.data();
   double* const fl = finish_lanes_.data();
@@ -183,21 +103,21 @@ void Evaluator::TrialBatch::compact_lane(std::size_t lane, std::size_t last,
   lane_trial_[lane] = lane_trial_[last];
 }
 
-// Fast path: every trial reassigns the SAME task of the base string in
-// checkpoint mode (SE's allocation scan). All lanes share the base's
-// segment sequence and positions; only the machine at the edit position
-// differs, so the whole sweep runs with shared predecessor metadata and
-// contiguous trial-minor inner loops. Pruned lanes are retired by moving the
-// last live lane's SoA columns into the freed slot (dense lanes stay dense).
-void Evaluator::TrialBatch::evaluate_uniform(double bound) {
+// Every trial reassigns the SAME task of the base string (SE's allocation
+// scan). All lanes share the base's segment sequence and positions; only the
+// machine at the edit position differs, so the whole sweep runs with shared
+// predecessor metadata and contiguous trial-minor inner loops. Pruned lanes
+// are retired by moving the last live lane's SoA columns into the freed
+// slot (dense lanes stay dense).
+void Evaluator::TrialBatch::sweep(double bound) {
   const Evaluator& ev = *eval_;
   const std::size_t k = ev.num_tasks_;
   const std::size_t l = ev.num_machines_;
-  const std::size_t batch = trials_.size();
+  const std::size_t batch = size();
   const Segment* const segs = base_->segments().data();
   const std::size_t* const pos = base_->positions().data();
   const std::size_t from = ev.cp_prefix_;
-  const TaskId edit_task = trials_.front().task;
+  const TaskId edit_task = task_;
   const std::size_t edit_pos = pos[edit_task];
   SEHC_ASSERT_MSG(edit_pos >= from,
                   "TrialBatch: reassign edits the checkpoint prefix");
@@ -207,11 +127,7 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
   makespan_.assign(batch, ev.cp_makespan_);
   ready_lanes_.resize(batch);
   lane_trial_.resize(batch);
-  lane_machine_.resize(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    lane_trial_[i] = i;
-    lane_machine_[i] = trials_[i].machine;
-  }
+  for (std::size_t i = 0; i < batch; ++i) lane_trial_[i] = i;
   for (std::size_t m = 0; m < l; ++m) {
     std::fill_n(avail_lanes_.begin() + m * batch, batch, ev.cp_avail_[m]);
   }
@@ -317,105 +233,6 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
   // Every retired lane left a +infinity result behind; the survivors wrote
   // theirs just above.
   pruned_count_ = batch - live;
-}
-
-// General path: any mix of trial kinds, per-trial start positions (prepared
-// mode), virtual kMove resolution. Still one position-major sweep with a
-// trial-minor inner loop; pruned trials are dropped from the live-index
-// list. Per-lane branching makes this path scalar-per-lane, but shared
-// position traversal and the absence of apply/undo string mutation keep it
-// competitive — and every lane replays the exact scalar operation sequence.
-void Evaluator::TrialBatch::evaluate_general(double bound) {
-  const Evaluator& ev = *eval_;
-  const std::size_t k = ev.num_tasks_;
-  const std::size_t l = ev.num_machines_;
-  const std::size_t batch = trials_.size();
-  const bool checkpoint = state_ == nullptr;
-  const Segment* const base_segs = base_->segments().data();
-  const std::size_t* const bpos = base_->positions().data();
-  SEHC_ASSERT_MSG(checkpoint || state_->ready(),
-                  "TrialBatch: prepared state not ready");
-
-  avail_lanes_.resize(l * batch);
-  finish_lanes_.resize(k * batch);
-  makespan_.assign(batch, 0.0);
-  from_.resize(batch);
-  live_.clear();
-
-  std::size_t min_from = k;
-  pruned_count_ = 0;
-  for (std::size_t i = 0; i < batch; ++i) {
-    const std::size_t f = trial_from(trials_[i]);
-    SEHC_ASSERT_MSG(f <= k, "TrialBatch: trial start out of range");
-    from_[i] = f;
-    const double entry =
-        checkpoint ? ev.cp_makespan_ : state_->prefix_makespan[f];
-    if (entry > bound) {  // scalar entry check: results_[i] = +inf
-      ++pruned_count_;
-      continue;
-    }
-    if (f >= k) {
-      results_[i] = entry;  // empty suffix: the prefix makespan is exact
-      continue;
-    }
-    makespan_[i] = entry;
-    const double* const row =
-        checkpoint ? ev.cp_avail_.data() : state_->avail_rows.data() + f * l;
-    for (std::size_t m = 0; m < l; ++m) avail_lanes_[m * batch + i] = row[m];
-    live_.push_back(i);
-    min_from = std::min(min_from, f);
-  }
-
-  const double* const shared_finish =
-      checkpoint ? ev.finish_.data() : state_->finish.data();
-  double* const al = avail_lanes_.data();
-  double* const fl = finish_lanes_.data();
-
-  for (std::size_t p = min_from; p < k && !live_.empty(); ++p) {
-    for (std::size_t idx = 0; idx < live_.size();) {
-      const std::size_t lane = live_[idx];
-      const std::size_t from = from_[lane];
-      if (p < from) {
-        ++idx;
-        continue;
-      }
-      const Trial& tr = trials_[lane];
-      const Segment seg = trial_segment(tr, p);
-      const double ms = ev.simulate(
-          p, p + 1, makespan_[lane], bound, [seg](std::size_t) { return seg; },
-          [&](TaskId src) {
-            std::size_t at;
-            MachineId machine;
-            if (tr.kind == Kind::kString) {
-              at = tr.str->positions()[src];
-              machine = tr.str->segments()[at].machine;
-            } else {
-              // kReassign keeps every position; kMove shifts positions only
-              // inside [from, max(old,new)], which never crosses the `from`
-              // boundary — the base position decides suffix membership
-              // either way, and only the moved task changes machine.
-              at = bpos[src];
-              machine = src == tr.task ? tr.machine : base_segs[at].machine;
-            }
-            return Producer{
-                at >= from ? fl[src * batch + lane] : shared_finish[src],
-                machine};
-          },
-          [&](MachineId m) -> double& { return al[m * batch + lane]; },
-          [&](TaskId task, double, double fin) {
-            fl[task * batch + lane] = fin;
-          });
-      if (ms > bound) {  // prune: drop the trial from the live list
-        live_[idx] = live_.back();
-        live_.pop_back();
-        ++pruned_count_;
-        continue;
-      }
-      makespan_[lane] = ms;
-      ++idx;
-    }
-  }
-  for (const std::size_t lane : live_) results_[lane] = makespan_[lane];
 }
 
 }  // namespace sehc

@@ -332,16 +332,23 @@ double reference_tabu_best(const Workload& w, const TabuParams& params,
 }
 
 TEST(IncrementalEval, TabuMatchesNaiveReference) {
-  for (WorkloadParams p : workload_classes()) {
-    p.seed = 13;
-    const Workload w = make_workload(p);
-    TabuParams tp;
-    tp.samples = 10;
-    tp.seed = 99;
-    TabuEngine engine(w, tp);
-    const SearchResult got = run_search(engine, Budget::steps(60));
-    ASSERT_EQ(got.best_makespan, reference_tabu_best(w, tp, 60))
-        << p.describe();
+  // 10 samples per step, and the shipped default of 24. Each step counts
+  // one trial per sample on top of init()'s one makespan().
+  constexpr std::size_t kSteps = 60;
+  for (const std::size_t samples : {std::size_t{10}, TabuParams{}.samples}) {
+    for (WorkloadParams p : workload_classes()) {
+      p.seed = 13;
+      const Workload w = make_workload(p);
+      TabuParams tp;
+      tp.samples = samples;
+      tp.seed = 99;
+      TabuEngine engine(w, tp);
+      const SearchResult got = run_search(engine, Budget::steps(kSteps));
+      ASSERT_EQ(got.best_makespan, reference_tabu_best(w, tp, kSteps))
+          << p.describe() << " samples=" << samples;
+      ASSERT_EQ(got.evals, 1 + samples * kSteps)
+          << p.describe() << " samples=" << samples;
+    }
   }
 }
 
@@ -430,12 +437,15 @@ TEST(IncrementalEval, AnnealingMatchesNaiveReference) {
 
 /// Pre-engine GA: the same generational loop with every chromosome fully
 /// re-evaluated by the naive evaluator each generation — no cached lengths
-/// for elites/clones, no prepared-snapshot suffix evaluation for
-/// mutation-only children, and the two separate crossovers of
+/// for elites, clones or clones their mutation left unchanged, and the two
+/// separate crossovers of
 /// string_ops_reference.h instead of the fused one. RNG draw order matches
-/// GaEngine exactly (evaluation consumes no randomness).
+/// GaEngine exactly (evaluation consumes no randomness). `trials` receives
+/// the engine's trial count: one per initial chromosome, plus one per
+/// child in the next generation unless it is an uncrossed clone equal to
+/// its parent.
 double reference_ga_best(const Workload& w, const GaParams& params,
-                         std::size_t generations) {
+                         std::size_t generations, std::size_t& trials) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
 
@@ -464,6 +474,7 @@ double reference_ga_best(const Workload& w, const GaParams& params,
   std::vector<double> lengths(pop.size());
   for (std::size_t i = 0; i < pop.size(); ++i)
     lengths[i] = naive_makespan(w, pop[i]);
+  trials = pop.size();
 
   double best = *std::min_element(lengths.begin(), lengths.end());
   for (std::size_t generation = 0; generation < generations; ++generation) {
@@ -482,7 +493,8 @@ double reference_ga_best(const Workload& w, const GaParams& params,
       const std::size_t ib = roulette(lengths, worst, rng);
       SolutionString ca = pop[ia];
       SolutionString cb = pop[ib];
-      if (rng.chance(params.crossover_prob)) {
+      const bool crossed = rng.chance(params.crossover_prob);
+      if (crossed) {
         std::tie(ca, cb) = reference::scheduling_crossover(pop[ia], pop[ib], rng);
         std::tie(ca, cb) = reference::matching_crossover(ca, cb, rng);
       }
@@ -494,8 +506,12 @@ double reference_ga_best(const Workload& w, const GaParams& params,
         matching_mutation(cb, w.num_machines(), rng);
         scheduling_mutation(cb, g, rng);
       }
+      trials += crossed || ca != pop[ia];
       next.push_back(std::move(ca));
-      if (next.size() < pop.size()) next.push_back(std::move(cb));
+      if (next.size() < pop.size()) {
+        trials += crossed || cb != pop[ib];
+        next.push_back(std::move(cb));
+      }
     }
     pop = std::move(next);
     for (std::size_t i = 0; i < pop.size(); ++i)
@@ -511,24 +527,29 @@ TEST(IncrementalEval, GaMatchesNaiveReference) {
     const Workload w = make_workload(p);
     GaParams gp;
     gp.population = 16;
-    // High mutation with moderate crossover exercises the mutation-only
-    // suffix-evaluation path (prepared per-parent snapshots) heavily.
+    // High mutation with moderate crossover exercises mutated clones,
+    // changed ones and ones equal to their parent, heavily.
     gp.crossover_prob = 0.5;
     gp.mutation_prob = 0.5;
     gp.seed = 23;
     gp.record_trace = false;
     GaEngine engine(w, gp);
     const SearchResult got = run_search(engine, Budget::steps(25));
-    ASSERT_EQ(got.best_makespan, reference_ga_best(w, gp, 25)) << p.describe();
+    std::size_t trials = 0;
+    ASSERT_EQ(got.best_makespan, reference_ga_best(w, gp, 25, trials))
+        << p.describe();
+    ASSERT_EQ(got.evals, trials) << p.describe();
   }
 }
 
 /// Pre-engine GSA: the same Metropolis-mediated generational loop with
-/// every touched child evaluated by the naive evaluator (no cached clone
-/// lengths, no prepared-parent suffix evaluation) and crossed by the two
-/// separate crossovers of string_ops_reference.h.
+/// every touched child evaluated by the naive evaluator (a mutated clone
+/// even when the mutation left it equal to its parent) and crossed by the
+/// two separate crossovers of string_ops_reference.h. `trials` receives the
+/// engine's trial count: one per initial chromosome, plus one per child
+/// unless it is an uncrossed clone equal to its parent.
 double reference_gsa_best(const Workload& w, const GsaParams& params,
-                          std::size_t generations) {
+                          std::size_t generations, std::size_t& trials) {
   const TaskGraph& g = w.graph();
   Rng rng(params.seed);
 
@@ -542,6 +563,7 @@ double reference_gsa_best(const Workload& w, const GsaParams& params,
     pop.emplace_back(*order, assignment);
     lengths.push_back(naive_makespan(w, pop.back()));
   }
+  trials = pop.size();
   double best = *std::min_element(lengths.begin(), lengths.end());
 
   const Accumulator spread = summarize(lengths);
@@ -573,6 +595,8 @@ double reference_gsa_best(const Workload& w, const GsaParams& params,
       }
       const double len_a = touched_a ? naive_makespan(w, ca) : lengths[ia];
       const double len_b = touched_b ? naive_makespan(w, cb) : lengths[ib];
+      trials += crossed || ca != pop[ia];
+      trials += crossed || cb != pop[ib];
 
       auto metropolis = [&](SolutionString&& child, double child_len,
                             std::size_t parent_idx) {
@@ -606,7 +630,10 @@ TEST(IncrementalEval, GsaMatchesNaiveReference) {
     gp.record_trace = false;
     GsaEngine engine(w, gp);
     const SearchResult got = run_search(engine, Budget::steps(25));
-    ASSERT_EQ(got.best_makespan, reference_gsa_best(w, gp, 25)) << p.describe();
+    std::size_t trials = 0;
+    ASSERT_EQ(got.best_makespan, reference_gsa_best(w, gp, 25, trials))
+        << p.describe();
+    ASSERT_EQ(got.evals, trials) << p.describe();
   }
 }
 

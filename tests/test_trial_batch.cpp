@@ -1,24 +1,23 @@
-// Differential suite for Evaluator::TrialBatch — the batched SoA trial
-// kernel.
+// Differential suite for Evaluator::TrialBatch — SE's SoA reassign sweep.
 //
 // The batch claims BIT-IDENTICAL results to running the scalar reference
-// paths (trial_makespan / prepared_trial) once per trial with the same
-// bound. This file pins that claim per trial kind (reassign / move /
-// string), per mode (rolling checkpoint / prepared state), and across the
-// edge cases: the empty batch, a batch of one, all trials pruned, mixed
-// prune/survive lane compaction, a batch spanning extend_checkpoint()
-// calls, and exactness of the trial counter (a batch of N counts N).
+// path (trial_makespan) once per trial with the same bound. This file pins
+// that claim across the edge cases: the empty batch, a batch of one, all
+// trials pruned (at entry and mid-sweep), mixed prune/survive lane
+// compaction, a batch spanning extend_checkpoint() calls, exactness of the
+// trial counter (a batch of N counts N), the one-task-per-batch contract,
+// and the strip kernels at batch sizes around the AVX2 width.
 #include "sched/evaluator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
-#include <cstring>
-
+#include "core/error.h"
 #include "core/rng.h"
 #include "sched/encoding.h"
 #include "sched/simd.h"
@@ -41,30 +40,19 @@ SolutionString random_solution(const Workload& w, Rng& rng) {
   return random_initial_solution(w.graph(), w.num_machines(), rng);
 }
 
-/// One random virtual move (task, new position within the valid range, new
-/// machine) against `s`, without mutating it.
-struct MoveDraw {
-  TaskId task;
-  std::size_t old_pos;
-  std::size_t new_pos;
-  MachineId machine;
-  std::size_t suffix_start() const { return std::min(old_pos, new_pos); }
-};
-
-MoveDraw draw_move(const SolutionString& s, const Workload& w, Rng& rng) {
-  MoveDraw m;
-  m.task = static_cast<TaskId>(rng.below(s.size()));
-  m.old_pos = s.position_of(m.task);
-  const ValidRange range = s.valid_range(w.graph(), m.task);
-  m.new_pos = range.lo + static_cast<std::size_t>(rng.below(range.size()));
-  m.machine = static_cast<MachineId>(rng.below(w.num_machines()));
-  return m;
-}
-
-SolutionString apply_move(const SolutionString& s, const MoveDraw& m) {
-  SolutionString out = s;
-  out.move_task(m.task, m.new_pos);
-  out.set_machine(m.task, m.machine);
+/// Scalar reference: trial_makespan() of `s` with task t on each machine,
+/// on a checkpoint at `prefix`.
+std::vector<double> scalar_reassigns(const Workload& w, const SolutionString& s,
+                                     TaskId t, std::size_t prefix,
+                                     double bound) {
+  Evaluator eval(w);
+  eval.begin_trials(s, prefix);
+  SolutionString probe = s;
+  std::vector<double> out;
+  for (MachineId m = 0; m < w.num_machines(); ++m) {
+    probe.set_machine(t, m);
+    out.push_back(eval.trial_makespan(probe, bound));
+  }
   return out;
 }
 
@@ -82,11 +70,7 @@ TEST(TrialBatch, EmptyBatchReturnsNothingAndCountsZeroTrials) {
   EXPECT_TRUE(batch.empty());
   EXPECT_TRUE(batch.evaluate(kInf).empty());
   EXPECT_EQ(eval.trial_count(), before);
-
-  eval.prepare(s);
-  batch.begin_prepared(s);
-  EXPECT_TRUE(batch.evaluate(kInf).empty());
-  EXPECT_EQ(eval.trial_count(), before);
+  EXPECT_EQ(batch.metrics().batches, 0u);
 }
 
 TEST(TrialBatch, BatchOfOneMatchesScalarExactly) {
@@ -98,7 +82,7 @@ TEST(TrialBatch, BatchOfOneMatchesScalarExactly) {
   Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
 
-  // Checkpoint mode, single reassign trial, with and without pruning.
+  // Single reassign trial, with and without pruning.
   const TaskId t = static_cast<TaskId>(s.size() / 2);
   batch_eval.begin_trials(s, 0);
   scalar_eval.begin_trials(s, 0);
@@ -113,20 +97,6 @@ TEST(TrialBatch, BatchOfOneMatchesScalarExactly) {
       ASSERT_EQ(lens.size(), 1u);
       EXPECT_EQ(lens[0], scalar_eval.trial_makespan(probe, bound));
     }
-  }
-
-  // Prepared mode, single move trial.
-  batch_eval.prepare(s);
-  scalar_eval.prepare(s);
-  for (int i = 0; i < 10; ++i) {
-    const MoveDraw m = draw_move(s, w, rng);
-    const SolutionString moved = apply_move(s, m);
-    batch.begin_prepared(s);
-    batch.add_move(m.task, m.new_pos, m.machine);
-    const std::vector<double>& lens = batch.evaluate(kInf);
-    ASSERT_EQ(lens.size(), 1u);
-    EXPECT_EQ(lens[0],
-              scalar_eval.prepared_trial(moved, m.suffix_start(), kInf));
   }
 }
 
@@ -175,182 +145,81 @@ TEST(TrialBatch, UniformReassignMatchesScalarAcrossCheckpointExtensions) {
   }
 }
 
-TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
-  // One batch mixing all three kinds in prepared mode.
-  const Workload w = small_workload(104);
-  Rng rng(4);
-  const SolutionString s = random_solution(w, rng);
-
-  Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
-  Evaluator::TrialBatch batch(batch_eval);
-  scalar_eval.prepare(s);
-  batch_eval.prepare(s);
-
-  // Materialized trial strings must outlive evaluate().
-  std::vector<MoveDraw> moves;
-  std::vector<SolutionString> strings;
-  for (int i = 0; i < 6; ++i) moves.push_back(draw_move(s, w, rng));
-  for (const MoveDraw& m : moves) strings.push_back(apply_move(s, m));
-
-  batch.begin_prepared(s);
-  const TaskId rt = static_cast<TaskId>(s.size() - 1);
-  // 6 moves + 2 explicit strings + all-machine reassigns of one task.
-  for (std::size_t i = 0; i < 4; ++i) {
-    batch.add_move(moves[i].task, moves[i].new_pos, moves[i].machine);
-  }
-  batch.add_string(strings[4], moves[4].suffix_start());
-  batch.add_string(strings[5], moves[5].suffix_start());
-  for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(rt, m);
-
-  const std::vector<double>& lens = batch.evaluate(kInf);
-  ASSERT_EQ(lens.size(), 6u + w.num_machines());
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(lens[i], scalar_eval.prepared_trial(
-                           strings[i], moves[i].suffix_start(), kInf))
-        << "trial " << i;
-  }
-  SolutionString probe = s;
-  for (MachineId m = 0; m < w.num_machines(); ++m) {
-    probe.set_machine(rt, m);
-    EXPECT_EQ(lens[6 + m],
-              scalar_eval.prepared_trial(probe, s.position_of(rt), kInf));
-  }
-}
-
-TEST(TrialBatch, PruningAndCompactionMatchScalarLaneForLane) {
-  // A bound around the median retires some lanes mid-sweep and keeps
-  // others: every surviving value must be exact, every pruned value must be
-  // +infinity exactly where the scalar prunes.
-  const Workload w = small_workload(105);
-  Rng rng(5);
-  const SolutionString s = random_solution(w, rng);
-
-  Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
-  Evaluator::TrialBatch batch(batch_eval);
-  batch_eval.prepare(s);
-  scalar_eval.prepare(s);
-
-  std::vector<MoveDraw> moves;
-  std::vector<SolutionString> moved;
-  std::vector<double> exact;
-  for (int i = 0; i < 16; ++i) {
-    moves.push_back(draw_move(s, w, rng));
-    moved.push_back(apply_move(s, moves.back()));
-    exact.push_back(
-        scalar_eval.prepared_trial(moved.back(), moves.back().suffix_start(),
-                                   kInf));
-  }
-  std::vector<double> sorted = exact;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
-
-  for (const double bound : {median, sorted.front(), 0.0}) {
-    batch.begin_prepared(s);
-    for (const MoveDraw& m : moves) batch.add_move(m.task, m.new_pos, m.machine);
-    const std::vector<double>& lens = batch.evaluate(bound);
-    ASSERT_EQ(lens.size(), moves.size());
-    std::size_t pruned = 0;
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-      const double scalar = scalar_eval.prepared_trial(
-          moved[i], moves[i].suffix_start(), bound);
-      EXPECT_EQ(lens[i], scalar) << "trial " << i << " bound " << bound;
-      // The pruning contract itself: exact at or below the bound, +infinity
-      // strictly above it.
-      if (exact[i] <= bound) {
-        EXPECT_EQ(lens[i], exact[i]);
-      } else {
-        EXPECT_EQ(lens[i], kInf);
-        ++pruned;
-      }
-    }
-    if (bound == 0.0) {
-      EXPECT_EQ(pruned, moves.size());  // all-pruned batch
-    }
-  }
-}
-
 TEST(TrialBatch, UniformPathPrunesAndCompactsLikeScalar) {
-  // Same prune/survive pinning for the uniform checkpoint fast path (dense
-  // lane swap compaction instead of the live-index list).
-  const Workload w = small_workload(106);
-  Rng rng(6);
-  const SolutionString s = random_solution(w, rng);
-  const TaskId t = static_cast<TaskId>(rng.below(s.size()));
+  // Bounds at every exact value retire some lanes mid-sweep and keep others
+  // (dense lane swap compaction), for every task of three strings, so a
+  // compacted lane's edit machine is read again wherever the task has a
+  // later successor: every surviving value must be exact, every pruned
+  // value +infinity exactly where the scalar prunes.
+  for (const std::uint64_t seed : {106u, 116u, 126u}) {
+    const Workload w = small_workload(seed);
+    Rng rng(seed);
+    const SolutionString s = random_solution(w, rng);
 
-  Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
-  Evaluator::TrialBatch batch(batch_eval);
-  batch_eval.begin_trials(s, 0);
-  scalar_eval.begin_trials(s, 0);
+    Evaluator batch_eval(w);
+    Evaluator scalar_eval(w);
+    Evaluator::TrialBatch batch(batch_eval);
+    batch_eval.begin_trials(s, 0);
+    scalar_eval.begin_trials(s, 0);
 
-  std::vector<double> exact;
-  SolutionString probe = s;
-  for (MachineId m = 0; m < w.num_machines(); ++m) {
-    probe.set_machine(t, m);
-    exact.push_back(scalar_eval.trial_makespan(probe, kInf));
-  }
-  std::vector<double> sorted = exact;
-  std::sort(sorted.begin(), sorted.end());
-
-  for (const double bound : {sorted[sorted.size() / 2], sorted.front(), 0.0}) {
-    batch.begin_checkpoint(s);
-    for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(t, m);
-    const std::vector<double>& lens = batch.evaluate(bound);
-    for (MachineId m = 0; m < w.num_machines(); ++m) {
-      probe.set_machine(t, m);
-      EXPECT_EQ(lens[m], scalar_eval.trial_makespan(probe, bound))
-          << "machine " << m << " bound " << bound;
+    for (TaskId t = 0; t < s.size(); ++t) {
+      std::vector<double> bounds = scalar_reassigns(w, s, t, 0, kInf);
+      bounds.push_back(0.0);
+      SolutionString probe = s;
+      for (const double bound : bounds) {
+        batch.begin_checkpoint(s);
+        for (MachineId m = 0; m < w.num_machines(); ++m) {
+          batch.add_reassign(t, m);
+        }
+        const std::vector<double>& lens = batch.evaluate(bound);
+        for (MachineId m = 0; m < w.num_machines(); ++m) {
+          probe.set_machine(t, m);
+          EXPECT_EQ(lens[m], scalar_eval.trial_makespan(probe, bound))
+              << "seed " << seed << " task " << t << " machine " << m
+              << " bound " << bound;
+        }
+      }
     }
   }
 }
 
 TEST(TrialBatch, CountsExactlyBatchSizeTrials) {
-  // The evals currency stays exact: a batch of N counts N — including
-  // pruned lanes and empty-suffix (from == k) trials — and evaluate()
-  // clears the pending list.
+  // The evals currency stays exact: a batch of N counts N — including lanes
+  // pruned mid-sweep and lanes pruned at entry (checkpoint already past the
+  // bound) — and evaluate() clears the pending list.
   const Workload w = small_workload(107);
   Rng rng(7);
   const SolutionString s = random_solution(w, rng);
+  const std::size_t l = w.num_machines();
 
   Evaluator eval(w);
   Evaluator::TrialBatch batch(eval);
-  eval.prepare(s);
+  eval.begin_trials(s, 0);
   eval.reset_trial_count();
 
-  std::vector<MoveDraw> moves;
-  std::vector<SolutionString> moved;
-  for (int i = 0; i < 5; ++i) {
-    moves.push_back(draw_move(s, w, rng));
-    moved.push_back(apply_move(s, moves.back()));
-  }
-
-  batch.begin_prepared(s);
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    batch.add_string(moved[i], moves[i].suffix_start());
-  }
-  batch.add_string(s, s.size());  // empty suffix: exact prefix makespan
-  EXPECT_EQ(batch.size(), 6u);
-  const std::vector<double>& lens = batch.evaluate(0.0);  // prunes the moves
-  ASSERT_EQ(lens.size(), 6u);
-  EXPECT_EQ(eval.trial_count(), 6u);
+  const TaskId last = s.segment(s.size() - 1).task;
+  batch.begin_checkpoint(s);
+  for (MachineId m = 0; m < l; ++m) batch.add_reassign(last, m);
+  EXPECT_EQ(batch.size(), l);
+  const std::vector<double>& lens = batch.evaluate(0.0);  // prunes them all
+  ASSERT_EQ(lens.size(), l);
+  EXPECT_EQ(eval.trial_count(), l);
   EXPECT_TRUE(batch.empty());
 
-  // The empty-suffix trial bypasses the sweep yet still matches the scalar
-  // path bit for bit (the full prepared makespan, never pruned at bound 0
-  // only if the prefix itself exceeds it — pin against scalar).
-  Evaluator scalar_eval(w);
-  scalar_eval.prepare(s);
-  EXPECT_EQ(lens[5], scalar_eval.prepared_trial(s, s.size(), 0.0));
-
-  // Counting holds across modes and repeated rounds.
-  eval.begin_trials(s, 0);
+  // A checkpoint just below the last task: its makespan is positive, so
+  // bound 0 prunes every lane at the entry check, and each still counts.
+  eval.begin_trials(s, s.size() - 1);
   batch.begin_checkpoint(s);
-  const TaskId t = 0;
-  for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(t, m);
-  batch.evaluate(kInf);
-  EXPECT_EQ(eval.trial_count(), 6u + w.num_machines());
+  for (MachineId m = 0; m < l; ++m) batch.add_reassign(last, m);
+  for (const double v : batch.evaluate(0.0)) EXPECT_EQ(v, kInf);
+  EXPECT_EQ(eval.trial_count(), 2 * l);
+
+  // Counting holds across repeated rounds, unpruned ones included.
+  const std::vector<double> want =
+      scalar_reassigns(w, s, last, s.size() - 1, kInf);
+  for (MachineId m = 0; m < l; ++m) batch.add_reassign(last, m);
+  EXPECT_EQ(batch.evaluate(kInf), want);
+  EXPECT_EQ(eval.trial_count(), 3 * l);
 }
 
 TEST(TrialBatch, ClearDropsPendingTrialsWithoutCounting) {
@@ -360,12 +229,11 @@ TEST(TrialBatch, ClearDropsPendingTrialsWithoutCounting) {
 
   Evaluator eval(w);
   Evaluator::TrialBatch batch(eval);
-  eval.prepare(s);
+  eval.begin_trials(s, 0);
   eval.reset_trial_count();
 
-  batch.begin_prepared(s);
-  const MoveDraw m = draw_move(s, w, rng);
-  batch.add_move(m.task, m.new_pos, m.machine);
+  batch.begin_checkpoint(s);
+  batch.add_reassign(static_cast<TaskId>(rng.below(s.size())), 1);
   EXPECT_EQ(batch.size(), 1u);
   batch.clear();
   EXPECT_TRUE(batch.empty());
@@ -374,10 +242,9 @@ TEST(TrialBatch, ClearDropsPendingTrialsWithoutCounting) {
 }
 
 TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
-  // The pruned metric is tracked where lanes retire (compaction / live-list
-  // drops / entry checks), never by rescanning results_: pin it against an
-  // explicit +infinity count of the returned results, in both modes and
-  // across the entry-prune and empty-suffix corners.
+  // The pruned metric is tracked where lanes retire (compaction and the
+  // entry check), never by rescanning results_: pin it against an explicit
+  // +infinity count of the returned results.
   const Workload w = small_workload(111);
   Rng rng(11);
   const SolutionString s = random_solution(w, rng);
@@ -394,19 +261,10 @@ TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
     return n;
   };
 
-  // Uniform checkpoint path: full survival, partial compaction, all pruned.
+  // Full survival, partial compaction, all pruned mid-sweep.
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
   eval.begin_trials(s, 0);
-  std::vector<double> exact;
-  {
-    Evaluator scalar_eval(w);
-    scalar_eval.begin_trials(s, 0);
-    SolutionString probe = s;
-    for (MachineId m = 0; m < w.num_machines(); ++m) {
-      probe.set_machine(t, m);
-      exact.push_back(scalar_eval.trial_makespan(probe, kInf));
-    }
-  }
+  const std::vector<double> exact = scalar_reassigns(w, s, t, 0, kInf);
   std::vector<double> sorted = exact;
   std::sort(sorted.begin(), sorted.end());
   for (const double bound : {kInf, sorted[sorted.size() / 2], 0.0}) {
@@ -415,39 +273,58 @@ TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
     expect_pruned += inf_count(batch.evaluate(bound));
     EXPECT_EQ(batch.metrics().pruned, expect_pruned) << "bound " << bound;
   }
+  EXPECT_GT(expect_pruned, 0u);
 
-  // General prepared path: mixed survive/prune plus an entry-pruned trial
-  // (prefix already past the bound) and a never-pruned empty suffix.
-  eval.prepare(s);
-  std::vector<MoveDraw> moves;
-  std::vector<SolutionString> moved;
-  for (int i = 0; i < 12; ++i) {
-    moves.push_back(draw_move(s, w, rng));
-    moved.push_back(apply_move(s, moves.back()));
-  }
-  for (const double bound : {kInf, exact[0], 0.0}) {
-    batch.begin_prepared(s);
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-      batch.add_string(moved[i], moves[i].suffix_start());
-    }
-    batch.add_string(s, s.size());  // empty suffix
-    expect_pruned += inf_count(batch.evaluate(bound));
-    EXPECT_EQ(batch.metrics().pruned, expect_pruned) << "bound " << bound;
-  }
+  // Entry-pruned lanes: a checkpoint whose prefix is already past the
+  // bound retires every lane before the sweep starts.
+  const TaskId last = s.segment(s.size() - 1).task;
+  eval.begin_trials(s, s.size() - 1);
+  batch.begin_checkpoint(s);
+  for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(last, m);
+  const std::uint64_t entry = inf_count(batch.evaluate(0.0));
+  EXPECT_EQ(entry, w.num_machines());
+  expect_pruned += entry;
+  EXPECT_EQ(batch.metrics().pruned, expect_pruned);
+  EXPECT_EQ(batch.metrics().trials, 4 * w.num_machines());
+}
+
+TEST(TrialBatch, SecondTaskInOneBatchThrows) {
+  // One batch is one task's machine candidates; a reassign of another task
+  // is an error, and it leaves the pending trials as they were.
+  const Workload w = small_workload(115);
+  Rng rng(15);
+  const SolutionString s = random_solution(w, rng);
+
+  Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
+  eval.begin_trials(s, 0);
+  batch.begin_checkpoint(s);
+  batch.add_reassign(3, 0);
+  batch.add_reassign(3, 1);
+  EXPECT_THROW(batch.add_reassign(4, 0), Error);
+  EXPECT_EQ(batch.size(), 2u);
+
+  // After evaluate() (or clear()) the next batch may name another task.
+  batch.evaluate(kInf);
+  EXPECT_NO_THROW(batch.add_reassign(4, 0));
+  batch.clear();
+  EXPECT_NO_THROW(batch.add_reassign(5, 0));
 }
 
 // --- SIMD strip kernels ------------------------------------------------------
 //
-// The uniform sweep's inner loops run as width-W vector strips with a scalar
-// tail. These tests force the scalar and SIMD kernels explicitly and pin
-// bit-identity on exactly the shapes where strip arithmetic can go wrong:
-// batch sizes around the vector width, compaction that leaves a ragged
-// tail mid-strip, and an all-pruned first position. Where the CPU has no
-// vector unit, forced-simd resolves to scalar and the comparison is
-// vacuous, so the tests skip.
+// The sweep's inner loops run as width-4 AVX2 strips with a scalar tail.
+// These tests force the scalar kernel and compare it with `auto` on exactly
+// the shapes where strip arithmetic can go wrong: batch sizes around the
+// strip width, compaction that leaves a ragged tail mid-strip, and an
+// all-pruned first position. Where `auto` resolves to scalar (no AVX2), the
+// comparison is vacuous, so the tests skip.
+
+/// Batch sizes below, at, just above and well above the AVX2 width.
+constexpr std::size_t kBatchSizes[] = {1, 3, 4, 5, 11};
 
 bool simd_available() {
-  return detect_simd_kernel() != SimdKernel::kScalar;
+  return resolve_kernel(KernelChoice::kAuto) != SimdKernel::kScalar;
 }
 
 /// Evaluates the same uniform-reassign round (machines cycling over `n`
@@ -467,26 +344,23 @@ std::vector<double> uniform_round(const Workload& w, const SolutionString& s,
 }
 
 TEST(TrialBatchSimd, EdgeShapeBatchSizesMatchScalarBitForBit) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const std::size_t W = kernel_width(detect_simd_kernel());
-  ASSERT_GE(W, 2u);
+  if (!simd_available()) GTEST_SKIP() << "auto resolves to scalar here";
 
   const Workload w = small_workload(112);
   Rng rng(12);
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
 
-  // Scalar per-trial reference for the largest shape.
+  // Scalar per-trial reference.
   Evaluator scalar_eval(w);
   scalar_eval.begin_trials(s, 0);
   SolutionString probe = s;
 
-  for (const std::size_t n : {std::size_t{1}, W - 1, W, W + 1, 2 * W + 3}) {
-    if (n == 0) continue;
+  for (const std::size_t n : kBatchSizes) {
     const std::vector<double> scalar =
         uniform_round(w, s, t, n, kInf, KernelChoice::kScalar);
     const std::vector<double> simd =
-        uniform_round(w, s, t, n, kInf, KernelChoice::kSimd);
+        uniform_round(w, s, t, n, kInf, KernelChoice::kAuto);
     ASSERT_EQ(scalar.size(), n);
     ASSERT_EQ(simd.size(), n);
     EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(), n * sizeof(double)))
@@ -500,59 +374,58 @@ TEST(TrialBatchSimd, EdgeShapeBatchSizesMatchScalarBitForBit) {
 }
 
 TEST(TrialBatchSimd, CompactionMidStripLeavesRaggedTailIdentical) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const std::size_t W = kernel_width(detect_simd_kernel());
+  if (!simd_available()) GTEST_SKIP() << "auto resolves to scalar here";
 
   const Workload w = small_workload(113);
   Rng rng(13);
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
-  const std::size_t n = 2 * W + 3;
 
   // Bounds at every exact value force compaction at varying sweep depths,
   // leaving live-lane counts that are ragged with respect to the strip
   // width (the tail loop and the compacted-lane columns must both agree).
-  const std::vector<double> exact =
-      uniform_round(w, s, t, n, kInf, KernelChoice::kScalar);
-  for (const double bound : exact) {
-    if (bound == kInf) continue;
-    const std::vector<double> scalar =
-        uniform_round(w, s, t, n, bound, KernelChoice::kScalar);
-    const std::vector<double> simd =
-        uniform_round(w, s, t, n, bound, KernelChoice::kSimd);
-    EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(), n * sizeof(double)))
-        << "bound " << bound;
+  for (const std::size_t n : kBatchSizes) {
+    const std::vector<double> exact =
+        uniform_round(w, s, t, n, kInf, KernelChoice::kScalar);
+    for (const double bound : exact) {
+      const std::vector<double> scalar =
+          uniform_round(w, s, t, n, bound, KernelChoice::kScalar);
+      const std::vector<double> simd =
+          uniform_round(w, s, t, n, bound, KernelChoice::kAuto);
+      EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(), n * sizeof(double)))
+          << "batch size " << n << " bound " << bound;
+    }
   }
 }
 
 TEST(TrialBatchSimd, AllLanesPrunedAtFirstPositionMatchScalar) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const std::size_t W = kernel_width(detect_simd_kernel());
+  if (!simd_available()) GTEST_SKIP() << "auto resolves to scalar here";
 
   const Workload w = small_workload(114);
   Rng rng(14);
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
-  const std::size_t n = 2 * W + 1;
 
   // Bound 0 with a zero-length checkpoint passes the entry check (0 > 0 is
   // false) and retires every lane at the first swept position.
-  const std::vector<double> scalar =
-      uniform_round(w, s, t, n, 0.0, KernelChoice::kScalar);
-  const std::vector<double> simd =
-      uniform_round(w, s, t, n, 0.0, KernelChoice::kSimd);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(scalar[i], kInf);
-    EXPECT_EQ(simd[i], kInf);
+  for (const std::size_t n : kBatchSizes) {
+    const std::vector<double> scalar =
+        uniform_round(w, s, t, n, 0.0, KernelChoice::kScalar);
+    const std::vector<double> simd =
+        uniform_round(w, s, t, n, 0.0, KernelChoice::kAuto);
+    ASSERT_EQ(simd.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(scalar[i], kInf);
+      EXPECT_EQ(simd[i], kInf);
+    }
   }
 }
 
 TEST(TrialBatchSimd, RandomizedTrialSetsByteIdenticalAcrossKernels) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  if (!simd_available()) GTEST_SKIP() << "auto resolves to scalar here";
 
-  // Randomized uniform rounds (the SIMD path) plus mixed prepared batches
-  // (the general path, kernel-independent but swept for completeness):
-  // forced-scalar and forced-simd results_ must be byte-identical.
+  // Randomized rounds: forced-scalar and auto results must be
+  // byte-identical.
   for (const std::uint64_t seed : {201u, 202u, 203u, 204u}) {
     const Workload w = small_workload(seed);
     Rng rng(seed);
@@ -567,30 +440,8 @@ TEST(TrialBatchSimd, RandomizedTrialSetsByteIdenticalAcrossKernels) {
     const std::vector<double> scalar =
         uniform_round(w, s, t, n, bound, KernelChoice::kScalar);
     const std::vector<double> simd =
-        uniform_round(w, s, t, n, bound, KernelChoice::kSimd);
+        uniform_round(w, s, t, n, bound, KernelChoice::kAuto);
     EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(), n * sizeof(double)))
-        << "seed " << seed;
-
-    Evaluator scalar_eval(w);
-    Evaluator simd_eval(w);
-    Evaluator::TrialBatch scalar_batch(scalar_eval);
-    Evaluator::TrialBatch simd_batch(simd_eval);
-    scalar_batch.set_kernel(KernelChoice::kScalar);
-    simd_batch.set_kernel(KernelChoice::kSimd);
-    scalar_eval.prepare(s);
-    simd_eval.prepare(s);
-    std::vector<MoveDraw> moves;
-    for (int i = 0; i < 10; ++i) moves.push_back(draw_move(s, w, rng));
-    scalar_batch.begin_prepared(s);
-    simd_batch.begin_prepared(s);
-    for (const MoveDraw& m : moves) {
-      scalar_batch.add_move(m.task, m.new_pos, m.machine);
-      simd_batch.add_move(m.task, m.new_pos, m.machine);
-    }
-    const std::vector<double>& a = scalar_batch.evaluate(bound);
-    const std::vector<double>& b = simd_batch.evaluate(bound);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
         << "seed " << seed;
   }
 }
