@@ -310,10 +310,7 @@ int run(int argc, char** argv) {
   if (opts.has("kernel")) {
     const std::string flag = opts.get("kernel", "auto");
     const std::optional<KernelChoice> parsed = parse_kernel_choice(flag);
-    if (!parsed) {
-      std::fprintf(stderr, "--kernel must be one of auto|scalar\n");
-      return 1;
-    }
+    if (!parsed) opts.reject("kernel", "one of auto|scalar");
     kernel_choice = *parsed;
   }
   const SimdKernel simd_kernel = resolve_kernel(kernel_choice);

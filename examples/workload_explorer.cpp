@@ -30,6 +30,8 @@ int run(int argc, char** argv) {
   const auto machines = static_cast<std::size_t>(opts.get_int("machines", 20));
   const auto seed = opts.get_seed("seed", 7);
   const auto threads = static_cast<std::size_t>(opts.get_int("threads", 1));
+  const auto shard = ShardPlan::parse(opts.get("shard", "0/1"));
+  if (!shard) opts.reject("shard", "I/N with I < N (e.g. 0/4)");
 
   const std::vector<Level> levels{Level::kLow, Level::kMedium, Level::kHigh};
   const std::vector<double> ccrs{0.1, 1.0};
@@ -61,7 +63,7 @@ int run(int argc, char** argv) {
 
   CampaignRunOptions run_opts;
   run_opts.threads = threads;
-  run_opts.shard = ShardPlan::parse(opts.get("shard", "0/1"));
+  run_opts.shard = *shard;
 
   run_store_grid(grid, store, run_opts, seed,
                  [&](const SweepCell& cell, const CellContext&) {

@@ -24,33 +24,18 @@ void CurveBundle::validate() const {
   }
 }
 
-CurveEnvelope curve_envelope(const CurveBundle& bundle) {
+std::vector<double> mean_curve(const CurveBundle& bundle) {
   bundle.validate();
-  SEHC_CHECK(!bundle.rows.empty(), "curve_envelope: bundle has no curves");
-  CurveEnvelope env;
-  env.grid = bundle.grid;
-  env.mean.reserve(bundle.grid.size());
-  env.lo.reserve(bundle.grid.size());
-  env.hi.reserve(bundle.grid.size());
+  SEHC_CHECK(!bundle.rows.empty(), "mean_curve: bundle has no curves");
   const double n = static_cast<double>(bundle.rows.size());
+  std::vector<double> mean;
+  mean.reserve(bundle.grid.size());
   for (std::size_t i = 0; i < bundle.grid.size(); ++i) {
     double sum = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const std::vector<double>& row : bundle.rows) {
-      sum += row[i];
-      lo = std::min(lo, row[i]);
-      hi = std::max(hi, row[i]);
-    }
-    env.mean.push_back(sum / n);  // +inf row => +inf mean, by design
-    env.lo.push_back(lo);
-    env.hi.push_back(hi);
+    for (const std::vector<double>& row : bundle.rows) sum += row[i];
+    mean.push_back(sum / n);  // +inf row => +inf mean, by design
   }
-  return env;
-}
-
-std::vector<double> mean_curve(const CurveBundle& bundle) {
-  return curve_envelope(bundle).mean;
+  return mean;
 }
 
 Crossing first_crossing(std::span<const double> grid,

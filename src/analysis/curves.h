@@ -1,5 +1,5 @@
 // Anytime-curve algebra over campaign records: alignment onto a shared
-// budget grid, mean/band envelopes across seeds, first-crossing detection
+// budget grid, mean curves across seeds, first-crossing detection
 // ("when does SE overtake GA"), area under the curve, and Dolan-Moré
 // performance profiles across a whole grid.
 //
@@ -30,20 +30,9 @@ struct CurveBundle {
   void validate() const;
 };
 
-/// Pointwise aggregate of a bundle: the mean curve plus the min/max band
-/// across seeds. A grid point where any seed is still at +infinity has
-/// mean == hi == +infinity ("some seed has no solution yet").
-struct CurveEnvelope {
-  std::vector<double> grid;
-  std::vector<double> mean;
-  std::vector<double> lo;  // pointwise best seed
-  std::vector<double> hi;  // pointwise worst seed
-};
-
-/// Builds the envelope; requires a valid bundle with at least one row.
-CurveEnvelope curve_envelope(const CurveBundle& bundle);
-
-/// Pointwise mean across the bundle's rows (the envelope's mean column).
+/// Pointwise mean across the bundle's rows; requires a valid bundle with at
+/// least one row. A grid point where any seed is still at +infinity has a
+/// +infinity mean ("some seed has no solution yet").
 std::vector<double> mean_curve(const CurveBundle& bundle);
 
 /// A sustained overtake of one curve over another on a shared grid.

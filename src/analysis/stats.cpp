@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -210,28 +211,6 @@ PairedTest wilcoxon_signed_rank(std::span<const double> a,
       (std::abs(w_plus - mu) - 0.5) / std::sqrt(sigma2);
   t.p_value = std::min(1.0, 2.0 * (1.0 - normal_cdf(std::max(0.0, z))));
   return t;
-}
-
-std::vector<std::vector<WinLossTie>> win_loss_matrix(
-    const std::vector<std::vector<double>>& costs) {
-  const std::size_t methods = costs.size();
-  std::size_t problems = methods ? costs.front().size() : 0;
-  for (const auto& row : costs) {
-    SEHC_CHECK(row.size() == problems,
-               "win_loss_matrix: cost rows must have equal length");
-  }
-  std::vector<std::vector<WinLossTie>> matrix(
-      methods, std::vector<WinLossTie>(methods));
-  for (std::size_t i = 0; i < methods; ++i) {
-    for (std::size_t j = 0; j < methods; ++j) {
-      for (std::size_t p = 0; p < problems; ++p) {
-        if (costs[i][p] < costs[j][p]) ++matrix[i][j].wins;
-        else if (costs[j][p] < costs[i][p]) ++matrix[i][j].losses;
-        else ++matrix[i][j].ties;
-      }
-    }
-  }
-  return matrix;
 }
 
 }  // namespace sehc

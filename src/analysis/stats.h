@@ -1,6 +1,5 @@
 // Statistics engine for campaign analysis: seeded-bootstrap confidence
-// intervals, paired sign / Wilcoxon signed-rank tests, and win/loss/tie
-// matrices over method pairs.
+// intervals and paired sign / Wilcoxon signed-rank tests.
 //
 // Everything here is deterministic for fixed inputs: the bootstrap is
 // driven by the library's own Rng (never std distributions), the sign test
@@ -19,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sehc {
 
@@ -82,21 +80,6 @@ PairedTest wilcoxon_signed_rank(std::span<const double> a,
 /// The largest informative-pair count for which wilcoxon_signed_rank is
 /// exact (25: 2^25 sign assignments, enumerated in O(n^3) by DP).
 inline constexpr std::size_t kWilcoxonExactMaxPairs = 25;
-
-/// One cell of a pairwise comparison matrix (row method vs column method).
-struct WinLossTie {
-  std::size_t wins = 0;
-  std::size_t losses = 0;
-  std::size_t ties = 0;
-};
-
-/// Pairwise win/loss/tie matrix over methods: costs[m][p] is the cost of
-/// method m on problem p (all rows the same length; lower is better).
-/// result[i][j] counts problems where method i beats / loses to / ties
-/// method j; the matrix is antisymmetric (result[i][j].wins ==
-/// result[j][i].losses) and the diagonal is all ties.
-std::vector<std::vector<WinLossTie>> win_loss_matrix(
-    const std::vector<std::vector<double>>& costs);
 
 /// Standard normal CDF via the Abramowitz-Stegun 26.2.17 rational
 /// approximation (|error| < 7.5e-8). The only libm call is std::exp;

@@ -53,8 +53,7 @@ double Options::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   if (const auto v = parse_whole<double>(it->second)) return *v;
-  throw UsageError("--" + key + " expects a number, got " + it->second,
-                   known_);
+  reject(key, "a number");
 }
 
 std::int64_t Options::get_int(const std::string& key,
@@ -62,8 +61,7 @@ std::int64_t Options::get_int(const std::string& key,
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   if (const auto v = parse_whole<std::int64_t>(it->second)) return *v;
-  throw UsageError("--" + key + " expects an integer, got " + it->second,
-                   known_);
+  reject(key, "an integer");
 }
 
 std::uint64_t Options::get_seed(const std::string& key,
@@ -71,7 +69,13 @@ std::uint64_t Options::get_seed(const std::string& key,
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   if (const auto v = parse_whole<std::uint64_t>(it->second)) return *v;
-  throw UsageError("--" + key + " expects a seed, got " + it->second,
+  reject(key, "a seed");
+}
+
+void Options::reject(const std::string& key,
+                     const std::string& expected) const {
+  throw UsageError("--" + key + " expects " + expected + ", got " +
+                       get(key, ""),
                    known_);
 }
 

@@ -69,6 +69,11 @@ class Options {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   std::uint64_t get_seed(const std::string& key, std::uint64_t fallback) const;
 
+  /// Throws the UsageError for a malformed value of --key:
+  /// "--key expects <expected>, got <value>".
+  [[noreturn]] void reject(const std::string& key,
+                           const std::string& expected) const;
+
  private:
   std::vector<std::string> known_;
   std::map<std::string, std::string> values_;

@@ -1,8 +1,5 @@
 #include "core/rng.h"
 
-#include <cmath>
-#include <numbers>
-
 namespace sehc {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -25,28 +22,6 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) {
   SEHC_CHECK(lo <= hi, "Rng::uniform: lo must be <= hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
-  SEHC_CHECK(lo <= hi, "Rng::range: lo must be <= hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
-double Rng::normal() {
-  // Box-Muller; discard the second variate to keep the state trajectory
-  // independent of call sites.
-  double u1 = uniform();
-  double u2 = uniform();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double Rng::normal(double mean, double stddev) {
-  SEHC_CHECK(stddev >= 0.0, "Rng::normal: stddev must be non-negative");
-  return mean + stddev * normal();
 }
 
 bool Rng::chance(double p) { return uniform() < p; }

@@ -7,8 +7,8 @@
 //
 //   * splitmix64       -- seeding / stream-splitting mixer.
 //   * Xoshiro256**     -- main generator (Blackman & Vigna), 256-bit state.
-//   * Rng              -- convenience wrapper with uniform / normal / pick /
-//                         shuffle helpers and cheap value-semantic copies.
+//   * Rng              -- convenience wrapper with uniform / pick / shuffle
+//                         helpers and cheap value-semantic copies.
 //
 // Rng::split(tag) derives an independent stream; experiment sweeps use it to
 // give every repetition its own deterministic generator.
@@ -80,15 +80,6 @@ class Rng {
       if (r >= n || r >= (0 - n) % n) return r % n;
     }
   }
-
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi);
-
-  /// Standard normal via Box-Muller (deterministic, no cached spare).
-  double normal();
-
-  /// Normal with the given mean / standard deviation.
-  double normal(double mean, double stddev);
 
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/error.h"
 
@@ -47,27 +48,5 @@ double percentile(std::span<const double> values, double p) {
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SEHC_CHECK(bins > 0, "Histogram: need at least one bin");
-  SEHC_CHECK(lo < hi, "Histogram: lo must be < hi");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
 
 }  // namespace sehc

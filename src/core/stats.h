@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace sehc {
 
@@ -39,25 +38,5 @@ Accumulator summarize(std::span<const double> values);
 
 /// Exact percentile (linear interpolation) of a sample; copies + sorts.
 double percentile(std::span<const double> values, double p);
-
-/// Fixed-width histogram over [lo, hi] with `bins` buckets; out-of-range
-/// samples are clamped into the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace sehc

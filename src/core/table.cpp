@@ -36,8 +36,6 @@ Table& Table::add(double value, int precision) {
 }
 
 Table& Table::add(std::size_t value) { return add(std::to_string(value)); }
-Table& Table::add(long long value) { return add(std::to_string(value)); }
-Table& Table::add(int value) { return add(std::to_string(value)); }
 
 void Table::add_row(std::vector<std::string> row) {
   SEHC_CHECK(row.size() == headers_.size(), "Table::add_row: width mismatch");

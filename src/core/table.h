@@ -24,8 +24,6 @@ class Table {
   Table& add(std::string cell);
   Table& add(double value, int precision = 3);
   Table& add(std::size_t value);
-  Table& add(long long value);
-  Table& add(int value);
 
   /// Convenience: appends a full row of preformatted cells.
   void add_row(std::vector<std::string> row);

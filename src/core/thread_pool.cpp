@@ -37,14 +37,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  for (auto& f : futures) f.get();  // propagates exceptions
-}
-
 }  // namespace sehc

@@ -46,9 +46,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
   void worker_loop();
 

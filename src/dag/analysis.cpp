@@ -18,110 +18,27 @@ double average_degree(const TaskGraph& g) {
          static_cast<double>(g.num_tasks());
 }
 
-namespace {
-
-/// Computes the earliest completion (node+edge weighted longest path ending
-/// at each task) plus per-task best predecessor for path reconstruction.
-struct LongestPaths {
-  std::vector<double> finish;   // longest path ending at t, inclusive of t
-  std::vector<TaskId> parent;   // predecessor on that path or kInvalidTask
-};
-
-LongestPaths longest_paths(const TaskGraph& g,
-                           std::span<const double> node_cost,
-                           std::span<const double> edge_cost) {
-  SEHC_CHECK(node_cost.size() == g.num_tasks(),
-             "critical_path: node_cost size mismatch");
-  SEHC_CHECK(edge_cost.empty() || edge_cost.size() == g.num_edges(),
-             "critical_path: edge_cost size mismatch");
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "critical_path: graph has a cycle");
-
-  LongestPaths lp;
-  lp.finish.assign(g.num_tasks(), 0.0);
-  lp.parent.assign(g.num_tasks(), kInvalidTask);
-  for (TaskId t : *order) {
-    double start = 0.0;
-    TaskId parent = kInvalidTask;
-    for (DataId d : g.in_edges(t)) {
-      const DagEdge& e = g.edge(d);
-      const double via =
-          lp.finish[e.src] + (edge_cost.empty() ? 0.0 : edge_cost[d]);
-      if (via > start || (via == start && parent == kInvalidTask)) {
-        start = via;
-        parent = e.src;
-      }
-    }
-    lp.finish[t] = start + node_cost[t];
-    lp.parent[t] = parent;
-  }
-  return lp;
-}
-
-}  // namespace
-
 double critical_path_length(const TaskGraph& g,
                             std::span<const double> node_cost,
                             std::span<const double> edge_cost) {
   if (g.num_tasks() == 0) return 0.0;
-  const auto lp = longest_paths(g, node_cost, edge_cost);
-  return *std::max_element(lp.finish.begin(), lp.finish.end());
-}
-
-std::vector<TaskId> critical_path(const TaskGraph& g,
-                                  std::span<const double> node_cost,
-                                  std::span<const double> edge_cost) {
-  if (g.num_tasks() == 0) return {};
-  const auto lp = longest_paths(g, node_cost, edge_cost);
-  TaskId tail = static_cast<TaskId>(
-      std::max_element(lp.finish.begin(), lp.finish.end()) - lp.finish.begin());
-  std::vector<TaskId> path;
-  for (TaskId t = tail; t != kInvalidTask; t = lp.parent[t]) path.push_back(t);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Reachability::Reachability(const TaskGraph& g)
-    : words_per_task_((g.num_tasks() + 63) / 64), num_tasks_(g.num_tasks()) {
-  bits_.assign(num_tasks_ * words_per_task_, 0);
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "Reachability: graph has a cycle");
-  // Process in reverse topological order: reach(t) = union over successors s
-  // of ({s} | reach(s)).
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const TaskId t = *it;
-    std::uint64_t* row = bits_.data() + t * words_per_task_;
-    for (TaskId s : g.succs(t)) {
-      row[s / 64] |= (1ULL << (s % 64));
-      const std::uint64_t* srow = bits_.data() + s * words_per_task_;
-      for (std::size_t w = 0; w < words_per_task_; ++w) row[w] |= srow[w];
+  SEHC_CHECK(node_cost.size() == g.num_tasks(),
+             "critical_path_length: node_cost size mismatch");
+  SEHC_CHECK(edge_cost.empty() || edge_cost.size() == g.num_edges(),
+             "critical_path_length: edge_cost size mismatch");
+  const auto order = topological_order(g);
+  SEHC_CHECK(order.has_value(), "critical_path_length: graph has a cycle");
+  // finish[t]: the longest path ending at t, t's own cost included.
+  std::vector<double> finish(g.num_tasks(), 0.0);
+  for (TaskId t : *order) {
+    double start = 0.0;
+    for (DataId d : g.in_edges(t)) {
+      const double comm = edge_cost.empty() ? 0.0 : edge_cost[d];
+      start = std::max(start, finish[g.edge(d).src] + comm);
     }
+    finish[t] = start + node_cost[t];
   }
-}
-
-bool Reachability::bit(TaskId from, TaskId to) const {
-  return (bits_[from * words_per_task_ + to / 64] >> (to % 64)) & 1ULL;
-}
-
-bool Reachability::reaches(TaskId from, TaskId to) const {
-  SEHC_CHECK(from < num_tasks_ && to < num_tasks_, "Reachability: bad task id");
-  return bit(from, to);
-}
-
-std::vector<TaskId> Reachability::descendants(TaskId t) const {
-  SEHC_CHECK(t < num_tasks_, "Reachability: bad task id");
-  std::vector<TaskId> out;
-  for (TaskId u = 0; u < num_tasks_; ++u)
-    if (bit(t, u)) out.push_back(u);
-  return out;
-}
-
-std::vector<TaskId> Reachability::ancestors(TaskId t) const {
-  SEHC_CHECK(t < num_tasks_, "Reachability: bad task id");
-  std::vector<TaskId> out;
-  for (TaskId u = 0; u < num_tasks_; ++u)
-    if (bit(u, t)) out.push_back(u);
-  return out;
+  return *std::max_element(finish.begin(), finish.end());
 }
 
 }  // namespace sehc

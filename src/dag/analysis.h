@@ -1,5 +1,5 @@
-// Structural DAG analysis: connectivity metrics, critical path with task
-// weights, ancestor/descendant reachability.
+// Structural DAG analysis: connectivity metrics and the critical path
+// length with task weights.
 //
 // Connectivity is one of the three workload axes in the paper's evaluation
 // (§5): it "defines the number of data items to be transferred between the
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dag/task_graph.h"
 
@@ -27,35 +26,5 @@ double average_degree(const TaskGraph& g);
 double critical_path_length(const TaskGraph& g,
                             std::span<const double> node_cost,
                             std::span<const double> edge_cost = {});
-
-/// Task ids on one critical path (ties broken deterministically), in
-/// topological order.
-std::vector<TaskId> critical_path(const TaskGraph& g,
-                                  std::span<const double> node_cost,
-                                  std::span<const double> edge_cost = {});
-
-/// Reachability bitsets. reach[t] has bit u set iff there is a directed path
-/// t -> u (t itself excluded). Word-parallel over 64-bit blocks; fine for the
-/// problem sizes in the paper (hundreds of tasks).
-class Reachability {
- public:
-  explicit Reachability(const TaskGraph& g);
-
-  /// True iff a directed path from `from` to `to` exists (from != to).
-  bool reaches(TaskId from, TaskId to) const;
-
-  /// All descendants of t (tasks reachable from t).
-  std::vector<TaskId> descendants(TaskId t) const;
-
-  /// All ancestors of t (tasks that reach t).
-  std::vector<TaskId> ancestors(TaskId t) const;
-
- private:
-  std::size_t words_per_task_;
-  std::size_t num_tasks_;
-  std::vector<std::uint64_t> bits_;  // num_tasks_ * words_per_task_
-
-  bool bit(TaskId from, TaskId to) const;
-};
 
 }  // namespace sehc

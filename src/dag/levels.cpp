@@ -18,18 +18,6 @@ std::vector<int> task_levels(const TaskGraph& g) {
   return level;
 }
 
-std::vector<int> task_heights(const TaskGraph& g) {
-  auto order = topological_order(g);
-  SEHC_CHECK(order.has_value(), "task_heights: graph has a cycle");
-  std::vector<int> height(g.num_tasks(), 0);
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    for (TaskId succ : g.succs(*it)) {
-      height[*it] = std::max(height[*it], height[succ] + 1);
-    }
-  }
-  return height;
-}
-
 int num_levels(const TaskGraph& g) {
   if (g.num_tasks() == 0) return 0;
   const auto levels = task_levels(g);
@@ -44,14 +32,6 @@ std::vector<std::vector<TaskId>> tasks_by_level(const TaskGraph& g) {
     groups[static_cast<std::size_t>(levels[t])].push_back(t);
   }
   return groups;
-}
-
-std::size_t level_width(const TaskGraph& g) {
-  std::size_t width = 0;
-  for (const auto& group : tasks_by_level(g)) {
-    width = std::max(width, group.size());
-  }
-  return width;
 }
 
 }  // namespace sehc

@@ -2,9 +2,8 @@
 //
 // The paper's selection step orders selected subtasks "in ascending order
 // according to their level in the DAG" (§4.4): level(t) = length (in edges)
-// of the longest path from any source to t. We also provide the dual
-// (height above sinks) and per-level groupings used by the levelized
-// min-min / max-min baselines.
+// of the longest path from any source to t. We also provide the per-level
+// groupings used by the levelized min-min / max-min baselines.
 #pragma once
 
 #include <vector>
@@ -17,16 +16,10 @@ namespace sehc {
 /// Requires an acyclic graph (throws otherwise).
 std::vector<int> task_levels(const TaskGraph& g);
 
-/// height[t] = longest #edges from t down to a sink (sinks get 0).
-std::vector<int> task_heights(const TaskGraph& g);
-
 /// Number of distinct levels (= max level + 1; 0 for an empty graph).
 int num_levels(const TaskGraph& g);
 
 /// Groups task ids by level, ascending; tasks within a level are id-ordered.
 std::vector<std::vector<TaskId>> tasks_by_level(const TaskGraph& g);
-
-/// Maximum number of tasks in any single level (a cheap width proxy).
-std::size_t level_width(const TaskGraph& g);
 
 }  // namespace sehc

@@ -73,16 +73,6 @@ std::span<const TaskId> TaskGraph::succs(TaskId t) const {
   return succ_ids_[t];
 }
 
-std::vector<TaskId> TaskGraph::predecessors(TaskId t) const {
-  const auto view = preds(t);
-  return {view.begin(), view.end()};
-}
-
-std::vector<TaskId> TaskGraph::successors(TaskId t) const {
-  const auto view = succs(t);
-  return {view.begin(), view.end()};
-}
-
 bool TaskGraph::has_edge(TaskId src, TaskId dst) const {
   check_task(src, "has_edge");
   check_task(dst, "has_edge");
@@ -93,20 +83,6 @@ bool TaskGraph::has_edge(TaskId src, TaskId dst) const {
   }
   return std::any_of(in_[dst].begin(), in_[dst].end(),
                      [&](DataId d) { return edges_[d].src == src; });
-}
-
-std::vector<TaskId> TaskGraph::sources() const {
-  std::vector<TaskId> out;
-  for (TaskId t = 0; t < num_tasks(); ++t)
-    if (in_[t].empty()) out.push_back(t);
-  return out;
-}
-
-std::vector<TaskId> TaskGraph::sinks() const {
-  std::vector<TaskId> out;
-  for (TaskId t = 0; t < num_tasks(); ++t)
-    if (out_[t].empty()) out.push_back(t);
-  return out;
 }
 
 }  // namespace sehc

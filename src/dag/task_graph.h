@@ -62,26 +62,15 @@ class TaskGraph {
   std::span<const DataId> out_edges(TaskId t) const;
 
   std::size_t in_degree(TaskId t) const { return in_edges(t).size(); }
-  std::size_t out_degree(TaskId t) const { return out_edges(t).size(); }
 
   /// Predecessor / successor task ids as zero-copy views, ordered by edge
-  /// id (the same order as in_edges()/out_edges()). These are the hot-path
-  /// accessors: pure-topology loops should iterate them instead of the
-  /// in_edges(t) -> edge(d) double indirection.
+  /// id (the same order as in_edges()/out_edges()). Pure-topology loops
+  /// iterate them instead of the in_edges(t) -> edge(d) double indirection.
   std::span<const TaskId> preds(TaskId t) const;
   std::span<const TaskId> succs(TaskId t) const;
 
-  /// Predecessor / successor task ids (materialized, ordered by edge id).
-  /// Kept for tests and IO code that wants an owning vector.
-  std::vector<TaskId> predecessors(TaskId t) const;
-  std::vector<TaskId> successors(TaskId t) const;
-
   /// True if an edge src -> dst exists.
   bool has_edge(TaskId src, TaskId dst) const;
-
-  /// Tasks with no predecessors / successors.
-  std::vector<TaskId> sources() const;
-  std::vector<TaskId> sinks() const;
 
   friend bool operator==(const TaskGraph& a, const TaskGraph& b) {
     return a.names_ == b.names_ && a.edges_ == b.edges_;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/error.h"
+#include "core/options.h"
 #include "core/table.h"
 #include "core/timer.h"
 #include "exp/anytime.h"
@@ -146,24 +147,13 @@ void ShardPlan::validate() const {
   SEHC_CHECK(index < count, "ShardPlan: index must be < count");
 }
 
-ShardPlan ShardPlan::parse(const std::string& text) {
-  const auto slash = text.find('/');
-  SEHC_CHECK(slash != std::string::npos && slash > 0 &&
-                 slash + 1 < text.size(),
-             "--shard expects I/N (e.g. 0/4), got '" + text + "'");
-  ShardPlan shard;
-  try {
-    std::size_t used = 0;
-    shard.index = std::stoul(text.substr(0, slash), &used);
-    SEHC_CHECK(used == slash, "bad index");
-    const std::string count_text = text.substr(slash + 1);
-    shard.count = std::stoul(count_text, &used);
-    SEHC_CHECK(used == count_text.size(), "bad count");
-  } catch (const std::exception&) {
-    throw Error("--shard expects I/N (e.g. 0/4), got '" + text + "'");
-  }
-  shard.validate();
-  return shard;
+std::optional<ShardPlan> ShardPlan::parse(std::string_view text) {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return std::nullopt;
+  const auto index = parse_whole<std::size_t>(text.substr(0, slash));
+  const auto count = parse_whole<std::size_t>(text.substr(slash + 1));
+  if (!index || !count || *index >= *count) return std::nullopt;
+  return ShardPlan{*index, *count};
 }
 
 StoreRow CampaignRecord::to_row() const {

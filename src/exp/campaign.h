@@ -23,7 +23,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/fault.h"
@@ -115,9 +117,9 @@ struct ShardPlan {
   /// Throws sehc::Error unless count >= 1 and index < count.
   void validate() const;
 
-  /// Parses the CLI form "I/N" (e.g. "0/4"); throws sehc::Error on
-  /// malformed input. Shared by every --shard flag.
-  static ShardPlan parse(const std::string& text);
+  /// Parses the CLI form "I/N" (e.g. "0/4"); nullopt unless both are
+  /// whole numbers with I < N. Shared by every --shard flag.
+  static std::optional<ShardPlan> parse(std::string_view text);
 };
 
 /// One typed campaign record (a parsed StoreRow).

@@ -73,19 +73,6 @@ std::vector<std::size_t> SweepGrid::coords(std::size_t cell) const {
   return c;
 }
 
-std::size_t SweepGrid::index(std::span<const std::size_t> coords) const {
-  SEHC_CHECK(coords.size() == axes_.size(),
-             "SweepGrid::index expects one coordinate per axis");
-  std::size_t cell = 0;
-  for (std::size_t i = 0; i < axes_.size(); ++i) {
-    SEHC_CHECK(coords[i] < axes_[i].size,
-               "SweepGrid::index coordinate out of range on axis '" +
-                   axes_[i].name + "'");
-    cell = cell * axes_[i].size + coords[i];
-  }
-  return cell;
-}
-
 std::uint64_t SweepGrid::cell_seed(std::uint64_t base_seed,
                                    std::size_t cell) const {
   return derive_seed(base_seed, coords(cell));

@@ -69,9 +69,6 @@ class SweepGrid {
   /// Coordinates of a flat cell index.
   std::vector<std::size_t> coords(std::size_t cell) const;
 
-  /// Flat index of a coordinate vector (inverse of coords()).
-  std::size_t index(std::span<const std::size_t> coords) const;
-
   /// The cell's deterministic seed: derive_seed(base_seed, coords(cell)).
   std::uint64_t cell_seed(std::uint64_t base_seed, std::size_t cell) const;
 

@@ -45,10 +45,9 @@ const SchedulerInfo* find_scheduler(const std::string& name) {
   return nullptr;
 }
 
-SeParams comparison_se_params(std::uint64_t seed, std::size_t y_limit) {
+SeParams comparison_se_params(std::uint64_t seed) {
   SeParams p;
   p.seed = seed;
-  p.y_limit = y_limit;
   // Comparison-suite configuration, matching the figure benches: slightly
   // negative bias measurably dominates the non-negative range in this
   // implementation (see bench/ablation_bias).
@@ -89,12 +88,10 @@ SaParams comparison_sa_params(const Budget& budget, std::uint64_t seed) {
 std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
                                                  const Workload& w,
                                                  const Budget& budget,
-                                                 std::uint64_t seed,
-                                                 std::size_t se_y_limit) {
+                                                 std::uint64_t seed) {
   budget.validate();
   if (name == "SE") {
-    return std::make_unique<SeEngine>(w,
-                                      comparison_se_params(seed, se_y_limit));
+    return std::make_unique<SeEngine>(w, comparison_se_params(seed));
   }
   if (name == "GA") {
     return std::make_unique<GaEngine>(w, comparison_ga_params(seed));

@@ -52,7 +52,7 @@ const SchedulerInfo* find_scheduler(const std::string& name);
 
 /// The comparison-suite SE configuration (selection bias, trace flags) —
 /// the single source of truth make_search_engine builds SE from.
-SeParams comparison_se_params(std::uint64_t seed, std::size_t y_limit = 0);
+SeParams comparison_se_params(std::uint64_t seed);
 
 /// Same for the GA baseline.
 GaParams comparison_ga_params(std::uint64_t seed);
@@ -75,13 +75,10 @@ SaParams comparison_sa_params(const Budget& budget, std::uint64_t seed);
 /// run_search/run_anytime, and only SA's cooling ladder depends on it. A
 /// one-shot scheduler's single step is its whole run under any valid
 /// budget. Throws sehc::Error for an invalid budget or an unknown name
-/// (the message lists every registered name). `se_y_limit` is SE's Y
-/// parameter (paper §4.5, 0 = all machines) and is ignored by every other
-/// scheduler.
+/// (the message lists every registered name).
 std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
                                                  const Workload& w,
                                                  const Budget& budget,
-                                                 std::uint64_t seed,
-                                                 std::size_t se_y_limit = 0);
+                                                 std::uint64_t seed);
 
 }  // namespace sehc

@@ -119,17 +119,6 @@ void MetricsRegistry::hist_record(std::string_view name, std::uint64_t value,
   it->second.record(value, weight);
 }
 
-void MetricsRegistry::hist_merge(std::string_view name,
-                                 const LogHistogram& hist) {
-  Shard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.histograms.find(name);
-  if (it == shard.histograms.end()) {
-    it = shard.histograms.emplace(std::string(name), LogHistogram{}).first;
-  }
-  it->second.merge(hist);
-}
-
 void MetricsRegistry::phase_record(std::string_view path, std::uint64_t visits,
                                    std::uint64_t rounds, double seconds) {
   Shard& shard = local_shard();

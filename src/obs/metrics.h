@@ -129,14 +129,13 @@ class MetricsRegistry {
   void gauge_max(std::string_view name, std::uint64_t value);
   void hist_record(std::string_view name, std::uint64_t value,
                    std::uint64_t weight = 1);
-  void hist_merge(std::string_view name, const LogHistogram& hist);
   /// Adds directly to the phase node at `path` — for phases measured with
   /// explicit timestamps (e.g. queue/solve latencies that span threads and
   /// cannot be a lexical scope).
   void phase_record(std::string_view path, std::uint64_t visits,
                     std::uint64_t rounds, double seconds);
 
-  // Per-thread span stack — used by SpanScope/PhaseTimer (phase.h).
+  // Per-thread span stack — used by SpanScope (phase.h).
   // Enter/leave must be balanced on each thread; leave() records a visit
   // into the node keyed by the slash-joined path of the open frames.
   void span_enter(std::string_view name);

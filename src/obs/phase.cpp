@@ -15,25 +15,4 @@ void SpanScope::add_rounds(std::uint64_t n) {
   if (registry_ != nullptr) registry_->span_rounds(n);
 }
 
-void PhaseTimer::enter(std::string_view name) {
-  if (registry_ == nullptr) return;
-  registry_->span_enter(name);
-  ++depth_;
-}
-
-void PhaseTimer::add_rounds(std::uint64_t n) {
-  if (registry_ == nullptr || depth_ == 0) return;
-  registry_->span_rounds(n);
-}
-
-void PhaseTimer::leave() {
-  if (registry_ == nullptr || depth_ == 0) return;
-  registry_->span_leave();
-  --depth_;
-}
-
-void PhaseTimer::leave_all() {
-  while (depth_ > 0) leave();
-}
-
 }  // namespace sehc

@@ -1,19 +1,15 @@
-// RAII and manual drivers for the registry's hierarchical phase tree.
+// RAII driver for the registry's hierarchical phase tree.
 //
 // SpanScope is the lexical form: construct to enter a phase, destruct to
 // leave — exception unwinding closes the span, so a phase that throws still
 // records its visit (with whatever rounds were added before the throw).
 // Nesting scopes on one thread builds slash-joined paths ("cell/engine:SE")
 // because the registry keys the phase node by the full stack of open
-// frames at leave time.
+// frames at leave time. Phases that span threads (a request's queue wait,
+// say) have no lexical scope; they go to MetricsRegistry::phase_record.
 //
-// PhaseTimer is the manual form for code whose phases are not lexical
-// scopes (explicit enter/leave across branches). It tracks its own depth
-// and closes any phases still open on destruction, so an exception can't
-// leave the thread's span stack unbalanced.
-//
-// Both are no-ops when constructed with a null registry, so call sites can
-// pass ambient_metrics() unconditionally.
+// A SpanScope is a no-op when constructed with a null registry, so call
+// sites can pass ambient_metrics() unconditionally.
 #pragma once
 
 #include <cstdint>
@@ -35,25 +31,6 @@ class SpanScope {
 
  private:
   MetricsRegistry* registry_;
-};
-
-class PhaseTimer {
- public:
-  /// A null registry makes every method a no-op.
-  explicit PhaseTimer(MetricsRegistry* registry) : registry_(registry) {}
-  ~PhaseTimer() { leave_all(); }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  void enter(std::string_view name);
-  void add_rounds(std::uint64_t n);
-  void leave();
-  /// Closes every phase this timer still has open (deepest first).
-  void leave_all();
-
- private:
-  MetricsRegistry* registry_;
-  std::size_t depth_ = 0;
 };
 
 }  // namespace sehc

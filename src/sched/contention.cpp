@@ -1,24 +1,20 @@
 #include "sched/contention.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace sehc {
 
-ContentionTimes evaluate_with_contention(const Workload& w,
-                                         const SolutionString& s) {
+double contention_makespan(const Workload& w, const SolutionString& s) {
   SEHC_CHECK(s.size() == w.num_tasks(),
-             "evaluate_with_contention: string size mismatch");
+             "contention_makespan: string size mismatch");
   const TaskGraph& g = w.graph();
   const std::size_t num_machines = w.num_machines();
-  const std::size_t pairs = w.machines().num_pairs();
 
-  ContentionTimes out;
-  out.start.assign(w.num_tasks(), 0.0);
-  out.finish.assign(w.num_tasks(), 0.0);
-  out.link_busy.assign(pairs, 0.0);
-
+  std::vector<double> finish(w.num_tasks(), 0.0);
   std::vector<double> machine_avail(num_machines, 0.0);
-  std::vector<double> link_avail(pairs, 0.0);
+  std::vector<double> link_avail(w.machines().num_pairs(), 0.0);
+  double makespan = 0.0;
 
   for (const Segment& seg : s.segments()) {
     const TaskId t = seg.task;
@@ -30,41 +26,18 @@ ContentionTimes evaluate_with_contention(const Workload& w,
       const DagEdge& e = g.edge(d);
       const MachineId pm = s.machine_of(e.src);
       if (pm == m) {
-        ready = std::max(ready, out.finish[e.src]);
+        ready = std::max(ready, finish[e.src]);
         continue;
       }
-      const double duration = w.transfer(pm, m, d);
-      const std::size_t link = pair_index(num_machines, pm, m);
-      const double xfer_start = std::max(out.finish[e.src], link_avail[link]);
-      const double arrival = xfer_start + duration;
-      link_avail[link] = arrival;
-      out.link_busy[link] += duration;
-      out.total_transfer_delay +=
-          arrival - (out.finish[e.src] + duration);  // queueing delay only
-      ready = std::max(ready, arrival);
+      double& link = link_avail[pair_index(num_machines, pm, m)];
+      link = std::max(finish[e.src], link) + w.transfer(pm, m, d);
+      ready = std::max(ready, link);
     }
-    const double start = std::max(ready, machine_avail[m]);
-    const double finish = start + w.exec(m, t);
-    out.start[t] = start;
-    out.finish[t] = finish;
-    machine_avail[m] = finish;
-    out.makespan = std::max(out.makespan, finish);
+    finish[t] = std::max(ready, machine_avail[m]) + w.exec(m, t);
+    machine_avail[m] = finish[t];
+    makespan = std::max(makespan, finish[t]);
   }
-  return out;
-}
-
-double contention_makespan(const Workload& w, const SolutionString& s) {
-  return evaluate_with_contention(w, s).makespan;
-}
-
-Schedule contention_schedule(const Workload& w, const SolutionString& s) {
-  ContentionTimes times = evaluate_with_contention(w, s);
-  Schedule out;
-  out.assignment = s.assignment();
-  out.start = std::move(times.start);
-  out.finish = std::move(times.finish);
-  out.makespan = times.makespan;
-  return out;
+  return makespan;
 }
 
 }  // namespace sehc

@@ -12,33 +12,12 @@
 // base evaluator's makespan, and the gap widens with CCR.
 #pragma once
 
-#include <vector>
-
 #include "hc/workload.h"
 #include "sched/encoding.h"
-#include "sched/schedule.h"
 
 namespace sehc {
 
-struct ContentionTimes {
-  std::vector<double> start;    // task start times
-  std::vector<double> finish;   // task finish times
-  double makespan = 0.0;
-  /// Total busy time per machine-pair link (row index = pair_index).
-  std::vector<double> link_busy;
-  /// Sum over transfers of (actual arrival - contention-free arrival).
-  double total_transfer_delay = 0.0;
-};
-
-/// Evaluates `s` under serialized per-link communication.
-ContentionTimes evaluate_with_contention(const Workload& w,
-                                         const SolutionString& s);
-
-/// Makespan-only convenience.
+/// The makespan of `s` under serialized per-link communication.
 double contention_makespan(const Workload& w, const SolutionString& s);
-
-/// Converts the result to a Schedule record (durations still match E, so
-/// validate_schedule accepts it; starts are later than the base model's).
-Schedule contention_schedule(const Workload& w, const SolutionString& s);
 
 }  // namespace sehc

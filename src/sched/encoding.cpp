@@ -89,17 +89,6 @@ std::vector<MachineId> SolutionString::assignment() const {
   return out;
 }
 
-std::vector<std::vector<TaskId>> SolutionString::machine_sequences(
-    std::size_t num_machines) const {
-  std::vector<std::vector<TaskId>> seq(num_machines);
-  for (const Segment& s : segments_) {
-    SEHC_CHECK(s.machine < num_machines,
-               "machine_sequences: machine id out of range");
-    seq[s.machine].push_back(s.task);
-  }
-  return seq;
-}
-
 void SolutionString::set_machine(TaskId t, MachineId m) {
   segments_[position_of(t)].machine = m;
 }

@@ -85,9 +85,6 @@ class SolutionString {
   /// Machine assignment indexed by task id.
   std::vector<MachineId> assignment() const;
 
-  /// Per-machine execution order implied by the string.
-  std::vector<std::vector<TaskId>> machine_sequences(std::size_t num_machines) const;
-
   /// Reassigns `t` to `m` without moving it.
   void set_machine(TaskId t, MachineId m);
 

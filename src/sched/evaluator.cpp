@@ -209,8 +209,4 @@ ScheduleTimes evaluate_schedule(const Workload& w, const SolutionString& s) {
   return Evaluator(w).evaluate(s);
 }
 
-double schedule_makespan(const Workload& w, const SolutionString& s) {
-  return Evaluator(w).makespan(s);
-}
-
 }  // namespace sehc

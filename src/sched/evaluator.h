@@ -387,7 +387,4 @@ class Evaluator::TrialBatch {
 /// One-shot convenience wrapper.
 ScheduleTimes evaluate_schedule(const Workload& w, const SolutionString& s);
 
-/// One-shot makespan.
-double schedule_makespan(const Workload& w, const SolutionString& s);
-
 }  // namespace sehc

@@ -80,8 +80,4 @@ std::vector<std::string> validate_schedule(const Workload& w,
   return violations;
 }
 
-bool is_valid_schedule(const Workload& w, const Schedule& s) {
-  return validate_schedule(w, s).empty();
-}
-
 }  // namespace sehc

@@ -18,7 +18,4 @@ namespace sehc {
 std::vector<std::string> validate_schedule(const Workload& w,
                                            const Schedule& s);
 
-/// Convenience: true iff validate_schedule reports nothing.
-bool is_valid_schedule(const Workload& w, const Schedule& s);
-
 }  // namespace sehc

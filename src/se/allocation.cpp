@@ -5,19 +5,6 @@
 
 namespace sehc {
 
-std::vector<std::vector<MachineId>> machine_candidates(const Workload& w,
-                                                       std::size_t y_limit) {
-  // Materialized view over the flat table, so the Y-clamping rule has a
-  // single source of truth.
-  const MachineCandidates flat(w, y_limit);
-  std::vector<std::vector<MachineId>> out(w.num_tasks());
-  for (TaskId t = 0; t < w.num_tasks(); ++t) {
-    const auto view = flat.of(t);
-    out[t].assign(view.begin(), view.end());
-  }
-  return out;
-}
-
 MachineCandidates::MachineCandidates(const Workload& w, std::size_t y_limit) {
   const std::size_t l = w.num_machines();
   y_ = (y_limit == 0 || y_limit > l) ? l : y_limit;

@@ -40,16 +40,10 @@
 
 namespace sehc {
 
-/// Per-task machine candidate lists (each task's machines sorted by its
-/// execution time, truncated to Y entries). Computed once per run.
-/// Vector-of-vectors form kept for tests and exploratory code; the engines
-/// use the flat MachineCandidates below.
-std::vector<std::vector<MachineId>> machine_candidates(const Workload& w,
-                                                       std::size_t y_limit);
-
-/// Flat (contiguous, fixed-stride) per-task candidate table owned by the
-/// caller: task t's Y best-matching machines live at [t*y, (t+1)*y). One
-/// cache-friendly array instead of k separate heap vectors.
+/// Per-task machine candidates (each task's machines sorted by its
+/// execution time, truncated to Y entries), computed once per run. A flat,
+/// fixed-stride table: task t's Y best-matching machines live at
+/// [t*y, (t+1)*y), one cache-friendly array instead of k heap vectors.
 class MachineCandidates {
  public:
   MachineCandidates() = default;

@@ -37,11 +37,4 @@ void goodness_into(const std::vector<double>& optimal,
   }
 }
 
-std::vector<double> goodness(const std::vector<double>& optimal,
-                             const ScheduleTimes& times) {
-  std::vector<double> g;
-  goodness_into(optimal, times, g);
-  return g;
-}
-
 }  // namespace sehc

@@ -24,13 +24,10 @@ namespace sehc {
 /// best-matching machine. O(k + e).
 std::vector<double> optimal_costs(const Workload& w);
 
-/// g_i = clamp(O_i / C_i, 0, 1) with C_i taken from `times.finish`.
-/// Tasks with C_i <= 0 (zero-cost degenerate tasks) get goodness 1.
-std::vector<double> goodness(const std::vector<double>& optimal,
-                             const ScheduleTimes& times);
-
-/// As goodness(), but writes into a caller-owned buffer (resized to fit) so
-/// the SE loop performs no per-iteration allocation.
+/// g_i = clamp(O_i / C_i, 0, 1) with C_i taken from `times.finish`, into a
+/// caller-owned buffer (resized to fit) so the SE loop performs no
+/// per-iteration allocation. Tasks with C_i <= 0 (zero-cost degenerate
+/// tasks) get goodness 1.
 void goodness_into(const std::vector<double>& optimal,
                    const ScheduleTimes& times, std::vector<double>& out);
 

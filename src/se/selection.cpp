@@ -20,14 +20,6 @@ void select_tasks_into(const std::vector<double>& goodness, double bias,
                    [&](TaskId a, TaskId b) { return levels[a] < levels[b]; });
 }
 
-std::vector<TaskId> select_tasks(const std::vector<double>& goodness,
-                                 double bias,
-                                 const std::vector<int>& levels, Rng& rng) {
-  std::vector<TaskId> selected;
-  select_tasks_into(goodness, bias, levels, rng, selected);
-  return selected;
-}
-
 double default_bias(std::size_t num_tasks) {
   // Paper §4.4: B in [-0.3, -0.1] for small problems, [0, 0.1] for large.
   if (num_tasks <= 30) return -0.2;

@@ -18,14 +18,9 @@
 
 namespace sehc {
 
-/// Performs one selection round. `levels` is task_levels(graph), passed in
-/// because the engine precomputes it once.
-std::vector<TaskId> select_tasks(const std::vector<double>& goodness,
-                                 double bias,
-                                 const std::vector<int>& levels, Rng& rng);
-
-/// As select_tasks(), but reuses a caller-owned buffer (cleared, then
-/// filled) so the SE loop performs no per-iteration allocation.
+/// Performs one selection round into a caller-owned buffer (cleared, then
+/// filled) so the SE loop performs no per-iteration allocation. `levels` is
+/// task_levels(graph), passed in because the engine precomputes it once.
 void select_tasks_into(const std::vector<double>& goodness, double bias,
                        const std::vector<int>& levels, Rng& rng,
                        std::vector<TaskId>& out);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "core/table.h"
 #include "obs/phase.h"
 
 namespace sehc {
@@ -42,18 +41,6 @@ Budget Budget::seconds(double s) {
 
 double Budget::axis_end() const {
   return kind == Kind::kSeconds ? wall_seconds : static_cast<double>(count);
-}
-
-std::string Budget::describe() const {
-  switch (kind) {
-    case Kind::kSteps:
-      return std::to_string(count) + " steps";
-    case Kind::kEvals:
-      return std::to_string(count) + " evals";
-    case Kind::kSeconds:
-      return format_fixed(wall_seconds, 2) + " s";
-  }
-  return "?";
 }
 
 void Budget::validate() const {

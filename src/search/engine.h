@@ -96,9 +96,6 @@ struct Budget {
   /// The budget's end coordinate on its own axis (count or seconds).
   double axis_end() const;
 
-  /// Human-readable form, e.g. "250 steps", "20000 evals", "4.00 s".
-  std::string describe() const;
-
   /// Throws sehc::Error unless the budget is positive.
   void validate() const;
 };

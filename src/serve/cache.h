@@ -16,7 +16,7 @@
 // instantiations serve the server loop:
 //   * ResponseCache  (Value = CachedSolve, Key = RequestKey): the request
 //     -> response cache. A RequestKey is the request's identity (the
-//     workload's identity bytes + engine + seed + y_limit + budget,
+//     workload's identity bytes + engine + seed + budget,
 //     deadline excluded — see serve/protocol.h) held without copying the
 //     identity bytes: it shares the parsed body's identity string and
 //     carries the identity's hash plus the request fields as a short tag.

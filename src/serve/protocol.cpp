@@ -282,7 +282,6 @@ std::string ScheduleRequest::serialize_head() const {
   out.append(kRequestMagic).append("\nop=").append(op);
   out.append("\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
-  out.append("\ny_limit=").append(std::to_string(y_limit));
   out.append("\nbudget=").append(budget_token(budget));
   out.append("\ndeadline_ms=").append(format_double("%.3f", deadline_ms));
   out += '\n';
@@ -308,8 +307,6 @@ ScheduleRequest ScheduleRequest::parse(std::string payload) {
       req.engine = value;
     } else if (key == "seed") {
       req.seed = parse_u64_field(value, key);
-    } else if (key == "y_limit") {
-      req.y_limit = static_cast<std::size_t>(parse_u64_field(value, key));
     } else if (key == "budget") {
       req.budget = parse_budget_token(value);
     } else if (key == "deadline_ms") {
@@ -331,7 +328,6 @@ std::string ScheduleRequest::canonical_fields() const {
   out.reserve(128);
   out.append("sehc-serve-request v1\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
-  out.append("\ny_limit=").append(std::to_string(y_limit));
   out.append("\nbudget=").append(budget_token(budget));
   out += '\n';
   return out;

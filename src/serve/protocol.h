@@ -19,15 +19,15 @@
 //   op=solve                     status=ok | overloaded | error
 //   engine=SE                    makespan=... evals=... steps=...
 //   seed=42                      timed_out=0|1 cache_hit=0|1
-//   y_limit=0                    queue_ms=... solve_ms=...
-//   budget=evals:20000           <extra k=v lines (stats endpoint)>
-//   deadline_ms=250              schedule:
-//   workload:                    task,name,machine,start,finish CSV
-//   <sehc-workload v1 document>  ...
+//   budget=evals:20000           queue_ms=... solve_ms=...
+//   deadline_ms=250              <extra k=v lines (stats endpoint)>
+//   workload:                    schedule:
+//   <sehc-workload v1 document>  task,name,machine,start,finish CSV
+//                                ...
 //
 // Request identity (the response-cache key) is canonical_string(): the
-// workload's identity bytes (workload_identity), then engine/seed/y_limit/
-// budget in fixed order (canonical_fields()). The server never builds that
+// workload's identity bytes (workload_identity), then engine/seed/budget
+// in fixed order (canonical_fields()). The server never builds that
 // string: its RequestKey (serve/cache.h) shares the parsed body's identity
 // bytes and compares them and the fields apart, with the same outcome. The
 // identity bytes are the parsed workload's counts, arch tags, task names,
@@ -100,8 +100,6 @@ struct ScheduleRequest {
   /// heuristics/scheduler.h).
   std::string engine = "SE";
   std::uint64_t seed = 1;
-  /// SE's Y parameter (ignored by every other engine; 0 = all machines).
-  std::size_t y_limit = 0;
   Budget budget = Budget::steps(150);
   /// Caller latency bound in milliseconds (0 = none): the solve is
   /// preempted by a Deadline when it expires and answered with the
@@ -126,7 +124,7 @@ struct ScheduleRequest {
   static Budget parse_budget_token(const std::string& token);
 
   /// The request fields of the identity, in fixed order: engine, seed,
-  /// y_limit, budget (deadline excluded; see file header).
+  /// budget (deadline excluded; see file header).
   std::string canonical_fields() const;
   /// Canonical identity string (see file header): `identity`, the
   /// workload_identity() bytes of the request's workload, followed by

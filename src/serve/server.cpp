@@ -413,7 +413,7 @@ void Server::solve(const std::shared_ptr<InFlight>& entry) {
     // The engine lives exactly as long as this solve: nothing of it, a
     // preempted run included, survives into the next solve.
     const std::unique_ptr<SearchEngine> engine = make_search_engine(
-        req.engine, workload, req.budget, req.seed, req.y_limit);
+        req.engine, workload, req.budget, req.seed);
 
     Deadline deadline;
     if (req.deadline_ms > 0.0) {

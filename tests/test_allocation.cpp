@@ -23,25 +23,31 @@ TEST(MachineCandidates, YLimitTruncatesSortedList) {
   p.machines = 6;
   p.seed = 1;
   const Workload w = make_workload(p);
-  const auto full = machine_candidates(w, 0);
-  const auto top2 = machine_candidates(w, 2);
+  const MachineCandidates full_table(w, 0);
+  const MachineCandidates top2_table(w, 2);
+  EXPECT_EQ(full_table.y(), 6u);
+  EXPECT_EQ(top2_table.y(), 2u);
   for (TaskId t = 0; t < w.num_tasks(); ++t) {
-    EXPECT_EQ(full[t].size(), 6u);
-    EXPECT_EQ(top2[t].size(), 2u);
+    const std::span<const MachineId> full = full_table.of(t);
+    const std::span<const MachineId> top2 = top2_table.of(t);
+    EXPECT_EQ(full.size(), 6u);
+    EXPECT_EQ(top2.size(), 2u);
     // Sorted ascending by execution time.
-    for (std::size_t i = 1; i < full[t].size(); ++i) {
-      EXPECT_LE(w.exec(full[t][i - 1], t), w.exec(full[t][i], t));
+    for (std::size_t i = 1; i < full.size(); ++i) {
+      EXPECT_LE(w.exec(full[i - 1], t), w.exec(full[i], t));
     }
     // Top-2 is a prefix of the full ordering.
-    EXPECT_EQ(top2[t][0], full[t][0]);
-    EXPECT_EQ(top2[t][1], full[t][1]);
+    EXPECT_EQ(top2[0], full[0]);
+    EXPECT_EQ(top2[1], full[1]);
   }
 }
 
 TEST(MachineCandidates, OversizedYMeansAllMachines) {
   const Workload w = figure1_workload();
-  const auto c = machine_candidates(w, 99);
-  for (const auto& list : c) EXPECT_EQ(list.size(), 2u);
+  const MachineCandidates c(w, 99);
+  EXPECT_EQ(c.y(), 2u);
+  EXPECT_EQ(c.num_tasks(), w.num_tasks());
+  for (TaskId t = 0; t < w.num_tasks(); ++t) EXPECT_EQ(c.of(t).size(), 2u);
 }
 
 TEST(Allocation, NeverWorsensTheSchedule) {

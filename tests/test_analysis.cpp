@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/rng.h"
-#include "dag/topo.h"
-#include "workload/random_dag.h"
 #include "workload/structured.h"
 
 namespace sehc {
@@ -36,7 +33,6 @@ TEST(Analysis, CriticalPathNodeCostsOnly) {
   g.add_edge(2, 3);
   const std::vector<double> cost{1.0, 1.0, 10.0, 1.0};
   EXPECT_DOUBLE_EQ(critical_path_length(g, cost), 12.0);
-  EXPECT_EQ(critical_path(g, cost), (std::vector<TaskId>{0, 2, 3}));
 }
 
 TEST(Analysis, CriticalPathWithEdgeCosts) {
@@ -54,47 +50,6 @@ TEST(Analysis, CriticalPathSizeMismatchThrows) {
   TaskGraph g(2);
   std::vector<double> bad{1.0};
   EXPECT_THROW(critical_path_length(g, bad), Error);
-}
-
-TEST(Analysis, ReachabilityOnChain) {
-  const TaskGraph g = chain_dag(4);
-  Reachability r(g);
-  EXPECT_TRUE(r.reaches(0, 3));
-  EXPECT_TRUE(r.reaches(1, 2));
-  EXPECT_FALSE(r.reaches(3, 0));
-  EXPECT_FALSE(r.reaches(2, 1));
-  EXPECT_EQ(r.descendants(1), (std::vector<TaskId>{2, 3}));
-  EXPECT_EQ(r.ancestors(2), (std::vector<TaskId>{0, 1}));
-}
-
-TEST(Analysis, ReachabilityMatchesBruteForceOnRandomDag) {
-  Rng rng(99);
-  const TaskGraph g = random_ordered_dag(70, 0.07, rng);  // > 64: two words
-  Reachability r(g);
-  // Brute force via DFS from each node.
-  for (TaskId s = 0; s < g.num_tasks(); ++s) {
-    std::vector<bool> seen(g.num_tasks(), false);
-    std::vector<TaskId> stack{s};
-    while (!stack.empty()) {
-      const TaskId u = stack.back();
-      stack.pop_back();
-      for (TaskId v : g.successors(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          stack.push_back(v);
-        }
-      }
-    }
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      if (t == s) continue;
-      EXPECT_EQ(r.reaches(s, t), seen[t]) << "s=" << s << " t=" << t;
-    }
-  }
-}
-
-TEST(Analysis, ReachabilityBadIdThrows) {
-  Reachability r(chain_dag(2));
-  EXPECT_THROW(r.reaches(0, 7), Error);
 }
 
 }  // namespace

@@ -230,30 +230,5 @@ TEST(NormalCdf, MatchesKnownValues) {
   EXPECT_NEAR(normal_cdf(3.0), 0.9986501, 1e-6);
 }
 
-TEST(WinLossMatrix, CountsAndAntisymmetry) {
-  // 3 methods x 4 problems.
-  const std::vector<std::vector<double>> costs{
-      {1, 5, 3, 3},  // A
-      {2, 4, 3, 9},  // B
-      {3, 3, 3, 1},  // C
-  };
-  const auto m = win_loss_matrix(costs);
-  ASSERT_EQ(m.size(), 3u);
-  EXPECT_EQ(m[0][1].wins, 2u);    // A beats B on problems 0, 3
-  EXPECT_EQ(m[0][1].losses, 1u);  // B beats A on problem 1
-  EXPECT_EQ(m[0][1].ties, 1u);    // problem 2
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(m[i][i].ties, 4u);  // diagonal all ties
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(m[i][j].wins, m[j][i].losses);
-      EXPECT_EQ(m[i][j].ties, m[j][i].ties);
-    }
-  }
-}
-
-TEST(WinLossMatrix, RejectsRaggedCosts) {
-  EXPECT_THROW(win_loss_matrix({{1.0, 2.0}, {1.0}}), Error);
-}
-
 }  // namespace
 }  // namespace sehc

@@ -26,7 +26,7 @@ TEST(Annealing, ProducesValidSchedule) {
   p.seed = 1;
   const Workload w = make_workload(p);
   const SearchResult r = anneal(w, 2000, 7);
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
   EXPECT_EQ(r.steps, 2000u);
@@ -78,7 +78,7 @@ TEST(Annealing, ZeroIterationsReturnsInitial) {
   const Workload w = figure1_workload();
   SaEngine engine(w, SaParams{});
   engine.init();
-  EXPECT_TRUE(is_valid_schedule(w, engine.best_schedule()));
+  EXPECT_TRUE(validate_schedule(w, engine.best_schedule()).empty());
   EXPECT_EQ(engine.best_schedule().makespan, engine.best_makespan());
   EXPECT_EQ(engine.steps_done(), 0u);
 }

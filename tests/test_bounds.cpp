@@ -35,7 +35,7 @@ TEST(Bounds, LowerBoundNeverExceedsAnyScheduleLength) {
     for (int i = 0; i < 5; ++i) {
       const SolutionString s =
           random_initial_solution(w.graph(), w.num_machines(), rng);
-      EXPECT_LE(lb, schedule_makespan(w, s) + 1e-9) << "seed " << seed;
+      EXPECT_LE(lb, Evaluator(w).makespan(s) + 1e-9) << "seed " << seed;
     }
   }
 }
@@ -46,7 +46,7 @@ TEST(Bounds, SerialUpperBoundIsAchievable) {
   const Workload w = figure1_workload();
   const std::vector<TaskId> order{0, 1, 2, 3, 4, 5, 6};
   const std::vector<MachineId> all_m0(7, 0);  // m0 is the best total machine
-  EXPECT_DOUBLE_EQ(schedule_makespan(w, SolutionString(order, all_m0)),
+  EXPECT_DOUBLE_EQ(Evaluator(w).makespan(SolutionString(order, all_m0)),
                    serial_upper_bound(w));
 }
 

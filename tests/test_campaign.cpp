@@ -124,15 +124,14 @@ TEST(ShardPlan, PartitionsCellsExactly) {
 }
 
 TEST(ShardPlan, ParsesTheCliForm) {
-  const ShardPlan shard = ShardPlan::parse("2/8");
-  EXPECT_EQ(shard.index, 2u);
-  EXPECT_EQ(shard.count, 8u);
-  EXPECT_THROW(ShardPlan::parse(""), Error);
-  EXPECT_THROW(ShardPlan::parse("3"), Error);
-  EXPECT_THROW(ShardPlan::parse("x/2"), Error);
-  EXPECT_THROW(ShardPlan::parse("0/"), Error);
-  EXPECT_THROW(ShardPlan::parse("0/2x"), Error);
-  EXPECT_THROW(ShardPlan::parse("4/2"), Error);  // index out of range
+  const std::optional<ShardPlan> shard = ShardPlan::parse("2/8");
+  ASSERT_TRUE(shard.has_value());
+  EXPECT_EQ(shard->index, 2u);
+  EXPECT_EQ(shard->count, 8u);
+  for (const char* bad : {"", "3", "x/2", "0/", "0/2x", "-1/2", " 1/2",
+                          "0/0", "4/2" /* index out of range */}) {
+    EXPECT_FALSE(ShardPlan::parse(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(CampaignRecord, RowRoundTrip) {

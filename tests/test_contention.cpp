@@ -4,7 +4,6 @@
 
 #include "core/rng.h"
 #include "sched/evaluator.h"
-#include "sched/validate.h"
 #include "workload/generator.h"
 
 namespace sehc {
@@ -29,7 +28,7 @@ TEST(Contention, NeverFasterThanContentionFreeModel) {
       const SolutionString s =
           random_initial_solution(w.graph(), w.num_machines(), rng);
       EXPECT_GE(contention_makespan(w, s),
-                schedule_makespan(w, s) - 1e-9)
+                Evaluator(w).makespan(s) - 1e-9)
           << "seed " << seed;
     }
   }
@@ -41,9 +40,8 @@ TEST(Contention, MatchesBaseModelWhenNoSharedLinks) {
   // they never queue), so the contention model reproduces the base times.
   const Workload w = figure1_workload();
   const SolutionString s = figure2_string();
-  const ContentionTimes t = evaluate_with_contention(w, s);
-  EXPECT_DOUBLE_EQ(t.makespan, 2100.0);
-  EXPECT_DOUBLE_EQ(t.total_transfer_delay, 0.0);
+  EXPECT_DOUBLE_EQ(contention_makespan(w, s), 2100.0);
+  EXPECT_DOUBLE_EQ(contention_makespan(w, s), Evaluator(w).makespan(s));
 }
 
 TEST(Contention, SerializesCompetingTransfers) {
@@ -69,12 +67,11 @@ TEST(Contention, SerializesCompetingTransfers) {
   EXPECT_DOUBLE_EQ(base.start[2], 110.0);
   EXPECT_DOUBLE_EQ(base.start[3], 120.0);
 
-  // Contention model: d0 occupies the link [10,110); d1 queues [110,210).
-  const ContentionTimes ct = evaluate_with_contention(w, s);
-  EXPECT_DOUBLE_EQ(ct.start[2], 110.0);
-  EXPECT_DOUBLE_EQ(ct.start[3], 210.0);
-  EXPECT_DOUBLE_EQ(ct.total_transfer_delay, 90.0);  // d1 waited 110-20
-  EXPECT_DOUBLE_EQ(ct.link_busy[0], 200.0);
+  EXPECT_DOUBLE_EQ(Evaluator(w).makespan(s), 121.0);
+
+  // Contention model: d0 occupies the link [10,110); d1 queues [110,210),
+  // so t3 starts at 210 and finishes at 211.
+  EXPECT_DOUBLE_EQ(contention_makespan(w, s), 211.0);
 }
 
 TEST(Contention, LocalCommunicationBypassesLinks) {
@@ -82,25 +79,7 @@ TEST(Contention, LocalCommunicationBypassesLinks) {
   // Everything on one machine: no link traffic at all.
   const SolutionString s(std::vector<TaskId>{0, 1, 2, 3, 4, 5, 6},
                          std::vector<MachineId>(7, 0));
-  const ContentionTimes t = evaluate_with_contention(w, s);
-  EXPECT_DOUBLE_EQ(t.makespan, 3700.0);
-  EXPECT_DOUBLE_EQ(t.link_busy[0], 0.0);
-}
-
-TEST(Contention, ScheduleRecordIsValid) {
-  // The contention schedule delays starts but keeps durations, so the
-  // standard validator (which checks starts are late enough) accepts it.
-  WorkloadParams p;
-  p.tasks = 30;
-  p.machines = 4;
-  p.ccr = 1.0;
-  p.seed = 9;
-  const Workload w = make_workload(p);
-  Rng rng(2);
-  const SolutionString s =
-      random_initial_solution(w.graph(), w.num_machines(), rng);
-  const Schedule sched = contention_schedule(w, s);
-  EXPECT_TRUE(is_valid_schedule(w, sched));
+  EXPECT_DOUBLE_EQ(contention_makespan(w, s), 3700.0);
 }
 
 TEST(Contention, GapGrowsWithCcr) {
@@ -117,7 +96,7 @@ TEST(Contention, GapGrowsWithCcr) {
     for (int i = 0; i < 5; ++i) {
       const SolutionString s =
           random_initial_solution(w.graph(), w.num_machines(), rng);
-      gap += contention_makespan(w, s) / schedule_makespan(w, s);
+      gap += contention_makespan(w, s) / Evaluator(w).makespan(s);
     }
     return gap / 5.0;
   };

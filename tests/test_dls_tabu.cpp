@@ -34,7 +34,7 @@ TEST(Dls, ValidAndBoundedOnGeneratedWorkloads) {
     p.seed = seed;
     const Workload w = make_workload(p);
     const Schedule s = dls_schedule(w);
-    EXPECT_TRUE(is_valid_schedule(w, s)) << "seed " << seed;
+    EXPECT_TRUE(validate_schedule(w, s).empty()) << "seed " << seed;
     EXPECT_GE(s.makespan, makespan_lower_bound(w) - 1e-9);
   }
 }
@@ -71,7 +71,7 @@ TEST(Tabu, ProducesValidSchedule) {
   tp.seed = 3;
   TabuEngine engine(w, tp);
   const SearchResult r = run_search(engine, Budget::steps(1500));
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
 }

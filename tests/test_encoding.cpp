@@ -32,14 +32,6 @@ TEST(Encoding, Figure2StringIsValidForFigure1Dag) {
   EXPECT_TRUE(figure2_string().is_valid(w.graph()));
 }
 
-TEST(Encoding, MachineSequencesMatchPaper) {
-  // Paper: m0 runs s0, s3, s4; m1 runs s1, s2, s5, s6.
-  const SolutionString s = figure2_string();
-  const auto seqs = s.machine_sequences(2);
-  EXPECT_EQ(seqs[0], (std::vector<TaskId>{0, 3, 4}));
-  EXPECT_EQ(seqs[1], (std::vector<TaskId>{1, 2, 5, 6}));
-}
-
 TEST(Encoding, OrderAndAssignmentRoundTrip) {
   const SolutionString s = figure2_string();
   const SolutionString copy(s.order(), s.assignment());

@@ -46,7 +46,7 @@ TEST(FigurePipelines, Fig3MiniConvergence) {
   // Selected count must trend down and schedule length must improve.
   EXPECT_GT(trace.front().num_selected, trace.back().num_selected);
   EXPECT_LT(r.best_makespan, trace.front().current_makespan);
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
 }
 
 TEST(FigurePipelines, Fig4MiniYSweep) {
@@ -59,7 +59,7 @@ TEST(FigurePipelines, Fig4MiniYSweep) {
     p.y_limit = y;
     SeEngine engine(w, p);
     const SearchResult r = run_search(engine, Budget::steps(10));
-    EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << "Y=" << y;
+    EXPECT_TRUE(validate_schedule(w, r.schedule).empty()) << "Y=" << y;
     // Proxy for runtime monotonicity that is immune to timer noise:
     // the number of placements changed cannot shrink the candidate space.
     double combos = 0.0;

@@ -41,7 +41,7 @@ TEST(GaEngine, ProducesValidSchedule) {
   wp.seed = 1;
   const Workload w = make_workload(wp);
   const SearchResult r = run_ga(w, quick_params(1)).result;
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_TRUE(r.schedule.to_solution().is_valid(w.graph()));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
@@ -153,7 +153,7 @@ TEST(GaEngine, ZeroCrossoverZeroMutationStillValid) {
   GaParams p = quick_params(3);
   p.crossover_prob = 0.0;
   p.mutation_prob = 0.0;
-  EXPECT_TRUE(is_valid_schedule(w, run_ga(w, p, 10).result.schedule));
+  EXPECT_TRUE(validate_schedule(w, run_ga(w, p, 10).result.schedule).empty());
 }
 
 }  // namespace

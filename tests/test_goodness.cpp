@@ -54,7 +54,8 @@ TEST(Goodness, GoodnessHandComputedForFigure2) {
   const Workload w = figure1_workload();
   const auto o = optimal_costs(w);
   const ScheduleTimes times = evaluate_schedule(w, figure2_string());
-  const auto g = goodness(o, times);
+  std::vector<double> g;
+  goodness_into(o, times, g);
   EXPECT_DOUBLE_EQ(g[0], 1.0);               // 400/400
   EXPECT_DOUBLE_EQ(g[1], 1.0);               // 550/550
   EXPECT_DOUBLE_EQ(g[2], 950.0 / 1000.0);
@@ -75,7 +76,8 @@ TEST(Goodness, AlwaysInUnitInterval) {
     Rng rng(seed);
     const SolutionString s =
         random_initial_solution(w.graph(), w.num_machines(), rng);
-    const auto g = goodness(o, evaluate_schedule(w, s));
+    std::vector<double> g;
+    goodness_into(o, evaluate_schedule(w, s), g);
     for (double gi : g) {
       EXPECT_GE(gi, 0.0);
       EXPECT_LE(gi, 1.0);
@@ -96,14 +98,16 @@ TEST(Goodness, SizeMismatchThrows) {
   const auto o = optimal_costs(w);
   ScheduleTimes times;
   times.finish.assign(3, 1.0);
-  EXPECT_THROW(goodness(o, times), Error);
+  std::vector<double> g;
+  EXPECT_THROW(goodness_into(o, times, g), Error);
 }
 
 TEST(Goodness, ZeroFinishGetsGoodnessOne) {
   std::vector<double> o{5.0};
   ScheduleTimes times;
   times.finish.assign(1, 0.0);
-  const auto g = goodness(o, times);
+  std::vector<double> g;
+  goodness_into(o, times, g);
   EXPECT_DOUBLE_EQ(g[0], 1.0);
 }
 

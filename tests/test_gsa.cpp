@@ -36,7 +36,7 @@ TEST(GsaEngine, ProducesValidSchedule) {
   wp.seed = 1;
   const Workload w = make_workload(wp);
   const SearchResult r = run_gsa(w, quick_params(1)).result;
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_TRUE(r.schedule.to_solution().is_valid(w.graph()));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);

@@ -60,7 +60,7 @@ TEST(Heft, ReproducesPublishedMakespan) {
   // The HEFT paper reports schedule length 80 for this instance.
   const Workload w = topcuoglu_example();
   const Schedule s = heft_schedule(w);
-  EXPECT_TRUE(is_valid_schedule(w, s));
+  EXPECT_TRUE(validate_schedule(w, s).empty());
   EXPECT_NEAR(s.makespan, 80.0, 1e-9);
 }
 
@@ -79,7 +79,7 @@ TEST(Heft, ValidOnGeneratedWorkloads) {
     p.seed = seed;
     const Workload w = make_workload(p);
     const Schedule s = heft_schedule(w);
-    EXPECT_TRUE(is_valid_schedule(w, s)) << "seed " << seed;
+    EXPECT_TRUE(validate_schedule(w, s).empty()) << "seed " << seed;
     EXPECT_GE(s.makespan, makespan_lower_bound(w) - 1e-9);
   }
 }
@@ -91,7 +91,7 @@ TEST(Heft, SingleMachineDegeneratesToSerialOrder) {
   p.seed = 9;
   const Workload w = make_workload(p);
   const Schedule s = heft_schedule(w);
-  EXPECT_TRUE(is_valid_schedule(w, s));
+  EXPECT_TRUE(validate_schedule(w, s).empty());
   double total = 0.0;
   for (TaskId t = 0; t < w.num_tasks(); ++t) total += w.exec(0, t);
   EXPECT_NEAR(s.makespan, total, 1e-9);  // no comm, no gaps on one machine
@@ -119,7 +119,7 @@ TEST(InsertionTimelineTest, RespectsReadyTime) {
 TEST(Cpop, ValidAndBoundedOnCanonicalExample) {
   const Workload w = topcuoglu_example();
   const Schedule s = cpop_schedule(w);
-  EXPECT_TRUE(is_valid_schedule(w, s));
+  EXPECT_TRUE(validate_schedule(w, s).empty());
   // CPOP's published result for this instance is 86; allow exactness drift
   // from tie-breaking but require the right ballpark.
   EXPECT_GE(s.makespan, 80.0 - 1e-9);
@@ -134,7 +134,7 @@ TEST(Cpop, ValidOnGeneratedWorkloads) {
     p.seed = seed;
     const Workload w = make_workload(p);
     const Schedule s = cpop_schedule(w);
-    EXPECT_TRUE(is_valid_schedule(w, s)) << "seed " << seed;
+    EXPECT_TRUE(validate_schedule(w, s).empty()) << "seed " << seed;
   }
 }
 

@@ -188,7 +188,7 @@ TEST(EndToEnd, SeBeatsRandomInitOnPaperClassWorkload) {
   p.seed = 5;
   SeEngine engine(w, p);
   const SearchResult r = run_search(engine, Budget::steps(15));
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   ASSERT_FALSE(engine.trace().empty());
   EXPECT_LE(r.best_makespan, engine.trace().front().current_makespan);
 }

@@ -21,7 +21,7 @@ TEST(LevelMappers, AllValidOnGeneratedWorkloads) {
     for (auto* fn : {&minmin_schedule, &maxmin_schedule, &mct_schedule,
                      &olb_schedule}) {
       const Schedule s = fn(w);
-      EXPECT_TRUE(is_valid_schedule(w, s)) << "seed " << seed;
+      EXPECT_TRUE(validate_schedule(w, s).empty()) << "seed " << seed;
       EXPECT_GE(s.makespan, makespan_lower_bound(w) - 1e-9);
     }
   }
@@ -94,8 +94,8 @@ TEST(RandomSearchTest, ValidAndImprovesWithBudget) {
   RandomSearchEngine engine(w, 42);
   const Schedule one = run_search(engine, Budget::steps(1)).schedule;
   const Schedule many = run_search(engine, Budget::steps(200)).schedule;
-  EXPECT_TRUE(is_valid_schedule(w, one));
-  EXPECT_TRUE(is_valid_schedule(w, many));
+  EXPECT_TRUE(validate_schedule(w, one).empty());
+  EXPECT_TRUE(validate_schedule(w, many).empty());
   EXPECT_LE(many.makespan, one.makespan);
 }
 
@@ -113,7 +113,7 @@ TEST(SchedulerRegistry, AllSchedulersProduceValidSchedules) {
         Budget::steps(15 * find_scheduler(name)->steps_per_iteration);
     const auto engine = make_search_engine(name, w, budget, /*seed=*/1);
     const Schedule s = run_search(*engine, budget).schedule;
-    EXPECT_TRUE(is_valid_schedule(w, s)) << name;
+    EXPECT_TRUE(validate_schedule(w, s).empty()) << name;
     EXPECT_FALSE(engine->name().empty());
   }
 }

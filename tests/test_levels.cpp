@@ -27,21 +27,12 @@ TEST(Levels, LongestPathSemantics) {
   EXPECT_EQ(levels[3], 2);  // longest path 0->1->3, not shortcut 0->3
 }
 
-TEST(Levels, HeightsMirrorLevels) {
-  const auto heights = task_heights(two_path());
-  EXPECT_EQ(heights[3], 0);
-  EXPECT_EQ(heights[1], 1);
-  EXPECT_EQ(heights[2], 1);
-  EXPECT_EQ(heights[0], 2);
-}
-
 TEST(Levels, CycleThrows) {
   TaskGraph g(2);
   g.add_edge(0, 1);
   g.add_edge(1, 0);  // raw add_edge does not check acyclicity
   EXPECT_FALSE(is_acyclic(g));
   EXPECT_THROW(task_levels(g), Error);
-  EXPECT_THROW(task_heights(g), Error);
 }
 
 TEST(Levels, NumLevelsOnChain) {
@@ -54,11 +45,6 @@ TEST(Levels, TasksByLevelGroups) {
   EXPECT_EQ(groups[0], (std::vector<TaskId>{0}));
   EXPECT_EQ(groups[1], (std::vector<TaskId>{1, 2}));
   EXPECT_EQ(groups[2], (std::vector<TaskId>{3}));
-}
-
-TEST(Levels, WidthOfForkJoin) {
-  // fork_join(4, 1): src + 4 parallel + join -> width 4.
-  EXPECT_EQ(level_width(fork_join_dag(4, 1)), 4u);
 }
 
 TEST(Levels, IsolatedTasksAllLevelZero) {

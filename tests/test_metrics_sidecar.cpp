@@ -136,7 +136,7 @@ TEST(MetricsSidecarTest, ShardedRunMergesToSingleProcessSidecar) {
     const std::string path = temp_path("shard" + std::to_string(shard));
     ResultStore store = ResultStore::open(path, spec.store_schema());
     CampaignRunOptions opts;
-    opts.shard = ShardPlan::parse(std::to_string(shard) + "/2");
+    opts.shard = ShardPlan{shard, 2};
     const CampaignRunSummary summary = run_campaign(spec, store, opts);
     EXPECT_EQ(summary.metrics_path, default_metrics_path(path));
     const std::vector<MetricsRow> rows =

@@ -161,22 +161,6 @@ TEST(SpanScopeTest, NullRegistryIsNoOp) {
   span.add_rounds(5);  // must not crash
 }
 
-TEST(PhaseTimerTest, LeaveAllClosesOpenFrames) {
-  MetricsRegistry registry;
-  {
-    PhaseTimer timer(&registry);
-    timer.enter("a");
-    timer.enter("b");
-    timer.add_rounds(2);
-    // Destructor leave_all() closes b then a.
-  }
-  const MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.phases.size(), 2u);
-  EXPECT_EQ(snap.phases[0].first, "a");
-  EXPECT_EQ(snap.phases[1].first, "a/b");
-  EXPECT_EQ(snap.phases[1].second.rounds, 2u);
-}
-
 TEST(AmbientMetricsTest, ScopeInstallsAndRestores) {
   EXPECT_EQ(ambient_metrics(), nullptr);
   MetricsRegistry outer_registry;

@@ -55,7 +55,7 @@ TEST_P(WorkloadClassTest, RandomSolutionsAreValidAndBounded) {
         random_initial_solution(w.graph(), w.num_machines(), rng);
     ASSERT_TRUE(s.is_valid(w.graph()));
     const Schedule sched = Schedule::from_solution(w, s);
-    EXPECT_TRUE(is_valid_schedule(w, sched));
+    EXPECT_TRUE(validate_schedule(w, sched).empty());
     EXPECT_GE(sched.makespan, lb - 1e-9);
   }
 }
@@ -80,7 +80,7 @@ TEST_P(WorkloadClassTest, SeProducesValidBoundedSchedules) {
   p.verify_invariants = true;
   SeEngine engine(w, p);
   const SearchResult r = run_search(engine, Budget::steps(15));
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
   EXPECT_LE(r.best_makespan, serial_upper_bound(w) * 3.0);
 }
@@ -93,7 +93,7 @@ TEST_P(WorkloadClassTest, GaProducesValidBoundedSchedules) {
   p.verify_invariants = true;
   GaEngine engine(w, p);
   const SearchResult r = run_search(engine, Budget::steps(15));
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
 }
 
@@ -192,7 +192,7 @@ TEST_P(StructuredSweepTest, SeHandlesStructuredGraphs) {
   p.verify_invariants = true;
   SeEngine engine(w, p);
   const SearchResult r = run_search(engine, Budget::steps(15));
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << name;
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty()) << name;
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9) << name;
 }
 

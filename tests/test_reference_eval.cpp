@@ -20,14 +20,14 @@ namespace {
 ScheduleTimes reference_evaluate(const Workload& w, const SolutionString& s) {
   const TaskGraph& g = w.graph();
   const std::size_t k = w.num_tasks();
-  const auto seqs = s.machine_sequences(w.num_machines());
 
-  // prev_on_machine[t] = task right before t on its machine, or invalid.
+  // prev_on_machine[t] = task right before t on its machine, or invalid:
+  // each machine's sequence is its segments in string order.
   std::vector<TaskId> prev_on_machine(k, kInvalidTask);
-  for (const auto& seq : seqs) {
-    for (std::size_t i = 1; i < seq.size(); ++i) {
-      prev_on_machine[seq[i]] = seq[i - 1];
-    }
+  std::vector<TaskId> last_on_machine(w.num_machines(), kInvalidTask);
+  for (const Segment& seg : s.segments()) {
+    prev_on_machine[seg.task] = last_on_machine[seg.machine];
+    last_on_machine[seg.machine] = seg.task;
   }
 
   ScheduleTimes out;

@@ -75,46 +75,6 @@ TEST(Rng, BelowZeroThrows) {
   EXPECT_THROW(r.below(0), Error);
 }
 
-TEST(Rng, RangeInclusive) {
-  Rng r(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = r.range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= (v == -2);
-    saw_hi |= (v == 2);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng r(13);
-  const int n = 100000;
-  double sum = 0.0, sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = r.normal();
-    sum += x;
-    sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sq / n, 1.0, 0.03);
-}
-
-TEST(Rng, NormalScaled) {
-  Rng r(13);
-  const int n = 50000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += r.normal(10.0, 2.0);
-  EXPECT_NEAR(sum / n, 10.0, 0.1);
-}
-
-TEST(Rng, NormalNegativeStddevThrows) {
-  Rng r(1);
-  EXPECT_THROW(r.normal(0.0, -1.0), Error);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng r(17);
   for (int i = 0; i < 100; ++i) {

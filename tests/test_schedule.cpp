@@ -46,7 +46,7 @@ TEST(Schedule, ToSolutionRoundTripsMakespan) {
 TEST(Schedule, ValidatorAcceptsEvaluatorOutput) {
   const Workload w = figure1_workload();
   const Schedule s = Schedule::from_solution(w, figure2_string());
-  EXPECT_TRUE(is_valid_schedule(w, s));
+  EXPECT_TRUE(validate_schedule(w, s).empty());
 }
 
 TEST(Validate, DetectsPrecedenceViolation) {
@@ -77,7 +77,7 @@ TEST(Validate, DetectsWrongDuration) {
   const Workload w = figure1_workload();
   Schedule s = Schedule::from_solution(w, figure2_string());
   s.finish[0] = s.start[0] + 1.0;  // duration != E[m][t]
-  EXPECT_FALSE(is_valid_schedule(w, s));
+  EXPECT_FALSE(validate_schedule(w, s).empty());
 }
 
 TEST(Validate, DetectsNegativeStart) {
@@ -85,14 +85,14 @@ TEST(Validate, DetectsNegativeStart) {
   Schedule s = Schedule::from_solution(w, figure2_string());
   s.start[0] = -5.0;
   s.finish[0] = 395.0;
-  EXPECT_FALSE(is_valid_schedule(w, s));
+  EXPECT_FALSE(validate_schedule(w, s).empty());
 }
 
 TEST(Validate, DetectsBadMakespan) {
   const Workload w = figure1_workload();
   Schedule s = Schedule::from_solution(w, figure2_string());
   s.makespan = 1.0;
-  EXPECT_FALSE(is_valid_schedule(w, s));
+  EXPECT_FALSE(validate_schedule(w, s).empty());
 }
 
 TEST(Validate, DetectsSizeMismatch) {
@@ -101,7 +101,7 @@ TEST(Validate, DetectsSizeMismatch) {
   s.assignment.assign(3, 0);
   s.start.assign(3, 0.0);
   s.finish.assign(3, 0.0);
-  EXPECT_FALSE(is_valid_schedule(w, s));
+  EXPECT_FALSE(validate_schedule(w, s).empty());
 }
 
 TEST(Gantt, RendersOneRowPerMachine) {

@@ -40,7 +40,7 @@ TEST(SeEngine, ProducesValidSchedule) {
   wp.seed = 1;
   const Workload w = make_workload(wp);
   const SearchResult r = run_se(w, quick_params(1)).result;
-  EXPECT_TRUE(is_valid_schedule(w, r.schedule));
+  EXPECT_TRUE(validate_schedule(w, r.schedule).empty());
   EXPECT_TRUE(r.schedule.to_solution().is_valid(w.graph()));
   EXPECT_DOUBLE_EQ(r.schedule.makespan, r.best_makespan);
   EXPECT_GE(r.best_makespan, makespan_lower_bound(w) - 1e-9);
@@ -87,7 +87,7 @@ TEST(SeEngine, ImprovesOverInitialSolution) {
   Rng rng(p.seed);
   SolutionString initial =
       random_initial_solution(w.graph(), w.num_machines(), rng);
-  const double initial_len = schedule_makespan(w, initial);
+  const double initial_len = Evaluator(w).makespan(initial);
   SeEngine engine(w, p, std::move(initial));
   EXPECT_LT(run_search(engine, Budget::steps(80)).best_makespan, initial_len);
   // The search starts from the supplied solution, so no row is worse.
@@ -190,7 +190,7 @@ TEST(SeEngine, YLimitAffectsRuntimeNotValidity) {
     SeParams p = quick_params(6);
     p.y_limit = y;
     const SearchResult r = run_se(w, p, 20).result;
-    EXPECT_TRUE(is_valid_schedule(w, r.schedule)) << "Y=" << y;
+    EXPECT_TRUE(validate_schedule(w, r.schedule).empty()) << "Y=" << y;
   }
 }
 
@@ -207,7 +207,7 @@ TEST(SeEngine, RunFromRejectsInvalidString) {
   const std::vector<TaskId> valid{0, 1, 2, 3, 4, 5, 6};
   ASSERT_TRUE(SolutionString(valid, asg).is_valid(w.graph()));
   SeEngine engine(w, quick_params(1), SolutionString(valid, asg));
-  const double initial_len = schedule_makespan(w, SolutionString(valid, asg));
+  const double initial_len = Evaluator(w).makespan(SolutionString(valid, asg));
   for (int round = 0; round < 2; ++round) {
     engine.init();
     EXPECT_EQ(engine.best_makespan(), initial_len);

@@ -303,7 +303,6 @@ TEST(ServeRequest, SerializeParseRoundTrip) {
   ScheduleRequest req;
   req.engine = "GA";
   req.seed = 99;
-  req.y_limit = 3;
   req.budget = Budget::evals(20000);
   req.deadline_ms = 250.0;
   req.workload_text = small_workload_text(1);
@@ -312,7 +311,6 @@ TEST(ServeRequest, SerializeParseRoundTrip) {
   EXPECT_EQ(got.op, "solve");
   EXPECT_EQ(got.engine, "GA");
   EXPECT_EQ(got.seed, 99u);
-  EXPECT_EQ(got.y_limit, 3u);
   EXPECT_EQ(got.budget.kind, Budget::Kind::kEvals);
   EXPECT_EQ(got.budget.count, 20000u);
   EXPECT_DOUBLE_EQ(got.deadline_ms, 250.0);
@@ -359,12 +357,11 @@ TEST(ServeRequest, SerializeKeepsTheWireBytes) {
   ScheduleRequest req;
   req.engine = "GA";
   req.seed = 99;
-  req.y_limit = 3;
   req.budget = Budget::evals(20000);
   req.deadline_ms = 250.0;
   req.workload_text = "sehc-workload v1\n...\n";
   const std::string head =
-      "sehc-request v1\nop=solve\nengine=GA\nseed=99\ny_limit=3\n"
+      "sehc-request v1\nop=solve\nengine=GA\nseed=99\n"
       "budget=evals:20000\ndeadline_ms=250.000\nworkload:\n";
   EXPECT_EQ(req.serialize_head(), head);
   EXPECT_EQ(req.serialize(), head + req.workload_text);
@@ -373,7 +370,7 @@ TEST(ServeRequest, SerializeKeepsTheWireBytes) {
   stats.op = "stats";
   stats.workload_text.clear();
   EXPECT_EQ(stats.serialize(),
-            "sehc-request v1\nop=stats\nengine=SE\nseed=1\ny_limit=0\n"
+            "sehc-request v1\nop=stats\nengine=SE\nseed=1\n"
             "budget=steps:150\ndeadline_ms=0.000\n");
 }
 
@@ -465,6 +462,20 @@ TEST(ServeRequest, ParseRejectsMalformedDocuments) {
                ProtocolError);
 }
 
+TEST(ServeRequest, YLimitIsAnUnknownField) {
+  // SE's Y is not a request field: a request that sets it is malformed.
+  std::string payload = solve_request(small_workload_text(1)).serialize();
+  payload.insert(payload.find("budget="), "y_limit=0\n");
+  try {
+    (void)ScheduleRequest::parse(payload);
+    ADD_FAILURE() << "a request with y_limit= parsed";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown request field 'y_limit'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServeRequest, BudgetTokenRoundTripsAllKinds) {
   for (const Budget& b :
        {Budget::steps(150), Budget::evals(20000), Budget::seconds(2.5)}) {
@@ -547,7 +558,7 @@ TEST(ServeRequest, CanonicalStringIsTheIdentityThenTheFieldsInFixedOrder) {
   const std::string canonical = req.canonical_string(identity);
   ASSERT_EQ(canonical.compare(0, identity.size(), identity), 0);
   EXPECT_EQ(std::string_view(canonical).substr(identity.size()),
-            "sehc-serve-request v1\nengine=SE\nseed=7\ny_limit=0\n"
+            "sehc-serve-request v1\nengine=SE\nseed=7\n"
             "budget=steps:8\n");
   EXPECT_EQ(canonical, identity + req.canonical_fields());
 }
@@ -831,7 +842,6 @@ std::vector<ScheduleRequest> request_changes(const ScheduleRequest& base) {
   };
   change([](ScheduleRequest& r) { r.engine = "GA"; });
   change([](ScheduleRequest& r) { r.seed += 1; });
-  change([](ScheduleRequest& r) { r.y_limit = 2; });
   change([](ScheduleRequest& r) { r.budget = Budget::steps(9); });
   change([](ScheduleRequest& r) { r.budget = Budget::evals(8); });
   change([](ScheduleRequest& r) { r.budget = Budget::seconds(8.0); });

@@ -81,30 +81,5 @@ TEST(Percentile, OutOfRangePThrows) {
   EXPECT_THROW(percentile(v, 101.0), Error);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 4
-  h.add(-100.0); // clamped to bin 0
-  h.add(100.0);  // clamped to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), Error);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), Error);
-}
-
 }  // namespace
 }  // namespace sehc

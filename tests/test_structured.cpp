@@ -2,11 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dag/levels.h"
 #include "dag/topo.h"
 
 namespace sehc {
 namespace {
+
+std::size_t num_sources(const TaskGraph& g) {
+  std::size_t n = 0;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) n += g.preds(t).empty() ? 1 : 0;
+  return n;
+}
+
+std::size_t num_sinks(const TaskGraph& g) {
+  std::size_t n = 0;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) n += g.succs(t).empty() ? 1 : 0;
+  return n;
+}
+
+/// The most tasks any one DAG level holds.
+std::size_t widest_level(const TaskGraph& g) {
+  std::size_t width = 0;
+  for (const auto& level : tasks_by_level(g)) {
+    width = std::max(width, level.size());
+  }
+  return width;
+}
 
 TEST(Structured, Chain) {
   const TaskGraph g = chain_dag(6);
@@ -20,24 +43,24 @@ TEST(Structured, ForkJoinShape) {
   // 1 source + 2 stages * (3 + 1 join).
   EXPECT_EQ(g.num_tasks(), 1u + 2u * 4u);
   EXPECT_TRUE(is_acyclic(g));
-  EXPECT_EQ(g.sources().size(), 1u);
-  EXPECT_EQ(g.sinks().size(), 1u);
-  EXPECT_EQ(level_width(g), 3u);
+  EXPECT_EQ(num_sources(g), 1u);
+  EXPECT_EQ(num_sinks(g), 1u);
+  EXPECT_EQ(widest_level(g), 3u);
 }
 
 TEST(Structured, OutTreeCounts) {
   const TaskGraph g = out_tree_dag(3, 2);  // 1 + 2 + 4
   EXPECT_EQ(g.num_tasks(), 7u);
   EXPECT_EQ(g.num_edges(), 6u);
-  EXPECT_EQ(g.sources().size(), 1u);
-  EXPECT_EQ(g.sinks().size(), 4u);
+  EXPECT_EQ(num_sources(g), 1u);
+  EXPECT_EQ(num_sinks(g), 4u);
 }
 
 TEST(Structured, InTreeIsMirror) {
   const TaskGraph g = in_tree_dag(3, 2);
   EXPECT_EQ(g.num_tasks(), 7u);
-  EXPECT_EQ(g.sources().size(), 4u);
-  EXPECT_EQ(g.sinks().size(), 1u);
+  EXPECT_EQ(num_sources(g), 4u);
+  EXPECT_EQ(num_sinks(g), 1u);
   EXPECT_TRUE(is_acyclic(g));
 }
 
@@ -47,7 +70,7 @@ TEST(Structured, GaussianEliminationCounts) {
     const TaskGraph g = gaussian_elimination_dag(n);
     EXPECT_EQ(g.num_tasks(), (n * n + n - 2) / 2) << "n=" << n;
     EXPECT_TRUE(is_acyclic(g));
-    EXPECT_EQ(g.sources().size(), 1u);  // first pivot
+    EXPECT_EQ(num_sources(g), 1u);  // first pivot
   }
 }
 
@@ -76,8 +99,8 @@ TEST(Structured, DiamondGrid) {
   const TaskGraph g = diamond_dag(3, 4);
   EXPECT_EQ(g.num_tasks(), 12u);
   EXPECT_TRUE(is_acyclic(g));
-  EXPECT_EQ(g.sources().size(), 1u);  // (0,0)
-  EXPECT_EQ(g.sinks().size(), 1u);    // (3,2)
+  EXPECT_EQ(num_sources(g), 1u);  // (0,0)
+  EXPECT_EQ(num_sinks(g), 1u);    // (3,2)
   EXPECT_EQ(num_levels(g), 3 + 4 - 1);
 }
 
@@ -86,9 +109,9 @@ TEST(Structured, LaplaceExpandContract) {
   // Rows: 1, 2, 3, 2, 1 = 9 tasks.
   EXPECT_EQ(g.num_tasks(), 9u);
   EXPECT_TRUE(is_acyclic(g));
-  EXPECT_EQ(g.sources().size(), 1u);
-  EXPECT_EQ(g.sinks().size(), 1u);
-  EXPECT_EQ(level_width(g), 3u);
+  EXPECT_EQ(num_sources(g), 1u);
+  EXPECT_EQ(num_sinks(g), 1u);
+  EXPECT_EQ(widest_level(g), 3u);
 }
 
 TEST(Structured, InvalidArgumentsThrow) {

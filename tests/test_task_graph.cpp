@@ -53,9 +53,12 @@ TEST(TaskGraph, AdjacencyAndDegrees) {
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   EXPECT_EQ(g.in_degree(2), 2u);
-  EXPECT_EQ(g.out_degree(2), 1u);
-  EXPECT_EQ(g.predecessors(2), (std::vector<TaskId>{0, 1}));
-  EXPECT_EQ(g.successors(2), (std::vector<TaskId>{3}));
+  EXPECT_EQ(g.out_edges(2).size(), 1u);
+  const auto ids = [](std::span<const TaskId> v) {
+    return std::vector<TaskId>(v.begin(), v.end());
+  };
+  EXPECT_EQ(ids(g.preds(2)), (std::vector<TaskId>{0, 1}));
+  EXPECT_EQ(ids(g.succs(2)), (std::vector<TaskId>{3}));
 }
 
 TEST(TaskGraph, HasEdgeBothDirectionsOfScan) {
@@ -64,21 +67,6 @@ TEST(TaskGraph, HasEdgeBothDirectionsOfScan) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
-}
-
-TEST(TaskGraph, SourcesAndSinks) {
-  TaskGraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(1, 3);
-  EXPECT_EQ(g.sources(), (std::vector<TaskId>{0}));
-  EXPECT_EQ(g.sinks(), (std::vector<TaskId>{2, 3}));
-}
-
-TEST(TaskGraph, IsolatedTaskIsSourceAndSink) {
-  TaskGraph g(1);
-  EXPECT_EQ(g.sources(), (std::vector<TaskId>{0}));
-  EXPECT_EQ(g.sinks(), (std::vector<TaskId>{0}));
 }
 
 TEST(DagBuilder, BuildsByName) {

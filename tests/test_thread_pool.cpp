@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <stdexcept>
 #include <vector>
 
 namespace sehc {
@@ -19,22 +17,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 TEST(ThreadPool, DefaultSizePositive) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
 }
 
 TEST(ThreadPool, ManyTasksComplete) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/rng.h"
 #include "workload/random_dag.h"
 
@@ -15,6 +17,46 @@ TaskGraph diamond() {
   g.add_edge(1, 3);
   g.add_edge(2, 3);
   return g;
+}
+
+/// Kahn's algorithm by linear scan, O(k^2): the lowest-id unplaced task
+/// whose predecessors are all placed goes next.
+std::vector<TaskId> min_scan_order(const TaskGraph& g) {
+  const std::size_t k = g.num_tasks();
+  std::vector<std::size_t> indegree(k);
+  for (TaskId t = 0; t < k; ++t) indegree[t] = g.in_degree(t);
+  std::vector<bool> placed(k, false);
+  std::vector<TaskId> order;
+  while (order.size() < k) {
+    TaskId next = 0;
+    while (next < k && (placed[next] || indegree[next] != 0)) ++next;
+    if (next == k) break;  // cycle
+    placed[next] = true;
+    order.push_back(next);
+    for (TaskId succ : g.succs(next)) --indegree[succ];
+  }
+  return order;
+}
+
+TEST(Topo, LowestIdOrderMatchesMinScanReference) {
+  Rng rng(3);
+  for (const double p : {0.0, 0.02, 0.1, 0.4}) {
+    for (const std::size_t k : {1u, 2u, 17u, 64u, 150u}) {
+      // Relabel a random forward DAG so its edges run both up and down in
+      // id; p = 0 gives graphs with no edges at all.
+      const TaskGraph forward = random_ordered_dag(k, p, rng);
+      std::vector<TaskId> label(k);
+      std::iota(label.begin(), label.end(), TaskId{0});
+      rng.shuffle(label);
+      TaskGraph g(k);
+      for (const DagEdge& e : forward.edges()) {
+        g.add_edge(label[e.src], label[e.dst]);
+      }
+      const auto order = topological_order(g);
+      ASSERT_TRUE(order.has_value());
+      EXPECT_EQ(*order, min_scan_order(g)) << "k=" << k << " p=" << p;
+    }
+  }
 }
 
 TEST(Topo, OrderRespectsEdges) {

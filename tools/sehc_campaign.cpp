@@ -116,6 +116,8 @@ int cmd_show(const Options& opts) {
 }
 
 int cmd_run(const Options& opts) {
+  const auto shard = ShardPlan::parse(opts.get("shard", "0/1"));
+  if (!shard) opts.reject("shard", "I/N with I < N (e.g. 0/4)");
   const CampaignSpec spec = spec_from_options(opts);
   const std::string store_path = opts.get("store", "");
   SEHC_CHECK(!store_path.empty(), "run: --store PATH is required");
@@ -130,7 +132,7 @@ int cmd_run(const Options& opts) {
 
   CampaignRunOptions run_opts;
   run_opts.threads = static_cast<std::size_t>(opts.get_int("threads", 1));
-  run_opts.shard = ShardPlan::parse(opts.get("shard", "0/1"));
+  run_opts.shard = *shard;
   run_opts.max_cells =
       static_cast<std::size_t>(opts.get_int("max-cells", 0));
   if (opts.has("progress")) {
