@@ -9,7 +9,8 @@
 //   $ ./sehc_run --input instance.txt --scheduler GA --dot > matched.dot
 //
 // With --contention the schedule is additionally re-timed under the
-// serialized-link network model (sched/contention.h).
+// serialized-link network model (sched/contention.h); it goes with the
+// Gantt output only, so combining it with --csv or --dot is a usage error.
 #include <fstream>
 #include <iostream>
 
@@ -31,6 +32,9 @@ int run(int argc, char** argv) {
   const Options opts(argc, argv,
                      {"input", "scheduler", "iterations", "seed", "csv",
                       "dot", "contention"});
+  if (opts.has("contention") && (opts.has("csv") || opts.has("dot"))) {
+    throw UsageError("--contention cannot be combined with --csv or --dot");
+  }
   const std::string input = opts.get("input", "");
   if (input.empty()) throw UsageError("--input <workload file> is required");
   const std::string name = opts.get("scheduler", "SE");

@@ -22,11 +22,6 @@ DagBuilder& DagBuilder::edge(const std::string& src, const std::string& dst) {
   return *this;
 }
 
-DagBuilder& DagBuilder::edge(TaskId src, TaskId dst) {
-  graph_.add_edge(src, dst);
-  return *this;
-}
-
 TaskId DagBuilder::id(const std::string& name) const {
   auto it = by_name_.find(name);
   SEHC_CHECK(it != by_name_.end(), "DagBuilder: unknown task " + name);

@@ -27,9 +27,6 @@ class DagBuilder {
   /// Adds an edge by task name.
   DagBuilder& edge(const std::string& src, const std::string& dst);
 
-  /// Adds an edge by task id.
-  DagBuilder& edge(TaskId src, TaskId dst);
-
   /// Id of a previously added task.
   TaskId id(const std::string& name) const;
 

@@ -28,10 +28,14 @@ std::vector<std::string> validate_schedule(const Workload& w,
     return violations;
   }
 
+  // Tasks on a machine that does not exist are reported once, here, and
+  // left out of the precedence and exclusivity checks below.
+  std::vector<char> placed(k, 1);
   double max_finish = 0.0;
   for (TaskId t = 0; t < k; ++t) {
     if (s.assignment[t] >= w.num_machines()) {
       complain(task_label(w, t) + ": machine id out of range");
+      placed[t] = 0;
       continue;
     }
     if (s.start[t] < -kEps)
@@ -46,6 +50,7 @@ std::vector<std::string> validate_schedule(const Workload& w,
 
   // Precedence + communication.
   for (const DagEdge& e : w.graph().edges()) {
+    if (!placed[e.src] || !placed[e.dst]) continue;
     const double comm =
         w.transfer(s.assignment[e.src], s.assignment[e.dst], e.item);
     if (s.start[e.dst] + kEps < s.finish[e.src] + comm) {
@@ -58,14 +63,15 @@ std::vector<std::string> validate_schedule(const Workload& w,
   }
 
   // Machine exclusivity: no two tasks on one machine overlap in time.
-  for (const auto& [machine, tasks] :
-       [&] {
-         std::vector<std::pair<MachineId, std::vector<TaskId>>> out;
-         auto seqs = s.machine_sequences(w.num_machines());
-         for (MachineId m = 0; m < seqs.size(); ++m)
-           out.emplace_back(m, std::move(seqs[m]));
-         return out;
-       }()) {
+  std::vector<std::vector<TaskId>> on_machine(w.num_machines());
+  for (TaskId t = 0; t < k; ++t) {
+    if (placed[t]) on_machine[s.assignment[t]].push_back(t);
+  }
+  for (MachineId machine = 0; machine < on_machine.size(); ++machine) {
+    std::vector<TaskId>& tasks = on_machine[machine];
+    std::sort(tasks.begin(), tasks.end(), [&s](TaskId a, TaskId b) {
+      return s.start[a] != s.start[b] ? s.start[a] < s.start[b] : a < b;
+    });
     for (std::size_t i = 1; i < tasks.size(); ++i) {
       const TaskId prev = tasks[i - 1];
       const TaskId cur = tasks[i];

@@ -7,10 +7,10 @@
 // counted) instead of silently serving a colliding entry — the same
 // fail-loud posture the result store takes on spec-hash collisions. So
 // correctness never depends on the hash. The server hashes keys with
-// std::hash<std::string_view> (8 bytes per step in libstdc++); the keys
-// live only in memory, so the hash need not be stable across builds the
-// way core/content_hash.h's FNV-1a is. Thread-safe; values are returned by
-// copy so a concurrent eviction can never invalidate a served response.
+// key_hash64 (core/content_hash.h, 64 bytes per step); the keys live only
+// in memory, so the hash need not be stable across builds the way FNV-1a
+// is. Thread-safe; values are returned by copy so a concurrent eviction
+// can never invalidate a served response.
 //
 // The Key parameter is any type with == (std::string by default). Two
 // instantiations serve the server loop:
@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,6 +37,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+
+#include "core/content_hash.h"
 
 namespace sehc {
 
@@ -133,7 +134,7 @@ class ContentLru {
 /// The response-cache key: a request's identity, equal exactly when the
 /// requests' canonical_string()s are equal (serve/protocol.h), without a
 /// copy of the workload's identity bytes. `identity` is the parsed body's
-/// own identity string, shared; `tag` is the identity's std::hash (8 native
+/// own identity string, shared; `tag` is the identity's key_hash64 (8 native
 /// bytes) followed by the request fields (canonical_fields()). Keys compare
 /// the tags first, then the identities: pointer-equal (the same parsed
 /// body) or byte-equal (another body with the same workload). The identity
@@ -155,7 +156,7 @@ struct RequestKey {
 
   /// The cache hash: covers the workload (through the identity hash in the
   /// tag) and the fields, in a pass over the tag alone.
-  std::uint64_t hash() const { return std::hash<std::string_view>{}(tag); }
+  std::uint64_t hash() const { return key_hash64(tag); }
 
   friend bool operator==(const RequestKey& a, const RequestKey& b) {
     return a.tag == b.tag &&

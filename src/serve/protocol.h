@@ -38,7 +38,8 @@
 // default s<id> the parser restores.
 // So formatting differences in the submitted document cannot split the
 // cache, and the key costs no number formatting. The key lives only in the
-// server's memory: it is hashed with std::hash, never persisted.
+// server's memory: it is hashed with key_hash64 (core/content_hash.h),
+// never persisted.
 // deadline_ms is deliberately excluded — a deadline bounds how long the
 // caller waits, not what the fully-solved answer is, so a cached complete
 // answer may legitimately serve a later deadline-limited request.

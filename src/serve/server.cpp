@@ -8,11 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <future>
 #include <sstream>
 #include <string_view>
 
+#include "core/content_hash.h"
 #include "core/error.h"
 #include "core/table.h"
 #include "exp/trace_io.h"
@@ -73,7 +73,7 @@ struct Server::ParsedBody {
       : workload(workload_from_string(body)),
         identity(std::make_shared<const std::string>(
             workload_identity(workload))),
-        identity_hash(std::hash<std::string_view>{}(*identity)) {}
+        identity_hash(key_hash64(*identity)) {}
 
   Workload workload;
   /// Shared with every RequestKey built from this body: a response entry
@@ -265,11 +265,10 @@ void Server::handle_solve(int fd, ScheduleRequest request) {
 
   // Recall (or parse) the body. The workload cache is keyed by the raw
   // document bytes: a repeated body skips the parse and the identity build
-  // even when engine/seed/budget differ. Both caches key by std::hash, 8
+  // even when engine/seed/budget differ. Both caches key by key_hash64, 64
   // bytes per step; ContentLru compares the full key on every hash match.
   std::shared_ptr<const ParsedBody> body;
-  const std::uint64_t body_hash =
-      std::hash<std::string_view>{}(request.workload_text);
+  const std::uint64_t body_hash = key_hash64(request.workload_text);
   double parse_seconds = 0.0;
   try {
     if (auto cached = workload_cache_.lookup(body_hash,
@@ -478,8 +477,10 @@ void Server::respond_stats(int fd) {
   add("serve_cache_hits", s.cache_hits);
   add("serve_cache_misses", s.cache_misses);
   add("serve_cache_size", s.cache_size);
+  add("serve_cache_collisions", s.cache_collisions);
   add("coalesced", s.coalesced);
   add("workload_cache_hits", s.workload_cache_hits);
+  add("workload_cache_collisions", s.workload_cache_collisions);
   add("queue_depth", s.queue_depth);
   add("queue_peak", s.queue_peak);
   add("draining", s.draining ? 1 : 0);
@@ -538,8 +539,10 @@ ServerStats Server::stats_snapshot() const {
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.cache_size = cache_.size();
+  s.cache_collisions = cache_.collisions();
   s.coalesced = coalesced_.load();
   s.workload_cache_hits = workload_cache_.hits();
+  s.workload_cache_collisions = workload_cache_.collisions();
   s.queue_depth = queue_.depth();
   s.queue_peak = queue_.peak_depth();
   s.draining = draining_.load();

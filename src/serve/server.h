@@ -8,15 +8,15 @@
 //   read frame, parse request in place
 //     (the workload text keeps the
 //     frame's buffer)
-//   workload: std::hash the body,
+//   workload: key_hash64 the body,
 //     look it up (LRU by body);
 //     on a miss, parse it and build
 //     its identity bytes (shared) and
-//     their std::hash, once per parse
+//     their key_hash64, once per parse
 //   request key: the body's identity
 //     (shared, not copied) + a tag of
 //     the identity hash and the
-//     request fields; std::hash of
+//     request fields; key_hash64 of
 //     the tag
 //   response cache lookup --hit--> reply (bit-identical to the cold solve)
 //     (keys compare tags, then the
@@ -109,8 +109,12 @@ struct ServerStats {
   std::uint64_t protocol_errors = 0;  // malformed frames (connection dropped)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  // Lookups whose key hash matched an entry with another key (served as a
+  // miss); a nonzero count means key_hash64 collided.
+  std::uint64_t cache_collisions = 0;
   std::uint64_t coalesced = 0;        // requests that rode another's solve
   std::uint64_t workload_cache_hits = 0;
+  std::uint64_t workload_cache_collisions = 0;
   std::size_t cache_size = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "core/content_hash.h"
 #include "core/error.h"
+#include "core/rng.h"
 
 namespace sehc {
 namespace {
@@ -50,6 +54,68 @@ TEST(ContentHash, DefaultStateIsTheFnv1aOffsetBasis) {
   EXPECT_EQ(content_hash64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(content_hash64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(content_hash64("foobar"), 0x85944171f73967e8ULL);
+}
+
+// --- key_hash64 --------------------------------------------------------------
+//
+// Lengths up to 130 cover every tail length (0-63 bytes after the 64-byte
+// steps), the 16-byte tail steps and both sides of the 64- and 128-byte
+// step boundaries.
+
+/// `n` seeded pseudo-random bytes.
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.below(256));
+  return out;
+}
+
+TEST(KeyHash, EqualBytesHashEquallyAtEveryAlignment) {
+  const std::string bytes = random_bytes(200, 1);
+  char buffer[200 + 8];
+  for (std::size_t n = 0; n <= bytes.size(); ++n) {
+    const std::uint64_t want = key_hash64(std::string_view(bytes.data(), n));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::memcpy(buffer + offset, bytes.data(), n);
+      EXPECT_EQ(key_hash64(std::string_view(buffer + offset, n)), want)
+          << "length " << n << ", offset " << offset;
+    }
+  }
+}
+
+TEST(KeyHash, ZeroInputsOfEveryLengthAreDistinct) {
+  // Zero padding of the final word pair is told apart by the length.
+  const std::string zeros(300, '\0');
+  std::set<std::uint64_t> values;
+  for (std::size_t n = 0; n <= zeros.size(); ++n) {
+    values.insert(key_hash64(std::string_view(zeros.data(), n)));
+  }
+  EXPECT_EQ(values.size(), zeros.size() + 1);
+}
+
+TEST(KeyHash, EveryBitFlipChangesTheValue) {
+  std::string bytes = random_bytes(300, 2);
+  const std::uint64_t base = key_hash64(bytes);
+  std::set<std::uint64_t> values{base};
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    bytes[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    values.insert(key_hash64(bytes));
+    bytes[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+  }
+  // Every flip changes the value, and no two flips meet.
+  EXPECT_EQ(values.size(), 8 * bytes.size() + 1);
+}
+
+TEST(KeyHash, EveryByteFlipAtEveryShortLengthChangesTheValue) {
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::string bytes = random_bytes(n, 3 + n);
+    const std::uint64_t base = key_hash64(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<char>(~bytes[i]);
+      EXPECT_NE(key_hash64(bytes), base) << "length " << n << ", byte " << i;
+      bytes[i] = static_cast<char>(~bytes[i]);
+    }
+  }
 }
 
 TEST(ResultStore, InMemoryAppendContainsAndRejectsDuplicates) {

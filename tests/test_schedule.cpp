@@ -104,6 +104,19 @@ TEST(Validate, DetectsSizeMismatch) {
   EXPECT_FALSE(validate_schedule(w, s).empty());
 }
 
+TEST(Validate, OutOfRangeMachineIsReportedNotThrown) {
+  const Workload w = figure1_workload();
+  Schedule s = Schedule::from_solution(w, figure2_string());
+  s.assignment[3] = 7;  // figure 1 has two machines
+  std::vector<std::string> violations;
+  ASSERT_NO_THROW(violations = validate_schedule(w, s));
+  const auto it = std::find_if(
+      violations.begin(), violations.end(), [](const std::string& v) {
+        return v.find("(s3): machine id out of range") != std::string::npos;
+      });
+  EXPECT_NE(it, violations.end());
+}
+
 TEST(Gantt, RendersOneRowPerMachine) {
   const Workload w = figure1_workload();
   const Schedule s = Schedule::from_solution(w, figure2_string());

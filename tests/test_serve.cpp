@@ -16,8 +16,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/content_hash.h"
 #include "exp/trace_io.h"
 #include "hc/workload_io.h"
 #include "heuristics/scheduler.h"
@@ -819,6 +820,36 @@ TEST(WorkloadIdentity, OneFieldChangesNeverCollide) {
             workload_identity(negative_zero.build()));
 }
 
+TEST(WorkloadIdentity, KeyHashesOfBodiesAndIdentitiesNeverCollide) {
+  // The oracle corpus and all its one-field changes: as bodies (the hand-made
+  // documents as written and every workload's text) and as identities.
+  std::vector<Workload> corpus = identity_corpus();
+  const std::size_t bases = corpus.size();
+  for (std::size_t i = 0; i < bases; ++i) {
+    for (auto& [what, changed] : one_field_changes(corpus[i])) {
+      corpus.push_back(std::move(changed));
+    }
+  }
+  std::vector<std::string> bodies{kHandMadeDoc, kHandMadeReformatted,
+                                  kEdgeFreeDoc};
+  std::vector<std::string> identities;
+  for (const Workload& w : corpus) {
+    bodies.push_back(workload_to_string(w));
+    identities.push_back(workload_identity(w));
+  }
+  for (const auto* keys : {&bodies, &identities}) {
+    std::map<std::uint64_t, std::string_view> seen;
+    for (const std::string& key : *keys) {
+      const auto [it, fresh] = seen.emplace(key_hash64(key), key);
+      EXPECT_TRUE(fresh || it->second == key)
+          << "two keys of " << key.size() << " and " << it->second.size()
+          << " bytes share a hash";
+    }
+    // Distinct keys did occur: the one-field changes are all distinct.
+    EXPECT_GT(seen.size(), bases);
+  }
+}
+
 // --- RequestKey ------------------------------------------------------------
 //
 // The server's response-cache key must tell requests apart exactly as
@@ -827,8 +858,7 @@ TEST(WorkloadIdentity, OneFieldChangesNeverCollide) {
 /// The key the server builds for `req` over the shared `identity`.
 RequestKey key_of(const ScheduleRequest& req,
                   const std::shared_ptr<const std::string>& identity) {
-  return RequestKey(identity, std::hash<std::string_view>{}(*identity),
-                    req.canonical_fields());
+  return RequestKey(identity, key_hash64(*identity), req.canonical_fields());
 }
 
 /// `base`, every one-field change of its identity fields, and a changed
@@ -927,7 +957,7 @@ TEST(ContentLruTest, RequestKeyWithAnotherIdentityUnderTheSameHashIsAMiss) {
   const ScheduleRequest req = solve_request("");
   const RequestKey key = key_of(req, identity);
   // The same tag over other identity bytes: a forced hash collision.
-  const RequestKey forged(other, std::hash<std::string_view>{}(*identity),
+  const RequestKey forged(other, key_hash64(*identity),
                           req.canonical_fields());
   ASSERT_EQ(forged.hash(), key.hash());
 
@@ -1455,6 +1485,9 @@ TEST(ServeServer, StatsEndpointReportsCounters) {
   EXPECT_EQ(value_of("serve_cache_misses"), "1");
   EXPECT_EQ(value_of("draining"), "0");
   EXPECT_NE(value_of("queue_peak"), "<absent>");
+  // No key hash collided in either cache.
+  EXPECT_EQ(value_of("serve_cache_collisions"), "0");
+  EXPECT_EQ(value_of("workload_cache_collisions"), "0");
   server.request_drain();
   server.join();
 }

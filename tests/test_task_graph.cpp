@@ -96,7 +96,7 @@ TEST(DagBuilder, FinishRejectsCycle) {
   DagBuilder b;
   b.tasks({"a", "b"});
   b.edge("a", "b");
-  b.edge(1u, 0u);
+  b.edge("b", "a");
   EXPECT_THROW(b.finish(), Error);
 }
 

@@ -28,7 +28,8 @@
 // was given: --assert-p99-ms (the client p99 must be under MS),
 // --assert-hit-rate (the response-cache hit rate must be at least R) or
 // --assert-metrics (the server's op=metrics snapshot must have recorded
-// solves and request latencies, and name the strip kernel that ran). The
+// solves and request latencies, and name the strip kernel that ran; its
+// stats must count no cache-key hash collision in either cache). The
 // smoke gate tools/serve_check.sh relies on that and parses no JSON.
 #include <unistd.h>
 
@@ -380,6 +381,20 @@ int run(int argc, char** argv) {
                  "gauge.kernel/<backend> reading 1 (--assert-metrics)\n",
                  ok ? "ok" : "FAIL", kernel.c_str());
     gates_ok = gates_ok && ok;
+    // Both caches compare full keys, so a key_hash64 collision costs only
+    // a miss; this run's keys must have had none.
+    for (const char* key :
+         {"serve_cache_collisions", "workload_cache_collisions"}) {
+      std::string value = "absent";
+      for (const auto& [k, v] : server_stats) {
+        if (k == key) value = v;
+      }
+      const bool none = value == "0";
+      std::fprintf(stderr, "loadgen: %s: %s=%s, must be 0 "
+                   "(--assert-metrics)\n", none ? "ok" : "FAIL", key,
+                   value.c_str());
+      gates_ok = gates_ok && none;
+    }
   }
   return (protocol_errors.load() > 0 || errors > 0 || !gates_ok) ? 1 : 0;
 }

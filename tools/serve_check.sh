@@ -11,7 +11,8 @@
 #   3. a second identical run is served (almost) entirely from the response
 #      cache: cache_hit_rate >= 0.95 (sehc_loadgen --assert-hit-rate), and
 #      the op=metrics snapshot recorded the runs: solve spans, request
-#      latencies and the kernel/<backend> gauge (sehc_loadgen
+#      latencies and the kernel/<backend> gauge, while the stats count no
+#      cache-key hash collision in either cache (sehc_loadgen
 #      --assert-metrics; the snapshot is also saved for CI);
 #   4. SIGTERM drains gracefully: the daemon exits 0 and its final stats
 #      line says "drained".
@@ -85,7 +86,7 @@ echo "serve_check: [3/4] warm rerun must hit the response cache; its metrics sna
 "${LOADGEN[@]}" --out "$WORKDIR/BENCH_serve_warm.json" \
     --metrics-out "$WORKDIR/serve_metrics.snapshot" --assert-hit-rate 0.95 \
     --assert-metrics > "$WORKDIR/loadgen_warm.log" 2>&1 || {
-  echo "serve_check: FAIL: warm loadgen run failed (protocol errors, error replies, cache_hit_rate under 0.95, or a metrics snapshot without solve spans, request latencies or a kernel/<backend> gauge)" >&2
+  echo "serve_check: FAIL: warm loadgen run failed (protocol errors, error replies, cache_hit_rate under 0.95, a metrics snapshot without solve spans, request latencies or a kernel/<backend> gauge, or a cache-key hash collision)" >&2
   cat "$WORKDIR/loadgen_warm.log" >&2
   exit 1
 }
