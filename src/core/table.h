@@ -1,9 +1,11 @@
-// Tabular output for experiment results: CSV and aligned-markdown emitters.
+// Tabular output for experiment results: CSV and aligned-markdown emitters,
+// and the library's two number formatters.
 //
 // The figure benches print CSV series (easy to plot) followed by markdown
 // summary tables (easy to read in a terminal or paste into Markdown).
 #pragma once
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -41,7 +43,28 @@ class Table {
   std::vector<std::vector<std::string>> cells_;
 };
 
-/// Formats a double with fixed precision (no trailing locale surprises).
+/// The largest `precision` format_fixed takes.
+constexpr int kMaxFixedPrecision = 64;
+
+/// Formats a double with fixed precision: the text of printf "%.*f" in the
+/// C locale, for every double (DBL_MAX has 309 integer digits), with no
+/// locale surprises. Throws Error unless 0 <= precision <=
+/// kMaxFixedPrecision.
 std::string format_fixed(double value, int precision);
+
+/// The most chars write_g17 writes: "-2.2250738585072014e-308".
+constexpr std::size_t kG17MaxChars = 24;
+
+/// Writes `value` as printf "%.17g" does in the C locale (17 significant
+/// digits, which round-trip every double) to [first, first +
+/// kG17MaxChars) and returns the end of the text. Values that
+/// write_g17_integer takes go through it; every other value goes to
+/// std::to_chars(general, 17).
+char* write_g17(char* first, double value);
+
+/// write_g17's integer path, for 1 <= value < 1e17 (every time the workload
+/// generator makes): writes the same text as write_g17 and returns its end,
+/// or writes nothing and returns nullptr for any other value.
+char* write_g17_integer(char* first, double value);
 
 }  // namespace sehc

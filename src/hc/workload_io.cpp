@@ -8,23 +8,27 @@
 #include <string_view>
 #include <vector>
 
+#include "core/table.h"
 #include "dag/serialize.h"
 
 namespace sehc {
 
 namespace {
 
+/// Appends each row as its numbers, blank-separated, and a '\n': the row
+/// is written into a region sized for its longest text, then trimmed.
 void append_matrix(std::string& out, const Matrix<double>& m) {
-  char buf[32];  // "%.17g" takes at most 24: -1.2345678901234567e-308
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto row = m.row(r);
+    const std::size_t begin = out.size();
+    out.resize(begin + row.size() * (kG17MaxChars + 1) + 1);
+    char* p = out.data() + begin;
     for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ' ';
-      out.append(buf, std::to_chars(buf, buf + sizeof buf, row[c],
-                                    std::chars_format::general, 17)
-                          .ptr);
+      if (c) *p++ = ' ';
+      p = write_g17(p, row[c]);
     }
-    out += '\n';
+    *p++ = '\n';
+    out.resize(static_cast<std::size_t>(p - out.data()));
   }
 }
 

@@ -12,8 +12,10 @@
 //   transfer                      # l(l-1)/2 rows of p numbers (omit if p==0)
 //   5 5 5 ...
 //
-// Numbers are written as printf "%.17g" (std::to_chars, general format,
-// precision 17), which round-trips every double. workload_to_string's
+// Numbers are written as printf "%.17g" writes them, which round-trips
+// every double, by write_g17 (core/table.h): exact integer arithmetic for
+// 1 <= v < 1e17, which holds every time the generator makes, and
+// std::to_chars(general, 17) for every other value. workload_to_string's
 // output is the canonical form of a workload: the serving layer keys its
 // response cache by identity bytes that are equal exactly when this text
 // is (workload_identity, serve/protocol.h).

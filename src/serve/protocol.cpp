@@ -15,6 +15,8 @@
 #include <sstream>
 #include <type_traits>
 
+#include "core/table.h"
+
 namespace sehc {
 
 namespace {
@@ -56,9 +58,10 @@ void send_all(int fd, std::span<iovec> parts) {
 }
 
 /// One recv(): the bytes read (at most n), or 0 at EOF. Retries EINTR.
-std::size_t recv_some(int fd, char* data, std::size_t n) {
+/// With MSG_PEEK the bytes stay queued.
+std::size_t recv_some(int fd, char* data, std::size_t n, int flags = 0) {
   for (;;) {
-    const ssize_t r = ::recv(fd, data, n, 0);
+    const ssize_t r = ::recv(fd, data, n, flags);
     if (r >= 0) return static_cast<std::size_t>(r);
     if (errno != EINTR) proto_fail(std::string("recv failed: ") + errno_text());
   }
@@ -99,12 +102,6 @@ bool parse_bool_field(const std::string& value, const std::string& key) {
   if (value == "0") return false;
   if (value == "1") return true;
   proto_fail("bad boolean value '" + value + "' for " + key);
-}
-
-std::string format_double(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, fmt, v);
-  return buf;
 }
 
 /// Splits a payload into leading "key=value" lines and an optional tail
@@ -168,21 +165,34 @@ void write_frame(int fd, std::string_view payload, std::string_view tail) {
 }
 
 std::optional<std::string> read_frame(int fd, std::size_t max_bytes) {
-  // Header: read byte-wise up to the newline. Bounded at 32 bytes — enough
-  // for the magic plus any length within the frame cap — so garbage input
-  // fails fast instead of scanning an unbounded stream for '\n'.
+  // Header: up to the newline, bounded at 32 bytes — enough for the magic
+  // plus any length within the frame cap — so garbage input fails fast
+  // instead of scanning an unbounded stream for '\n'. Each round peeks at
+  // what has arrived within the bound and consumes it through the '\n' (or
+  // all of it when no '\n' has arrived yet), so the payload's bytes stay
+  // queued and a header whose bytes are all there costs two recv()s.
   char header[32];
   std::size_t len = 0;
-  for (;;) {
+  const char* newline = nullptr;
+  while (newline == nullptr) {
     if (len == sizeof header) proto_fail("frame header too long");
-    if (recv_some(fd, header + len, 1) == 0) {
+    const std::size_t seen =
+        recv_some(fd, header + len, sizeof header - len, MSG_PEEK);
+    if (seen == 0) {
       if (len == 0) return std::nullopt;  // clean EOF between frames
       proto_fail("connection closed mid-frame header");
     }
-    if (header[len] == '\n') break;
-    ++len;
+    newline = static_cast<const char*>(std::memchr(header + len, '\n', seen));
+    const std::size_t end =
+        newline != nullptr ? static_cast<std::size_t>(newline - header) + 1
+                           : len + seen;
+    // The peeked bytes are queued, so a recv() returns them at once.
+    for (std::size_t got; len < end; len += got) {
+      got = recv_some(fd, header + len, end - len);
+      if (got == 0) proto_fail("connection closed mid-frame header");
+    }
   }
-  const std::string_view head(header, len);
+  const std::string_view head(header, len - 1);
   const std::string_view magic(kFrameMagic);
   if (head.substr(0, magic.size()) != magic) {
     proto_fail("bad frame magic (expected 'SEHC1 ')");
@@ -246,7 +256,7 @@ std::string ScheduleRequest::budget_token(const Budget& budget) {
       // Fixed 6-decimal form: the token is hashed into the request
       // identity, so formatting must be canonical (same discipline as
       // CampaignSpec::canonical_string).
-      return "seconds:" + format_double("%.6f", budget.wall_seconds);
+      return "seconds:" + format_fixed(budget.wall_seconds, 6);
   }
   return "?";
 }
@@ -283,7 +293,7 @@ std::string ScheduleRequest::serialize_head() const {
   out.append("\nengine=").append(engine);
   out.append("\nseed=").append(std::to_string(seed));
   out.append("\nbudget=").append(budget_token(budget));
-  out.append("\ndeadline_ms=").append(format_double("%.3f", deadline_ms));
+  out.append("\ndeadline_ms=").append(format_fixed(deadline_ms, 3));
   out += '\n';
   if (!workload_text.empty()) out.append("workload:\n");
   return out;
@@ -415,13 +425,16 @@ std::string ScheduleResponse::serialize() const {
     }
     os << "error=" << flat << '\n';
   }
-  os << "makespan=" << format_double("%.17g", makespan) << '\n';
+  char makespan_text[kG17MaxChars];
+  os << "makespan=";
+  os.write(makespan_text, write_g17(makespan_text, makespan) - makespan_text);
+  os << '\n';
   os << "evals=" << evals << '\n';
   os << "steps=" << steps << '\n';
   os << "timed_out=" << (timed_out ? 1 : 0) << '\n';
   os << "cache_hit=" << (cache_hit ? 1 : 0) << '\n';
-  os << "queue_ms=" << format_double("%.3f", queue_ms) << '\n';
-  os << "solve_ms=" << format_double("%.3f", solve_ms) << '\n';
+  os << "queue_ms=" << format_fixed(queue_ms, 3) << '\n';
+  os << "solve_ms=" << format_fixed(solve_ms, 3) << '\n';
   for (const auto& [key, value] : extra) {
     os << key << '=' << value << '\n';
   }

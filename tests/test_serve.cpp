@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -274,6 +276,75 @@ TEST(ServeFraming, TruncatedPayloadReportsBytesGotAndExpected) {
   EXPECT_NE(what.find("closed mid-frame payload (got 70000 of 200000 bytes)"),
             std::string::npos)
       << "'" << what << "'";
+}
+
+TEST(ServeFraming, BackToBackFramesInOneWriteAreReadApart) {
+  // An empty payload, one that ends inside the first header's peek window,
+  // and one past it: each read consumes exactly its own frame.
+  SocketPair sp;
+  const std::string stream =
+      "SEHC1 0\nSEHC1 3\nabcSEHC1 40\n" + std::string(40, 'x');
+  ASSERT_EQ(::write(sp.fds[0], stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  ::shutdown(sp.fds[0], SHUT_WR);
+  EXPECT_EQ(read_frame(sp.fds[1]), std::optional<std::string>(""));
+  EXPECT_EQ(read_frame(sp.fds[1]), std::optional<std::string>("abc"));
+  EXPECT_EQ(read_frame(sp.fds[1]),
+            std::optional<std::string>(std::string(40, 'x')));
+  EXPECT_EQ(read_frame(sp.fds[1]), std::nullopt);
+}
+
+TEST(ServeFraming, HeaderArrivingOneByteAtATimeIsReassembled) {
+  SocketPair sp;
+  const std::string stream = "SEHC1 5\nhelloSEHC1 2\nhi";
+  std::thread writer([&] {
+    for (const char c : stream) {
+      send_in_pieces(sp.fds[0], std::string_view(&c, 1), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::shutdown(sp.fds[0], SHUT_WR);
+  });
+  const std::optional<std::string> first = read_frame(sp.fds[1]);
+  const std::optional<std::string> second = read_frame(sp.fds[1]);
+  const std::optional<std::string> end = read_frame(sp.fds[1]);
+  writer.join();
+  EXPECT_EQ(first, std::optional<std::string>("hello"));
+  EXPECT_EQ(second, std::optional<std::string>("hi"));
+  EXPECT_EQ(end, std::nullopt);
+}
+
+/// The ProtocolError message of read_frame on `bytes` followed by EOF, or
+/// "" when it throws none.
+std::string read_frame_error(const std::string& bytes) {
+  SocketPair sp;
+  send_in_pieces(sp.fds[0], bytes, bytes.size());
+  ::shutdown(sp.fds[0], SHUT_WR);
+  try {
+    (void)read_frame(sp.fds[1]);
+  } catch (const ProtocolError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeFraming, HeaderBoundIsThirtyTwoBytesWithItsNewline) {
+  const std::string longest = "SEHC1 " + std::string(24, '0') + "1\n";
+  ASSERT_EQ(longest.size(), 32u);
+  EXPECT_EQ(read_frame_error(longest + "x"), "");
+  const std::string no_newline = "SEHC1 " + std::string(27, '0');
+  ASSERT_EQ(no_newline.size(), 33u);
+  EXPECT_NE(read_frame_error(no_newline).find("frame header too long"),
+            std::string::npos);
+  EXPECT_NE(read_frame_error(no_newline + "\n").find("frame header too long"),
+            std::string::npos);
+}
+
+TEST(ServeFraming, EofMidHeaderIsAnErrorAndEofBetweenFramesIsNot) {
+  EXPECT_NE(read_frame_error("SEHC1 1").find("closed mid-frame header"),
+            std::string::npos);
+  EXPECT_NE(read_frame_error("S").find("closed mid-frame header"),
+            std::string::npos);
+  EXPECT_EQ(read_frame_error(""), "");
 }
 
 TEST(ServeFraming, FrameWithATailIsTheFrameOfTheJoinedPayload) {
@@ -550,6 +621,25 @@ TEST(ServeResponse, ErrorMessageNewlinesAreFolded) {
   const ScheduleResponse got = ScheduleResponse::parse(resp.serialize());
   EXPECT_EQ(got.status, ServeStatus::kError);
   EXPECT_EQ(got.error, "line one line two");
+}
+
+TEST(ServeResponse, MakespanLineIsPrintfG17AndTheMillisecondsAreFixed) {
+  using limits = std::numeric_limits<double>;
+  for (const double v :
+       {-0.0, 0.0, limits::denorm_min(), 2.2250738585072009e-308, 0.1,
+        std::nextafter(1e17, 0.0), 1e17, std::nextafter(1e17, 1e18),
+        limits::max(), 1234.5678901234}) {
+    ScheduleResponse resp;
+    resp.makespan = v;
+    resp.queue_ms = 1.0 / 3.0;
+    resp.solve_ms = 1e300;
+    char want[512];
+    std::snprintf(want, sizeof want,
+                  "\nmakespan=%.17g\nevals=0\nsteps=0\ntimed_out=0\n"
+                  "cache_hit=0\nqueue_ms=%.3f\nsolve_ms=%.3f\n",
+                  v, resp.queue_ms, resp.solve_ms);
+    EXPECT_NE(resp.serialize().find(want), std::string::npos) << want;
+  }
 }
 
 TEST(ServeRequest, CanonicalStringIsTheIdentityThenTheFieldsInFixedOrder) {

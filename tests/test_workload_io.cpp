@@ -4,15 +4,23 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/options.h"
 #include "core/rng.h"
+#include "core/table.h"
+#include "exp/campaign.h"
+#include "exp/sweep.h"
 #include "workload/generator.h"
 #include "workload_io_reference.h"
 
@@ -266,6 +274,123 @@ TEST(WorkloadIoDifferential, WriterMatchesIostreamOnRandomBits) {
     EXPECT_TRUE(same_workload(workload_from_string(text), w));
     EXPECT_TRUE(readers_agree(text));
   }
+}
+
+// --- Writer: the integer "%.17g" path -----------------------------------------
+
+/// Doubles at the edges of write_g17's integer path, then three outside it.
+std::vector<double> writer_edge_values() {
+  std::vector<double> values;
+  // (2j+1)/4 in [2^50, 2^51): sixteen integer digits and a fraction of .25
+  // or .75, an exact tie at the 17th digit that rounds half-even.
+  for (const double base : {0x1p50, 1234567890123456.0, 0x1p51 - 2}) {
+    for (const double frac : {0.25, 0.75, 1.25, 1.75}) {
+      values.push_back(base + frac);
+    }
+  }
+  // The powers of ten 1 .. 1e17 and the largest double below each of
+  // 1e1 .. 1e17.
+  double pow10 = 1.0;
+  for (int k = 0; k <= 17; ++k, pow10 *= 10) {
+    values.push_back(pow10);
+    if (k > 0) values.push_back(std::nextafter(pow10, 0.0));
+  }
+  // 2^53 and its neighbours.
+  for (const double v : {0x1p53 - 1, 0x1p53, 0x1p53 + 2}) values.push_back(v);
+  // Outside the integer path.
+  for (const double v : {-0.0, 0.1, 4.9406564584124654e-324}) {
+    values.push_back(v);
+  }
+  return values;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(WorkloadIoGolden, WriterEdgeCasesMatchTheCommittedBytes) {
+  // The golden pins the wire format against both oracles: the writer and
+  // the iostream reference must each still produce it byte for byte. It
+  // was written by reference::workload_to_string for this workload.
+  const Workload w = workload_of_values(writer_edge_values(), 14, 4);
+  const std::string golden =
+      read_file(std::string(SEHC_GOLDEN_DIR) + "/workload_writer_edges.txt");
+  EXPECT_EQ(workload_to_string(w), golden);
+  EXPECT_EQ(reference::workload_to_string(w), golden);
+  EXPECT_TRUE(same_workload(workload_from_string(golden), w));
+}
+
+TEST(WorkloadIoDifferential, WriterMatchesToCharsOnTheIntegerPathDensely) {
+  // Random mantissas at every binary exponent of the integer path,
+  // 1 <= v < 1e17, in turn.
+  const std::size_t count = scaled(1'000'000, 57'000);
+  Rng rng(2501);
+  std::vector<double> values(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t biased = 1023 + i % 57;
+    do {
+      values[i] = std::bit_cast<double>(biased << 52 | rng.bits() >> 12);
+    } while (values[i] >= 1e17);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    char got[kG17MaxChars], want[kG17MaxChars];
+    const char* end = write_g17_integer(got, v);
+    const char* want_end =
+        std::to_chars(want, want + sizeof want, v, std::chars_format::general,
+                      17)
+            .ptr;
+    if (end == nullptr ||
+        std::string_view(got, end) != std::string_view(want, want_end)) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "to_chars writes " << std::string_view(want, want_end)
+                      << " for bits " << std::bit_cast<std::uint64_t>(v);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The same values as documents, against the iostream writer, read back.
+  constexpr std::size_t kMachines = 50, kTasks = 1000;
+  for (std::size_t begin = 0; begin < count; begin += kMachines * kTasks) {
+    const std::size_t n = std::min(kMachines * kTasks, count - begin);
+    const std::size_t tasks = (n + kMachines - 1) / kMachines;
+    Matrix<double> exec(kMachines, tasks, 1.0);
+    std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(begin), n,
+                exec.flat().begin());
+    const Workload w(TaskGraph(tasks), MachineSet(kMachines), std::move(exec),
+                     Matrix<double>(MachineSet(kMachines).num_pairs(), 0));
+    const std::string text = workload_to_string(w);
+    ASSERT_EQ(text, reference::workload_to_string(w)) << "from " << begin;
+    EXPECT_TRUE(same_workload(workload_from_string(text), w));
+  }
+}
+
+TEST(WorkloadIoFastPath, EveryScaledClassGridTimeTakesTheIntegerPath) {
+  // Every exec and transfer time of every instance the scaled-class-grid
+  // campaign generates, seeded the way its cells are.
+  const CampaignSpec spec = make_builtin_campaign("scaled-class-grid");
+  ASSERT_EQ(spec.classes.size(), 27u);
+  std::size_t checked = 0, outside = 0;
+  for (std::size_t c = 0; c < spec.classes.size(); ++c) {
+    for (std::size_t rep = 0; rep < spec.repetitions; ++rep) {
+      WorkloadParams params = spec.classes[c].params;
+      params.seed = derive_seed(spec.base_seed, {c, rep});
+      const Workload w = make_workload(params);
+      for (const Matrix<double>* m : {&w.exec_matrix(), &w.transfer_matrix()}) {
+        for (const double v : m->flat()) {
+          char buf[kG17MaxChars];
+          ++checked;
+          if (write_g17_integer(buf, v) == nullptr) {
+            if (++outside <= 5) ADD_FAILURE() << "class " << c << ": " << v;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(outside, 0u);
+  EXPECT_GT(checked, 27u * spec.repetitions * 30'000);
 }
 
 // --- Reader: the iostream reader's token rules -------------------------------
