@@ -16,17 +16,17 @@
 //         path — the scalar reference trial loop, simulating every
 //         combination;
 //       - "batch_trials": the shipped scan, allocate_tasks(), with the
-//         scalar strip loops forced. It sweeps all machine candidates at
-//         the bottom of each task's range in one Evaluator::TrialBatch and
-//         above it re-simulates only the candidate a one-position slide can
-//         change, counting the reused combinations as trials. Its trials/sec
-//         therefore mostly measures reuse, and its one batch per task runs
-//         under a +infinity bound, so its pruned rate reads 0;
+//         scalar strip loops forced. Each task's whole scan is one
+//         Evaluator::TrialBatch sweep: every machine candidate at the bottom
+//         of its range, plus one slide lane at each later position whose
+//         slid segment runs on a candidate machine (the only combination
+//         there that a one-position slide can change). The other
+//         combinations keep their values and count as trials, so its
+//         trials/sec mostly measures reuse. Its batches run under a
+//         +infinity bound, so its pruned rate reads 0;
 //       - "simd_trials": the same scan under the strip kernel selected by
 //         --kernel=auto|scalar (default: the SEHC_KERNEL env override;
-//         auto picks AVX2 where the CPU has it, scalar otherwise). Only the
-//         one batch per task uses the strips, so the gain over batch_trials
-//         is small.
+//         auto picks AVX2 where the CPU has it, scalar otherwise).
 //     All four modes must commit bit-identical final strings (asserted per
 //     pass on the final makespans), count the same trials, and the two
 //     batch modes must agree on pruned lanes and on the evaluator's own

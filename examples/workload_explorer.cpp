@@ -1,6 +1,7 @@
 // Generates workloads across the paper's classification axes, measures their
 // realized characteristics (connectivity, heterogeneity, CCR, bounds) and
-// optionally dumps one instance in the sehc-workload text format.
+// optionally dumps one instance of --tasks x --machines in the
+// sehc-workload text format.
 //
 // The generator grid (connectivity x heterogeneity x CCR) runs through the
 // campaign subsystem's generic grid driver: the table is identical for any
@@ -107,8 +108,8 @@ int run(int argc, char** argv) {
 
   if (opts.has("dump")) {
     WorkloadParams p;
-    p.tasks = 10;
-    p.machines = 3;
+    p.tasks = tasks;
+    p.machines = machines;
     p.seed = seed;
     std::cout << "\n--- sample instance in sehc-workload v1 format ---\n";
     write_workload(std::cout, make_workload(p));

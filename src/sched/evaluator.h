@@ -15,22 +15,23 @@
 // read from, where results and snapshots are written, and the pruning bound:
 //
 //   * evaluate()/makespan(): the whole string from idle machines.
-//   * Rolling checkpoint (SE allocation): all trial strings share a fixed
-//     prefix; begin_trials() simulates it once, extend_checkpoint() grows it
-//     one segment at a time as the trial position advances, and each
-//     trial_makespan() simulates only the suffix behind the checkpoint. SE
-//     sweeps all machine candidates at the bottom of a task's range in one
-//     TrialBatch; above it, one trial_makespan() re-simulates the only
-//     candidate whose schedule a one-position slide can change.
+//   * Rolling checkpoint: all trial strings share a fixed prefix;
+//     begin_trials() simulates it once, extend_checkpoint() grows it one
+//     segment at a time as the trial position advances, and each
+//     trial_makespan() simulates only the suffix behind the checkpoint. It
+//     is the scalar reference for the batch below and for perf_hotpath's
+//     incremental mode; SE's allocation scan runs the batch.
 //   * Prepared state (tabu, annealing): prepare() simulates a string once
 //     and snapshots the machine-availability vector before every position,
 //     so a trial that changes the string from position p onward costs
 //     O(k - p) instead of O(k). refresh_from() rolls the snapshots forward
 //     after an accepted move.
-//   * Evaluator::TrialBatch (declared below): SE's sweep over one task's
-//     machine candidates on the rolling checkpoint, in one
-//     structure-of-arrays pass, bit-identical to one trial_makespan() per
-//     candidate. Every other searcher calls the scalar modes above.
+//   * Evaluator::TrialBatch (declared below): SE's whole allocation scan
+//     of one task (every machine candidate at the bottom of its range, and
+//     every slide above it that a position change can affect) in one
+//     structure-of-arrays sweep on top of begin_trials()'s checkpoint,
+//     bit-identical to one trial_makespan() per trial string. Every other
+//     searcher calls the scalar modes above.
 //
 // Every mode is exact (bit-identical to a full evaluation), pruning
 // included: a trial aborts as soon as its running makespan strictly exceeds
@@ -89,7 +90,7 @@ class Evaluator {
   /// Makespan only; same cost but avoids constructing the result arrays.
   double makespan(const SolutionString& s) const;
 
-  // --- Rolling-checkpoint trial mode (SE allocation inner loop) ----------
+  // --- Rolling-checkpoint trial mode --------------------------------------
   //
   // All trial strings for one task share an unchanged prefix [0, prefix):
   // begin_trials() evaluates that prefix once and snapshots the machine
@@ -104,9 +105,9 @@ class Evaluator {
 
   /// Advances the checkpoint by one segment: position `prefix` of `s` (which
   /// must from now on be identical in every trial string) becomes part of
-  /// the fixed prefix. O(deg + 1). This is what makes the SE allocation scan
-  /// linear: as the trial position moves from pos to pos+1, the segment that
-  /// slides below it is simulated exactly once instead of once per trial.
+  /// the fixed prefix. O(deg + 1). A scan that moves a task up one position
+  /// at a time thus simulates the segment that slides below it once instead
+  /// of once per trial.
   void extend_checkpoint(const SolutionString& s) const;
 
   /// Checkpoint position (prefix length) of the rolling trial mode.
@@ -280,23 +281,32 @@ class Evaluator {
   class TrialBatch;
 };
 
-/// SE's allocation sweep: accumulate the machine candidates of one task as
-/// reassign trials on the evaluator's rolling checkpoint, then evaluate them
-/// all in ONE position-major sweep whose inner loop runs over the batch
-/// dimension. Data is laid out structure-of-arrays — per-machine
-/// availability rows and per-task finish columns hold one contiguous lane
-/// per live trial — so the sweep's inner loops run as SIMD strips, and
-/// trials whose running makespan exceeds the shared bound are retired
-/// mid-sweep by lane compaction.
+/// SE's allocation scan of one task t as one structure-of-arrays sweep.
+/// Every pending trial edits t in the base string:
+///
+///   * a reassign is "base with t on machine m", t staying at its base
+///     position e;
+///   * a slide is "base with t moved up to position p > e, on machine m"
+///     (the segments at (e, p] move down by one).
+///
+/// Each trial string is therefore the base without t with t inserted at its
+/// own point, and the sweep walks that string once, from the evaluator's
+/// rolling checkpoint to the end. Until the sweep reaches its insertion
+/// point, a lane simulates the string without t, so it carries the
+/// checkpoint rolled forward to where the sweep is; there it runs t's step
+/// on its own machine and goes on with its own trial. Per-machine
+/// availability rows and per-task finish rows hold one contiguous lane per
+/// trial, so every segment but t runs for all lanes at once as SIMD strips.
 ///
 /// Exactness contract: evaluate() is bit-identical to one trial_makespan()
-/// per trial with the same bound — identical makespans where the scalar
-/// returns an exact value, +infinity exactly where the scalar prunes, and
-/// exactly size() increments of the evaluator's trial counter. Trials are
-/// mutually independent, so interchanging the loops (positions outer,
-/// trials inner) replays each trial's floating-point operation sequence
-/// unchanged; each lane's edited segment runs the evaluator's own
-/// simulate() step.
+/// per trial string with the same bound: identical makespans where the
+/// scalar returns an exact value, +infinity exactly where it prunes, and
+/// exactly size() increments of the evaluator's trial counter. Every lane
+/// replays its own trial's floating-point operations (the edited segment
+/// runs the evaluator's own simulate() step). The sweep itself has no
+/// bound: the running makespan is monotone, so a final makespan above the
+/// bound is exactly a trial the scalar path prunes, and evaluate() turns it
+/// into +infinity afterwards.
 ///
 /// The checkpoint state is read at evaluate() time, so one batch may span
 /// extend_checkpoint() calls between evaluate() rounds.
@@ -304,38 +314,54 @@ class Evaluator::TrialBatch {
  public:
   explicit TrialBatch(const Evaluator& eval);
 
-  /// Trials become reassigns of `base`, evaluated on top of the evaluator's
+  /// Trials become edits of `base`, evaluated on top of the evaluator's
   /// rolling checkpoint (begin_trials()/extend_checkpoint() manage the
-  /// checkpoint as in the scalar path). `base` is captured by reference and
-  /// read at evaluate() time. Clears pending trials.
+  /// checkpoint as in the scalar path); the edited task's base position
+  /// must not lie below it. `base` is captured by reference and read at
+  /// evaluate() time. Clears pending trials.
   void begin_checkpoint(const SolutionString& base);
 
   /// Adds the trial "base with task t on machine m". Every pending trial
-  /// reassigns the same task: adding another task throws sehc::Error.
+  /// edits the same task, and reassigns precede slides: adding another task
+  /// or a reassign after a slide throws sehc::Error.
   void add_reassign(TaskId t, MachineId m);
+
+  /// Adds the trial "base with task t moved up to position `pos`, on machine
+  /// m". Slides come in non-decreasing position order (throws sehc::Error
+  /// otherwise, or for another task). evaluate() rejects a slide that is
+  /// not above t's base position or that moves t past one of its
+  /// successors.
+  void add_slide(TaskId t, std::size_t pos, MachineId m);
 
   std::size_t size() const { return lane_machine_.size(); }
   bool empty() const { return lane_machine_.empty(); }
   /// Drops pending trials; keeps the base.
-  void clear() { lane_machine_.clear(); }
+  void clear() {
+    lane_machine_.clear();
+    slide_pos_.clear();
+  }
 
-  /// Evaluates every pending trial against the shared pruning `bound`
-  /// (strict, as the scalar path: any value returned <= bound is exact, any
-  /// trial whose running makespan strictly exceeds `bound` yields +infinity).
-  /// Returns one makespan per trial in add order, counts size() trials, and
-  /// clears the pending list. The returned reference is invalidated by the
-  /// next evaluate() call.
+  /// Evaluates every pending trial against `bound` (strict, as the scalar
+  /// path: any value returned <= bound is exact, any trial whose makespan
+  /// strictly exceeds `bound` yields +infinity). Returns one makespan per
+  /// trial in add order, counts size() trials, and clears the pending list.
+  /// The returned reference is invalidated by the next evaluate() call.
   const std::vector<double>& evaluate(double bound);
+
+  /// Trial lanes one sweep holds. The lane store stays within twice what the
+  /// pending reassigns alone need, or 1 MiB if that is larger; a batch with
+  /// more trials runs as several sweeps of at most this many lanes.
+  std::size_t lane_capacity() const;
 
   /// Always-on batch instrumentation, updated ONCE per evaluate() call
   /// (plain member arithmetic — never a registry or map lookup, so the
   /// --check-overhead perf gate stays green with metrics compiled in).
-  /// Pruned counts lanes retired mid-sweep (+infinity results), exactly
-  /// the trials the scalar reference would also have pruned.
+  /// Pruned counts the trials evaluate() returned as +infinity, exactly the
+  /// trials the scalar reference would also have pruned.
   struct BatchMetrics {
     std::uint64_t batches = 0;      ///< evaluate() calls with >= 1 trial
     std::uint64_t trials = 0;       ///< trials evaluated across batches
-    std::uint64_t pruned = 0;       ///< trials retired by the bound
+    std::uint64_t pruned = 0;       ///< trials above their batch's bound
     std::uint64_t max_batch = 0;    ///< largest single batch
     LogHistogram batch_sizes;          ///< distribution of batch sizes
   };
@@ -351,37 +377,33 @@ class Evaluator::TrialBatch {
   void set_kernel(KernelChoice choice);
 
  private:
-  void sweep(double bound);
-  /// Lane retirement: moves lane `last`'s SoA columns into `lane`.
-  void compact_lane(std::size_t lane, std::size_t last, std::size_t from,
-                    std::size_t upto);
+  /// Sweeps the pending trials [first, first + count) in one pass.
+  void sweep(std::size_t first, std::size_t count);
 
   const Evaluator* eval_ = nullptr;
   const SolutionString* base_ = nullptr;
-  TaskId task_ = kInvalidTask;  // the task every pending trial reassigns
+  TaskId task_ = kInvalidTask;  // the task every pending trial edits
 
-  // SoA lanes, stride = size() during evaluate(): avail_lanes_ row m =
-  // per-lane availability of machine m; finish_lanes_ row t = per-lane
-  // finish of task t; makespan_ / lane_trial_ / lane_machine_ indexed by
-  // lane. The lane stores are 64-byte aligned for the SIMD strip loops.
+  // SoA lanes, stride = trials in the sweep: avail_lanes_ row m = per-lane
+  // availability of machine m; finish_lanes_ row t = per-lane finish of
+  // task t; makespan_ and ready_lanes_ indexed by lane. The lane stores are
+  // 64-byte aligned for the SIMD strip loops.
   AlignedVector<double> avail_lanes_;
   AlignedVector<double> finish_lanes_;
   AlignedVector<double> makespan_;
   AlignedVector<double> ready_lanes_;    // per-lane ready-time scratch
-  std::vector<std::size_t> lane_trial_;
-  // Pending trials' machines in add order; the sweep permutes them with
-  // their lanes as lanes retire (lane_trial_ keeps the add order).
+  // Pending trials' machines in add order: the reassigns, then the slides,
+  // whose target positions slide_pos_ holds.
   std::vector<MachineId> lane_machine_;
+  std::vector<std::size_t> slide_pos_;
   std::vector<double> results_;
   BatchMetrics metrics_;
 
   // Strip-kernel dispatch (resolved once, never per strip) plus the lazily
-  // recorded selected-kernel gauge and the per-evaluate pruned-lane count
-  // (tracked where lanes retire, so evaluate() never rescans results_).
+  // recorded selected-kernel gauge.
   SimdKernel kernel_ = SimdKernel::kScalar;
   const BatchKernelOps* ops_ = nullptr;
   bool kernel_gauge_recorded_ = false;
-  std::size_t pruned_count_ = 0;
 };
 
 /// One-shot convenience wrapper.

@@ -1,9 +1,12 @@
 #include "se/allocation.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace sehc {
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
 
 MachineCandidates::MachineCandidates(const Workload& w, std::size_t y_limit) {
   const std::size_t l = w.num_machines();
@@ -23,6 +26,9 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
   AllocationStats stats;
   const TaskGraph& g = w.graph();
   std::vector<double> lens;  // per-candidate makespan at the scan position
+  // Machine -> index among the scanned task's candidates, or kNoLane.
+  constexpr std::size_t kNoLane = ~std::size_t{0};
+  std::vector<std::size_t> lane_of(w.num_machines(), kNoLane);
 
   for (TaskId t : selected) {
     const std::size_t original_pos = s.position_of(t);
@@ -34,26 +40,46 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
     // when the current machine is inside the top-Y set; otherwise the task
     // is forcibly re-matched, which can move the schedule uphill — this is
     // the algorithm's escape from single-move local minima when Y < l.
-    double best_len = std::numeric_limits<double>::infinity();
+    double best_len = kInf;
     std::size_t best_pos = original_pos;
     MachineId best_machine = original_machine;
     std::size_t ties = 0;  // reservoir size for uniform tie sampling
 
     const ValidRange range = s.valid_range(g, t);
     const std::span<const MachineId> machines = candidates.of(t);
-    // Rolling checkpoint: trials at position pos permute only positions
-    // >= pos, so the checkpoint starts at range.lo and is extended by one
-    // segment every time the trial position advances — each trial simulates
-    // only [pos, k) instead of [range.lo, k).
+    // The whole scan is one sweep. Trials at any position of the range
+    // permute only positions >= range.lo, so the checkpoint sits there.
+    // With t at range.lo, every machine candidate is one reassign lane.
+    // Moving t up to pos swaps it with the segment at pos, which shares no
+    // DAG edge with t (both lie inside t's valid range). Unless t runs on
+    // that segment's machine, the swap leaves every machine's task order
+    // unchanged, so the trial repeats its last schedule bit for bit and
+    // keeps its last value. Only the candidate on that machine (at most
+    // one: candidates are distinct) changes, and it gets a slide lane.
     eval.begin_trials(s, range.lo);
     s.move_task(t, range.lo);
-    // At range.lo every machine candidate is simulated, in one SoA sweep
-    // under the +infinity bound.
+    const std::span<const Segment> segs = s.segments();
     batch.begin_checkpoint(s);
-    for (const MachineId m : machines) batch.add_reassign(t, m);
-    const std::vector<double>& first = batch.evaluate(best_len);
-    lens.assign(first.begin(), first.end());
-    for (std::size_t pos = range.lo;; ++pos) {
+    for (std::size_t j = 0; j < machines.size(); ++j) {
+      batch.add_reassign(t, machines[j]);
+      lane_of[machines[j]] = j;
+    }
+    for (std::size_t pos = range.lo + 1; pos <= range.hi; ++pos) {
+      const MachineId slid = segs[pos].machine;
+      if (lane_of[slid] != kNoLane) batch.add_slide(t, pos, slid);
+    }
+    // Every combination counts as one trial, swept or kept.
+    eval.count_known_trials(machines.size() * range.size() - batch.size());
+    // Every value is exact (no bound). One above best_len fails both
+    // comparisons below, and so does a kept one: best_len only falls.
+    const std::vector<double>& swept = batch.evaluate(kInf);
+    lens.assign(swept.begin(), swept.begin() + machines.size());
+    std::size_t next_slide = machines.size();
+    for (std::size_t pos = range.lo; pos <= range.hi; ++pos) {
+      if (pos > range.lo) {
+        const std::size_t j = lane_of[segs[pos].machine];
+        if (j != kNoLane) lens[j] = swept[next_slide++];
+      }
       stats.combinations_tried += machines.size();
       for (std::size_t j = 0; j < machines.size(); ++j) {
         const double len = lens[j];
@@ -72,36 +98,9 @@ AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
           }
         }
       }
-      if (pos == range.hi) break;
-      s.move_task(t, pos + 1);
-      // The segment that slid down into `pos` is now part of every
-      // remaining trial's fixed prefix: fold it into the checkpoint.
-      eval.extend_checkpoint(s);
-      // Lane reuse. The new trials differ from the previous position's by
-      // swapping t with the slid segment u, which shares no DAG edge with t
-      // (both lie inside t's valid range). Unless t runs on u's machine,
-      // that swap leaves every machine's task order unchanged, so the trial
-      // repeats its last schedule bit for bit and keeps its last value.
-      // Only the candidate on u's machine (at most one: candidates are
-      // distinct) is simulated again. A kept value is exact, or +infinity
-      // pruned under an earlier incumbent, which is no lower than best_len:
-      // the incumbent only falls within one task's scan. Where a
-      // re-simulation pruned at best_len would return an exact value, the
-      // kept value is that value; where it would prune, the kept value also
-      // exceeds best_len and fails both comparisons above. Every kept
-      // combination still counts as one trial.
-      const MachineId slid = s.segment(pos).machine;
-      const auto lane = std::find(machines.begin(), machines.end(), slid);
-      std::size_t simulated = 0;
-      if (lane != machines.end()) {
-        s.set_machine(t, slid);
-        lens[static_cast<std::size_t>(lane - machines.begin())] =
-            eval.trial_makespan(s, best_len);
-        s.set_machine(t, original_machine);
-        simulated = 1;
-      }
-      eval.count_known_trials(machines.size() - simulated);
     }
+
+    for (const MachineId m : machines) lane_of[m] = kNoLane;
 
     // Commit the winner (possibly the original placement).
     s.move_task(t, best_pos);

@@ -10,21 +10,19 @@
 // tie moves never worsen the schedule but keep the search mobile instead of
 // freezing in the first single-move local minimum it reaches.
 //
-// Trials are done by mutating the working string in place and restoring it,
-// so allocation performs no memory allocation in the hot loop. The scan
-// rides the evaluator's incremental engine: the checkpoint rolls forward as
-// the trial position advances (each trial simulates only the suffix behind
-// the current position) and trials are pruned exactly against the incumbent
-// best length (strict inequality, so the reservoir tie sampling — and with
-// it every downstream random draw — is untouched).
-//
-// Most combinations are not simulated at all. When the task slides one
-// position up, it swaps with a segment that shares no DAG edge with it, so
-// only the candidate on that segment's machine sees a machine order change;
-// every other candidate's schedule, and so its makespan, repeats bit for
-// bit. Each position after the first therefore re-simulates at most one
-// candidate and reuses the rest, still counting every combination as one
-// evaluator trial.
+// Each selected task's scan is one Evaluator::TrialBatch sweep on a
+// checkpoint at the bottom of its valid range, so allocation performs no
+// memory allocation per trial. Most combinations are not simulated at all.
+// When the task slides one position up, it swaps with a segment that
+// shares no DAG edge with it, so only the candidate on that segment's
+// machine sees a machine order change; every other candidate's schedule,
+// and so its makespan, repeats bit for bit. The sweep therefore holds one
+// lane per machine candidate at the bottom of the range and one slide lane
+// per later position whose slid segment runs on a candidate machine; the
+// scan replays its comparisons over the lane values, reusing the rest and
+// still counting every combination as one evaluator trial. The reservoir
+// tie sampling, and with it every downstream random draw, is the same as
+// simulating every combination.
 //
 // The Y parameter (paper §4.5, studied in Fig. 4) limits machine candidates
 // per task to its Y fastest machines; Y = 0 or Y >= l means "all machines".
@@ -76,14 +74,14 @@ struct AllocationStats {
 /// `rng`. Mutates `s` in place; returns stats. Never increases the
 /// makespan.
 ///
-/// At the bottom of a task's valid range all its machine candidates form
-/// one Evaluator::TrialBatch evaluated in a single SoA sweep; at each later
-/// position one scalar trial re-simulates the candidate on the machine of
-/// the segment that slid below the task, and every other candidate keeps
-/// its previous value (bit-identical to simulating every candidate at every
-/// position — winner, reservoir tie statistics, RNG stream and trial counts
-/// all unchanged). `batch` must be bound to `eval`; engines pass a
-/// persistent instance, so a call allocates only one Y-entry scratch.
+/// Each task's scan is one Evaluator::TrialBatch: all its machine
+/// candidates at the bottom of its valid range, and at each later position
+/// a slide lane for the candidate on the machine of the segment that slid
+/// below the task; every other candidate keeps its previous value
+/// (bit-identical to simulating every candidate at every position — winner,
+/// reservoir tie statistics, RNG stream and trial counts all unchanged).
+/// `batch` must be bound to `eval`; engines pass a persistent instance, so
+/// a call allocates only two scratch vectors.
 AllocationStats allocate_tasks(const Workload& w, const Evaluator& eval,
                                const MachineCandidates& candidates,
                                const std::vector<TaskId>& selected,

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <type_traits>
@@ -80,7 +82,12 @@ double parse_double_field(const std::string& value, const std::string& key) {
   char* end = nullptr;
   errno = 0;
   const double d = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
+  // strtod sets ERANGE for a subnormal result too, which serialize() writes
+  // for a subnormal makespan. Only overflow and underflow to zero fail.
+  const bool subnormal =
+      d != 0.0 && std::fabs(d) < std::numeric_limits<double>::min();
+  if (value.empty() || end != value.c_str() + value.size() ||
+      (errno == ERANGE && !subnormal)) {
     proto_fail("bad numeric value '" + value + "' for " + key);
   }
   return d;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/rng.h"
 #include "dag/levels.h"
 #include "se/goodness.h"
 #include "se/selection.h"
 #include "workload/generator.h"
+#include "workload/structured.h"
 
 namespace sehc {
 namespace {
@@ -199,6 +203,168 @@ TEST(Allocation, SmallerYNeverTriesMoreCombinations) {
   const auto stats8 =
       allocate_tasks(w, eval, MachineCandidates(w, 8), all, s8, rng8, batch);
   EXPECT_LT(stats2.combinations_tried, stats8.combinations_tried);
+}
+
+// --- allocate_tasks against a scan that simulates every combination --------
+
+/// allocate_tasks without the sweep and without reuse: every (position,
+/// machine) combination is a full Evaluator::makespan() of its string, in
+/// allocate_tasks' order and with its reservoir draws.
+AllocationStats full_scan_allocate(const Workload& w,
+                                   const MachineCandidates& candidates,
+                                   const std::vector<TaskId>& selected,
+                                   SolutionString& s, Rng& rng,
+                                   std::size_t& trials) {
+  AllocationStats stats;
+  Evaluator eval(w);
+  for (const TaskId t : selected) {
+    const std::size_t original_pos = s.position_of(t);
+    const MachineId original_machine = s.machine_of(t);
+    double best_len = std::numeric_limits<double>::infinity();
+    std::size_t best_pos = original_pos;
+    MachineId best_machine = original_machine;
+    std::size_t ties = 0;
+    const ValidRange range = s.valid_range(w.graph(), t);
+    for (std::size_t pos = range.lo; pos <= range.hi; ++pos) {
+      s.move_task(t, pos);
+      for (const MachineId m : candidates.of(t)) {
+        s.set_machine(t, m);
+        const double len = eval.makespan(s);
+        ++stats.combinations_tried;
+        if (len < best_len) {
+          best_len = len;
+          best_pos = pos;
+          best_machine = m;
+          ties = 1;
+        } else if (len == best_len) {
+          ++ties;
+          if (rng.below(ties) == 0) {
+            best_pos = pos;
+            best_machine = m;
+          }
+        }
+      }
+    }
+    s.move_task(t, best_pos);
+    s.set_machine(t, best_machine);
+    if (best_pos != original_pos || best_machine != original_machine) {
+      ++stats.tasks_moved;
+    }
+  }
+  trials = eval.trial_count();
+  return stats;
+}
+
+/// Runs allocate_tasks and the full scan from the same string and seed and
+/// asserts identical strings, statistics, trial counts and RNG positions.
+void expect_matches_full_scan(const Workload& w, std::size_t y,
+                              const std::vector<TaskId>& selected,
+                              const SolutionString& start,
+                              std::uint64_t seed, const std::string& what) {
+  const MachineCandidates candidates(w, y);
+  Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
+  SolutionString got = start;
+  SolutionString want = start;
+  Rng rng_got(seed), rng_want(seed);
+  const AllocationStats stats_got =
+      allocate_tasks(w, eval, candidates, selected, got, rng_got, batch);
+  std::size_t trials_want = 0;
+  const AllocationStats stats_want =
+      full_scan_allocate(w, candidates, selected, want, rng_want, trials_want);
+  ASSERT_EQ(got, want) << what;
+  EXPECT_EQ(stats_got.tasks_moved, stats_want.tasks_moved) << what;
+  EXPECT_EQ(stats_got.combinations_tried, stats_want.combinations_tried)
+      << what;
+  EXPECT_EQ(eval.trial_count(), trials_want) << what;
+  // Identical reservoir draws leave both streams at the same position.
+  EXPECT_EQ(rng_got.bits(), rng_want.bits()) << what;
+}
+
+TEST(Allocation, MatchesScanThatSimulatesEveryCombination) {
+  // Generated classes with Y below, at and above l (Y < l leaves some
+  // positions without a slide lane), plus the degenerate shapes: k = 1-3,
+  // l = 1, a chain (ranges of size 1), an edgeless graph (ranges spanning
+  // the string) and trees and a fork-join, whose tasks' successors read the
+  // scanned task on every lane.
+  struct Shape {
+    std::string name;
+    Workload w;
+  };
+  std::vector<Shape> shapes;
+  for (const Level conn : {Level::kLow, Level::kMedium, Level::kHigh}) {
+    WorkloadParams p;
+    p.tasks = 24;
+    p.machines = 5;
+    p.connectivity = conn;
+    p.ccr = 1.0;
+    p.seed = 60 + static_cast<std::uint64_t>(conn);
+    shapes.push_back({p.describe(), make_workload(p)});
+  }
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (std::size_t l = 1; l <= 3; ++l) {
+      TaskGraph g(k);
+      if (k == 3) g.add_edge(0, 2);
+      shapes.push_back({"k" + std::to_string(k) + " l" + std::to_string(l),
+                        make_workload_for_graph(std::move(g), l, Level::kHigh,
+                                                1.0, 1000.0, 5 * k + l)});
+    }
+  }
+  shapes.push_back({"chain", make_workload_for_graph(chain_dag(7), 3,
+                                                     Level::kMedium, 1.0,
+                                                     1000.0, 71)});
+  shapes.push_back({"edgeless", make_workload_for_graph(TaskGraph(8), 3,
+                                                        Level::kHigh, 1.0,
+                                                        1000.0, 72)});
+  shapes.push_back({"out_tree", make_workload_for_graph(out_tree_dag(3, 2), 4,
+                                                        Level::kMedium, 5.0,
+                                                        1000.0, 73)});
+  shapes.push_back({"fork_join", make_workload_for_graph(fork_join_dag(3, 2),
+                                                         3, Level::kLow, 1.0,
+                                                         1000.0, 74)});
+
+  for (const Shape& shape : shapes) {
+    const Workload& w = shape.w;
+    std::vector<TaskId> all(w.num_tasks());
+    for (TaskId t = 0; t < w.num_tasks(); ++t) all[t] = t;
+    for (const std::size_t y : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng init(seed * 31 + y);
+        const SolutionString start =
+            random_initial_solution(w.graph(), w.num_machines(), init);
+        // Every task, then a random subset in random order (a task may
+        // be scanned twice).
+        std::vector<TaskId> some;
+        for (std::size_t i = 0; i < w.num_tasks(); ++i) {
+          some.push_back(static_cast<TaskId>(init.below(w.num_tasks())));
+        }
+        const std::string what =
+            shape.name + " y=" + std::to_string(y) + " seed=" +
+            std::to_string(seed);
+        expect_matches_full_scan(w, y, all, start, seed + 100, what);
+        expect_matches_full_scan(w, y, some, start, seed + 200,
+                                 what + " subset");
+      }
+    }
+  }
+}
+
+TEST(Allocation, ChunkedScanMatchesFullScan) {
+  // Task 0 has no edge, so its valid range spans all 1,200 positions of a
+  // chain on two machines. With Y = 1 its scan needs about 600 slide lanes,
+  // far more than one sweep holds (see TrialBatchSlide).
+  constexpr std::size_t k = 1200;
+  TaskGraph g(k);
+  for (TaskId t = 2; t < k; ++t) g.add_edge(t - 1, t);
+  const Workload w =
+      make_workload_for_graph(std::move(g), 2, Level::kHigh, 1.0, 1000.0, 78);
+  Rng init(8);
+  const SolutionString start =
+      random_initial_solution(w.graph(), w.num_machines(), init);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_matches_full_scan(w, 1, {0}, start, seed, "chunked");
+  }
 }
 
 }  // namespace

@@ -642,6 +642,32 @@ TEST(ServeResponse, MakespanLineIsPrintfG17AndTheMillisecondsAreFixed) {
   }
 }
 
+TEST(ServeResponse, SpecialMakespansRoundTripBitForBit) {
+  // write_g17's special values, subnormals included: strtod flags those
+  // with ERANGE, yet they are legal replies.
+  using limits = std::numeric_limits<double>;
+  for (const double v : {-0.0, 4.9406564584124654e-324,
+                         2.2250738585072009e-308, 1e-300, limits::max()}) {
+    ScheduleResponse resp;
+    resp.makespan = v;
+    const ScheduleResponse got = ScheduleResponse::parse(resp.serialize());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.makespan),
+              std::bit_cast<std::uint64_t>(v))
+        << v;
+  }
+  // Overflow, underflow to zero and trailing garbage still fail.
+  const std::string good = ScheduleResponse{}.serialize();
+  const std::size_t at = good.find("makespan=0\n");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"1e400", "-1e400", "1e-400", "1.5x", ""}) {
+    std::string payload = good;
+    payload.replace(at, std::string("makespan=0\n").size(),
+                    std::string("makespan=") + bad + "\n");
+    EXPECT_THROW((void)ScheduleResponse::parse(payload), ProtocolError)
+        << bad;
+  }
+}
+
 TEST(ServeRequest, CanonicalStringIsTheIdentityThenTheFieldsInFixedOrder) {
   const std::string identity =
       workload_identity(workload_from_string(small_workload_text(3)));

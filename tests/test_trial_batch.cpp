@@ -1,17 +1,21 @@
-// Differential suite for Evaluator::TrialBatch — SE's SoA reassign sweep.
+// Differential suite for Evaluator::TrialBatch — SE's SoA allocation sweep.
 //
 // The batch claims BIT-IDENTICAL results to running the scalar reference
 // path (trial_makespan) once per trial with the same bound. This file pins
 // that claim across the edge cases: the empty batch, a batch of one, all
-// trials pruned (at entry and mid-sweep), mixed prune/survive lane
-// compaction, a batch spanning extend_checkpoint() calls, exactness of the
-// trial counter (a batch of N counts N), the one-task-per-batch contract,
-// and the strip kernels at batch sizes around the AVX2 width.
+// trials pruned (at entry and at the end), mixed prune/survive bounds, a
+// batch spanning extend_checkpoint() calls, exactness of the trial counter
+// (a batch of N counts N), the one-task-per-batch contract, and the strip
+// kernels at batch sizes around the AVX2 width. The TrialBatchSlide suite
+// checks every lane of whole-scan batches (reassigns plus slides) against
+// Evaluator::makespan() of its explicit trial string, on small and
+// degenerate shapes and on a batch large enough to sweep in chunks.
 #include "sched/evaluator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -22,6 +26,7 @@
 #include "sched/encoding.h"
 #include "sched/simd.h"
 #include "workload/generator.h"
+#include "workload/structured.h"
 
 namespace sehc {
 namespace {
@@ -146,11 +151,9 @@ TEST(TrialBatch, UniformReassignMatchesScalarAcrossCheckpointExtensions) {
 }
 
 TEST(TrialBatch, UniformPathPrunesAndCompactsLikeScalar) {
-  // Bounds at every exact value retire some lanes mid-sweep and keep others
-  // (dense lane swap compaction), for every task of three strings, so a
-  // compacted lane's edit machine is read again wherever the task has a
-  // later successor: every surviving value must be exact, every pruned
-  // value +infinity exactly where the scalar prunes.
+  // Bounds at every exact value prune some lanes and keep others, for every
+  // task of three strings: every surviving value must be exact, every
+  // pruned value +infinity exactly where the scalar prunes.
   for (const std::uint64_t seed : {106u, 116u, 126u}) {
     const Workload w = small_workload(seed);
     Rng rng(seed);
@@ -242,9 +245,8 @@ TEST(TrialBatch, ClearDropsPendingTrialsWithoutCounting) {
 }
 
 TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
-  // The pruned metric is tracked where lanes retire (compaction and the
-  // entry check), never by rescanning results_: pin it against an explicit
-  // +infinity count of the returned results.
+  // The pruned metric counts the trials returned as +infinity: pin it
+  // against an explicit count of the returned results.
   const Workload w = small_workload(111);
   Rng rng(11);
   const SolutionString s = random_solution(w, rng);
@@ -261,7 +263,7 @@ TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
     return n;
   };
 
-  // Full survival, partial compaction, all pruned mid-sweep.
+  // Full survival, partly pruned, all pruned.
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
   eval.begin_trials(s, 0);
   const std::vector<double> exact = scalar_reassigns(w, s, t, 0, kInf);
@@ -275,8 +277,8 @@ TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
   }
   EXPECT_GT(expect_pruned, 0u);
 
-  // Entry-pruned lanes: a checkpoint whose prefix is already past the
-  // bound retires every lane before the sweep starts.
+  // A checkpoint whose prefix is already past the bound prunes every lane,
+  // as the scalar entry check does.
   const TaskId last = s.segment(s.size() - 1).task;
   eval.begin_trials(s, s.size() - 1);
   batch.begin_checkpoint(s);
@@ -316,9 +318,9 @@ TEST(TrialBatch, SecondTaskInOneBatchThrows) {
 // The sweep's inner loops run as width-4 AVX2 strips with a scalar tail.
 // These tests force the scalar kernel and compare it with `auto` on exactly
 // the shapes where strip arithmetic can go wrong: batch sizes around the
-// strip width, compaction that leaves a ragged tail mid-strip, and an
-// all-pruned first position. Where `auto` resolves to scalar (no AVX2), the
-// comparison is vacuous, so the tests skip.
+// strip width, bounds that prune a ragged subset of the lanes, an all-pruned
+// batch, and whole-scan batches with slides. Where `auto` resolves to scalar
+// (no AVX2), the comparison is vacuous, so the tests skip.
 
 /// Batch sizes below, at, just above and well above the AVX2 width.
 constexpr std::size_t kBatchSizes[] = {1, 3, 4, 5, 11};
@@ -381,9 +383,8 @@ TEST(TrialBatchSimd, CompactionMidStripLeavesRaggedTailIdentical) {
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
 
-  // Bounds at every exact value force compaction at varying sweep depths,
-  // leaving live-lane counts that are ragged with respect to the strip
-  // width (the tail loop and the compacted-lane columns must both agree).
+  // Bounds at every exact value prune a subset of the lanes whose size is
+  // ragged with respect to the strip width.
   for (const std::size_t n : kBatchSizes) {
     const std::vector<double> exact =
         uniform_round(w, s, t, n, kInf, KernelChoice::kScalar);
@@ -406,8 +407,8 @@ TEST(TrialBatchSimd, AllLanesPrunedAtFirstPositionMatchScalar) {
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
 
-  // Bound 0 with a zero-length checkpoint passes the entry check (0 > 0 is
-  // false) and retires every lane at the first swept position.
+  // Bound 0 with a zero-length checkpoint passes the scalar entry check
+  // (0 > 0 is false) and prunes every lane at its first segment.
   for (const std::size_t n : kBatchSizes) {
     const std::vector<double> scalar =
         uniform_round(w, s, t, n, 0.0, KernelChoice::kScalar);
@@ -443,6 +444,321 @@ TEST(TrialBatchSimd, RandomizedTrialSetsByteIdenticalAcrossKernels) {
         uniform_round(w, s, t, n, bound, KernelChoice::kAuto);
     EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(), n * sizeof(double)))
         << "seed " << seed;
+  }
+}
+
+// --- Slide lanes: one task's whole allocation scan in one sweep -------------
+
+/// One trial of a whole-scan batch: t at position `pos` on machine `m`
+/// (`pos` equal to t's base position makes it a reassign).
+struct ScanLane {
+  std::size_t pos;
+  MachineId m;
+};
+
+/// The explicit trial string of `lane`.
+SolutionString trial_string(const SolutionString& base, TaskId t,
+                            const ScanLane& lane) {
+  SolutionString s = base;
+  s.move_task(t, lane.pos);
+  s.set_machine(t, lane.m);
+  return s;
+}
+
+/// Adds t's trials on every machine at its base position `lo` (reassigns)
+/// and, in ascending position order, on the machines `on(pos)` picks at
+/// every later position up to `hi` (slides). Returns them in add order.
+template <class Pick>
+std::vector<ScanLane> add_scan(Evaluator::TrialBatch& batch, TaskId t,
+                               std::size_t lo, std::size_t hi, std::size_t l,
+                               Pick&& on) {
+  std::vector<ScanLane> lanes;
+  for (MachineId m = 0; m < l; ++m) {
+    batch.add_reassign(t, m);
+    lanes.push_back({lo, m});
+  }
+  for (std::size_t pos = lo + 1; pos <= hi; ++pos) {
+    for (MachineId m = 0; m < l; ++m) {
+      if (!on(pos, m)) continue;
+      batch.add_slide(t, pos, m);
+      lanes.push_back({pos, m});
+    }
+  }
+  return lanes;
+}
+
+/// Small and degenerate shapes: generated classes, k = 1-3, l = 1, a chain
+/// (every valid range has size 1), an edgeless graph (every range spans the
+/// string) and a fork-join (successors that read the scanned task).
+std::vector<Workload> slide_shapes() {
+  std::vector<Workload> out;
+  for (const Level conn : {Level::kLow, Level::kMedium, Level::kHigh}) {
+    WorkloadParams p;
+    p.tasks = 18;
+    p.machines = 4;
+    p.connectivity = conn;
+    p.ccr = 1.0;
+    p.seed = 300 + static_cast<std::uint64_t>(conn);
+    out.push_back(make_workload(p));
+  }
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (std::size_t l = 1; l <= 3; ++l) {
+      TaskGraph g(k);
+      if (k >= 2) g.add_edge(0, 1);
+      out.push_back(make_workload_for_graph(std::move(g), l, Level::kHigh, 1.0,
+                                            1000.0, 10 * k + l));
+    }
+  }
+  out.push_back(make_workload_for_graph(chain_dag(6), 3, Level::kMedium, 1.0,
+                                        1000.0, 41));
+  out.push_back(make_workload_for_graph(TaskGraph(7), 3, Level::kHigh, 0.5,
+                                        1000.0, 42));
+  out.push_back(make_workload_for_graph(fork_join_dag(3, 2), 3, Level::kMedium,
+                                        5.0, 1000.0, 43));
+  return out;
+}
+
+TEST(TrialBatchSlide, EveryLaneMatchesMakespanOfItsTrialString) {
+  // Every task of every shape, on checkpoints at the bottom of its range and
+  // below it (so that the sweep itself simulates some of t's producers),
+  // with every machine at every position of its range: each lane must equal
+  // a full evaluation of its trial string, and the batch counts one trial
+  // per lane.
+  std::size_t range_of_one = 0, lo_zero = 0, hi_last = 0, no_preds = 0,
+              no_succs = 0, read_by_succ = 0, one_machine = 0, low_cp = 0;
+  for (const Workload& w : slide_shapes()) {
+    const TaskGraph& g = w.graph();
+    const std::size_t k = w.num_tasks();
+    const std::size_t l = w.num_machines();
+    Evaluator eval(w);
+    Evaluator ref(w);
+    Evaluator::TrialBatch batch(eval);
+    Rng rng(k * 7 + l);
+    for (int draw = 0; draw < 3; ++draw) {
+      const SolutionString s = random_solution(w, rng);
+      for (TaskId t = 0; t < k; ++t) {
+        const ValidRange range = s.valid_range(g, t);
+        const std::size_t prefix =
+            draw == 0 ? range.lo : rng.below(range.lo + 1);
+        eval.begin_trials(s, prefix);
+        SolutionString base = s;
+        base.move_task(t, range.lo);
+        batch.begin_checkpoint(base);
+        const std::vector<ScanLane> lanes =
+            add_scan(batch, t, range.lo, range.hi, l,
+                     [](std::size_t, MachineId) { return true; });
+        const std::size_t before = eval.trial_count();
+        const std::vector<double> got = batch.evaluate(kInf);
+        ASSERT_EQ(got.size(), lanes.size());
+        EXPECT_EQ(eval.trial_count() - before, lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+          EXPECT_EQ(got[i], ref.makespan(trial_string(base, t, lanes[i])))
+              << "k=" << k << " l=" << l << " task " << t << " pos "
+              << lanes[i].pos << " machine " << lanes[i].m << " prefix "
+              << prefix;
+        }
+        range_of_one += range.size() == 1;
+        lo_zero += range.lo == 0;
+        hi_last += range.hi == k - 1;
+        no_preds += g.preds(t).empty();
+        no_succs += g.succs(t).empty();
+        read_by_succ += !g.succs(t).empty() && range.size() > 1;
+        one_machine += l == 1;
+        low_cp += prefix < range.lo;
+      }
+    }
+  }
+  // Each shape the suite claims to cover occurred.
+  EXPECT_GT(range_of_one, 0u);
+  EXPECT_GT(lo_zero, 0u);
+  EXPECT_GT(hi_last, 0u);
+  EXPECT_GT(no_preds, 0u);
+  EXPECT_GT(no_succs, 0u);
+  EXPECT_GT(read_by_succ, 0u);
+  EXPECT_GT(one_machine, 0u);
+  EXPECT_GT(low_cp, 0u);
+}
+
+/// A task with no edge, so its valid range spans the whole string, in a
+/// long chain on two machines: one reassign and a slide at every position
+/// need far more lanes than one sweep holds.
+Workload long_range_workload() {
+  constexpr std::size_t k = 1200;
+  TaskGraph g(k);
+  for (TaskId t = 2; t < k; ++t) g.add_edge(t - 1, t);
+  return make_workload_for_graph(std::move(g), 2, Level::kHigh, 1.0, 1000.0,
+                                 77);
+}
+
+TEST(TrialBatchSlide, ChunkedSweepsMatchMakespanOfTrialStrings) {
+  const Workload w = long_range_workload();
+  Evaluator eval(w);
+  Evaluator ref(w);
+  Evaluator::TrialBatch batch(eval);
+  Rng rng(5);
+  const SolutionString s = random_solution(w, rng);
+  const TaskId t = 0;  // the task with no edge
+  const ValidRange range = s.valid_range(w.graph(), t);
+  ASSERT_EQ(range.lo, 0u);
+  ASSERT_EQ(range.hi, w.num_tasks() - 1);
+
+  eval.begin_trials(s, range.lo);
+  SolutionString base = s;
+  base.move_task(t, range.lo);
+  batch.begin_checkpoint(base);
+  batch.add_reassign(t, 1);
+  std::vector<ScanLane> lanes{{range.lo, 1}};
+  for (std::size_t pos = range.lo + 1; pos <= range.hi; ++pos) {
+    const MachineId m = static_cast<MachineId>(pos % 3 == 0);
+    batch.add_slide(t, pos, m);
+    lanes.push_back({pos, m});
+  }
+  // The lane store stays bounded: this batch runs as several sweeps.
+  ASSERT_GT(batch.size(), 2 * batch.lane_capacity());
+  const std::vector<double> got = batch.evaluate(kInf);
+  ASSERT_EQ(got.size(), lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    ASSERT_EQ(got[i], ref.makespan(trial_string(base, t, lanes[i])))
+        << "lane " << i << " pos " << lanes[i].pos;
+  }
+}
+
+TEST(TrialBatchSlide, BoundsBelowAtAndAboveTheResultsPruneLikeScalar) {
+  // One whole-scan batch per bound: every result must be what
+  // trial_makespan() returns for its trial string under that bound, and
+  // the pruned metric must grow by the lanes above the bound.
+  WorkloadParams p;
+  p.tasks = 20;
+  p.machines = 4;
+  p.seed = 321;
+  const Workload w = make_workload(p);
+  Rng rng(21);
+  const SolutionString s = random_solution(w, rng);
+  TaskId t = 0;  // the task with the widest valid range
+  for (TaskId u = 1; u < w.num_tasks(); ++u) {
+    if (s.valid_range(w.graph(), u).size() >
+        s.valid_range(w.graph(), t).size()) {
+      t = u;
+    }
+  }
+  const ValidRange range = s.valid_range(w.graph(), t);
+  ASSERT_GT(range.size(), 2u);
+  SolutionString base = s;
+  base.move_task(t, range.lo);
+
+  Evaluator eval(w);
+  Evaluator scalar(w);
+  Evaluator::TrialBatch batch(eval);
+  eval.begin_trials(s, range.lo);
+  scalar.begin_trials(s, range.lo);
+  const auto every_other = [](std::size_t pos, MachineId m) {
+    return (pos + m) % 2 == 0;
+  };
+  batch.begin_checkpoint(base);
+  const std::vector<ScanLane> lanes =
+      add_scan(batch, t, range.lo, range.hi, w.num_machines(), every_other);
+  const std::vector<double> exact = batch.evaluate(kInf);
+  ASSERT_EQ(batch.metrics().pruned, 0u);
+
+  std::vector<double> bounds{0.0, kInf};
+  for (const double v : exact) {
+    bounds.push_back(v);
+    bounds.push_back(std::nextafter(v, 0.0));
+    bounds.push_back(std::nextafter(v, kInf));
+  }
+  std::uint64_t pruned = 0;
+  for (const double bound : bounds) {
+    batch.begin_checkpoint(base);
+    add_scan(batch, t, range.lo, range.hi, w.num_machines(), every_other);
+    const std::vector<double> got = batch.evaluate(bound);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const double want =
+          scalar.trial_makespan(trial_string(base, t, lanes[i]), bound);
+      EXPECT_EQ(got[i], want) << "bound " << bound << " lane " << i;
+      EXPECT_EQ(got[i], exact[i] <= bound ? exact[i] : kInf);
+      pruned += exact[i] > bound;
+    }
+    EXPECT_EQ(batch.metrics().pruned, pruned) << "bound " << bound;
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
+TEST(TrialBatchSlide, RejectsSlidesOutsideTheValidRangeAndOutOfOrder) {
+  // Task 1 of the chain 0 -> 1 -> 2 -> 3 has the valid range {1}: a slide
+  // to 2 would move it past its successor.
+  const Workload w =
+      make_workload_for_graph(chain_dag(4), 2, Level::kMedium, 1.0, 1000.0, 9);
+  const SolutionString s(std::vector<TaskId>{0, 1, 2, 3},
+                         std::vector<MachineId>{0, 1, 0, 1});
+  Evaluator eval(w);
+  Evaluator::TrialBatch batch(eval);
+  eval.begin_trials(s, 1);
+  batch.begin_checkpoint(s);
+  batch.add_reassign(1, 0);
+  batch.add_slide(1, 2, 0);
+  const std::size_t before = eval.trial_count();
+  EXPECT_THROW(batch.evaluate(kInf), Error);
+  EXPECT_EQ(eval.trial_count(), before);  // nothing counted
+
+  // A slide must move the task up.
+  batch.clear();
+  batch.add_slide(1, 1, 0);
+  EXPECT_THROW(batch.evaluate(kInf), Error);
+
+  // Order and task checks at add time leave the pending trials as they
+  // were.
+  const Workload free = make_workload_for_graph(TaskGraph(4), 2, Level::kMedium,
+                                                1.0, 1000.0, 10);
+  Evaluator free_eval(free);
+  Evaluator::TrialBatch free_batch(free_eval);
+  free_eval.begin_trials(s, 0);
+  free_batch.begin_checkpoint(s);
+  free_batch.add_reassign(0, 1);
+  free_batch.add_slide(0, 2, 1);
+  EXPECT_THROW(free_batch.add_slide(0, 1, 0), Error);   // descending
+  EXPECT_THROW(free_batch.add_reassign(0, 0), Error);   // after a slide
+  EXPECT_THROW(free_batch.add_slide(3, 3, 0), Error);   // another task
+  EXPECT_EQ(free_batch.size(), 2u);
+  free_batch.add_slide(0, 2, 0);  // equal positions are fine
+  free_batch.add_slide(0, 3, 0);
+  const std::vector<double> got = free_batch.evaluate(kInf);
+  ASSERT_EQ(got.size(), 4u);
+  Evaluator ref(free);
+  EXPECT_EQ(got[3], ref.makespan(trial_string(s, 0, {3, 0})));
+}
+
+TEST(TrialBatchSimd, SlideLanesByteIdenticalAcrossKernels) {
+  if (!simd_available()) GTEST_SKIP() << "auto resolves to scalar here";
+
+  // Whole-scan batches under both kernels, for every task of two strings:
+  // the lane counts cross the strip width in both directions.
+  for (const std::uint64_t seed : {211u, 212u}) {
+    const Workload w = small_workload(seed);
+    Rng rng(seed);
+    const SolutionString s = random_solution(w, rng);
+    for (TaskId t = 0; t < w.num_tasks(); ++t) {
+      const ValidRange range = s.valid_range(w.graph(), t);
+      SolutionString base = s;
+      base.move_task(t, range.lo);
+      std::vector<double> results[2];
+      for (const KernelChoice kernel :
+           {KernelChoice::kScalar, KernelChoice::kAuto}) {
+        Evaluator eval(w);
+        Evaluator::TrialBatch batch(eval);
+        batch.set_kernel(kernel);
+        eval.begin_trials(s, range.lo);
+        batch.begin_checkpoint(base);
+        add_scan(batch, t, range.lo, range.hi, w.num_machines(),
+                 [t](std::size_t pos, MachineId m) {
+                   return (pos + m + t) % 3 != 0;
+                 });
+        results[kernel == KernelChoice::kAuto] = batch.evaluate(kInf);
+      }
+      ASSERT_EQ(results[0].size(), results[1].size());
+      EXPECT_EQ(0, std::memcmp(results[0].data(), results[1].data(),
+                               results[0].size() * sizeof(double)))
+          << "seed " << seed << " task " << t;
+    }
   }
 }
 
