@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <numeric>
 
-#include "dag/topo.h"
 #include "ga/operators.h"
 
 namespace sehc {
 
 GaEngine::GaEngine(const Workload& workload, GaParams params)
-    : workload_(&workload), params_(params), eval_(workload) {
+    : Searcher(workload), params_(params) {
   SEHC_CHECK(params_.population >= 2, "GaEngine: population must be >= 2");
   SEHC_CHECK(params_.elite < params_.population,
              "GaEngine: elite must be < population");
@@ -40,41 +39,16 @@ std::size_t roulette(const std::vector<double>& lengths, double worst,
 }  // namespace
 
 void GaEngine::init() {
-  const Workload& w = *workload_;
-  const TaskGraph& g = w.graph();
+  restart();
   rng_ = Rng(params_.seed);
-  eval_.reset_trial_state();
-  timer_.reset();
-
-  // Initial population: random assignment + random topological order.
-  pop_.clear();
-  pop_.reserve(params_.population);
-  for (std::size_t i = 0; i < params_.population; ++i) {
-    std::vector<MachineId> assignment(w.num_tasks());
-    for (auto& m : assignment)
-      m = static_cast<MachineId>(rng_.below(w.num_machines()));
-    auto order = random_topological_order(g, rng_);
-    SEHC_CHECK(order.has_value(), "GaEngine: cyclic graph");
-    pop_.emplace_back(*order, assignment);
-  }
-
-  lengths_.assign(pop_.size(), 0.0);
-  for (std::size_t i = 0; i < pop_.size(); ++i)
-    lengths_[i] = eval_.makespan(pop_[i]);
-
-  const auto best_it = std::min_element(lengths_.begin(), lengths_.end());
-  best_makespan_ = *best_it;
-  best_solution_ = pop_[static_cast<std::size_t>(best_it - lengths_.begin())];
-
-  generation_ = 0;
+  const std::size_t best =
+      random_population(eval_, params_.population, rng_, pop_, lengths_);
+  keep_if_best(pop_[best], lengths_[best]);
   trace_.clear();
-  initialized_ = true;
 }
 
 StepStats GaEngine::step() {
-  SEHC_CHECK(initialized_, "GaEngine: init() not called");
-  const Workload& w = *workload_;
-  const TaskGraph& g = w.graph();
+  check_started();
 
   // Rank indices by length for elitism.
   std::vector<std::size_t> rank(pop_.size());
@@ -102,46 +76,21 @@ StepStats GaEngine::step() {
   while (filled < n) {
     const std::size_t ia = roulette(lengths_, worst, rng_);
     const std::size_t ib = roulette(lengths_, worst, rng_);
-    const SolutionString& pa = pop_[ia];
-    const SolutionString& pb = pop_[ib];
     // The last slot of an odd fill has room for one child; the other is
     // still built (its mutation draws are part of the stream) in spare_,
     // and never evaluated.
     const bool room_for_b = filled + 1 < n;
-    SolutionString& ca = next_[filled];
-    SolutionString& cb = room_for_b ? next_[filled + 1] : spare_;
-    const bool crossed = rng_.chance(params_.crossover_prob);
-    if (crossed) {
-      crossover(pa, pb, rng_, ca, cb);
-    } else {
-      ca = pa;
-      cb = pb;
-    }
-    bool mutated_a = false;
-    bool mutated_b = false;
-    if (rng_.chance(params_.mutation_prob)) {
-      mutated_a = true;
-      matching_mutation(ca, w.num_machines(), rng_);
-      scheduling_mutation(ca, g, rng_);
-    }
-    if (rng_.chance(params_.mutation_prob)) {
-      mutated_b = true;
-      matching_mutation(cb, w.num_machines(), rng_);
-      scheduling_mutation(cb, g, rng_);
-    }
-    next_lengths_[filled] =
-        child_makespan(eval_, ca, crossed, mutated_a, pa, lengths_[ia]);
-    ++filled;
-    if (room_for_b) {
-      next_lengths_[filled] =
-          child_makespan(eval_, cb, crossed, mutated_b, pb, lengths_[ib]);
-      ++filled;
-    }
+    const auto [len_a, len_b] = breed(
+        eval_, pop_, lengths_, ia, ib, params_.crossover_prob,
+        params_.mutation_prob, rng_, next_[filled],
+        room_for_b ? next_[filled + 1] : spare_, room_for_b);
+    next_lengths_[filled++] = len_a;
+    if (room_for_b) next_lengths_[filled++] = len_b;
   }
 
   if (params_.verify_invariants) {
     for (const auto& chrom : next_) {
-      SEHC_ASSERT_MSG(chrom.is_valid(g),
+      SEHC_ASSERT_MSG(chrom.is_valid(workload().graph()),
                       "GA generation produced an invalid chromosome");
     }
   }
@@ -149,36 +98,21 @@ StepStats GaEngine::step() {
   pop_.swap(next_);
   lengths_.swap(next_lengths_);
   const auto best_it = std::min_element(lengths_.begin(), lengths_.end());
-  const double gen_best = *best_it;
-  const double gen_mean =
-      std::accumulate(lengths_.begin(), lengths_.end(), 0.0) /
-      static_cast<double>(lengths_.size());
-  if (gen_best < best_makespan_) {
-    best_makespan_ = gen_best;
-    best_solution_ = pop_[static_cast<std::size_t>(best_it - lengths_.begin())];
+  keep_if_best(pop_[static_cast<std::size_t>(best_it - lengths_.begin())],
+               *best_it);
+
+  if (params_.record_trace) {
+    GaIterationStats stats;
+    stats.generation = steps_done();
+    stats.best_makespan = best_makespan();
+    stats.gen_best_makespan = *best_it;
+    stats.gen_mean_makespan =
+        std::accumulate(lengths_.begin(), lengths_.end(), 0.0) /
+        static_cast<double>(lengths_.size());
+    stats.elapsed_seconds = elapsed_seconds();
+    trace_.push_back(stats);
   }
-
-  GaIterationStats stats;
-  stats.generation = generation_;
-  stats.best_makespan = best_makespan_;
-  stats.gen_best_makespan = gen_best;
-  stats.gen_mean_makespan = gen_mean;
-  stats.elapsed_seconds = timer_.seconds();
-  if (params_.record_trace) trace_.push_back(stats);
-  ++generation_;
-
-  StepStats out;
-  out.step = generation_ - 1;
-  out.current_makespan = gen_best;
-  out.best_makespan = best_makespan_;
-  out.evals_used = eval_.trial_count();
-  out.elapsed_seconds = stats.elapsed_seconds;
-  return out;
-}
-
-Schedule GaEngine::best_schedule() const {
-  SEHC_CHECK(initialized_, "GaEngine: init() not called");
-  return Schedule::from_solution(*workload_, best_solution_);
+  return finish_step();
 }
 
 }  // namespace sehc

@@ -13,20 +13,13 @@
 // configurable. How long the GA runs is the caller's Budget, as for every
 // searcher, so SE and GA are compared at equal effort.
 //
-// GaEngine implements the stepwise SearchEngine interface (search/engine.h):
-// one step() is one generation.
+// GaEngine is a Searcher (search/searcher.h): one step() is one generation.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/rng.h"
-#include "core/timer.h"
-#include "hc/workload.h"
-#include "sched/encoding.h"
-#include "sched/evaluator.h"
-#include "sched/schedule.h"
-#include "search/engine.h"
+#include "search/searcher.h"
 
 namespace sehc {
 
@@ -49,7 +42,7 @@ struct GaIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-class GaEngine final : public SearchEngine {
+class GaEngine final : public Searcher {
  public:
   GaEngine(const Workload& workload, GaParams params);
 
@@ -57,25 +50,14 @@ class GaEngine final : public SearchEngine {
   /// record_trace is off).
   const std::vector<GaIterationStats>& trace() const { return trace_; }
 
-  // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GA"; }
   void init() override;
   StepStats step() override;
-  double best_makespan() const override { return best_makespan_; }
-  std::size_t steps_done() const override { return generation_; }
-  std::size_t evals_used() const override { return eval_.trial_count(); }
-  double elapsed_seconds() const override { return timer_.seconds(); }
-  Schedule best_schedule() const override;
 
  private:
-  const Workload* workload_;
   GaParams params_;
-  Evaluator eval_;
 
   // Stepwise state (valid after init()).
-  bool initialized_ = false;
-  Rng rng_{1};
-  WallTimer timer_;
   std::vector<SolutionString> pop_;
   std::vector<double> lengths_;
   // Double buffer for the next generation, and the odd child that does not
@@ -83,9 +65,6 @@ class GaEngine final : public SearchEngine {
   std::vector<SolutionString> next_;
   std::vector<double> next_lengths_;
   SolutionString spare_;
-  SolutionString best_solution_;
-  double best_makespan_ = 0.0;
-  std::size_t generation_ = 0;  // completed generations
   std::vector<GaIterationStats> trace_;
 };
 

@@ -18,7 +18,14 @@
 //   * matching mutation   — one task is reassigned to a random machine.
 //   * scheduling mutation — one task is moved to a random position inside
 //     its valid range (precedence-preserving by construction).
+//
+// GA and GSA build their first population with random_population() and
+// make every pair of children with breed(), so both draw the same stream
+// for the same mating.
 #pragma once
+
+#include <array>
+#include <vector>
 
 #include "core/rng.h"
 #include "hc/workload.h"
@@ -39,13 +46,28 @@ void matching_mutation(SolutionString& s, std::size_t num_machines, Rng& rng);
 /// Moves one uniformly chosen task to a uniform position in its valid range.
 void scheduling_mutation(SolutionString& s, const TaskGraph& g, Rng& rng);
 
-/// Length of a GA/GSA child that started as `parent` (length `parent_len`)
-/// and may have been crossed and mutated: one eval.makespan() when it was
-/// crossed, or when its mutation changed it. An untouched clone, or one the
-/// mutation left equal to its parent, keeps `parent_len` and counts no
-/// trial.
-double child_makespan(const Evaluator& eval, const SolutionString& child,
-                      bool crossed, bool mutated,
-                      const SolutionString& parent, double parent_len);
+/// Replaces `pop` and `lengths` with `size` random chromosomes of the
+/// evaluator's workload. For each in turn it draws a machine per task, then
+/// a random topological order, then evaluates the chromosome (one trial).
+/// Returns the index of the first shortest chromosome.
+std::size_t random_population(const Evaluator& eval, std::size_t size,
+                              Rng& rng, std::vector<SolutionString>& pop,
+                              std::vector<double>& lengths);
+
+/// One mating: builds children `ca` and `cb` of parents pop[ia] and pop[ib]
+/// and returns their lengths. Draws, in order, the crossover coin, then
+/// crossover() on heads or copies of the parents on tails; ca's mutation
+/// coin, then on heads matching_mutation() and scheduling_mutation() of ca;
+/// the same for cb. Then measures ca, then cb unless `measure_b` is false
+/// (its length then reads NaN). A child costs one eval.makespan() when it
+/// was crossed or its mutation changed it; otherwise it keeps its parent's
+/// length and counts no trial. `ca` and `cb` must not alias a parent.
+std::array<double, 2> breed(const Evaluator& eval,
+                            const std::vector<SolutionString>& pop,
+                            const std::vector<double>& lengths,
+                            std::size_t ia, std::size_t ib,
+                            double crossover_prob, double mutation_prob,
+                            Rng& rng, SolutionString& ca, SolutionString& cb,
+                            bool measure_b = true);
 
 }  // namespace sehc

@@ -1,6 +1,5 @@
 #include "heuristics/annealing.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -14,22 +13,10 @@ constexpr double kNoBound = std::numeric_limits<double>::infinity();
 /// (task, position, coin flip, machine) matches the historical in-place
 /// mutation, so seeded runs reproduce the pre-incremental-engine results
 /// byte for byte.
-struct Move {
-  TaskId task;
-  std::size_t old_pos;
-  MachineId old_machine;
-  std::size_t new_pos;
-  MachineId new_machine;
-
-  /// First string position the move rewrites; the prepared trial starts
-  /// simulating there.
-  std::size_t suffix_start() const { return std::min(old_pos, new_pos); }
-};
-
-Move propose_move(const SolutionString& s, const TaskGraph& g,
-                  std::size_t num_machines, Rng& rng) {
+TaskMove propose_move(const SolutionString& s, const TaskGraph& g,
+                      std::size_t num_machines, Rng& rng) {
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
-  Move m{t, s.position_of(t), s.machine_of(t), 0, 0};
+  TaskMove m{t, s.position_of(t), s.machine_of(t), 0, 0};
   const ValidRange range = s.valid_range(g, t);
   m.new_pos = range.lo + static_cast<std::size_t>(rng.below(range.size()));
   m.new_machine = rng.chance(0.5)
@@ -38,20 +25,10 @@ Move propose_move(const SolutionString& s, const TaskGraph& g,
   return m;
 }
 
-void apply_move(SolutionString& s, const Move& m) {
-  s.move_task(m.task, m.new_pos);
-  s.set_machine(m.task, m.new_machine);
-}
-
-void undo_move(SolutionString& s, const Move& m) {
-  s.move_task(m.task, m.old_pos);
-  s.set_machine(m.task, m.old_machine);
-}
-
 }  // namespace
 
 SaEngine::SaEngine(const Workload& workload, SaParams params)
-    : workload_(&workload), params_(params), eval_(workload) {
+    : Searcher(workload), params_(params) {
   SEHC_CHECK(params_.cooling > 0.0 && params_.cooling < 1.0,
              "SaEngine: cooling must be in (0,1)");
   SEHC_CHECK(params_.steps_per_temp > 0,
@@ -59,15 +36,12 @@ SaEngine::SaEngine(const Workload& workload, SaParams params)
 }
 
 void SaEngine::init() {
-  const Workload& w = *workload_;
+  restart();
   rng_ = Rng(params_.seed);
-  eval_.reset_trial_state();
-  timer_.reset();
-
+  const Workload& w = workload();
   current_ = random_initial_solution(w.graph(), w.num_machines(), rng_);
   current_len_ = eval_.makespan(current_);
-  best_ = current_;
-  best_len_ = current_len_;
+  keep_if_best(current_, current_len_);
 
   // Incremental engine: trials re-simulate only [suffix_start, k) on top of
   // the prepared per-position snapshots. Annealing needs the exact length
@@ -82,11 +56,12 @@ void SaEngine::init() {
   std::size_t uphill_count = 0;
   constexpr std::size_t kCalibrationMoves = 50;
   for (std::size_t i = 0; i < kCalibrationMoves; ++i) {
-    const Move move = propose_move(current_, w.graph(), w.num_machines(), rng_);
-    apply_move(current_, move);
+    const TaskMove move =
+        propose_move(current_, w.graph(), w.num_machines(), rng_);
+    move.apply(current_);
     const double len =
         eval_.prepared_trial(current_, move.suffix_start(), kNoBound);
-    undo_move(current_, move);
+    move.undo(current_);
     if (len > current_len_) {
       mean_uphill += len - current_len_;
       ++uphill_count;
@@ -94,18 +69,16 @@ void SaEngine::init() {
   }
   if (uphill_count > 0) mean_uphill /= static_cast<double>(uphill_count);
   temperature_ = mean_uphill > 0.0 ? -mean_uphill / std::log(0.8) : 1.0;
-
   since_cool_ = 0;
-  iteration_ = 0;
-  initialized_ = true;
 }
 
 StepStats SaEngine::step() {
-  SEHC_CHECK(initialized_, "SaEngine: init() not called");
-  const Workload& w = *workload_;
+  check_started();
+  const Workload& w = workload();
 
-  const Move move = propose_move(current_, w.graph(), w.num_machines(), rng_);
-  apply_move(current_, move);
+  const TaskMove move =
+      propose_move(current_, w.graph(), w.num_machines(), rng_);
+  move.apply(current_);
   const double len = eval_.prepared_trial(current_, move.suffix_start(),
                                           kNoBound);
   const double delta = len - current_len_;
@@ -115,31 +88,15 @@ StepStats SaEngine::step() {
   if (accept) {
     current_len_ = len;
     eval_.refresh_from(current_, move.suffix_start());
-    if (len < best_len_) {
-      best_len_ = len;
-      best_ = current_;
-    }
+    keep_if_best(current_, len);
   } else {
-    undo_move(current_, move);
+    move.undo(current_);
   }
   if (++since_cool_ >= params_.steps_per_temp) {
     since_cool_ = 0;
     temperature_ *= params_.cooling;
   }
-
-  ++iteration_;
-  StepStats out;
-  out.step = iteration_ - 1;
-  out.current_makespan = current_len_;
-  out.best_makespan = best_len_;
-  out.evals_used = eval_.trial_count();
-  out.elapsed_seconds = timer_.seconds();
-  return out;
-}
-
-Schedule SaEngine::best_schedule() const {
-  SEHC_CHECK(initialized_, "SaEngine: init() not called");
-  return Schedule::from_solution(*workload_, best_);
+  return finish_step();
 }
 
 }  // namespace sehc

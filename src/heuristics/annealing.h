@@ -7,21 +7,14 @@
 // the initial temperature calibrated from the mean uphill delta of a short
 // random walk.
 //
-// SaEngine implements the stepwise SearchEngine interface (search/engine.h):
-// one step() is one proposed move (trial + Metropolis test). The T0
-// calibration walk happens inside init().
+// SaEngine is a Searcher (search/searcher.h): one step() is one proposed
+// move (trial + Metropolis test). The T0 calibration walk happens inside
+// init().
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "core/rng.h"
-#include "core/timer.h"
-#include "hc/workload.h"
-#include "sched/encoding.h"
-#include "sched/evaluator.h"
-#include "sched/schedule.h"
-#include "search/engine.h"
+#include "search/searcher.h"
 
 namespace sehc {
 
@@ -35,38 +28,24 @@ struct SaParams {
   std::uint64_t seed = 1;
 };
 
-class SaEngine final : public SearchEngine {
+class SaEngine final : public Searcher {
  public:
   SaEngine(const Workload& workload, SaParams params);
 
-  // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "SA"; }
   void init() override;
   StepStats step() override;
-  double best_makespan() const override { return best_len_; }
-  std::size_t steps_done() const override { return iteration_; }
-  std::size_t evals_used() const override { return eval_.trial_count(); }
-  double elapsed_seconds() const override { return timer_.seconds(); }
-  Schedule best_schedule() const override;
 
  private:
-  const Workload* workload_;
   SaParams params_;
-  // Every proposed move, the T0 calibration walk's included, is a prepared
-  // trial on the snapshots of `current_` (see annealing.cpp).
-  Evaluator eval_;
 
-  // Stepwise state (valid after init()).
-  bool initialized_ = false;
-  Rng rng_{1};
-  WallTimer timer_;
+  // Stepwise state (valid after init()). Every proposed move, the T0
+  // calibration walk's included, is a prepared trial on the evaluator's
+  // snapshots of `current_` (see annealing.cpp).
   SolutionString current_;
-  SolutionString best_;
   double current_len_ = 0.0;
-  double best_len_ = 0.0;
   double temperature_ = 0.0;
   std::size_t since_cool_ = 0;
-  std::size_t iteration_ = 0;  // completed moves
 };
 
 }  // namespace sehc

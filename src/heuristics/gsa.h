@@ -8,20 +8,15 @@
 // if worse; T follows a geometric cooling schedule. This hybrid keeps the
 // GA's recombination while inheriting SA's controllable uphill acceptance.
 //
-// GsaEngine implements the stepwise SearchEngine interface
-// (search/engine.h): one step() is one generation.
+// GsaEngine is a Searcher (search/searcher.h): one step() is one
+// generation. It builds its population and breeds with GA's operators
+// (ga/operators.h).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/rng.h"
-#include "core/timer.h"
-#include "hc/workload.h"
-#include "sched/encoding.h"
-#include "sched/evaluator.h"
-#include "sched/schedule.h"
-#include "search/engine.h"
+#include "search/searcher.h"
 
 namespace sehc {
 
@@ -46,7 +41,7 @@ struct GsaIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-class GsaEngine final : public SearchEngine {
+class GsaEngine final : public Searcher {
  public:
   GsaEngine(const Workload& workload, GsaParams params);
 
@@ -54,34 +49,20 @@ class GsaEngine final : public SearchEngine {
   /// record_trace is off).
   const std::vector<GsaIterationStats>& trace() const { return trace_; }
 
-  // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "GSA"; }
   void init() override;
   StepStats step() override;
-  double best_makespan() const override { return best_makespan_; }
-  std::size_t steps_done() const override { return generation_; }
-  std::size_t evals_used() const override { return eval_.trial_count(); }
-  double elapsed_seconds() const override { return timer_.seconds(); }
-  Schedule best_schedule() const override;
 
  private:
-  const Workload* workload_;
   GsaParams params_;
-  Evaluator eval_;
 
   // Stepwise state (valid after init()).
-  bool initialized_ = false;
-  Rng rng_{1};
-  WallTimer timer_;
   std::vector<SolutionString> pop_;
   std::vector<double> lengths_;
   // Offspring buffers, reused by every mating (see step()).
   SolutionString child_a_;
   SolutionString child_b_;
-  SolutionString best_solution_;
-  double best_makespan_ = 0.0;
   double temperature_ = 0.0;
-  std::size_t generation_ = 0;  // completed generations
   std::vector<GsaIterationStats> trace_;
 };
 

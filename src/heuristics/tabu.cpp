@@ -5,57 +5,44 @@
 
 namespace sehc {
 
-namespace {
-
-/// One neighborhood sample: the forward move plus the reverse attribute
-/// captured from the pre-move string.
-struct Move {
-  TaskId task = kInvalidTask;
-  std::size_t new_pos = 0;
-  MachineId new_machine = 0;
-  std::size_t old_pos = 0;
-  MachineId old_machine = 0;
-};
-
-}  // namespace
-
 TabuEngine::TabuEngine(const Workload& workload, TabuParams params)
-    : workload_(&workload), params_(params), eval_(workload) {
+    : Searcher(workload), params_(params) {
   SEHC_CHECK(params_.samples > 0, "TabuEngine: samples must be positive");
 }
 
 void TabuEngine::init() {
-  const Workload& w = *workload_;
+  restart();
   rng_ = Rng(params_.seed);
-  eval_.reset_trial_state();
-  timer_.reset();
-
+  const Workload& w = workload();
   current_ = random_initial_solution(w.graph(), w.num_machines(), rng_);
   current_len_ = eval_.makespan(current_);
-  best_ = current_;
-  best_len_ = current_len_;
-
-  tabu_expiry_.assign(w.num_tasks() * w.num_tasks() * w.num_machines(), 0);
+  keep_if_best(current_, current_len_);
+  tabu_.clear();
 
   // Incremental engine: the prepared state snapshots the machine state
   // before every position of `current`, so a sampled move that rewrites the
   // string from position p onward costs O(k - p) instead of a full O(k)
   // re-evaluation. The state is refreshed only when a move commits.
   eval_.prepare(current_);
+}
 
-  iteration_ = 0;
-  initialized_ = true;
+bool TabuEngine::is_tabu(const TaskMove& move) const {
+  return std::any_of(tabu_.begin(), tabu_.end(), [&](const TabuEntry& e) {
+    return e.task == move.task && e.pos == move.new_pos &&
+           e.machine == move.new_machine;
+  });
 }
 
 StepStats TabuEngine::step() {
-  SEHC_CHECK(initialized_, "TabuEngine: init() not called");
-  const Workload& w = *workload_;
+  check_started();
+  const Workload& w = workload();
   const TaskGraph& g = w.graph();
-  const std::size_t machines = w.num_machines();
-  const std::size_t positions = w.num_tasks();
-  const auto attr_index = [&](TaskId task, std::size_t pos, MachineId machine) {
-    return (task * positions + pos) * machines + machine;
-  };
+  // A reverse attribute committed at iteration j is tabu up to iteration
+  // j + tenure - 1, and expires at j + tenure.
+  const std::size_t iteration = steps_done();
+  while (!tabu_.empty() && iteration - tabu_.front().step >= params_.tenure) {
+    tabu_.pop_front();
+  }
 
   // Each sample is drawn against the unchanged `current_`, applied,
   // trialled on the prepared snapshots and undone before the next draw. The
@@ -63,28 +50,22 @@ StepStats TabuEngine::step() {
   // pruned above it cannot be chosen, since its true length fails
   // `len < chosen_len` exactly as its +infinity does, and aspiration only
   // gates the tabu skip of samples that fail that test anyway.
-  Move chosen;
+  TaskMove chosen;
   double chosen_len = std::numeric_limits<double>::infinity();
   for (std::size_t sample = 0; sample < params_.samples; ++sample) {
-    Move m;
+    TaskMove m;
     m.task = static_cast<TaskId>(rng_.below(w.num_tasks()));
     const ValidRange range = current_.valid_range(g, m.task);
     m.old_pos = current_.position_of(m.task);
     m.old_machine = current_.machine_of(m.task);
     m.new_pos = range.lo + static_cast<std::size_t>(rng_.below(range.size()));
     m.new_machine = static_cast<MachineId>(rng_.below(w.num_machines()));
-    current_.move_task(m.task, m.new_pos);
-    current_.set_machine(m.task, m.new_machine);
-    const double len = eval_.prepared_trial(
-        current_, std::min(m.old_pos, m.new_pos), chosen_len);
-    current_.move_task(m.task, m.old_pos);
-    current_.set_machine(m.task, m.old_machine);
-    const bool aspirates = len < best_len_;
-    if (!aspirates &&
-        tabu_expiry_[attr_index(m.task, m.new_pos, m.new_machine)] >
-            iteration_) {
-      continue;
-    }
+    m.apply(current_);
+    const double len =
+        eval_.prepared_trial(current_, m.suffix_start(), chosen_len);
+    m.undo(current_);
+    const bool aspirates = len < best_makespan();
+    if (!aspirates && is_tabu(m)) continue;
     if (len < chosen_len) {
       chosen_len = len;
       chosen = m;
@@ -92,33 +73,14 @@ StepStats TabuEngine::step() {
   }
 
   if (chosen.task != kInvalidTask) {  // everything sampled may have been tabu
-    const Move& m = chosen;
-    current_.move_task(m.task, m.new_pos);
-    current_.set_machine(m.task, m.new_machine);
+    chosen.apply(current_);
     current_len_ = chosen_len;
-    tabu_expiry_[attr_index(m.task, m.old_pos, m.old_machine)] =
-        iteration_ + params_.tenure;
-    eval_.refresh_from(current_, std::min(m.old_pos, m.new_pos));
-
-    if (current_len_ < best_len_) {
-      best_len_ = current_len_;
-      best_ = current_;
-    }
+    tabu_.push_back(
+        {chosen.task, chosen.old_pos, chosen.old_machine, iteration});
+    eval_.refresh_from(current_, chosen.suffix_start());
+    keep_if_best(current_, current_len_);
   }
-
-  ++iteration_;
-  StepStats out;
-  out.step = iteration_ - 1;
-  out.current_makespan = current_len_;
-  out.best_makespan = best_len_;
-  out.evals_used = eval_.trial_count();
-  out.elapsed_seconds = timer_.seconds();
-  return out;
-}
-
-Schedule TabuEngine::best_schedule() const {
-  SEHC_CHECK(initialized_, "TabuEngine: init() not called");
-  return Schedule::from_solution(*workload_, best_);
+  return finish_step();
 }
 
 }  // namespace sehc

@@ -8,21 +8,18 @@
 // position, old machine) becomes tabu for `tenure` iterations, and
 // aspiration overrides tabu when a move beats the best-known solution.
 //
-// TabuEngine implements the stepwise SearchEngine interface
-// (search/engine.h): one step() is one tabu iteration (one sampled
-// neighborhood scan plus the committed move).
+// The tabu list holds only the reverse attributes of the moves committed
+// in the last `tenure` iterations, so its memory is at most `tenure`
+// entries, whatever the workload's size.
+//
+// TabuEngine is a Searcher (search/searcher.h): one step() is one tabu
+// iteration (one sampled neighborhood scan plus the committed move).
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <deque>
 
-#include "core/rng.h"
-#include "core/timer.h"
-#include "hc/workload.h"
-#include "sched/encoding.h"
-#include "sched/evaluator.h"
-#include "sched/schedule.h"
-#include "search/engine.h"
+#include "search/searcher.h"
 
 namespace sehc {
 
@@ -34,39 +31,35 @@ struct TabuParams {
   std::uint64_t seed = 1;
 };
 
-class TabuEngine final : public SearchEngine {
+class TabuEngine final : public Searcher {
  public:
   TabuEngine(const Workload& workload, TabuParams params);
 
-  // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "Tabu"; }
   void init() override;
   StepStats step() override;
-  double best_makespan() const override { return best_len_; }
-  std::size_t steps_done() const override { return iteration_; }
-  std::size_t evals_used() const override { return eval_.trial_count(); }
-  double elapsed_seconds() const override { return timer_.seconds(); }
-  Schedule best_schedule() const override;
 
  private:
-  const Workload* workload_;
-  TabuParams params_;
-  // Each sampled move is a prepared trial on the snapshots of `current_`
-  // (see tabu.cpp).
-  Evaluator eval_;
+  /// The reverse attribute of a committed move and the iteration that
+  /// committed it.
+  struct TabuEntry {
+    TaskId task = kInvalidTask;
+    std::size_t pos = 0;
+    MachineId machine = 0;
+    std::size_t step = 0;
+  };
 
-  // Stepwise state (valid after init()).
-  bool initialized_ = false;
-  Rng rng_{1};
-  WallTimer timer_;
+  /// True when `move`'s target attribute is on the tabu list.
+  bool is_tabu(const TaskMove& move) const;
+
+  TabuParams params_;
+
+  // Stepwise state (valid after init()). Each sampled move is a prepared
+  // trial on the evaluator's snapshots of `current_` (see tabu.cpp).
   SolutionString current_;
-  SolutionString best_;
   double current_len_ = 0.0;
-  double best_len_ = 0.0;
-  std::size_t iteration_ = 0;  // completed iterations
-  // Attribute-based tabu memory: expiry iteration per flattened
-  // (task, position, machine) attribute.
-  std::vector<std::size_t> tabu_expiry_;
+  // The tabu list: the unexpired reverse attributes, oldest commit first.
+  std::deque<TabuEntry> tabu_;
 };
 
 }  // namespace sehc

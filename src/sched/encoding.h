@@ -13,6 +13,7 @@
 // instead of allocating a new one per draw.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -106,6 +107,30 @@ class SolutionString {
  private:
   std::vector<Segment> segments_;
   std::vector<std::size_t> pos_;  // task id -> position in segments_
+};
+
+/// One task moved to a new position and machine, with the placement it
+/// left: the neighbourhood move of simulated annealing and tabu search. The
+/// new position must lie in the task's valid range of the string it is
+/// applied to.
+struct TaskMove {
+  TaskId task = kInvalidTask;
+  std::size_t old_pos = 0;
+  MachineId old_machine = 0;
+  std::size_t new_pos = 0;
+  MachineId new_machine = 0;
+
+  void apply(SolutionString& s) const {
+    s.move_task(task, new_pos);
+    s.set_machine(task, new_machine);
+  }
+  void undo(SolutionString& s) const {
+    s.move_task(task, old_pos);
+    s.set_machine(task, old_machine);
+  }
+  /// First string position the move rewrites: a prepared trial of the
+  /// moved string starts simulating there.
+  std::size_t suffix_start() const { return std::min(old_pos, new_pos); }
 };
 
 /// Random valid initial solution per the paper (§4.2): random machine

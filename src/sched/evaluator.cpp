@@ -34,10 +34,13 @@ Evaluator::Evaluator(const Workload& w)
   pred_off_[k] = static_cast<std::uint32_t>(pred_src_.size());
 
   exec_ = w.exec_matrix().flat().data();
-  zero_row_.assign(std::max<std::size_t>(p, 1), 0.0);
   // Machine-pair -> transfer row pointer table; the diagonal resolves to
   // this object's zero row so same-machine transfers cost 0.0 without a
-  // branch.
+  // branch. Only a predecessor edge reads it, so an edge-free workload
+  // builds none: its l x l pointers could dwarf the document, while with
+  // data items Tr already holds l(l-1)/2 numbers per item.
+  if (p == 0) return;
+  zero_row_.assign(p, 0.0);
   const std::size_t l = num_machines_;
   pair_row_.assign(l * l, zero_row_.data());
   const double* tr = w.transfer_matrix().flat().data();

@@ -43,8 +43,10 @@
 // adjacency is flattened into contiguous arrays at construction, and
 // transfer-time rows are resolved through a precomputed machine-pair pointer
 // table (the diagonal points at a zero row, so machine-local communication
-// needs no branch). Scratch buffers are sized once per workload, so the hot
-// loops (called millions of times per search run) perform no allocation.
+// needs no branch), built only for a workload with data items. Scratch
+// buffers are sized once per workload, so the hot loops (called millions of
+// times per search run) perform no allocation, and an evaluator's memory
+// stays linear in the workload document's size.
 #pragma once
 
 #include <algorithm>
@@ -262,7 +264,8 @@ class Evaluator {
   std::vector<DataId> pred_item_;
   // Flat matrix views + machine-pair row table.
   const double* exec_ = nullptr;  // l x k row-major
-  std::vector<const double*> pair_row_;  // l*l entries into Tr (or zero row)
+  // l*l entries into Tr (or the zero row); empty without data items.
+  std::vector<const double*> pair_row_;
   std::vector<double> zero_row_;
 
   // Scratch reused across calls (single-threaded use, like the algorithms).
@@ -348,9 +351,10 @@ class Evaluator::TrialBatch {
   /// The returned reference is invalidated by the next evaluate() call.
   const std::vector<double>& evaluate(double bound);
 
-  /// Trial lanes one sweep holds. The lane store stays within twice what the
-  /// pending reassigns alone need, or 1 MiB if that is larger; a batch with
-  /// more trials runs as several sweeps of at most this many lanes.
+  /// Trial lanes one sweep holds: as many as fit in a 1 MiB lane store, and
+  /// at least one. A batch with more trials, reassigns included, runs as
+  /// several sweeps of at most this many lanes, so the store never grows
+  /// past 1 MiB or one lane.
   std::size_t lane_capacity() const;
 
   /// Always-on batch instrumentation, updated ONCE per evaluate() call

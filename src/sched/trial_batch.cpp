@@ -30,8 +30,7 @@ namespace sehc {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// The lane store's size above which a batch sweeps in chunks, unless its
-/// reassigns alone need half of it.
+/// The lane store's size above which a batch sweeps in chunks.
 constexpr std::size_t kLaneStoreBytes = std::size_t{1} << 20;
 }  // namespace
 
@@ -73,9 +72,7 @@ void Evaluator::TrialBatch::add_slide(TaskId t, std::size_t pos,
 std::size_t Evaluator::TrialBatch::lane_capacity() const {
   const std::size_t lane_bytes =
       sizeof(double) * (eval_->num_tasks_ + eval_->num_machines_ + 2);
-  const std::size_t reassigns = size() - slide_pos_.size();
-  return std::max(
-      {2 * reassigns, kLaneStoreBytes / lane_bytes, std::size_t{1}});
+  return std::max(kLaneStoreBytes / lane_bytes, std::size_t{1});
 }
 
 const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {

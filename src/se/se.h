@@ -5,9 +5,8 @@
 // subtasks, current and best schedule length, wall time) — exactly the
 // series plotted in the paper's Figures 3-7.
 //
-// SeEngine implements the library-wide stepwise SearchEngine interface
-// (search/engine.h): one step() is one SE iteration, and run_search under a
-// Budget decides when the search stops.
+// SeEngine is a Searcher (search/searcher.h): one step() is one SE
+// iteration, and run_search under a Budget decides when the search stops.
 #pragma once
 
 #include <cstdint>
@@ -15,14 +14,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/rng.h"
-#include "core/timer.h"
-#include "hc/workload.h"
-#include "sched/encoding.h"
-#include "sched/evaluator.h"
-#include "sched/schedule.h"
 #include "se/allocation.h"
-#include "search/engine.h"
+#include "search/searcher.h"
 
 namespace sehc {
 
@@ -49,7 +42,7 @@ struct SeIterationStats {
   double elapsed_seconds = 0.0;
 };
 
-class SeEngine final : public SearchEngine {
+class SeEngine final : public Searcher {
  public:
   /// Starts from a random initial solution (paper §4.2). The workload must
   /// outlive the engine.
@@ -66,21 +59,13 @@ class SeEngine final : public SearchEngine {
   /// record_trace is off).
   const std::vector<SeIterationStats>& trace() const { return trace_; }
 
-  // --- SearchEngine interface ----------------------------------------------
   std::string name() const override { return "SE"; }
   void init() override;
   StepStats step() override;
-  double best_makespan() const override { return best_makespan_; }
-  std::size_t steps_done() const override { return iteration_; }
-  std::size_t evals_used() const override { return evaluator_.trial_count(); }
-  double elapsed_seconds() const override { return timer_.seconds(); }
-  Schedule best_schedule() const override;
 
  private:
-  const Workload* workload_;
   SeParams params_;
   double bias_;
-  Evaluator evaluator_;
   std::vector<double> optimal_;       // O_i, fixed for the whole run
   std::vector<int> levels_;           // DAG levels for selection ordering
   MachineCandidates candidates_;      // Y-restricted machines, flat table
@@ -88,13 +73,7 @@ class SeEngine final : public SearchEngine {
   std::optional<SolutionString> initial_;  // caller-supplied start, if any
 
   // Stepwise state (valid after init()).
-  bool initialized_ = false;
-  Rng rng_{1};
-  WallTimer timer_;
   SolutionString current_;
-  SolutionString best_solution_;
-  double best_makespan_ = 0.0;
-  std::size_t iteration_ = 0;         // completed iterations
   std::vector<SeIterationStats> trace_;
   // Per-iteration work buffers, hoisted so step() performs no heap
   // allocation after the first iteration.

@@ -3,9 +3,11 @@
 // Every iterative searcher in the library (SE, GA, GSA, tabu, simulated
 // annealing, random search) implements one interface: construct, init(),
 // then step() one unit of work at a time — an SE iteration, a GA/GSA
-// generation, a tabu/annealing move, one random sample. Searchers never
-// stop themselves: run_search (and run_anytime on top of it) is the one
-// search loop, and every stop lives there — the Budget (step count,
+// generation, a tabu/annealing move, one random sample. All six derive from
+// Searcher (search/searcher.h), which keeps their step, trial and incumbent
+// bookkeeping in one place. Searchers never stop themselves: run_search
+// (and run_anytime on top of it) is the one search loop, and every stop
+// lives there — the Budget (step count,
 // evaluator-trial count or wall-clock seconds, the three currencies the
 // comparison suite uses), an observer's request and the Deadline. So any
 // two searchers can be compared under *equal* budgets — the paper's
@@ -100,18 +102,15 @@ struct Budget {
   void validate() const;
 };
 
-/// Uniform per-step statistics every engine reports. Engines with richer
-/// per-step data (SE selection sizes, GA generation means, GSA
-/// temperatures) also record their own trace (see their trace()
-/// accessors); this is the lowest common denominator run_search and its
+/// Uniform per-step statistics every engine reports, the same four numbers
+/// for every searcher (search/searcher.h fills them in once for all six).
+/// Engines with richer per-step data (SE selection sizes and current
+/// lengths, GA generation means, GSA temperatures) also record their own
+/// trace (see their trace() accessors); this is what run_search and its
 /// observers see.
 struct StepStats {
   /// 0-based index of the step that just completed.
   std::size_t step = 0;
-  /// The engine's current working value after the step (current solution /
-  /// generation best / last sample; engines without a natural "current"
-  /// report the best).
-  double current_makespan = 0.0;
   /// Best makespan seen so far.
   double best_makespan = 0.0;
   /// Cumulative evaluator trials consumed since init().

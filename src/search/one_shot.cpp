@@ -28,7 +28,6 @@ StepStats OneShotEngine::step() {
 
   StepStats out;
   out.step = 0;
-  out.current_makespan = schedule_.makespan;
   out.best_makespan = schedule_.makespan;
   out.evals_used = 0;
   out.elapsed_seconds = timer_.seconds();

@@ -3,9 +3,14 @@
 // bare init() + N x step() loop at the same seed — schedules, stats and
 // evaluator trials — and every one-shot engine the scheduler registry
 // builds must match its plain schedule function. Plus the Budget semantics
-// (steps / evals / seconds), which are the only way a searcher stops, and
-// the uniform observer hook.
+// (steps / evals / seconds), which are the only way a searcher stops, the
+// uniform observer hook, the Searcher contract every searcher shares
+// (consistent StepStats, re-init() from scratch, no step or schedule before
+// init()), and memory per solve that stays linear in the request.
 #include "search/engine.h"
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,7 @@
 #include "core/error.h"
 #include "exp/anytime.h"
 #include "ga/ga.h"
+#include "hc/workload_io.h"
 #include "heuristics/annealing.h"
 #include "heuristics/cpop.h"
 #include "heuristics/heft.h"
@@ -221,20 +227,46 @@ TEST(SearchEngineCore, ObserverCanStopEarly) {
 
 TEST(SearchEngineCore, StepStatsAreConsistent) {
   const Workload w = small_workload(23);
-  const std::unique_ptr<SearchEngine> engine =
-      make_search_engine("Tabu", w, Budget::steps(50), 5);
-  engine->init();
-  double prev_best = std::numeric_limits<double>::infinity();
-  std::size_t prev_evals = 0;
-  for (std::size_t i = 0; i < 50; ++i) {
-    const StepStats stats = engine->step();
-    EXPECT_LE(stats.best_makespan, prev_best);
-    EXPECT_GE(stats.evals_used, prev_evals);
-    EXPECT_EQ(stats.evals_used, engine->evals_used());
-    prev_best = stats.best_makespan;
-    prev_evals = stats.evals_used;
+  for (const char* name : kSearchers) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, Budget::steps(50), 5);
+    engine->init();
+    double prev_best = engine->best_makespan();
+    std::size_t prev_evals = engine->evals_used();
+    double prev_seconds = 0.0;
+    for (std::size_t i = 0; i < 50; ++i) {
+      const StepStats stats = engine->step();
+      EXPECT_EQ(stats.step, i);
+      EXPECT_LE(stats.best_makespan, prev_best);
+      EXPECT_GE(stats.evals_used, prev_evals);
+      EXPECT_GE(stats.elapsed_seconds, prev_seconds);
+      EXPECT_EQ(stats.best_makespan, engine->best_makespan());
+      EXPECT_EQ(stats.evals_used, engine->evals_used());
+      EXPECT_EQ(engine->steps_done(), i + 1);
+      EXPECT_EQ(engine->best_schedule().makespan, stats.best_makespan);
+      prev_best = stats.best_makespan;
+      prev_evals = stats.evals_used;
+      prev_seconds = stats.elapsed_seconds;
+    }
   }
-  EXPECT_EQ(engine->steps_done(), 50u);
+}
+
+TEST(SearchEngineCore, StepAndBestScheduleThrowBeforeInit) {
+  const Workload w = small_workload(29);
+  for (const char* name : kSearchers) {
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, Budget::steps(5), 3);
+    EXPECT_THROW(engine->step(), Error) << name;
+    EXPECT_THROW(engine->best_schedule(), Error) << name;
+  }
+  // Random search holds no solution until its first sample.
+  RandomSearchEngine random(w, 3);
+  random.init();
+  EXPECT_EQ(random.best_makespan(), std::numeric_limits<double>::infinity());
+  EXPECT_THROW(random.best_schedule(), Error);
+  random.step();
+  EXPECT_EQ(random.best_schedule().makespan, random.best_makespan());
 }
 
 TEST(SearchEngineCore, OneShotEngineIsSingleStep) {
@@ -321,12 +353,108 @@ TEST(SearchEngineCore, BudgetValidation) {
 }
 
 TEST(SearchEngineCore, ReinitRestartsFromScratch) {
+  // A second init() replays the first run's 12 steps bit for bit: steps,
+  // bests and trial counts (wall time aside), and the same best schedule.
   const Workload w = small_workload(25);
-  SeEngine engine(w, comparison_se_params(6));
-  const SearchResult first = run_search(engine, Budget::steps(12));
-  const SearchResult second = run_search(engine, Budget::steps(12));
-  EXPECT_EQ(first.best_makespan, second.best_makespan);
-  EXPECT_EQ(first.evals, second.evals);
+  for (const char* name : kSearchers) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, Budget::steps(12), 6);
+    std::vector<StepStats> runs[2];
+    Schedule schedules[2];
+    for (auto run : {0, 1}) {
+      engine->init();
+      for (std::size_t i = 0; i < 12; ++i) runs[run].push_back(engine->step());
+      schedules[run] = engine->best_schedule();
+    }
+    for (std::size_t i = 0; i < 12; ++i) {
+      EXPECT_EQ(runs[0][i].step, runs[1][i].step);
+      EXPECT_EQ(runs[0][i].best_makespan, runs[1][i].best_makespan);
+      EXPECT_EQ(runs[0][i].evals_used, runs[1][i].evals_used);
+    }
+    EXPECT_EQ(schedules[0].assignment, schedules[1].assignment);
+    EXPECT_EQ(schedules[0].start, schedules[1].start);
+  }
+}
+
+TEST(SearchEngineCore, OverflowingMakespanStillHasAnIncumbent) {
+  // Two tasks of 1e308 on one machine: every makespan overflows to
+  // +infinity. A searcher's start is still its incumbent, so the run
+  // returns a schedule; random search, which keeps only a strictly shorter
+  // sample, has none to return.
+  Matrix<double> exec(1, 2);
+  exec(0, 0) = 1e308;
+  exec(0, 1) = 1e308;
+  const Workload w(TaskGraph(2), MachineSet(1), std::move(exec),
+                   Matrix<double>(0, 0));
+  for (const char* name : kSearchers) {
+    SCOPED_TRACE(name);
+    const Budget budget = Budget::steps(3);
+    const std::unique_ptr<SearchEngine> engine =
+        make_search_engine(name, w, budget, 2);
+    if (std::string(name) == "Random") {
+      EXPECT_THROW(run_search(*engine, budget), Error);
+      continue;
+    }
+    const SearchResult r = run_search(*engine, budget);
+    EXPECT_EQ(r.best_makespan, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.schedule.num_tasks(), 2u);
+  }
+}
+
+/// A workload document with no edges: k tasks on l machines whose times
+/// vary with the task and machine (so SE's start is not already on a best
+/// machine for every task, and its selection moves something).
+std::string edge_free_document(std::size_t k, std::size_t l) {
+  std::string doc = "sehc-workload v1\nmachines " + std::to_string(l) +
+                    "\nsehc-dag v1\ntasks " + std::to_string(k) +
+                    "\nend-dag\nexec\n";
+  for (std::size_t m = 0; m < l; ++m) {
+    for (std::size_t t = 0; t < k; ++t) {
+      doc += std::to_string(1 + (31 * m + 17 * t) % 9);
+      doc += t + 1 < k ? ' ' : '\n';
+    }
+  }
+  return doc;
+}
+
+/// Runs `name` for 3 steps on `w` and exits 0, with the process's address
+/// space capped at 512 MiB. Call it inside EXPECT_EXIT.
+[[noreturn]] void solve_under_address_limit(const char* name,
+                                            const Workload& w) {
+  rlimit limit{};
+  if (getrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+  limit.rlim_cur = std::min(rlim_t{512} << 20, limit.rlim_max);
+  if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+  const Budget budget = Budget::steps(3);
+  const std::unique_ptr<SearchEngine> engine =
+      make_search_engine(name, w, budget, 1);
+  run_search(*engine, budget);
+  _exit(0);
+}
+
+TEST(SearchEngineCore, SolvesFitUnderAnAddressLimit) {
+  // An edge-free request of a few tens of KB must not make a solve allocate
+  // by l^2 (the evaluator's machine-pair table, SE's reassign lanes) or by
+  // k^2 l (a tabu table over every attribute). Sanitizers reserve more
+  // address space than the limit, so their builds skip this.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer build";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer build";
+#endif
+#endif
+  const Workload wide = workload_from_string(edge_free_document(2, 9000));
+  for (const char* name : kSearchers) {
+    EXPECT_EXIT(solve_under_address_limit(name, wide),
+                ::testing::ExitedWithCode(0), "")
+        << name;
+  }
+  const Workload long_string =
+      workload_from_string(edge_free_document(2500, 20));
+  EXPECT_EXIT(solve_under_address_limit("Tabu", long_string),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SearchEngineCore, RunAnytimeStepAxisMatchesLegacyShape) {

@@ -9,7 +9,8 @@
 // kernels at batch sizes around the AVX2 width. The TrialBatchSlide suite
 // checks every lane of whole-scan batches (reassigns plus slides) against
 // Evaluator::makespan() of its explicit trial string, on small and
-// degenerate shapes and on a batch large enough to sweep in chunks.
+// degenerate shapes and on batches large enough to sweep in chunks, one of
+// them with more reassign lanes than one sweep holds.
 #include "sched/evaluator.h"
 
 #include <gtest/gtest.h>
@@ -620,6 +621,45 @@ TEST(TrialBatchSlide, ChunkedSweepsMatchMakespanOfTrialStrings) {
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     ASSERT_EQ(got[i], ref.makespan(trial_string(base, t, lanes[i])))
         << "lane " << i << " pos " << lanes[i].pos;
+  }
+}
+
+TEST(TrialBatchSlide, ReassignLanesBeyondOneSweepMatchMakespan) {
+  // More machines than one sweep holds lanes: the reassigns alone run as
+  // several sweeps, and so does the rest of the scan. t reads a producer
+  // and feeds a successor, so each lane's transfer rows matter.
+  TaskGraph g(150);
+  g.add_edge(1, 0);
+  g.add_edge(0, 2);
+  g.add_edge(3, 4);
+  const Workload w =
+      make_workload_for_graph(std::move(g), 300, Level::kHigh, 1.0, 1000.0, 9);
+  const std::size_t l = w.num_machines();
+  Evaluator eval(w);
+  Evaluator ref(w);
+  Evaluator::TrialBatch batch(eval);
+  Rng rng(13);
+  const SolutionString s = random_solution(w, rng);
+  const TaskId t = 0;
+  const ValidRange range = s.valid_range(w.graph(), t);
+  ASSERT_GT(range.size(), 1u);
+
+  eval.begin_trials(s, range.lo);
+  SolutionString base = s;
+  base.move_task(t, range.lo);
+  batch.begin_checkpoint(base);
+  const std::vector<ScanLane> lanes =
+      add_scan(batch, t, range.lo, range.hi, l,
+               [](std::size_t pos, MachineId m) { return (pos + m) % 97 == 0; });
+  ASSERT_GT(l, batch.lane_capacity());
+  const std::size_t before = eval.trial_count();
+  const std::vector<double> got = batch.evaluate(kInf);
+  ASSERT_EQ(got.size(), lanes.size());
+  EXPECT_EQ(eval.trial_count() - before, lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    ASSERT_EQ(got[i], ref.makespan(trial_string(base, t, lanes[i])))
+        << "lane " << i << " pos " << lanes[i].pos << " machine "
+        << lanes[i].m;
   }
 }
 
