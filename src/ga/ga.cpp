@@ -38,8 +38,7 @@ std::size_t roulette(const std::vector<double>& lengths, double worst,
 
 }  // namespace
 
-void GaEngine::init() {
-  restart();
+void GaEngine::start() {
   rng_ = Rng(params_.seed);
   const std::size_t best =
       random_population(eval_, params_.population, rng_, pop_, lengths_);
@@ -47,9 +46,7 @@ void GaEngine::init() {
   trace_.clear();
 }
 
-StepStats GaEngine::step() {
-  check_started();
-
+void GaEngine::advance() {
   // Rank indices by length for elitism.
   std::vector<std::size_t> rank(pop_.size());
   std::iota(rank.begin(), rank.end(), 0);
@@ -112,7 +109,6 @@ StepStats GaEngine::step() {
     stats.elapsed_seconds = elapsed_seconds();
     trace_.push_back(stats);
   }
-  return finish_step();
 }
 
 }  // namespace sehc

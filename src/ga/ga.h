@@ -51,10 +51,11 @@ class GaEngine final : public Searcher {
   const std::vector<GaIterationStats>& trace() const { return trace_; }
 
   std::string name() const override { return "GA"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   GaParams params_;
 
   // Stepwise state (valid after init()).

@@ -35,8 +35,7 @@ SaEngine::SaEngine(const Workload& workload, SaParams params)
              "SaEngine: steps_per_temp must be positive");
 }
 
-void SaEngine::init() {
-  restart();
+void SaEngine::start() {
   rng_ = Rng(params_.seed);
   const Workload& w = workload();
   current_ = random_initial_solution(w.graph(), w.num_machines(), rng_);
@@ -72,8 +71,7 @@ void SaEngine::init() {
   since_cool_ = 0;
 }
 
-StepStats SaEngine::step() {
-  check_started();
+void SaEngine::advance() {
   const Workload& w = workload();
 
   const TaskMove move =
@@ -96,7 +94,6 @@ StepStats SaEngine::step() {
     since_cool_ = 0;
     temperature_ *= params_.cooling;
   }
-  return finish_step();
 }
 
 }  // namespace sehc

@@ -33,10 +33,11 @@ class SaEngine final : public Searcher {
   SaEngine(const Workload& workload, SaParams params);
 
   std::string name() const override { return "SA"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   SaParams params_;
 
   // Stepwise state (valid after init()). Every proposed move, the T0

@@ -19,8 +19,7 @@ GsaEngine::GsaEngine(const Workload& workload, GsaParams params)
              "GsaEngine: initial_acceptance must be in (0,1)");
 }
 
-void GsaEngine::init() {
-  restart();
+void GsaEngine::start() {
   rng_ = Rng(params_.seed);
   const std::size_t best =
       random_population(eval_, params_.population, rng_, pop_, lengths_);
@@ -34,9 +33,7 @@ void GsaEngine::init() {
   trace_.clear();
 }
 
-StepStats GsaEngine::step() {
-  check_started();
-
+void GsaEngine::advance() {
   std::size_t accepted = 0;
   std::size_t offspring = 0;
   // One Metropolis-mediated mating per pair slot per generation.
@@ -84,7 +81,6 @@ StepStats GsaEngine::step() {
     stats.elapsed_seconds = elapsed_seconds();
     trace_.push_back(stats);
   }
-  return finish_step();
 }
 
 }  // namespace sehc

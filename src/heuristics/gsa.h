@@ -50,10 +50,11 @@ class GsaEngine final : public Searcher {
   const std::vector<GsaIterationStats>& trace() const { return trace_; }
 
   std::string name() const override { return "GSA"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   GsaParams params_;
 
   // Stepwise state (valid after init()).

@@ -1,31 +1,18 @@
 #include "heuristics/random_search.h"
 
-#include <utility>
-
 namespace sehc {
 
 RandomSearchEngine::RandomSearchEngine(const Workload& workload,
                                        std::uint64_t seed)
     : Searcher(workload), seed_(seed) {}
 
-void RandomSearchEngine::init() {
-  restart();
-  rng_ = Rng(seed_);
-}
+void RandomSearchEngine::start() { rng_ = Rng(seed_); }
 
-StepStats RandomSearchEngine::step() {
-  check_started();
+void RandomSearchEngine::advance() {
   const Workload& w = workload();
   random_initial_solution(w.graph(), w.topo_order(), w.num_machines(), rng_,
                           candidate_);
-  const double len = eval_.makespan(candidate_);
-  // Kept by a swap, not keep_if_best()'s copy: the old best's storage takes
-  // the next draw.
-  if (len < best_len_) {
-    best_len_ = len;
-    std::swap(best_, candidate_);
-  }
-  return finish_step();
+  keep_if_best(candidate_, eval_.makespan(candidate_));
 }
 
 }  // namespace sehc

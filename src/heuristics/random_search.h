@@ -18,10 +18,11 @@ class RandomSearchEngine final : public Searcher {
   RandomSearchEngine(const Workload& workload, std::uint64_t seed);
 
   std::string name() const override { return "Random"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   std::uint64_t seed_;
   SolutionString candidate_;  // reused by every draw
 };

@@ -10,8 +10,7 @@ TabuEngine::TabuEngine(const Workload& workload, TabuParams params)
   SEHC_CHECK(params_.samples > 0, "TabuEngine: samples must be positive");
 }
 
-void TabuEngine::init() {
-  restart();
+void TabuEngine::start() {
   rng_ = Rng(params_.seed);
   const Workload& w = workload();
   current_ = random_initial_solution(w.graph(), w.num_machines(), rng_);
@@ -33,8 +32,7 @@ bool TabuEngine::is_tabu(const TaskMove& move) const {
   });
 }
 
-StepStats TabuEngine::step() {
-  check_started();
+void TabuEngine::advance() {
   const Workload& w = workload();
   const TaskGraph& g = w.graph();
   // A reverse attribute committed at iteration j is tabu up to iteration
@@ -80,7 +78,6 @@ StepStats TabuEngine::step() {
     eval_.refresh_from(current_, chosen.suffix_start());
     keep_if_best(current_, current_len_);
   }
-  return finish_step();
 }
 
 }  // namespace sehc

@@ -36,10 +36,11 @@ class TabuEngine final : public Searcher {
   TabuEngine(const Workload& workload, TabuParams params);
 
   std::string name() const override { return "Tabu"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   /// The reverse attribute of a committed move and the iteration that
   /// committed it.
   struct TabuEntry {

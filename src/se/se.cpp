@@ -27,8 +27,7 @@ SeEngine::SeEngine(const Workload& workload, SeParams params,
   initial_ = std::move(initial);
 }
 
-void SeEngine::init() {
-  restart();
+void SeEngine::start() {
   // The random initial solution is drawn from Rng(seed) and the selection
   // stream from its own sub-seed, so a search from a given solution is the
   // same as a random start that drew that solution.
@@ -44,9 +43,7 @@ void SeEngine::init() {
   trace_.clear();
 }
 
-StepStats SeEngine::step() {
-  check_started();
-
+void SeEngine::advance() {
   // Evaluation: goodness of every individual in the current solution.
   eval_.evaluate_into(current_, times_);
   goodness_into(optimal_, times_, good_);
@@ -77,7 +74,6 @@ StepStats SeEngine::step() {
     stats.elapsed_seconds = elapsed_seconds();
     trace_.push_back(stats);
   }
-  return finish_step();
 }
 
 }  // namespace sehc

@@ -60,10 +60,11 @@ class SeEngine final : public Searcher {
   const std::vector<SeIterationStats>& trace() const { return trace_; }
 
   std::string name() const override { return "SE"; }
-  void init() override;
-  StepStats step() override;
 
  private:
+  void start() override;
+  void advance() override;
+
   SeParams params_;
   double bias_;
   std::vector<double> optimal_;       // O_i, fixed for the whole run

@@ -1,15 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <tuple>
-#include <vector>
-
-#include "core/rng.h"
 #include "heuristics/dls.h"
 #include "heuristics/random_search.h"
 #include "heuristics/tabu.h"
 #include "sched/bounds.h"
-#include "sched/evaluator.h"
 #include "sched/validate.h"
 #include "workload/generator.h"
 
@@ -114,120 +108,6 @@ TEST(Tabu, BeatsRandomSearchOnEqualBudget) {
     tabu_wins += (tb <= rs);
   }
   EXPECT_GE(tabu_wins, trials - 1);
-}
-
-/// Tabu search as it ran with a dense table of expiries, one per (task,
-/// position, machine) attribute: a committed move sets its reverse
-/// attribute's expiry to iteration + tenure, and a sample is tabu while its
-/// target attribute's expiry lies beyond the iteration. The reference for
-/// TabuEngine's list of recent commits.
-class DenseTableTabu {
- public:
-  DenseTableTabu(const Workload& w, const TabuParams& params)
-      : w_(w), params_(params), eval_(w), rng_(params.seed) {
-    current_ = random_initial_solution(w.graph(), w.num_machines(), rng_);
-    current_len_ = eval_.makespan(current_);
-    best_ = current_;
-    best_len_ = current_len_;
-    expiry_.assign(w.num_tasks() * w.num_tasks() * w.num_machines(), 0);
-    eval_.prepare(current_);
-  }
-
-  void step() {
-    const TaskGraph& g = w_.graph();
-    const auto attr = [&](TaskId task, std::size_t pos, MachineId machine) {
-      return (task * w_.num_tasks() + pos) * w_.num_machines() + machine;
-    };
-    TaskMove chosen;
-    double chosen_len = std::numeric_limits<double>::infinity();
-    for (std::size_t sample = 0; sample < params_.samples; ++sample) {
-      TaskMove m;
-      m.task = static_cast<TaskId>(rng_.below(w_.num_tasks()));
-      const ValidRange range = current_.valid_range(g, m.task);
-      m.old_pos = current_.position_of(m.task);
-      m.old_machine = current_.machine_of(m.task);
-      m.new_pos = range.lo + static_cast<std::size_t>(rng_.below(range.size()));
-      m.new_machine = static_cast<MachineId>(rng_.below(w_.num_machines()));
-      m.apply(current_);
-      const double len =
-          eval_.prepared_trial(current_, m.suffix_start(), chosen_len);
-      m.undo(current_);
-      const bool aspirates = len < best_len_;
-      if (!aspirates &&
-          expiry_[attr(m.task, m.new_pos, m.new_machine)] > iteration_) {
-        continue;
-      }
-      if (len < chosen_len) {
-        chosen_len = len;
-        chosen = m;
-      }
-    }
-    if (chosen.task != kInvalidTask) {
-      chosen.apply(current_);
-      current_len_ = chosen_len;
-      expiry_[attr(chosen.task, chosen.old_pos, chosen.old_machine)] =
-          iteration_ + params_.tenure;
-      eval_.refresh_from(current_, chosen.suffix_start());
-      if (current_len_ < best_len_) {
-        best_len_ = current_len_;
-        best_ = current_;
-      }
-    }
-    ++iteration_;
-  }
-
-  const SolutionString& best() const { return best_; }
-  double best_len() const { return best_len_; }
-  std::size_t trials() const { return eval_.trial_count(); }
-
- private:
-  const Workload& w_;
-  TabuParams params_;
-  Evaluator eval_;
-  Rng rng_;
-  SolutionString current_;
-  SolutionString best_;
-  double current_len_ = 0.0;
-  double best_len_ = 0.0;
-  std::size_t iteration_ = 0;
-  std::vector<std::size_t> expiry_;
-};
-
-TEST(Tabu, TabuListMatchesDenseTable) {
-  // Side by side for 2,000 steps, with no tenure, the shortest, the
-  // default and one longer than the run: the same best string and length
-  // and the same trial count after every step.
-  std::vector<Workload> workloads;
-  for (const auto& [tasks, machines, seed] :
-       {std::tuple{12u, 3u, 31u}, {20u, 4u, 32u}, {30u, 6u, 33u}}) {
-    WorkloadParams p;
-    p.tasks = tasks;
-    p.machines = machines;
-    p.seed = seed;
-    workloads.push_back(make_workload(p));
-  }
-  for (const Workload& w : workloads) {
-    for (const std::size_t tenure : {0u, 1u, 25u, 5000u}) {
-      TabuParams params;
-      params.tenure = tenure;
-      params.seed = 7 + tenure;
-      TabuEngine engine(w, params);
-      engine.init();
-      DenseTableTabu dense(w, params);
-      for (std::size_t i = 0; i < 2000; ++i) {
-        const StepStats stats = engine.step();
-        dense.step();
-        ASSERT_EQ(stats.best_makespan, dense.best_len())
-            << "tasks " << w.num_tasks() << " tenure " << tenure << " step "
-            << i;
-        ASSERT_EQ(stats.evals_used, dense.trials());
-        const Schedule got = engine.best_schedule();
-        const Schedule want = Schedule::from_solution(w, dense.best());
-        ASSERT_EQ(got.assignment, want.assignment);
-        ASSERT_EQ(got.start, want.start);
-      }
-    }
-  }
 }
 
 TEST(Tabu, ZeroSamplesThrows) {

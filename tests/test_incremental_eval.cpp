@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -274,14 +275,24 @@ TEST(IncrementalEval, AllocationMatchesReferenceIncludingTieStatistics) {
   }
 }
 
-/// Pre-engine tabu search: full naive evaluation per sampled move.
-double reference_tabu_best(const Workload& w, const TabuParams& params,
-                           std::size_t iterations) {
+/// The best string a reference search found, and its length.
+struct ReferenceBest {
+  SolutionString string;
+  double len = kInf;
+};
+
+/// Pre-engine tabu search: full naive evaluation per sampled move, and a
+/// dense table of expiries, one per (task, position, machine) attribute. A
+/// committed move sets its reverse attribute's expiry to iteration +
+/// tenure, and a sample is tabu while its target attribute's expiry lies
+/// beyond the iteration.
+ReferenceBest reference_tabu_best(const Workload& w, const TabuParams& params,
+                                  std::size_t iterations) {
   Rng rng(params.seed);
   const TaskGraph& g = w.graph();
   SolutionString current =
       random_initial_solution(g, w.num_machines(), rng);
-  double best_len = naive_makespan(w, current);
+  ReferenceBest best{current, naive_makespan(w, current)};
   std::vector<double> expiry(
       w.num_tasks() * w.num_tasks() * w.num_machines(), 0.0);
   auto idx = [&](TaskId t, std::size_t pos, MachineId m) {
@@ -307,7 +318,7 @@ double reference_tabu_best(const Workload& w, const TabuParams& params,
       const double len = naive_makespan(w, current);
       current.move_task(t, old_pos);
       current.set_machine(t, old_machine);
-      const bool aspirates = len < best_len;
+      const bool aspirates = len < best.len;
       if (!aspirates &&
           expiry[idx(t, pos, m)] > static_cast<double>(iteration)) {
         continue;
@@ -326,28 +337,45 @@ double reference_tabu_best(const Workload& w, const TabuParams& params,
     current.set_machine(chosen_task, chosen_machine);
     expiry[idx(chosen_task, rev_pos, rev_machine)] =
         static_cast<double>(iteration + params.tenure);
-    if (chosen_len < best_len) best_len = chosen_len;
+    if (chosen_len < best.len) best = {current, chosen_len};
   }
-  return best_len;
+  return best;
 }
 
 TEST(IncrementalEval, TabuMatchesNaiveReference) {
-  // 10 samples per step, and the shipped default of 24. Each step counts
-  // one trial per sample on top of init()'s one makespan().
-  constexpr std::size_t kSteps = 60;
-  for (const std::size_t samples : {std::size_t{10}, TabuParams{}.samples}) {
+  // 10 samples per step and the shipped default of 24 at the default
+  // tenure for 60 steps; then, for 2,000 steps, no tenure, the shortest,
+  // the default and one longer than the run. Each step counts one trial
+  // per sample on top of init()'s one makespan().
+  struct Case {
+    std::size_t samples;
+    std::size_t tenure;
+    std::size_t steps;
+  };
+  const std::size_t kSamples = TabuParams{}.samples;
+  const std::size_t kTenure = TabuParams{}.tenure;
+  for (const Case c : {Case{10, kTenure, 60}, Case{kSamples, kTenure, 60},
+                       Case{kSamples, 0, 2000}, Case{kSamples, 1, 2000},
+                       Case{kSamples, kTenure, 2000},
+                       Case{kSamples, 5000, 2000}}) {
     for (WorkloadParams p : workload_classes()) {
       p.seed = 13;
       const Workload w = make_workload(p);
       TabuParams tp;
-      tp.samples = samples;
+      tp.samples = c.samples;
+      tp.tenure = c.tenure;
       tp.seed = 99;
       TabuEngine engine(w, tp);
-      const SearchResult got = run_search(engine, Budget::steps(kSteps));
-      ASSERT_EQ(got.best_makespan, reference_tabu_best(w, tp, kSteps))
-          << p.describe() << " samples=" << samples;
-      ASSERT_EQ(got.evals, 1 + samples * kSteps)
-          << p.describe() << " samples=" << samples;
+      const SearchResult got = run_search(engine, Budget::steps(c.steps));
+      const ReferenceBest want = reference_tabu_best(w, tp, c.steps);
+      SCOPED_TRACE(p.describe() + " samples=" + std::to_string(c.samples) +
+                   " tenure=" + std::to_string(c.tenure) +
+                   " steps=" + std::to_string(c.steps));
+      ASSERT_EQ(got.best_makespan, want.len);
+      ASSERT_EQ(got.evals, 1 + c.samples * c.steps);
+      const Schedule want_schedule = Schedule::from_solution(w, want.string);
+      ASSERT_EQ(got.schedule.assignment, want_schedule.assignment);
+      ASSERT_EQ(got.schedule.start, want_schedule.start);
     }
   }
 }
