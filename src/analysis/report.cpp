@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
@@ -23,13 +22,6 @@ void write_table(std::ostream& os, const Table& table, ReportFormat format) {
 }
 
 namespace {
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
 
 /// Value of `key=` in a spec line ("" when absent). Matches whole keys
 /// only: "iters=" does not match "boot_iters=".
@@ -571,14 +563,14 @@ void write_report(std::ostream& os, const CampaignDataset& dataset,
   if (format == ReportFormat::kMarkdown) {
     os << "# Campaign report\n\n";
     os << "- spec: `" << dataset.schema.spec_line << "`\n";
-    os << "- spec hash: `" << hash_hex(dataset.schema.spec_hash) << "`\n";
+    os << "- spec hash: `" << hash_to_hex(dataset.schema.spec_hash) << "`\n";
     os << "- records: " << records << " (" << dataset.classes.size()
        << " classes x " << dataset.schedulers.size() << " schedulers)\n";
     os << "- anytime curves: " << curve_desc << "\n\n";
   } else {
     os << "# sehc-report v1\n";
     os << "# spec: " << dataset.schema.spec_line << '\n';
-    os << "# spec_hash: " << hash_hex(dataset.schema.spec_hash) << '\n';
+    os << "# spec_hash: " << hash_to_hex(dataset.schema.spec_hash) << '\n';
     os << "# records: " << records << '\n';
     os << "# curves: " << curve_desc << '\n';
   }

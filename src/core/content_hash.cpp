@@ -1,5 +1,6 @@
 #include "core/content_hash.h"
 
+#include <cstdio>
 #include <cstring>
 
 namespace sehc {
@@ -11,6 +12,13 @@ std::uint64_t content_hash64(std::string_view text) {
     state *= 0x100000001b3ULL;
   }
   return state;
+}
+
+std::string hash_to_hex(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
 }
 
 namespace {

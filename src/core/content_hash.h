@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace sehc {
@@ -23,6 +24,10 @@ namespace sehc {
 /// FNV-1a 64-bit hash. Simple, stable across platforms and standard-library
 /// versions (an integrity/identity check, not a security boundary).
 std::uint64_t content_hash64(std::string_view text);
+
+/// `hash` as 16 lowercase hex digits, zero-padded: how stores, reports and
+/// `sehc_campaign show` print a spec hash.
+std::string hash_to_hex(std::uint64_t hash);
 
 /// In-memory key hash: four independent 64-bit lanes, each absorbing 16
 /// bytes of every 64-byte step through a 64x64->128-bit multiply whose

@@ -5,9 +5,12 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "core/error.h"
+#include "core/options.h"
 
 namespace sehc {
 
@@ -114,6 +117,68 @@ char* write_g17(char* first, double value) {
       .ptr;
 }
 
+std::string csv_escape(const std::string& field) {
+  if (field.find_first_of(",\"\n") == std::string::npos) return field;
+  std::string out = "\"";
+  for (const char c : field) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::vector<std::string> split_csv_line(const std::string& line,
+                                        const std::string& context) {
+  std::vector<std::string> fields;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          field.push_back('"');
+          ++i;
+        } else {
+          quoted = false;
+        }
+      } else {
+        field.push_back(c);
+      }
+    } else if (c == '"' && field.empty()) {
+      quoted = true;
+    } else if (c == ',') {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else {
+      field.push_back(c);
+    }
+  }
+  SEHC_CHECK(!quoted, context + ": unterminated quote in: " + line);
+  fields.push_back(std::move(field));
+  return fields;
+}
+
+double parse_csv_double(const std::string& field, const std::string& context) {
+  if (field == "inf") return std::numeric_limits<double>::infinity();
+  if (field == "-inf") return -std::numeric_limits<double>::infinity();
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  SEHC_CHECK(end != begin && *end == '\0' && !field.empty(),
+             context + ": expected a number, got '" + field + "'");
+  return value;
+}
+
+std::uint64_t parse_csv_u64(const std::string& field,
+                            const std::string& context) {
+  const auto value = parse_whole<std::uint64_t>(field);
+  SEHC_CHECK(value.has_value(),
+             context + ": expected an unsigned integer, got '" + field + "'");
+  return *value;
+}
+
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   SEHC_CHECK(!headers_.empty(), "Table: need at least one column");
 }
@@ -148,19 +213,6 @@ const std::string& Table::cell(std::size_t row, std::size_t col) const {
              "Table::cell: out of range");
   return cells_[row][col];
 }
-
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
 
 void Table::write_csv(std::ostream& os) const {
   for (std::size_t c = 0; c < headers_.size(); ++c) {

@@ -1,11 +1,14 @@
 // Tabular output for experiment results: CSV and aligned-markdown emitters,
-// and the library's two number formatters.
+// the library's two number formatters, and the CSV field codec that every
+// CSV file the library writes and reads (the result store and both campaign
+// sidecars, schedule CSVs, report tables) shares.
 //
 // The figure benches print CSV series (easy to plot) followed by markdown
 // summary tables (easy to read in a terminal or paste into Markdown).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -42,6 +45,25 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> cells_;
 };
+
+/// Quotes `field` for CSV emission when it contains a comma, quote or
+/// newline (doubling its quotes); returns it unchanged otherwise.
+std::string csv_escape(const std::string& field);
+
+/// Splits one CSV line into fields. RFC-4180-ish: a field wrapped in double
+/// quotes may contain commas and doubled quotes ("" -> "). Throws
+/// sehc::Error (with `context`) on a quote that never closes.
+std::vector<std::string> split_csv_line(
+    const std::string& line, const std::string& context = "split_csv_line");
+
+/// Parses a double field; throws sehc::Error (with `context`) on garbage.
+/// "inf" / "-inf" parse to the infinities, matching the writers.
+double parse_csv_double(const std::string& field, const std::string& context);
+
+/// Parses an unsigned integer field as parse_whole does (digits only, no
+/// sign, no overflow); throws sehc::Error (with `context`) otherwise.
+std::uint64_t parse_csv_u64(const std::string& field,
+                            const std::string& context);
 
 /// The largest `precision` format_fixed takes.
 constexpr int kMaxFixedPrecision = 64;

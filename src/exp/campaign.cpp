@@ -11,7 +11,6 @@
 #include "core/table.h"
 #include "core/timer.h"
 #include "exp/anytime.h"
-#include "exp/trace_io.h"
 #include "heuristics/scheduler.h"
 #include "obs/phase.h"
 #include "sched/bounds.h"
@@ -283,8 +282,8 @@ CampaignRunSummary run_store_grid(
     MetricsRegistry cell_metrics;
     const MetricsScope metrics_scope(&cell_metrics);
     std::string last_error;
-    bool stored = false;
-    for (std::size_t attempt = 0; attempt < attempts && !stored; ++attempt) {
+    std::optional<StoreRow> row;
+    for (std::size_t attempt = 0; attempt < attempts && !row; ++attempt) {
       CellContext ctx;
       ctx.attempt = attempt;
       if (options.cell_timeout_seconds > 0.0) {
@@ -297,16 +296,15 @@ CampaignRunSummary run_store_grid(
         SpanScope cell_span(&cell_metrics, "cell");
         apply_cell_fault(options.fault_plan, cell.index, attempt,
                          ctx.deadline);
-        store.append(StoreRow{cell.index, row_fn(cell, ctx)});
+        row = StoreRow{cell.index, row_fn(cell, ctx)};
         if (attempt > 0) retried.fetch_add(1);
-        stored = true;
       } catch (const std::exception& e) {
         // Fail-fast mode: rethrow immediately; the sweep layer attaches the
         // cell's coordinates before propagating to the caller.
         if (options.strict) throw;
         last_error = e.what();
       }
-      if (!stored && attempt + 1 < attempts && options.retry_backoff_ms > 0) {
+      if (!row && attempt + 1 < attempts && options.retry_backoff_ms > 0) {
         // Deterministic exponential backoff: base * 2^attempt ms. Timing
         // never feeds results (cell seeds are coordinate-derived), so the
         // sleep only spaces out retries against transient contention.
@@ -314,7 +312,7 @@ CampaignRunSummary run_store_grid(
             options.retry_backoff_ms << attempt));
       }
     }
-    if (!stored) {
+    if (!row) {
       QuarantineRecord record;
       record.cell = cell.index;
       record.coords = describe_coords(grid, cell.coords);
@@ -324,7 +322,11 @@ CampaignRunSummary run_store_grid(
       quarantine.append(std::move(record));
       failed.fetch_add(1);
     }
+    // The metrics rows go down before the store row: a resume reruns every
+    // cell the store lacks, so a kill between the two writes loses nothing.
+    // A failed store write fails the run; it is not the cell's fault.
     metrics_log.append(cell.index, cell_metrics.snapshot());
+    if (row) store.append(std::move(*row));
   });
 
   quarantine.finalize();

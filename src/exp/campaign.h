@@ -225,7 +225,9 @@ struct CampaignRunSummary {
 /// the sidecar (and counted in failed_cells) while the remaining cells keep
 /// running. executed_cells counts only cells that persisted a record, so a
 /// later run resumes exactly the quarantined cells. `strict` restores the
-/// historical fail-fast behavior.
+/// historical fail-fast behavior. A cell's metrics rows are appended before
+/// its record, so every stored cell has its metrics; a failed store write
+/// fails the run rather than quarantining the cell.
 CampaignRunSummary run_store_grid(
     const SweepGrid& grid, ResultStore& store, const CampaignRunOptions& options,
     std::uint64_t base_seed,

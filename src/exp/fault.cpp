@@ -1,12 +1,8 @@
 #include "exp/fault.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "core/error.h"
@@ -30,11 +26,8 @@ std::vector<std::string> split(const std::string& text, char sep) {
 }
 
 std::size_t parse_size(const std::string& key, const std::string& value) {
-  SEHC_CHECK(!value.empty() &&
-                 value.find_first_not_of("0123456789") == std::string::npos,
-             "fault plan: '" + key + "' expects a non-negative integer, got '" +
-                 value + "'");
-  return static_cast<std::size_t>(std::stoull(value));
+  return static_cast<std::size_t>(
+      parse_csv_u64(value, "fault plan: '" + key + "'"));
 }
 
 std::vector<std::size_t> parse_cells(const std::string& key,
@@ -80,62 +73,30 @@ double cell_u01(std::uint64_t seed, std::size_t cell) {
   return static_cast<double>(mixed >> 11) * 0x1.0p-53;
 }
 
-std::string csv_escape(const std::string& s) {
-  // The sidecar stays strictly one record per line so it greps and tails
-  // cleanly; embedded newlines (multi-line exception messages) are folded
-  // into a space instead of RFC-4180 multi-line quoting.
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else if (c == '\n' || c == '\r') out += ' ';
-    else out += c;
-  }
-  out += '"';
-  return out;
+/// The sidecar stays strictly one record per line so it greps and tails
+/// cleanly: embedded newlines (multi-line exception messages) are folded
+/// into a space instead of RFC-4180 multi-line quoting.
+std::string one_line(std::string s) {
+  std::replace_if(
+      s.begin(), s.end(), [](char c) { return c == '\n' || c == '\r'; }, ' ');
+  return s;
 }
 
 constexpr const char* kQuarantineHeader = "cell,coords,label,attempts,error";
 
 std::string format_record(const QuarantineRecord& r) {
-  return std::to_string(r.cell) + "," + csv_escape(r.coords) + "," +
-         csv_escape(r.label) + "," + std::to_string(r.attempts) + "," +
-         csv_escape(r.error);
+  return std::to_string(r.cell) + "," + csv_escape(one_line(r.coords)) + "," +
+         csv_escape(one_line(r.label)) + "," + std::to_string(r.attempts) +
+         "," + csv_escape(one_line(r.error));
 }
 
-/// Splits one CSV line into fields, honoring RFC-4180 quoting. Throws on a
-/// quote that never closes.
-std::vector<std::string> parse_csv_line(const std::string& line,
-                                        const std::string& path) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  SEHC_CHECK(!quoted, "quarantine sidecar '" + path +
-                          "': unterminated quoted field: " + line);
-  fields.push_back(std::move(field));
-  return fields;
+std::vector<QuarantineRecord> sorted_by_cell(
+    std::vector<QuarantineRecord> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const QuarantineRecord& a, const QuarantineRecord& b) {
+                     return a.cell < b.cell;
+                   });
+  return records;
 }
 
 }  // namespace
@@ -153,12 +114,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     if (key == "seed") {
       plan.seed_ = parse_size(key, value);
     } else if (key == "throw") {
-      try {
-        plan.throw_probability_ = std::stod(value);
-      } catch (const std::exception&) {
-        throw_error("fault plan: 'throw' expects a probability, got '" + value +
-                    "'");
-      }
+      plan.throw_probability_ = parse_csv_double(value, "fault plan: 'throw'");
       SEHC_CHECK(plan.throw_probability_ >= 0.0 &&
                      plan.throw_probability_ <= 1.0,
                  "fault plan: 'throw' probability must be in [0,1]");
@@ -290,41 +246,24 @@ std::string default_quarantine_path(const std::string& store_path) {
   return store_path + ".failed.csv";
 }
 
-QuarantineLog::QuarantineLog(std::string path) : path_(std::move(path)) {}
-
-QuarantineLog::QuarantineLog(QuarantineLog&&) noexcept = default;
-QuarantineLog& QuarantineLog::operator=(QuarantineLog&&) noexcept = default;
-QuarantineLog::~QuarantineLog() = default;
-
 void QuarantineLog::append(QuarantineRecord record) {
   std::lock_guard<std::mutex> lock(*mutex_);
   if (!path_.empty()) {
     if (!out_) {
-      // Lazy: a clean run never creates the sidecar. Truncate — any
+      // Lazy: a clean run never creates the sidecar. Start it over — any
       // existing sidecar describes a previous (pre-resume) run whose
       // records we re-derive by re-running the failed cells.
-      out_ = std::make_unique<std::ofstream>(path_, std::ios::trunc);
-      SEHC_CHECK(out_->good(),
-                 "quarantine sidecar: cannot open '" + path_ + "'");
-      *out_ << kQuarantineHeader << '\n';
+      replace_log(path_, {kQuarantineHeader});
+      out_.emplace(path_);
     }
-    *out_ << format_record(record) << '\n';
-    out_->flush();
-    SEHC_CHECK(out_->good(), "quarantine sidecar: write failed on '" + path_ +
-                                 "'");
+    out_->append(format_record(record));
   }
   records_.push_back(std::move(record));
 }
 
 std::vector<QuarantineRecord> QuarantineLog::sorted_records() const {
   std::lock_guard<std::mutex> lock(*mutex_);
-  std::vector<QuarantineRecord> sorted = records_;
-  std::stable_sort(
-      sorted.begin(), sorted.end(),
-      [](const QuarantineRecord& a, const QuarantineRecord& b) {
-        return a.cell < b.cell;
-      });
-  return sorted;
+  return sorted_by_cell(records_);
 }
 
 void QuarantineLog::finalize() {
@@ -337,47 +276,32 @@ void QuarantineLog::finalize() {
     std::remove(path_.c_str());
     return;
   }
-  std::vector<QuarantineRecord> sorted = records_;
-  std::stable_sort(
-      sorted.begin(), sorted.end(),
-      [](const QuarantineRecord& a, const QuarantineRecord& b) {
-        return a.cell < b.cell;
-      });
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    SEHC_CHECK(os.good(), "quarantine sidecar: cannot open '" + tmp + "'");
-    os << kQuarantineHeader << '\n';
-    for (const QuarantineRecord& r : sorted) os << format_record(r) << '\n';
-    os.flush();
-    SEHC_CHECK(os.good(), "quarantine sidecar: write failed on '" + tmp + "'");
+  std::vector<std::string> lines{kQuarantineHeader};
+  for (const QuarantineRecord& r : sorted_by_cell(records_)) {
+    lines.push_back(format_record(r));
   }
-  SEHC_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-             "quarantine sidecar: rename '" + tmp + "' -> '" + path_ +
-                 "' failed: " + std::strerror(errno));
+  replace_log(path_, lines);
 }
 
 std::vector<QuarantineRecord> read_quarantine(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) return {};  // clean runs delete their sidecar
-  std::string line;
-  SEHC_CHECK(static_cast<bool>(std::getline(is, line)),
-             "quarantine sidecar '" + path + "': empty file");
-  SEHC_CHECK(line == kQuarantineHeader,
-             "quarantine sidecar '" + path + "': unexpected header: " + line);
+  const std::optional<LogLines> log = read_log(path);
+  if (!log) return {};  // clean runs delete their sidecar
+  const std::string context = "quarantine sidecar '" + path + "'";
+  SEHC_CHECK(!log->lines.empty() && log->lines[0] == kQuarantineHeader,
+             context + ": missing or unexpected header");
   std::vector<QuarantineRecord> records;
-  while (std::getline(is, line)) {
+  for (std::size_t i = 1; i < log->lines.size(); ++i) {
+    const std::string& line = log->lines[i];
     if (line.empty()) continue;
-    const std::vector<std::string> fields = parse_csv_line(line, path);
-    SEHC_CHECK(fields.size() == 5, "quarantine sidecar '" + path +
-                                       "': expected 5 fields, got " +
+    const std::vector<std::string> fields = split_csv_line(line, context);
+    SEHC_CHECK(fields.size() == 5, context + ": expected 5 fields, got " +
                                        std::to_string(fields.size()) + ": " +
                                        line);
     QuarantineRecord r;
-    r.cell = parse_size("cell", fields[0]);
+    r.cell = static_cast<std::size_t>(parse_csv_u64(fields[0], context));
     r.coords = fields[1];
     r.label = fields[2];
-    r.attempts = parse_size("attempts", fields[3]);
+    r.attempts = static_cast<std::size_t>(parse_csv_u64(fields[3], context));
     r.error = fields[4];
     records.push_back(std::move(r));
   }

@@ -19,19 +19,21 @@
 //
 // Cells that exhaust their retries are quarantined: appended to a sidecar
 // CSV next to the store (`<store>.failed.csv`) with coordinates, error text
-// and attempt count. The sidecar is append-through during the run (crash
-// evidence survives a kill) and rewritten in sorted canonical form when the
-// run ends; it is deleted when a run completes with zero failures.
+// and attempt count. The sidecar is a record log (core/record_log.h), like
+// the store: append-through during the run (crash evidence survives a
+// kill, and readers drop a row the kill tore) and rewritten in sorted
+// canonical form when the run ends; it is deleted when a run completes with
+// zero failures.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/record_log.h"
 #include "search/engine.h"
 
 namespace sehc {
@@ -57,7 +59,8 @@ enum class FaultKind { kNone, kThrow, kSlow, kHang };
 ///   torn-cell=C      the store write for cell C is torn: only the first
 ///                    torn-bytes bytes of its line reach the file, then the
 ///                    process exits with code 17
-///   torn-bytes=B     bytes of the torn line to persist (default 0)
+///   torn-bytes=B     bytes of the torn line to persist (default 0); the
+///                    newline counts, so line length + 1 persists the line
 ///
 /// Precedence when several directives hit one cell: hang > slow > throw.
 class FaultPlan {
@@ -132,20 +135,17 @@ struct QuarantineRecord {
 /// The conventional sidecar path for a store: `<store_path>.failed.csv`.
 std::string default_quarantine_path(const std::string& store_path);
 
-/// Append-through quarantine sidecar writer. append() opens the file
-/// lazily (a clean run never creates it), writes one CSV line and flushes —
-/// so quarantine evidence survives a mid-run kill. finalize() rewrites the
-/// file in cell-sorted canonical form via temp file + atomic rename, and
-/// deletes it when the run ended with zero quarantined cells.
+/// Append-through quarantine sidecar writer. The first append() starts the
+/// file over with its header (a clean run never creates it); every append
+/// writes one CSV line and flushes, so quarantine evidence survives a
+/// mid-run kill. finalize() rewrites the file in cell-sorted canonical form
+/// via temp file + atomic rename, and deletes it when the run ended with
+/// zero quarantined cells.
 class QuarantineLog {
  public:
   /// In-memory log (no sidecar file).
   QuarantineLog() = default;
-  explicit QuarantineLog(std::string path);
-
-  QuarantineLog(QuarantineLog&&) noexcept;
-  QuarantineLog& operator=(QuarantineLog&&) noexcept;
-  ~QuarantineLog();
+  explicit QuarantineLog(std::string path) : path_(std::move(path)) {}
 
   const std::string& path() const { return path_; }
 
@@ -164,14 +164,14 @@ class QuarantineLog {
 
  private:
   std::string path_;  // empty = memory-only
-  std::unique_ptr<std::ofstream> out_;
+  std::optional<LogWriter> out_;
   std::vector<QuarantineRecord> records_;
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
 };
 
-/// Loads a quarantine sidecar written by QuarantineLog. A missing file
-/// loads as empty (a clean run deletes its sidecar); a malformed file
-/// throws sehc::Error.
+/// Loads a quarantine sidecar written by QuarantineLog, dropping a torn
+/// final row. A missing file loads as empty (a clean run deletes its
+/// sidecar); a malformed file throws sehc::Error.
 std::vector<QuarantineRecord> read_quarantine(const std::string& path);
 
 }  // namespace sehc

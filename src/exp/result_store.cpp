@@ -1,16 +1,12 @@
 #include "exp/result_store.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <iterator>
+#include <ostream>
 
 #include "core/error.h"
-#include "exp/trace_io.h"
+#include "core/table.h"
 
 namespace sehc {
 
@@ -33,12 +29,6 @@ namespace {
 
 constexpr const char* kMagic = "# sehc-result-store v1";
 
-std::string hash_to_hex(std::uint64_t hash) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return os.str();
-}
-
 std::uint64_t hex_to_hash(const std::string& hex) {
   SEHC_CHECK(hex.size() == 16, "ResultStore: malformed spec_hash '" + hex + "'");
   std::uint64_t value = 0;
@@ -60,44 +50,54 @@ std::string header_value(const std::string& line, const std::string& key) {
   return line.substr(prefix.size());
 }
 
+/// The six header lines: magic, kind, spec hash, spec, volatile column
+/// count, and the column line.
+std::vector<std::string> header_lines(const StoreSchema& schema) {
+  std::string columns = "cell";
+  for (const std::string& col : schema.columns) columns += "," + csv_escape(col);
+  return {kMagic,
+          "# kind: " + schema.kind,
+          "# spec_hash: " + hash_to_hex(schema.spec_hash),
+          "# spec: " + schema.spec_line,
+          "# volatile_columns: " + std::to_string(schema.volatile_columns),
+          columns};
+}
+
+/// `row` as a CSV line: the cell index, then its first `columns` fields.
+std::string format_row(const StoreRow& row, std::size_t columns) {
+  std::string line = std::to_string(row.cell);
+  for (std::size_t c = 0; c < columns; ++c) {
+    line.push_back(',');
+    line += csv_escape(row.fields[c]);
+  }
+  return line;
+}
+
 struct ParsedFile {
   StoreSchema schema;
   std::vector<StoreRow> rows;
-  bool dropped_truncated_tail = false;
 };
 
-/// Parses a store file's full contents. Only a final line NOT terminated by
-/// a newline can be a torn record from a killed flush-per-line writer; it
-/// is dropped and reported via dropped_truncated_tail. A malformed line
-/// anywhere else — including a newline-terminated final line — is
-/// corruption and throws.
-ParsedFile parse_store_text(const std::string& text, const std::string& path) {
+/// Parses a store's complete lines (read_log has set a torn tail aside). A
+/// malformed line anywhere is corruption and throws, and so does a header
+/// that lacks any of its six complete lines.
+ParsedFile parse_store(const std::vector<std::string>& lines,
+                       const std::string& path) {
   ParsedFile out;
-  std::vector<std::string> lines;
-  std::string::size_type pos = 0;
-  bool ends_with_newline = !text.empty() && text.back() == '\n';
-  while (pos < text.size()) {
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(text.substr(pos));
-      break;
-    }
-    lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
+  const std::string context = "ResultStore: '" + path + "'";
   SEHC_CHECK(lines.size() >= 6,
-             "ResultStore: '" + path + "' is not a result store (truncated header)");
+             context + " is not a result store (truncated header)");
   SEHC_CHECK(lines[0] == kMagic,
-             "ResultStore: '" + path + "' is not a result store (bad magic)");
+             context + " is not a result store (bad magic)");
   out.schema.kind = header_value(lines[1], "kind");
   out.schema.spec_hash = hex_to_hash(header_value(lines[2], "spec_hash"));
   out.schema.spec_line = header_value(lines[3], "spec");
   out.schema.volatile_columns = static_cast<std::size_t>(
       parse_csv_u64(header_value(lines[4], "volatile_columns"),
                     "ResultStore volatile_columns"));
-  std::vector<std::string> columns = split_csv_line(lines[5]);
+  std::vector<std::string> columns = split_csv_line(lines[5], context);
   SEHC_CHECK(!columns.empty() && columns.front() == "cell",
-             "ResultStore: '" + path + "' column line must start with 'cell'");
+             context + " column line must start with 'cell'");
   columns.erase(columns.begin());
   out.schema.columns = std::move(columns);
   SEHC_CHECK(out.schema.volatile_columns <= out.schema.columns.size(),
@@ -105,27 +105,16 @@ ParsedFile parse_store_text(const std::string& text, const std::string& path) {
 
   for (std::size_t i = 6; i < lines.size(); ++i) {
     const std::string& line = lines[i];
-    const bool last = i + 1 == lines.size();
-    const bool complete = !last || ends_with_newline;
     if (line.empty()) continue;
-    std::vector<std::string> fields;
-    bool parsed = true;
-    try {
-      fields = split_csv_line(line);
-    } catch (const Error&) {
-      parsed = false;
-    }
-    if (parsed && fields.size() == out.schema.columns.size() + 1 && complete) {
-      StoreRow row;
-      row.cell = static_cast<std::size_t>(
-          parse_csv_u64(fields[0], "ResultStore cell index"));
-      row.fields.assign(fields.begin() + 1, fields.end());
-      out.rows.push_back(std::move(row));
-      continue;
-    }
-    SEHC_CHECK(last && !complete,
+    std::vector<std::string> fields = split_csv_line(line, context);
+    SEHC_CHECK(fields.size() == out.schema.columns.size() + 1,
                "ResultStore: malformed record in '" + path + "': " + line);
-    out.dropped_truncated_tail = true;
+    StoreRow row;
+    row.cell = static_cast<std::size_t>(
+        parse_csv_u64(fields[0], context + " cell index"));
+    row.fields.assign(std::make_move_iterator(fields.begin() + 1),
+                      std::make_move_iterator(fields.end()));
+    out.rows.push_back(std::move(row));
   }
   return out;
 }
@@ -167,14 +156,6 @@ std::string describe_schema_mismatch(const StoreSchema& found,
   return "schemas are compatible";
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  SEHC_CHECK(static_cast<bool>(is), "ResultStore: cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
-}
-
 }  // namespace
 
 ResultStore::ResultStore(StoreSchema schema, std::string path)
@@ -189,85 +170,46 @@ ResultStore::ResultStore(StoreSchema schema, std::string path)
              "ResultStore: volatile_columns exceeds column count");
 }
 
-ResultStore::ResultStore(ResultStore&&) noexcept = default;
-ResultStore& ResultStore::operator=(ResultStore&&) noexcept = default;
-ResultStore::~ResultStore() = default;
-
 ResultStore ResultStore::in_memory(StoreSchema schema) {
   return ResultStore(std::move(schema), "");
+}
+
+void ResultStore::adopt(std::vector<StoreRow> rows) {
+  for (StoreRow& row : rows) {
+    SEHC_CHECK(cells_.insert(row.cell).second,
+               "ResultStore: duplicate cell " + std::to_string(row.cell) +
+                   " in '" + path_ + "'");
+    rows_.push_back(std::move(row));
+  }
 }
 
 ResultStore ResultStore::open(const std::string& path, StoreSchema schema) {
   SEHC_CHECK(!path.empty(), "ResultStore::open: empty path");
   ResultStore store(std::move(schema), path);
-
-  bool fresh = true;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (probe) {
-      probe.seekg(0, std::ios::end);
-      fresh = probe.tellg() == std::streampos(0);
-    }
-  }
-
-  if (!fresh) {
-    ParsedFile parsed = parse_store_text(read_file(path), path);
+  const std::optional<LogLines> log = read_log(path);
+  if (!log || (log->lines.empty() && log->torn_tail.empty())) {
+    replace_log(path, header_lines(store.schema_));
+  } else {
+    ParsedFile parsed = parse_store(log->lines, path);
     SEHC_CHECK(parsed.schema.compatible_with(store.schema_),
                "ResultStore: cannot append to '" + path + "': " +
                    describe_schema_mismatch(parsed.schema, store.schema_) +
                    "; refusing to mix records");
-    for (StoreRow& row : parsed.rows) {
-      SEHC_CHECK(store.cells_.insert(row.cell).second,
-                 "ResultStore: duplicate cell " + std::to_string(row.cell) +
-                     " in '" + path + "'");
-      store.rows_.push_back(std::move(row));
-    }
-    if (parsed.dropped_truncated_tail) {
-      // Rewrite without the torn tail so the append stream below starts on
-      // a clean line boundary. Write-to-temp + atomic rename: a crash
-      // mid-rewrite must not lose the records that did survive the first
-      // crash, so the original file stays intact until the replacement is
-      // fully flushed.
-      const std::string tmp = path + ".tmp";
-      {
-        std::ofstream rewrite(tmp, std::ios::binary | std::ios::trunc);
-        SEHC_CHECK(static_cast<bool>(rewrite),
-                   "ResultStore: cannot rewrite '" + tmp + "'");
-        store.write_header(rewrite, store.schema_);
-        for (const StoreRow& row : store.rows_) {
-          rewrite << store.format_row(row) << '\n';
-        }
-        rewrite.flush();
-        SEHC_CHECK(static_cast<bool>(rewrite),
-                   "ResultStore: rewrite of '" + tmp + "' failed");
-      }
-      SEHC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                 "ResultStore: rename '" + tmp + "' -> '" + path +
-                     "' failed: " + std::strerror(errno));
-    }
+    store.adopt(std::move(parsed.rows));
+    // Drop the torn tail so the appends below start on a line boundary.
+    if (!log->torn_tail.empty()) replace_log(path, log->lines);
   }
-
-  store.out_ = std::make_unique<std::ofstream>(
-      path, std::ios::binary | (fresh ? std::ios::trunc : std::ios::app));
-  SEHC_CHECK(static_cast<bool>(*store.out_),
-             "ResultStore: cannot open '" + path + "' for writing");
-  if (fresh) {
-    store.write_header(*store.out_, store.schema_);
-    store.out_->flush();
-  }
+  store.log_.emplace(path);
   return store;
 }
 
 ResultStore ResultStore::load(const std::string& path) {
-  ParsedFile parsed = parse_store_text(read_file(path), path);
+  const std::optional<LogLines> log = read_log(path);
+  SEHC_CHECK(log.has_value(), "ResultStore: cannot read '" + path + "'");
+  ParsedFile parsed = parse_store(log->lines, path);
   ResultStore store(std::move(parsed.schema), path);
-  for (StoreRow& row : parsed.rows) {
-    SEHC_CHECK(store.cells_.insert(row.cell).second,
-               "ResultStore: duplicate cell " + std::to_string(row.cell) +
-                   " in '" + path + "'");
-    store.rows_.push_back(std::move(row));
-  }
-  return store;  // out_ stays null: read-only
+  store.adopt(std::move(parsed.rows));
+  return store;  // log_ stays unset: read-only
 }
 
 ResultStore ResultStore::merge(const std::vector<std::string>& paths) {
@@ -303,8 +245,8 @@ ResultStore ResultStore::merge(const std::vector<std::string>& paths) {
                        merged.schema_.columns[c] + "': '" + it->fields[c] +
                        "' (kept, from an earlier input) vs '" +
                        row.fields[c] + "' (from " + path + ")\n  kept row: " +
-                       merged.format_row(*it) + "\n  new row:  " +
-                       merged.format_row(row));
+                       format_row(*it, it->fields.size()) +
+                       "\n  new row:  " + format_row(row, row.fields.size()));
       }
     }
   };
@@ -322,29 +264,24 @@ void ResultStore::append(StoreRow row) {
                  std::to_string(schema_.columns.size()) + " fields, got " +
                  std::to_string(row.fields.size()));
   std::lock_guard<std::mutex> lock(*mutex_);
-  SEHC_CHECK(path_.empty() || out_ != nullptr,
+  SEHC_CHECK(path_.empty() || log_.has_value(),
              "ResultStore::append: store was loaded read-only");
   SEHC_CHECK(cells_.insert(row.cell).second,
              "ResultStore::append: cell " + std::to_string(row.cell) +
                  " already present");
-  if (out_) {
-    const std::string line = format_row(row);
+  if (log_) {
+    const std::string line = format_row(row, row.fields.size());
     if (g_torn_write_hook) {
       if (const auto torn = g_torn_write_hook(row.cell)) {
         // Simulated crash mid-append: persist only a prefix of the line
-        // (no newline) exactly as a killed flush-per-line writer would,
-        // then die without unwinding. Exit code 17 lets chaos drivers
-        // distinguish the injected kill from a real failure.
-        const std::size_t n = std::min(*torn, line.size());
-        out_->write(line.data(), static_cast<std::streamsize>(n));
-        out_->flush();
+        // exactly as a killed writer would, then die without unwinding.
+        // Exit code 17 lets chaos drivers distinguish the injected kill
+        // from a real failure.
+        log_->tear(line, *torn);
         std::_Exit(17);
       }
     }
-    *out_ << line << '\n';
-    out_->flush();
-    SEHC_CHECK(static_cast<bool>(*out_),
-               "ResultStore::append: write to '" + path_ + "' failed");
+    log_->append(line);
   }
   rows_.push_back(std::move(row));
 }
@@ -356,40 +293,14 @@ std::vector<StoreRow> ResultStore::sorted_rows() const {
   return sorted;
 }
 
-void ResultStore::write_header(std::ostream& os,
-                               const StoreSchema& schema) const {
-  os << kMagic << '\n';
-  os << "# kind: " << schema.kind << '\n';
-  os << "# spec_hash: " << hash_to_hex(schema.spec_hash) << '\n';
-  os << "# spec: " << schema.spec_line << '\n';
-  os << "# volatile_columns: " << schema.volatile_columns << '\n';
-  os << "cell";
-  for (const std::string& col : schema.columns) os << ',' << csv_escape(col);
-  os << '\n';
-}
-
-std::string ResultStore::format_row(const StoreRow& row) const {
-  std::string line = std::to_string(row.cell);
-  for (const std::string& field : row.fields) {
-    line.push_back(',');
-    line += csv_escape(field);
-  }
-  return line;
-}
-
 void ResultStore::write_canonical(std::ostream& os) const {
   StoreSchema canonical = schema_;
   canonical.columns.resize(canonical.columns.size() -
                            canonical.volatile_columns);
   canonical.volatile_columns = 0;
-  write_header(os, canonical);
+  for (const std::string& line : header_lines(canonical)) os << line << '\n';
   for (const StoreRow& row : sorted_rows()) {
-    std::string line = std::to_string(row.cell);
-    for (std::size_t c = 0; c < canonical.columns.size(); ++c) {
-      line.push_back(',');
-      line += csv_escape(row.fields[c]);
-    }
-    os << line << '\n';
+    os << format_row(row, canonical.columns.size()) << '\n';
   }
 }
 

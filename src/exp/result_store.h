@@ -4,10 +4,10 @@
 // content hash of the spec that produced them. Three properties make
 // campaigns resumable and shardable:
 //
-//   * Durability: file-backed stores append one CSV line per completed cell
-//     and flush immediately, so a killed process loses at most the line it
-//     was writing. On reopen, a truncated final line is detected and
-//     dropped (the cell simply reruns).
+//   * Durability: the file is a record log (core/record_log.h). The header
+//     goes down atomically, each completed cell appends and flushes one CSV
+//     line, so a killed process loses at most the line it was writing. On
+//     reopen, that torn final line is dropped (the cell simply reruns).
 //   * Identity: the header carries the producing spec's content hash; a
 //     store can only be appended to, or merged with, stores of the same
 //     spec. Resuming with a changed spec fails loudly instead of silently
@@ -35,15 +35,17 @@
 // Spec identity is content_hash64(canonical string) — the shared discipline
 // now lives in core so the serving layer's request cache keys the same way.
 #include "core/content_hash.h"
+#include "core/record_log.h"
 
 namespace sehc {
 
 /// Process-global crash injection for chaos tests: when a hook is
 /// installed, ResultStore::append consults it with the cell index before
 /// writing. If it returns a prefix length, only that many bytes of the
-/// formatted record line reach the file (no newline), the stream is
-/// flushed, and the process exits immediately with code 17 — simulating a
-/// writer killed mid-append. Pass an empty function to clear.
+/// formatted record line and its newline reach the file (line length + 1
+/// persists the whole record), the stream is flushed, and the process exits
+/// immediately with code 17 — simulating a writer killed mid-append. Pass
+/// an empty function to clear.
 void set_torn_write_hook(
     std::function<std::optional<std::size_t>(std::size_t)> hook);
 
@@ -83,9 +85,10 @@ class ResultStore {
   static ResultStore in_memory(StoreSchema schema);
 
   /// Opens `path` for appending, creating it (with a header) if absent or
-  /// empty. An existing file must carry a compatible schema; its records
-  /// are loaded so contains() answers resume queries. A truncated final
-  /// line (killed writer) is dropped and the file is rewritten clean.
+  /// empty. An existing file must carry a compatible schema and a complete
+  /// header; its records are loaded so contains() answers resume queries. A
+  /// torn final line (killed writer) is dropped and the file is rewritten
+  /// without it.
   static ResultStore open(const std::string& path, StoreSchema schema);
 
   /// Loads an existing store read-only; the schema is read from the file.
@@ -97,11 +100,6 @@ class ResultStore {
   /// every deterministic field (volatile fields may differ; the first
   /// occurrence wins).
   static ResultStore merge(const std::vector<std::string>& paths);
-
-  // Out-of-line (ofstream is only forward-declared here).
-  ResultStore(ResultStore&&) noexcept;
-  ResultStore& operator=(ResultStore&&) noexcept;
-  ~ResultStore();
 
   const StoreSchema& schema() const { return schema_; }
   /// Backing file path; empty for in-memory stores.
@@ -129,12 +127,12 @@ class ResultStore {
  private:
   ResultStore(StoreSchema schema, std::string path);
 
-  void write_header(std::ostream& os, const StoreSchema& schema) const;
-  std::string format_row(const StoreRow& row) const;
+  /// Adds records read from `path_`; throws on a duplicate cell.
+  void adopt(std::vector<StoreRow> rows);
 
   StoreSchema schema_;
   std::string path_;  // empty = memory-only
-  std::unique_ptr<std::ofstream> out_;
+  std::optional<LogWriter> log_;  // unset = memory-only or read-only
   std::vector<StoreRow> rows_;
   std::unordered_set<std::size_t> cells_;
   std::unique_ptr<std::mutex> mutex_;

@@ -1,9 +1,6 @@
 #include "exp/trace_io.h"
 
-#include <cstdlib>
-#include <limits>
-
-#include "core/table.h"
+#include "core/error.h"
 
 namespace sehc {
 
@@ -19,70 +16,6 @@ void write_schedule_csv(std::ostream& os, const Workload& w,
   }
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field.push_back(c);
-    }
-  }
-  SEHC_CHECK(!quoted, "split_csv_line: unterminated quote in: " + line);
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-double parse_csv_double(const std::string& field, const std::string& context) {
-  if (field == "inf") return std::numeric_limits<double>::infinity();
-  if (field == "-inf") return -std::numeric_limits<double>::infinity();
-  const char* begin = field.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  SEHC_CHECK(end != begin && *end == '\0' && !field.empty(),
-             context + ": expected a number, got '" + field + "'");
-  return value;
-}
-
-std::uint64_t parse_csv_u64(const std::string& field,
-                            const std::string& context) {
-  const char* begin = field.c_str();
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(begin, &end, 10);
-  SEHC_CHECK(end != begin && *end == '\0' && !field.empty() &&
-                 field.find('-') == std::string::npos,
-             context + ": expected an unsigned integer, got '" + field + "'");
-  return static_cast<std::uint64_t>(value);
-}
-
 std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is) {
   const std::string reader = "read_schedule_csv";
   std::string line;
@@ -94,7 +27,7 @@ std::vector<ScheduleCsvRow> read_schedule_csv(std::istream& is) {
   while (std::getline(is, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::vector<std::string> f = split_csv_line(line);
+    const std::vector<std::string> f = split_csv_line(line, reader);
     SEHC_CHECK(f.size() == 5, reader + ": expected 5 fields, got " +
                                   std::to_string(f.size()) + " in: " + line);
     ScheduleCsvRow r;

@@ -1,13 +1,12 @@
 #include "obs/metrics_sidecar.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <iterator>
+#include <ostream>
 
 #include "core/error.h"
+#include "core/record_log.h"
 #include "core/table.h"
 
 namespace sehc {
@@ -22,33 +21,51 @@ std::string header_line(std::uint64_t spec_hash) {
 }
 
 std::string format_row(const MetricsRow& r, bool include_ms) {
-  // Metric names never contain commas (slash-joined paths, ':' separators),
-  // so the sidecar needs no CSV quoting.
-  std::string line = std::to_string(r.cell) + "," + r.kind + "," + r.name +
-                     "," + std::to_string(r.count) + "," +
+  std::string line = std::to_string(r.cell) + "," + csv_escape(r.kind) + "," +
+                     csv_escape(r.name) + "," + std::to_string(r.count) + "," +
                      std::to_string(r.rounds);
   if (include_ms) line += "," + format_fixed(r.ms, 3);
   return line;
 }
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string::size_type start = 0;
-  while (true) {
-    const auto pos = line.find(',', start);
-    fields.push_back(line.substr(start, pos - start));
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return fields;
+/// The file's lines: the header, the column line, then one line per row.
+std::vector<std::string> sidecar_lines(const std::vector<MetricsRow>& rows,
+                                       std::uint64_t spec_hash,
+                                       bool include_ms) {
+  std::vector<std::string> lines{header_line(spec_hash),
+                                 include_ms ? kColumnsFull : kColumnsCanonical};
+  for (const MetricsRow& r : rows) lines.push_back(format_row(r, include_ms));
+  return lines;
 }
 
-std::uint64_t parse_u64(const std::string& path, const std::string& value) {
-  SEHC_CHECK(!value.empty() &&
-                 value.find_first_not_of("0123456789") == std::string::npos,
-             "metrics sidecar '" + path + "': expected an integer, got '" +
-                 value + "'");
-  return std::stoull(value);
+/// Parses a sidecar's complete lines (read_log has set a torn tail aside).
+std::vector<MetricsRow> parse_sidecar(const std::vector<std::string>& lines,
+                                      const std::string& path) {
+  const std::string context = "metrics sidecar '" + path + "'";
+  SEHC_CHECK(!lines.empty(), context + ": empty file");
+  SEHC_CHECK(lines[0].rfind("# sehc-metrics v1 ", 0) == 0,
+             context + ": unexpected header: " + lines[0]);
+  SEHC_CHECK(lines.size() >= 2, context + ": missing column header");
+  const bool has_ms = lines[1] == kColumnsFull;
+  SEHC_CHECK(has_ms || lines[1] == kColumnsCanonical,
+             context + ": unexpected columns: " + lines[1]);
+  std::vector<MetricsRow> rows;
+  for (std::size_t i = 2; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.empty()) continue;
+    const std::vector<std::string> fields = split_csv_line(line, context);
+    SEHC_CHECK(fields.size() == (has_ms ? 6u : 5u),
+               context + ": malformed row: " + line);
+    MetricsRow r;
+    r.cell = static_cast<std::size_t>(parse_csv_u64(fields[0], context));
+    r.kind = fields[1];
+    r.name = fields[2];
+    r.count = parse_csv_u64(fields[3], context);
+    r.rounds = parse_csv_u64(fields[4], context);
+    if (has_ms) r.ms = parse_csv_double(fields[5], context);
+    rows.push_back(std::move(r));
+  }
+  return rows;
 }
 
 bool row_key_less(const MetricsRow& a, const MetricsRow& b) {
@@ -77,50 +94,34 @@ std::vector<MetricsRow> metrics_rows_from_snapshot(
   return rows;
 }
 
-MetricsSidecarLog::MetricsSidecarLog()
-    : mutex_(std::make_unique<std::mutex>()) {}
-
 MetricsSidecarLog::MetricsSidecarLog(std::string path, std::uint64_t spec_hash)
-    : mutex_(std::make_unique<std::mutex>()),
-      path_(std::move(path)),
-      spec_hash_(spec_hash) {}
-
-MetricsSidecarLog::MetricsSidecarLog(MetricsSidecarLog&&) noexcept = default;
-MetricsSidecarLog& MetricsSidecarLog::operator=(MetricsSidecarLog&&) noexcept =
-    default;
-MetricsSidecarLog::~MetricsSidecarLog() = default;
+    : path_(std::move(path)), spec_hash_(spec_hash) {
+  if (path_.empty()) return;
+  // Resume: keep rows from a previous run of the SAME spec; anything else
+  // (other spec, damaged header) is discarded — the cells rerun and
+  // re-derive their metrics.
+  const std::optional<LogLines> log = read_log(path_);
+  if (log && !log->lines.empty() && log->lines[0] == header_line(spec_hash_)) {
+    rows_ = parse_sidecar(log->lines, path_);
+  }
+}
 
 void MetricsSidecarLog::append(std::size_t cell, const MetricsSnapshot& snap) {
   std::vector<MetricsRow> rows = metrics_rows_from_snapshot(cell, snap);
   if (rows.empty()) return;
   std::lock_guard<std::mutex> lock(*mutex_);
-  if (!path_.empty() && !out_) {
-    if (!loaded_) {
-      // Resume: keep rows from a previous run of the SAME spec; anything
-      // else (other spec, damaged header) is discarded — the cells rerun
-      // and re-derive their metrics.
-      std::ifstream is(path_);
-      std::string first;
-      if (is.good() && std::getline(is, first) &&
-          first == header_line(spec_hash_)) {
-        rows_ = read_metrics_sidecar(path_);
-      }
-      loaded_ = true;
+  if (!path_.empty()) {
+    if (!out_) {
+      // The first append starts the file over with the resumed rows.
+      replace_log(path_, sidecar_lines(rows_, spec_hash_, true));
+      out_.emplace(path_);
     }
-    out_ = std::make_unique<std::ofstream>(path_, std::ios::trunc);
-    SEHC_CHECK(out_->good(), "metrics sidecar: cannot open '" + path_ + "'");
-    *out_ << header_line(spec_hash_) << '\n' << kColumnsFull << '\n';
-    for (const MetricsRow& r : rows_) *out_ << format_row(r, true) << '\n';
+    std::vector<std::string> lines;
+    for (const MetricsRow& r : rows) lines.push_back(format_row(r, true));
+    out_->append(lines);  // one flush per cell
   }
-  for (MetricsRow& r : rows) {
-    if (out_) *out_ << format_row(r, true) << '\n';
-    rows_.push_back(std::move(r));
-  }
-  if (out_) {
-    out_->flush();
-    SEHC_CHECK(out_->good(),
-               "metrics sidecar: write failed on '" + path_ + "'");
-  }
+  rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
 }
 
 std::vector<MetricsRow> MetricsSidecarLog::sorted_rows() const {
@@ -133,68 +134,18 @@ void MetricsSidecarLog::finalize() {
   std::lock_guard<std::mutex> lock(*mutex_);
   out_.reset();
   if (rows_.empty()) {
-    // Nothing recorded this run and nothing carried over: remove any stale
-    // sidecar (e.g. one left by a run of a different spec).
-    if (!loaded_) {
-      std::ifstream is(path_);
-      std::string first;
-      if (is.good() && std::getline(is, first) &&
-          first == header_line(spec_hash_)) {
-        return;  // a valid sidecar from a completed earlier run — keep it
-      }
-    }
+    // Nothing recorded and nothing carried over: remove any stale sidecar
+    // (e.g. one left by a run of a different spec).
     std::remove(path_.c_str());
     return;
   }
-  const std::vector<MetricsRow> sorted = merge_metrics_rows(rows_);
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    SEHC_CHECK(os.good(), "metrics sidecar: cannot open '" + tmp + "'");
-    write_metrics_rows(os, sorted, spec_hash_, /*include_ms=*/true);
-    os.flush();
-    SEHC_CHECK(os.good(), "metrics sidecar: write failed on '" + tmp + "'");
-  }
-  SEHC_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-             "metrics sidecar: rename '" + tmp + "' -> '" + path_ +
-                 "' failed: " + std::strerror(errno));
+  replace_log(path_, sidecar_lines(merge_metrics_rows(rows_), spec_hash_, true));
 }
 
 std::vector<MetricsRow> read_metrics_sidecar(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) return {};  // no sidecar -> no metrics
-  std::string line;
-  SEHC_CHECK(static_cast<bool>(std::getline(is, line)),
-             "metrics sidecar '" + path + "': empty file");
-  SEHC_CHECK(line.rfind("# sehc-metrics v1 ", 0) == 0,
-             "metrics sidecar '" + path + "': unexpected header: " + line);
-  SEHC_CHECK(static_cast<bool>(std::getline(is, line)),
-             "metrics sidecar '" + path + "': missing column header");
-  const bool has_ms = line == kColumnsFull;
-  SEHC_CHECK(has_ms || line == kColumnsCanonical,
-             "metrics sidecar '" + path + "': unexpected columns: " + line);
-  std::vector<MetricsRow> rows;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = split_fields(line);
-    SEHC_CHECK(fields.size() == (has_ms ? 6u : 5u),
-               "metrics sidecar '" + path + "': malformed row: " + line);
-    MetricsRow r;
-    r.cell = static_cast<std::size_t>(parse_u64(path, fields[0]));
-    r.kind = fields[1];
-    r.name = fields[2];
-    r.count = parse_u64(path, fields[3]);
-    r.rounds = parse_u64(path, fields[4]);
-    if (has_ms) {
-      try {
-        r.ms = std::stod(fields[5]);
-      } catch (const std::exception&) {
-        throw_error("metrics sidecar '" + path + "': bad ms field: " + line);
-      }
-    }
-    rows.push_back(std::move(r));
-  }
-  return rows;
+  const std::optional<LogLines> log = read_log(path);
+  if (!log) return {};  // no sidecar -> no metrics
+  return parse_sidecar(log->lines, path);
 }
 
 std::vector<MetricsRow> merge_metrics_rows(std::vector<MetricsRow> rows) {
@@ -213,9 +164,9 @@ std::vector<MetricsRow> merge_metrics_rows(std::vector<MetricsRow> rows) {
 
 void write_metrics_rows(std::ostream& os, const std::vector<MetricsRow>& rows,
                         std::uint64_t spec_hash, bool include_ms) {
-  os << header_line(spec_hash) << '\n'
-     << (include_ms ? kColumnsFull : kColumnsCanonical) << '\n';
-  for (const MetricsRow& r : rows) os << format_row(r, include_ms) << '\n';
+  for (const std::string& line : sidecar_lines(rows, spec_hash, include_ms)) {
+    os << line << '\n';
+  }
 }
 
 }  // namespace sehc

@@ -2,12 +2,14 @@
 //
 // run_store_grid records every cell into its own MetricsRegistry and
 // appends the snapshot here as flat rows, one per counter or phase node.
-// The file follows the quarantine-sidecar discipline (append+flush per
-// cell so a killed writer loses at most the cell in flight; finalize
-// rewrites the file sorted via temp+rename) and the result-store volatile-
-// column discipline: the trailing `ms` column is wall-clock and every
-// canonical emission drops it, so the canonical sidecar of an N-shard
-// merge is byte-identical to a single-process run of the same spec.
+// The file is a record log (core/record_log.h), like the store: one append
+// and one flush per cell, before the cell's store row, so a killed writer
+// loses at most the cell in flight, and every reader drops the row it tore.
+// finalize rewrites the file sorted via temp+rename. It also follows the
+// result-store volatile-column discipline: the trailing `ms` column is
+// wall-clock and every canonical emission drops it, so the canonical
+// sidecar of an N-shard merge is byte-identical to a single-process run of
+// the same spec.
 //
 // Header carries the producing spec's content hash; opening an existing
 // sidecar written by a different spec discards it instead of mixing rows.
@@ -24,9 +26,11 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/record_log.h"
 #include "obs/metrics.h"
 
 namespace sehc {
@@ -54,14 +58,11 @@ std::vector<MetricsRow> metrics_rows_from_snapshot(std::size_t cell,
 /// sidecar file.
 class MetricsSidecarLog {
  public:
-  MetricsSidecarLog();
-  /// Opens `path` lazily on first append. An existing file with a matching
-  /// spec hash is loaded (resume); a mismatched or unreadable one is
-  /// discarded.
+  MetricsSidecarLog() = default;
+  /// Loads an existing file at `path` with a matching spec hash (resume);
+  /// a mismatched or unreadable one is discarded. The file is rewritten
+  /// with the loaded rows on the first append.
   MetricsSidecarLog(std::string path, std::uint64_t spec_hash);
-  MetricsSidecarLog(MetricsSidecarLog&&) noexcept;
-  MetricsSidecarLog& operator=(MetricsSidecarLog&&) noexcept;
-  ~MetricsSidecarLog();
 
   void append(std::size_t cell, const MetricsSnapshot& snap);
 
@@ -69,22 +70,23 @@ class MetricsSidecarLog {
   std::vector<MetricsRow> sorted_rows() const;
 
   /// Rewrites the file as sorted, deduped rows (ms kept) via temp+rename.
-  /// Removes the file when no rows were recorded. No-op for in-memory logs.
+  /// Removes the file when no rows were loaded or recorded. No-op for
+  /// in-memory logs.
   void finalize();
 
   const std::string& path() const { return path_; }
 
  private:
-  std::unique_ptr<std::mutex> mutex_;
+  std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
   std::string path_;
   std::uint64_t spec_hash_ = 0;
-  bool loaded_ = false;
   std::vector<MetricsRow> rows_;
-  std::unique_ptr<std::ofstream> out_;
+  std::optional<LogWriter> out_;
 };
 
-/// Loads a sidecar (missing file -> empty). Accepts both full (with ms)
-/// and canonical (without ms) files; canonical rows read back with ms = 0.
+/// Loads a sidecar (missing file -> empty), dropping a torn final row.
+/// Accepts both full (with ms) and canonical (without ms) files; canonical
+/// rows read back with ms = 0.
 std::vector<MetricsRow> read_metrics_sidecar(const std::string& path);
 
 /// Stable-sorts by (cell, kind, name) and dedups keeping the last

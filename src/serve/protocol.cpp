@@ -17,6 +17,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "core/options.h"
 #include "core/table.h"
 
 namespace sehc {
@@ -95,14 +96,8 @@ double parse_double_field(const std::string& value, const std::string& key) {
 
 std::uint64_t parse_u64_field(const std::string& value,
                               const std::string& key) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      errno == ERANGE || value[0] == '-') {
-    proto_fail("bad unsigned value '" + value + "' for " + key);
-  }
-  return static_cast<std::uint64_t>(v);
+  if (const auto v = parse_whole<std::uint64_t>(value)) return *v;
+  proto_fail("bad unsigned value '" + value + "' for " + key);
 }
 
 bool parse_bool_field(const std::string& value, const std::string& key) {

@@ -16,6 +16,8 @@
 #include "core/error.h"
 #include "exp/campaign.h"
 #include "exp/result_store.h"
+#include "obs/metrics.h"
+#include "obs/metrics_sidecar.h"
 
 namespace sehc {
 namespace {
@@ -88,6 +90,9 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("throw-cells=1,x"), Error);
   EXPECT_THROW(FaultPlan::parse("hang-attempts=maybe"), Error);
   EXPECT_THROW(FaultPlan::parse("torn-cell"), Error);
+  // One past UINT64_MAX overflows: a plan error, not a bare std::stoull.
+  EXPECT_THROW(FaultPlan::parse("throw-cells=99999999999999999999"), Error);
+  EXPECT_THROW(FaultPlan::parse("torn-bytes=18446744073709551616"), Error);
 }
 
 TEST(FaultPlan, DescribeEchoesActiveDirectives) {
@@ -407,6 +412,39 @@ StoreSchema generic_schema() {
   return schema;
 }
 
+/// Cuts `full` at every byte from `header_size` to its end and reads each
+/// prefix back through `read_rows`: exactly the rows whose newline made it
+/// into the prefix must come back, in order.
+template <typename ReadRows>
+void expect_every_cut_reads_the_complete_rows(const std::string& full,
+                                              std::size_t header_size,
+                                              const std::string& tag,
+                                              ReadRows read_rows) {
+  const std::string path = temp_path(tag);
+  std::ofstream(path, std::ios::binary) << full;
+  const auto all = read_rows(path);
+  ASSERT_GT(full.size(), header_size);
+  for (std::size_t cut = header_size; cut <= full.size(); ++cut) {
+    const std::string content = full.substr(0, cut);
+    std::ofstream(path, std::ios::binary) << content;
+    const auto complete = static_cast<std::size_t>(
+        std::count(content.begin() + static_cast<std::ptrdiff_t>(header_size),
+                   content.end(), '\n'));
+    const auto rows = read_rows(path);
+    ASSERT_EQ(rows.size(), complete) << tag << " cut at byte " << cut;
+    EXPECT_TRUE(std::equal(rows.begin(), rows.end(), all.begin()))
+        << tag << " cut at byte " << cut;
+  }
+  std::remove(path.c_str());
+}
+
+/// Bytes up to and including the `n`-th newline of `text`.
+std::size_t header_bytes(const std::string& text, std::size_t n) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < n; ++i) end = text.find('\n', end) + 1;
+  return end;
+}
+
 TEST(TornWrite, RecoveryDropsTheTornTailAtEveryByteOffset) {
   const std::string path = temp_path("torn_master.csv");
   std::size_t header_size = 0;
@@ -448,6 +486,70 @@ TEST(TornWrite, RecoveryDropsTheTornTailAtEveryByteOffset) {
   }
   std::remove(torn_path.c_str());
   std::remove(path.c_str());
+
+  // Both sidecars follow the same discipline: their append-through form,
+  // cut anywhere after the header, reads back as its complete rows.
+  const std::string metrics_path = temp_path("torn_metrics.csv");
+  {
+    MetricsSidecarLog log(metrics_path, 42);
+    for (std::size_t cell = 0; cell < 4; ++cell) {
+      MetricsRegistry registry;
+      registry.counter_add("engine/SE/steps", 8 + cell);
+      registry.phase_record("cell", 1, 0, 0.25);
+      log.append(cell, registry.snapshot());
+    }
+  }
+  const std::string metrics = read_file(metrics_path);
+  expect_every_cut_reads_the_complete_rows(
+      metrics, header_bytes(metrics, 2), "torn_metrics_copy.csv",
+      [](const std::string& p) {
+        std::vector<std::string> rows;
+        for (const MetricsRow& r : read_metrics_sidecar(p)) {
+          rows.push_back(std::to_string(r.cell) + " " + r.kind + " " + r.name +
+                         " " + std::to_string(r.count));
+        }
+        return rows;
+      });
+  std::remove(metrics_path.c_str());
+
+  const std::string quarantine_path = temp_path("torn_quarantine.csv");
+  {
+    QuarantineLog log(quarantine_path);
+    for (std::size_t cell = 0; cell < 4; ++cell) {
+      log.append(QuarantineRecord{cell, "class=0, rep=" + std::to_string(cell),
+                                  "label \"" + std::to_string(cell) + "\"", 2,
+                                  "injected fault, attempt 1"});
+    }
+  }
+  const std::string quarantine = read_file(quarantine_path);
+  expect_every_cut_reads_the_complete_rows(
+      quarantine, header_bytes(quarantine, 1), "torn_quarantine_copy.csv",
+      [](const std::string& p) { return read_quarantine(p); });
+  std::remove(quarantine_path.c_str());
+}
+
+TEST(TornWrite, AStoreCutInsideItsHeaderIsRefused) {
+  const std::string path = temp_path("torn_header_master.csv");
+  ResultStore::open(path, generic_schema());
+  const std::string header = read_file(path);
+  std::remove(path.c_str());
+
+  // The header goes down atomically, so a partial one is corruption, not a
+  // fresh store: every cut, up to the one just before the column line's
+  // newline, is refused.
+  const std::string torn_path = temp_path("torn_header_copy.csv");
+  for (std::size_t cut = 1; cut < header.size(); ++cut) {
+    std::ofstream(torn_path, std::ios::binary) << header.substr(0, cut);
+    try {
+      ResultStore::open(torn_path, generic_schema());
+      ADD_FAILURE() << "a header cut at byte " << cut << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated header"),
+                std::string::npos)
+          << "cut at byte " << cut << ": " << e.what();
+    }
+  }
+  std::remove(torn_path.c_str());
 }
 
 TEST(TornWriteDeathTest, HookTearsTheLineAndKillsTheProcessWithExit17) {
@@ -478,6 +580,64 @@ TEST(TornWriteDeathTest, HookTearsTheLineAndKillsTheProcessWithExit17) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(store.contains(0));
   EXPECT_FALSE(store.contains(1));
+  std::remove(path.c_str());
+}
+
+TEST(TornWriteDeathTest, AKillAfterACompleteStoreRowKeepsThatCellsMetrics) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const CampaignSpec spec = tiny_spec();
+  const std::string path = temp_path("torn_after_row.csv");
+  const std::string sidecar = default_metrics_path(path);
+  std::remove(sidecar.c_str());
+  CampaignRunOptions options;
+  options.threads = 1;
+  // More bytes than the line and its newline: the whole record persists,
+  // then the process dies before anything else is written.
+  options.fault_plan = FaultPlan::parse("torn-cell=3;torn-bytes=100000");
+  EXPECT_EXIT(
+      {
+        ResultStore store = ResultStore::open(path, spec.store_schema());
+        run_campaign(spec, store, options);
+      },
+      ::testing::ExitedWithCode(17), "");
+
+  EXPECT_TRUE(ResultStore::load(path).contains(3));
+  // The resume never reruns a stored cell, so its metrics must already be
+  // in the sidecar: they are written before the store row.
+  std::size_t rows = 0;
+  for (const MetricsRow& r : read_metrics_sidecar(sidecar)) rows += r.cell == 3;
+  EXPECT_GT(rows, 0u);
+  std::remove(sidecar.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(FaultCampaign, ResumeOverATornMetricsSidecarMatchesTheCleanRun) {
+  const CampaignSpec spec = tiny_spec();
+  const std::string clean = clean_canonical(spec);
+  const std::string path = temp_path("resume_torn_metrics.csv");
+  const std::string sidecar = default_metrics_path(path);
+  std::remove(sidecar.c_str());
+
+  CampaignRunOptions options;
+  options.max_cells = 3;  // simulate a kill after three cells
+  {
+    ResultStore store = ResultStore::open(path, spec.store_schema());
+    run_campaign(spec, store, options);
+  }
+  // Tear the sidecar's last row in half, as a kill mid-append leaves it.
+  const std::string text = read_file(sidecar);
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  std::ofstream(sidecar, std::ios::binary)
+      << text.substr(0, last + (text.size() - last) / 2);
+
+  options.max_cells = 0;
+  ResultStore store = ResultStore::open(path, spec.store_schema());
+  const CampaignRunSummary resumed = run_campaign(spec, store, options);
+  EXPECT_EQ(resumed.resumed_cells, 3u);
+  EXPECT_EQ(canonical_text(store), clean);
+  // The finalized sidecar is whole again.
+  EXPECT_EQ(read_file(sidecar).back(), '\n');
+  std::remove(sidecar.c_str());
   std::remove(path.c_str());
 }
 

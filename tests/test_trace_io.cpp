@@ -91,6 +91,8 @@ TEST(TraceIo, ParseHelpersAcceptInfAndRejectGarbage) {
             18446744073709551615ULL);
   EXPECT_THROW(parse_csv_u64("-3", "t"), Error);
   EXPECT_THROW(parse_csv_u64("1.5", "t"), Error);
+  // One past UINT64_MAX overflows instead of saturating.
+  EXPECT_THROW(parse_csv_u64("18446744073709551616", "t"), Error);
 }
 
 TEST(TraceIo, ScheduleCsvRejectsMismatch) {

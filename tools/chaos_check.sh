@@ -13,9 +13,11 @@
 #      - throw=0.12 transient throws (first attempt only; retries heal them)
 #      - cell 3 hangs on every attempt -> watchdog timeout -> quarantined
 #      - cell 9's store append is torn after 12 bytes -> process exits 17
-#   2. assert: exit 17, quarantine sidecar names cell 3 with a timeout
-#   3. (optional) degraded report over the crashed store + sidecar must
-#      render a "Missing cells" section without throwing
+#   2. assert: exit 17, quarantine sidecar names cell 3 with a timeout;
+#      then tear the last row of both sidecars (metrics and quarantine)
+#      mid-line, as a kill during their appends would leave them
+#   3. (optional) degraded report over the crashed store + torn sidecars
+#      must render a "Missing cells" section without throwing
 #   4. resume run with only the transient throws -> completes, exit 0,
 #      sidecar removed (the quarantined cell healed)
 #   5. fault-free run of the same spec into a fresh store
@@ -73,6 +75,16 @@ grep -q 'deadline' "$SIDECAR" || {
 # Keep crash-time evidence: the resume run below heals the cell and deletes
 # the live sidecar. CI uploads this copy as the artifact.
 cp "$SIDECAR" "$WORKDIR/quarantine_at_crash.csv"
+
+# Cuts a file's last row in half, as a writer killed mid-append leaves it.
+tear_last_row() {
+  local size last
+  size=$(wc -c < "$1")
+  last=$(tail -n 1 "$1" | wc -c)
+  truncate -s $((size - last + last / 2)) "$1"
+}
+tear_last_row "$STORE.metrics.csv"
+tear_last_row "$SIDECAR"
 
 if [[ -n "$REPORT_BIN" ]]; then
   echo "chaos_check: [3/6] degraded report over the crashed store"

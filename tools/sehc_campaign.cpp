@@ -29,6 +29,7 @@
 // restores fail-fast; --fault-plan injects deterministic chaos (tests/CI).
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -92,6 +93,18 @@ CampaignSpec spec_from_options(const Options& opts) {
   return spec;
 }
 
+/// Writes `path` through `emit` and checks the stream afterwards, so a full
+/// disk fails the command instead of reporting a file it did not write. A
+/// plain write, not temp + rename: the path may be /dev/stdout.
+void write_output(const std::string& path,
+                  const std::function<void(std::ostream&)>& emit) {
+  std::ofstream os(path, std::ios::binary);
+  SEHC_CHECK(static_cast<bool>(os), "cannot write " + path);
+  emit(os);
+  os.flush();
+  SEHC_CHECK(static_cast<bool>(os), "write to " + path + " failed");
+}
+
 int cmd_list() {
   std::cout << "built-in campaign specs:\n";
   for (const std::string& name : builtin_campaign_names()) {
@@ -106,11 +119,8 @@ int cmd_list() {
 
 int cmd_show(const Options& opts) {
   const CampaignSpec spec = spec_from_options(opts);
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                static_cast<unsigned long long>(spec.hash()));
   std::cout << spec.canonical_string();
-  std::cout << "hash=" << hash_hex << '\n';
+  std::cout << "hash=" << hash_to_hex(spec.hash()) << '\n';
   std::cout << "cells=" << spec.grid().num_cells() << '\n';
   return 0;
 }
@@ -197,17 +207,16 @@ int cmd_run(const Options& opts) {
 
   if (opts.has("merged-out")) {
     const std::string out_path = opts.get("merged-out", "");
-    std::ofstream os(out_path, std::ios::binary);
-    SEHC_CHECK(static_cast<bool>(os), "run: cannot write " + out_path);
-    store.write_canonical(os);
+    write_output(out_path,
+                 [&](std::ostream& os) { store.write_canonical(os); });
     std::cout << "canonical table: " << out_path << '\n';
     // Canonical (ms-less) metrics next to the canonical table: this file
     // is byte-identical however the run was sharded or threaded.
     if (!summary.metrics.empty()) {
       const std::string metrics_out = default_metrics_path(out_path);
-      std::ofstream ms(metrics_out, std::ios::binary);
-      SEHC_CHECK(static_cast<bool>(ms), "run: cannot write " + metrics_out);
-      write_metrics_rows(ms, summary.metrics, spec.hash(), false);
+      write_output(metrics_out, [&](std::ostream& os) {
+        write_metrics_rows(os, summary.metrics, spec.hash(), false);
+      });
       std::cout << "canonical metrics: " << metrics_out << '\n';
     }
   }
@@ -216,20 +225,20 @@ int cmd_run(const Options& opts) {
     // by the hot path's trials/s gives trials per cell, the quantity the
     // perf baseline predicts.
     const std::string out_path = opts.get("bench-json", "");
-    std::ofstream os(out_path, std::ios::binary);
-    SEHC_CHECK(static_cast<bool>(os), "run: cannot write " + out_path);
-    os << "{\n"
-       << "  \"bench\": \"campaign\",\n"
-       << "  \"spec\": \"" << spec.name << "\",\n"
-       << "  \"unit\": \"cells_per_sec\",\n"
-       << "  \"total_cells\": " << summary.total_cells << ",\n"
-       << "  \"shard_cells\": " << summary.shard_cells << ",\n"
-       << "  \"resumed_cells\": " << summary.resumed_cells << ",\n"
-       << "  \"executed_cells\": " << summary.executed_cells << ",\n"
-       << "  \"threads\": " << run_opts.threads << ",\n"
-       << "  \"seconds\": " << format_fixed(summary.seconds, 4) << ",\n"
-       << "  \"cells_per_sec\": " << format_fixed(rate, 2) << "\n"
-       << "}\n";
+    write_output(out_path, [&](std::ostream& os) {
+      os << "{\n"
+         << "  \"bench\": \"campaign\",\n"
+         << "  \"spec\": \"" << spec.name << "\",\n"
+         << "  \"unit\": \"cells_per_sec\",\n"
+         << "  \"total_cells\": " << summary.total_cells << ",\n"
+         << "  \"shard_cells\": " << summary.shard_cells << ",\n"
+         << "  \"resumed_cells\": " << summary.resumed_cells << ",\n"
+         << "  \"executed_cells\": " << summary.executed_cells << ",\n"
+         << "  \"threads\": " << run_opts.threads << ",\n"
+         << "  \"seconds\": " << format_fixed(summary.seconds, 4) << ",\n"
+         << "  \"cells_per_sec\": " << format_fixed(rate, 2) << "\n"
+         << "}\n";
+    });
     std::cout << "bench json: " << out_path << '\n';
   }
   // Exit 3 (documented): records were persisted for every healthy cell but
@@ -261,9 +270,7 @@ int cmd_merge(int argc, char** argv) {
   if (inputs.empty()) throw UsageError("merge: no input stores");
 
   const ResultStore merged = ResultStore::merge(inputs);
-  std::ofstream os(out_path, std::ios::binary);
-  SEHC_CHECK(static_cast<bool>(os), "merge: cannot write " + out_path);
-  merged.write_canonical(os);
+  write_output(out_path, [&](std::ostream& os) { merged.write_canonical(os); });
   std::cout << "merged " << inputs.size() << " store(s), " << merged.size()
             << " records -> " << out_path << '\n';
 
@@ -278,10 +285,10 @@ int cmd_merge(int argc, char** argv) {
   }
   if (!metrics.empty()) {
     const std::string metrics_out = default_metrics_path(out_path);
-    std::ofstream ms(metrics_out, std::ios::binary);
-    SEHC_CHECK(static_cast<bool>(ms), "merge: cannot write " + metrics_out);
-    write_metrics_rows(ms, merge_metrics_rows(std::move(metrics)),
-                       merged.schema().spec_hash, false);
+    write_output(metrics_out, [&](std::ostream& os) {
+      write_metrics_rows(os, merge_metrics_rows(std::move(metrics)),
+                         merged.schema().spec_hash, false);
+    });
     std::cout << "merged metrics: " << metrics_out << '\n';
   }
   return 0;
