@@ -146,11 +146,16 @@ CurveBundle CampaignDataset::bundle(const CampaignGroup& group) const {
 
 CampaignDataset build_dataset(const ResultStore& store) {
   const std::vector<CampaignRecord> records = campaign_records(store);
-  SEHC_CHECK(!records.empty(), "build_dataset: store has no records");
 
   CampaignDataset ds;
   ds.schema = store.schema();
-  ds.curve_points = records.front().curve.size();
+  // A store cut inside its first record has none; its spec line still says
+  // how many samples each record carries.
+  ds.curve_points =
+      records.empty()
+          ? static_cast<std::size_t>(parse_double_or(
+                spec_line_value(ds.schema.spec_line, "curve_points"), 0.0))
+          : records.front().curve.size();
 
   for (const CampaignRecord& rec : records) {
     if (std::find(ds.classes.begin(), ds.classes.end(), rec.class_name) ==
@@ -462,6 +467,7 @@ Table profile_table(const CampaignDataset& dataset,
     headers.push_back("tau=" + format_fixed(tau, 2));
   }
   Table table(std::move(headers));
+  if (dataset.schedulers.empty()) return table;
 
   // Problems are (class, repetition) pairs for which EVERY scheduler of the
   // grid has a record, so each cost row is complete.

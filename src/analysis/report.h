@@ -79,7 +79,9 @@ struct CampaignDataset {
   CurveBundle bundle(const CampaignGroup& group) const;
 };
 
-/// Groups a campaign store's records (throws unless kind == "campaign").
+/// Groups a campaign store's records (throws unless kind == "campaign"). A
+/// store without records (a crash inside its first one) gives a dataset
+/// with no groups, whose expected grid still comes from the spec line.
 CampaignDataset build_dataset(const ResultStore& store);
 
 /// True when some class has challenger and baseline records sharing at
@@ -168,7 +170,8 @@ Table missing_cells_table(const CampaignDataset& dataset);
 
 /// Dolan-Moré performance profile over the whole grid: one row per
 /// scheduler, one column per tau, cells = fraction of (class, repetition)
-/// problems solved within tau x the problem's best cost.
+/// problems solved within tau x the problem's best cost. No rows for a
+/// dataset without records.
 Table profile_table(const CampaignDataset& dataset,
                     const ReportOptions& options);
 

@@ -1,5 +1,6 @@
 #include "dag/serialize.h"
 
+#include <optional>
 #include <sstream>
 
 #include "dag/topo.h"
@@ -20,7 +21,7 @@ void write_dag(std::ostream& os, const TaskGraph& g) {
   }
 }
 
-TaskGraph read_dag(std::istream& is) {
+TaskGraph read_dag(std::istream& is, std::vector<TaskId>* order) {
   std::string line;
   SEHC_CHECK(std::getline(is, line) && line == "sehc-dag v1",
              "read_dag: missing 'sehc-dag v1' header");
@@ -61,7 +62,9 @@ TaskGraph read_dag(std::istream& is) {
     }
   }
   SEHC_CHECK(have_tasks, "read_dag: no 'tasks' line");
-  SEHC_CHECK(is_acyclic(g), "read_dag: graph has a cycle");
+  std::optional<std::vector<TaskId>> sorted = topological_order(g);
+  SEHC_CHECK(sorted.has_value(), "read_dag: graph has a cycle");
+  if (order != nullptr) *order = std::move(*sorted);
   return g;
 }
 
@@ -71,9 +74,10 @@ std::string dag_to_string(const TaskGraph& g) {
   return os.str();
 }
 
-TaskGraph dag_from_string(const std::string& text) {
+TaskGraph dag_from_string(const std::string& text,
+                          std::vector<TaskId>* order) {
   std::istringstream is(text);
-  return read_dag(is);
+  return read_dag(is, order);
 }
 
 }  // namespace sehc

@@ -16,6 +16,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "dag/task_graph.h"
 
@@ -25,11 +26,14 @@ namespace sehc {
 void write_dag(std::ostream& os, const TaskGraph& g);
 
 /// Parses a sehc-dag v1 stream. Throws sehc::Error on malformed input or
-/// cyclic graphs.
-TaskGraph read_dag(std::istream& is);
+/// cyclic graphs. The acyclicity check computes the graph's
+/// topological_order() (dag/topo.h); it goes to `*order` when `order` is
+/// given, so that the caller need not sort the graph again.
+TaskGraph read_dag(std::istream& is, std::vector<TaskId>* order = nullptr);
 
 /// String convenience wrappers.
 std::string dag_to_string(const TaskGraph& g);
-TaskGraph dag_from_string(const std::string& text);
+TaskGraph dag_from_string(const std::string& text,
+                          std::vector<TaskId>* order = nullptr);
 
 }  // namespace sehc

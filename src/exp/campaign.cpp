@@ -271,7 +271,14 @@ CampaignRunSummary run_store_grid(
   SweepOptions sweep_options;
   sweep_options.threads = options.threads;
   sweep_options.base_seed = base_seed;
-  sweep_options.progress = options.progress;
+  if (options.progress || options.progress_quarantined) {
+    sweep_options.progress = [&](std::size_t done, std::size_t total) {
+      if (options.progress) options.progress(done, total);
+      if (options.progress_quarantined) {
+        options.progress_quarantined(done, total, failed.load());
+      }
+    };
+  }
   const std::size_t attempts = options.cell_retries + 1;
   sweep_for_each(grid, pending, sweep_options, [&](const SweepCell& cell) {
     // Each cell records into its own registry, installed as the thread's

@@ -166,6 +166,9 @@ struct CampaignRunOptions {
   std::size_t max_cells = 0;
   /// Called after each completed cell with (completed, pending_total).
   std::function<void(std::size_t, std::size_t)> progress;
+  /// As `progress`, with the cells quarantined so far as a third argument.
+  std::function<void(std::size_t, std::size_t, std::size_t)>
+      progress_quarantined;
 
   /// Extra executions after a failed first attempt. Retries re-run the
   /// identical deterministic computation (cell seeds are pure functions of

@@ -9,10 +9,17 @@ namespace sehc {
 
 Workload::Workload(TaskGraph graph, MachineSet machines, Matrix<double> exec,
                    Matrix<double> transfer)
+    : Workload(std::move(graph), {}, std::move(machines), std::move(exec),
+               std::move(transfer)) {}
+
+Workload::Workload(TaskGraph graph, std::vector<TaskId> topo_order,
+                   MachineSet machines, Matrix<double> exec,
+                   Matrix<double> transfer)
     : graph_(std::move(graph)),
       machines_(std::move(machines)),
       exec_(std::move(exec)),
-      transfer_(std::move(transfer)) {
+      transfer_(std::move(transfer)),
+      topo_order_(std::move(topo_order)) {
   SEHC_CHECK(machines_.size() > 0, "Workload: need at least one machine");
   SEHC_CHECK(graph_.num_tasks() > 0, "Workload: need at least one task");
   SEHC_CHECK(exec_.rows() == machines_.size() &&
@@ -26,9 +33,13 @@ Workload::Workload(TaskGraph graph, MachineSet machines, Matrix<double> exec,
     SEHC_CHECK(v >= 0.0, "Workload: negative execution time");
   for (double v : transfer_.flat())
     SEHC_CHECK(v >= 0.0, "Workload: negative transfer time");
-  auto order = topological_order(graph_);
-  SEHC_CHECK(order.has_value(), "Workload: task graph has a cycle");
-  topo_order_ = std::move(*order);
+  if (topo_order_.empty()) {
+    auto order = topological_order(graph_);
+    SEHC_CHECK(order.has_value(), "Workload: task graph has a cycle");
+    topo_order_ = std::move(*order);
+  }
+  SEHC_ASSERT_MSG(topo_order_.size() == graph_.num_tasks(),
+                  "Workload: topological order of another graph");
 }
 
 std::vector<MachineId> Workload::machines_by_speed(TaskId t) const {

@@ -26,6 +26,13 @@ class Workload {
   Workload(TaskGraph graph, MachineSet machines, Matrix<double> exec,
            Matrix<double> transfer);
 
+  /// As above, with the graph's topological_order() already computed
+  /// (read_workload hands over the one read_dag's acyclicity check made),
+  /// so the graph is not sorted twice; an empty `topo_order` is computed
+  /// here.
+  Workload(TaskGraph graph, std::vector<TaskId> topo_order,
+           MachineSet machines, Matrix<double> exec, Matrix<double> transfer);
+
   const TaskGraph& graph() const { return graph_; }
   const MachineSet& machines() const { return machines_; }
 

@@ -71,14 +71,35 @@ bool underflows(const char* p, const char* end) {
   return lead + (negative ? -exponent : exponent) < 0;
 }
 
+/// A byte that can continue a number token.
+bool is_token_byte(char c) {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+         c == '-';
+}
+
 /// Reads the next number the way `std::istream >> double` does in the
 /// classic locale: skip whitespace, then consume the longest run of the
 /// form [+-] digits-with-at-most-one-dot [(e|E) [+-] digits]. The run is
 /// taken greedily, so "1e" and "1e+" are consumed whole and then fail; it
 /// needs a mantissa digit, and an exponent digit when it has an exponent,
 /// which leaves out inf, nan and hex. Returns false on failure.
+///
+/// A token that starts with a digit is first scanned once, by
+/// std::from_chars in fixed format straight on the bytes. Its value is kept
+/// when the conversion succeeds and the next byte cannot continue the
+/// token: then the careful scan below would take exactly the same run and
+/// convert it the same way. Anything else (a sign, an exponent, a second
+/// dot, a value out of range) takes the careful scan.
 bool read_number(const char*& p, const char* end, double& out) {
   while (p != end && is_space(*p)) ++p;
+  if (p != end && is_digit(*p)) {
+    const auto [ptr, ec] =
+        std::from_chars(p, end, out, std::chars_format::fixed);
+    if (ec == std::errc() && (ptr == end || !is_token_byte(*ptr))) {
+      p = ptr;
+      return true;
+    }
+  }
   const char* const first = p;
   if (p != end && (*p == '+' || *p == '-')) ++p;
   const char* const unsigned_first = p;
@@ -279,7 +300,8 @@ Workload workload_from_string(const std::string& text) {
     check_size(pairs == 0 || edges <= budget / pairs, "the transfer matrix");
   }
 
-  TaskGraph graph = dag_from_string(std::string(dag));
+  std::vector<TaskId> topo_order;
+  TaskGraph graph = dag_from_string(std::string(dag), &topo_order);
   MachineSet machines;
   for (const MachineArch arch : archs) machines.add(std::string(), arch);
 
@@ -294,8 +316,8 @@ Workload workload_from_string(const std::string& text) {
     transfer = read_matrix(in, machines.num_pairs(), graph.num_edges(),
                            "transfer");
   }
-  return Workload(std::move(graph), std::move(machines), std::move(exec),
-                  std::move(transfer));
+  return Workload(std::move(graph), std::move(topo_order),
+                  std::move(machines), std::move(exec), std::move(transfer));
 }
 
 }  // namespace sehc

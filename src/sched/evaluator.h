@@ -390,12 +390,17 @@ class Evaluator::TrialBatch {
 
   // SoA lanes, stride = trials in the sweep: avail_lanes_ row m = per-lane
   // availability of machine m; finish_lanes_ row t = per-lane finish of
-  // task t; makespan_ and ready_lanes_ indexed by lane. The lane stores are
-  // 64-byte aligned for the SIMD strip loops.
+  // task t; makespan_ and edit_transfer_ indexed by lane. The lane stores
+  // are 64-byte aligned for the SIMD strip loops.
   AlignedVector<double> avail_lanes_;
   AlignedVector<double> finish_lanes_;
   AlignedVector<double> makespan_;
-  AlignedVector<double> ready_lanes_;    // per-lane ready-time scratch
+  // Per-lane transfer time from the edited task to the current segment.
+  AlignedVector<double> edit_transfer_;
+  // The current segment's in-sweep predecessors: finish rows and transfer
+  // times, sized for the largest in-degree.
+  std::vector<const double*> pred_finish_;
+  std::vector<double> pred_transfer_;
   // Pending trials' machines in add order: the reassigns, then the slides,
   // whose target positions slide_pos_ holds.
   std::vector<MachineId> lane_machine_;

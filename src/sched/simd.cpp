@@ -1,8 +1,8 @@
-// Backend implementations of the TrialBatch strip kernels (see simd.h for
-// the bit-identity argument). Both backends run the same elementwise
-// max/add recurrence; only the strip width differs. The scalar functions
-// are the reference loops verbatim — the AVX2 backend must match them bit
-// for bit on every input the sweep can produce.
+// Backend implementations of the TrialBatch strip op (see simd.h for the
+// bit-identity argument). Both backends run the same elementwise max/add
+// recurrence; only the strip width differs. The scalar function is the
+// reference loop verbatim — the AVX2 backend must match it bit for bit on
+// every input the sweep can produce.
 #include "sched/simd.h"
 
 #include <algorithm>
@@ -25,61 +25,89 @@ namespace {
 
 // --- Scalar reference --------------------------------------------------------
 
-void ready_maxadd_scalar(double* ready, const double* f, double tr,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    ready[i] = std::max(ready[i], f[i] + tr);
+/// Lane i of the op: the reference loop's body, and the AVX2 strips' tail.
+inline void segment_lane(const SegmentStrip& s, std::size_t i) {
+  double ready = s.ready0;
+  for (std::size_t j = 0; j < s.preds; ++j) {
+    ready = std::max(ready, s.pred_finish[j][i] + s.pred_transfer[j]);
   }
+  if (s.edit_finish != nullptr) {
+    ready = std::max(ready, s.edit_finish[i] + s.edit_transfer[i]);
+  }
+  const double fin = std::max(ready, s.avail[i]) + s.exec;
+  s.finish[i] = fin;
+  s.avail[i] = fin;
+  s.makespan[i] = std::max(s.makespan[i], fin);
 }
 
-void schedule_update_scalar(const double* ready, double* am, double* ft,
-                            double* ms, double exec, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double start = std::max(ready[i], am[i]);
-    const double fin = start + exec;
-    ft[i] = fin;
-    am[i] = fin;
-    if (fin > ms[i]) ms[i] = fin;
-  }
+void segment_scalar(const SegmentStrip& s, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) segment_lane(s, i);
 }
 
 // --- AVX2 --------------------------------------------------------------------
 
 #if SEHC_AVX2
 
-SEHC_TARGET_AVX2
-void ready_maxadd_avx2(double* ready, const double* f, double tr,
-                       std::size_t n) {
-  const __m256d vtr = _mm256_set1_pd(tr);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vf = _mm256_loadu_pd(f + i);
-    const __m256d vr = _mm256_loadu_pd(ready + i);
-    _mm256_storeu_pd(ready + i, _mm256_max_pd(vr, _mm256_add_pd(vf, vtr)));
+/// Folds lanes [i, i + 4) of every predecessor into `ready`.
+SEHC_TARGET_AVX2 inline __m256d ready4(const SegmentStrip& s, std::size_t i,
+                                       __m256d ready) {
+  for (std::size_t j = 0; j < s.preds; ++j) {
+    ready = _mm256_max_pd(
+        ready, _mm256_add_pd(_mm256_loadu_pd(s.pred_finish[j] + i),
+                             _mm256_broadcast_sd(s.pred_transfer + j)));
   }
-  for (; i < n; ++i) ready[i] = std::max(ready[i], f[i] + tr);
+  if (s.edit_finish != nullptr) {
+    ready = _mm256_max_pd(ready,
+                          _mm256_add_pd(_mm256_loadu_pd(s.edit_finish + i),
+                                        _mm256_loadu_pd(s.edit_transfer + i)));
+  }
+  return ready;
 }
 
+/// The step of lanes [i, i + 4) from their ready times.
+SEHC_TARGET_AVX2 inline void update4(const SegmentStrip& s, std::size_t i,
+                                     __m256d ready, __m256d exec) {
+  const __m256d fin =
+      _mm256_add_pd(_mm256_max_pd(ready, _mm256_loadu_pd(s.avail + i)), exec);
+  _mm256_storeu_pd(s.finish + i, fin);
+  _mm256_storeu_pd(s.avail + i, fin);
+  _mm256_storeu_pd(s.makespan + i,
+                   _mm256_max_pd(_mm256_loadu_pd(s.makespan + i), fin));
+}
+
+/// Eight lanes per iteration as two independent 4-lane accumulators, so the
+/// max chains of the two halves overlap; then one 4-lane step and the
+/// scalar tail.
 SEHC_TARGET_AVX2
-void schedule_update_avx2(const double* ready, double* am, double* ft,
-                          double* ms, double exec, std::size_t n) {
-  const __m256d vexec = _mm256_set1_pd(exec);
+void segment_avx2(const SegmentStrip& s, std::size_t n) {
+  const __m256d ready0 = _mm256_set1_pd(s.ready0);
+  const __m256d exec = _mm256_set1_pd(s.exec);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vstart =
-        _mm256_max_pd(_mm256_loadu_pd(ready + i), _mm256_loadu_pd(am + i));
-    const __m256d vfin = _mm256_add_pd(vstart, vexec);
-    _mm256_storeu_pd(ft + i, vfin);
-    _mm256_storeu_pd(am + i, vfin);
-    _mm256_storeu_pd(ms + i, _mm256_max_pd(_mm256_loadu_pd(ms + i), vfin));
+  for (; i + 8 <= n; i += 8) {
+    __m256d lo = ready0;
+    __m256d hi = ready0;
+    for (std::size_t j = 0; j < s.preds; ++j) {
+      const double* const row = s.pred_finish[j] + i;
+      const __m256d tr = _mm256_broadcast_sd(s.pred_transfer + j);
+      lo = _mm256_max_pd(lo, _mm256_add_pd(_mm256_loadu_pd(row), tr));
+      hi = _mm256_max_pd(hi, _mm256_add_pd(_mm256_loadu_pd(row + 4), tr));
+    }
+    if (s.edit_finish != nullptr) {
+      const double* const row = s.edit_finish + i;
+      const double* const tr = s.edit_transfer + i;
+      lo = _mm256_max_pd(
+          lo, _mm256_add_pd(_mm256_loadu_pd(row), _mm256_loadu_pd(tr)));
+      hi = _mm256_max_pd(hi, _mm256_add_pd(_mm256_loadu_pd(row + 4),
+                                           _mm256_loadu_pd(tr + 4)));
+    }
+    update4(s, i, lo, exec);
+    update4(s, i + 4, hi, exec);
   }
-  for (; i < n; ++i) {
-    const double start = std::max(ready[i], am[i]);
-    const double fin = start + exec;
-    ft[i] = fin;
-    am[i] = fin;
-    if (fin > ms[i]) ms[i] = fin;
+  if (i + 4 <= n) {
+    update4(s, i, ready4(s, i, ready0), exec);
+    i += 4;
   }
+  for (; i < n; ++i) segment_lane(s, i);
 }
 #endif  // SEHC_AVX2
 
@@ -117,11 +145,9 @@ SimdKernel resolve_kernel(KernelChoice choice) {
 }
 
 const BatchKernelOps& batch_kernel_ops(SimdKernel k) {
-  static const BatchKernelOps scalar_ops{ready_maxadd_scalar,
-                                         schedule_update_scalar};
+  static const BatchKernelOps scalar_ops{segment_scalar};
 #if SEHC_AVX2
-  static const BatchKernelOps avx2_ops{ready_maxadd_avx2,
-                                       schedule_update_avx2};
+  static const BatchKernelOps avx2_ops{segment_avx2};
   if (k == SimdKernel::kAvx2) return avx2_ops;
 #endif
   // A build without the AVX2 backend runs the reference loops.

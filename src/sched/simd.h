@@ -1,14 +1,17 @@
 // Portable SIMD layer for the batched trial kernel.
 //
-// The TrialBatch sweep (trial_batch.cpp) spends its time in two
-// lane-minor inner loops over contiguous doubles — a max-accumulate of
-// predecessor ready times and the start/finish/makespan schedule update.
-// Both are pure elementwise max/add chains over independent lanes, so a
-// width-W vector strip with a scalar tail performs the exact same
-// floating-point operation on the exact same operands as the scalar loop:
-// results are bit-identical by construction (every operand is a
-// non-negative finite double — no NaN, no -0.0 — for which vector max is
-// indistinguishable from std::max down to the bit pattern).
+// The TrialBatch sweep (trial_batch.cpp) spends its time in one lane-minor
+// op per segment of the trial strings: each lane's ready time (a
+// max-accumulate over the segment's predecessors' finish rows) feeds its
+// start/finish/makespan update in the same pass, so the ready time stays in
+// registers. The op is a pure elementwise max/add chain over independent
+// lanes, so a width-W vector strip with a scalar tail performs the exact
+// same floating-point operations on the exact same operands as the scalar
+// loop. Only the order of a lane's max-reduction over its predecessors may
+// differ, and every operand is a non-negative finite double (no NaN, no
+// -0.0), for which max is order-independent and vector max is
+// indistinguishable from std::max down to the bit pattern: results are
+// bit-identical by construction.
 //
 // This header keeps the abstraction intrinsics-free: backends live in
 // simd.cpp (scalar always; AVX2 on x86, compiled via a per-function target
@@ -60,20 +63,38 @@ KernelChoice kernel_choice_from_env();
 /// picks detect_simd_kernel().
 SimdKernel resolve_kernel(KernelChoice choice);
 
-/// The two lane-minor strip kernels of the TrialBatch sweep, as
-/// function pointers bound to one backend. Each processes n contiguous
-/// doubles as width-W strips plus a scalar tail; the scalar backend is the
-/// reference loop verbatim.
+/// One segment of the TrialBatch sweep, as the fused strip op reads it.
+/// Every row holds one double per lane; the rows never alias (distinct SoA
+/// rows).
+struct SegmentStrip {
+  /// Ready time contributed by the predecessors inside the evaluator's
+  /// checkpoint prefix, shared by every lane.
+  double ready0 = 0.0;
+  /// The predecessors the sweep simulates: `preds` finish rows and, for
+  /// each, its transfer time to this segment (the same for every lane).
+  const double* const* pred_finish = nullptr;
+  const double* pred_transfer = nullptr;
+  std::size_t preds = 0;
+  /// The edited task's finish row and per-lane transfer row when it is a
+  /// predecessor (each lane runs it on its own machine); null otherwise.
+  const double* edit_finish = nullptr;
+  const double* edit_transfer = nullptr;
+  /// The segment's execution time and the rows its step updates.
+  double exec = 0.0;
+  double* avail = nullptr;     // its machine's availability
+  double* finish = nullptr;    // its task's finish time
+  double* makespan = nullptr;  // the running makespan
+};
+
+/// The TrialBatch sweep's strip op, as a function pointer bound to one
+/// backend. The scalar backend is the reference loop verbatim.
 struct BatchKernelOps {
-  /// ready[i] = max(ready[i], f[i] + tr) for i in [0, n) — one shared
-  /// predecessor's finish row folded into every lane's ready time.
-  void (*ready_maxadd)(double* ready, const double* f, double tr,
-                       std::size_t n);
-  /// For i in [0, n): start = max(ready[i], am[i]); fin = start + exec;
-  /// ft[i] = am[i] = fin; ms[i] = max(ms[i], fin). The arrays never alias
-  /// (distinct SoA rows).
-  void (*schedule_update)(const double* ready, double* am, double* ft,
-                          double* ms, double exec, std::size_t n);
+  /// For every lane i in [0, n):
+  ///   ready = max(ready0, pred_finish[j][i] + pred_transfer[j] for each j,
+  ///               edit_finish[i] + edit_transfer[i] when given);
+  ///   fin = max(ready, avail[i]) + exec;
+  ///   finish[i] = avail[i] = fin;  makespan[i] = max(makespan[i], fin).
+  void (*segment)(const SegmentStrip& s, std::size_t n);
 };
 
 /// The op table for one backend (static storage; valid forever).

@@ -11,15 +11,21 @@
 // insertion point, a lane simulates just that string, so it carries the
 // checkpoint rolled forward; there it runs t's step through the
 // evaluator's simulate() and goes on with its own trial. Every other
-// segment runs for all lanes at once through the SIMD strip ops, whose
-// ready-time max-reduction may be re-ordered between shared and per-lane
-// predecessors: every operand is a non-negative finite double (no -0.0, no
-// NaN), for which max is order-independent down to the bit pattern.
+// segment runs for all lanes at once as one fused SIMD strip op (simd.h):
+// the sweep gathers the segment's predecessors once (a ready time for
+// those in the checkpoint prefix, a finish row and a transfer time for each
+// one the sweep simulates, a per-lane transfer row for the edited task),
+// and the op computes every lane's ready time, start, finish, machine
+// availability and makespan in one pass. Its max-reduction may take the
+// predecessors in another order than the scalar step: every operand is a
+// non-negative finite double (no -0.0, no NaN), for which max is
+// order-independent down to the bit pattern.
 //
 // tests/test_trial_batch.cpp pins batch-vs-scalar bit-identity on every
 // lane shape (reassigns, slides, chunked sweeps, bounds around the results,
-// strip widths); tests/test_allocation.cpp pins allocate_tasks against a
-// scan that simulates every (position, machine) pair.
+// every residue of the strip widths, 0-4 simulated predecessors with and
+// without the edited task); tests/test_allocation.cpp pins allocate_tasks
+// against a scan that simulates every (position, machine) pair.
 #include "sched/evaluator.h"
 
 #include <algorithm>
@@ -37,7 +43,15 @@ constexpr std::size_t kLaneStoreBytes = std::size_t{1} << 20;
 Evaluator::TrialBatch::TrialBatch(const Evaluator& eval)
     : eval_(&eval),
       kernel_(resolve_kernel(kernel_choice_from_env())),
-      ops_(&batch_kernel_ops(kernel_)) {}
+      ops_(&batch_kernel_ops(kernel_)) {
+  std::size_t max_preds = 0;
+  for (std::size_t t = 0; t < eval.num_tasks_; ++t) {
+    max_preds = std::max<std::size_t>(
+        max_preds, eval.pred_off_[t + 1] - eval.pred_off_[t]);
+  }
+  pred_finish_.resize(max_preds);
+  pred_transfer_.resize(max_preds);
+}
 
 void Evaluator::TrialBatch::set_kernel(KernelChoice choice) {
   kernel_ = resolve_kernel(choice);
@@ -156,7 +170,7 @@ void Evaluator::TrialBatch::sweep(std::size_t first, std::size_t count) {
   avail_lanes_.resize(l * count);
   finish_lanes_.resize(k * count);
   makespan_.assign(count, ev.cp_makespan_);
-  ready_lanes_.resize(count);
+  edit_transfer_.resize(count);
   for (std::size_t m = 0; m < l; ++m) {
     std::fill_n(avail_lanes_.begin() + m * count, count, ev.cp_avail_[m]);
   }
@@ -165,7 +179,6 @@ void Evaluator::TrialBatch::sweep(std::size_t first, std::size_t count) {
   const MachineId* const lane_machine = lane_machine_.data() + first;
   double* const al = avail_lanes_.data();
   double* const fl = finish_lanes_.data();
-  double* const ready = ready_lanes_.data();
   double* const ms = makespan_.data();
 
   // Lanes [0, joined) have inserted t. The others still simulate the string
@@ -195,51 +208,41 @@ void Evaluator::TrialBatch::sweep(std::size_t first, std::size_t count) {
     const Segment seg = segs[b < edit_pos ? b : b + 1];
     const TaskId t = seg.task;
     const MachineId m = seg.machine;
-    const std::uint32_t lo = ev.pred_off_[t];
-    const std::uint32_t hi = ev.pred_off_[t + 1];
     // Predecessors inside the evaluator's checkpoint prefix contribute one
-    // scalar ready time for all lanes; predecessors simulated by the sweep
-    // (or the edited task, whose machine varies) contribute one contiguous
-    // lane-minor pass each.
-    double ready0 = 0.0;
-    bool lane_preds = false;
-    for (std::uint32_t e = lo; e < hi; ++e) {
+    // ready time for all lanes; those the sweep simulates contribute a
+    // finish row each, with one transfer time for all lanes, except the
+    // edited task, which each lane runs on its own machine. (A successor of
+    // t runs after every lane has inserted t: evaluate() checked the
+    // slides.)
+    SegmentStrip strip;
+    strip.pred_finish = pred_finish_.data();
+    strip.pred_transfer = pred_transfer_.data();
+    for (std::uint32_t e = ev.pred_off_[t]; e < ev.pred_off_[t + 1]; ++e) {
       const TaskId src = ev.pred_src_[e];
-      if (pos[src] >= from) {
-        lane_preds = true;
-        continue;
-      }
-      const MachineId pm = segs[pos[src]].machine;
-      ready0 = std::max(
-          ready0, shared_finish[src] + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
-    }
-    std::fill_n(ready, count, ready0);
-    if (lane_preds) {
-      for (std::uint32_t e = lo; e < hi; ++e) {
-        const TaskId src = ev.pred_src_[e];
-        if (pos[src] < from) continue;
-        const double* const fsrc = fl + src * count;
-        if (src == edit_task) {
-          // A successor of t: every lane has inserted t by now (evaluate()
-          // checked the slides), each on its own machine.
-          const DataId item = ev.pred_item_[e];
-          for (std::size_t lane = 0; lane < count; ++lane) {
-            const double tr = ev.transfer_row(lane_machine[lane], m)[item];
-            ready[lane] = std::max(ready[lane], fsrc[lane] + tr);
-          }
-        } else {
-          // One shared transfer offset over a contiguous finish row: the
-          // vectorizable max-accumulate strip (elementwise over independent
-          // lanes, so bit-identical at any width).
-          const MachineId pm = segs[pos[src]].machine;
-          const double tr = ev.transfer_row(pm, m)[ev.pred_item_[e]];
-          ops_->ready_maxadd(ready, fsrc, tr, count);
+      const DataId item = ev.pred_item_[e];
+      const std::size_t at = pos[src];
+      if (src == edit_task) {
+        for (std::size_t lane = 0; lane < count; ++lane) {
+          edit_transfer_[lane] = ev.transfer_row(lane_machine[lane], m)[item];
         }
+        strip.edit_finish = fl + src * count;
+        strip.edit_transfer = edit_transfer_.data();
+      } else if (at >= from) {
+        pred_finish_[strip.preds] = fl + src * count;
+        pred_transfer_[strip.preds] =
+            ev.transfer_row(segs[at].machine, m)[item];
+        ++strip.preds;
+      } else {
+        strip.ready0 = std::max(
+            strip.ready0,
+            shared_finish[src] + ev.transfer_row(segs[at].machine, m)[item]);
       }
     }
-    // Start/finish/makespan update as one width-W strip sweep.
-    ops_->schedule_update(ready, al + m * count, fl + t * count, ms,
-                          ev.exec_[m * k + t], count);
+    strip.exec = ev.exec_[m * k + t];
+    strip.avail = al + m * count;
+    strip.finish = fl + t * count;
+    strip.makespan = ms;
+    ops_->segment(strip, count);
   }
   std::copy(ms, ms + count, results_.begin() + first);
 }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/rng.h"
 #include "dag/dot.h"
 #include "dag/serialize.h"
+#include "dag/topo.h"
 #include "workload/random_dag.h"
 #include "workload/structured.h"
 
@@ -66,6 +69,27 @@ TEST(DagIo, OutOfRangeEdgeThrows) {
 TEST(DagIo, CycleThrows) {
   EXPECT_THROW(
       dag_from_string("sehc-dag v1\ntasks 2\nedge 0 1\nedge 1 0\n"), Error);
+  std::vector<TaskId> order{7};
+  try {
+    dag_from_string("sehc-dag v1\ntasks 3\nedge 0 1\nedge 1 2\nedge 2 1\n",
+                    &order);
+    ADD_FAILURE() << "a cycle was read";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("read_dag: graph has a cycle"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(order, std::vector<TaskId>{7});  // untouched on failure
+}
+
+TEST(DagIo, HandsOverTheTopologicalOrderOfItsAcyclicityCheck) {
+  Rng rng(9);
+  for (int i = 0; i < 10; ++i) {
+    const TaskGraph g = random_ordered_dag(30, 0.2, rng);
+    std::vector<TaskId> order;
+    const TaskGraph back = dag_from_string(dag_to_string(g), &order);
+    EXPECT_EQ(order, *topological_order(back));
+  }
 }
 
 TEST(DagIo, UnknownKeywordThrows) {

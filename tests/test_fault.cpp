@@ -340,6 +340,38 @@ TEST(FaultCampaign, PermanentFailureQuarantinesAndResumeHeals) {
   std::remove(path.c_str());
 }
 
+TEST(FaultCampaign, ProgressCountsQuarantinedCells) {
+  // Both progress callbacks fire once per finished cell; the second also
+  // sees the cells quarantined so far, which reach the run's total.
+  const CampaignSpec spec = tiny_spec();
+  ResultStore store = ResultStore::in_memory(spec.store_schema());
+  CampaignRunOptions options;
+  options.retry_backoff_ms = 1;
+  options.fault_plan = FaultPlan::parse("throw-cells=2,5;throw-attempts=all");
+  std::vector<std::size_t> done_plain;
+  std::vector<std::size_t> done;
+  std::vector<std::size_t> quarantined;
+  options.progress = [&](std::size_t d, std::size_t total) {
+    EXPECT_EQ(total, 8u);
+    done_plain.push_back(d);
+  };
+  options.progress_quarantined = [&](std::size_t d, std::size_t total,
+                                     std::size_t q) {
+    EXPECT_EQ(total, 8u);
+    done.push_back(d);
+    quarantined.push_back(q);
+  };
+  const CampaignRunSummary summary = run_campaign(spec, store, options);
+  ASSERT_EQ(summary.failed_cells, 2u);
+  const std::vector<std::size_t> all{1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(done_plain, all);
+  EXPECT_EQ(done, all);
+  EXPECT_TRUE(std::is_sorted(quarantined.begin(), quarantined.end()));
+  ASSERT_FALSE(quarantined.empty());
+  EXPECT_EQ(quarantined.front(), 0u);  // cell 0 runs first and succeeds
+  EXPECT_EQ(quarantined.back(), 2u);
+}
+
 TEST(FaultCampaign, StrictModeFailsFastWithCellCoordinates) {
   const CampaignSpec spec = tiny_spec();
   ResultStore store = ResultStore::in_memory(spec.store_schema());

@@ -77,10 +77,29 @@ TEST(Dataset, GroupsRecordsAndRebuildsTheIterationGrid) {
   EXPECT_EQ(ds.find_group("low", "HEFT"), nullptr);
 }
 
-TEST(Dataset, EmptyStoreThrows) {
+TEST(Dataset, EmptyStoreReportsEveryExpectedCellMissing) {
+  // A store cut inside its first record holds none: the dataset has no
+  // groups, but its grid comes from the spec line, and the full report
+  // says that every expected record is missing.
   const ResultStore store =
       ResultStore::in_memory(tiny_spec().store_schema());
-  EXPECT_THROW(build_dataset(store), Error);
+  const CampaignDataset ds = build_dataset(store);
+  EXPECT_TRUE(ds.groups.empty());
+  EXPECT_TRUE(ds.classes.empty());
+  EXPECT_EQ(ds.expected_cells(), 12u);
+  EXPECT_EQ(ds.curve_points, 6u);
+  EXPECT_EQ(ds.grid, (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(profile_table(ds, ReportOptions{}).rows(), 0u);
+  for (const ReportFormat format : {ReportFormat::kMarkdown,
+                                    ReportFormat::kCsv}) {
+    const std::string report = full_report(store, format);
+    EXPECT_NE(report.find("12 of 12 expected records are missing"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("2 of 2 classes have no records at all"),
+              std::string::npos)
+        << report;
+  }
 }
 
 TEST(Report, ByteIdenticalAcrossThreadCounts) {

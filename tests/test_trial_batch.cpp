@@ -10,7 +10,10 @@
 // checks every lane of whole-scan batches (reassigns plus slides) against
 // Evaluator::makespan() of its explicit trial string, on small and
 // degenerate shapes and on batches large enough to sweep in chunks, one of
-// them with more reassign lanes than one sweep holds.
+// them with more reassign lanes than one sweep holds. The TrialBatchStrip
+// suite checks the fused strip op at every lane count from 1 to 17 and in a
+// chunked batch, on segments with 0-4 simulated predecessors, with and
+// without the edited task among them, under both kernels.
 #include "sched/evaluator.h"
 
 #include <gtest/gtest.h>
@@ -799,6 +802,118 @@ TEST(TrialBatchSimd, SlideLanesByteIdenticalAcrossKernels) {
                                results[0].size() * sizeof(double)))
           << "seed " << seed << " task " << t;
     }
+  }
+}
+
+
+// --- The fused strip op ------------------------------------------------------
+//
+// The sweep runs one strip op per segment: the ready time over the
+// segment's predecessors and the start/finish/makespan update in one pass.
+// Its AVX2 backend takes eight lanes per iteration as two 4-lane
+// accumulators, then one 4-lane step, then a scalar tail, and the edited
+// task's transfer differs from lane to lane. These tests check every lane
+// against a full evaluation of its trial string under both kernels, at
+// every lane count up to two bodies plus the step and the tail.
+
+/// The task every fused-strip trial edits.
+constexpr TaskId kStripEdit = 4;
+
+/// Feeders 0-3 (no predecessor); task 4, the edited one; tasks 5-8 read
+/// task 4 and 0-3 feeders; tasks 9-12 read 1-4 feeders and not task 4.
+/// With the checkpoint at 0 every predecessor is one the sweep simulates,
+/// so the segments have 0-4 of them, with and without the edited task.
+/// Transfers dominate (CCR 10), so each lane's transfer from task 4 decides
+/// its makespan.
+Workload strip_shapes_workload() {
+  TaskGraph g(13);
+  for (TaskId c = 0; c < 4; ++c) {
+    g.add_edge(kStripEdit, 5 + c);
+    for (TaskId f = 0; f < c; ++f) g.add_edge(f, 5 + c);
+    for (TaskId f = 0; f <= c; ++f) g.add_edge(f, 9 + c);
+  }
+  return make_workload_for_graph(std::move(g), 5, Level::kHigh, 10.0, 1000.0,
+                                 66);
+}
+
+/// The tasks in id order, task t on machine t mod l.
+SolutionString strip_shapes_string(const Workload& w) {
+  std::vector<TaskId> order(w.num_tasks());
+  std::vector<MachineId> machines(w.num_tasks());
+  for (TaskId t = 0; t < w.num_tasks(); ++t) {
+    order[t] = t;
+    machines[t] = static_cast<MachineId>(t % w.num_machines());
+  }
+  return SolutionString(std::move(order), std::move(machines));
+}
+
+/// Evaluates `n` reassigns of task 4 (lane i on machine i mod l) on a
+/// checkpoint at `prefix` under `kernel`, and checks each lane against
+/// Evaluator::makespan() of its trial string.
+void expect_strip_lanes_match(const Workload& w, const SolutionString& s,
+                              std::size_t prefix, std::size_t n,
+                              KernelChoice kernel) {
+  Evaluator eval(w);
+  Evaluator ref(w);
+  Evaluator::TrialBatch batch(eval);
+  batch.set_kernel(kernel);
+  eval.begin_trials(s, prefix);
+  batch.begin_checkpoint(s);
+  const std::size_t l = w.num_machines();
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.add_reassign(kStripEdit, static_cast<MachineId>(i % l));
+  }
+  std::vector<double> want(l);
+  for (MachineId m = 0; m < l; ++m) {
+    SolutionString probe = s;
+    probe.set_machine(kStripEdit, m);
+    want[m] = ref.makespan(probe);
+  }
+  const std::vector<double> got = batch.evaluate(kInf);
+  ASSERT_EQ(got.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], want[i % l])
+        << kernel_name(resolve_kernel(kernel)) << " kernel, " << n
+        << " lanes, lane " << i << ", checkpoint " << prefix;
+  }
+}
+
+TEST(TrialBatchStrip, EveryLaneCountMatchesMakespanUnderBothKernels) {
+  const Workload w = strip_shapes_workload();
+  const SolutionString s = strip_shapes_string(w);
+  // The makespans differ by machine, so a lane that drops task 4's
+  // transfer or skips its step cannot match by accident.
+  std::vector<double> distinct;
+  for (MachineId m = 0; m < w.num_machines(); ++m) {
+    SolutionString probe = s;
+    probe.set_machine(kStripEdit, m);
+    distinct.push_back(Evaluator(w).makespan(probe));
+  }
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+
+  // Checkpoint 0: every predecessor is simulated by the sweep. Checkpoint
+  // 4: the feeders lie in the prefix, so only task 4 is.
+  for (const std::size_t prefix : {std::size_t{0}, std::size_t{kStripEdit}}) {
+    for (std::size_t n = 1; n <= 17; ++n) {
+      for (const KernelChoice kernel :
+           {KernelChoice::kScalar, KernelChoice::kAuto}) {
+        expect_strip_lanes_match(w, s, prefix, n, kernel);
+      }
+    }
+  }
+}
+
+TEST(TrialBatchStrip, ChunkedBatchMatchesMakespanUnderBothKernels) {
+  // More lanes than two sweeps hold: every chunk runs the strip op, and the
+  // last one ends in a 4-lane step and a scalar tail.
+  const Workload w = strip_shapes_workload();
+  const SolutionString s = strip_shapes_string(w);
+  Evaluator eval(w);
+  const std::size_t capacity = Evaluator::TrialBatch(eval).lane_capacity();
+  for (const KernelChoice kernel :
+       {KernelChoice::kScalar, KernelChoice::kAuto}) {
+    expect_strip_lanes_match(w, s, 0, 2 * capacity + 13, kernel);
   }
 }
 

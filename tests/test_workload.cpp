@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "workload/generator.h"
 
 namespace sehc {
@@ -81,9 +83,14 @@ TEST(Workload, RejectsCyclicGraph) {
   g.add_edge(1, 0);
   Matrix<double> exec(1, 2, 1.0);
   Matrix<double> tr(0, 2, 0.0);
-  EXPECT_THROW(Workload(std::move(g), MachineSet(1), std::move(exec),
-                        std::move(tr)),
-               Error);
+  try {
+    Workload(std::move(g), MachineSet(1), std::move(exec), std::move(tr));
+    ADD_FAILURE() << "a cyclic workload was built";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Workload: task graph has a cycle"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Workload, RejectsEmptyProblem) {

@@ -19,6 +19,7 @@
 #include "core/options.h"
 #include "core/rng.h"
 #include "core/table.h"
+#include "dag/topo.h"
 #include "exp/campaign.h"
 #include "exp/sweep.h"
 #include "workload/generator.h"
@@ -223,6 +224,15 @@ TEST(WorkloadIo, MissingTransferThrows) {
   EXPECT_THROW(workload_from_string(text), Error);
 }
 
+TEST(WorkloadIo, ReaderKeepsTheGraphsTopologicalOrder) {
+  for (const Workload& w : generated_workloads(30, 4)) {
+    const Workload back = workload_from_string(workload_to_string(w));
+    const std::vector<TaskId> want = *topological_order(back.graph());
+    EXPECT_TRUE(std::equal(back.topo_order().begin(), back.topo_order().end(),
+                           want.begin(), want.end()));
+  }
+}
+
 TEST(WorkloadIo, StreamFunctionsMatchStringFunctions) {
   const Workload w = figure1_workload();
   std::ostringstream os;
@@ -409,12 +419,33 @@ TEST(WorkloadIoDifferential, ReaderFollowsIostreamTokenRules) {
       "1e", "1e+", "1e-", ".", "+", "-", "+-1", "-.e5", "e5", "x",
       "1" + zeros + "e", "0." + zeros + "1e-",
       // stop mid-token: the rest is the next token
-      "1.5x", "0x1p3", "1.5.5", "1e5.5", "1e5e3", "1-0", "1+2"};
+      "1.5x", "0x1p3", "1.5.5", "1e5.5", "1e5e3", "1-0", "1+2",
+      // a plain number followed by a byte that continues the token: the
+      // reader's one-scan path must leave each to the careful scan
+      "12.", "12..5", "12.5.", "12e3", "12.5e3", "12E3", "12.5E-3", "12e+3",
+      "12e", "12E", "12e+", "12+", "12-", "12+3", "12-3", "12.5+1",
+      "12.5-1", "0.5e", "7.E2",
+      // mantissas longer than 19 digits, halfway cases decided past them
+      "12345678901234567890123", "1234567890.12345678901234567890",
+      "0.1000000000000000055511151231257827021181583404541015625",
+      "9007199254740993", "9007199254740993.0000000000000000000001",
+      "9007199254740992.9999999999999999999999",
+      // leading zeros
+      "000.5", "0000000000000000000000001.5", "00000000000000000000000000",
+      "0.", "0.0000",
+      // overflow and underflow without an exponent
+      "1" + zeros.substr(0, 308), "2" + zeros.substr(0, 308),
+      "17976931348623157" + zeros.substr(0, 292),
+      "17976931348623159" + zeros.substr(0, 292),
+      "0." + zeros.substr(0, 322) + "5", "0." + zeros.substr(0, 323) + "2",
+      "0." + zeros.substr(0, 307) + "22250738585072011"};
   for (const std::string& tok : tokens) {
     EXPECT_TRUE(readers_agree(doc_with_exec(tok + " 2\n3 4\n"))) << tok;
     EXPECT_TRUE(readers_agree(doc_with_exec("1 2\n3 " + tok + "\n"))) << tok;
     EXPECT_TRUE(readers_agree(doc_with_exec("1 2\n3 4\n", tok + "\n")))
         << tok;
+    // The document ends with the token's last byte.
+    EXPECT_TRUE(readers_agree(doc_with_exec("1 2\n3 4\n", tok))) << tok;
   }
 }
 

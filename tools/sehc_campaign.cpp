@@ -147,13 +147,14 @@ int cmd_run(const Options& opts) {
       static_cast<std::size_t>(opts.get_int("max-cells", 0));
   if (opts.has("progress")) {
     // Rate and ETA read this run's own clock: volatile, so stderr only.
-    run_opts.progress = [timer = WallTimer()](std::size_t done,
-                                              std::size_t total) {
+    run_opts.progress_quarantined = [timer = WallTimer()](
+                                        std::size_t done, std::size_t total,
+                                        std::size_t quarantined) {
       const double rate = static_cast<double>(done) / timer.seconds();
       std::cerr << "\r" << done << "/" << total << " cells, "
                 << format_fixed(rate, 1) << " cells/s, ETA "
                 << format_fixed(static_cast<double>(total - done) / rate, 1)
-                << " s   " << std::flush;
+                << " s, " << quarantined << " quarantined   " << std::flush;
       if (done == total) std::cerr << '\n';
     };
   }
