@@ -26,10 +26,11 @@ int num_levels(const TaskGraph& g) {
 
 std::vector<std::vector<TaskId>> tasks_by_level(const TaskGraph& g) {
   const auto levels = task_levels(g);
-  std::vector<std::vector<TaskId>> groups(
-      static_cast<std::size_t>(num_levels(g)));
+  std::vector<std::vector<TaskId>> groups;
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    groups[static_cast<std::size_t>(levels[t])].push_back(t);
+    const auto level = static_cast<std::size_t>(levels[t]);
+    if (level >= groups.size()) groups.resize(level + 1);
+    groups[level].push_back(t);
   }
   return groups;
 }

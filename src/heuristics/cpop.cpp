@@ -1,17 +1,17 @@
 #include "heuristics/cpop.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 
 #include "heuristics/heft.h"
+#include "heuristics/list_schedule.h"
 
 namespace sehc {
 
 Schedule cpop_schedule(const Workload& w) {
   const TaskGraph& g = w.graph();
-  const auto rank_u = heft_upward_ranks(w);
+  const auto rank_u = upward_ranks(w, /*with_transfers=*/true);
   const auto rank_d = heft_downward_ranks(w);
 
   std::vector<double> priority(w.num_tasks());
@@ -40,12 +40,6 @@ Schedule cpop_schedule(const Workload& w) {
     }
   }
 
-  Schedule s;
-  s.assignment.assign(w.num_tasks(), 0);
-  s.start.assign(w.num_tasks(), 0.0);
-  s.finish.assign(w.num_tasks(), 0.0);
-  InsertionTimeline timeline(w.num_machines());
-
   // Ready-list scheduling by descending priority.
   auto cmp = [&](TaskId a, TaskId b) {
     if (priority[a] != priority[b]) return priority[a] < priority[b];
@@ -58,56 +52,24 @@ Schedule cpop_schedule(const Workload& w) {
     if (pending[t] == 0) ready.push(t);
   }
 
+  ListSchedule ls(w, /*insertion=*/true);
   std::size_t scheduled = 0;
   while (!ready.empty()) {
     const TaskId t = ready.top();
     ready.pop();
     ++scheduled;
-
-    auto eft_on = [&](MachineId m, double& start_out) {
-      double ready_time = 0.0;
-      for (DataId d : g.in_edges(t)) {
-        const DagEdge& e = g.edge(d);
-        ready_time = std::max(
-            ready_time, s.finish[e.src] + w.transfer(s.assignment[e.src], m, d));
-      }
-      const double duration = w.exec(m, t);
-      start_out = timeline.earliest_start(m, ready_time, duration);
-      return start_out + duration;
-    };
-
-    MachineId chosen;
-    double start = 0.0;
     if (on_cp[t]) {
-      chosen = cp_machine;
-      eft_on(chosen, start);
+      ls.place(t, cp_machine, ls.earliest_start(t, cp_machine));
     } else {
-      double best_finish = std::numeric_limits<double>::infinity();
-      chosen = 0;
-      for (MachineId m = 0; m < w.num_machines(); ++m) {
-        double trial_start = 0.0;
-        const double finish = eft_on(m, trial_start);
-        if (finish < best_finish) {
-          best_finish = finish;
-          chosen = m;
-          start = trial_start;
-        }
-      }
+      const auto p = ls.earliest_finish(t);
+      ls.place(t, p.machine, p.start);
     }
-
-    const double duration = w.exec(chosen, t);
-    s.assignment[t] = chosen;
-    s.start[t] = start;
-    s.finish[t] = start + duration;
-    timeline.place(chosen, start, duration);
-    s.makespan = std::max(s.makespan, s.finish[t]);
-
     for (TaskId succ : g.succs(t)) {
       if (--pending[succ] == 0) ready.push(succ);
     }
   }
   SEHC_CHECK(scheduled == w.num_tasks(), "cpop_schedule: cyclic graph");
-  return s;
+  return ls.release();
 }
 
 }  // namespace sehc

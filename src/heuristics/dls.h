@@ -7,17 +7,15 @@
 //   DL(t, m) = SL(t) - max(data_ready(t, m), machine_avail(m)) + delta(t, m)
 //
 // where SL is the static level (mean-execution upward rank without
-// communication) and delta(t, m) = mean_exec(t) - E[m][t] rewards machines
-// that run t faster than average. Non-insertion semantics.
+// communication: upward_ranks(w, false) in heuristics/list_schedule.h) and
+// delta(t, m) = mean_exec(t) - E[m][t] rewards machines that run t faster
+// than average. Non-insertion semantics.
 #pragma once
 
 #include "hc/workload.h"
 #include "sched/schedule.h"
 
 namespace sehc {
-
-/// Static levels: SL(t) = mean_exec(t) + max over successors SL(succ).
-std::vector<double> dls_static_levels(const Workload& w);
 
 Schedule dls_schedule(const Workload& w);
 

@@ -2,9 +2,10 @@
 // of the paper).
 //
 // Phase 1: upward ranks from mean execution and mean transfer costs.
-// Phase 2: tasks in decreasing rank order; each task goes to the machine
-// minimizing its earliest finish time, with insertion-based slot search
-// (a task may fill an idle gap left earlier on the machine).
+// Phase 2: tasks in decreasing rank order, equal ranks in topological
+// order; each task goes to the machine minimizing its earliest finish time,
+// with insertion-based slot search (a task may fill an idle gap left
+// earlier on the machine).
 #pragma once
 
 #include <vector>
@@ -14,35 +15,11 @@
 
 namespace sehc {
 
-/// Upward rank of every task: rank(t) = w(t) + max over successors of
-/// (mean transfer + rank(succ)); w = mean execution time across machines.
-std::vector<double> heft_upward_ranks(const Workload& w);
-
 /// Downward rank: rank_d(t) = max over predecessors of
 /// (rank_d(pred) + w(pred) + mean transfer). Used by CPOP.
 std::vector<double> heft_downward_ranks(const Workload& w);
 
 /// Runs HEFT and returns the (insertion-based) schedule.
 Schedule heft_schedule(const Workload& w);
-
-/// Machine timelines with insertion support, shared by HEFT/CPOP.
-class InsertionTimeline {
- public:
-  explicit InsertionTimeline(std::size_t num_machines);
-
-  /// Earliest start >= ready on machine m for a task of length `duration`,
-  /// considering idle gaps between already-placed tasks.
-  double earliest_start(MachineId m, double ready, double duration) const;
-
-  /// Commits a task occupying [start, start + duration) on machine m.
-  void place(MachineId m, double start, double duration);
-
- private:
-  struct Slot {
-    double start;
-    double finish;
-  };
-  std::vector<std::vector<Slot>> slots_;  // per machine, sorted by start
-};
 
 }  // namespace sehc

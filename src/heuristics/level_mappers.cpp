@@ -1,92 +1,32 @@
 #include "heuristics/level_mappers.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "dag/levels.h"
+#include "heuristics/list_schedule.h"
 
 namespace sehc {
 
 namespace {
 
-/// Shared state for the levelized mappers: non-insertion machine queues.
-struct MapperState {
-  const Workload& w;
-  Schedule s;
-  std::vector<double> machine_avail;
-
-  explicit MapperState(const Workload& workload) : w(workload) {
-    s.assignment.assign(w.num_tasks(), 0);
-    s.start.assign(w.num_tasks(), 0.0);
-    s.finish.assign(w.num_tasks(), 0.0);
-    machine_avail.assign(w.num_machines(), 0.0);
-  }
-
-  /// Data-ready time of task t on machine m given placed predecessors.
-  double ready_time(TaskId t, MachineId m) const {
-    const TaskGraph& g = w.graph();
-    double ready = 0.0;
-    for (DataId d : g.in_edges(t)) {
-      const DagEdge& e = g.edge(d);
-      ready = std::max(ready,
-                       s.finish[e.src] + w.transfer(s.assignment[e.src], m, d));
-    }
-    return ready;
-  }
-
-  /// Completion time of t if placed next on m.
-  double completion_time(TaskId t, MachineId m) const {
-    return std::max(ready_time(t, m), machine_avail[m]) + w.exec(m, t);
-  }
-
-  void place(TaskId t, MachineId m) {
-    const double start = std::max(ready_time(t, m), machine_avail[m]);
-    s.assignment[t] = m;
-    s.start[t] = start;
-    s.finish[t] = start + w.exec(m, t);
-    machine_avail[m] = s.finish[t];
-    s.makespan = std::max(s.makespan, s.finish[t]);
-  }
-};
-
-/// Min-min (minimize_best = true) / Max-min (false) over one level.
-void map_level_minmax(MapperState& state, std::vector<TaskId> level,
-                      bool minimize_best) {
-  while (!level.empty()) {
-    // For each unscheduled task find its best machine and completion time.
-    std::size_t chosen_idx = 0;
-    MachineId chosen_machine = 0;
-    double chosen_ct = minimize_best
-                           ? std::numeric_limits<double>::infinity()
-                           : -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      double best_ct = std::numeric_limits<double>::infinity();
-      MachineId best_m = 0;
-      for (MachineId m = 0; m < state.w.num_machines(); ++m) {
-        const double ct = state.completion_time(level[i], m);
-        if (ct < best_ct) {
-          best_ct = ct;
-          best_m = m;
+/// Min-min (minimize_best = true) / Max-min (false): within each level,
+/// repeatedly commit the task whose earliest finish is lowest (highest).
+Schedule run_minmax(const Workload& w, bool minimize_best) {
+  ListSchedule ls(w, /*insertion=*/false);
+  for (auto& level : tasks_by_level(w.graph())) {
+    while (!level.empty()) {
+      std::size_t chosen = 0;
+      auto best = ls.earliest_finish(level[0]);
+      for (std::size_t i = 1; i < level.size(); ++i) {
+        const auto p = ls.earliest_finish(level[i]);
+        if (minimize_best ? p.finish < best.finish : p.finish > best.finish) {
+          best = p;
+          chosen = i;
         }
       }
-      const bool better = minimize_best ? best_ct < chosen_ct : best_ct > chosen_ct;
-      if (better) {
-        chosen_ct = best_ct;
-        chosen_idx = i;
-        chosen_machine = best_m;
-      }
+      ls.place(level[chosen], best.machine, best.start);
+      level.erase(level.begin() + static_cast<std::ptrdiff_t>(chosen));
     }
-    state.place(level[chosen_idx], chosen_machine);
-    level.erase(level.begin() + static_cast<std::ptrdiff_t>(chosen_idx));
   }
-}
-
-Schedule run_minmax(const Workload& w, bool minimize_best) {
-  MapperState state(w);
-  for (auto& level : tasks_by_level(w.graph())) {
-    map_level_minmax(state, std::move(level), minimize_best);
-  }
-  return std::move(state.s);
+  return ls.release();
 }
 
 }  // namespace
@@ -95,36 +35,28 @@ Schedule minmin_schedule(const Workload& w) { return run_minmax(w, true); }
 Schedule maxmin_schedule(const Workload& w) { return run_minmax(w, false); }
 
 Schedule mct_schedule(const Workload& w) {
-  MapperState state(w);
+  ListSchedule ls(w, /*insertion=*/false);
   for (const auto& level : tasks_by_level(w.graph())) {
     for (TaskId t : level) {
-      MachineId best_m = 0;
-      double best_ct = std::numeric_limits<double>::infinity();
-      for (MachineId m = 0; m < w.num_machines(); ++m) {
-        const double ct = state.completion_time(t, m);
-        if (ct < best_ct) {
-          best_ct = ct;
-          best_m = m;
-        }
-      }
-      state.place(t, best_m);
+      const auto p = ls.earliest_finish(t);
+      ls.place(t, p.machine, p.start);
     }
   }
-  return std::move(state.s);
+  return ls.release();
 }
 
 Schedule olb_schedule(const Workload& w) {
-  MapperState state(w);
+  ListSchedule ls(w, /*insertion=*/false);
   for (const auto& level : tasks_by_level(w.graph())) {
     for (TaskId t : level) {
-      const MachineId m = static_cast<MachineId>(
-          std::min_element(state.machine_avail.begin(),
-                           state.machine_avail.end()) -
-          state.machine_avail.begin());
-      state.place(t, m);
+      MachineId m = 0;
+      for (MachineId c = 1; c < w.num_machines(); ++c) {
+        if (ls.last_finish(c) < ls.last_finish(m)) m = c;
+      }
+      ls.place(t, m, ls.earliest_start(t, m));
     }
   }
-  return std::move(state.s);
+  return ls.release();
 }
 
 }  // namespace sehc

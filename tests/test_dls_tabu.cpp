@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "heuristics/dls.h"
+#include "heuristics/list_schedule.h"
 #include "heuristics/random_search.h"
 #include "heuristics/tabu.h"
 #include "sched/bounds.h"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(Dls, StaticLevelsAreMeanExecUpwardRanks) {
   const Workload w = figure1_workload();
-  const auto sl = dls_static_levels(w);
+  const auto sl = upward_ranks(w, /*with_transfers=*/false);
   // Mean exec: s6 = 225, s5 = 325, s2 = 475, s0 = 450, s4 = 950, s1 = 575,
   // s3 = 750. SL(s6)=225; SL(s5)=325+225=550; SL(s2)=475+550=1025;
   // SL(s4)=950; SL(s3)=750; SL(s0)=450+max(1025,750,950)=1475;

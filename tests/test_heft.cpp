@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "heuristics/cpop.h"
+#include "heuristics/list_schedule.h"
 #include "sched/bounds.h"
 #include "sched/validate.h"
 #include "topcuoglu_example.h"
@@ -13,7 +14,7 @@ namespace {
 
 TEST(Heft, UpwardRanksMatchPublishedValues) {
   const Workload w = topcuoglu_example();
-  const auto rank = heft_upward_ranks(w);
+  const auto rank = upward_ranks(w, /*with_transfers=*/true);
   EXPECT_NEAR(rank[0], 108.000, 0.01);
   EXPECT_NEAR(rank[1], 77.000, 0.01);
   EXPECT_NEAR(rank[2], 80.000, 0.01);
@@ -67,23 +68,47 @@ TEST(Heft, SingleMachineDegeneratesToSerialOrder) {
   EXPECT_NEAR(s.makespan, total, 1e-9);  // no comm, no gaps on one machine
 }
 
-TEST(InsertionTimelineTest, FillsGaps) {
-  InsertionTimeline tl(1);
-  tl.place(0, 10.0, 5.0);  // [10, 15)
-  // A 4-unit task ready at 2 fits before the existing slot.
-  EXPECT_DOUBLE_EQ(tl.earliest_start(0, 2.0, 4.0), 2.0);
-  // A 12-unit task ready at 0 does not fit in [0,10) after... it does fit:
-  // 0 + 12 > 10, so it must go after the slot.
-  EXPECT_DOUBLE_EQ(tl.earliest_start(0, 0.0, 12.0), 15.0);
-  tl.place(0, 2.0, 4.0);  // [2, 6)
-  // Remaining gap [6, 10) accepts a 3-unit task.
-  EXPECT_DOUBLE_EQ(tl.earliest_start(0, 0.0, 3.0), 6.0);
+TEST(ListScheduleTest, FillsGaps) {
+  // Independent tasks of 5, 4, 12 and 3 units on one machine.
+  Matrix<double> exec(1, 4);
+  exec(0, 0) = 5.0;
+  exec(0, 1) = 4.0;
+  exec(0, 2) = 12.0;
+  exec(0, 3) = 3.0;
+  const Workload w(TaskGraph(4), MachineSet(1), std::move(exec),
+                   Matrix<double>(0, 0));
+  ListSchedule ls(w, /*insertion=*/true);
+  ListSchedule appending(w, /*insertion=*/false);
+  ls.place(0, 0, 10.0);  // [10, 15)
+  appending.place(0, 0, 10.0);
+  // A 4-unit task fits in the gap before the existing slot, unless the
+  // schedule only appends.
+  EXPECT_DOUBLE_EQ(ls.earliest_start(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(appending.earliest_start(1, 0), 15.0);
+  // 0 + 12 > 10, so a 12-unit task must go after the slot.
+  EXPECT_DOUBLE_EQ(ls.earliest_start(2, 0), 15.0);
+  ls.place(1, 0, 2.0);  // [2, 6)
+  // [0, 2) is too short for a 3-unit task; the gap [6, 10) accepts it.
+  EXPECT_DOUBLE_EQ(ls.earliest_start(3, 0), 6.0);
 }
 
-TEST(InsertionTimelineTest, RespectsReadyTime) {
-  InsertionTimeline tl(1);
-  tl.place(0, 0.0, 10.0);
-  EXPECT_DOUBLE_EQ(tl.earliest_start(0, 25.0, 5.0), 25.0);
+TEST(ListScheduleTest, RespectsReadyTime) {
+  // a -> b carries 3 units between machines; c keeps m0 busy over [0, 10).
+  TaskGraph g(3);
+  g.add_edge(0, 1);
+  Matrix<double> exec(2, 3, 5.0);
+  exec(1, 0) = 25.0;
+  exec(0, 2) = 10.0;
+  Matrix<double> tr(1, 1, 3.0);
+  const Workload w(std::move(g), MachineSet(2), std::move(exec), std::move(tr));
+  ListSchedule ls(w, /*insertion=*/true);
+  ls.place(2, 0, 0.0);
+  ls.place(0, 1, 0.0);  // a finishes at 25 on m1
+  EXPECT_DOUBLE_EQ(ls.earliest_start(1, 0), 28.0);
+  EXPECT_DOUBLE_EQ(ls.earliest_start(1, 1), 25.0);
+  const ListSchedule::Placement p = ls.earliest_finish(1);
+  EXPECT_EQ(p.machine, 1u);  // finishes b at 30, m0 at 33
+  EXPECT_DOUBLE_EQ(p.finish, 30.0);
 }
 
 TEST(Cpop, ValidAndBoundedOnCanonicalExample) {

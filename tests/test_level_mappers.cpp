@@ -99,22 +99,37 @@ TEST(RandomSearchTest, ValidAndImprovesWithBudget) {
   EXPECT_LE(many.makespan, one.makespan);
 }
 
+/// The chain 0 -> 2 -> 1 on 2 machines, with E = 5, 0, 0 and free
+/// transfers: task ids that are not topological, and a zero-cost task whose
+/// upward rank ties its successor's.
+Workload zero_cost_chain() {
+  TaskGraph g(3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 1);
+  Matrix<double> exec(2, 3, 0.0);
+  exec(0, 0) = exec(1, 0) = 5.0;
+  return Workload(std::move(g), MachineSet(2), std::move(exec),
+                  Matrix<double>(1, 2, 0.0));
+}
+
 TEST(SchedulerRegistry, AllSchedulersProduceValidSchedules) {
   WorkloadParams p;
   p.tasks = 25;
   p.machines = 5;
   p.seed = 6;
-  const Workload w = make_workload(p);
   const std::vector<std::string> names = scheduler_names();
   EXPECT_GE(names.size(), 10u);
-  for (const std::string& name : names) {
-    // An iteration budget of 15, scaled per scheduler as in campaigns.
-    const Budget budget =
-        Budget::steps(15 * find_scheduler(name)->steps_per_iteration);
-    const auto engine = make_search_engine(name, w, budget, /*seed=*/1);
-    const Schedule s = run_search(*engine, budget).schedule;
-    EXPECT_TRUE(validate_schedule(w, s).empty()) << name;
-    EXPECT_FALSE(engine->name().empty());
+  for (const Workload& w : {make_workload(p), zero_cost_chain()}) {
+    for (const std::string& name : names) {
+      // An iteration budget of 15, scaled per scheduler as in campaigns.
+      const Budget budget =
+          Budget::steps(15 * find_scheduler(name)->steps_per_iteration);
+      const auto engine = make_search_engine(name, w, budget, /*seed=*/1);
+      const Schedule s = run_search(*engine, budget).schedule;
+      EXPECT_TRUE(validate_schedule(w, s).empty())
+          << name << " on " << w.num_tasks() << " tasks";
+      EXPECT_FALSE(engine->name().empty());
+    }
   }
 }
 

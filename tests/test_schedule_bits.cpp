@@ -73,9 +73,8 @@ Workload integer_instance(std::size_t k, std::size_t l, std::size_t s) {
   WorkloadParams p;
   p.tasks = k;
   p.machines = l;
-  p.connectivity = (s % 3 == 0) ? Level::kLow
-                   : (s % 3 == 1) ? Level::kMedium
-                                  : Level::kHigh;
+  const Level connectivity[] = {Level::kLow, Level::kMedium, Level::kHigh};
+  p.connectivity = connectivity[s % 3];
   p.seed = s + 1;
   const Workload base = make_workload(p);
   Matrix<double> exec(l, k);
