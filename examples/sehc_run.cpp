@@ -74,7 +74,7 @@ int run(int argc, char** argv) {
             << ", serial upper bound "
             << format_fixed(serial_upper_bound(w), 2) << ")\n";
   if (opts.has("contention")) {
-    const double cm = contention_makespan(w, s.to_solution());
+    const double cm = contention_makespan(w, s.to_solution(w));
     std::cout << "makespan under serialized links: " << format_fixed(cm, 2)
               << "  (+" << format_fixed(100.0 * (cm / s.makespan - 1.0), 1)
               << "%)\n";

@@ -493,7 +493,8 @@ CampaignSpec make_fig_campaign(const std::string& name,
 std::vector<std::string> builtin_campaign_names() {
   return {"paper-class-grid", "equal-evals-grid", "scaled-class-grid",
           "consistency-grid", "fig5-anytime",     "fig6-anytime",
-          "fig7-anytime",     "baselines"};
+          "fig7-anytime",     "baselines",        "se-y-study",
+          "se-bias-study",    "se-init-study"};
 }
 
 namespace {
@@ -609,6 +610,39 @@ CampaignSpec make_builtin_campaign(const std::string& name) {
     spec.repetitions = 1;
     spec.iterations = 150;
     return spec;
+  }
+  // SE's parameter studies: each configuration is a registry name
+  // (heuristics/scheduler.h), 5 derived instances per class, or the class's
+  // pinned seed-42 instance with --seeds 1.
+  if (name == "se-y-study") {
+    // §5.2 / Figure 4: allocation breadth Y at low and high heterogeneity,
+    // with the best-so-far curve over the iterations.
+    return {.name = name,
+            .classes = {{"low-het", paper_large_low_heterogeneity(42)},
+                        {"high-het", paper_large_high_heterogeneity(42)}},
+            .schedulers = {"SE[Y=5]", "SE[Y=9]", "SE[Y=12]"},
+            .repetitions = 5, .iterations = 250, .curve_points = 30};
+  }
+  if (name == "se-bias-study") {
+    // §4.4: the selection bias B on a small and a large instance; plain SE
+    // is B = -0.1.
+    return {.name = name,
+            .classes = {{"small", paper_small(42)},
+                        {"large", paper_large_high_connectivity(42)}},
+            .schedulers = {"SE[B=-0.3]", "SE[B=-0.2]", "SE", "SE[B=0]",
+                           "SE[B=0.05]", "SE[B=0.1]"},
+            .repetitions = 5, .iterations = 120};
+  }
+  if (name == "se-init-study") {
+    // A random or a HEFT start x Y in {2, 5, all}, at the large-problem
+    // bias default_bias(100) = 0.05, with HEFT alone as the flat baseline.
+    return {.name = name,
+            .classes = {{"high-conn", paper_fig5_high_connectivity(42)},
+                        {"low-all", paper_fig7_low_everything(42)}},
+            .schedulers = {"SE[Y=2,B=0.05]", "SE[Y=2,B=0.05,init=HEFT]",
+                           "SE[Y=5,B=0.05]", "SE[Y=5,B=0.05,init=HEFT]",
+                           "SE[B=0.05]", "SE[B=0.05,init=HEFT]", "HEFT"},
+            .repetitions = 5, .iterations = 100};
   }
   throw Error("make_builtin_campaign: unknown campaign '" + name +
               "' (known: " + join(builtin_campaign_names(), ',') + ")");

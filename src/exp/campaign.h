@@ -51,7 +51,8 @@ struct CampaignSpec {
   std::string name = "campaign";
   std::vector<CampaignClass> classes;
   /// Names from the scheduler registry (scheduler_names(): "SE", "GA",
-  /// "GSA", "HEFT", ...); every cell builds its engine with
+  /// "GSA", "HEFT", ..., and SE with parameters such as "SE[Y=9]"; see
+  /// find_scheduler); every cell builds its engine with
   /// make_search_engine.
   std::vector<std::string> schedulers;
   /// Seeded repetitions per (class, scheduler).
@@ -270,7 +271,16 @@ std::vector<std::string> builtin_campaign_names();
 ///   fig6-anytime /      single-class campaigns with 20-point curve capture
 ///   fig7-anytime        (sehc_report curves renders the figure);
 ///   baselines           all 13 registered schedulers on the three figure
-///                       workloads and paper_small, 1 repetition at seed 42.
+///                       workloads and paper_small, 1 repetition at seed 42;
+///   se-y-study          SE's Y in {5, 9, 12} on the large low- and
+///                       high-heterogeneity instances (Figure 4);
+///   se-bias-study       SE's bias B in {-0.3, -0.2, -0.1, 0, 0.05, 0.1} on
+///                       paper_small and the large high-connectivity
+///                       instance (§4.4);
+///   se-init-study       SE from a random or a HEFT start x Y in {2, 5, all}
+///                       at B = 0.05, with HEFT as the baseline.
+/// The three SE studies run 5 derived instances per class; `--seeds 1`
+/// keeps each class's seed-42 instance.
 CampaignSpec make_builtin_campaign(const std::string& name);
 
 }  // namespace sehc

@@ -21,8 +21,9 @@ Schedule cpop_schedule(const Workload& w) {
     cp_priority = std::max(cp_priority, priority[t]);
   }
 
-  // Critical-path set: priority equal to the maximum (relative tolerance).
-  const double tol = 1e-9 * std::max(cp_priority, 1.0);
+  // Critical-path set: priority equal to the maximum (relative tolerance,
+  // so the set does not depend on the unit of time).
+  const double tol = 1e-9 * cp_priority;
   std::vector<bool> on_cp(w.num_tasks(), false);
   for (TaskId t = 0; t < w.num_tasks(); ++t)
     on_cp[t] = priority[t] >= cp_priority - tol;

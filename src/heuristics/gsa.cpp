@@ -26,9 +26,10 @@ void GsaEngine::start() {
   keep_if_best(pop_[best], lengths_[best]);
 
   // Calibrate T0 so a typical population-spread delta is accepted with the
-  // configured probability.
-  const Accumulator spread = summarize(lengths_);
-  const double typical_delta = std::max(spread.stddev(), 1e-9);
+  // configured probability. The floor applies only to a population without
+  // spread, so T0 scales with the unit of time.
+  const double stddev = summarize(lengths_).stddev();
+  const double typical_delta = stddev > 0.0 ? stddev : 1e-9;
   temperature_ = -typical_delta / std::log(params_.initial_acceptance);
   trace_.clear();
 }

@@ -7,6 +7,8 @@
 // search (simulated annealing, tabu, random search) alongside SE and GA.
 //
 // make_search_engine is the one way to build any of the 13 schedulers.
+// SE also takes its parameters in the name: `SE[Y=9]`, `SE[B=-0.2]`,
+// `SE[Y=2,B=0.05,init=HEFT]` (see find_scheduler for the grammar).
 // The six iterative searchers run under any Budget currency; the seven
 // deterministic one-shot schedulers become degenerate single-step
 // OneShotEngines (search/one_shot.h), so every harness — campaigns, the
@@ -47,7 +49,18 @@ struct SchedulerInfo {
 /// DLS, MinMin, MaxMin, MCT, OLB, SA, Tabu, Random).
 std::vector<std::string> scheduler_names();
 
-/// The registry row for `name`, or null for an unknown name.
+/// The registry row for `name`, or null for an unknown name. Besides the
+/// 13 plain names it accepts SE with parameters, `SE[key=value,...]`, whose
+/// keys come in the order Y, B, init, each at most once:
+///   Y     machines tried per task (SeParams::y_limit): a whole number >= 1
+///         without leading zeros; a Y above the machine count clamps;
+///   B     selection bias: a finite number spelled as its shortest
+///         round-trip form (`0.05`, `-0.2`, `0`; not `+0.1`, `0.050`,
+///         `1e-1` or `-0`), and not SE's default -0.1;
+///   init  `HEFT`: start from HEFT's schedule instead of a random string.
+/// So one configuration has one spelling, and with it one spec hash and
+/// one cache key. Any other bracketed name (`SE[]`, `SE[Y=0]`, `GA[Y=9]`,
+/// `SE[B=0.1,Y=5]`, `SE[init=CPOP]`) is unknown.
 const SchedulerInfo* find_scheduler(const std::string& name);
 
 /// The comparison-suite SE configuration (selection bias, trace flags) —
@@ -69,13 +82,14 @@ TabuParams comparison_tabu_params(std::uint64_t seed);
 /// and 100 for a wall-clock budget, which has no deterministic move count.
 SaParams comparison_sa_params(const Budget& budget, std::uint64_t seed);
 
-/// Builds the engine for any registered scheduler under any budget
+/// Builds the engine for any name find_scheduler accepts, under any budget
 /// currency. The six searchers use the comparison-suite parameters
-/// (comparison_*_params); the budget itself is enforced by the caller's
-/// run_search/run_anytime, and only SA's cooling ladder depends on it. A
-/// one-shot scheduler's single step is its whole run under any valid
-/// budget. Throws sehc::Error for an invalid budget or an unknown name
-/// (the message lists every registered name).
+/// (comparison_*_params), SE with its name's overrides, and `init=HEFT`
+/// starts SE from heft_schedule's string. The budget itself is enforced by
+/// the caller's run_search/run_anytime, and only SA's cooling ladder
+/// depends on it. A one-shot scheduler's single step is its whole run
+/// under any valid budget. Throws sehc::Error for an invalid budget or an
+/// unknown name (the message lists every registered name).
 std::unique_ptr<SearchEngine> make_search_engine(const std::string& name,
                                                  const Workload& w,
                                                  const Budget& budget,

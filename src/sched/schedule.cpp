@@ -34,6 +34,13 @@ std::vector<std::vector<TaskId>> Schedule::machine_sequences(
   return seq;
 }
 
+SolutionString Schedule::to_solution(const Workload& w) const {
+  std::vector<TaskId> order(w.topo_order().begin(), w.topo_order().end());
+  std::stable_sort(order.begin(), order.end(),
+                   [this](TaskId a, TaskId b) { return start[a] < start[b]; });
+  return SolutionString(order, assignment);
+}
+
 SolutionString Schedule::to_solution() const {
   std::vector<TaskId> order(assignment.size());
   std::iota(order.begin(), order.end(), 0);

@@ -31,11 +31,15 @@ struct Schedule {
   std::vector<std::vector<TaskId>> machine_sequences(
       std::size_t num_machines) const;
 
-  /// Converts to the string encoding: global order by start time (ties by
-  /// task id), keeping the assignment. For schedules produced by insertion,
-  /// re-evaluating the string may yield a different (>= or <=) makespan; the
-  /// string is still topologically valid because start times respect
-  /// precedence.
+  /// Converts to the string encoding, keeping the assignment: the tasks by
+  /// start time, ties in the graph's topological order, so a zero-duration
+  /// predecessor that starts with its successor still comes first. For
+  /// schedules produced by insertion, re-evaluating the string may yield a
+  /// different (>= or <=) makespan; the string is still topologically valid
+  /// because start times respect precedence.
+  SolutionString to_solution(const Workload& w) const;
+  /// As above with ties by task id: the same string wherever task ids are
+  /// topological, as on generated workloads.
   SolutionString to_solution() const;
 };
 

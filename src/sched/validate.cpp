@@ -1,14 +1,11 @@
 #include "sched/validate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace sehc {
 
 namespace {
-// Tolerance for floating-point accumulated times.
-constexpr double kEps = 1e-6;
 
 std::string task_label(const Workload& w, TaskId t) {
   return w.graph().name(t) + " (s" + std::to_string(t) + ")";
@@ -38,14 +35,13 @@ std::vector<std::string> validate_schedule(const Workload& w,
       placed[t] = 0;
       continue;
     }
-    if (s.start[t] < -kEps)
+    if (!(s.start[t] >= 0.0))
       complain(task_label(w, t) + ": negative start time");
-    const double expected = w.exec(s.assignment[t], t);
-    if (std::abs((s.finish[t] - s.start[t]) - expected) > kEps)
-      complain(task_label(w, t) + ": duration does not match E[m][t]");
+    if (s.finish[t] != s.start[t] + w.exec(s.assignment[t], t))
+      complain(task_label(w, t) + ": finish is not start + E[m][t]");
     max_finish = std::max(max_finish, s.finish[t]);
   }
-  if (std::abs(max_finish - s.makespan) > kEps)
+  if (max_finish != s.makespan)
     complain("makespan does not equal the maximum finish time");
 
   // Precedence + communication.
@@ -53,7 +49,7 @@ std::vector<std::string> validate_schedule(const Workload& w,
     if (!placed[e.src] || !placed[e.dst]) continue;
     const double comm =
         w.transfer(s.assignment[e.src], s.assignment[e.dst], e.item);
-    if (s.start[e.dst] + kEps < s.finish[e.src] + comm) {
+    if (s.start[e.dst] < s.finish[e.src] + comm) {
       std::ostringstream os;
       os << task_label(w, e.dst) << " starts at " << s.start[e.dst]
          << " before data d" << e.item << " from " << task_label(w, e.src)
@@ -69,13 +65,16 @@ std::vector<std::string> validate_schedule(const Workload& w,
   }
   for (MachineId machine = 0; machine < on_machine.size(); ++machine) {
     std::vector<TaskId>& tasks = on_machine[machine];
+    // By start, then finish: a zero-length task that starts with a longer
+    // one ran first, so it overlaps nothing.
     std::sort(tasks.begin(), tasks.end(), [&s](TaskId a, TaskId b) {
-      return s.start[a] != s.start[b] ? s.start[a] < s.start[b] : a < b;
+      if (s.start[a] != s.start[b]) return s.start[a] < s.start[b];
+      return s.finish[a] != s.finish[b] ? s.finish[a] < s.finish[b] : a < b;
     });
     for (std::size_t i = 1; i < tasks.size(); ++i) {
       const TaskId prev = tasks[i - 1];
       const TaskId cur = tasks[i];
-      if (s.start[cur] + kEps < s.finish[prev]) {
+      if (s.start[cur] < s.finish[prev]) {
         std::ostringstream os;
         os << task_label(w, cur) << " overlaps " << task_label(w, prev)
            << " on m" << machine;

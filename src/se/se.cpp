@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "dag/levels.h"
+#include "obs/metrics.h"
 #include "se/allocation.h"
 #include "se/goodness.h"
 #include "se/selection.h"
@@ -17,7 +18,9 @@ SeEngine::SeEngine(const Workload& workload, SeParams params)
       optimal_(optimal_costs(workload)),
       levels_(task_levels(workload.graph())),
       candidates_(MachineCandidates(workload, params.y_limit)),
-      batch_(eval_) {}
+      batch_(eval_),
+      selected_counter_("engine/" + params.name + "/selected"),
+      moved_counter_("engine/" + params.name + "/moved") {}
 
 SeEngine::SeEngine(const Workload& workload, SeParams params,
                    SolutionString initial)
@@ -63,6 +66,11 @@ void SeEngine::advance() {
 
   const double current_makespan = eval_.makespan(current_);
   keep_if_best(current_, current_makespan);
+
+  if (MetricsRegistry* metrics = ambient_metrics()) {
+    metrics->counter_add(selected_counter_, selected_.size());
+    metrics->counter_add(moved_counter_, alloc.tasks_moved);
+  }
 
   if (params_.record_trace) {
     SeIterationStats stats;

@@ -7,6 +7,9 @@
 //
 // SeEngine is a Searcher (search/searcher.h): one step() is one SE
 // iteration, and run_search under a Budget decides when the search stops.
+// Under an ambient metrics registry every step adds its selected count and
+// its moved-task count to the counters `engine/<name>/selected` and
+// `engine/<name>/moved`.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,9 @@ struct SeParams {
   bool verify_invariants = false;
   /// Record the per-iteration trace (disable for microbenchmarks).
   bool record_trace = true;
+  /// The registry name the engine reports (`SE`, `SE[Y=9]`, ...; see
+  /// heuristics/scheduler.h). It names the engine's metrics counters.
+  std::string name = "SE";
 };
 
 /// One row of the convergence trace.
@@ -59,7 +65,7 @@ class SeEngine final : public Searcher {
   /// record_trace is off).
   const std::vector<SeIterationStats>& trace() const { return trace_; }
 
-  std::string name() const override { return "SE"; }
+  std::string name() const override { return params_.name; }
 
  private:
   void start() override;
@@ -72,6 +78,8 @@ class SeEngine final : public Searcher {
   MachineCandidates candidates_;      // Y-restricted machines, flat table
   Evaluator::TrialBatch batch_;       // persistent allocation-scan batch
   std::optional<SolutionString> initial_;  // caller-supplied start, if any
+  std::string selected_counter_;      // engine/<name>/selected
+  std::string moved_counter_;         // engine/<name>/moved
 
   // Stepwise state (valid after init()).
   SolutionString current_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "heuristics/heft.h"
 #include "heuristics/random_search.h"
 #include "heuristics/scheduler.h"
 #include "sched/bounds.h"
@@ -112,14 +113,27 @@ Workload zero_cost_chain() {
                   Matrix<double>(1, 2, 0.0));
 }
 
+/// Two independent tasks on one machine, E = 5 and 0: a schedule that runs
+/// the zero-length task 1 at 0, then task 0 at 0, has them start together.
+Workload zero_length_pair() {
+  Matrix<double> exec(1, 2, 0.0);
+  exec(0, 0) = 5.0;
+  return Workload(TaskGraph(2), MachineSet(1), std::move(exec),
+                  Matrix<double>(0, 0, 0.0));
+}
+
 TEST(SchedulerRegistry, AllSchedulersProduceValidSchedules) {
   WorkloadParams p;
   p.tasks = 25;
   p.machines = 5;
   p.seed = 6;
-  const std::vector<std::string> names = scheduler_names();
+  std::vector<std::string> names = scheduler_names();
   EXPECT_GE(names.size(), 10u);
-  for (const Workload& w : {make_workload(p), zero_cost_chain()}) {
+  // SE from HEFT's schedule, whose string must put the zero-cost task 2
+  // before its successor 1 although both start at 5.
+  names.push_back("SE[init=HEFT]");
+  for (const Workload& w :
+       {make_workload(p), zero_cost_chain(), zero_length_pair()}) {
     for (const std::string& name : names) {
       // An iteration budget of 15, scaled per scheduler as in campaigns.
       const Budget budget =
@@ -131,6 +145,15 @@ TEST(SchedulerRegistry, AllSchedulersProduceValidSchedules) {
       EXPECT_FALSE(engine->name().empty());
     }
   }
+}
+
+TEST(ScheduleToSolution, StartTimeTiesFollowTheTopologicalOrder) {
+  const Workload w = zero_cost_chain();
+  const Schedule s = heft_schedule(w);
+  ASSERT_EQ(s.start[1], s.start[2]);
+  EXPECT_TRUE(s.to_solution(w).is_valid(w.graph()));
+  // By task id, successor 1 would come before its predecessor 2.
+  EXPECT_FALSE(s.to_solution().is_valid(w.graph()));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include "core/error.h"
 #include "exp/anytime.h"
+#include "exp/campaign.h"
 #include "ga/ga.h"
 #include "hc/workload_io.h"
 #include "heuristics/annealing.h"
@@ -29,6 +30,7 @@
 #include "heuristics/random_search.h"
 #include "heuristics/scheduler.h"
 #include "heuristics/tabu.h"
+#include "obs/metrics.h"
 #include "sched/validate.h"
 #include "se/se.h"
 #include "workload/generator.h"
@@ -339,6 +341,103 @@ TEST(SearchEngineCore, MakeSearchEngineRejectsNonEngines) {
   for (const char* name : kSearchers) {
     EXPECT_EQ(find_scheduler(name)->one_shot, nullptr) << name;
   }
+}
+
+/// The engine SeEngine builds from the comparison parameters with `edit`
+/// applied, run for `steps` steps.
+template <typename Edit>
+SearchResult run_se_with(const Workload& w, std::uint64_t seed,
+                         std::size_t steps, Edit edit) {
+  SeParams p = comparison_se_params(seed);
+  edit(p);
+  SeEngine engine(w, p);
+  return run_search(engine, Budget::steps(steps));
+}
+
+TEST(SchedulerRegistry, SeNamesCarryTheirParameters) {
+  const Workload w = small_workload(31);
+  const auto by_name = [&](const std::string& name) {
+    const auto engine = make_search_engine(name, w, Budget::steps(6), 9);
+    EXPECT_EQ(engine->name(), name);
+    EXPECT_EQ(find_scheduler(name), find_scheduler("SE")) << name;
+    return run_search(*engine, Budget::steps(6));
+  };
+  const auto expect_same = [](const SearchResult& a, const SearchResult& b,
+                              const std::string& name) {
+    EXPECT_EQ(a.best_makespan, b.best_makespan) << name;
+    EXPECT_EQ(a.evals, b.evals) << name;
+    EXPECT_EQ(a.schedule.assignment, b.schedule.assignment) << name;
+    EXPECT_EQ(a.schedule.start, b.schedule.start) << name;
+  };
+  expect_same(by_name("SE[Y=2]"),
+              run_se_with(w, 9, 6, [](SeParams& p) { p.y_limit = 2; }),
+              "SE[Y=2]");
+  expect_same(by_name("SE[B=-0.2]"),
+              run_se_with(w, 9, 6, [](SeParams& p) { p.bias = -0.2; }),
+              "SE[B=-0.2]");
+  expect_same(by_name("SE[B=0]"),
+              run_se_with(w, 9, 6, [](SeParams& p) { p.bias = 0.0; }),
+              "SE[B=0]");
+  // A Y above the machine count clamps to every machine, plain SE's Y.
+  expect_same(by_name("SE[Y=50]"), by_name("SE"), "SE[Y=50]");
+  const SolutionString heft = heft_schedule(w).to_solution(w);
+  SeParams p = comparison_se_params(9);
+  p.y_limit = 3;
+  p.bias = 0.05;
+  SeEngine from_heft(w, p, heft);
+  expect_same(by_name("SE[Y=3,B=0.05,init=HEFT]"),
+              run_search(from_heft, Budget::steps(6)),
+              "SE[Y=3,B=0.05,init=HEFT]");
+}
+
+TEST(SchedulerRegistry, MalformedNamesAreUnknownEverywhere) {
+  const Workload w = small_workload(32);
+  CampaignSpec spec = make_builtin_campaign("se-init-study");
+  for (const char* name :
+       {"SE[]", "SE[Y=0]", "SE[B=nan]", "SE[B=0.1,Y=5]", "GA[Y=9]",
+        "SE[init=CPOP]", "SE[Y=09]", "SE[B=+0.1]", "SE[B=1e-1]",
+        "SE[B=0.050]", "SE[B=-0]", "SE[B=inf]", "SE[B=-0.1]", "SE[Y=5,Y=5]",
+        "SE[Y=-1]", "SE[Y=5.0]", "SE[Y=5", "SE[Y=5]x", "SE[Y=5,]",
+        "SE[,Y=5]", "SE[Y]", "SE[y=5]", "SE [Y=5]", "HEFT[]",
+        "SE[Y=99999999999999999999]"}) {
+    EXPECT_EQ(find_scheduler(name), nullptr) << name;
+    EXPECT_THROW(make_search_engine(name, w, Budget::steps(1), 1), Error)
+        << name;
+    spec.schedulers = {"HEFT", name};
+    EXPECT_THROW(spec.validate(), Error) << name;
+  }
+}
+
+TEST(SchedulerRegistry, SeCountsSelectedAndMovedTasksPerStep) {
+  const Workload w = small_workload(33);
+  SeParams p = comparison_se_params(4);
+  p.name = "SE[Y=3]";
+  p.y_limit = 3;
+  p.record_trace = true;
+  SeEngine engine(w, p);
+  MetricsRegistry registry;
+  {
+    const MetricsScope scope(&registry);
+    run_search(engine, Budget::steps(7));
+  }
+  std::uint64_t selected = 0;
+  std::uint64_t moved = 0;
+  for (const SeIterationStats& row : engine.trace()) {
+    selected += row.num_selected;
+    moved += row.tasks_moved;
+  }
+  const MetricsSnapshot snap = registry.snapshot();
+  const auto counter = [&snap](const std::string& name) {
+    for (const auto& [key, count] : snap.counters) {
+      if (key == name) return count;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter("engine/SE[Y=3]/selected"), selected);
+  EXPECT_EQ(counter("engine/SE[Y=3]/moved"), moved);
+  EXPECT_EQ(counter("engine/SE[Y=3]/steps"), 7u);
+  EXPECT_GT(selected, 0u);
 }
 
 TEST(SearchEngineCore, BudgetValidation) {

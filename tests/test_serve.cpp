@@ -1307,6 +1307,53 @@ TEST(ServeServer, UnknownEngineAnswersErrorAndKeepsServing) {
   server.join();
 }
 
+TEST(ServeServer, SeWithParametersSolvesLikeTheOfflineRun) {
+  // SE's parameters travel in the engine name: the daemon builds
+  // `SE[Y=9]` through the same registry as an offline run, caches it under
+  // that name, and rejects a malformed name before reading the body.
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  Server server(so);
+  server.start();
+
+  WorkloadParams params;
+  params.tasks = 12;
+  params.machines = 12;
+  params.seed = 5;
+  const Workload w = make_workload(params);
+  const Budget budget = Budget::steps(6);
+  const ScheduleRequest req =
+      solve_request(workload_to_string(w), "SE[Y=9]", 3, budget);
+  const ScheduleResponse cold = one_call(so.socket_path, req);
+  ASSERT_EQ(cold.status, ServeStatus::kOk) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+
+  auto engine = make_search_engine("SE[Y=9]", w, budget, 3);
+  const SearchResult offline = run_search(*engine, budget);
+  std::ostringstream offline_csv;
+  write_schedule_csv(offline_csv, w, offline.schedule);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.makespan),
+            std::bit_cast<std::uint64_t>(offline.best_makespan));
+  EXPECT_EQ(cold.evals, offline.evals);
+  EXPECT_EQ(cold.schedule_csv, offline_csv.str());
+
+  const ScheduleResponse warm = one_call(so.socket_path, req);
+  ASSERT_EQ(warm.status, ServeStatus::kOk) << warm.error;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.schedule_csv, cold.schedule_csv);
+
+  // A body that cannot parse shows the name is refused first.
+  const ScheduleResponse bad = one_call(
+      so.socket_path, solve_request("not a workload", "SE[Y=0]", 3, budget));
+  EXPECT_EQ(bad.status, ServeStatus::kError);
+  EXPECT_NE(bad.error.find("unknown engine 'SE[Y=0]'"), std::string::npos)
+      << bad.error;
+  EXPECT_EQ(phase_visits(server.metrics_snapshot(), "request/parse"), 1u);
+  server.request_drain();
+  server.join();
+}
+
 TEST(ServeServer, MalformedWorkloadAnswersError) {
   ServeOptions so;
   so.socket_path = test_socket_path();
