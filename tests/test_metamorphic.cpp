@@ -1,12 +1,13 @@
 // Metamorphic checks: relations between two runs that need no golden.
 //
 // Scaling every execution and transfer time by 2^j is exact in binary
-// floating point (away from overflow and subnormals), and so is every sum,
-// difference, product, quotient and comparison the schedulers make of
-// those times. So each scheduler must make the same decisions on the scaled
-// instance: its schedule there is its unscaled schedule times 2^j, bit for
-// bit, and the validator must accept it at every scale. A tolerance that
-// is absolute rather than relative breaks the relation at some j.
+// floating point (away from overflow and subnormals), and it commutes with
+// every sum, difference, product and quotient of those times. A scheduler
+// that compares like with like therefore makes the same decisions on the
+// scaled instance: its schedule there is its unscaled schedule times 2^j,
+// bit for bit, and the validator must accept it at every scale. A
+// tolerance that is absolute rather than relative breaks the relation at
+// some j.
 #include <gtest/gtest.h>
 
 #include <bit>
